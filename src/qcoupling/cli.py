@@ -73,6 +73,7 @@ from qcoupling.models import (
     path_graph,
 )
 from qcoupling.quantize import (
+    certify_cp_by_congruence,
     choi_matrix,
     c_star_superop,
     is_completely_positive,
@@ -81,7 +82,6 @@ from qcoupling.quantize import (
     min_choi_eigenvalue,
     quantized_coupling,
     superop_from_kraus,
-    verify_cp,
 )
 from qcoupling.coupling import check_tail_submultiplicativity
 
@@ -266,8 +266,7 @@ def cmd_validate(args) -> int:
 def cmd_quantize(args) -> int:
     rm = _load_inputs(args)
     C = rm.coupling()
-    S_c = c_star_superop(C)
-    J = choi_matrix(S_c, order=args.order)
+    J = choi_matrix(c_star_superop(C), order=args.order)
     eigs = J.eigenvalues
     summary = {
         "model": rm.name,
@@ -279,8 +278,8 @@ def cmd_quantize(args) -> int:
     }
     series = {"choi": matrix_to_csv(J.matrix, header=f"# choi order={args.order}")}
     if C.marginal_verified and validate_coupling(C).valid:
-        T, T_star = quantized_coupling(C, rm.pi)
-        verify_cp(T)
+        T, _ = quantized_coupling(C, rm.pi)
+        certify_cp_by_congruence(T, J, rm.pi)
         summary["trace_preserving"] = True  # asserted inside quantized_coupling
         summary["fixed_point_holds"] = True
         summary["channel_cp"] = T.cp_status == "verified"
@@ -332,7 +331,6 @@ def cmd_evolve(args) -> int:
         raise InvalidInputError("evolve needs a random-mapping model (CP channel)")
     ks = kraus_from_grand(rm.rmr, rm.pi)
     T = superop_from_kraus(ks)
-    verify_cp(T)
     if T.cp_status != "verified":
         raise InvalidInputError("channel failed the complete-positivity check")
     report = coalescence_tail_exact(rm.coupling(), m_max=args.m_max)
@@ -371,7 +369,6 @@ def cmd_verify(args) -> int:
     n = pi.n
     ks = kraus_from_grand(rm.rmr, pi)
     T = superop_from_kraus(ks)
-    verify_cp(T)
     report = coalescence_tail_exact(C, m_max=args.m_max)
     rng = np.random.Generator(np.random.Philox(args.seed))
     rho0_set = [random_density(n, rng) for _ in range(args.states)]
@@ -490,7 +487,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert one config value the way argparse converts the flag's arguments.
+
+    Strings and numbers go through the flag's ``type`` and ``choices`` (so 2.5
+    is not an int); flags with ``nargs="+"`` take a nonempty list, switches
+    take true or false, and null leaves a flag whose default is None unset.
+    """
+    if value is None and action.default is None:
+        return None
+    convert = action.type or str
+    many = action.nargs in ("+", "*")
+    if action.nargs == 0:
+        expected = "true or false"
+    else:
+        expected = ("a nonempty list of " if many else "") + convert.__name__
+        if action.choices is not None:
+            expected += f" in {sorted(action.choices)}"
+    bad = InvalidInputError(f"config key {key!r}: expected {expected}, got {value!r}")
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise bad
+        return value
+    if many != isinstance(value, list) or (many and not value):
+        raise bad
+    out = []
+    for item in value if many else [value]:
+        if isinstance(item, bool) or not isinstance(item, (int, float, str)):
+            raise bad
+        if convert is str and not isinstance(item, str):
+            raise bad
+        try:
+            item = convert(str(item))
+        except ValueError:
+            raise bad from None
+        if action.choices is not None and item not in action.choices:
+            raise bad
+        out.append(item)
+    return out if many else out[0]
+
+
 def _apply_config(args, parser):
+    """Set the subcommand's flags from ``--config``; the file wins over the command line."""
     if not args.config:
         return args
     try:
@@ -500,11 +538,18 @@ def _apply_config(args, parser):
         raise InvalidInputError(f"config {args.config}: {exc}")
     if not isinstance(doc, dict):
         raise InvalidInputError("config must be a JSON object")
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = {
+        a.dest: a for a in subparsers.choices[args.subcommand]._actions
+        if a.dest != "help"
+    }
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise InvalidInputError(f"config key {key!r} does not match any flag")
-        setattr(args, attr, value)
+        setattr(args, action.dest, _config_value(action, key, value))
     return args
 
 

@@ -43,15 +43,21 @@ class CouplingMatrix:
     broken or rescaled matrices (e.g. the ``printed`` counterexample fixture variant)
     remain constructible; use :func:`validate_coupling` for the full three
     coupling conditions. ``marginal_verified`` is False for fixture-matching
-    constructions that are not stochastic couplings.
+    constructions that are not stochastic couplings. ``entries`` is made
+    read-only, so the report :func:`validate_coupling` caches on the instance
+    stays current.
     """
 
     base: TransitionMatrix
     entries: np.ndarray
     marginal_verified: bool = True
+    _validation: ValidationReport | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
+        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         n = self.base.n
         if entries.shape != (n * n, n * n):
@@ -182,7 +188,10 @@ def validate_coupling(C: CouplingMatrix) -> ValidationReport:
 
     Report-style: lists each violated condition with the worst offending
     indices and magnitudes; ``valid`` iff everything holds within 1e-12.
+    The report is computed once per coupling and cached on it.
     """
+    if C._validation is not None:
+        return C._validation
     n = C.n
     E = C.as_4tensor()
     P = C.base.entries
@@ -240,7 +249,9 @@ def validate_coupling(C: CouplingMatrix) -> ValidationReport:
         )
 
     valid = all(details.values())
-    return ValidationReport(valid=valid, issues=issues, details=details)
+    report = ValidationReport(valid=valid, issues=issues, details=details)
+    object.__setattr__(C, "_validation", report)
+    return report
 
 
 def require_valid_coupling(C: CouplingMatrix):

@@ -9,6 +9,7 @@ precision; the maps built here have real matrix representations throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,9 +222,17 @@ def kraus_from_grand(rmr: RandomMappingRep, pi: Distribution) -> KrausSet:
 
 
 def superop_from_kraus(ks: KrausSet) -> Superoperator:
-    """Superoperator matrix of the Kraus channel: sum_r kron(T_r, T_r)."""
-    S = sum(np.kron(T, T) for T in ks.ops)
-    return Superoperator(dim=ks.dim, matrix=S, kind="T_from_kraus", cp_status="verified")
+    """Superoperator matrix of the Kraus channel: sum_r kron(T_r, T_r).
+
+    The CP status comes from :func:`certify_kraus_cp` on the assembled matrix.
+    """
+    n2 = ks.dim * ks.dim
+    S = np.zeros((n2, n2))
+    for T in ks.ops:
+        S += np.kron(T, T)
+    out = Superoperator(dim=ks.dim, matrix=S, kind="T_from_kraus")
+    certify_kraus_cp(out, ks.ops)
+    return out
 
 
 def choi_matrix(S: Superoperator, order: str = "map_first") -> ChoiMatrix:
@@ -250,9 +259,14 @@ def min_choi_eigenvalue(J: ChoiMatrix, cp_tol_rel: float = CP_TOL_REL) -> float:
     return float(J.eigenvalues[0])
 
 
+def _cp_tolerance(matrix: np.ndarray, cp_tol_rel: float = CP_TOL_REL) -> float:
+    """Scale-free CP tolerance cp_tol_rel * max|J|; a superoperator's max |S|
+    is its Choi matrix's max |J|, since J permutes S's entries."""
+    return cp_tol_rel * max(float(np.max(np.abs(matrix))), 1e-300)
+
+
 def is_completely_positive(J: ChoiMatrix, cp_tol_rel: float = CP_TOL_REL) -> bool:
-    tol = cp_tol_rel * max(np.max(np.abs(J.matrix)), 1e-300)
-    return min_choi_eigenvalue(J) >= -tol
+    return min_choi_eigenvalue(J) >= -_cp_tolerance(J.matrix, cp_tol_rel)
 
 
 def verify_cp(S: Superoperator, cp_tol_rel: float = CP_TOL_REL) -> ChoiMatrix:
@@ -260,6 +274,101 @@ def verify_cp(S: Superoperator, cp_tol_rel: float = CP_TOL_REL) -> ChoiMatrix:
     J = choi_matrix(S)
     S.cp_status = "verified" if is_completely_positive(J, cp_tol_rel) else "failed"
     return J
+
+
+# CP certificates: verdicts of verify_cp without its dense eigensolve. Each
+# bounds lambda_min of the map's Choi matrix and stamps the map only when the
+# bounds decide the test lambda_min >= -CP_TOL_REL * max|J| either way;
+# otherwise verify_cp decides.
+
+
+def _choi_4d(S: Superoperator | ChoiMatrix) -> np.ndarray:
+    """View of Choi_map_first(S) for a superoperator, or of a basis-first
+    Choi matrix (either stored order), with axes (i, x, j, y)."""
+    n = S.dim
+    if isinstance(S, ChoiMatrix):
+        J4 = S.matrix.reshape(n, n, n, n)
+        return J4 if S.order == "basis_first" else J4.transpose(1, 0, 3, 2)
+    if S.matrix.flags.f_contiguous:
+        # S.T[x + N*y, i + N*j] = Choi[(i, x), (j, y)]; S.T's axes are (y, x, j, i)
+        return S.matrix.T.reshape(n, n, n, n).transpose(3, 1, 2, 0)
+    # S[i + N*j, x + N*y]: axes (j, i, y, x)
+    return S.matrix.reshape(n, n, n, n).transpose(1, 3, 0, 2)
+
+
+def _kraus_residual(S: Superoperator, ops: list[np.ndarray]) -> float:
+    """Frobenius norm of Choi(S) - sum_r u_r u_r^T, with u_r[i*N + x] = T_r[i, x]."""
+    n = S.dim
+    kraus = np.stack(ops)  # axes (r, i, x)
+    flat = kraus.reshape(len(ops), n * n)
+    choi = _choi_4d(S)
+    total = 0.0
+    for i in range(n):
+        # the rank-|R| form at rows (i, x): sum_r T_r[i, x] T_r[j, y], axes (x, j, y)
+        diff = (kraus[:, i, :].T @ flat).reshape(n, n, n)
+        np.subtract(choi[i], diff, out=diff)
+        total += float(np.vdot(diff, diff))
+    return math.sqrt(total)
+
+
+def certify_kraus_cp(S: Superoperator, ops: list[np.ndarray]) -> str:
+    """Stamp S CP-verified if it is the Kraus map rho -> sum_r T_r rho T_r^T.
+
+    That map's Choi matrix is sum_r u_r u_r^T (Choi 1975), which is PSD, so
+    by Weyl's inequality lambda_min(Choi(S)) >= -||Choi(S) - sum_r u_r u_r^T||_F.
+    A residual within the CP tolerance therefore passes the test verify_cp
+    applies. Any other S goes to verify_cp.
+    """
+    if _kraus_residual(S, ops) <= _cp_tolerance(S.matrix):
+        S.cp_status = "verified"
+    else:
+        verify_cp(S)
+    return S.cp_status
+
+
+def certify_cp_by_congruence(T: Superoperator, J: ChoiMatrix, pi: Distribution) -> str:
+    """Stamp the similarity-route T from the already computed spectrum of J = Choi(C*).
+
+    Choi_map_first(T) = K Choi_basis_first(C*) K with the positive diagonal
+    K = diag(kron(sqrt(pi), 1/sqrt(pi))), so by Ostrowski's theorem
+    lambda_min(Choi(T)) = theta * lambda_min(J) for some theta in
+    [min K^2, max K^2] (Sylvester's law of inertia is the sign part). The
+    congruence is checked entrywise on the actual matrices, one block at a
+    time; its Frobenius residual and a backward-error allowance for J's
+    computed spectrum widen the bounds (Weyl). Bounds that straddle the CP
+    tolerance fall back to verify_cp.
+    """
+    n = T.dim
+    if J.dim != n or pi.n != n:
+        raise InvalidInputError("channel, Choi matrix and pi dimensions differ")
+    d = np.sqrt(pi.weights)
+    k = np.kron(d, 1.0 / d).reshape(n, n)  # K's diagonal at (i, x)
+    choi_t, choi_c = _choi_4d(T), _choi_4d(J)
+    # each block is n runs of n^2 adjacent entries in both matrices
+    fixed_x = T.matrix.flags.f_contiguous
+    total = 0.0
+    for b in range(n):
+        at = (slice(None), b) if fixed_x else (b,)
+        diff = choi_c[at] * k
+        diff *= k[at][:, None, None]
+        np.subtract(choi_t[at], diff, out=diff)
+        total += float(np.vdot(diff, diff))
+    residual = math.sqrt(total)
+
+    eigs = J.eigenvalues
+    lam = float(eigs[0])
+    slack = n * n * np.finfo(float).eps * max(abs(lam), abs(float(eigs[-1])))
+    k2 = (float(k.min()) ** 2, float(k.max()) ** 2)
+    lo = min(c * (lam - slack) for c in k2) - residual
+    hi = max(c * (lam + slack) for c in k2) + residual
+    tol = _cp_tolerance(T.matrix)
+    if lo >= -tol:
+        T.cp_status = "verified"
+    elif hi < -tol:
+        T.cp_status = "failed"
+    else:
+        verify_cp(T)
+    return T.cp_status
 
 
 def apply_channel(channel, rho):
@@ -326,9 +435,17 @@ def independent_choi_structure_check(P) -> CheckResult:
 
 
 def matrix_to_csv(matrix: np.ndarray, header: str) -> str:
+    """One line per row, each cell as ``f"{v:.17g}"``.
+
+    Only cells that are nonzero or -0.0 are formatted; every other cell is
+    0.0, which formats as "0".
+    """
     lines = [header]
     for row in np.asarray(matrix):
-        lines.append(",".join(f"{v:.17g}" for v in row))
+        cells = ["0"] * row.size
+        for j in np.flatnonzero((row != 0) | np.signbit(row)):
+            cells[j] = f"{row[j]:.17g}"
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -138,3 +138,53 @@ class TestModelAndConfig:
         for out in (a, b):
             assert run("quantize", "--model", "cycle3-prose", "--out", str(out)) == 0
         assert files_in(a) == files_in(b)
+
+    @staticmethod
+    def _run_config(tmp_path, subcommand, **doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "o"), **doc}))
+        return run("--config", str(cfg), subcommand)
+
+    def test_config_numeric_string_converted(self, tmp_path):
+        code = self._run_config(tmp_path, "coalesce", model="hypercube2", m_max="6")
+        assert code == 0
+        doc = load_summary(tmp_path / "o", "coalesce-hypercube2")
+        assert doc["mode"] == "exact"
+
+    @pytest.mark.parametrize("value", ["twenty", 2.5, True, [6], None])
+    def test_config_wrong_type_names_key(self, tmp_path, capsys, value):
+        code = self._run_config(tmp_path, "coalesce", model="hypercube2", m_max=value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'m_max'" in err and "expected int" in err
+
+    def test_config_bad_choice_names_choices(self, tmp_path, capsys):
+        code = self._run_config(tmp_path, "quantize", model="hypercube2", order="diagonal")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'order'" in err and "basis_first" in err
+
+    def test_config_m_grid_list(self, tmp_path):
+        code = self._run_config(
+            tmp_path, "coalesce", model="hypercube3", mc=True, samples=200, seed=1,
+            m_grid=[2, "4", 8],
+        )
+        assert code == 0
+        doc = load_summary(tmp_path / "o", "coalesce-hypercube3")
+        assert doc["mode"] == "monte_carlo" and doc["samples"] == 200
+
+    @pytest.mark.parametrize("value", [8, [], [2, 4.5], "2 4"])
+    def test_config_m_grid_must_be_int_list(self, tmp_path, capsys, value):
+        code = self._run_config(
+            tmp_path, "coalesce", model="hypercube3", mc=True, seed=1, m_grid=value
+        )
+        assert code == 2
+        assert "'m_grid'" in capsys.readouterr().err
+
+    def test_config_switch_takes_bool(self, tmp_path, capsys):
+        code = self._run_config(tmp_path, "coalesce", model="hypercube3", mc="yes", seed=1)
+        assert code == 2
+        assert "true or false" in capsys.readouterr().err
+
+    def test_config_non_flag_attribute_rejected(self, tmp_path):
+        assert self._run_config(tmp_path, "validate", model="hypercube2", func="x") == 2

@@ -1,0 +1,325 @@
+"""Differential tests: each fast path against the dense reference it replaces.
+
+- the trace identity evolved with a sparse C* against the dense matmul;
+- the Kraus and congruence CP certificates against verify_cp's eigensolve;
+- matrix_to_csv against the per-cell formatter.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import random_ergodic_chain
+from qcoupling import quantize
+from qcoupling.chain import ATOL_COMPUTED, Distribution
+from qcoupling.cli import resolve_model
+from qcoupling.coupling import (
+    CouplingMatrix,
+    coalescence_tail_exact,
+    independent_coupling,
+    validate_coupling,
+)
+from qcoupling.evolve import (
+    coalescence_trace_identity_check,
+    edge_laplacian_traces,
+    edge_state,
+)
+from qcoupling.quantize import (
+    ChoiMatrix,
+    Superoperator,
+    c_star_superop,
+    certify_cp_by_congruence,
+    certify_kraus_cp,
+    choi_matrix,
+    kraus_from_grand,
+    matrix_to_csv,
+    quantized_coupling,
+    superop_from_kraus,
+    vec,
+    verify_cp,
+)
+
+# every bundled model family at N <= 27
+RMR_MODELS = [
+    "hypercube2", "hypercube3", "hypercube4", "colorings-k3-q4", "colorings-path2-q4",
+    "hardcore-path3", "hardcore-path4", "hardcore-path5", "hardcore-path6",
+]
+DENSE_MODELS = ["cycle3-prose", "cycle5-prose"]
+
+
+def _model(name, bias=0.5, fugacity=2.0):
+    return resolve_model(name, SimpleNamespace(bias=bias, fugacity=fugacity))
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Count verify_cp calls made from inside the certificates."""
+    calls = []
+
+    def counting(S, *args, **kwargs):
+        calls.append(S)
+        return verify_cp(S, *args, **kwargs)
+
+    monkeypatch.setattr(quantize, "verify_cp", counting)
+    return calls
+
+
+def _reference_status(S: Superoperator) -> str:
+    ref = Superoperator(S.dim, np.array(S.matrix))
+    verify_cp(ref)
+    return ref.cp_status
+
+
+# ---------------------------------------------------------------------------
+# Trace identity: sparse C* against the dense matmul
+
+
+def _dense_reference_traces(S: np.ndarray, pairs, n: int, m: int) -> np.ndarray:
+    """The evolution edge_laplacian_traces replaces: every ordered pair, dense matmul."""
+    V = np.column_stack(
+        [vec(np.outer(edge_state(x, y, n), edge_state(x, y, n))) for x, y in pairs]
+    )
+    trace_rows = np.arange(n) * (n + 1)
+    out = np.empty((m + 1, len(pairs)))
+    for k in range(m + 1):
+        out[k] = V[trace_rows, :].sum(axis=0)
+        if k < m:
+            V = S @ V
+    return out
+
+
+def _assert_sparse_matches_dense(C: CouplingMatrix, m: int):
+    report = coalescence_tail_exact(C, m_max=m)
+    S = c_star_superop(C).matrix
+    dense = _dense_reference_traces(S, report.pairs, C.n, m)
+    sparse = edge_laplacian_traces(scipy.sparse.csr_array(S), report.pairs, C.n, m)
+    np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sparse, report.per_pair, rtol=0, atol=ATOL_COMPUTED)
+    assert coalescence_trace_identity_check(C, m).passed
+
+
+class TestSparseTraceIdentity:
+    @pytest.mark.parametrize("name", RMR_MODELS + DENSE_MODELS)
+    def test_bundled_models(self, name):
+        _assert_sparse_matches_dense(_model(name, bias=0.7).coupling(), 10)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_independent_coupling(self, n, seed):
+        P = random_ergodic_chain(n, np.random.Generator(np.random.Philox(seed)))
+        _assert_sparse_matches_dense(independent_coupling(P), 6)
+
+
+# ---------------------------------------------------------------------------
+# Kraus certificate
+
+
+class TestKrausCertificate:
+    @pytest.mark.parametrize("name", RMR_MODELS)
+    def test_verdict_matches_verify_cp(self, name, eigensolves):
+        m = _model(name)
+        S = superop_from_kraus(kraus_from_grand(m.rmr, m.pi))
+        assert S.cp_status == _reference_status(S) == "verified"
+        assert eigensolves == []
+
+    def test_matrix_equals_kron_sum(self, hypercube3):
+        ks = kraus_from_grand(hypercube3.rmr, hypercube3.pi)
+        S = superop_from_kraus(ks)
+        np.testing.assert_array_equal(S.matrix, sum(np.kron(T, T) for T in ks.ops))
+
+    def test_non_cp_kraus_shaped_map_fails(self, hypercube2, eigensolves):
+        # sum_r s_r kron(T_r, T_r) with one s_r = -1: Kraus-shaped, not CP
+        ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
+        signs = [1.0] * (len(ks.ops) - 1) + [-1.0]
+        S = Superoperator(ks.dim, sum(s * np.kron(T, T) for s, T in zip(signs, ks.ops)))
+        assert _reference_status(S) == "failed"
+        assert certify_kraus_cp(S, ks.ops) == "failed"
+        assert eigensolves == [S]
+
+    def test_perturbation_beyond_tolerance_reaches_eigensolve(self, hypercube2, eigensolves):
+        ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
+        S = superop_from_kraus(ks)
+        bumped = Superoperator(S.dim, S.matrix + 1e-6 * np.eye(S.dim**2))
+        assert certify_kraus_cp(bumped, ks.ops) == _reference_status(bumped)
+        assert eigensolves == [bumped]
+
+
+# ---------------------------------------------------------------------------
+# Congruence certificate
+
+
+def _similarity_channel(C: CouplingMatrix, pi: Distribution) -> Superoperator:
+    """T of the similarity route; built directly where quantized_coupling refuses C."""
+    if C.marginal_verified and validate_coupling(C).valid:
+        return quantized_coupling(C, pi)[0]
+    s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
+    S_c = c_star_superop(C).matrix
+    return Superoperator(C.n, (S_c * (s[None, :] / s[:, None])).T)
+
+
+def _superop_from_map_first_choi(J: np.ndarray, n: int) -> Superoperator:
+    """Inverse of choi_matrix(S, "map_first")."""
+    return Superoperator(n, J.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n))
+
+
+def _congruent_channel(J_bf: np.ndarray, pi: Distribution) -> Superoperator:
+    """T with Choi_map_first(T) = K J_bf K, K = diag(kron(sqrt(pi), 1/sqrt(pi)))."""
+    d = np.sqrt(pi.weights)
+    k = np.kron(d, 1.0 / d)
+    return _superop_from_map_first_choi(k[:, None] * J_bf * k[None, :], pi.n)
+
+
+def _choi_with_min_eigenvalue(n: int, lam: float, rng) -> np.ndarray:
+    """Symmetric N^2 x N^2 matrix: PSD of rank N^2 - 1, plus lam on the null vector."""
+    G = rng.standard_normal((n * n, n * n - 1))
+    Q, _ = np.linalg.qr(np.column_stack([G, rng.standard_normal(n * n)]))
+    v = Q[:, -1]  # orthogonal to the range of G
+    J = G @ G.T + lam * np.outer(v, v)
+    return 0.5 * (J + J.T)
+
+
+class TestCongruenceCertificate:
+    @pytest.mark.parametrize("order", ["basis_first", "map_first"])
+    @pytest.mark.parametrize(
+        "name", RMR_MODELS + DENSE_MODELS + ["cycle3-printed", "cycle5-printed"]
+    )
+    def test_verdict_matches_verify_cp(self, name, order, eigensolves):
+        m = _model(name, bias=0.7)
+        C = m.coupling()
+        J = choi_matrix(c_star_superop(C), order=order)
+        T = _similarity_channel(C, m.pi)
+        # grand couplings quantize to channels; the cycle couplings do not
+        want = "failed" if name.startswith("cycle") else "verified"
+        assert _reference_status(T) == want
+        assert certify_cp_by_congruence(T, J, m.pi) == want
+        assert eigensolves == []
+
+    def test_congruence_holds_entrywise(self, hardcore_p3_lam2):
+        C, pi = hardcore_p3_lam2.coupling(), hardcore_p3_lam2.pi
+        T, _ = quantized_coupling(C, pi)
+        J_bf = choi_matrix(c_star_superop(C), order="basis_first").matrix
+        d = np.sqrt(pi.weights)
+        k = np.kron(d, 1.0 / d)
+        np.testing.assert_allclose(
+            choi_matrix(T).matrix, k[:, None] * J_bf * k[None, :], rtol=0, atol=1e-15
+        )
+
+    def test_nonuniform_pi_non_cp_decided_without_eigensolve(self, eigensolves):
+        n = 3
+        rng = np.random.Generator(np.random.Philox(5))
+        pi = Distribution(np.array([0.2, 0.3, 0.5]))
+        J = _choi_with_min_eigenvalue(n, -0.5, rng)
+        T = _congruent_channel(J, pi)
+        assert certify_cp_by_congruence(T, ChoiMatrix(n, J, "basis_first"), pi) == "failed"
+        assert _reference_status(T) == "failed"
+        assert eigensolves == []
+
+    def test_inconclusive_band_reaches_eigensolve(self, eigensolves):
+        # pi_max / pi_min = 4 puts lambda_min(Choi(T)) in [4 lam, lam / 4]; a lam
+        # near -tol straddles the CP threshold, so only the eigensolve can decide
+        n = 2
+        rng = np.random.Generator(np.random.Philox(9))
+        pi = Distribution(np.array([0.2, 0.8]))
+        J = _choi_with_min_eigenvalue(n, 0.0, rng)
+        tol = quantize.CP_TOL_REL * np.max(np.abs(choi_matrix(_congruent_channel(J, pi)).matrix))
+        J = _choi_with_min_eigenvalue(n, -tol, np.random.Generator(np.random.Philox(9)))
+        T = _congruent_channel(J, pi)
+        status = certify_cp_by_congruence(T, ChoiMatrix(n, J, "basis_first"), pi)
+        assert eigensolves == [T]
+        assert status == _reference_status(T)
+
+    def test_unrelated_choi_reaches_eigensolve(self, hypercube2, eigensolves):
+        # a Choi matrix of another coupling is not congruent to Choi(T)
+        other = independent_coupling(hypercube2.chain)
+        J = choi_matrix(c_star_superop(other), order="basis_first")
+        T, _ = quantized_coupling(hypercube2.coupling(), hypercube2.pi)
+        assert certify_cp_by_congruence(T, J, hypercube2.pi) == "verified"
+        assert eigensolves == [T]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.sampled_from([-1.0, -1e-3, -1e-8, -1e-9, -1e-10, 0.0, 1e-9, 0.5]),
+    )
+    def test_property_verdict_matches_verify_cp(self, n, seed, lam):
+        rng = np.random.Generator(np.random.Philox(seed))
+        pi = Distribution(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+        J = _choi_with_min_eigenvalue(n, lam, rng)
+        T = _congruent_channel(J, pi)
+        status = certify_cp_by_congruence(T, ChoiMatrix(n, J, "basis_first"), pi)
+        assert status == _reference_status(T)
+
+
+# ---------------------------------------------------------------------------
+# Choi CSV
+
+
+def _csv_reference(matrix: np.ndarray, header: str) -> str:
+    """The per-cell formatter matrix_to_csv replaces."""
+    lines = [header]
+    for row in np.asarray(matrix):
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestMatrixCsv:
+    def test_special_values(self):
+        M = np.array([
+            [0.0, -0.0, 5e-324, -5e-324],
+            [np.inf, -np.inf, np.nan, 2.2250738585072014e-308 / 3],
+            [0.1, -1e300, 1.0, 0.0],
+        ])
+        assert matrix_to_csv(M, "# h") == _csv_reference(M, "# h")
+
+    def test_sparse_choi_matrix(self, hypercube3):
+        J = choi_matrix(c_star_superop(hypercube3.coupling()), order="basis_first").matrix
+        assert matrix_to_csv(J, "# choi") == _csv_reference(J, "# choi")
+
+    def test_counterexample_choi(self):
+        C = _model("cycle3-printed").coupling()
+        J = choi_matrix(c_star_superop(C), order="map_first").matrix
+        assert matrix_to_csv(J, "# choi") == _csv_reference(J, "# choi")
+
+    def test_integer_matrix(self):
+        M = np.array([[0, 3], [-2, 0]])
+        assert matrix_to_csv(M, "h") == _csv_reference(M, "h")
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.sampled_from([0.0, -0.0]),
+    ))
+    def test_property_equals_reference(self, M):
+        assert matrix_to_csv(M, "# h") == _csv_reference(M, "# h")
+
+
+# ---------------------------------------------------------------------------
+# Cached coupling validation
+
+
+class TestValidationCache:
+    def test_report_computed_once(self, hypercube2):
+        C = hypercube2.coupling()
+        assert validate_coupling(C) is validate_coupling(C)
+
+    def test_entries_read_only(self, hypercube2):
+        C = hypercube2.coupling()
+        with pytest.raises(ValueError):
+            C.entries[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            C.as_4tensor()[0, 0, 0, 0] = 1.0
+
+    def test_copy_is_validated_afresh(self, hypercube2):
+        C = hypercube2.coupling()
+        assert validate_coupling(C).valid
+        E = C.entries.copy()
+        E[:, 1] = E[:, 2]
+        assert not validate_coupling(CouplingMatrix(base=C.base, entries=E)).valid
