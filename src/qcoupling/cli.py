@@ -460,7 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of exact")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads running the fixed MC randomness blocks; "
+                   "the output is identical for any count")
     p.add_argument("--m-grid", type=int, nargs="+")
     p.set_defaults(func=cmd_coalesce)
 

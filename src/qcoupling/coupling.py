@@ -29,6 +29,8 @@ from qcoupling.kernels import coalescence_counts
 
 COUPLING_THRESHOLD = 0.25  # t_couple crossing level
 EXACT_GUARD_N = 64  # largest N for exact pair-space iteration
+MC_BLOCK_ELEMENTS = 1 << 20  # randomness elements drawn and held per MC block
+CDF_BUCKET_BITS = 12  # inverse-CDF buckets are indexed by a Philox word's top bits
 
 
 def pair_index(x: int, y: int, n: int) -> int:
@@ -77,6 +79,16 @@ class CouplingMatrix:
         """View with axes (x', y', x, y)."""
         n = self.n
         return self.entries.reshape(n, n, n, n)
+
+
+def induced_entries(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Column-stochastic P of a mapping: P[x', x] = sum of Pr(r) over r with f(x, r) = x'."""
+    n = table.shape[0]
+    induced = np.zeros((n, n))
+    cols = np.arange(n)
+    for succ, p in zip(table.T, probs):
+        induced[succ, cols] += p
+    return induced
 
 
 @dataclass(frozen=True)
@@ -130,12 +142,7 @@ class RandomMappingRep:
 
     def induced_chain_entries(self) -> np.ndarray:
         """P implied by the mapping: sum of Pr(r) over r with f(x, r) = x'."""
-        n = self.n
-        induced = np.zeros((n, n))
-        cols = np.arange(n)
-        for r in range(self.n_r):
-            induced[self.table[:, r], cols] += self.probs[r]
-        return induced
+        return induced_entries(self.table, self.probs)
 
 
 @dataclass
@@ -381,18 +388,60 @@ def coalescence_tail_exact(
     )
 
 
-def _draw_randomness(probs: np.ndarray, samples: int, m_max: int, seed: int, pair_slot: int):
-    """Counter-based randomness: Philox keyed by (seed, pair_slot).
+class _InverseCDF:
+    """Exact inverse CDF of Pr(r) applied to raw 64-bit Philox words.
 
-    Trajectory t uses row t of the returned (samples, m_max) index array, so
-    results are independent of how trajectories are scheduled across workers.
+    ``Generator.random`` turns a word w into the uniform u = (w >> 11) * 2**-53,
+    so with b = CDF_BUCKET_BITS the bucket floor(u * 2**b) is w >> (64 - b),
+    the word's top b bits. A bucket that holds no CDF edge maps every uniform
+    in it to the same index; only uniforms in the few buckets that straddle an
+    edge are located by ``searchsorted``. The result equals
+    ``searchsorted(cum, u, "right")`` bit for bit.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(pair_slot,))
-    gen = np.random.Generator(np.random.Philox(ss))
-    u = gen.random((samples, m_max))
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0  # guard rounding at the top end
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+
+    def __init__(self, probs: np.ndarray):
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0  # guard rounding at the top end
+        edges = np.arange((1 << CDF_BUCKET_BITS) + 1) / (1 << CDF_BUCKET_BITS)
+        lo = np.searchsorted(cum, edges[:-1], side="right")
+        hi = np.searchsorted(cum, edges[1:], side="left")
+        n_r = len(probs)  # never an index (u < 1 = cum[-1]): marks straddling buckets
+        self.cum = cum
+        self.code = np.where(lo == hi, lo, n_r).astype(np.min_scalar_type(n_r))
+        self.straddle = n_r if (lo != hi).any() else None
+
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        idx = self.code[(words >> np.uint64(64 - CDF_BUCKET_BITS)).view(np.int64)]
+        if self.straddle is not None:
+            hit = np.flatnonzero(idx == self.straddle)
+            u = (words[hit] >> np.uint64(11)) * 2.0**-53
+            idx[hit] = np.searchsorted(self.cum, u, side="right")
+        return idx
+
+
+def mc_block_rows(m_max: int) -> int:
+    """Trajectories per randomness block, a multiple of 4 (at least 4).
+
+    A block holds at most MC_BLOCK_ELEMENTS randomness elements; taking m_max
+    as at least 4 also keeps the kernel's per-row state (about 33 bytes a row)
+    below the draw's 17 bytes per element when m_max is tiny.
+    """
+    return max(4, MC_BLOCK_ELEMENTS // max(m_max, 4) // 4 * 4)
+
+
+def _draw_block(
+    inverse_cdf: _InverseCDF, seed: int, pair_slot: int, start: int, rows: int, m_max: int
+) -> np.ndarray:
+    """Randomness indices of trajectories start .. start + rows - 1 for one start pair.
+
+    Trajectory t reads words t * m_max .. (t + 1) * m_max - 1 of the Philox
+    stream keyed by (seed, pair_slot). Philox yields 4 words per counter step
+    and ``start`` is a multiple of 4, so ``advance`` reaches the block's first
+    word exactly, and the blocks reproduce the full (samples, m_max) draw.
+    """
+    bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(pair_slot,)))
+    bits.advance(start * m_max // 4)
+    return inverse_cdf(bits.random_raw(rows * m_max)).reshape(rows, m_max)
 
 
 def coalescence_tail_mc(
@@ -402,16 +451,22 @@ def coalescence_tail_mc(
     samples: int,
     seed: int,
     workers: int = 1,
-    backend: str | None = None,
 ) -> CoalescenceReport:
     """Monte Carlo tails with normal-approximation 95% CIs.
 
-    Deterministic given (seed, samples): the per-trajectory randomness is
-    precomputed from a Philox stream keyed by (seed, start-pair slot), so the
-    result is byte-identical for any worker count.
+    Deterministic given (seed, samples): trajectory t of start-pair slot s
+    uses row t of a Philox stream keyed by (seed, s). The stream is drawn in
+    blocks of ``mc_block_rows(m_max)`` trajectories, each passed to the kernel
+    and dropped, so memory stays O(MC_BLOCK_ELEMENTS) per worker. With
+    ``workers`` > 1 the blocks run on that many threads; the integer counts are
+    summed per pair, so the result is byte-identical for any worker count.
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
+    if seed < 0:
+        raise InvalidInputError(f"--seed must be >= 0, got {seed}")
+    if workers < 1:
+        raise InvalidInputError(f"--workers must be >= 1, got {workers}")
     if not start_pairs or not list(m_grid):
         raise InvalidInputError("start_pairs and m_grid must be nonempty")
     grid = np.array(sorted(set(int(m) for m in m_grid)), dtype=np.int64)
@@ -423,17 +478,29 @@ def coalescence_tail_mc(
         if not (0 <= x < n and 0 <= y < n):
             raise InvalidInputError(f"start pair ({x}, {y}) out of range")
 
-    per_pair = np.empty((len(grid), len(start_pairs)))
-    for slot, (x0, y0) in enumerate(start_pairs):
-        r_idx = _draw_randomness(rmr.probs, samples, m_max, seed, slot)
-        counts = np.zeros(len(grid), dtype=np.int64)
-        workers = max(1, int(workers))
-        bounds = np.linspace(0, samples, workers + 1, dtype=int)
-        for w in range(workers):
-            chunk = r_idx[bounds[w] : bounds[w + 1]]
-            if chunk.shape[0]:
-                counts += coalescence_counts(rmr.table, chunk, x0, y0, grid, backend=backend)
-        per_pair[:, slot] = counts / samples
+    inverse_cdf = _InverseCDF(rmr.probs)
+    rows = mc_block_rows(m_max)
+    blocks = [
+        (slot, start) for slot in range(len(start_pairs)) for start in range(0, samples, rows)
+    ]
+
+    def run(block):
+        slot, start = block
+        x0, y0 = start_pairs[slot]
+        r_idx = _draw_block(inverse_cdf, seed, slot, start, min(rows, samples - start), m_max)
+        return slot, coalescence_counts(rmr.table, r_idx, x0, y0, grid)
+
+    if workers == 1:
+        results = list(map(run, blocks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            results = list(pool.map(run, blocks))
+    counts = np.zeros((len(grid), len(start_pairs)), dtype=np.int64)
+    for slot, block_counts in results:
+        counts[:, slot] += block_counts
+    per_pair = counts / samples
 
     tail_max = per_pair.max(axis=1)
     ci_half = np.maximum(
@@ -571,11 +638,7 @@ def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
         probs = np.array([r["prob"] for r in rs], dtype=float)
         if base is None:
             n = table.shape[0]
-            induced = np.zeros((n, n))
-            cols = np.arange(n)
-            for r in range(len(labels)):
-                induced[table[:, r], cols] += probs[r]
-            base = TransitionMatrix(tuple(str(i) for i in range(n)), induced)
+            base = TransitionMatrix(tuple(str(i) for i in range(n)), induced_entries(table, probs))
         return RandomMappingRep(base=base, r_labels=labels, probs=probs, table=table)
     raise InvalidInputError(f"unknown coupling kind {kind!r}")
 

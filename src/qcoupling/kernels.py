@@ -1,92 +1,54 @@
-"""Hot Monte-Carlo kernels: numba-jitted with a pure-numpy fallback.
+"""Monte-Carlo coalescence kernel (numpy).
 
-The backend is chosen at import time: set ``QCOUPLING_NO_NUMBA=1`` to force the
-numpy path (useful where numba is unavailable or for benchmarking, see
-``bench/benchmark_mc.py``). Both backends consume the same precomputed
-randomness-index array and produce identical integer counts.
+The kernel consumes one block of precomputed randomness indices at a time (see
+``coalescence_tail_mc`` in :mod:`qcoupling.coupling`), so the randomness is
+never held in full.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_NO_NUMBA = os.environ.get("QCOUPLING_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _NO_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        _NO_NUMBA = True
-
-DEFAULT_BACKEND = "numpy" if _NO_NUMBA else "numba"
+DEFAULT_BACKEND = "numpy"  # the only kernel; reported in run provenance
 
 
-def _coalescence_counts_numpy(table, r_idx, x0, y0, grid):
-    """Count trajectories with X_m != Y_m at each m in ``grid`` (sorted)."""
-    samples, m_max = r_idx.shape
-    counts = np.zeros(len(grid), dtype=np.int64)
-    slot = {int(m): i for i, m in enumerate(grid)}
-    X = np.full(samples, x0, dtype=np.int64)
-    Y = np.full(samples, y0, dtype=np.int64)
-    if 0 in slot:
-        counts[slot[0]] = samples if x0 != y0 else 0
-    for step in range(m_max):
-        r = r_idx[:, step]
-        X = table[X, r]
-        Y = table[Y, r]
-        if step + 1 in slot:
-            counts[slot[step + 1]] = int(np.count_nonzero(X != Y))
-    return counts
-
-
-if not _NO_NUMBA:
-
-    @njit(cache=True)
-    def _coalescence_counts_numba(table, r_idx, x0, y0, grid):  # pragma: no cover
-        samples, m_max = r_idx.shape
-        counts = np.zeros(len(grid), dtype=np.int64)
-        # slot[m] = position of m in grid, or -1
-        slot = np.full(m_max + 1, -1, dtype=np.int64)
-        for i in range(len(grid)):
-            if grid[i] <= m_max:
-                slot[grid[i]] = i
-        for t in range(samples):
-            x = x0
-            y = y0
-            if slot[0] >= 0 and x != y:
-                counts[slot[0]] += 1
-            for step in range(m_max):
-                if x == y:
-                    break  # shared randomness: once coalesced, equal forever
-                r = r_idx[t, step]
-                x = table[x, r]
-                y = table[y, r]
-                if x != y and slot[step + 1] >= 0:
-                    counts[slot[step + 1]] += 1
-        return counts
-
-
-def coalescence_counts(table, r_idx, x0, y0, grid, backend=None):
-    """Dispatch to the selected backend.
+def coalescence_counts(table, r_idx, x0, y0, grid):
+    """Count trajectories with X_m != Y_m at each m in ``grid``.
 
     Parameters
     ----------
-    table : (N, |R|) int64 successor table f(x, r)
-    r_idx : (samples, m_max) int64 randomness indices, one row per trajectory
+    table : (N, |R|) integer successor table f(x, r)
+    r_idx : (samples, m_max) integer randomness indices, one row per trajectory
     x0, y0 : start states
-    grid : sorted int64 array of report times, each <= m_max
+    grid : sorted integer report times, each <= m_max
+
+    Both components take the same randomness, so a coalesced pair stays
+    together forever. Coalesced trajectories are therefore dropped from the
+    active set, in batches once they make up a quarter of it (compacting on
+    every step costs more than it saves), and the loop stops when none are
+    apart.
     """
-    table = np.ascontiguousarray(table, dtype=np.int64)
-    r_idx = np.ascontiguousarray(r_idx, dtype=np.int64)
-    grid = np.ascontiguousarray(grid, dtype=np.int64)
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if backend == "numba":
-        if _NO_NUMBA:
-            raise RuntimeError("numba backend requested but disabled/unavailable")
-        return _coalescence_counts_numba(table, r_idx, int(x0), int(y0), grid)
-    if backend == "numpy":
-        return _coalescence_counts_numpy(table, r_idx, int(x0), int(y0), grid)
-    raise ValueError(f"unknown backend {backend!r}")
+    samples, m_max = r_idx.shape
+    apart_at = np.zeros(m_max + 1, dtype=np.int64)
+    if x0 != y0 and samples:
+        n_r = table.shape[1]
+        # succ[x * |R| + r] = f(x, r) * |R|: one gather per component and step
+        succ = (np.asarray(table, dtype=np.intp) * n_r).ravel()
+        columns = np.asfortranarray(r_idx)  # column `step` is contiguous
+        active = None  # rows of r_idx still carried; None while that is all of them
+        X = np.full(samples, int(x0) * n_r, dtype=np.intp)
+        Y = np.full(samples, int(y0) * n_r, dtype=np.intp)
+        apart_at[0] = samples
+        for step in range(m_max):
+            r = columns[:, step] if active is None else columns[:, step][active]
+            X = succ[X + r]
+            Y = succ[Y + r]
+            apart = X != Y
+            apart_at[step + 1] = n_apart = np.count_nonzero(apart)
+            if not n_apart:
+                break
+            if 4 * n_apart <= 3 * X.size:
+                keep = np.flatnonzero(apart)
+                active = keep if active is None else active[keep]
+                X, Y = X[keep], Y[keep]
+    return apart_at[np.asarray(grid, dtype=np.intp)]

@@ -28,6 +28,7 @@ from qcoupling.coupling import (
     coalescence_tail_exact,
     coalescence_tail_mc,
     grand_coupling_matrix,
+    induced_entries,
 )
 from qcoupling.errors import GuardExceededError, InvalidInputError
 
@@ -142,7 +143,7 @@ def hypercube_model(n: int) -> ModelInstance:
     if exact:
         chain = TransitionMatrix(
             labels,
-            _induced_entries(table, probs),
+            induced_entries(table, probs),
         )
     rmr = RandomMappingRep(base=chain, r_labels=tuple(r_labels), probs=probs, table=table)
     return ModelInstance(
@@ -156,15 +157,6 @@ def hypercube_model(n: int) -> ModelInstance:
         rate=1.0,  # coupon-collector envelope n * exp(-m / n)
         exact=exact,
     )
-
-
-def _induced_entries(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    n = table.shape[0]
-    P = np.zeros((n, n))
-    cols = np.arange(n)
-    for r in range(table.shape[1]):
-        P[table[:, r], cols] += probs[r]
-    return P
 
 
 def hypercube_worst_pair(n: int) -> tuple[int, int]:
@@ -293,7 +285,7 @@ def colorings_model(g: GraphSpec, q: int) -> ModelInstance:
     probs = np.full(g.n * q, 1.0 / (g.n * q))
     exact = n_states <= EXACT_STATE_GUARD
     chain = (
-        TransitionMatrix(tuple("".join(map(str, x)) for x in states), _induced_entries(table, probs))
+        TransitionMatrix(tuple("".join(map(str, x)) for x in states), induced_entries(table, probs))
         if exact
         else None
     )
@@ -360,7 +352,7 @@ def hardcore_model(g: GraphSpec, lam: float) -> ModelInstance:
     weights = np.array([lam ** sum(x) for x in states], dtype=float)
     pi = Distribution(weights / weights.sum())
     chain = (
-        TransitionMatrix(tuple("".join(map(str, x)) for x in states), _induced_entries(table, probs))
+        TransitionMatrix(tuple("".join(map(str, x)) for x in states), induced_entries(table, probs))
         if exact
         else None
     )
@@ -386,6 +378,8 @@ def default_start_pairs(model: ModelInstance, count: int, seed: int) -> list[tup
     """Heuristic worst-case start pairs for MC tail estimation."""
     if model.kind == "hypercube":
         return [hypercube_worst_pair(model.params["n"])]
+    if seed < 0:
+        raise InvalidInputError(f"--seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     pairs = set()
     n = model.n

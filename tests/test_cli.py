@@ -79,6 +79,20 @@ class TestCoalesce:
             "coalesce", "--model", "hypercube3", "--mc", "--out", str(tmp_path)
         ) == 2
 
+    @pytest.mark.parametrize("model", ["hypercube4", "hardcore-path4"])
+    def test_mc_negative_seed_is_invalid_input(self, tmp_path, capsys, model):
+        code = run("coalesce", "--model", model, "--mc", "--seed", "-1",
+                   "--samples", "100", "--out", str(tmp_path))
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_mc_workers_below_one_is_invalid_input(self, tmp_path, capsys, workers):
+        code = run("coalesce", "--model", "hypercube4", "--mc", "--seed", "1",
+                   "--samples", "100", "--workers", workers, "--out", str(tmp_path))
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_mc_determinism_across_runs_and_workers(self, tmp_path):
         outs = []
         for i, workers in enumerate(("1", "4", "1")):

@@ -196,17 +196,6 @@ class TestMonteCarlo:
         with pytest.raises(ThresholdNotReachedError):
             coupling_time(mc)
 
-    def test_numpy_backend_matches_numba(self, hypercube3):
-        kw = dict(samples=4_000, seed=17)
-        a = coalescence_tail_mc(hypercube3.rmr, [(0, 7)], [4, 8], backend="numpy", **kw)
-        try:
-            b = coalescence_tail_mc(
-                hypercube3.rmr, [(0, 7)], [4, 8], backend="numba", **kw
-            )
-        except RuntimeError:
-            pytest.skip("numba backend disabled")
-        np.testing.assert_array_equal(a.per_pair, b.per_pair)
-
 
 class TestCouplingJson:
     def test_dense_roundtrip(self, hypercube2):

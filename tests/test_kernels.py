@@ -1,11 +1,6 @@
 import numpy as np
-import pytest
 
-from qcoupling.kernels import (
-    DEFAULT_BACKEND,
-    _coalescence_counts_numpy,
-    coalescence_counts,
-)
+from qcoupling.kernels import coalescence_counts
 
 
 def small_problem(seed=0, samples=500, m_max=12):
@@ -19,31 +14,18 @@ def small_problem(seed=0, samples=500, m_max=12):
 
 
 class TestKernels:
-    def test_backends_agree(self):
-        table, r_idx, grid = small_problem()
-        a = coalescence_counts(table, r_idx, 1, 2, grid, backend="numpy")
-        if DEFAULT_BACKEND != "numba":
-            pytest.skip("numba backend disabled")
-        b = coalescence_counts(table, r_idx, 1, 2, grid, backend="numba")
-        np.testing.assert_array_equal(a, b)
-
     def test_counts_monotone_nonincreasing(self):
         table, r_idx, grid = small_problem(seed=4)
-        counts = coalescence_counts(table, r_idx, 1, 3, grid, backend="numpy")
+        counts = coalescence_counts(table, r_idx, 1, 3, grid)
         assert np.all(np.diff(counts) <= 0)
 
     def test_equal_starts_never_separate(self):
         table, r_idx, grid = small_problem(seed=5)
-        counts = coalescence_counts(table, r_idx, 2, 2, grid, backend="numpy")
+        counts = coalescence_counts(table, r_idx, 2, 2, grid)
         np.testing.assert_array_equal(counts, 0)
 
     def test_grid_at_zero_counts_all(self):
         table, r_idx, _ = small_problem(seed=6, samples=123)
         grid = np.array([0], dtype=np.int64)
-        counts = _coalescence_counts_numpy(table, r_idx, 0, 1, grid)
+        counts = coalescence_counts(table, r_idx, 0, 1, grid)
         assert counts[0] == 123
-
-    def test_unknown_backend(self):
-        table, r_idx, grid = small_problem()
-        with pytest.raises(ValueError, match="unknown backend"):
-            coalescence_counts(table, r_idx, 0, 1, grid, backend="gpu")
