@@ -29,6 +29,8 @@ from qcoupling.chain import (
 )
 from qcoupling.coupling import (
     CouplingMatrix,
+    RandomMappingRep,
+    check_tail_submultiplicativity,
     coalescence_tail_exact,
     coalescence_tail_mc,
     grand_coupling_matrix,
@@ -83,7 +85,6 @@ from qcoupling.quantize import (
     quantized_coupling,
     superop_from_kraus,
 )
-from qcoupling.coupling import check_tail_submultiplicativity
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -96,7 +97,11 @@ EXIT_GUARD = 3
 
 
 class ResolvedModel:
-    """A named model resolved to its chain / coupling / mapping pieces."""
+    """A named model resolved to its chain / coupling / mapping pieces.
+
+    ``coupling`` is a dense :class:`CouplingMatrix` or, from a coupling file,
+    a :class:`RandomMappingRep`.
+    """
 
     def __init__(self, name, chain=None, coupling=None, instance=None):
         self.name = name
@@ -117,11 +122,24 @@ class ResolvedModel:
         return stationary_distribution(self.chain)
 
     def coupling(self) -> CouplingMatrix:
+        """The dense coupling matrix (a random mapping's grand coupling is built here)."""
+        if isinstance(self._coupling, RandomMappingRep):
+            return grand_coupling_matrix(self._coupling)
         if self._coupling is not None:
             return self._coupling
         if self.instance is not None:
             return self.instance.coupling()
         raise InvalidInputError(f"model {self.name} has no coupling")
+
+    def exact_coupling(self) -> CouplingMatrix | RandomMappingRep:
+        """What the exact path runs on: a random mapping when there is one,
+        so its pair-space operators are built sparse from the successor
+        table, else the dense coupling."""
+        if self.instance is not None:
+            return self.instance.rmr
+        if isinstance(self._coupling, RandomMappingRep):
+            return self._coupling
+        return self.coupling()
 
 
 _MODEL_PATTERNS = [
@@ -158,12 +176,7 @@ def _load_inputs(args) -> ResolvedModel:
         chain = read_chain_json(args.chain)
         coupling = None
         if getattr(args, "coupling", None):
-            loaded = read_coupling_json(args.coupling, base=chain)
-            coupling = (
-                grand_coupling_matrix(loaded)
-                if not isinstance(loaded, CouplingMatrix)
-                else loaded
-            )
+            coupling = read_coupling_json(args.coupling, base=chain)
         return ResolvedModel(Path(args.chain).stem, chain=chain, coupling=coupling)
     raise InvalidInputError("provide --model or --chain")
 
@@ -263,20 +276,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_quantize(args) -> int:
-    rm = _load_inputs(args)
+def _quantize_summary(rm: ResolvedModel, order: str):
+    """Choi matrix of C* and the quantize summary.
+
+    The dense coupling and the channel T are dropped on return, so they are
+    not held while the Choi CSV is formatted and written.
+    """
     C = rm.coupling()
-    J = choi_matrix(c_star_superop(C), order=args.order)
+    J = choi_matrix(c_star_superop(C), order=order)
     eigs = J.eigenvalues
     summary = {
         "model": rm.name,
-        "order": args.order,
+        "order": order,
         "choi_min_eigenvalue": float(min_choi_eigenvalue(J)),
         "choi_eigenvalues": eigs.tolist(),
         "choi_eigenvalue_sum": float(eigs.sum()),
         "cp": bool(is_completely_positive(J)),
     }
-    series = {"choi": matrix_to_csv(J.matrix, header=f"# choi order={args.order}")}
     if C.marginal_verified and validate_coupling(C).valid:
         T, _ = quantized_coupling(C, rm.pi)
         certify_cp_by_congruence(T, J, rm.pi)
@@ -285,6 +301,14 @@ def cmd_quantize(args) -> int:
         summary["channel_cp"] = T.cp_status == "verified"
     else:
         summary["channel_skipped"] = "coupling is not a verified stochastic coupling"
+    return J, summary
+
+
+def cmd_quantize(args) -> int:
+    rm = _load_inputs(args)
+    J, summary = _quantize_summary(rm, args.order)
+    series = {"choi": matrix_to_csv(J.matrix, header=f"# choi order={args.order}")}
+    del J  # the CSV carries it from here on
     emit_report(args.out, f"quantize-{rm.name}", summary, series)
     return EXIT_OK
 
@@ -307,7 +331,7 @@ def cmd_coalesce(args) -> int:
             workers=args.workers,
         )
     else:
-        report = coalescence_tail_exact(rm.coupling(), m_max=args.m_max)
+        report = coalescence_tail_exact(rm.exact_coupling(), m_max=args.m_max)
     summary = {
         "model": rm.name,
         "mode": report.mode,
@@ -325,6 +349,12 @@ def _default_grid(m_max: int) -> list[int]:
     return list(range(0, m_max + 1, max(1, m_max // 20)))
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidInputError(f"--seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def cmd_evolve(args) -> int:
     rm = _load_inputs(args)
     if rm.rmr is None:
@@ -333,7 +363,7 @@ def cmd_evolve(args) -> int:
     T = superop_from_kraus(ks)
     if T.cp_status != "verified":
         raise InvalidInputError("channel failed the complete-positivity check")
-    report = coalescence_tail_exact(rm.coupling(), m_max=args.m_max)
+    report = coalescence_tail_exact(rm.exact_coupling(), m_max=args.m_max)
     n = rm.pi.n
     if args.rho0 == "mixed":
         rho0 = DensityMatrix(np.eye(n) / n)
@@ -345,7 +375,7 @@ def cmd_evolve(args) -> int:
     elif args.rho0 == "random":
         if args.seed is None:
             raise InvalidInputError("--rho0 random requires --seed")
-        rho0 = random_density(n, np.random.Generator(np.random.Philox(args.seed)))
+        rho0 = random_density(n, _seeded_rng(args.seed))
     else:
         raise InvalidInputError(f"unknown --rho0 {args.rho0!r}")
     trace = evolve_trace(T, rho0, qsample(rm.pi), args.m_max, report=report)
@@ -364,13 +394,13 @@ def cmd_verify(args) -> int:
     rm = _load_inputs(args)
     if rm.rmr is None or rm.instance is None:
         raise InvalidInputError("verify needs a named random-mapping model")
-    C = rm.coupling()
+    rng = _seeded_rng(args.seed)
+    C = rm.exact_coupling()
+    report = coalescence_tail_exact(C, m_max=args.m_max)
     pi = rm.pi
     n = pi.n
     ks = kraus_from_grand(rm.rmr, pi)
     T = superop_from_kraus(ks)
-    report = coalescence_tail_exact(C, m_max=args.m_max)
-    rng = np.random.Generator(np.random.Philox(args.seed))
     rho0_set = [random_density(n, rng) for _ in range(args.states)]
 
     checks = [
@@ -401,9 +431,9 @@ def cmd_dilate(args) -> int:
     rm = _load_inputs(args)
     if rm.rmr is None:
         raise InvalidInputError("dilate needs a random-mapping model")
+    rng = _seeded_rng(args.seed)
     ks = kraus_from_grand(rm.rmr, rm.pi)
     circ = build_dilation(ks)
-    rng = np.random.Generator(np.random.Philox(args.seed))
     checks = []
     for _ in range(args.states):
         xi = rng.standard_normal(circ.dim)

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from qcoupling.chain import (
     ATOL_COMPUTED,
@@ -28,7 +29,7 @@ from qcoupling.errors import (
 from qcoupling.kernels import coalescence_counts
 
 COUPLING_THRESHOLD = 0.25  # t_couple crossing level
-EXACT_GUARD_N = 64  # largest N for exact pair-space iteration
+EXACT_GUARD_N = 64  # largest state count for exact pair-space work and dense chains
 MC_BLOCK_ELEMENTS = 1 << 20  # randomness elements drawn and held per MC block
 CDF_BUCKET_BITS = 12  # inverse-CDF buckets are indexed by a Philox word's top bits
 
@@ -246,7 +247,8 @@ def validate_coupling(C: CouplingMatrix) -> ValidationReport:
         issues.append(f"condition 2 (coalescence) violated by {worst2:.3g}")
 
     # Condition 3: symmetry under exchanging the two components.
-    asym = np.abs(E - E.transpose(1, 0, 3, 2))
+    asym = E - E.transpose(1, 0, 3, 2)
+    np.abs(asym, out=asym)
     details["symmetry"] = float(asym.max()) <= ATOL_INPUT
     if not details["symmetry"]:
         i = np.unravel_index(asym.argmax(), asym.shape)
@@ -303,6 +305,64 @@ def grand_coupling_matrix(rmr: RandomMappingRep) -> CouplingMatrix:
     return C
 
 
+def kron_square_sum(factors, weights, n: int) -> scipy.sparse.csr_array:
+    """sum_r weights[r] * kron(F_r, F_r), assembled from the nonzeros only.
+
+    Each n x n factor F_r is given as (rows, cols, values) of its nonzeros.
+    The entry at (i*n + j, k*n + l) of kron(F_r, F_r) is the single product
+    F_r[i, k] * F_r[j, l], as in ``np.kron``. Entries that land on the same
+    position are added in r order starting from 0.0 (``np.add.at`` is
+    unbuffered and sequential), so the result equals the dense
+    ``S = 0; S += w_r * kron(F_r, F_r)`` loop bit for bit.
+    """
+    rows, cols, vals = [], [], []
+    for (i, k, v), w in zip(factors, weights):
+        rows.append((i[:, None] * n + i[None, :]).ravel())
+        cols.append((k[:, None] * n + k[None, :]).ravel())
+        vals.append(w * (v[:, None] * v[None, :]).ravel())
+    n2 = n * n
+    keys = np.concatenate(rows) * n2 + np.concatenate(cols)
+    positions, slot = np.unique(keys, return_inverse=True)
+    data = np.zeros(positions.size)
+    np.add.at(data, slot, np.concatenate(vals))
+    keep = data != 0
+    positions, data = positions[keep], data[keep]
+    indptr = np.searchsorted(positions, np.arange(n2 + 1) * n2)
+    return scipy.sparse.csr_array((data, positions % n2, indptr), shape=(n2, n2))
+
+
+def grand_coupling_operator(rmr: RandomMappingRep) -> scipy.sparse.csr_array:
+    """Pair-space transition matrix of the grand coupling, built from the table.
+
+    C = sum_r Pr(r) kron(F_r, F_r) with F_r[f(x, r), x] = 1, so column
+    idx(x, y) holds Pr(r) at row idx(f(x, r), f(y, r)): at most |R| nonzeros
+    per column. Its entries equal ``grand_coupling_matrix(rmr).entries`` bit
+    for bit. It is a coupling by construction, so no dense
+    :func:`validate_coupling` runs: both marginals are the induced chain,
+    which :class:`RandomMappingRep` checks against its base; a diagonal start
+    (x, x) only reaches diagonal pairs (f(x, r), f(x, r)); and swapping the
+    components maps the column of (x, y) onto that of (y, x) with the same
+    weights. The base chain is not needed.
+    """
+    n = rmr.n
+    x = np.arange(n)
+    ones = np.ones(n)
+    factors = [(rmr.table[:, r], x, ones) for r in range(rmr.n_r)]
+    return kron_square_sum(factors, rmr.probs, n)
+
+
+def pair_transition(coupling: CouplingMatrix | RandomMappingRep):
+    """Pair-space transition matrix of either kind of coupling.
+
+    A random mapping gives the sparse :func:`grand_coupling_operator`; a dense
+    coupling is validated and gives its entries.
+    """
+    if isinstance(coupling, RandomMappingRep):
+        return grand_coupling_operator(coupling)
+    require_valid_coupling(coupling)
+    return coupling.entries
+
+
 # ---------------------------------------------------------------------------
 # Coalescence tails
 
@@ -318,7 +378,7 @@ def _offdiag_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def coalescence_tail_exact(
-    C: CouplingMatrix,
+    coupling: CouplingMatrix | RandomMappingRep,
     m_max: int,
     guard_n: int = EXACT_GUARD_N,
     expected_time: bool = False,
@@ -329,16 +389,18 @@ def coalescence_tail_exact(
 
     The tail at m for start pair (x, y) equals the column sum of C^m over
     off-diagonal pair rows, computed for all starts at once by iterating the
-    off-diagonal indicator row vector (never forming C^m). With
+    off-diagonal indicator row vector (never forming C^m). For a random
+    mapping each step is the gather V_m[x, y] = sum_r Pr(r) V_{m-1}[f(x, r),
+    f(y, r)], applied as the sparse :func:`grand_coupling_operator`. With
     ``expected_time`` the tails are summed past m_max until they fall below
     ``expectation_tol``, giving E[tau_coal] with a stated truncation.
     """
-    n = C.n
+    n = coupling.n
     if n > guard_n:
         raise GuardExceededError(
             f"exact mode guarded at N <= {guard_n}; N = {n}. Use coalescence_tail_mc."
         )
-    require_valid_coupling(C)
+    C = pair_transition(coupling)
     if m_max < 0:
         raise InvalidInputError("m_max must be nonnegative")
     off = _offdiag_mask(n)
@@ -353,7 +415,7 @@ def coalescence_tail_exact(
             if np.any(per_pair[m] > per_pair[m - 1] + ATOL_INPUT):
                 raise AssertionError(f"exact tails increased at m={m}")
         if m < m_max:
-            v = v @ C.entries
+            v = v @ C
 
     tail_max = per_pair.max(axis=1) if pairs else np.zeros(m_max + 1)
     t_couple = None
@@ -369,7 +431,7 @@ def coalescence_tail_exact(
         tails = per_pair[-1].copy()
         m = m_max
         while tails.max(initial=0.0) > expectation_tol and m < expectation_cap:
-            v = v @ C.entries
+            v = v @ C
             tails = v[pair_cols]
             total += tails
             m += 1
@@ -542,26 +604,31 @@ def coupling_time(report: CoalescenceReport) -> int:
     )
 
 
-def check_tail_submultiplicativity(C: CouplingMatrix, m: int, l: int) -> CheckResult:
+def check_tail_submultiplicativity(
+    coupling: CouplingMatrix | RandomMappingRep, m: int, l: int
+) -> CheckResult:
     """Pr_max{tau > l*m} <= (Pr_max{tau > m})^l, plus the block-structure identity.
 
     Also verifies that C^m restricted to the diagonal block equals P^m (once the
-    components meet they stay together forever).
+    components meet they stay together forever). A random mapping runs on
+    its sparse :func:`grand_coupling_operator`, with P its induced chain.
     """
     if m < 0 or l < 1:
         raise InvalidInputError("need m >= 0 and l >= 1")
-    report = coalescence_tail_exact(C, m_max=m * l)
+    report = coalescence_tail_exact(coupling, m_max=m * l)
     lhs = report.tail_at(m * l)
     rhs = float(report.tail_at(m) ** l)
-    n = C.n
+    n = coupling.n
+    C = pair_transition(coupling)
+    P = coupling.base.entries if coupling.base is not None else coupling.induced_chain_entries()
     # C^m restricted to diagonal-pair columns, via column iteration (no C^m formed)
     diag_idx = np.arange(n) * n + np.arange(n)
     V = np.zeros((n * n, n))
     V[diag_idx, np.arange(n)] = 1.0
     Pm = np.eye(n)
     for _ in range(m):
-        V = C.entries @ V
-        Pm = C.base.entries @ Pm
+        V = C @ V
+        Pm = P @ Pm
     diag_block = V[diag_idx, :]
     block_err = float(np.max(np.abs(diag_block - Pm)))
     passed = lhs <= rhs + ATOL_COMPUTED and block_err <= ATOL_INPUT

@@ -20,6 +20,7 @@ from qcoupling.checks import CheckResult
 from qcoupling.coupling import (
     CoalescenceReport,
     CouplingMatrix,
+    RandomMappingRep,
     coalescence_tail_exact,
 )
 from qcoupling.errors import InvalidInputError
@@ -202,11 +203,16 @@ def edge_state(x: int, y: int, n: int) -> np.ndarray:
     return v
 
 
-def laplacian_preservation_check(C: CouplingMatrix, x: int, y: int) -> CheckResult:
+def laplacian_preservation_check(
+    C: CouplingMatrix | RandomMappingRep, x: int, y: int
+) -> CheckResult:
     """C* maps the edge Laplacian at (x, y) to the coupling-weighted mixture.
 
-    Terms with x' = y' contribute zero Laplacians, so only off-diagonal
-    successors appear on the right-hand side.
+    The left side applies C* to the Laplacian; the right side sums the
+    successors' Laplacians with the weights in column idx(x, y) of the
+    coupling (for a random mapping, of its table-built operator, which is
+    also the matrix of C*). Terms with x' = y' contribute zero Laplacians, so
+    only off-diagonal successors appear on the right-hand side.
     """
     if x == y:
         raise InvalidInputError("edge states require x != y")
@@ -214,16 +220,16 @@ def laplacian_preservation_check(C: CouplingMatrix, x: int, y: int) -> CheckResu
     S = c_star_superop(C)
     e = edge_state(x, y, n)
     lhs = S.apply(np.outer(e, e))
-    E = C.as_4tensor()
+    if isinstance(C, RandomMappingRep):
+        column = S.matrix[:, [x * n + y]].toarray().ravel()
+    else:
+        column = C.entries[:, x * n + y]
     rhs = np.zeros((n, n))
-    for xp in range(n):
-        for yp in range(n):
-            if xp == yp:
-                continue
-            w = E[xp, yp, x, y]
-            if w:
-                ep = edge_state(xp, yp, n)
-                rhs += w * np.outer(ep, ep)
+    for target in np.flatnonzero(column):
+        xp, yp = divmod(int(target), n)
+        if xp != yp:
+            ep = edge_state(xp, yp, n)
+            rhs += column[target] * np.outer(ep, ep)
     err = float(np.max(np.abs(lhs - rhs)))
     return CheckResult(
         name="laplacian_preservation",
@@ -283,13 +289,17 @@ def edge_laplacian_traces(S, pairs: list[tuple[int, int]], n: int, m: int) -> np
     return out
 
 
-def coalescence_trace_identity_check(C: CouplingMatrix, m: int) -> CheckResult:
+def coalescence_trace_identity_check(
+    C: CouplingMatrix | RandomMappingRep, m: int
+) -> CheckResult:
     """Pr_{x,y}{tau > k} = tr([C*]^k applied to the edge Laplacian), all x != y.
 
     Checked at every step k = 0..m by evolving the stack of vectorized edge
     Laplacians under C* one step at a time (no matrix powers are formed). C*
     has at most |R| nonzeros per column for a grand coupling, so it is applied
-    as a sparse matrix.
+    as a sparse matrix; a random mapping's C* is built from its table. The
+    tails on the other side come from the row-vector recursion of
+    :func:`coalescence_tail_exact`.
     """
     n = C.n
     report = coalescence_tail_exact(C, m_max=m)

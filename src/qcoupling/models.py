@@ -22,7 +22,7 @@ import numpy as np
 from qcoupling.chain import ATOL_COMPUTED, Distribution, TransitionMatrix
 from qcoupling.checks import CheckResult
 from qcoupling.coupling import (
-    CoalescenceReport,
+    EXACT_GUARD_N,
     CouplingMatrix,
     RandomMappingRep,
     coalescence_tail_exact,
@@ -32,7 +32,6 @@ from qcoupling.coupling import (
 )
 from qcoupling.errors import GuardExceededError, InvalidInputError
 
-EXACT_STATE_GUARD = 64  # largest state count for dense chain / coupling work
 ENUMERATION_GUARD = 2_000_000  # largest configuration space we will filter
 
 
@@ -138,7 +137,7 @@ def hypercube_model(n: int) -> ModelInstance:
             columns.append((states & ~bit) | (bit if b else 0))
     table = np.stack(columns, axis=1)
     probs = np.full(2 * n, 1.0 / (2 * n))
-    exact = n_states <= EXACT_STATE_GUARD
+    exact = n_states <= EXACT_GUARD_N
     chain = None
     if exact:
         chain = TransitionMatrix(
@@ -283,7 +282,7 @@ def colorings_model(g: GraphSpec, q: int) -> ModelInstance:
                     y[v] = k
                     table[i, r] = index[tuple(y)]
     probs = np.full(g.n * q, 1.0 / (g.n * q))
-    exact = n_states <= EXACT_STATE_GUARD
+    exact = n_states <= EXACT_GUARD_N
     chain = (
         TransitionMatrix(tuple("".join(map(str, x)) for x in states), induced_entries(table, probs))
         if exact
@@ -326,10 +325,7 @@ def hardcore_model(g: GraphSpec, lam: float) -> ModelInstance:
     ]
     index = {x: i for i, x in enumerate(states)}
     n_states = len(states)
-    if n_states > EXACT_STATE_GUARD:
-        exact = False
-    else:
-        exact = True
+    exact = n_states <= EXACT_GUARD_N
 
     heads = lam / (1.0 + lam)
     r_labels, prob_list, columns = [], [], []
@@ -417,7 +413,7 @@ def contraction_rate_check(
         )
 
     if mode == "exact":
-        report = coalescence_tail_exact(model.coupling(), m_max=max(grid))
+        report = coalescence_tail_exact(model.rmr, m_max=max(grid))
         rows = [(m, report.tail_at(m), envelope[m]) for m in grid]
         margin = ATOL_COMPUTED
     elif mode == "mc":
@@ -453,8 +449,3 @@ def contraction_rate_check(
             ],
         },
     )
-
-
-def coalescence_report_for(model: ModelInstance, m_max: int, **kwargs) -> CoalescenceReport:
-    """Exact coalescence report for an exact-capable model."""
-    return coalescence_tail_exact(model.coupling(), m_max=m_max, **kwargs)

@@ -13,13 +13,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from qcoupling.chain import ATOL_COMPUTED, ATOL_INPUT, Distribution
 from qcoupling.checks import CheckResult
 from qcoupling.coupling import (
     CouplingMatrix,
     RandomMappingRep,
+    grand_coupling_operator,
     independent_coupling,
+    kron_square_sum,
 )
 from qcoupling.errors import InvalidInputError
 
@@ -42,18 +45,24 @@ def unvec(v: np.ndarray) -> np.ndarray:
 class Superoperator:
     """Linear map on N x N matrices in the column-stacking vectorization.
 
+    ``matrix`` is a dense array or, for maps built from a successor table, a
+    ``scipy.sparse`` CSR array; ``apply`` is a mat-vec either way.
     ``cp_status`` is one of "unchecked" / "verified" / "failed" and travels
     with the map; apply_channel refuses to label outputs as states unless the
     map is CP-verified.
     """
 
     dim: int
-    matrix: np.ndarray
+    matrix: np.ndarray | scipy.sparse.csr_array
     kind: str = "generic"
     cp_status: str = "unchecked"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        if scipy.sparse.issparse(self.matrix):
+            m = scipy.sparse.csr_array(self.matrix, dtype=float)
+            m.sum_duplicates()
+        else:
+            m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         n2 = self.dim * self.dim
         if m.shape != (n2, n2):
@@ -130,13 +139,24 @@ class ChoiMatrix:
 
     @property
     def eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum, computed on the support of J.
+
+        An index i whose row and column are both zero splits off a zero block,
+        so ``eigvalsh`` runs only on the rows and columns that are not
+        identically zero, and every other eigenvalue is an exact 0. The
+        asymmetry check runs on the same submatrix: outside it, J[i, j] and
+        J[j, i] are both zero.
+        """
         if self._spectrum is None:
-            asym = np.max(np.abs(self.matrix - self.matrix.T))
+            nonzero = self.matrix != 0
+            support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+            sub = self.matrix[np.ix_(support, support)]
+            asym = np.max(np.abs(sub - sub.T), initial=0.0)
             if asym > ATOL_COMPUTED:
                 raise InvalidInputError(f"Choi matrix asymmetric by {asym:.3g}")
-            object.__setattr__(
-                self, "_spectrum", np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
-            )
+            eigs = np.zeros(self.matrix.shape[0])
+            eigs[: support.size] = np.linalg.eigvalsh(0.5 * (sub + sub.T))
+            object.__setattr__(self, "_spectrum", np.sort(eigs))
         return self._spectrum
 
     def swapped(self) -> "ChoiMatrix":
@@ -151,25 +171,31 @@ class ChoiMatrix:
 # Constructions
 
 
-def c_star_superop(C: CouplingMatrix) -> Superoperator:
+def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
     """Superoperator of C*(M) = sum c_{(x',y'),(x,y)} |x'><x| M |y><y'|.
 
     Built elementwise from the map definition. For symmetric couplings the
     resulting matrix equals C entrywise; asymmetric inputs are rejected
     because the identity (and everything downstream) breaks without
-    condition 3.
+    condition 3. A random mapping's grand coupling is symmetric by
+    construction, so its C* is the sparse table-built
+    :func:`grand_coupling_operator` itself.
     """
+    if isinstance(C, RandomMappingRep):
+        return Superoperator(dim=C.n, matrix=grand_coupling_operator(C), kind="C*")
     n = C.n
     E = C.as_4tensor()
-    asym = np.max(np.abs(E - E.transpose(1, 0, 3, 2)))
+    diff = E - E.transpose(1, 0, 3, 2)
+    asym = np.max(np.abs(diff, out=diff))
+    del diff
     if asym > ATOL_INPUT:
         raise InvalidInputError(
             f"coupling violates the symmetry condition by {asym:.3g}; "
             "the vectorized identity matrix(C*) = C requires it"
         )
     # Row index of the output entry (x', y') is x' + N*y'; reshape row-major
-    # therefore orders axes (y', x', y, x).
-    S = E.transpose(1, 0, 3, 2).reshape(n * n, n * n)
+    # therefore orders axes (y', x', y, x). Always a fresh, writable array.
+    S = np.array(E.transpose(1, 0, 3, 2), order="C").reshape(n * n, n * n)
     return Superoperator(dim=n, matrix=S, kind="C*")
 
 
@@ -187,8 +213,9 @@ def quantized_coupling(
     if pi.weights.min() <= 0:
         raise InvalidInputError("pi must be strictly positive (ergodicity guarantees this)")
     s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
-    S_c = c_star_superop(C).matrix
-    S_tstar = S_c * (s[None, :] / s[:, None])
+    S_tstar = c_star_superop(C).matrix
+    for i in range(0, n * n, n):  # in place, n rows at a time: no N^2 x N^2 temporary
+        S_tstar[i:i + n] *= s[None, :] / s[i:i + n, None]
     T_star = Superoperator(dim=n, matrix=S_tstar, kind="T*")
     T = Superoperator(dim=n, matrix=S_tstar.T, kind="T")
 
@@ -222,14 +249,18 @@ def kraus_from_grand(rmr: RandomMappingRep, pi: Distribution) -> KrausSet:
 
 
 def superop_from_kraus(ks: KrausSet) -> Superoperator:
-    """Superoperator matrix of the Kraus channel: sum_r kron(T_r, T_r).
+    """Superoperator matrix of the Kraus channel: sum_r kron(T_r, T_r), sparse.
 
-    The CP status comes from :func:`certify_kraus_cp` on the assembled matrix.
+    Only the nonzeros of each kron(T_r, T_r) are formed; for the Kraus
+    operators of a grand coupling that is at most |R| per row. The entries
+    equal those of the dense sum bit for bit (:func:`kron_square_sum`). The CP
+    status comes from :func:`certify_kraus_cp` on the assembled matrix.
     """
-    n2 = ks.dim * ks.dim
-    S = np.zeros((n2, n2))
+    factors = []
     for T in ks.ops:
-        S += np.kron(T, T)
+        rows, cols = np.nonzero(T)
+        factors.append((rows, cols, T[rows, cols]))
+    S = kron_square_sum(factors, np.ones(len(ks.ops)), ks.dim)
     out = Superoperator(dim=ks.dim, matrix=S, kind="T_from_kraus")
     certify_kraus_cp(out, ks.ops)
     return out
@@ -239,7 +270,8 @@ def choi_matrix(S: Superoperator, order: str = "map_first") -> ChoiMatrix:
     """Choi matrix assembled from S applied to the matrix units E_xy."""
     n = S.dim
     # S[i + N*j, x + N*y] = S(E_xy)[i, j]; reshape axes are (j, i, y, x).
-    S4 = S.matrix.reshape(n, n, n, n)
+    dense = S.matrix.toarray() if scipy.sparse.issparse(S.matrix) else S.matrix
+    S4 = dense.reshape(n, n, n, n)
     if order == "map_first":
         J = S4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
     elif order == "basis_first":
@@ -249,20 +281,22 @@ def choi_matrix(S: Superoperator, order: str = "map_first") -> ChoiMatrix:
     return ChoiMatrix(dim=n, matrix=J, order=order)
 
 
-def min_choi_eigenvalue(J: ChoiMatrix, cp_tol_rel: float = CP_TOL_REL) -> float:
+def min_choi_eigenvalue(J: ChoiMatrix) -> float:
     """Smallest Choi eigenvalue (symmetric eigensolver).
 
     Raises if J is asymmetric beyond 1e-10. The companion CP verdict is
     exposed through :func:`is_completely_positive` with the scale-free
-    tolerance ``cp_tol_rel * max|J|``.
+    tolerance ``CP_TOL_REL * max|J|``.
     """
     return float(J.eigenvalues[0])
 
 
-def _cp_tolerance(matrix: np.ndarray, cp_tol_rel: float = CP_TOL_REL) -> float:
+def _cp_tolerance(matrix, cp_tol_rel: float = CP_TOL_REL) -> float:
     """Scale-free CP tolerance cp_tol_rel * max|J|; a superoperator's max |S|
     is its Choi matrix's max |J|, since J permutes S's entries."""
-    return cp_tol_rel * max(float(np.max(np.abs(matrix))), 1e-300)
+    values = matrix.data if scipy.sparse.issparse(matrix) else matrix
+    largest = max(float(values.max(initial=0.0)), -float(values.min(initial=0.0)))
+    return cp_tol_rel * max(largest, 1e-300)
 
 
 def is_completely_positive(J: ChoiMatrix, cp_tol_rel: float = CP_TOL_REL) -> bool:
@@ -283,8 +317,8 @@ def verify_cp(S: Superoperator, cp_tol_rel: float = CP_TOL_REL) -> ChoiMatrix:
 
 
 def _choi_4d(S: Superoperator | ChoiMatrix) -> np.ndarray:
-    """View of Choi_map_first(S) for a superoperator, or of a basis-first
-    Choi matrix (either stored order), with axes (i, x, j, y)."""
+    """View of Choi_map_first(S) for a dense superoperator, or of a
+    basis-first Choi matrix (either stored order), with axes (i, x, j, y)."""
     n = S.dim
     if isinstance(S, ChoiMatrix):
         J4 = S.matrix.reshape(n, n, n, n)
@@ -297,18 +331,34 @@ def _choi_4d(S: Superoperator | ChoiMatrix) -> np.ndarray:
 
 
 def _kraus_residual(S: Superoperator, ops: list[np.ndarray]) -> float:
-    """Frobenius norm of Choi(S) - sum_r u_r u_r^T, with u_r[i*N + x] = T_r[i, x]."""
+    """Frobenius norm of Choi(S) - sum_r u_r u_r^T, with u_r[i*N + x] = T_r[i, x].
+
+    Both sides are permutations of superoperator entries: Choi(S) of S's, and
+    the rank-|R| form of K = sum_r kron(T_r, T_r), whose entry at
+    (i*N + j, x*N + y) is sum_r T_r[i, x] T_r[j, y]. So the norm is taken on
+    S - K over the positions where K can be nonzero (products of nonzeros of
+    one T_r), with K evaluated there straight from the Kraus operators, plus
+    S's entries everywhere else.
+    """
     n = S.dim
+    n2 = n * n
     kraus = np.stack(ops)  # axes (r, i, x)
-    flat = kraus.reshape(len(ops), n * n)
-    choi = _choi_4d(S)
-    total = 0.0
-    for i in range(n):
-        # the rank-|R| form at rows (i, x): sum_r T_r[i, x] T_r[j, y], axes (x, j, y)
-        diff = (kraus[:, i, :].T @ flat).reshape(n, n, n)
-        np.subtract(choi[i], diff, out=diff)
-        total += float(np.vdot(diff, diff))
-    return math.sqrt(total)
+    keys = []
+    for T in ops:
+        i, x = np.nonzero(T)
+        keys.append(((i[:, None] * n + i[None, :]) * n2 + (x[:, None] * n + x[None, :])).ravel())
+    keys = np.unique(np.concatenate(keys))
+    row, col = np.divmod(keys, n2)
+    (i, j), (x, y) = np.divmod(row, n), np.divmod(col, n)
+    form = np.einsum("rk,rk->k", kraus[:, i, x], kraus[:, j, y])
+
+    entries = scipy.sparse.coo_array(S.matrix)
+    s_keys = entries.row.astype(np.int64) * n2 + entries.col
+    pos = np.searchsorted(keys, s_keys).clip(max=keys.size - 1)
+    inside = keys[pos] == s_keys
+    form[pos[inside]] -= entries.data[inside]
+    outside = entries.data[~inside]
+    return math.sqrt(float(np.vdot(form, form)) + float(np.vdot(outside, outside)))
 
 
 def certify_kraus_cp(S: Superoperator, ops: list[np.ndarray]) -> str:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcoupling import quantize
 from qcoupling.models import (
     colorings_model,
     complete_graph,
@@ -42,3 +43,17 @@ def random_ergodic_chain(n: int, rng: np.random.Generator):
     cols = rng.dirichlet(np.ones(n), size=n).T + 1e-3
     cols /= cols.sum(axis=0)
     return TransitionMatrix(tuple(str(i) for i in range(n)), cols)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Count verify_cp calls made from inside the CP certificates."""
+    calls = []
+    verify_cp = quantize.verify_cp
+
+    def counting(S, *args, **kwargs):
+        calls.append(S)
+        return verify_cp(S, *args, **kwargs)
+
+    monkeypatch.setattr(quantize, "verify_cp", counting)
+    return calls

@@ -38,6 +38,16 @@ class TestExitCodes:
     def test_valid_model_is_0(self, tmp_path):
         assert run("validate", "--model", "hypercube2", "--out", str(tmp_path)) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--model", "hypercube2"),
+        ("dilate", "--model", "hypercube2"),
+        ("evolve", "--model", "hypercube2", "--rho0", "random"),
+    ])
+    def test_negative_seed_is_invalid_input(self, tmp_path, capsys, argv):
+        assert run(*argv, "--seed", "-1", "--out", str(tmp_path)) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestQuantize:
     def test_printed_fixture_report(self, tmp_path):

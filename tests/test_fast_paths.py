@@ -2,7 +2,8 @@
 
 - the trace identity evolved with a sparse C* against the dense matmul;
 - the Kraus and congruence CP certificates against verify_cp's eigensolve;
-- matrix_to_csv against the per-cell formatter.
+- matrix_to_csv, and the Choi CSV that quantize writes, against the
+  per-cell formatter on the dense reference.
 """
 
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_ergodic_chain
 from qcoupling import quantize
 from qcoupling.chain import ATOL_COMPUTED, Distribution
-from qcoupling.cli import resolve_model
+from qcoupling.cli import main, resolve_model
 from qcoupling.coupling import (
     CouplingMatrix,
     coalescence_tail_exact,
@@ -56,21 +57,8 @@ def _model(name, bias=0.5, fugacity=2.0):
     return resolve_model(name, SimpleNamespace(bias=bias, fugacity=fugacity))
 
 
-@pytest.fixture
-def eigensolves(monkeypatch):
-    """Count verify_cp calls made from inside the certificates."""
-    calls = []
-
-    def counting(S, *args, **kwargs):
-        calls.append(S)
-        return verify_cp(S, *args, **kwargs)
-
-    monkeypatch.setattr(quantize, "verify_cp", counting)
-    return calls
-
-
 def _reference_status(S: Superoperator) -> str:
-    ref = Superoperator(S.dim, np.array(S.matrix))
+    ref = Superoperator(S.dim, S.matrix.copy())
     verify_cp(ref)
     return ref.cp_status
 
@@ -130,7 +118,7 @@ class TestKrausCertificate:
     def test_matrix_equals_kron_sum(self, hypercube3):
         ks = kraus_from_grand(hypercube3.rmr, hypercube3.pi)
         S = superop_from_kraus(ks)
-        np.testing.assert_array_equal(S.matrix, sum(np.kron(T, T) for T in ks.ops))
+        np.testing.assert_array_equal(S.matrix.toarray(), sum(np.kron(T, T) for T in ks.ops))
 
     def test_non_cp_kraus_shaped_map_fails(self, hypercube2, eigensolves):
         # sum_r s_r kron(T_r, T_r) with one s_r = -1: Kraus-shaped, not CP
@@ -285,6 +273,14 @@ class TestMatrixCsv:
         C = _model("cycle3-printed").coupling()
         J = choi_matrix(c_star_superop(C), order="map_first").matrix
         assert matrix_to_csv(J, "# choi") == _csv_reference(J, "# choi")
+
+    @pytest.mark.parametrize("name", ["hypercube3", "colorings-k3-q4",
+                                      "cycle3-printed", "cycle5-prose"])
+    def test_quantize_csv_byte_identical(self, name, tmp_path):
+        assert main(["quantize", "--model", name, "--out", str(tmp_path)]) == 0
+        [csv] = [p for p in tmp_path.iterdir() if "-choi-" in p.name]
+        J = choi_matrix(c_star_superop(_model(name).coupling()), order="basis_first").matrix
+        assert csv.read_bytes() == _csv_reference(J, "# choi order=basis_first").encode()
 
     def test_integer_matrix(self):
         M = np.array([[0, 3], [-2, 0]])

@@ -101,12 +101,12 @@ class TestQuantizedCoupling:
         T, _ = quantized_coupling(hypercube3.coupling(), hypercube3.pi)
         ks = kraus_from_grand(hypercube3.rmr, hypercube3.pi)
         T2 = superop_from_kraus(ks)
-        np.testing.assert_allclose(T2.matrix, T.matrix, atol=1e-12)
+        np.testing.assert_allclose(T2.matrix.toarray(), T.matrix, atol=1e-12)
 
     def test_kraus_route_nonuniform_pi(self, hardcore_p3_lam2):
         T, _ = quantized_coupling(hardcore_p3_lam2.coupling(), hardcore_p3_lam2.pi)
         ks = kraus_from_grand(hardcore_p3_lam2.rmr, hardcore_p3_lam2.pi)
-        np.testing.assert_allclose(superop_from_kraus(ks).matrix, T.matrix, atol=1e-12)
+        np.testing.assert_allclose(superop_from_kraus(ks).matrix.toarray(), T.matrix, atol=1e-12)
 
     def test_kraus_condition_enforced(self):
         with pytest.raises(InvalidInputError, match="Kraus condition"):
