@@ -359,18 +359,17 @@ def cmd_evolve(args) -> int:
     rm = _load_inputs(args)
     if rm.rmr is None:
         raise InvalidInputError("evolve needs a random-mapping model (CP channel)")
-    ks = kraus_from_grand(rm.rmr, rm.pi)
-    T = superop_from_kraus(ks)
-    if T.cp_status != "verified":
-        raise InvalidInputError("channel failed the complete-positivity check")
-    report = coalescence_tail_exact(rm.exact_coupling(), m_max=args.m_max)
     n = rm.pi.n
     if args.rho0 == "mixed":
         rho0 = DensityMatrix(np.eye(n) / n)
     elif args.rho0.startswith("basis:"):
-        i = int(args.rho0.split(":", 1)[1])
+        i = args.rho0.split(":", 1)[1]
+        if not i.isdecimal() or int(i) >= n:
+            raise InvalidInputError(
+                f"--rho0 basis:<i> needs an integer 0 <= i < {n}, got {args.rho0!r}"
+            )
         m = np.zeros((n, n))
-        m[i, i] = 1.0
+        m[int(i), int(i)] = 1.0
         rho0 = DensityMatrix(m)
     elif args.rho0 == "random":
         if args.seed is None:
@@ -378,6 +377,11 @@ def cmd_evolve(args) -> int:
         rho0 = random_density(n, _seeded_rng(args.seed))
     else:
         raise InvalidInputError(f"unknown --rho0 {args.rho0!r}")
+    ks = kraus_from_grand(rm.rmr, rm.pi)
+    T = superop_from_kraus(ks)
+    if T.cp_status != "verified":
+        raise InvalidInputError("channel failed the complete-positivity check")
+    report = coalescence_tail_exact(rm.exact_coupling(), m_max=args.m_max)
     trace = evolve_trace(T, rho0, qsample(rm.pi), args.m_max, report=report)
     summary = {
         "model": rm.name,
@@ -394,6 +398,8 @@ def cmd_verify(args) -> int:
     rm = _load_inputs(args)
     if rm.rmr is None or rm.instance is None:
         raise InvalidInputError("verify needs a named random-mapping model")
+    if args.states < 1:
+        raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     rng = _seeded_rng(args.seed)
     C = rm.exact_coupling()
     report = coalescence_tail_exact(C, m_max=args.m_max)
@@ -431,6 +437,8 @@ def cmd_dilate(args) -> int:
     rm = _load_inputs(args)
     if rm.rmr is None:
         raise InvalidInputError("dilate needs a random-mapping model")
+    if args.states < 1:
+        raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     rng = _seeded_rng(args.seed)
     ks = kraus_from_grand(rm.rmr, rm.pi)
     circ = build_dilation(ks)

@@ -287,16 +287,13 @@ def independent_coupling(P: TransitionMatrix) -> CouplingMatrix:
 
 
 def grand_coupling_matrix(rmr: RandomMappingRep) -> CouplingMatrix:
-    """Grand coupling: both components driven by the same randomness draw."""
+    """Grand coupling: both components driven by the same randomness draw.
+
+    The dense form of :func:`grand_coupling_operator`, validated as a coupling.
+    """
     if rmr.base is None:
         raise InvalidInputError("grand coupling matrix requires a mapping with a base chain")
-    n = rmr.n
-    E = np.zeros((n, n, n, n))
-    x = np.arange(n)
-    for r in range(rmr.n_r):
-        succ = rmr.table[:, r]
-        E[succ[:, None], succ[None, :], x[:, None], x[None, :]] += rmr.probs[r]
-    C = CouplingMatrix(base=rmr.base, entries=E.reshape(n * n, n * n))
+    C = CouplingMatrix(base=rmr.base, entries=grand_coupling_operator(rmr).toarray())
     report = validate_coupling(C)
     if not report.valid:
         raise InvalidInputError(
@@ -336,8 +333,7 @@ def grand_coupling_operator(rmr: RandomMappingRep) -> scipy.sparse.csr_array:
 
     C = sum_r Pr(r) kron(F_r, F_r) with F_r[f(x, r), x] = 1, so column
     idx(x, y) holds Pr(r) at row idx(f(x, r), f(y, r)): at most |R| nonzeros
-    per column. Its entries equal ``grand_coupling_matrix(rmr).entries`` bit
-    for bit. It is a coupling by construction, so no dense
+    per column. It is a coupling by construction, so no dense
     :func:`validate_coupling` runs: both marginals are the induced chain,
     which :class:`RandomMappingRep` checks against its base; a diagonal start
     (x, x) only reaches diagonal pairs (f(x, r), f(x, r)); and swapping the
@@ -351,16 +347,16 @@ def grand_coupling_operator(rmr: RandomMappingRep) -> scipy.sparse.csr_array:
     return kron_square_sum(factors, rmr.probs, n)
 
 
-def pair_transition(coupling: CouplingMatrix | RandomMappingRep):
-    """Pair-space transition matrix of either kind of coupling.
+def pair_transition(coupling: CouplingMatrix | RandomMappingRep) -> scipy.sparse.csr_array:
+    """Pair-space transition matrix of either kind of coupling, as a CSR array.
 
-    A random mapping gives the sparse :func:`grand_coupling_operator`; a dense
-    coupling is validated and gives its entries.
+    A random mapping gives :func:`grand_coupling_operator`; a dense coupling
+    is validated and gives its entries.
     """
     if isinstance(coupling, RandomMappingRep):
         return grand_coupling_operator(coupling)
     require_valid_coupling(coupling)
-    return coupling.entries
+    return scipy.sparse.csr_array(coupling.entries)
 
 
 # ---------------------------------------------------------------------------

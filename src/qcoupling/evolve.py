@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from qcoupling.chain import ATOL_COMPUTED, ATOL_INPUT, Distribution
 from qcoupling.checks import CheckResult
@@ -209,10 +208,9 @@ def laplacian_preservation_check(
     """C* maps the edge Laplacian at (x, y) to the coupling-weighted mixture.
 
     The left side applies C* to the Laplacian; the right side sums the
-    successors' Laplacians with the weights in column idx(x, y) of the
-    coupling (for a random mapping, of its table-built operator, which is
-    also the matrix of C*). Terms with x' = y' contribute zero Laplacians, so
-    only off-diagonal successors appear on the right-hand side.
+    successors' Laplacians with the weights in column idx(x, y) of the matrix
+    of C*, which is the coupling's. Terms with x' = y' contribute zero
+    Laplacians, so only off-diagonal successors appear on the right-hand side.
     """
     if x == y:
         raise InvalidInputError("edge states require x != y")
@@ -220,10 +218,7 @@ def laplacian_preservation_check(
     S = c_star_superop(C)
     e = edge_state(x, y, n)
     lhs = S.apply(np.outer(e, e))
-    if isinstance(C, RandomMappingRep):
-        column = S.matrix[:, [x * n + y]].toarray().ravel()
-    else:
-        column = C.entries[:, x * n + y]
+    column = S.matrix[:, [x * n + y]].toarray().ravel()
     rhs = np.zeros((n, n))
     for target in np.flatnonzero(column):
         xp, yp = divmod(int(target), n)
@@ -270,8 +265,8 @@ def rescaled_qperp_decomposition_check(pi: Distribution) -> CheckResult:
 def edge_laplacian_traces(S, pairs: list[tuple[int, int]], n: int, m: int) -> np.ndarray:
     """tr([C*]^k |-_xy><-_xy|) for k = 0..m (rows) and each pair (columns).
 
-    ``S`` is the matrix of C*, dense or sparse; it is applied to the stack of
-    vectorized edge Laplacians m times. |-_xy><-_xy| = |-_yx><-_yx| entry for
+    ``S`` is the matrix of C*; it is applied to the stack of vectorized edge
+    Laplacians m times. |-_xy><-_xy| = |-_yx><-_yx| entry for
     entry, so each unordered pair is evolved once.
     """
     edges = sorted({(min(x, y), max(x, y)) for x, y in pairs})
@@ -295,15 +290,14 @@ def coalescence_trace_identity_check(
     """Pr_{x,y}{tau > k} = tr([C*]^k applied to the edge Laplacian), all x != y.
 
     Checked at every step k = 0..m by evolving the stack of vectorized edge
-    Laplacians under C* one step at a time (no matrix powers are formed). C*
-    has at most |R| nonzeros per column for a grand coupling, so it is applied
-    as a sparse matrix; a random mapping's C* is built from its table. The
-    tails on the other side come from the row-vector recursion of
-    :func:`coalescence_tail_exact`.
+    Laplacians under the sparse C* one step at a time (no matrix powers are
+    formed); C* has at most |R| nonzeros per column for a grand coupling, and
+    a random mapping's C* is built from its table. The tails on the other
+    side come from the row-vector recursion of :func:`coalescence_tail_exact`.
     """
     n = C.n
     report = coalescence_tail_exact(C, m_max=m)
-    S = scipy.sparse.csr_array(c_star_superop(C).matrix)
+    S = c_star_superop(C).matrix
     lhs = edge_laplacian_traces(S, report.pairs, n, m)
     worst = float(np.abs(lhs - report.per_pair).max(initial=0.0))
     return CheckResult(

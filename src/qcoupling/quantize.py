@@ -23,6 +23,7 @@ from qcoupling.coupling import (
     grand_coupling_operator,
     independent_coupling,
     kron_square_sum,
+    validate_coupling,
 )
 from qcoupling.errors import InvalidInputError
 
@@ -45,24 +46,21 @@ def unvec(v: np.ndarray) -> np.ndarray:
 class Superoperator:
     """Linear map on N x N matrices in the column-stacking vectorization.
 
-    ``matrix`` is a dense array or, for maps built from a successor table, a
-    ``scipy.sparse`` CSR array; ``apply`` is a mat-vec either way.
+    ``matrix`` is always a ``scipy.sparse`` CSR array (a dense or other sparse
+    input is converted), and ``apply`` is a sparse mat-vec.
     ``cp_status`` is one of "unchecked" / "verified" / "failed" and travels
     with the map; apply_channel refuses to label outputs as states unless the
     map is CP-verified.
     """
 
     dim: int
-    matrix: np.ndarray | scipy.sparse.csr_array
+    matrix: scipy.sparse.csr_array
     kind: str = "generic"
     cp_status: str = "unchecked"
 
     def __post_init__(self):
-        if scipy.sparse.issparse(self.matrix):
-            m = scipy.sparse.csr_array(self.matrix, dtype=float)
-            m.sum_duplicates()
-        else:
-            m = np.asarray(self.matrix, dtype=float)
+        m = scipy.sparse.csr_array(self.matrix, dtype=float)
+        m.sum_duplicates()
         object.__setattr__(self, "matrix", m)
         n2 = self.dim * self.dim
         if m.shape != (n2, n2):
@@ -171,31 +169,37 @@ class ChoiMatrix:
 # Constructions
 
 
+def _swap_pair(index: np.ndarray, n: int) -> np.ndarray:
+    """Pair index of (b, a) for each pair index a*N + b: the tensor swap."""
+    a, b = np.divmod(index, n)
+    return b * n + a
+
+
 def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
     """Superoperator of C*(M) = sum c_{(x',y'),(x,y)} |x'><x| M |y><y'|.
 
-    Built elementwise from the map definition. For symmetric couplings the
-    resulting matrix equals C entrywise; asymmetric inputs are rejected
-    because the identity (and everything downstream) breaks without
-    condition 3. A random mapping's grand coupling is symmetric by
-    construction, so its C* is the sparse table-built
+    Built elementwise from the map definition: C's entry at (x'N + y', xN + y)
+    lands at (x' + Ny', x + Ny). For symmetric couplings the matrix therefore
+    equals C entrywise; asymmetric inputs (by the cached
+    :func:`validate_coupling` report) are rejected because the identity, and
+    everything downstream, breaks without condition 3. A random mapping's
+    grand coupling is symmetric by construction, so its C* is
     :func:`grand_coupling_operator` itself.
     """
     if isinstance(C, RandomMappingRep):
         return Superoperator(dim=C.n, matrix=grand_coupling_operator(C), kind="C*")
     n = C.n
-    E = C.as_4tensor()
-    diff = E - E.transpose(1, 0, 3, 2)
-    asym = np.max(np.abs(diff, out=diff))
-    del diff
-    if asym > ATOL_INPUT:
+    rows, cols = np.nonzero(C.entries)
+    S = scipy.sparse.csr_array(
+        (C.entries[rows, cols], (_swap_pair(rows, n), _swap_pair(cols, n))),
+        shape=(n * n, n * n),
+    )
+    if not validate_coupling(C).details["symmetry"]:
+        asym = float(np.max(np.abs(S - C.entries)))
         raise InvalidInputError(
             f"coupling violates the symmetry condition by {asym:.3g}; "
             "the vectorized identity matrix(C*) = C requires it"
         )
-    # Row index of the output entry (x', y') is x' + N*y'; reshape row-major
-    # therefore orders axes (y', x', y, x). Always a fresh, writable array.
-    S = np.array(E.transpose(1, 0, 3, 2), order="C").reshape(n * n, n * n)
     return Superoperator(dim=n, matrix=S, kind="C*")
 
 
@@ -214,8 +218,8 @@ def quantized_coupling(
         raise InvalidInputError("pi must be strictly positive (ergodicity guarantees this)")
     s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
     S_tstar = c_star_superop(C).matrix
-    for i in range(0, n * n, n):  # in place, n rows at a time: no N^2 x N^2 temporary
-        S_tstar[i:i + n] *= s[None, :] / s[i:i + n, None]
+    rows = np.repeat(np.arange(n * n), np.diff(S_tstar.indptr))
+    S_tstar.data *= s[S_tstar.indices] / s[rows]
     T_star = Superoperator(dim=n, matrix=S_tstar, kind="T*")
     T = Superoperator(dim=n, matrix=S_tstar.T, kind="T")
 
@@ -266,19 +270,29 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     return out
 
 
-def choi_matrix(S: Superoperator, order: str = "map_first") -> ChoiMatrix:
-    """Choi matrix assembled from S applied to the matrix units E_xy."""
+def _choi_positions(S: Superoperator, order: str):
+    """Positions in Choi(S) of S's stored entries: (rows, cols, values).
+
+    S[i + N*j, x + N*y] = S(E_xy)[i, j] sits at (i*N + x, j*N + y) in the
+    map-first order and at (x*N + i, y*N + j) in the basis-first order.
+    """
     n = S.dim
-    # S[i + N*j, x + N*y] = S(E_xy)[i, j]; reshape axes are (j, i, y, x).
-    dense = S.matrix.toarray() if scipy.sparse.issparse(S.matrix) else S.matrix
-    S4 = dense.reshape(n, n, n, n)
+    entries = S.matrix.tocoo()
+    (j, i), (y, x) = np.divmod(entries.row, n), np.divmod(entries.col, n)
     if order == "map_first":
-        J = S4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
-    elif order == "basis_first":
-        J = S4.transpose(3, 1, 2, 0).reshape(n * n, n * n)
-    else:
-        raise InvalidInputError(f"unknown factor order {order!r}")
-    return ChoiMatrix(dim=n, matrix=J, order=order)
+        return i * n + x, j * n + y, entries.data
+    if order == "basis_first":
+        return x * n + i, y * n + j, entries.data
+    raise InvalidInputError(f"unknown factor order {order!r}")
+
+
+def choi_matrix(S: Superoperator, order: str = "map_first") -> ChoiMatrix:
+    """Choi matrix of S: S's nonzeros scattered to their Choi positions."""
+    n2 = S.dim * S.dim
+    rows, cols, values = _choi_positions(S, order)
+    J = np.zeros((n2, n2))
+    J[rows, cols] = values
+    return ChoiMatrix(dim=S.dim, matrix=J, order=order)
 
 
 def min_choi_eigenvalue(J: ChoiMatrix) -> float:
@@ -291,10 +305,9 @@ def min_choi_eigenvalue(J: ChoiMatrix) -> float:
     return float(J.eigenvalues[0])
 
 
-def _cp_tolerance(matrix, cp_tol_rel: float = CP_TOL_REL) -> float:
-    """Scale-free CP tolerance cp_tol_rel * max|J|; a superoperator's max |S|
-    is its Choi matrix's max |J|, since J permutes S's entries."""
-    values = matrix.data if scipy.sparse.issparse(matrix) else matrix
+def _cp_tolerance(values: np.ndarray, cp_tol_rel: float = CP_TOL_REL) -> float:
+    """Scale-free CP tolerance cp_tol_rel * max|J| from the entries of J or of
+    its superoperator S: J permutes S's entries, so both give the same max."""
     largest = max(float(values.max(initial=0.0)), -float(values.min(initial=0.0)))
     return cp_tol_rel * max(largest, 1e-300)
 
@@ -316,49 +329,40 @@ def verify_cp(S: Superoperator, cp_tol_rel: float = CP_TOL_REL) -> ChoiMatrix:
 # otherwise verify_cp decides.
 
 
-def _choi_4d(S: Superoperator | ChoiMatrix) -> np.ndarray:
-    """View of Choi_map_first(S) for a dense superoperator, or of a
-    basis-first Choi matrix (either stored order), with axes (i, x, j, y)."""
-    n = S.dim
-    if isinstance(S, ChoiMatrix):
-        J4 = S.matrix.reshape(n, n, n, n)
-        return J4 if S.order == "basis_first" else J4.transpose(1, 0, 3, 2)
-    if S.matrix.flags.f_contiguous:
-        # S.T[x + N*y, i + N*j] = Choi[(i, x), (j, y)]; S.T's axes are (y, x, j, i)
-        return S.matrix.T.reshape(n, n, n, n).transpose(3, 1, 2, 0)
-    # S[i + N*j, x + N*y]: axes (j, i, y, x)
-    return S.matrix.reshape(n, n, n, n).transpose(1, 3, 0, 2)
+def _choi_residual(S: Superoperator, keys: np.ndarray, form: np.ndarray) -> float:
+    """Frobenius norm of Choi_map_first(S) - F, where F holds ``form`` at the
+    sorted flat positions ``keys`` (row * N^2 + column) and is zero elsewhere.
+
+    Only the stored entries of S and of F are visited: where both have one
+    the difference counts, elsewhere each side's own entries do.
+    """
+    rows, cols, values = _choi_positions(S, "map_first")
+    s_keys = rows.astype(np.int64) * S.dim**2 + cols
+    pos = np.searchsorted(keys, s_keys)
+    inside = pos < keys.size
+    inside[inside] = keys[pos[inside]] == s_keys[inside]
+    diff = np.array(form, dtype=float)
+    diff[pos[inside]] -= values[inside]
+    outside = values[~inside]
+    return math.sqrt(float(np.vdot(diff, diff)) + float(np.vdot(outside, outside)))
 
 
 def _kraus_residual(S: Superoperator, ops: list[np.ndarray]) -> float:
     """Frobenius norm of Choi(S) - sum_r u_r u_r^T, with u_r[i*N + x] = T_r[i, x].
 
-    Both sides are permutations of superoperator entries: Choi(S) of S's, and
-    the rank-|R| form of K = sum_r kron(T_r, T_r), whose entry at
-    (i*N + j, x*N + y) is sum_r T_r[i, x] T_r[j, y]. So the norm is taken on
-    S - K over the positions where K can be nonzero (products of nonzeros of
-    one T_r), with K evaluated there straight from the Kraus operators, plus
-    S's entries everywhere else.
+    The form is evaluated straight from the Kraus operators, at the positions
+    where it can be nonzero: products of two nonzeros of one T_r.
     """
-    n = S.dim
-    n2 = n * n
-    kraus = np.stack(ops)  # axes (r, i, x)
+    n2 = S.dim**2
+    flat = np.stack(ops).reshape(len(ops), n2)  # row r is u_r
     keys = []
-    for T in ops:
-        i, x = np.nonzero(T)
-        keys.append(((i[:, None] * n + i[None, :]) * n2 + (x[:, None] * n + x[None, :])).ravel())
+    for u in flat:
+        p = np.flatnonzero(u)
+        keys.append((p[:, None] * n2 + p[None, :]).ravel())
     keys = np.unique(np.concatenate(keys))
-    row, col = np.divmod(keys, n2)
-    (i, j), (x, y) = np.divmod(row, n), np.divmod(col, n)
-    form = np.einsum("rk,rk->k", kraus[:, i, x], kraus[:, j, y])
-
-    entries = scipy.sparse.coo_array(S.matrix)
-    s_keys = entries.row.astype(np.int64) * n2 + entries.col
-    pos = np.searchsorted(keys, s_keys).clip(max=keys.size - 1)
-    inside = keys[pos] == s_keys
-    form[pos[inside]] -= entries.data[inside]
-    outside = entries.data[~inside]
-    return math.sqrt(float(np.vdot(form, form)) + float(np.vdot(outside, outside)))
+    rows, cols = np.divmod(keys, n2)
+    form = np.einsum("rk,rk->k", flat[:, rows], flat[:, cols])
+    return _choi_residual(S, keys, form)
 
 
 def certify_kraus_cp(S: Superoperator, ops: list[np.ndarray]) -> str:
@@ -369,11 +373,25 @@ def certify_kraus_cp(S: Superoperator, ops: list[np.ndarray]) -> str:
     A residual within the CP tolerance therefore passes the test verify_cp
     applies. Any other S goes to verify_cp.
     """
-    if _kraus_residual(S, ops) <= _cp_tolerance(S.matrix):
+    if _kraus_residual(S, ops) <= _cp_tolerance(S.matrix.data):
         S.cp_status = "verified"
     else:
         verify_cp(S)
     return S.cp_status
+
+
+def _congruence_residual(T: Superoperator, J: ChoiMatrix, k: np.ndarray) -> float:
+    """Frobenius norm of Choi_map_first(T) - K Choi_basis_first(C*) K, K = diag(k),
+    with the form evaluated at the nonzeros of J."""
+    n = T.dim
+    rows, cols = np.nonzero(J.matrix)
+    form = J.matrix[rows, cols]
+    if J.order == "map_first":  # to the basis-first positions
+        rows, cols = _swap_pair(rows, n), _swap_pair(cols, n)
+    form = form * k[cols] * k[rows]
+    keys = rows.astype(np.int64) * n * n + cols
+    sort = np.argsort(keys)
+    return _choi_residual(T, keys[sort], form[sort])
 
 
 def certify_cp_by_congruence(T: Superoperator, J: ChoiMatrix, pi: Distribution) -> str:
@@ -383,27 +401,17 @@ def certify_cp_by_congruence(T: Superoperator, J: ChoiMatrix, pi: Distribution) 
     K = diag(kron(sqrt(pi), 1/sqrt(pi))), so by Ostrowski's theorem
     lambda_min(Choi(T)) = theta * lambda_min(J) for some theta in
     [min K^2, max K^2] (Sylvester's law of inertia is the sign part). The
-    congruence is checked entrywise on the actual matrices, one block at a
-    time; its Frobenius residual and a backward-error allowance for J's
-    computed spectrum widen the bounds (Weyl). Bounds that straddle the CP
-    tolerance fall back to verify_cp.
+    congruence is checked entrywise on the actual matrices; its Frobenius
+    residual and a backward-error allowance for J's computed spectrum widen
+    the bounds (Weyl). Bounds that straddle the CP tolerance fall back to
+    verify_cp.
     """
     n = T.dim
     if J.dim != n or pi.n != n:
         raise InvalidInputError("channel, Choi matrix and pi dimensions differ")
     d = np.sqrt(pi.weights)
-    k = np.kron(d, 1.0 / d).reshape(n, n)  # K's diagonal at (i, x)
-    choi_t, choi_c = _choi_4d(T), _choi_4d(J)
-    # each block is n runs of n^2 adjacent entries in both matrices
-    fixed_x = T.matrix.flags.f_contiguous
-    total = 0.0
-    for b in range(n):
-        at = (slice(None), b) if fixed_x else (b,)
-        diff = choi_c[at] * k
-        diff *= k[at][:, None, None]
-        np.subtract(choi_t[at], diff, out=diff)
-        total += float(np.vdot(diff, diff))
-    residual = math.sqrt(total)
+    k = np.kron(d, 1.0 / d)  # K's diagonal
+    residual = _congruence_residual(T, J, k)
 
     eigs = J.eigenvalues
     lam = float(eigs[0])
@@ -411,7 +419,7 @@ def certify_cp_by_congruence(T: Superoperator, J: ChoiMatrix, pi: Distribution) 
     k2 = (float(k.min()) ** 2, float(k.max()) ** 2)
     lo = min(c * (lam - slack) for c in k2) - residual
     hi = max(c * (lam + slack) for c in k2) + residual
-    tol = _cp_tolerance(T.matrix)
+    tol = _cp_tolerance(T.matrix.data)
     if lo >= -tol:
         T.cp_status = "verified"
     elif hi < -tol:
@@ -497,15 +505,3 @@ def matrix_to_csv(matrix: np.ndarray, header: str) -> str:
             cells[j] = f"{row[j]:.17g}"
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def choi_to_json_dict(J: ChoiMatrix) -> dict:
-    return {"dim": J.dim, "order": J.order, "J": J.matrix.tolist()}
-
-
-def kraus_to_json_dict(ks: KrausSet) -> dict:
-    return {
-        "dim": ks.dim,
-        "labels": list(ks.labels),
-        "ops": [T.tolist() for T in ks.ops],
-    }

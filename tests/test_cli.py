@@ -48,6 +48,22 @@ class TestExitCodes:
         assert "--seed" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("index", ["x", "1.5", "", "-1", "4", "9"])
+    def test_bad_basis_index_is_invalid_input(self, tmp_path, capsys, index):
+        # hypercube2 has 4 states, so basis:4 is one past the last
+        argv = ("evolve", "--model", "hypercube2", "--rho0", f"basis:{index}")
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert "--rho0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("subcommand", ["verify", "dilate"])
+    @pytest.mark.parametrize("states", ["0", "-2"])
+    def test_states_below_one_is_invalid_input(self, tmp_path, capsys, subcommand, states):
+        argv = (subcommand, "--model", "hypercube2", "--states", states)
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert "--states" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestQuantize:
     def test_printed_fixture_report(self, tmp_path):
@@ -127,6 +143,13 @@ class TestEvolve:
             "m,trace_distance,qperp_overlap,classical_tail_max,"
             "qperp_bound,theorem_envelope"
         )
+
+    @pytest.mark.parametrize("index", ["0", "3"])
+    def test_basis_state_in_range(self, tmp_path, index):
+        argv = ("evolve", "--model", "hypercube2", "--rho0", f"basis:{index}", "--m-max", "4")
+        assert run(*argv, "--out", str(tmp_path)) == 0
+        doc = load_summary(tmp_path, "evolve-hypercube2")
+        assert doc["rho0"] == f"basis:{index}"
 
 
 class TestDilate:

@@ -1,6 +1,9 @@
 """Differential tests: each fast path against the dense reference it replaces.
 
 - the trace identity evolved with a sparse C* against the dense matmul;
+- the CSR superoperators against the dense reshapes they replaced: the
+  Choi scatter, the re-indexed C* of a dense coupling, the rescaled T*, and
+  the congruence residual;
 - the Kraus and congruence CP certificates against verify_cp's eigensolve;
 - matrix_to_csv, and the Choi CSV that quantize writes, against the
   per-cell formatter on the dense reference.
@@ -25,6 +28,7 @@ from qcoupling.coupling import (
     independent_coupling,
     validate_coupling,
 )
+from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import (
     coalescence_trace_identity_check,
     edge_laplacian_traces,
@@ -101,6 +105,145 @@ class TestSparseTraceIdentity:
     def test_independent_coupling(self, n, seed):
         P = random_ergodic_chain(n, np.random.Generator(np.random.Philox(seed)))
         _assert_sparse_matches_dense(independent_coupling(P), 6)
+
+
+# ---------------------------------------------------------------------------
+# CSR superoperators against the dense reshapes they replaced
+
+
+def _reshape_choi(S: np.ndarray, n: int, order: str) -> np.ndarray:
+    """Choi matrix by reshape and transpose: S's axes are (j, i, y, x)."""
+    axes = (1, 3, 0, 2) if order == "map_first" else (3, 1, 2, 0)
+    return S.reshape(n, n, n, n).transpose(axes).reshape(n * n, n * n)
+
+
+def _swap_transpose(C: CouplingMatrix) -> np.ndarray:
+    """matrix(C*) of a dense coupling by permuting the axes of its 4-tensor."""
+    n = C.n
+    return np.array(C.as_4tensor().transpose(1, 0, 3, 2), order="C").reshape(n * n, n * n)
+
+
+def _row_block_t_star(C: CouplingMatrix, pi: Distribution) -> np.ndarray:
+    """T* = D^{-1/2} C* D^{1/2} rescaled n rows at a time on the dense matrix."""
+    n = C.n
+    s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
+    S = _swap_transpose(C)
+    for i in range(0, n * n, n):
+        S[i:i + n] *= s[None, :] / s[i:i + n, None]
+    return S
+
+
+def _blockwise_congruence_residual(T: np.ndarray, J: ChoiMatrix, k: np.ndarray) -> float:
+    """||Choi_map_first(T) - K Choi_basis_first(C*) K||_F one block at a time."""
+    n = J.dim
+    k = k.reshape(n, n)  # K's diagonal at (i, x)
+    choi_t = T.reshape(n, n, n, n).transpose(1, 3, 0, 2)  # axes (i, x, j, y)
+    J4 = J.matrix.reshape(n, n, n, n)
+    choi_c = J4 if J.order == "basis_first" else J4.transpose(1, 0, 3, 2)
+    total = 0.0
+    for b in range(n):
+        diff = choi_c[b] * k
+        diff *= k[b][:, None, None]
+        np.subtract(choi_t[b], diff, out=diff)
+        total += float(np.vdot(diff, diff))
+    return float(np.sqrt(total))
+
+
+def _assert_bit_identical(a: np.ndarray, b: np.ndarray):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _bundled_superops(name):
+    """Every superoperator the pipeline builds for one bundled model."""
+    m = _model(name, bias=0.7)
+    C = m.coupling()
+    out = [c_star_superop(C), _similarity_channel(C, m.pi)]
+    if m.rmr is not None:
+        out += [c_star_superop(m.rmr), superop_from_kraus(kraus_from_grand(m.rmr, m.pi))]
+    return out
+
+
+ALL_DENSE = DENSE_MODELS + ["cycle3-printed", "cycle5-printed"]
+
+
+class TestCsrSuperoperators:
+    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
+    @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE)
+    def test_choi_scatter_equals_reshape(self, name, order):
+        for S in _bundled_superops(name):
+            J = choi_matrix(S, order=order)
+            _assert_bit_identical(J.matrix, _reshape_choi(S.matrix.toarray(), S.dim, order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+           order=st.sampled_from(["map_first", "basis_first"]))
+    def test_property_choi_scatter_equals_reshape(self, n, seed, zero_share, order):
+        rng = np.random.Generator(np.random.Philox(seed))
+        M = rng.standard_normal((n * n, n * n))
+        M[rng.random(M.shape) < zero_share] = 0.0
+        J = choi_matrix(Superoperator(n, M), order=order)
+        _assert_bit_identical(J.matrix, _reshape_choi(M, n, order))
+
+    def test_unknown_order_rejected(self, hypercube2):
+        with pytest.raises(InvalidInputError, match="factor order"):
+            choi_matrix(c_star_superop(hypercube2.rmr), order="diagonal")
+
+    @pytest.mark.parametrize("bias", [0.5, 0.7])
+    @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE + ["cycle7-prose"])
+    def test_c_star_equals_swap_transpose(self, name, bias):
+        C = _model(name, bias=bias).coupling()
+        S = c_star_superop(C).matrix
+        _assert_bit_identical(S.toarray(), _swap_transpose(C))
+        assert S.has_canonical_format
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_property_independent_coupling(self, n, seed):
+        P = random_ergodic_chain(n, np.random.Generator(np.random.Philox(seed)))
+        C = independent_coupling(P)
+        _assert_bit_identical(c_star_superop(C).matrix.toarray(), _swap_transpose(C))
+
+    @pytest.mark.parametrize("name", RMR_MODELS + DENSE_MODELS)
+    def test_t_star_equals_row_block_rescaling(self, name):
+        m = _model(name, bias=0.7)
+        C = m.coupling()
+        T, T_star = quantized_coupling(C, m.pi)
+        ref = _row_block_t_star(C, m.pi)
+        _assert_bit_identical(T_star.matrix.toarray(), ref)
+        _assert_bit_identical(T.matrix.toarray(), ref.T)
+
+    @pytest.mark.parametrize("order", ["basis_first", "map_first"])
+    @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE)
+    def test_congruence_residual_equals_blockwise(self, name, order):
+        m = _model(name, bias=0.7)
+        C = m.coupling()
+        J = choi_matrix(c_star_superop(C), order=order)
+        T = _similarity_channel(C, m.pi)
+        k = np.kron(np.sqrt(m.pi.weights), 1.0 / np.sqrt(m.pi.weights))
+        np.testing.assert_allclose(
+            quantize._congruence_residual(T, J, k),
+            _blockwise_congruence_residual(T.matrix.toarray(), J, k), rtol=1e-12, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           zero_share=st.sampled_from([0.0, 0.5, 0.9]),
+           order=st.sampled_from(["map_first", "basis_first"]))
+    def test_property_congruence_residual(self, n, seed, zero_share, order):
+        # T congruent to a perturbed J: the residual is far from zero
+        rng = np.random.Generator(np.random.Philox(seed))
+        pi = Distribution(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+        J = _choi_with_min_eigenvalue(n, -0.5, rng) if n > 1 else np.ones((1, 1))
+        J[rng.random(J.shape) < zero_share] = 0.0
+        J = 0.5 * (J + J.T)
+        T = _congruent_channel(J + rng.standard_normal(J.shape), pi)
+        J_c = ChoiMatrix(n, J, "basis_first")
+        J_c = J_c if order == "basis_first" else J_c.swapped()
+        k = np.kron(np.sqrt(pi.weights), 1.0 / np.sqrt(pi.weights))
+        np.testing.assert_allclose(
+            quantize._congruence_residual(T, J_c, k),
+            _blockwise_congruence_residual(T.matrix.toarray(), J_c, k), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Differential tests: the table-driven exact path against the dense reference.
 
-- the sparse pair operator built from the successor table against
-  ``grand_coupling_matrix`` (bit for bit);
+- the sparse pair operator built from the successor table against the
+  4-tensor scatter it replaced, and against ``grand_coupling_matrix`` (bit
+  for bit);
 - verify's checks run on a random mapping against the same checks on its
-  dense grand coupling and dense channel;
+  dense grand coupling and that coupling's similarity-route channel;
 - the sparse Kraus superoperator and its certificate against the dense
   sum of Kronecker products and the blockwise residual;
 - the Choi spectrum computed on the support against the full ``eigvalsh``;
@@ -54,7 +55,10 @@ from qcoupling.quantize import (
     certify_kraus_cp,
     choi_matrix,
     kraus_from_grand,
+    quantized_coupling,
     superop_from_kraus,
+    unvec,
+    vec,
     verify_cp,
 )
 
@@ -99,12 +103,24 @@ def mappings(draw, ergodic=False):
     return RandomMappingRep(base, tuple(str(r) for r in range(len(columns))), probs, table)
 
 
+def _scatter_grand_coupling(rmr: RandomMappingRep) -> np.ndarray:
+    """Independent dense construction: E[f(x, r), f(y, r), x, y] += Pr(r), r in order."""
+    n = rmr.n
+    E = np.zeros((n, n, n, n))
+    x = np.arange(n)
+    for r in range(rmr.n_r):
+        succ = rmr.table[:, r]
+        E[succ[:, None], succ[None, :], x[:, None], x[None, :]] += rmr.probs[r]
+    return E.reshape(n * n, n * n)
+
+
 def _assert_operator_matches_dense(rmr: RandomMappingRep):
     op = grand_coupling_operator(rmr)
-    dense = grand_coupling_matrix(rmr).entries
+    dense = _scatter_grand_coupling(rmr)
     full = op.toarray()
     assert np.array_equal(full, dense)
     assert np.array_equal(np.signbit(full), np.signbit(dense))
+    assert np.array_equal(grand_coupling_matrix(rmr).entries, dense)
     assert np.diff(op.tocsc().indptr).max(initial=0) <= rmr.n_r
 
 
@@ -126,7 +142,7 @@ class TestPairOperator:
         _assert_operator_matches_dense(rmr)
 
     def test_is_the_matrix_of_c_star(self, hypercube3):
-        dense = c_star_superop(hypercube3.coupling()).matrix
+        dense = c_star_superop(hypercube3.coupling()).matrix.toarray()
         assert np.array_equal(c_star_superop(hypercube3.rmr).matrix.toarray(), dense)
 
     def test_needs_no_base_chain(self, hypercube3):
@@ -149,8 +165,11 @@ def _close(a, b):
         assert abs(a.rhs - b.rhs) <= LHS_TOL
 
 
-def _dense_channel(T: Superoperator) -> Superoperator:
-    return Superoperator(T.dim, T.matrix.toarray(), kind=T.kind, cp_status=T.cp_status)
+def _similarity_channel(m) -> Superoperator:
+    """T quantized from the model's dense grand coupling, CP-verified by eigensolve."""
+    T, _ = quantized_coupling(m.coupling(), m.pi)
+    verify_cp(T)
+    return T
 
 
 class TestChecksAgree:
@@ -192,7 +211,7 @@ class TestChecksAgree:
     def test_channel_checks(self, name):
         m = _model(name, fugacity=0.5)
         T = superop_from_kraus(kraus_from_grand(m.rmr, m.pi))
-        T_dense = _dense_channel(T)
+        T_dense = _similarity_channel(m)
         table = coalescence_tail_exact(m.rmr, m_max=15)
         dense = coalescence_tail_exact(m.coupling(), m_max=15)
         rng = np.random.Generator(np.random.Philox(3))
@@ -289,7 +308,7 @@ class TestSparseKraus:
         T = superop_from_kraus(kraus_from_grand(hypercube3.rmr, hypercube3.pi))
         rho = random_density(8, np.random.Generator(np.random.Philox(1))).matrix
         np.testing.assert_allclose(
-            T.apply(rho), _dense_channel(T).apply(rho), rtol=0, atol=1e-15)
+            T.apply(rho), unvec(T.matrix.toarray() @ vec(rho)), rtol=0, atol=1e-15)
         np.testing.assert_allclose(
             T.apply(rho), kraus_from_grand(hypercube3.rmr, hypercube3.pi).apply(rho),
             rtol=0, atol=1e-15)
