@@ -192,25 +192,31 @@ def emit_report(outdir: str, stem: str, summary: dict, series: dict | None = Non
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InvalidInputError(f"cannot create output directory {outdir}: {exc}")
-    body = json.dumps(summary, sort_keys=True, indent=2, default=_jsonable) + "\n"
-    blob = body + "".join(sorted((series or {}).values()))
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
+    body = json.dumps(summary, sort_keys=True, indent=2, default=_jsonable).encode() + b"\n"
+    # the digest covers body + the series concatenated in sorted order; UTF-8
+    # keeps that order and concatenation, so each part is encoded once and fed
+    # to the hash on its own
+    encoded = {label: csv.encode() for label, csv in (series or {}).items()}
+    h = hashlib.sha256(body)
+    for data in sorted(encoded.values()):
+        h.update(data)
+    digest = h.hexdigest()[:12]
     paths = []
     p = out / f"{stem}-{digest}.json"
     _write(p, body)
     paths.append(p)
-    for label, csv in (series or {}).items():
+    for label, data in encoded.items():
         p = out / f"{stem}-{label}-{digest}.csv"
-        _write(p, csv)
+        _write(p, data)
         paths.append(p)
     for p in paths:
         print(p)
     return paths
 
 
-def _write(path: Path, text: str):
+def _write(path: Path, data: bytes):
     try:
-        path.write_text(text)
+        path.write_bytes(data)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc}")
 
@@ -279,11 +285,13 @@ def cmd_validate(args) -> int:
 def _quantize_summary(rm: ResolvedModel, order: str):
     """Choi matrix of C* and the quantize summary.
 
-    The dense coupling and the channel T are dropped on return, so they are
-    not held while the Choi CSV is formatted and written.
+    C* is built once, for the Choi matrix and for the channel T. The dense
+    coupling and T are dropped on return, so they are not held while the
+    Choi CSV is formatted and written.
     """
     C = rm.coupling()
-    J = choi_matrix(c_star_superop(C), order=order)
+    S = c_star_superop(C)
+    J = choi_matrix(S, order=order)
     eigs = J.eigenvalues
     summary = {
         "model": rm.name,
@@ -294,7 +302,7 @@ def _quantize_summary(rm: ResolvedModel, order: str):
         "cp": bool(is_completely_positive(J)),
     }
     if C.marginal_verified and validate_coupling(C).valid:
-        T, _ = quantized_coupling(C, rm.pi)
+        T, _ = quantized_coupling(C, rm.pi, c_star=S)
         certify_cp_by_congruence(T, J, rm.pi)
         summary["trace_preserving"] = True  # asserted inside quantized_coupling
         summary["fixed_point_holds"] = True

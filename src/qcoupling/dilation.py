@@ -22,6 +22,7 @@ Register order everywhere: C^kappa (x) C^2 (x) C^d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +107,8 @@ class DilationCircuit:
 
     W acts on C^kappa (x) C^2 (x) C^d; mu is the uniform control state;
     P projects the middle register onto |0>; P0 additionally fixes the control
-    register to mu; R = 2P - I, R0 = 2P0 - I; G = -W R0 W^T R.
+    register to mu; R = 2P - I, R0 = 2P0 - I; G = -W R0 W^T R, built on
+    first use (only the amplified route reads it).
     """
 
     dim: int
@@ -117,7 +119,10 @@ class DilationCircuit:
     P: np.ndarray
     R: np.ndarray
     R0: np.ndarray
-    G: np.ndarray
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return -self.W @ self.R0 @ self.W.T @ self.R
 
     @property
     def total_dim(self) -> int:
@@ -155,7 +160,7 @@ def _unit_vector(xi, d: int) -> np.ndarray:
 
 
 def build_dilation(kraus: KrausSet) -> DilationCircuit:
-    """Assemble W, mu, R, and G from a Kraus set.
+    """Assemble W, mu, R and R0 from a Kraus set (G follows on first use).
 
     Asserts the completion identity sum_k B_k^T B_k = (kappa - 1) I within
     1e-9, which is what makes the success amplitude input-independent.
@@ -188,9 +193,8 @@ def build_dilation(kraus: KrausSet) -> DilationCircuit:
     R = 2.0 * P - np.eye(total)
     P0 = np.kron(np.outer(mu, mu), np.kron(P_mid, np.eye(d)))
     R0 = 2.0 * P0 - np.eye(total)
-    G = -W @ R0 @ W.T @ R
     return DilationCircuit(
-        dim=d, kappa=kappa, encodings=encodings, W=W, mu=mu, P=P, R=R, R0=R0, G=G
+        dim=d, kappa=kappa, encodings=encodings, W=W, mu=mu, P=P, R=R, R0=R0
     )
 
 

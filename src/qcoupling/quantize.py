@@ -112,22 +112,32 @@ class KrausSet:
         return sum(T @ M @ T.T for T in self.ops)
 
 
+def _nonzero_entries(M: scipy.sparse.csr_array):
+    """(rows, cols, values) of the stored entries of M that are not zero."""
+    stored = M.tocoo()
+    keep = stored.data != 0
+    return stored.row[keep], stored.col[keep], stored.data[keep]
+
+
 @dataclass
 class ChoiMatrix:
     """Choi-Jamiolkowski matrix with either tensor-factor order.
 
     ``order`` is "map_first" (J = sum S(E_xy) (x) E_xy) or "basis_first"
     (J = sum E_xy (x) S(E_xy)); the two are related by the tensor-swap
-    permutation and share their spectrum.
+    permutation and share their spectrum. ``matrix`` is always a
+    ``scipy.sparse`` CSR array (a dense input is converted): J permutes the
+    entries of its superoperator, so it has the same number of nonzeros.
     """
 
     dim: int
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     order: str = "map_first"
     _spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = scipy.sparse.csr_array(self.matrix, dtype=float)
+        m.sum_duplicates()
         object.__setattr__(self, "matrix", m)
         n2 = self.dim * self.dim
         if m.shape != (n2, n2):
@@ -139,16 +149,16 @@ class ChoiMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum, computed on the support of J.
 
-        An index i whose row and column are both zero splits off a zero block,
-        so ``eigvalsh`` runs only on the rows and columns that are not
-        identically zero, and every other eigenvalue is an exact 0. The
+        An index i whose row and column hold no nonzero splits off a zero
+        block, so ``eigvalsh`` runs only on the dense submatrix of the rows
+        and columns that do, and every other eigenvalue is an exact 0. The
         asymmetry check runs on the same submatrix: outside it, J[i, j] and
         J[j, i] are both zero.
         """
         if self._spectrum is None:
-            nonzero = self.matrix != 0
-            support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-            sub = self.matrix[np.ix_(support, support)]
+            rows, cols, _ = _nonzero_entries(self.matrix)
+            support = np.union1d(rows, cols)
+            sub = self.matrix[np.ix_(support, support)].toarray()
             asym = np.max(np.abs(sub - sub.T), initial=0.0)
             if asym > ATOL_COMPUTED:
                 raise InvalidInputError(f"Choi matrix asymmetric by {asym:.3g}")
@@ -161,8 +171,12 @@ class ChoiMatrix:
         """Same map in the other factor order (tensor-swap permutation)."""
         n = self.dim
         other = "basis_first" if self.order == "map_first" else "map_first"
-        m4 = self.matrix.reshape(n, n, n, n).transpose(1, 0, 3, 2)
-        return ChoiMatrix(n, m4.reshape(n * n, n * n), order=other)
+        stored = self.matrix.tocoo()
+        m = scipy.sparse.csr_array(
+            (stored.data, (_swap_pair(stored.row, n), _swap_pair(stored.col, n))),
+            shape=stored.shape,
+        )
+        return ChoiMatrix(n, m, order=other)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +218,14 @@ def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
 
 
 def quantized_coupling(
-    C: CouplingMatrix, pi: Distribution
+    C: CouplingMatrix, pi: Distribution, c_star: Superoperator | None = None
 ) -> tuple[Superoperator, Superoperator]:
     """Quantized coupling (T, T*) via the similarity transform by D = diag(pi).
 
     T*(M) = D^{-1/2} C*(D^{1/2} M D^{1/2}) D^{-1/2}; T is the Hilbert-Schmidt
     adjoint. Verifies T*(I) = I and that the qsample projector is fixed by T.
+    ``c_star`` is :func:`c_star_superop` of C when the caller has built it
+    already; a copy of it is rescaled, so it is left as it was.
     """
     n = C.n
     if pi.n != n:
@@ -217,7 +233,7 @@ def quantized_coupling(
     if pi.weights.min() <= 0:
         raise InvalidInputError("pi must be strictly positive (ergodicity guarantees this)")
     s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
-    S_tstar = c_star_superop(C).matrix
+    S_tstar = (c_star if c_star is not None else c_star_superop(C)).matrix.copy()
     rows = np.repeat(np.arange(n * n), np.diff(S_tstar.indptr))
     S_tstar.data *= s[S_tstar.indices] / s[rows]
     T_star = Superoperator(dim=n, matrix=S_tstar, kind="T*")
@@ -287,11 +303,10 @@ def _choi_positions(S: Superoperator, order: str):
 
 
 def choi_matrix(S: Superoperator, order: str = "map_first") -> ChoiMatrix:
-    """Choi matrix of S: S's nonzeros scattered to their Choi positions."""
+    """Choi matrix of S: S's stored entries scattered to their Choi positions."""
     n2 = S.dim * S.dim
     rows, cols, values = _choi_positions(S, order)
-    J = np.zeros((n2, n2))
-    J[rows, cols] = values
+    J = scipy.sparse.csr_array((values, (rows, cols)), shape=(n2, n2))
     return ChoiMatrix(dim=S.dim, matrix=J, order=order)
 
 
@@ -313,7 +328,7 @@ def _cp_tolerance(values: np.ndarray, cp_tol_rel: float = CP_TOL_REL) -> float:
 
 
 def is_completely_positive(J: ChoiMatrix, cp_tol_rel: float = CP_TOL_REL) -> bool:
-    return min_choi_eigenvalue(J) >= -_cp_tolerance(J.matrix, cp_tol_rel)
+    return min_choi_eigenvalue(J) >= -_cp_tolerance(J.matrix.data, cp_tol_rel)
 
 
 def verify_cp(S: Superoperator, cp_tol_rel: float = CP_TOL_REL) -> ChoiMatrix:
@@ -384,8 +399,7 @@ def _congruence_residual(T: Superoperator, J: ChoiMatrix, k: np.ndarray) -> floa
     """Frobenius norm of Choi_map_first(T) - K Choi_basis_first(C*) K, K = diag(k),
     with the form evaluated at the nonzeros of J."""
     n = T.dim
-    rows, cols = np.nonzero(J.matrix)
-    form = J.matrix[rows, cols]
+    rows, cols, form = _nonzero_entries(J.matrix)
     if J.order == "map_first":  # to the basis-first positions
         rows, cols = _swap_pair(rows, n), _swap_pair(cols, n)
     form = form * k[cols] * k[rows]
@@ -459,7 +473,7 @@ def independent_choi_structure_check(P) -> CheckResult:
     with each correction block diagonally dominant with nonnegative diagonal.
     """
     C = independent_coupling(P)
-    J = choi_matrix(c_star_superop(C), order="map_first").matrix
+    J = choi_matrix(c_star_superop(C), order="map_first").matrix.toarray()
     n = P.n
     cols = P.entries  # |p_x> are the columns of P
     J_dec = np.zeros((n, n, n, n))  # axes (i, x, j, y), built from the decomposition
@@ -492,16 +506,28 @@ def independent_choi_structure_check(P) -> CheckResult:
 # Export helpers
 
 
-def matrix_to_csv(matrix: np.ndarray, header: str) -> str:
+def matrix_to_csv(matrix: scipy.sparse.sparray, header: str) -> str:
     """One line per row, each cell as ``f"{v:.17g}"``.
 
-    Only cells that are nonzero or -0.0 are formatted; every other cell is
-    0.0, which formats as "0".
+    Only the stored cells of the sparse ``matrix`` are formatted; every other
+    cell is 0.0, which formats as "0". A row is the all-zero row string with
+    its stored cells spliced in (cell j starts at offset 2j), and a row with
+    none is that string itself.
     """
+    matrix = scipy.sparse.csr_array(matrix, copy=True)
+    matrix.sum_duplicates()  # sorted, distinct column indices in every row
+    zero_row = ",".join(["0"] * matrix.shape[1])
     lines = [header]
-    for row in np.asarray(matrix):
-        cells = ["0"] * row.size
-        for j in np.flatnonzero((row != 0) | np.signbit(row)):
-            cells[j] = f"{row[j]:.17g}"
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    indptr = matrix.indptr.tolist()
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        if lo == hi:
+            lines.append(zero_row)
+            continue
+        parts, start = [], 0
+        for j, v in zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()):
+            parts += (zero_row[start : 2 * j], f"{v:.17g}")
+            start = 2 * j + 1
+        parts.append(zero_row[start:])
+        lines.append("".join(parts))
+    lines.append("")  # the trailing newline
+    return "\n".join(lines)

@@ -124,9 +124,9 @@ def test_criterion_01_counterexample_fixture(capsys):
     _, C = cycle_coupling_model(3, 0.5, variant="printed")
     J = choi_matrix(c_star_superop(C), order="basis_first")
 
-    expect(failures, np.max(np.abs(J.matrix - fx["matrix"])) <= 1e-12,
+    expect(failures, np.max(np.abs(J.matrix.toarray() - fx["matrix"])) <= 1e-12,
            "Choi matrix differs from the bundled 9x9 fixture")
-    expect(failures, set(np.unique(J.matrix)) <= {0.0, 0.25, 0.5},
+    expect(failures, set(np.unique(J.matrix.toarray())) <= {0.0, 0.25, 0.5},
            "Choi entries are not drawn from {0, 1/4, 1/2}")
     eigs = np.sort(J.eigenvalues)
     expect(failures,

@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcoupling
 from conftest import random_ergodic_chain
 from qcoupling.chain import (
+    ATOL_INPUT,
     Distribution,
     TransitionMatrix,
     chain_from_json_dict,
@@ -18,6 +25,8 @@ from qcoupling.chain import (
     total_variation,
     validate_chain,
     write_chain_json,
+    _strong_components,
+    _support_periods,
 )
 from qcoupling.errors import (
     InvalidInputError,
@@ -73,6 +82,93 @@ class TestValidateChain:
         assert any("strong components" in issue for issue in rep.issues)
 
 
+def _csgraph_components_and_periods(entries: np.ndarray):
+    """Strong components by scipy's csgraph, with the same BFS for the periods:
+    the computation _support_periods did before it had its own Tarjan pass."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    n = entries.shape[0]
+    n_comp, comp = connected_components(
+        csr_array(entries > ATOL_INPUT), directed=True, connection="strong")
+    adj = [np.nonzero(entries[:, j] > ATOL_INPUT)[0] for j in range(n)]
+    periods = []
+    for c in range(n_comp):
+        root = int(np.nonzero(comp == c)[0][0])
+        level, g, queue = {root: 0}, 0, [root]
+        for u in queue:
+            for v in map(int, adj[u]):
+                if comp[v] != c:
+                    continue
+                if v not in level:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+                else:
+                    g = np.gcd(g, level[u] + 1 - level[v])
+        periods.append(abs(int(g)) or 1)
+    return n_comp, comp, periods
+
+
+class TestStrongComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           density=st.sampled_from([0.0, 0.05, 0.15, 0.4]))
+    def test_property_matches_csgraph(self, n, seed, density):
+        # disjoint cycles of random lengths (periodic components) plus random
+        # extra edges; entries at ATOL_INPUT are not edges
+        rng = np.random.Generator(np.random.Philox(seed))
+        E = np.where(rng.random((n, n)) < density, rng.random((n, n)), 0.0)
+        order = rng.permutation(n)
+        cuts = np.flatnonzero(rng.random(n - 1) < 0.3) + 1
+        for cycle in np.split(order, cuts):
+            E[np.roll(cycle, -1), cycle] = 0.5
+        E[rng.random((n, n)) < 0.1] = ATOL_INPUT
+        n_comp, comp, periods = _csgraph_components_and_periods(E)
+        got_comp = _strong_components([np.nonzero(E[:, j] > ATOL_INPUT)[0] for j in range(n)])
+        got_periods = _support_periods(E)
+        assert got_comp[0] == got_periods[0] == n_comp
+        for x in range(n):
+            assert set(np.flatnonzero(got_comp[1] == got_comp[1][x])) == set(
+                np.flatnonzero(comp == comp[x]))
+            assert got_periods[1][got_comp[1][x]] == periods[comp[x]]
+
+    def test_cli_import_leaves_out_csgraph(self):
+        src = Path(qcoupling.__file__).resolve().parent.parent
+        code = "import sys, qcoupling.cli; print('scipy.sparse.csgraph' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
+
+
+def _exact_stationary(P: TransitionMatrix) -> list[Fraction]:
+    """pi in exact rational arithmetic for the chain with P's off-diagonal
+    entries and each diagonal entry 1 minus its column's off-diagonal sum,
+    the chain GTH elimination solves."""
+    n = P.n
+    A = [[Fraction(float(P.entries[i, j])) if i != j else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    for j in range(n):
+        A[j][j] = -sum(A[i][j] for i in range(n))
+    A[-1] = [Fraction(1)] * n  # replace one balance equation by sum(pi) = 1
+    b = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[p], b[c], b[p] = A[p], A[c], b[p], b[c]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [a - f * q for a, q in zip(A[r], A[c])]
+                b[r] -= f * b[c]
+    return [b[i] / A[i][i] for i in range(n)]
+
+
+def _assert_small_relative_error(P: TransitionMatrix):
+    pi = stationary_distribution(P).weights
+    exact = _exact_stationary(P)
+    worst = max(abs(Fraction(float(p)) - e) / e for p, e in zip(pi, exact))
+    assert worst <= P.n * P.n * np.finfo(float).eps
+
+
 class TestStationary:
     def test_two_state_closed_form(self):
         # pi = (b, a) / (a + b) for the two-state chain
@@ -90,6 +186,25 @@ class TestStationary:
     def test_rejects_non_ergodic(self):
         with pytest.raises(NonErgodicError):
             stationary_distribution(TransitionMatrix(("a", "b"), np.eye(2)))
+
+    def test_tiny_entries_keep_relative_accuracy(self):
+        # a chain sent back to state 0 with most of its mass: pi_5 is about 1e-6
+        n = 6
+        P = np.zeros((n, n))
+        P[0] += 14 / 22
+        P[np.arange(n), np.arange(n)] += 7 / 22
+        P[(np.arange(n) + 1) % n, np.arange(n)] += 1 / 22
+        chain = TransitionMatrix(tuple(str(i) for i in range(n)), P)
+        assert stationary_distribution(chain).weights.min() < 2e-6
+        _assert_small_relative_error(chain)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_property_relative_accuracy_over_scales(self, n, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        M = rng.random((n, n)) * 10.0 ** -rng.integers(0, 9, size=(n, n)) + 1e-9
+        _assert_small_relative_error(
+            TransitionMatrix(tuple(str(i) for i in range(n)), M / M.sum(axis=0)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10**6))

@@ -6,9 +6,18 @@
   the congruence residual;
 - the Kraus and congruence CP certificates against verify_cp's eigensolve;
 - matrix_to_csv, and the Choi CSV that quantize writes, against the
-  per-cell formatter on the dense reference.
+  per-cell formatter on the dense reference;
+- the forms that hold no N^4-sized temporary against the ones they replaced,
+  bit for bit: the trace identity's edge-Laplacian panels against the full
+  stack, the CSR ChoiMatrix against its dense matrix, validate_coupling's
+  sliced symmetry residual, the rescaled-Qperp scatter, the lazily built
+  Grover operator and emit_report's incremental digest; then tracemalloc
+  bounds on the trace identity and the Choi spectrum at N = 64.
 """
 
+import hashlib
+import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,21 +28,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_ergodic_chain
-from qcoupling import quantize
-from qcoupling.chain import ATOL_COMPUTED, Distribution
-from qcoupling.cli import main, resolve_model
+from qcoupling import evolve, quantize
+from qcoupling.chain import ATOL_COMPUTED, ATOL_INPUT, Distribution, TransitionMatrix
+from qcoupling.cli import emit_report, main, resolve_model
 from qcoupling.coupling import (
     CouplingMatrix,
+    _offdiag_pairs,
     coalescence_tail_exact,
     independent_coupling,
     validate_coupling,
 )
+from qcoupling.dilation import build_dilation, channel_via_dilation, dilation_route_check
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import (
     coalescence_trace_identity_check,
     edge_laplacian_traces,
     edge_state,
+    random_density,
 )
+from qcoupling.models import load_counterexample_fixture
 from qcoupling.quantize import (
     ChoiMatrix,
     Superoperator,
@@ -44,6 +57,7 @@ from qcoupling.quantize import (
     kraus_from_grand,
     matrix_to_csv,
     quantized_coupling,
+    is_completely_positive,
     superop_from_kraus,
     vec,
     verify_cp,
@@ -138,7 +152,7 @@ def _blockwise_congruence_residual(T: np.ndarray, J: ChoiMatrix, k: np.ndarray) 
     n = J.dim
     k = k.reshape(n, n)  # K's diagonal at (i, x)
     choi_t = T.reshape(n, n, n, n).transpose(1, 3, 0, 2)  # axes (i, x, j, y)
-    J4 = J.matrix.reshape(n, n, n, n)
+    J4 = J.matrix.toarray().reshape(n, n, n, n)
     choi_c = J4 if J.order == "basis_first" else J4.transpose(1, 0, 3, 2)
     total = 0.0
     for b in range(n):
@@ -173,7 +187,7 @@ class TestCsrSuperoperators:
     def test_choi_scatter_equals_reshape(self, name, order):
         for S in _bundled_superops(name):
             J = choi_matrix(S, order=order)
-            _assert_bit_identical(J.matrix, _reshape_choi(S.matrix.toarray(), S.dim, order))
+            _assert_bit_identical(J.matrix.toarray(), _reshape_choi(S.matrix.toarray(), S.dim, order))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
@@ -184,7 +198,7 @@ class TestCsrSuperoperators:
         M = rng.standard_normal((n * n, n * n))
         M[rng.random(M.shape) < zero_share] = 0.0
         J = choi_matrix(Superoperator(n, M), order=order)
-        _assert_bit_identical(J.matrix, _reshape_choi(M, n, order))
+        _assert_bit_identical(J.matrix.toarray(), _reshape_choi(M, n, order))
 
     def test_unknown_order_rejected(self, hypercube2):
         with pytest.raises(InvalidInputError, match="factor order"):
@@ -333,11 +347,11 @@ class TestCongruenceCertificate:
     def test_congruence_holds_entrywise(self, hardcore_p3_lam2):
         C, pi = hardcore_p3_lam2.coupling(), hardcore_p3_lam2.pi
         T, _ = quantized_coupling(C, pi)
-        J_bf = choi_matrix(c_star_superop(C), order="basis_first").matrix
+        J_bf = choi_matrix(c_star_superop(C), order="basis_first").matrix.toarray()
         d = np.sqrt(pi.weights)
         k = np.kron(d, 1.0 / d)
         np.testing.assert_allclose(
-            choi_matrix(T).matrix, k[:, None] * J_bf * k[None, :], rtol=0, atol=1e-15
+            choi_matrix(T).matrix.toarray(), k[:, None] * J_bf * k[None, :], rtol=0, atol=1e-15
         )
 
     def test_nonuniform_pi_non_cp_decided_without_eigensolve(self, eigensolves):
@@ -399,6 +413,12 @@ def _csv_reference(matrix: np.ndarray, header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _stored(M: np.ndarray) -> scipy.sparse.csr_array:
+    """CSR array storing the cells of M that are nonzero or -0.0."""
+    rows, cols = np.nonzero((M != 0) | np.signbit(M))
+    return scipy.sparse.csr_array((M[rows, cols], (rows, cols)), shape=M.shape)
+
+
 class TestMatrixCsv:
     def test_special_values(self):
         M = np.array([
@@ -406,28 +426,28 @@ class TestMatrixCsv:
             [np.inf, -np.inf, np.nan, 2.2250738585072014e-308 / 3],
             [0.1, -1e300, 1.0, 0.0],
         ])
-        assert matrix_to_csv(M, "# h") == _csv_reference(M, "# h")
+        assert matrix_to_csv(_stored(M), "# h") == _csv_reference(M, "# h")
 
     def test_sparse_choi_matrix(self, hypercube3):
         J = choi_matrix(c_star_superop(hypercube3.coupling()), order="basis_first").matrix
-        assert matrix_to_csv(J, "# choi") == _csv_reference(J, "# choi")
+        assert matrix_to_csv(J, "# choi") == _csv_reference(J.toarray(), "# choi")
 
     def test_counterexample_choi(self):
         C = _model("cycle3-printed").coupling()
         J = choi_matrix(c_star_superop(C), order="map_first").matrix
-        assert matrix_to_csv(J, "# choi") == _csv_reference(J, "# choi")
+        assert matrix_to_csv(J, "# choi") == _csv_reference(J.toarray(), "# choi")
 
     @pytest.mark.parametrize("name", ["hypercube3", "colorings-k3-q4",
                                       "cycle3-printed", "cycle5-prose"])
     def test_quantize_csv_byte_identical(self, name, tmp_path):
         assert main(["quantize", "--model", name, "--out", str(tmp_path)]) == 0
         [csv] = [p for p in tmp_path.iterdir() if "-choi-" in p.name]
-        J = choi_matrix(c_star_superop(_model(name).coupling()), order="basis_first").matrix
+        J = choi_matrix(c_star_superop(_model(name).coupling()), order="basis_first").matrix.toarray()
         assert csv.read_bytes() == _csv_reference(J, "# choi order=basis_first").encode()
 
     def test_integer_matrix(self):
         M = np.array([[0, 3], [-2, 0]])
-        assert matrix_to_csv(M, "h") == _csv_reference(M, "h")
+        assert matrix_to_csv(_stored(M), "h") == _csv_reference(M, "h")
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(
@@ -437,7 +457,7 @@ class TestMatrixCsv:
         | st.sampled_from([0.0, -0.0]),
     ))
     def test_property_equals_reference(self, M):
-        assert matrix_to_csv(M, "# h") == _csv_reference(M, "# h")
+        assert matrix_to_csv(_stored(M), "# h") == _csv_reference(M, "# h")
 
 
 # ---------------------------------------------------------------------------
@@ -462,3 +482,333 @@ class TestValidationCache:
         E = C.entries.copy()
         E[:, 1] = E[:, 2]
         assert not validate_coupling(CouplingMatrix(base=C.base, entries=E)).valid
+
+
+# ---------------------------------------------------------------------------
+# Trace identity in panels against the full edge-Laplacian stack
+
+
+def _full_stack_traces(S, pairs, n: int, m: int) -> np.ndarray:
+    """The evolution the panels replace: all unordered pairs in one dense stack."""
+    edges = sorted({(min(x, y), max(x, y)) for x, y in pairs})
+    column = {e: c for c, e in enumerate(edges)}
+    take = [column[min(x, y), max(x, y)] for x, y in pairs]
+    V = np.column_stack(
+        [vec(np.outer(edge_state(x, y, n), edge_state(x, y, n))) for x, y in edges]
+    )
+    trace_rows = np.arange(n) * (n + 1)
+    out = np.empty((m + 1, len(pairs)))
+    for k in range(m + 1):
+        out[k] = V[trace_rows, :].sum(axis=0)[take]
+        if k < m:
+            V = S @ V
+    return out
+
+
+def _panel_bytes(n: int, n_edges: int, columns: str) -> int:
+    """Panel size of one column, or of the fewest columns (>= 2) that leave a
+    shorter last panel."""
+    if columns == "one":
+        return 8 * n * n
+    width = next(w for w in range(2, n_edges + 2) if n_edges % w)
+    return 8 * n * n * width
+
+
+class TestTracePanels:
+    @pytest.mark.parametrize("columns", ["one", "ragged", "default"])
+    @pytest.mark.parametrize("name", RMR_MODELS + DENSE_MODELS + ["hypercube6"])
+    def test_bundled_models_equal_full_stack(self, name, columns, monkeypatch):
+        C = _model(name, bias=0.7).exact_coupling()
+        n = C.n
+        pairs = _offdiag_pairs(n)
+        if columns != "default":
+            monkeypatch.setattr(
+                evolve, "TRACE_PANEL_BYTES", _panel_bytes(n, n * (n - 1) // 2, columns))
+        S = c_star_superop(C).matrix
+        _assert_bit_identical(edge_laplacian_traces(S, pairs, n, 10),
+                              _full_stack_traces(S, pairs, n, 10))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           zero_share=st.sampled_from([0.0, 0.5, 0.9]), width=st.integers(1, 11),
+           m=st.integers(0, 4))
+    def test_property_equal_full_stack(self, n, seed, zero_share, width, m):
+        # any sparse S and any pair list: both orders, repeats, a subset
+        rng = np.random.Generator(np.random.Philox(seed))
+        M = rng.standard_normal((n * n, n * n))
+        M[rng.random(M.shape) < zero_share] = 0.0
+        S = scipy.sparse.csr_array(M)
+        pairs = [(int(x), int(y)) for x, y in rng.integers(0, n, size=(3 * n, 2)) if x != y]
+        if not pairs:
+            pairs = [(0, 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolve, "TRACE_PANEL_BYTES", 8 * n * n * width)
+            got = edge_laplacian_traces(S, pairs, n, m)
+        _assert_bit_identical(got, _full_stack_traces(S, pairs, n, m))
+
+    def test_memory_bound_at_n64(self):
+        # two panels in flight plus the (m + 1) x pairs result
+        rmr = _model("hypercube6").rmr
+        S = c_star_superop(rmr).matrix
+        pairs = _offdiag_pairs(rmr.n)
+        tracemalloc.start()
+        try:
+            edge_laplacian_traces(S, pairs, rmr.n, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * evolve.TRACE_PANEL_BYTES + (1 << 20)
+
+
+# ---------------------------------------------------------------------------
+# Rescaled-Qperp combination: four-entry scatter against the outer products
+
+
+def _outer_product_combination(weights: np.ndarray) -> np.ndarray:
+    """The sum rescaled_qperp_decomposition_check formed before: N^2 outer products."""
+    n = weights.size
+    combo = np.zeros((n, n))
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            e = edge_state(x, y, n)
+            combo += weights[x] * weights[y] * np.outer(e, e)
+    return combo
+
+
+class TestQperpCombination:
+    @pytest.mark.parametrize("name", RMR_MODELS + DENSE_MODELS + ["hardcore-path8"])
+    def test_bundled_models(self, name):
+        w = _model(name, bias=0.7).pi.weights
+        _assert_bit_identical(evolve._edge_laplacian_combination(w),
+                              _outer_product_combination(w))
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_property_random_pi(self, n, seed):
+        w = np.random.Generator(np.random.Philox(seed)).dirichlet(np.ones(n) * 0.3)
+        _assert_bit_identical(evolve._edge_laplacian_combination(w),
+                              _outer_product_combination(w))
+
+
+# ---------------------------------------------------------------------------
+# CSR ChoiMatrix against its dense matrix
+
+
+def _dense_support_eigenvalues(J: np.ndarray) -> np.ndarray:
+    """ChoiMatrix.eigenvalues as computed on a dense J."""
+    nonzero = J != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    sub = J[np.ix_(support, support)]
+    eigs = np.zeros(J.shape[0])
+    eigs[: support.size] = np.linalg.eigvalsh(0.5 * (sub + sub.T))
+    return np.sort(eigs)
+
+
+def _dense_swapped(J: np.ndarray, n: int) -> np.ndarray:
+    return J.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+
+
+def _dense_congruence_residual(T: Superoperator, J: np.ndarray, order: str, k) -> float:
+    """_congruence_residual as computed on a dense J."""
+    n = T.dim
+    rows, cols = np.nonzero(J)
+    form = J[rows, cols]
+    if order == "map_first":
+        rows, cols = quantize._swap_pair(rows, n), quantize._swap_pair(cols, n)
+    form = form * k[cols] * k[rows]
+    keys = rows.astype(np.int64) * n * n + cols
+    sort = np.argsort(keys)
+    return quantize._choi_residual(T, keys[sort], form[sort])
+
+
+def _assert_choi_matches_dense(J: ChoiMatrix, dense: np.ndarray):
+    assert scipy.sparse.issparse(J.matrix)
+    _assert_bit_identical(J.eigenvalues, _dense_support_eigenvalues(dense))
+    swapped = J.swapped()
+    assert swapped.order != J.order
+    _assert_bit_identical(swapped.matrix.toarray(), _dense_swapped(dense, J.dim))
+    assert matrix_to_csv(J.matrix, "# choi") == _csv_reference(dense, "# choi")
+
+
+class TestCsrChoi:
+    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
+    @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE)
+    def test_bundled_models(self, name, order):
+        m = _model(name, bias=0.7)
+        C = m.coupling()
+        J = choi_matrix(c_star_superop(C), order=order)
+        dense = J.matrix.toarray()
+        _assert_choi_matches_dense(J, dense)
+        T = _similarity_channel(C, m.pi)
+        k = np.kron(np.sqrt(m.pi.weights), 1.0 / np.sqrt(m.pi.weights))
+        assert quantize._congruence_residual(T, J, k) == _dense_congruence_residual(
+            T, dense, order, k)
+
+    def test_counterexample_fixture(self):
+        fx = load_counterexample_fixture()
+        dense = np.array(fx["matrix"], dtype=float)
+        J = ChoiMatrix(3, dense, order=fx["order"])
+        _assert_choi_matches_dense(J, dense)
+        assert round(float(J.eigenvalues[0]), 2) == -1.04
+        assert not is_completely_positive(J)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           zero_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    def test_property_symmetric_with_zero_rows(self, n, seed, zero_share):
+        rng = np.random.Generator(np.random.Philox(seed))
+        G = rng.standard_normal((n * n, n * n))
+        J = G + G.T
+        zero = rng.random(n * n) < zero_share
+        J[zero, :] = 0.0
+        J[:, zero] = 0.0
+        _assert_choi_matches_dense(ChoiMatrix(n, J), J)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           zero_share=st.sampled_from([0.0, 0.5, 0.9]),
+           order=st.sampled_from(["map_first", "basis_first"]))
+    def test_property_congruence_residual(self, n, seed, zero_share, order):
+        rng = np.random.Generator(np.random.Philox(seed))
+        pi = Distribution(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+        J = rng.standard_normal((n * n, n * n))
+        J[rng.random(J.shape) < zero_share] = 0.0
+        J = 0.5 * (J + J.T)
+        T = _congruent_channel(J + rng.standard_normal(J.shape), pi)
+        k = np.kron(np.sqrt(pi.weights), 1.0 / np.sqrt(pi.weights))
+        assert quantize._congruence_residual(T, ChoiMatrix(n, J, order), k) == (
+            _dense_congruence_residual(T, J, order, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5)), seed=st.integers(0, 2**32 - 1),
+           values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                           | st.sampled_from([0.0, -0.0]), max_size=12))
+    def test_property_csv_of_stored_entries(self, shape, seed, values):
+        # stored zeros and -0.0, duplicates and unsorted column indices
+        rng = np.random.Generator(np.random.Philox(seed))
+        rows = np.sort(rng.integers(0, shape[0], size=len(values)))
+        cols = rng.integers(0, shape[1], size=len(values))
+        indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
+        M = scipy.sparse.csr_array((np.array(values, dtype=float), cols, indptr), shape=shape)
+        before = (M.indptr.copy(), M.indices.copy(), M.data.copy())
+        canonical = M.copy()
+        canonical.sum_duplicates()
+        stored = canonical.tocoo()
+        dense = np.zeros(shape)
+        dense[stored.row, stored.col] = stored.data  # keeps a stored -0.0
+        assert matrix_to_csv(M, "# h") == _csv_reference(dense, "# h")
+        assert [a.tobytes() for a in before] == [
+            a.tobytes() for a in (M.indptr, M.indices, M.data)]
+
+    def test_choi_and_spectrum_memory_at_n64(self):
+        S = c_star_superop(_model("hypercube6").rmr)
+        tracemalloc.start()
+        try:
+            choi_matrix(S, order="basis_first").eigenvalues
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the dense 4096 x 4096 J alone is 128 MiB
+
+
+# ---------------------------------------------------------------------------
+# validate_coupling's symmetry residual, one x' slice at a time
+
+
+def _n4_symmetry(C: CouplingMatrix) -> tuple[bool, list[str]]:
+    """The symmetry verdict and issue formed from the N^4 temporary."""
+    E = C.as_4tensor()
+    asym = E - E.transpose(1, 0, 3, 2)
+    np.abs(asym, out=asym)
+    passed = float(asym.max()) <= ATOL_INPUT
+    if passed:
+        return passed, []
+    i = np.unravel_index(asym.argmax(), asym.shape)
+    return passed, [
+        f"condition 3 (symmetry) violated at (x'={i[0]}, y'={i[1]}, x={i[2]}, "
+        f"y={i[3]}) by {asym.max():.3g}"
+    ]
+
+
+def _assert_symmetry_matches_n4(C: CouplingMatrix):
+    report = validate_coupling(C)
+    passed, issues = _n4_symmetry(C)
+    assert report.details["symmetry"] == passed
+    assert [i for i in report.issues if i.startswith("condition 3")] == issues
+
+
+class TestSlicedSymmetry:
+    @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE + ["cycle7-prose"])
+    def test_bundled_models(self, name):
+        _assert_symmetry_matches_n4(_model(name, bias=0.7).coupling())
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           levels=st.sampled_from([(0.0, 0.5), (0.0, 0.25, 0.5, 1.0), (0.0, 1e-13, 2e-12)]))
+    def test_property_asymmetric_with_ties(self, n, seed, levels):
+        # few distinct entry values, so the largest violation is often tied
+        rng = np.random.Generator(np.random.Philox(seed))
+        E = rng.choice(np.array(levels), size=(n * n, n * n))
+        base = TransitionMatrix(tuple(str(i) for i in range(n)), np.eye(n))
+        _assert_symmetry_matches_n4(CouplingMatrix(base=base, entries=E))
+
+
+# ---------------------------------------------------------------------------
+# Grover operator built on first use
+
+
+class TestLazyGrover:
+    @pytest.mark.parametrize("name", ["hypercube2", "hypercube3"])
+    def test_equals_eager_product(self, name):
+        m = _model(name)
+        circ = build_dilation(kraus_from_grand(m.rmr, m.pi))
+        assert "G" not in vars(circ)
+        _assert_bit_identical(circ.G, -circ.W @ circ.R0 @ circ.W.T @ circ.R)
+        assert circ.G is circ.G
+
+    def test_postselect_never_builds_it(self, hypercube3):
+        ks = kraus_from_grand(hypercube3.rmr, hypercube3.pi)
+        circ = build_dilation(ks)
+        rho = random_density(circ.dim, np.random.Generator(np.random.Philox(1)))
+        assert dilation_route_check(circ, ks, rho, mode="postselect").passed
+        assert "G" not in vars(circ)
+
+    def test_amplified_mode_unchanged(self, hypercube2):
+        ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
+        rho = random_density(hypercube2.n, np.random.Generator(np.random.Philox(2)))
+        lazy = build_dilation(ks)
+        eager = build_dilation(ks)
+        vars(eager)["G"] = -eager.W @ eager.R0 @ eager.W.T @ eager.R
+        a, info_a = channel_via_dilation(lazy, rho, mode="amplified")
+        b, info_b = channel_via_dilation(eager, rho, mode="amplified")
+        _assert_bit_identical(a.matrix, b.matrix)
+        assert info_a == info_b
+        assert dilation_route_check(lazy, ks, rho, mode="amplified").passed
+
+
+# ---------------------------------------------------------------------------
+# emit_report: incremental digest against the digest of the concatenated blob
+
+
+class TestEmitDigest:
+    @pytest.mark.parametrize("series", [
+        None,
+        {},
+        {"tails": "m,tail\n0,1\n"},
+        {"b": "zeta\n", "a": "alpha\n", "c": "alpha\n"},
+        {"x": "\u00e9t\u00e9\n", "y": "z\n", "w": "\U0001f600\n"},
+    ])
+    def test_same_names_and_bytes(self, series, tmp_path, capsys):
+        summary = {"model": "m", "values": np.arange(3), "x": np.float64(0.5)}
+        paths = emit_report(str(tmp_path), "stem", summary, series)
+        body = json.dumps(summary, sort_keys=True, indent=2,
+                          default=lambda v: v.tolist() if hasattr(v, "tolist") else v) + "\n"
+        blob = body + "".join(sorted((series or {}).values()))
+        digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
+        want = {f"stem-{digest}.json": body}
+        want.update({f"stem-{label}-{digest}.csv": csv for label, csv in (series or {}).items()})
+        assert [p.name for p in paths] == list(want)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+            name: text.encode() for name, text in want.items()}

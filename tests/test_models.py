@@ -108,7 +108,7 @@ class TestCycleCoupling:
         _, C = cycle_coupling_model(3, 0.5, variant="printed")
         J = choi_matrix(c_star_superop(C), order="basis_first")
         fx = load_counterexample_fixture()
-        np.testing.assert_allclose(J.matrix, fx["matrix"], atol=1e-15)
+        np.testing.assert_allclose(J.matrix.toarray(), fx["matrix"], atol=1e-15)
         np.testing.assert_allclose(
             np.round(np.sort(J.eigenvalues), 2), fx["eigenvalues_2digits"], atol=1e-12
         )
@@ -116,8 +116,8 @@ class TestCycleCoupling:
     def test_prose_diag_blocks_match_printed(self):
         _, C_prose = cycle_coupling_model(3, 0.5, variant="prose")
         _, C_print = cycle_coupling_model(3, 0.5, variant="printed")
-        Jp = choi_matrix(c_star_superop(C_prose), order="basis_first").matrix
-        Jd = choi_matrix(c_star_superop(C_print), order="basis_first").matrix
+        Jp = choi_matrix(c_star_superop(C_prose), order="basis_first").matrix.toarray()
+        Jd = choi_matrix(c_star_superop(C_print), order="basis_first").matrix.toarray()
         for x in range(3):
             np.testing.assert_allclose(
                 Jp[3 * x : 3 * x + 3, 3 * x : 3 * x + 3],

@@ -120,7 +120,7 @@ class TestChoi:
         J1 = choi_matrix(S, order="map_first")
         J2 = choi_matrix(S, order="basis_first")
         np.testing.assert_allclose(J1.eigenvalues, J2.eigenvalues, atol=1e-12)
-        np.testing.assert_allclose(J1.swapped().matrix, J2.matrix, atol=1e-14)
+        np.testing.assert_allclose(J1.swapped().matrix.toarray(), J2.matrix.toarray(), atol=1e-14)
 
     def test_choi_trace_equals_dimension(self):
         n = 3
@@ -131,7 +131,7 @@ class TestChoi:
         )
         # trace of the Choi equals sum_x tr S(E_xx) = sum of column sums = n
         J = choi_matrix(S)
-        assert np.trace(J.matrix) == pytest.approx(n, abs=1e-10)
+        assert np.trace(J.matrix.toarray()) == pytest.approx(n, abs=1e-10)
 
     def test_grand_coupling_channel_is_cp(self, hypercube3):
         T, _ = quantized_coupling(hypercube3.coupling(), hypercube3.pi)

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoupling import quantize
@@ -277,9 +277,20 @@ class TestSparseKraus:
     @given(mappings(ergodic=True))
     def test_property_grand_kraus(self, rmr):
         pi = stationary_distribution(rmr.base)
-        # KrausSet checks sum_r T_r^T T_r = I to 1e-10; its diagonal divides
-        # the stationarity residual by pi, so tiny pi entries fail that check
-        assume(pi.weights.min() > 1e-4)
+        _assert_superop_matches_dense(kraus_from_grand(rmr, pi))
+
+    def test_small_pi_mapping(self):
+        # KrausSet checks sum_r T_r^T T_r = I to 1e-10 and its diagonal at y
+        # divides the stationarity residual by pi_y: this mapping (lazy step,
+        # cyclic shift, most mass sent back to state 0) has min pi about 1e-6
+        n = 6
+        columns = [[0] * n, [0] * n, list(range(n)), [(x + 1) % n for x in range(n)]]
+        table = np.array(columns, dtype=np.int64).T
+        probs = np.array([7.0, 7.0, 7.0, 1.0]) / 22.0
+        base = TransitionMatrix(tuple(str(i) for i in range(n)), induced_entries(table, probs))
+        rmr = RandomMappingRep(base, ("0", "1", "2", "3"), probs, table)
+        pi = stationary_distribution(base)
+        assert pi.weights.min() < 2e-6
         _assert_superop_matches_dense(kraus_from_grand(rmr, pi))
 
     @settings(max_examples=25, deadline=None)
@@ -335,7 +346,8 @@ class TestSupportSpectrum:
     def test_bundled_choi(self, name):
         C = _model(name).coupling()
         for order in ("map_first", "basis_first"):
-            _assert_spectrum_matches_full(choi_matrix(c_star_superop(C), order=order).matrix)
+            _assert_spectrum_matches_full(
+                choi_matrix(c_star_superop(C), order=order).matrix.toarray())
 
     def test_counterexample_fixture(self):
         fx = load_counterexample_fixture()
