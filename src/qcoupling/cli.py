@@ -99,8 +99,8 @@ EXIT_GUARD = 3
 class ResolvedModel:
     """A named model resolved to its chain / coupling / mapping pieces.
 
-    ``coupling`` is a dense :class:`CouplingMatrix` or, from a coupling file,
-    a :class:`RandomMappingRep`.
+    ``coupling`` is a :class:`CouplingMatrix` or, from a coupling file, a
+    :class:`RandomMappingRep`.
     """
 
     def __init__(self, name, chain=None, coupling=None, instance=None):
@@ -122,7 +122,8 @@ class ResolvedModel:
         return stationary_distribution(self.chain)
 
     def coupling(self) -> CouplingMatrix:
-        """The dense coupling matrix (a random mapping's grand coupling is built here)."""
+        """The coupling as a sparse :class:`CouplingMatrix`; a random mapping's
+        grand coupling wraps its cached pair-space operator and is validated."""
         if isinstance(self._coupling, RandomMappingRep):
             return grand_coupling_matrix(self._coupling)
         if self._coupling is not None:
@@ -133,8 +134,8 @@ class ResolvedModel:
 
     def exact_coupling(self) -> CouplingMatrix | RandomMappingRep:
         """What the exact path runs on: a random mapping when there is one,
-        so its pair-space operators are built sparse from the successor
-        table, else the dense coupling."""
+        so its pair-space operator is built once from the successor table,
+        else the coupling matrix."""
         if self.instance is not None:
             return self.instance.rmr
         if isinstance(self._coupling, RandomMappingRep):
@@ -169,8 +170,14 @@ def resolve_model(name: str, args) -> ResolvedModel:
 
 
 def _load_inputs(args) -> ResolvedModel:
-    """Resolve either --model or --chain/--coupling file inputs."""
+    """Resolve either --model or --chain/--coupling file inputs, never both."""
     if getattr(args, "model", None):
+        files = [f"--{flag}" for flag in ("chain", "coupling") if getattr(args, flag, None)]
+        if files:
+            raise InvalidInputError(
+                f"--model cannot be combined with {' and '.join(files)}; "
+                "give a bundled model or input files"
+            )
         return resolve_model(args.model, args)
     if getattr(args, "chain", None):
         chain = read_chain_json(args.chain)
@@ -285,7 +292,7 @@ def cmd_validate(args) -> int:
 def _quantize_summary(rm: ResolvedModel, order: str):
     """Choi matrix of C* and the quantize summary.
 
-    C* is built once, for the Choi matrix and for the channel T. The dense
+    C* is built once, for the Choi matrix and for the channel T. The
     coupling and T are dropped on return, so they are not held while the
     Choi CSV is formatted and written.
     """

@@ -38,48 +38,73 @@ def pair_index(x: int, y: int, n: int) -> int:
     return x * n + y
 
 
+def swap_pair(index: np.ndarray, n: int) -> np.ndarray:
+    """Pair index of (b, a) for each pair index a*N + b: the component swap."""
+    a, b = np.divmod(index, n)
+    return b * n + a
+
+
 @dataclass(frozen=True)
 class CouplingMatrix:
     """Column-stochastic transition matrix over pair indices idx(x,y) = x*N + y.
+
+    ``entries`` is always a ``scipy.sparse`` CSR array in canonical form
+    (sorted, distinct column indices and no stored zeros); a dense or other
+    sparse input is converted. Its ``data``, ``indices`` and ``indptr`` are
+    made read-only, so the report :func:`validate_coupling` caches on the
+    instance stays current. A CSR input whose arrays are read-only already
+    (the cached :func:`grand_coupling_operator`) is kept as it is; any other
+    input is copied.
 
     Construction performs only light structural checks so that deliberately
     broken or rescaled matrices (e.g. the ``printed`` counterexample fixture variant)
     remain constructible; use :func:`validate_coupling` for the full three
     coupling conditions. ``marginal_verified`` is False for fixture-matching
-    constructions that are not stochastic couplings. ``entries`` is made
-    read-only, so the report :func:`validate_coupling` caches on the instance
-    stays current.
+    constructions that are not stochastic couplings.
     """
 
     base: TransitionMatrix
-    entries: np.ndarray
+    entries: scipy.sparse.csr_array
     marginal_verified: bool = True
     _validation: ValidationReport | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        entries.flags.writeable = False
+        entries = self.entries
+        frozen = (
+            isinstance(entries, scipy.sparse.csr_array)
+            and entries.dtype == float
+            and not entries.data.flags.writeable
+        )
+        if not frozen:  # a read-only CSR input is canonical already and kept as it is
+            entries = scipy.sparse.csr_array(
+                entries, dtype=float, copy=scipy.sparse.issparse(entries)
+            )
+            entries.sum_duplicates()
+            entries.eliminate_zeros()
+            _freeze(entries)
         object.__setattr__(self, "entries", entries)
         n = self.base.n
         if entries.shape != (n * n, n * n):
             raise InvalidInputError(
                 f"coupling entries must be {n * n}x{n * n}, got {entries.shape}"
             )
-        if not np.all(np.isfinite(entries)):
+        if not np.all(np.isfinite(entries.data)):
             raise InvalidInputError("coupling matrix contains non-finite entries")
-        if entries.min() < -ATOL_INPUT:
+        if entries.data.min(initial=0.0) < -ATOL_INPUT:
             raise InvalidInputError("coupling matrix contains negative entries")
 
     @property
     def n(self) -> int:
         return self.base.n
 
-    def as_4tensor(self) -> np.ndarray:
-        """View with axes (x', y', x, y)."""
-        n = self.n
-        return self.entries.reshape(n, n, n, n)
+
+def _freeze(M: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    """Make the arrays behind a CSR matrix read-only, so it cannot change in place."""
+    for a in (M.data, M.indices, M.indptr):
+        a.flags.writeable = False
+    return M
 
 
 def induced_entries(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -100,16 +125,23 @@ class RandomMappingRep:
     probabilities form a distribution and, when a base chain is attached, the
     induced marginal reproduces it entrywise within 1e-12. ``base`` may be
     None for state spaces too large to hold a dense chain (MC-only use).
+    ``probs`` and ``table`` are made read-only (an input of the right dtype
+    is shared, not copied), so the pair-space operator
+    :func:`grand_coupling_operator` caches on the instance stays current.
     """
 
     base: TransitionMatrix | None
     r_labels: tuple[str, ...]
     probs: np.ndarray
     table: np.ndarray
+    _operator: scipy.sparse.csr_array | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         table = np.asarray(self.table, dtype=np.int64)
+        probs.flags.writeable = table.flags.writeable = False  # the operator cache relies on it
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "r_labels", tuple(str(l) for l in self.r_labels))
@@ -197,16 +229,26 @@ def validate_coupling(C: CouplingMatrix) -> ValidationReport:
     Report-style: lists each violated condition with the worst offending
     indices and magnitudes; ``valid`` iff everything holds within 1e-12.
     The report is computed once per coupling and cached on it.
+
+    Every condition is read off the stored entries of the CSR matrix, so the
+    work is O(nnz + N^3). Sums are accumulated in row order, as a dense
+    column or axis sum would, so the reported values and indices are those
+    of the dense N^2 x N^2 computation: a reported index is the first
+    maximum in C order of the (x', x, y), (y', x, y) or (x', y', x, y) array.
     """
     if C._validation is not None:
         return C._validation
     n = C.n
-    E = C.as_4tensor()
+    n2 = n * n
     P = C.base.entries
+    E = C.entries
+    rows = np.repeat(np.arange(n2), np.diff(E.indptr))
+    cols = E.indices
+    vals = E.data
     issues = []
     details = {}
 
-    colsums = C.entries.sum(axis=0)
+    colsums = _sums(cols, vals, n2)
     dev = np.abs(colsums - 1.0)
     details["stochastic"] = float(dev.max()) <= ATOL_INPUT
     if not details["stochastic"]:
@@ -215,48 +257,59 @@ def validate_coupling(C: CouplingMatrix) -> ValidationReport:
             f"column idx({j // n},{j % n}) sums to {colsums[j]:.12g} (not stochastic)"
         )
 
-    # Condition 1: marginals reproduce P in both components.
-    marg_x = E.sum(axis=1)  # (x', x, y)
-    err_x = np.abs(marg_x - P[:, :, None])
-    marg_y = E.sum(axis=0)  # (y', x, y)
-    err_y = np.abs(marg_y - P[:, None, :])
-    worst1 = max(float(err_x.max()), float(err_y.max()))
-    details["marginals"] = worst1 <= ATOL_INPUT
+    # Condition 1: marginals reproduce P in both components. Entry (x'N + y',
+    # xN + y) adds to the x-marginal at (x', x, y) and the y-marginal at
+    # (y', x, y); each N^3 error array is reduced to its first maximum in C
+    # order before the other is formed.
+    xp, yp = np.divmod(rows, n)
+    worst_x, i_x = _marginal_error(xp * n2 + cols, vals, P[:, :, None], n)
+    worst_y, i_y = _marginal_error(yp * n2 + cols, vals, P[:, None, :], n)
+    details["marginals"] = max(worst_x, worst_y) <= ATOL_INPUT
     if not details["marginals"]:
-        if err_x.max() >= err_y.max():
-            i = np.unravel_index(err_x.argmax(), err_x.shape)
+        if worst_x >= worst_y:
             issues.append(
-                f"condition 1 (x-marginal) violated at (x'={i[0]}, x={i[1]}, y={i[2]}) "
-                f"by {err_x.max():.3g}"
+                f"condition 1 (x-marginal) violated at (x'={i_x[0]}, x={i_x[1]}, y={i_x[2]}) "
+                f"by {worst_x:.3g}"
             )
         else:
-            i = np.unravel_index(err_y.argmax(), err_y.shape)
             issues.append(
-                f"condition 1 (y-marginal) violated at (y'={i[0]}, x={i[1]}, y={i[2]}) "
-                f"by {err_y.max():.3g}"
+                f"condition 1 (y-marginal) violated at (y'={i_y[0]}, x={i_y[1]}, y={i_y[2]}) "
+                f"by {worst_y:.3g}"
             )
 
-    # Condition 2: diagonal starts stay diagonal and follow P.
-    diag_block = E[:, :, np.arange(n), np.arange(n)]  # (x', y', x)
-    off_mask = ~np.eye(n, dtype=bool)
-    leak = np.abs(diag_block[off_mask, :])
-    stay = np.abs(diag_block[np.arange(n), np.arange(n), :] - P)
+    # Condition 2: diagonal starts stay diagonal and follow P. Pair (x, x) has
+    # index x (N + 1), so diagonal rows and columns are the multiples of N + 1.
+    diag_col = cols % (n + 1) == 0
+    diag_row = rows % (n + 1) == 0
+    leak = np.abs(vals[diag_col & ~diag_row])
+    onto = diag_col & diag_row
+    stays = np.zeros((n, n))
+    stays[rows[onto] // (n + 1), cols[onto] // (n + 1)] = vals[onto]
+    stay = np.abs(stays - P)
     worst2 = max(float(leak.max(initial=0.0)), float(stay.max()))
     details["coalescence"] = worst2 <= ATOL_INPUT
     if not details["coalescence"]:
         issues.append(f"condition 2 (coalescence) violated by {worst2:.3g}")
 
     # Condition 3: symmetry under exchanging the two components,
-    # |E[x', y', x, y] - E[y', x', y, x]|, one x' slice (N^3 entries) at a time.
-    # A later slice replaces the worst only when strictly larger, so the
-    # reported indices are the first maximum in C order.
-    worst3, at = -1.0, None
-    for xp in range(n):
-        asym = E[xp] - E[:, xp].transpose(0, 2, 1)
-        np.abs(asym, out=asym)
-        j = int(asym.argmax())
-        if asym.flat[j] > worst3:
-            worst3, at = float(asym.flat[j]), (xp, *np.unravel_index(j, asym.shape))
+    # |E[x', y', x, y] - E[y', x', y, x]|. The residual is nonzero only where
+    # an entry or its pair-swapped partner is stored, and it is the same at
+    # both positions, so each stored entry is compared with its partner and
+    # the first maximum in C order is the smallest flat position
+    # (x'N + y') N^2 + (xN + y) among both positions of the worst pairs.
+    keys = rows * n2 + cols  # ascending: CSR rows in order, sorted columns
+    partner = swap_pair(rows, n) * n2 + swap_pair(cols, n)
+    pos = np.searchsorted(keys, partner)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == partner[found]
+    mirrored = np.zeros_like(vals)
+    mirrored[found] = vals[pos[found]]
+    asym = np.abs(vals - mirrored)
+    worst3, at = float(asym.max(initial=0.0)), (0, 0, 0, 0)
+    if worst3 > 0.0:
+        tied = asym == worst3
+        first = min(keys[tied].min(), partner[tied].min())
+        at = np.unravel_index(first, (n, n, n, n))
     details["symmetry"] = worst3 <= ATOL_INPUT
     if not details["symmetry"]:
         issues.append(
@@ -270,6 +323,21 @@ def validate_coupling(C: CouplingMatrix) -> ValidationReport:
     return report
 
 
+def _sums(keys: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """Sum of ``vals`` per key in 0 .. size - 1, each added in storage order."""
+    return np.bincount(keys, weights=vals, minlength=size).astype(float, copy=False)
+
+
+def _marginal_error(keys: np.ndarray, vals: np.ndarray, target: np.ndarray, n: int):
+    """Largest |marginal - target| of the (first, x, y) marginal that ``vals``
+    add up to at flat ``keys``, with its first index in C order."""
+    err = _sums(keys, vals, n**3).reshape(n, n, n)
+    err -= target
+    np.abs(err, out=err)
+    j = int(err.argmax())
+    return float(err.flat[j]), np.unravel_index(j, err.shape)
+
+
 def require_valid_coupling(C: CouplingMatrix):
     report = validate_coupling(C)
     if not report.valid:
@@ -281,26 +349,34 @@ def require_valid_coupling(C: CouplingMatrix):
 
 
 def independent_coupling(P: TransitionMatrix) -> CouplingMatrix:
-    """Independent coupling: run both components independently until they meet."""
+    """Independent coupling: run both components independently until they meet.
+
+    Column (x, y) with x != y holds P[x', x] P[y', y] at row (x', y'), the
+    entry of kron(P, P); column (x, x) holds P[x', x] at row (x', x').
+    """
     if not validate_chain(P).details["ergodic"]:
         raise NonErgodicError("independent coupling requires an ergodic base chain")
     n = P.n
-    E = P.entries[:, None, :, None] * P.entries[None, :, None, :]
-    diag = np.arange(n)
-    E[:, :, diag, diag] = 0.0  # clear x == y columns, then set diagonal-to-diagonal
-    xp, x = np.meshgrid(diag, diag, indexing="ij")
-    E[xp, xp, x, x] = P.entries
-    return CouplingMatrix(base=P, entries=E.reshape(n * n, n * n))
+    F = scipy.sparse.csr_array(P.entries)
+    product = scipy.sparse.kron(F, F, format="coo")
+    apart = product.col % (n + 1) != 0  # pair (x, x) has index x (N + 1)
+    xp, x = np.nonzero(P.entries)
+    rows = np.concatenate([product.row[apart], xp * (n + 1)])
+    cols = np.concatenate([product.col[apart], x * (n + 1)])
+    vals = np.concatenate([product.data[apart], P.entries[xp, x]])
+    E = scipy.sparse.csr_array((vals, (rows, cols)), shape=(n * n, n * n))
+    return CouplingMatrix(base=P, entries=E)
 
 
 def grand_coupling_matrix(rmr: RandomMappingRep) -> CouplingMatrix:
     """Grand coupling: both components driven by the same randomness draw.
 
-    The dense form of :func:`grand_coupling_operator`, validated as a coupling.
+    Wraps the cached :func:`grand_coupling_operator` (no copy) and validates
+    it as a coupling.
     """
     if rmr.base is None:
         raise InvalidInputError("grand coupling matrix requires a mapping with a base chain")
-    C = CouplingMatrix(base=rmr.base, entries=grand_coupling_operator(rmr).toarray())
+    C = CouplingMatrix(base=rmr.base, entries=grand_coupling_operator(rmr))
     report = validate_coupling(C)
     if not report.valid:
         raise InvalidInputError(
@@ -340,30 +416,35 @@ def grand_coupling_operator(rmr: RandomMappingRep) -> scipy.sparse.csr_array:
 
     C = sum_r Pr(r) kron(F_r, F_r) with F_r[f(x, r), x] = 1, so column
     idx(x, y) holds Pr(r) at row idx(f(x, r), f(y, r)): at most |R| nonzeros
-    per column. It is a coupling by construction, so no dense
-    :func:`validate_coupling` runs: both marginals are the induced chain,
-    which :class:`RandomMappingRep` checks against its base; a diagonal start
-    (x, x) only reaches diagonal pairs (f(x, r), f(x, r)); and swapping the
-    components maps the column of (x, y) onto that of (y, x) with the same
-    weights. The base chain is not needed.
+    per column. It is a coupling by construction: both marginals are the
+    induced chain, which :class:`RandomMappingRep` checks against its base;
+    a diagonal start (x, x) only reaches diagonal pairs (f(x, r), f(x, r));
+    and swapping the components maps the column of (x, y) onto that of
+    (y, x) with the same weights. The base chain is not needed.
+
+    Built on the first call and cached on ``rmr`` with read-only arrays, so
+    every later call, and :func:`grand_coupling_matrix`, returns the same
+    matrix.
     """
-    n = rmr.n
-    x = np.arange(n)
-    ones = np.ones(n)
-    factors = [(rmr.table[:, r], x, ones) for r in range(rmr.n_r)]
-    return kron_square_sum(factors, rmr.probs, n)
+    if rmr._operator is None:
+        n = rmr.n
+        x = np.arange(n)
+        ones = np.ones(n)
+        factors = [(rmr.table[:, r], x, ones) for r in range(rmr.n_r)]
+        object.__setattr__(rmr, "_operator", _freeze(kron_square_sum(factors, rmr.probs, n)))
+    return rmr._operator
 
 
 def pair_transition(coupling: CouplingMatrix | RandomMappingRep) -> scipy.sparse.csr_array:
     """Pair-space transition matrix of either kind of coupling, as a CSR array.
 
-    A random mapping gives :func:`grand_coupling_operator`; a dense coupling
-    is validated and gives its entries.
+    A random mapping gives :func:`grand_coupling_operator`; a
+    :class:`CouplingMatrix` is validated and gives its entries.
     """
     if isinstance(coupling, RandomMappingRep):
         return grand_coupling_operator(coupling)
     require_valid_coupling(coupling)
-    return scipy.sparse.csr_array(coupling.entries)
+    return coupling.entries
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +746,8 @@ def mixing_vs_coalescence_bound(P: TransitionMatrix, report: CoalescenceReport) 
 
 
 def coupling_to_json_dict(C: CouplingMatrix) -> dict:
-    return {"kind": "dense", "C": C.entries.tolist()}
+    """The dense JSON form: the full N^2 x N^2 nested list, formed for output only."""
+    return {"kind": "dense", "C": C.entries.toarray().tolist()}
 
 
 def rmr_to_json_dict(rmr: RandomMappingRep) -> dict:

@@ -16,7 +16,10 @@ operators never are, and that variant stalls instead of rotating. Both
 reflections avoid the unknown input state, so the amplification stays
 oblivious.
 
-Register order everywhere: C^kappa (x) C^2 (x) C^d.
+Register order everywhere: C^kappa (x) C^2 (x) C^d. W is block-diagonal and
+every projector is diagonal or acts on one register, so the circuit stores
+only the U_k and applies each operator to the (kappa, 2, d) view of a state:
+its memory is kappa (2d)^2 numbers, not (kappa 2d)^2.
 """
 
 from __future__ import annotations
@@ -105,47 +108,88 @@ def unitary_completion(A: np.ndarray, tol: float = ATOL_COMPUTED) -> BlockEncodi
 class DilationCircuit:
     """Controlled dilation of a Kraus channel, with its Grover operator.
 
-    W acts on C^kappa (x) C^2 (x) C^d; mu is the uniform control state;
-    P projects the middle register onto |0>; P0 additionally fixes the control
-    register to mu; R = 2P - I, R0 = 2P0 - I; G = -W R0 W^T R, built on
-    first use (only the amplified route reads it).
+    Holds only the block encodings U_k and the uniform control state mu; every
+    operator acts on a state, or a batch of states as the columns of a
+    (kappa 2d) x b array, through its (kappa, 2, d, b) view:
+
+    - W = sum_k |k><k| (x) U_k multiplies block k by U_k (W^T by U_k^T);
+    - P projects the middle register onto |0>, zeroing the flag-1 half, and
+      R = 2P - I negates that half;
+    - P0 also projects the control register onto mu, and R0 = 2P0 - I;
+    - G = -W R0 W^T R.
+
+    No (kappa 2d)^2 matrix is formed.
     """
 
     dim: int
     kappa: int
     encodings: tuple[BlockEncoding, ...]
-    W: np.ndarray
     mu: np.ndarray
-    P: np.ndarray
-    R: np.ndarray
-    R0: np.ndarray
 
     @cached_property
-    def G(self) -> np.ndarray:
-        return -self.W @ self.R0 @ self.W.T @ self.R
+    def _unitaries(self) -> np.ndarray:
+        return np.stack([enc.U for enc in self.encodings])  # (kappa, 2d, 2d)
 
     @property
     def total_dim(self) -> int:
         return self.kappa * 2 * self.dim
 
+    def _blocks(self, states: np.ndarray) -> np.ndarray:
+        """(kappa, 2, d, b) view of a state (b = 1) or of a batch of column states."""
+        states = np.asarray(states, dtype=float)
+        if states.ndim not in (1, 2) or states.shape[0] != self.total_dim:
+            raise InvalidInputError(f"states must have {self.total_dim} rows")
+        return states.reshape(self.kappa, 2, self.dim, -1)
+
+    def controlled(self, states: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """W states, or W^T states: U_k (or U_k^T) applied to block k."""
+        U = self._unitaries.transpose(0, 2, 1) if transpose else self._unitaries
+        blocks = self._blocks(states).reshape(self.kappa, 2 * self.dim, -1)
+        return np.matmul(U, blocks).reshape(np.shape(states))
+
+    def project_flag(self, states: np.ndarray) -> np.ndarray:
+        """P states: the flag-|0> branch."""
+        blocks = self._blocks(states).copy()
+        blocks[:, 1] = 0.0
+        return blocks.reshape(np.shape(states))
+
+    def reflect_flag(self, states: np.ndarray) -> np.ndarray:
+        """R states = (2P - I) states."""
+        blocks = self._blocks(states).copy()
+        blocks[:, 1] *= -1.0
+        return blocks.reshape(np.shape(states))
+
+    def reflect_initial(self, states: np.ndarray) -> np.ndarray:
+        """R0 states = (2P0 - I) states, P0 = mu mu^T (x) |0><0| (x) I."""
+        blocks = self._blocks(states)
+        overlap = np.tensordot(self.mu, blocks[:, 0], axes=1)  # (d, b)
+        out = -blocks
+        out[:, 0] += 2.0 * self.mu[:, None, None] * overlap
+        return out.reshape(np.shape(states))
+
+    def grover(self, states: np.ndarray) -> np.ndarray:
+        """G states = -W R0 W^T R states."""
+        turned = self.controlled(self.reflect_flag(states), transpose=True)
+        return -self.controlled(self.reflect_initial(turned))
+
+    def initial_states(self, xis: np.ndarray) -> np.ndarray:
+        """mu (x) |0> (x) xi for each column xi of a d x b array, unchecked."""
+        xis = np.asarray(xis, dtype=float).reshape(self.dim, -1)
+        blocks = np.zeros((self.kappa, 2, self.dim, xis.shape[1]))
+        blocks[:, 0] = self.mu[:, None, None] * xis
+        return blocks.reshape(self.total_dim, -1)
+
     def initial_state(self, xi: np.ndarray) -> np.ndarray:
         """mu (x) |0> (x) xi as a statevector."""
-        xi = _unit_vector(xi, self.dim)
-        zero = np.zeros(2)
-        zero[0] = 1.0
-        return np.kron(self.mu, np.kron(zero, xi))
+        return self.initial_states(_unit_vector(xi, self.dim))[:, 0]
 
     def good_state(self, xi: np.ndarray) -> np.ndarray:
         """Normalized target sum_k |k> (x) |0> (x) A_k xi (unit norm already,
         since sum A_k^T A_k = I)."""
         xi = _unit_vector(xi, self.dim)
-        zero = np.zeros(2)
-        zero[0] = 1.0
-        out = np.zeros(self.total_dim)
-        for k, enc in enumerate(self.encodings):
-            e_k = np.zeros(self.kappa)
-            e_k[k] = 1.0
-            out += np.kron(e_k, np.kron(zero, enc.A @ xi))
+        out = np.zeros((self.kappa, 2, self.dim))
+        out[:, 0] = [enc.A @ xi for enc in self.encodings]
+        out = out.reshape(-1)
         return out / np.linalg.norm(out)
 
 
@@ -160,7 +204,7 @@ def _unit_vector(xi, d: int) -> np.ndarray:
 
 
 def build_dilation(kraus: KrausSet) -> DilationCircuit:
-    """Assemble W, mu, R and R0 from a Kraus set (G follows on first use).
+    """Complete each Kraus operator to its block encoding U_k; mu is uniform.
 
     Asserts the completion identity sum_k B_k^T B_k = (kappa - 1) I within
     1e-9, which is what makes the success amplitude input-independent.
@@ -181,21 +225,8 @@ def build_dilation(kraus: KrausSet) -> DilationCircuit:
         raise InvalidInputError(
             f"sum B_k^T B_k = (kappa-1) I violated by {err:.3g}"
         )
-
-    W = np.zeros((total, total))
-    for k, enc in enumerate(encodings):
-        sl = slice(k * 2 * d, (k + 1) * 2 * d)
-        W[sl, sl] = enc.U
     mu = np.full(kappa, 1.0 / np.sqrt(kappa))
-    P_mid = np.zeros((2, 2))
-    P_mid[0, 0] = 1.0
-    P = np.kron(np.eye(kappa), np.kron(P_mid, np.eye(d)))
-    R = 2.0 * P - np.eye(total)
-    P0 = np.kron(np.outer(mu, mu), np.kron(P_mid, np.eye(d)))
-    R0 = 2.0 * P0 - np.eye(total)
-    return DilationCircuit(
-        dim=d, kappa=kappa, encodings=encodings, W=W, mu=mu, P=P, R=R, R0=R0
-    )
+    return DilationCircuit(dim=d, kappa=kappa, encodings=encodings, mu=mu)
 
 
 def state_decomposition_check(circ: DilationCircuit, xi: np.ndarray) -> CheckResult:
@@ -205,8 +236,8 @@ def state_decomposition_check(circ: DilationCircuit, xi: np.ndarray) -> CheckRes
     norm exactly 1/sqrt(kappa); the complementary branch has norm
     sqrt(1 - 1/kappa); both normalized branch states are unit vectors.
     """
-    phi = circ.W @ circ.initial_state(xi)
-    good = circ.P @ phi
+    phi = circ.controlled(circ.initial_state(xi))
+    good = circ.project_flag(phi)
     bad = phi - good
     s = np.linalg.norm(good)
     c = np.linalg.norm(bad)
@@ -242,9 +273,9 @@ def amplify_and_extract(
     """
     if iterations < 0:
         raise InvalidInputError("iterations must be nonnegative")
-    state = circ.W @ circ.initial_state(xi)
+    state = circ.controlled(circ.initial_state(xi))
     for _ in range(iterations):
-        state = circ.G @ state
+        state = circ.grover(state)
     fidelity = float(circ.good_state(xi) @ state)
     return state, fidelity
 
@@ -252,7 +283,7 @@ def amplify_and_extract(
 def channel_via_dilation(
     circ: DilationCircuit, rho: DensityMatrix, mode: str = "postselect"
 ) -> tuple[DensityMatrix, dict]:
-    """Run each eigenvector of rho through the circuit and mix the outputs.
+    """Run rho's eigenvectors through the circuit as one batch; mix the outputs.
 
     ``postselect`` projects the ancilla onto |0> and renormalizes, reporting
     the acceptance probability (always 1/kappa); ``amplified`` runs the exact
@@ -261,33 +292,32 @@ def channel_via_dilation(
     """
     if mode not in ("postselect", "amplified"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    if mode == "amplified":
-        if circ.kappa not in EXACT_ROTATION_ITERATIONS:
-            raise InvalidInputError(
-                f"amplified mode supports exact-rotation kappa "
-                f"{sorted(EXACT_ROTATION_ITERATIONS)} only, got kappa={circ.kappa}; "
-                "use postselect"
-            )
-        iterations = EXACT_ROTATION_ITERATIONS[circ.kappa]
+    if mode == "amplified" and circ.kappa not in EXACT_ROTATION_ITERATIONS:
+        raise InvalidInputError(
+            f"amplified mode supports exact-rotation kappa "
+            f"{sorted(EXACT_ROTATION_ITERATIONS)} only, got kappa={circ.kappa}; "
+            "use postselect"
+        )
+    iterations = EXACT_ROTATION_ITERATIONS[circ.kappa] if mode == "amplified" else 0
 
     d = circ.dim
     w, V = np.linalg.eigh(rho.matrix)
-    out = np.zeros((d, d))
-    acceptance = 0.0
-    for lam, v in zip(w, V.T):
-        if lam < ATOL_COMPUTED:
-            continue
-        v = v / np.linalg.norm(v)
-        if mode == "postselect":
-            phi = circ.W @ circ.initial_state(v)
-            good = (circ.P @ phi).reshape(circ.kappa, 2, d)[:, 0, :]
-            p_accept = float(np.sum(good**2))
-            acceptance += lam * p_accept
-            out += lam * (good.T @ good) / p_accept
-        else:
-            state, _ = amplify_and_extract(circ, v, iterations)
-            good = state.reshape(circ.kappa, 2, d)[:, 0, :]
-            out += lam * (good.T @ good)
+    keep = w >= ATOL_COMPUTED
+    lam = w[keep]
+    V = V[:, keep] / np.linalg.norm(V[:, keep], axis=0)
+    states = circ.controlled(circ.initial_states(V))
+    for _ in range(iterations):
+        states = circ.grover(states)
+    good = states.reshape(circ.kappa, 2, d, -1)[:, 0]  # (kappa, d, b)
+    weights = lam
+    if mode == "postselect":
+        p_accept = np.sum(good**2, axis=(0, 1))
+        acceptance = float(lam @ p_accept)
+        weights = lam / p_accept
+    # sum over eigenvectors b and blocks k of weights[b] g_kb g_kb^T
+    scaled = good * np.sqrt(weights)
+    flat = scaled.transpose(1, 0, 2).reshape(d, -1)
+    out = flat @ flat.T
 
     info = {"mode": mode}
     if mode == "postselect":

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
+import scipy.sparse
 
 from qcoupling.chain import ATOL_COMPUTED, Distribution, TransitionMatrix
 from qcoupling.checks import CheckResult
@@ -109,6 +110,7 @@ class ModelInstance:
         return len(self.state_labels)
 
     def coupling(self) -> CouplingMatrix:
+        """The grand coupling as a validated :class:`CouplingMatrix` (sparse)."""
         if not self.exact or self.chain is None:
             raise GuardExceededError(
                 f"model {self.kind} with {self.n} states is MC-only; "
@@ -204,27 +206,25 @@ def cycle_coupling_model(
         P[(x - 1) % n, x] += q / 2.0
     chain = TransitionMatrix(labels, P)
 
-    E = np.zeros((n, n, n, n))  # axes (x', y', x, y)
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                E[x, x, x, x] += 0.5
-                E[(x + 1) % n, (x + 1) % n, x, x] += p / 2.0
-                E[(x - 1) % n, (x - 1) % n, x, x] += q / 2.0
-            else:
-                E[(x + 1) % n, y, x, y] += p / 2.0
-                E[(x - 1) % n, y, x, y] += q / 2.0
-                E[x, (y + 1) % n, x, y] += p / 2.0
-                E[x, (y - 1) % n, x, y] += q / 2.0
-    marginal_verified = True
-    if variant == "printed":
-        for x in range(n):
-            for y in range(n):
-                if x != y:
-                    E[:, :, x, y] *= 2.0
-        marginal_verified = False
+    # start pair (x, y) is column x*n + y; each move is (target row, weight, starts)
+    x, y = np.divmod(np.arange(n * n), n)
+    same, apart = x == y, x != y
+    w = 2.0 if variant == "printed" else 1.0  # printed doubles off-diagonal starts
+    moves = [
+        (x * (n + 1), 0.5, same),
+        ((x + 1) % n * (n + 1), p / 2.0, same),
+        ((x - 1) % n * (n + 1), q / 2.0, same),
+        ((x + 1) % n * n + y, p / 2.0 * w, apart),
+        ((x - 1) % n * n + y, q / 2.0 * w, apart),
+        (x * n + (y + 1) % n, p / 2.0 * w, apart),
+        (x * n + (y - 1) % n, q / 2.0 * w, apart),
+    ]
+    rows = np.concatenate([target[starts] for target, _, starts in moves])
+    cols = np.concatenate([np.flatnonzero(starts) for _, _, starts in moves])
+    vals = np.concatenate([np.full(np.count_nonzero(starts), v) for _, v, starts in moves])
+    E = scipy.sparse.csr_array((vals, (rows, cols)), shape=(n * n, n * n))
     coupling = CouplingMatrix(
-        base=chain, entries=E.reshape(n * n, n * n), marginal_verified=marginal_verified
+        base=chain, entries=E, marginal_verified=variant != "printed"
     )
     return chain, coupling
 

@@ -23,6 +23,7 @@ from qcoupling.coupling import (
     grand_coupling_operator,
     independent_coupling,
     kron_square_sum,
+    swap_pair,
     validate_coupling,
 )
 from qcoupling.errors import InvalidInputError
@@ -173,7 +174,7 @@ class ChoiMatrix:
         other = "basis_first" if self.order == "map_first" else "map_first"
         stored = self.matrix.tocoo()
         m = scipy.sparse.csr_array(
-            (stored.data, (_swap_pair(stored.row, n), _swap_pair(stored.col, n))),
+            (stored.data, (swap_pair(stored.row, n), swap_pair(stored.col, n))),
             shape=stored.shape,
         )
         return ChoiMatrix(n, m, order=other)
@@ -183,17 +184,11 @@ class ChoiMatrix:
 # Constructions
 
 
-def _swap_pair(index: np.ndarray, n: int) -> np.ndarray:
-    """Pair index of (b, a) for each pair index a*N + b: the tensor swap."""
-    a, b = np.divmod(index, n)
-    return b * n + a
-
-
 def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
     """Superoperator of C*(M) = sum c_{(x',y'),(x,y)} |x'><x| M |y><y'|.
 
-    Built elementwise from the map definition: C's entry at (x'N + y', xN + y)
-    lands at (x' + Ny', x + Ny). For symmetric couplings the matrix therefore
+    Built from the stored entries of C by the map definition: C's entry at
+    (x'N + y', xN + y) lands at (x' + Ny', x + Ny). For symmetric couplings the matrix therefore
     equals C entrywise; asymmetric inputs (by the cached
     :func:`validate_coupling` report) are rejected because the identity, and
     everything downstream, breaks without condition 3. A random mapping's
@@ -203,13 +198,13 @@ def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
     if isinstance(C, RandomMappingRep):
         return Superoperator(dim=C.n, matrix=grand_coupling_operator(C), kind="C*")
     n = C.n
-    rows, cols = np.nonzero(C.entries)
+    stored = C.entries.tocoo()
     S = scipy.sparse.csr_array(
-        (C.entries[rows, cols], (_swap_pair(rows, n), _swap_pair(cols, n))),
+        (stored.data, (swap_pair(stored.row, n), swap_pair(stored.col, n))),
         shape=(n * n, n * n),
     )
     if not validate_coupling(C).details["symmetry"]:
-        asym = float(np.max(np.abs(S - C.entries)))
+        asym = float(abs(S - C.entries).max())
         raise InvalidInputError(
             f"coupling violates the symmetry condition by {asym:.3g}; "
             "the vectorized identity matrix(C*) = C requires it"
@@ -366,17 +361,19 @@ def _kraus_residual(S: Superoperator, ops: list[np.ndarray]) -> float:
     """Frobenius norm of Choi(S) - sum_r u_r u_r^T, with u_r[i*N + x] = T_r[i, x].
 
     The form is evaluated straight from the Kraus operators, at the positions
-    where it can be nonzero: products of two nonzeros of one T_r.
+    where it can be nonzero: products of two nonzeros of one T_r. It is added
+    up one r at a time, so no more than one u_r u_r^T is held beside it.
     """
     n2 = S.dim**2
-    flat = np.stack(ops).reshape(len(ops), n2)  # row r is u_r
-    keys = []
-    for u in flat:
-        p = np.flatnonzero(u)
-        keys.append((p[:, None] * n2 + p[None, :]).ravel())
-    keys = np.unique(np.concatenate(keys))
-    rows, cols = np.divmod(keys, n2)
-    form = np.einsum("rk,rk->k", flat[:, rows], flat[:, cols])
+    support = []
+    for T in ops:
+        p = np.flatnonzero(T)  # u_r's nonzeros, row-major as u_r[i*N + x]
+        support.append((p, (p[:, None] * n2 + p[None, :]).ravel()))
+    keys = np.unique(np.concatenate([k for _, k in support]))
+    form = np.zeros(keys.size)
+    for T, (p, k) in zip(ops, support):
+        u = T.ravel()[p]
+        form[np.searchsorted(keys, k)] += (u[:, None] * u[None, :]).ravel()
     return _choi_residual(S, keys, form)
 
 
@@ -401,7 +398,7 @@ def _congruence_residual(T: Superoperator, J: ChoiMatrix, k: np.ndarray) -> floa
     n = T.dim
     rows, cols, form = _nonzero_entries(J.matrix)
     if J.order == "map_first":  # to the basis-first positions
-        rows, cols = _swap_pair(rows, n), _swap_pair(cols, n)
+        rows, cols = swap_pair(rows, n), swap_pair(cols, n)
     form = form * k[cols] * k[rows]
     keys = rows.astype(np.int64) * n * n + cols
     sort = np.argsort(keys)

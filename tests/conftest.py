@@ -45,6 +45,13 @@ def random_ergodic_chain(n: int, rng: np.random.Generator):
     return TransitionMatrix(tuple(str(i) for i in range(n)), cols)
 
 
+def coupling_4tensor(C) -> np.ndarray:
+    """A coupling's entries as a new dense array with axes (x', y', x, y): the
+    reference the sparse pair-space code is tested against."""
+    n = C.n
+    return C.entries.toarray().reshape(n, n, n, n)
+
+
 @pytest.fixture
 def eigensolves(monkeypatch):
     """Count verify_cp calls made from inside the CP certificates."""

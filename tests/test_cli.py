@@ -48,6 +48,25 @@ class TestExitCodes:
         assert "--seed" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("files", [("--coupling",), ("--chain",), ("--chain", "--coupling")])
+    @pytest.mark.parametrize("subcommand", ["validate", "quantize", "model"])
+    def test_model_with_input_files_is_invalid_input(self, tmp_path, capsys, subcommand, files):
+        # the files are valid inputs of their own, so only the conflict can fail
+        out = tmp_path / "out"
+        assert run("model", "--model", "hypercube2", "--out", str(out)) == 0
+        doc = load_summary(out, "model-hypercube2")
+        paths = {"--chain": tmp_path / "chain.json", "--coupling": tmp_path / "coupling.json"}
+        paths["--chain"].write_text(json.dumps(doc["chain"]))
+        paths["--coupling"].write_text(json.dumps(doc["coupling"]))
+        argv = [subcommand, "--model", "hypercube3"]
+        for flag in files:
+            argv += [flag, str(paths[flag])]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path / "conflict")) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--model", *files)), err
+        assert not (tmp_path / "conflict").exists()
+
     @pytest.mark.parametrize("index", ["x", "1.5", "", "-1", "4", "9"])
     def test_bad_basis_index_is_invalid_input(self, tmp_path, capsys, index):
         # hypercube2 has 4 states, so basis:4 is one past the last

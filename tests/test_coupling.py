@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ergodic_chain
+from conftest import coupling_4tensor, random_ergodic_chain
 from qcoupling.coupling import (
     CouplingMatrix,
     RandomMappingRep,
@@ -41,7 +41,7 @@ class TestValidateCoupling:
 
     def test_broken_marginal_reported(self, hypercube2):
         C = hypercube2.coupling()
-        E = C.entries.copy()
+        E = C.entries.toarray()
         n = C.n
         # move weight within one off-diagonal start column: breaks condition 1
         col = pair_index(0, 1, n)
@@ -55,7 +55,7 @@ class TestValidateCoupling:
 
     def test_diagonal_leak_reported(self, hypercube2):
         C = hypercube2.coupling()
-        E = C.as_4tensor().copy()
+        E = coupling_4tensor(C)
         E[0, 1, 2, 2] += 0.1  # diagonal start leaking to an off-diagonal pair
         E[0, 0, 2, 2] -= 0.1
         rep = validate_coupling(
@@ -65,7 +65,7 @@ class TestValidateCoupling:
 
     def test_asymmetry_reported(self, hypercube2):
         C = hypercube2.coupling()
-        E = C.as_4tensor().copy()
+        E = coupling_4tensor(C)
         x, y = 0, 1
         # pick an off-diagonal successor pair: perturbing a diagonal one
         # (xp == yp) would cancel out and leave the matrix symmetric
@@ -201,7 +201,7 @@ class TestCouplingJson:
     def test_dense_roundtrip(self, hypercube2):
         C = hypercube2.coupling()
         C2 = coupling_from_json_dict(coupling_to_json_dict(C))
-        np.testing.assert_allclose(C2.entries, C.entries, atol=1e-15)
+        np.testing.assert_allclose(C2.entries.toarray(), C.entries.toarray(), atol=1e-15)
         assert validate_coupling(C2).valid
 
     def test_rmr_roundtrip(self, hypercube2):

@@ -73,10 +73,12 @@ class TestBuildDilation:
 
     def test_w_unitary_and_projector(self, hypercube2):
         circ = build_dilation(kraus_from_grand(hypercube2.rmr, hypercube2.pi))
-        np.testing.assert_allclose(
-            circ.W.T @ circ.W, np.eye(circ.total_dim), atol=1e-10
-        )
-        np.testing.assert_allclose(circ.P @ circ.P, circ.P, atol=1e-12)
+        eye = np.eye(circ.total_dim)
+        W = circ.controlled(eye)
+        np.testing.assert_allclose(W.T @ W, eye, atol=1e-10)
+        np.testing.assert_array_equal(circ.controlled(eye, transpose=True), W.T)
+        P = circ.project_flag(eye)
+        np.testing.assert_allclose(P @ P, P, atol=1e-12)
 
     def test_dimension_guard(self, hypercube3):
         # kappa = 6, d = 8 is fine; force the guard with a tiny cap

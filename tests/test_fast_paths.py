@@ -10,9 +10,9 @@
 - the forms that hold no N^4-sized temporary against the ones they replaced,
   bit for bit: the trace identity's edge-Laplacian panels against the full
   stack, the CSR ChoiMatrix against its dense matrix, validate_coupling's
-  sliced symmetry residual, the rescaled-Qperp scatter, the lazily built
-  Grover operator and emit_report's incremental digest; then tracemalloc
-  bounds on the trace identity and the Choi spectrum at N = 64.
+  symmetry residual from the stored entries, the rescaled-Qperp scatter and
+  emit_report's incremental digest; then tracemalloc bounds on the trace
+  identity and the Choi spectrum at N = 64.
 """
 
 import hashlib
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_ergodic_chain
+from conftest import coupling_4tensor, random_ergodic_chain
 from qcoupling import evolve, quantize
 from qcoupling.chain import ATOL_COMPUTED, ATOL_INPUT, Distribution, TransitionMatrix
 from qcoupling.cli import emit_report, main, resolve_model
@@ -36,15 +36,14 @@ from qcoupling.coupling import (
     _offdiag_pairs,
     coalescence_tail_exact,
     independent_coupling,
+    swap_pair,
     validate_coupling,
 )
-from qcoupling.dilation import build_dilation, channel_via_dilation, dilation_route_check
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import (
     coalescence_trace_identity_check,
     edge_laplacian_traces,
     edge_state,
-    random_density,
 )
 from qcoupling.models import load_counterexample_fixture
 from qcoupling.quantize import (
@@ -134,7 +133,7 @@ def _reshape_choi(S: np.ndarray, n: int, order: str) -> np.ndarray:
 def _swap_transpose(C: CouplingMatrix) -> np.ndarray:
     """matrix(C*) of a dense coupling by permuting the axes of its 4-tensor."""
     n = C.n
-    return np.array(C.as_4tensor().transpose(1, 0, 3, 2), order="C").reshape(n * n, n * n)
+    return np.array(coupling_4tensor(C).transpose(1, 0, 3, 2), order="C").reshape(n * n, n * n)
 
 
 def _row_block_t_star(C: CouplingMatrix, pi: Distribution) -> np.ndarray:
@@ -472,14 +471,17 @@ class TestValidationCache:
     def test_entries_read_only(self, hypercube2):
         C = hypercube2.coupling()
         with pytest.raises(ValueError):
-            C.entries[0, 0] = 1.0
+            C.entries[0, 0] = 1.0  # a stored entry
         with pytest.raises(ValueError):
-            C.as_4tensor()[0, 0, 0, 0] = 1.0
+            C.entries[0, 1] = 1.0  # a new one
+        for a in (C.entries.data, C.entries.indices, C.entries.indptr):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     def test_copy_is_validated_afresh(self, hypercube2):
         C = hypercube2.coupling()
         assert validate_coupling(C).valid
-        E = C.entries.copy()
+        E = C.entries.toarray()
         E[:, 1] = E[:, 2]
         assert not validate_coupling(CouplingMatrix(base=C.base, entries=E)).valid
 
@@ -616,7 +618,7 @@ def _dense_congruence_residual(T: Superoperator, J: np.ndarray, order: str, k) -
     rows, cols = np.nonzero(J)
     form = J[rows, cols]
     if order == "map_first":
-        rows, cols = quantize._swap_pair(rows, n), quantize._swap_pair(cols, n)
+        rows, cols = swap_pair(rows, n), swap_pair(cols, n)
     form = form * k[cols] * k[rows]
     keys = rows.astype(np.int64) * n * n + cols
     sort = np.argsort(keys)
@@ -714,12 +716,12 @@ class TestCsrChoi:
 
 
 # ---------------------------------------------------------------------------
-# validate_coupling's symmetry residual, one x' slice at a time
+# validate_coupling's symmetry residual from the stored entries against the N^4 one
 
 
 def _n4_symmetry(C: CouplingMatrix) -> tuple[bool, list[str]]:
     """The symmetry verdict and issue formed from the N^4 temporary."""
-    E = C.as_4tensor()
+    E = coupling_4tensor(C)
     asym = E - E.transpose(1, 0, 3, 2)
     np.abs(asym, out=asym)
     passed = float(asym.max()) <= ATOL_INPUT
@@ -753,39 +755,6 @@ class TestSlicedSymmetry:
         E = rng.choice(np.array(levels), size=(n * n, n * n))
         base = TransitionMatrix(tuple(str(i) for i in range(n)), np.eye(n))
         _assert_symmetry_matches_n4(CouplingMatrix(base=base, entries=E))
-
-
-# ---------------------------------------------------------------------------
-# Grover operator built on first use
-
-
-class TestLazyGrover:
-    @pytest.mark.parametrize("name", ["hypercube2", "hypercube3"])
-    def test_equals_eager_product(self, name):
-        m = _model(name)
-        circ = build_dilation(kraus_from_grand(m.rmr, m.pi))
-        assert "G" not in vars(circ)
-        _assert_bit_identical(circ.G, -circ.W @ circ.R0 @ circ.W.T @ circ.R)
-        assert circ.G is circ.G
-
-    def test_postselect_never_builds_it(self, hypercube3):
-        ks = kraus_from_grand(hypercube3.rmr, hypercube3.pi)
-        circ = build_dilation(ks)
-        rho = random_density(circ.dim, np.random.Generator(np.random.Philox(1)))
-        assert dilation_route_check(circ, ks, rho, mode="postselect").passed
-        assert "G" not in vars(circ)
-
-    def test_amplified_mode_unchanged(self, hypercube2):
-        ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
-        rho = random_density(hypercube2.n, np.random.Generator(np.random.Philox(2)))
-        lazy = build_dilation(ks)
-        eager = build_dilation(ks)
-        vars(eager)["G"] = -eager.W @ eager.R0 @ eager.W.T @ eager.R
-        a, info_a = channel_via_dilation(lazy, rho, mode="amplified")
-        b, info_b = channel_via_dilation(eager, rho, mode="amplified")
-        _assert_bit_identical(a.matrix, b.matrix)
-        assert info_a == info_b
-        assert dilation_route_check(lazy, ks, rho, mode="amplified").passed
 
 
 # ---------------------------------------------------------------------------

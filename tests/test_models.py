@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import coupling_4tensor
 from qcoupling.chain import stationary_distribution
 from qcoupling.coupling import coalescence_tail_exact, validate_coupling
 from qcoupling.errors import GuardExceededError, InvalidInputError
@@ -96,7 +97,7 @@ class TestCycleCoupling:
         _, C_prose = cycle_coupling_model(3, 0.5, variant="prose")
         _, C_print = cycle_coupling_model(3, 0.5, variant="printed")
         assert not C_print.marginal_verified
-        Ep, Ed = C_prose.as_4tensor(), C_print.as_4tensor()
+        Ep, Ed = coupling_4tensor(C_prose), coupling_4tensor(C_print)
         for x in range(3):
             for y in range(3):
                 factor = 1.0 if x == y else 2.0

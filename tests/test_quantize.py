@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ergodic_chain
+from conftest import coupling_4tensor, random_ergodic_chain
 from qcoupling.chain import Distribution, stationary_distribution
 from qcoupling.coupling import CouplingMatrix, independent_coupling
 from qcoupling.errors import InvalidInputError
@@ -54,13 +54,13 @@ class TestCStar:
     def test_matrix_equals_coupling_entrywise(self, hypercube2):
         C = hypercube2.coupling()
         S = c_star_superop(C)
-        np.testing.assert_allclose(S.matrix.toarray(), C.entries, atol=1e-14)
+        np.testing.assert_allclose(S.matrix.toarray(), C.entries.toarray(), atol=1e-14)
 
     def test_elementwise_definition(self, hypercube2):
         # S(E_xy) = sum_{x',y'} c_{(x'y'),(xy)} |x'><y'|, checked on matrix units
         C = hypercube2.coupling()
         S = c_star_superop(C)
-        E4 = C.as_4tensor()
+        E4 = coupling_4tensor(C)
         n = C.n
         rng = np.random.Generator(np.random.Philox(0))
         for _ in range(5):
@@ -71,7 +71,7 @@ class TestCStar:
 
     def test_asymmetric_coupling_rejected(self, hypercube2):
         C = hypercube2.coupling()
-        E = C.as_4tensor().copy()
+        E = coupling_4tensor(C)
         x, y = 0, 1
         # an off-diagonal successor pair; a diagonal one would cancel out
         xps, yps = np.nonzero(E[:, :, x, y])
