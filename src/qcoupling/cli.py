@@ -293,8 +293,8 @@ def _quantize_summary(rm: ResolvedModel, order: str):
     """Choi matrix of C* and the quantize summary.
 
     C* is built once, for the Choi matrix and for the channel T. The
-    coupling and T are dropped on return, so they are not held while the
-    Choi CSV is formatted and written.
+    coupling and T are dropped on return; only the CSR Choi matrix, whose
+    nonzeros the Choi CSV lists, is kept.
     """
     C = rm.coupling()
     S = c_star_superop(C)
@@ -322,13 +322,17 @@ def _quantize_summary(rm: ResolvedModel, order: str):
 def cmd_quantize(args) -> int:
     rm = _load_inputs(args)
     J, summary = _quantize_summary(rm, args.order)
-    series = {"choi": matrix_to_csv(J.matrix, header=f"# choi order={args.order}")}
+    # the nonzero (row, col, value) triplets of the N^2 x N^2 Choi matrix
+    header = f"# choi order={args.order} dim={J.matrix.shape[0]}"
+    series = {"choi": matrix_to_csv(J.matrix, header=header)}
     del J  # the CSV carries it from here on
     emit_report(args.out, f"quantize-{rm.name}", summary, series)
     return EXIT_OK
 
 
 def cmd_coalesce(args) -> int:
+    if args.m_grid and not args.mc:
+        raise InvalidInputError("--m-grid applies only with --mc; exact tails run to --m-max")
     rm = _load_inputs(args)
     if args.mc:
         if args.seed is None:
@@ -516,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="threads running the fixed MC randomness blocks; "
                    "the output is identical for any count")
-    p.add_argument("--m-grid", type=int, nargs="+")
+    p.add_argument("--m-grid", type=int, nargs="+", help="m values of the MC tails (--mc only)")
     p.set_defaults(func=cmd_coalesce)
 
     p = sub.add_parser("evolve", help="density-matrix convergence trace")

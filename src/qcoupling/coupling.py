@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from qcoupling.chain import (
     ATOL_COMPUTED,
@@ -71,6 +70,8 @@ class CouplingMatrix:
     )
 
     def __post_init__(self):
+        import scipy.sparse
+
         entries = self.entries
         frozen = (
             isinstance(entries, scipy.sparse.csr_array)
@@ -356,6 +357,8 @@ def independent_coupling(P: TransitionMatrix) -> CouplingMatrix:
     """
     if not validate_chain(P).details["ergodic"]:
         raise NonErgodicError("independent coupling requires an ergodic base chain")
+    import scipy.sparse
+
     n = P.n
     F = scipy.sparse.csr_array(P.entries)
     product = scipy.sparse.kron(F, F, format="coo")
@@ -395,6 +398,8 @@ def kron_square_sum(factors, weights, n: int) -> scipy.sparse.csr_array:
     unbuffered and sequential), so the result equals the dense
     ``S = 0; S += w_r * kron(F_r, F_r)`` loop bit for bit.
     """
+    import scipy.sparse
+
     rows, cols, vals = [], [], []
     for (i, k, v), w in zip(factors, weights):
         rows.append((i[:, None] * n + i[None, :]).ravel())

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-import scipy.sparse
 
 from qcoupling.chain import ATOL_COMPUTED, Distribution, TransitionMatrix
 from qcoupling.checks import CheckResult
@@ -197,6 +196,8 @@ def cycle_coupling_model(
         raise InvalidInputError("bias p must lie in [0, 1]")
     if variant not in ("prose", "printed"):
         raise InvalidInputError(f"unknown cycle variant {variant!r}")
+    import scipy.sparse
+
     q = 1.0 - p
     labels = tuple(str(i) for i in range(n))
     P = np.zeros((n, n))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from qcoupling.chain import ATOL_COMPUTED, ATOL_INPUT, Distribution
 from qcoupling.checks import CheckResult
@@ -60,6 +59,8 @@ class Superoperator:
     cp_status: str = "unchecked"
 
     def __post_init__(self):
+        import scipy.sparse
+
         m = scipy.sparse.csr_array(self.matrix, dtype=float)
         m.sum_duplicates()
         object.__setattr__(self, "matrix", m)
@@ -137,6 +138,8 @@ class ChoiMatrix:
     _spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        import scipy.sparse
+
         m = scipy.sparse.csr_array(self.matrix, dtype=float)
         m.sum_duplicates()
         object.__setattr__(self, "matrix", m)
@@ -170,6 +173,8 @@ class ChoiMatrix:
 
     def swapped(self) -> "ChoiMatrix":
         """Same map in the other factor order (tensor-swap permutation)."""
+        import scipy.sparse
+
         n = self.dim
         other = "basis_first" if self.order == "map_first" else "map_first"
         stored = self.matrix.tocoo()
@@ -197,6 +202,8 @@ def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
     """
     if isinstance(C, RandomMappingRep):
         return Superoperator(dim=C.n, matrix=grand_coupling_operator(C), kind="C*")
+    import scipy.sparse
+
     n = C.n
     stored = C.entries.tocoo()
     S = scipy.sparse.csr_array(
@@ -299,6 +306,8 @@ def _choi_positions(S: Superoperator, order: str):
 
 def choi_matrix(S: Superoperator, order: str = "map_first") -> ChoiMatrix:
     """Choi matrix of S: S's stored entries scattered to their Choi positions."""
+    import scipy.sparse
+
     n2 = S.dim * S.dim
     rows, cols, values = _choi_positions(S, order)
     J = scipy.sparse.csr_array((values, (rows, cols)), shape=(n2, n2))
@@ -504,27 +513,22 @@ def independent_choi_structure_check(P) -> CheckResult:
 
 
 def matrix_to_csv(matrix: scipy.sparse.sparray, header: str) -> str:
-    """One line per row, each cell as ``f"{v:.17g}"``.
+    """The nonzero entries of a sparse ``matrix`` as ``row,col,value`` lines.
 
-    Only the stored cells of the sparse ``matrix`` are formatted; every other
-    cell is 0.0, which formats as "0". A row is the all-zero row string with
-    its stored cells spliced in (cell j starts at offset 2j), and a row with
-    none is that string itself.
+    ``header`` is the first line and ``row,col,value`` the second. The
+    entries follow CSR order (row-major, then ascending column), duplicates
+    summed, each value as ``f"{v:.17g}"`` so that it reads back exactly.
+    Stored zeros, -0.0 among them, are left out; NaN and +-inf are written as
+    formatted. Every cell without a line is 0.0.
     """
+    import scipy.sparse
+
     matrix = scipy.sparse.csr_array(matrix, copy=True)
     matrix.sum_duplicates()  # sorted, distinct column indices in every row
-    zero_row = ",".join(["0"] * matrix.shape[1])
-    lines = [header]
-    indptr = matrix.indptr.tolist()
-    for lo, hi in zip(indptr[:-1], indptr[1:]):
-        if lo == hi:
-            lines.append(zero_row)
-            continue
-        parts, start = [], 0
-        for j, v in zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()):
-            parts += (zero_row[start : 2 * j], f"{v:.17g}")
-            start = 2 * j + 1
-        parts.append(zero_row[start:])
-        lines.append("".join(parts))
+    rows, cols, values = _nonzero_entries(matrix)
+    lines = [header, "row,col,value"]
+    lines += [
+        f"{i},{j},{v:.17g}" for i, j, v in zip(rows.tolist(), cols.tolist(), values.tolist())
+    ]
     lines.append("")  # the trailing newline
     return "\n".join(lines)

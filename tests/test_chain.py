@@ -132,12 +132,32 @@ class TestStrongComponents:
                 np.flatnonzero(comp == comp[x]))
             assert got_periods[1][got_comp[1][x]] == periods[comp[x]]
 
-    def test_cli_import_leaves_out_csgraph(self):
+    def test_cli_import_leaves_out_csgraph(self, tmp_path):
+        # scipy.sparse loads with the first job that builds a sparse matrix, and
+        # csgraph never; a fresh interpreter runs the jobs one after another
         src = Path(qcoupling.__file__).resolve().parent.parent
-        code = "import sys, qcoupling.cli; print('scipy.sparse.csgraph' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        code = (
+            "import contextlib, io, sys\n"
+            "import qcoupling.cli as cli\n"
+            "loaded = ['scipy.sparse' in sys.modules]\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv.split()) == 0, argv\n"
+            "    loaded.append('scipy.sparse' in sys.modules)\n"
+            "print('scipy.sparse.csgraph' in sys.modules, *loaded)\n"
+        )
+        jobs = [
+            "coalesce --model hypercube3 --mc --samples 1000 --seed 1 --m-grid 2 4",
+            "model --model hypercube3",
+            "dilate --model hypercube3",
+            "coalesce --model hypercube3 --m-max 6",  # exact: the CSR pair operator
+        ]
+        out = subprocess.run(
+            [sys.executable, "-c", code, *(f"{job} --out {tmp_path}" for job in jobs)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            check=True, timeout=120,
+        )
+        assert out.stdout.split() == ["False", "False", "False", "False", "False", "True"]
 
 
 def _exact_stationary(P: TransitionMatrix) -> list[Fraction]:

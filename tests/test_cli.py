@@ -247,6 +247,18 @@ class TestModelAndConfig:
         assert code == 2
         assert "'m_grid'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_m_grid_without_mc_rejected(self, tmp_path, capsys, via):
+        # exact tails run to --m-max; a grid there used to be dropped silently
+        if via == "flags":
+            code = run("coalesce", "--model", "hypercube3", "--m-grid", "2", "4",
+                       "--out", str(tmp_path / "o"))
+        else:
+            code = self._run_config(tmp_path, "coalesce", model="hypercube3", m_grid=[2, 4])
+        assert code == 2
+        assert "--m-grid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_switch_takes_bool(self, tmp_path, capsys):
         code = self._run_config(tmp_path, "coalesce", model="hypercube3", mc="yes", seed=1)
         assert code == 2

@@ -5,8 +5,9 @@
   Choi scatter, the re-indexed C* of a dense coupling, the rescaled T*, and
   the congruence residual;
 - the Kraus and congruence CP certificates against verify_cp's eigensolve;
-- matrix_to_csv, and the Choi CSV that quantize writes, against the
-  per-cell formatter on the dense reference;
+- matrix_to_csv, and the Choi CSV that quantize writes: the dense matrix
+  rebuilt from its triplets against the dense reference, bit for bit, and
+  the text against a per-cell formatter on that reference;
 - the forms that hold no N^4-sized temporary against the ones they replaced,
   bit for bit: the trace identity's edge-Laplacian panels against the full
   stack, the CSR ChoiMatrix against its dense matrix, validate_coupling's
@@ -404,12 +405,40 @@ class TestCongruenceCertificate:
 # Choi CSV
 
 
-def _csv_reference(matrix: np.ndarray, header: str) -> str:
-    """The per-cell formatter matrix_to_csv replaces."""
-    lines = [header]
-    for row in np.asarray(matrix):
-        lines.append(",".join(f"{v:.17g}" for v in row))
+def _triplet_reference(matrix: np.ndarray, header: str) -> str:
+    """The triplet CSV of a dense matrix, formatted cell by cell: one line for
+    each cell that is not 0.0 (NaN is one, -0.0 is not), in row-major order."""
+    M = np.asarray(matrix)
+    lines = [header, "row,col,value"]
+    lines += [f"{i},{j},{M[i, j]:.17g}" for i, j in zip(*np.nonzero(M))]
     return "\n".join(lines) + "\n"
+
+
+def _from_triplets(csv: str, header: str, shape) -> np.ndarray:
+    """The matrix that matrix_to_csv's triplets describe; unlisted cells are 0.0."""
+    lines = csv.split("\n")
+    assert lines[:2] == [header, "row,col,value"] and lines[-1] == ""
+    triplets = [line.split(",") for line in lines[2:-1]]
+    rows = np.array([int(i) for i, _, _ in triplets], dtype=np.int64)
+    cols = np.array([int(j) for _, j, _ in triplets], dtype=np.int64)
+    keys = rows * shape[1] + cols
+    assert np.all(np.diff(keys) > 0)  # CSR order, every cell at most once
+    M = np.zeros(shape)
+    M[rows, cols] = [float(v) for _, _, v in triplets]
+    return M
+
+
+def _assert_triplets(csv: str, header: str, dense: np.ndarray):
+    """csv lists dense exactly: rebuilt from the triplets it equals dense bit for
+    bit, but for -0.0, which is not written and reads back as 0.0, and for the
+    sign and payload of NaN; its text is the per-cell formatter's."""
+    dense = np.asarray(dense, dtype=float)
+    want = np.where(dense == 0, 0.0, dense)
+    rebuilt = _from_triplets(csv, header, dense.shape)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(rebuilt), nan)
+    _assert_bit_identical(rebuilt[~nan], want[~nan])
+    assert csv == _triplet_reference(dense, header)
 
 
 def _stored(M: np.ndarray) -> scipy.sparse.csr_array:
@@ -425,28 +454,45 @@ class TestMatrixCsv:
             [np.inf, -np.inf, np.nan, 2.2250738585072014e-308 / 3],
             [0.1, -1e300, 1.0, 0.0],
         ])
-        assert matrix_to_csv(_stored(M), "# h") == _csv_reference(M, "# h")
+        csv = matrix_to_csv(_stored(M), "# h")
+        _assert_triplets(csv, "# h", M)
+        assert csv.splitlines()[2:] == [
+            "0,2,4.9406564584124654e-324", "0,3,-4.9406564584124654e-324",
+            "1,0,inf", "1,1,-inf", "1,2,nan", "1,3,7.4169128616906696e-309",
+            "2,0,0.10000000000000001", "2,1,-1.0000000000000001e+300", "2,2,1",
+        ]
 
-    def test_sparse_choi_matrix(self, hypercube3):
-        J = choi_matrix(c_star_superop(hypercube3.coupling()), order="basis_first").matrix
-        assert matrix_to_csv(J, "# choi") == _csv_reference(J.toarray(), "# choi")
+    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
+    def test_sparse_choi_matrix(self, hypercube3, order):
+        J = choi_matrix(c_star_superop(hypercube3.coupling()), order=order).matrix
+        _assert_triplets(matrix_to_csv(J, "# choi"), "# choi", J.toarray())
 
-    def test_counterexample_choi(self):
+    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
+    def test_counterexample_choi(self, order):
         C = _model("cycle3-printed").coupling()
-        J = choi_matrix(c_star_superop(C), order="map_first").matrix
-        assert matrix_to_csv(J, "# choi") == _csv_reference(J.toarray(), "# choi")
+        J = choi_matrix(c_star_superop(C), order=order).matrix
+        _assert_triplets(matrix_to_csv(J, "# choi"), "# choi", J.toarray())
 
+    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
     @pytest.mark.parametrize("name", ["hypercube3", "colorings-k3-q4",
                                       "cycle3-printed", "cycle5-prose"])
-    def test_quantize_csv_byte_identical(self, name, tmp_path):
-        assert main(["quantize", "--model", name, "--out", str(tmp_path)]) == 0
+    def test_quantize_csv_lists_choi_matrix(self, name, order, tmp_path):
+        assert main(["quantize", "--model", name, "--order", order,
+                     "--out", str(tmp_path)]) == 0
         [csv] = [p for p in tmp_path.iterdir() if "-choi-" in p.name]
-        J = choi_matrix(c_star_superop(_model(name).coupling()), order="basis_first").matrix.toarray()
-        assert csv.read_bytes() == _csv_reference(J, "# choi order=basis_first").encode()
+        J = choi_matrix(c_star_superop(_model(name).coupling()), order=order).matrix
+        header = f"# choi order={order} dim={J.shape[0]}"
+        _assert_triplets(csv.read_bytes().decode(), header, J.toarray())
 
     def test_integer_matrix(self):
         M = np.array([[0, 3], [-2, 0]])
-        assert matrix_to_csv(_stored(M), "h") == _csv_reference(M, "h")
+        csv = matrix_to_csv(_stored(M), "h")
+        _assert_triplets(csv, "h", M)
+        assert csv == "h\nrow,col,value\n0,1,3\n1,0,-2\n"
+
+    def test_all_zero_matrix(self):
+        M = np.array([[0.0, -0.0], [0.0, 0.0]])
+        assert matrix_to_csv(_stored(M), "h") == "h\nrow,col,value\n"
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(
@@ -456,7 +502,7 @@ class TestMatrixCsv:
         | st.sampled_from([0.0, -0.0]),
     ))
     def test_property_equals_reference(self, M):
-        assert matrix_to_csv(_stored(M), "# h") == _csv_reference(M, "# h")
+        _assert_triplets(matrix_to_csv(_stored(M), "# h"), "# h", M)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +677,7 @@ def _assert_choi_matches_dense(J: ChoiMatrix, dense: np.ndarray):
     swapped = J.swapped()
     assert swapped.order != J.order
     _assert_bit_identical(swapped.matrix.toarray(), _dense_swapped(dense, J.dim))
-    assert matrix_to_csv(J.matrix, "# choi") == _csv_reference(dense, "# choi")
+    _assert_triplets(matrix_to_csv(J.matrix, "# choi"), "# choi", dense)
 
 
 class TestCsrChoi:
@@ -700,7 +746,7 @@ class TestCsrChoi:
         stored = canonical.tocoo()
         dense = np.zeros(shape)
         dense[stored.row, stored.col] = stored.data  # keeps a stored -0.0
-        assert matrix_to_csv(M, "# h") == _csv_reference(dense, "# h")
+        _assert_triplets(matrix_to_csv(M, "# h"), "# h", dense)
         assert [a.tobytes() for a in before] == [
             a.tobytes() for a in (M.indptr, M.indices, M.data)]
 
