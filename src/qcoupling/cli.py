@@ -331,8 +331,13 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_coalesce(args) -> int:
-    if args.m_grid and not args.mc:
-        raise InvalidInputError("--m-grid applies only with --mc; exact tails run to --m-max")
+    if not args.mc:
+        for dest in ("m_grid", "samples", "seed", "workers"):
+            if getattr(args, dest) is not None:
+                flag = "--" + dest.replace("_", "-")
+                raise InvalidInputError(
+                    f"{flag} applies only with --mc; exact tails run to --m-max"
+                )
     rm = _load_inputs(args)
     if args.mc:
         if args.seed is None:
@@ -346,8 +351,9 @@ def cmd_coalesce(args) -> int:
             else default_start_pairs(rm.instance, count=5, seed=args.seed)
         )
         report = coalescence_tail_mc(
-            rm.rmr, pairs, grid, samples=args.samples, seed=args.seed,
-            workers=args.workers,
+            rm.rmr, pairs, grid, seed=args.seed,
+            samples=100_000 if args.samples is None else args.samples,
+            workers=1 if args.workers is None else args.workers,
         )
     else:
         report = coalescence_tail_exact(rm.exact_coupling(), m_max=args.m_max)
@@ -515,11 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--m-max", type=int, default=40)
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of exact")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1,
-                   help="threads running the fixed MC randomness blocks; "
-                   "the output is identical for any count")
+    p.add_argument("--samples", type=int, help="MC trajectories per start pair "
+                   "(--mc only; default 100000)")
+    p.add_argument("--seed", type=int, help="MC randomness seed (--mc only, required there)")
+    p.add_argument("--workers", type=int,
+                   help="threads running the fixed MC randomness blocks (--mc only; "
+                   "default 1); the output is identical for any count")
     p.add_argument("--m-grid", type=int, nargs="+", help="m values of the MC tails (--mc only)")
     p.set_defaults(func=cmd_coalesce)
 

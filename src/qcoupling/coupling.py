@@ -19,6 +19,7 @@ from qcoupling.chain import (
     validate_chain,
 )
 from qcoupling.checks import CheckResult, ValidationReport
+from qcoupling.csr import Csr, as_csr, sums_by_key
 from qcoupling.errors import (
     GuardExceededError,
     InvalidInputError,
@@ -47,13 +48,10 @@ def swap_pair(index: np.ndarray, n: int) -> np.ndarray:
 class CouplingMatrix:
     """Column-stochastic transition matrix over pair indices idx(x,y) = x*N + y.
 
-    ``entries`` is always a ``scipy.sparse`` CSR array in canonical form
-    (sorted, distinct column indices and no stored zeros); a dense or other
-    sparse input is converted. Its ``data``, ``indices`` and ``indptr`` are
-    made read-only, so the report :func:`validate_coupling` caches on the
-    instance stays current. A CSR input whose arrays are read-only already
-    (the cached :func:`grand_coupling_operator`) is kept as it is; any other
-    input is copied.
+    ``entries`` is always a :class:`~qcoupling.csr.Csr` without stored zeros
+    (a dense input is converted, and a ``Csr`` is kept as it is unless it
+    stores zeros). A ``Csr`` is immutable, so the report
+    :func:`validate_coupling` caches on the instance stays current.
 
     Construction performs only light structural checks so that deliberately
     broken or rescaled matrices (e.g. the ``printed`` counterexample fixture variant)
@@ -63,28 +61,19 @@ class CouplingMatrix:
     """
 
     base: TransitionMatrix
-    entries: scipy.sparse.csr_array
+    entries: Csr
     marginal_verified: bool = True
     _validation: ValidationReport | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        import scipy.sparse
-
-        entries = self.entries
-        frozen = (
-            isinstance(entries, scipy.sparse.csr_array)
-            and entries.dtype == float
-            and not entries.data.flags.writeable
-        )
-        if not frozen:  # a read-only CSR input is canonical already and kept as it is
-            entries = scipy.sparse.csr_array(
-                entries, dtype=float, copy=scipy.sparse.issparse(entries)
+        entries = as_csr(self.entries)
+        keep = entries.data != 0
+        if not keep.all():  # stored zeros go
+            entries = Csr.from_coo(
+                entries.data[keep], entries.rows[keep], entries.indices[keep], entries.shape
             )
-            entries.sum_duplicates()
-            entries.eliminate_zeros()
-            _freeze(entries)
         object.__setattr__(self, "entries", entries)
         n = self.base.n
         if entries.shape != (n * n, n * n):
@@ -99,13 +88,6 @@ class CouplingMatrix:
     @property
     def n(self) -> int:
         return self.base.n
-
-
-def _freeze(M: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
-    """Make the arrays behind a CSR matrix read-only, so it cannot change in place."""
-    for a in (M.data, M.indices, M.indptr):
-        a.flags.writeable = False
-    return M
 
 
 def induced_entries(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -135,7 +117,7 @@ class RandomMappingRep:
     r_labels: tuple[str, ...]
     probs: np.ndarray
     table: np.ndarray
-    _operator: scipy.sparse.csr_array | None = field(
+    _operator: Csr | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -243,13 +225,13 @@ def validate_coupling(C: CouplingMatrix) -> ValidationReport:
     n2 = n * n
     P = C.base.entries
     E = C.entries
-    rows = np.repeat(np.arange(n2), np.diff(E.indptr))
+    rows = E.rows
     cols = E.indices
     vals = E.data
     issues = []
     details = {}
 
-    colsums = _sums(cols, vals, n2)
+    colsums = sums_by_key(cols, vals, n2)
     dev = np.abs(colsums - 1.0)
     details["stochastic"] = float(dev.max()) <= ATOL_INPUT
     if not details["stochastic"]:
@@ -324,15 +306,10 @@ def validate_coupling(C: CouplingMatrix) -> ValidationReport:
     return report
 
 
-def _sums(keys: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
-    """Sum of ``vals`` per key in 0 .. size - 1, each added in storage order."""
-    return np.bincount(keys, weights=vals, minlength=size).astype(float, copy=False)
-
-
 def _marginal_error(keys: np.ndarray, vals: np.ndarray, target: np.ndarray, n: int):
     """Largest |marginal - target| of the (first, x, y) marginal that ``vals``
     add up to at flat ``keys``, with its first index in C order."""
-    err = _sums(keys, vals, n**3).reshape(n, n, n)
+    err = sums_by_key(keys, vals, n**3).reshape(n, n, n)
     err -= target
     np.abs(err, out=err)
     j = int(err.argmax())
@@ -357,17 +334,16 @@ def independent_coupling(P: TransitionMatrix) -> CouplingMatrix:
     """
     if not validate_chain(P).details["ergodic"]:
         raise NonErgodicError("independent coupling requires an ergodic base chain")
-    import scipy.sparse
-
     n = P.n
-    F = scipy.sparse.csr_array(P.entries)
-    product = scipy.sparse.kron(F, F, format="coo")
-    apart = product.col % (n + 1) != 0  # pair (x, x) has index x (N + 1)
     xp, x = np.nonzero(P.entries)
-    rows = np.concatenate([product.row[apart], xp * (n + 1)])
-    cols = np.concatenate([product.col[apart], x * (n + 1)])
-    vals = np.concatenate([product.data[apart], P.entries[xp, x]])
-    E = scipy.sparse.csr_array((vals, (rows, cols)), shape=(n * n, n * n))
+    K = kron_square_sum([(xp, x, P.entries[xp, x])], [1.0], n)
+    apart = K.indices % (n + 1) != 0  # pair (x, x) has index x (N + 1)
+    E = Csr.from_coo(
+        np.concatenate([K.data[apart], P.entries[xp, x]]),
+        np.concatenate([K.rows[apart], xp * (n + 1)]),
+        np.concatenate([K.indices[apart], x * (n + 1)]),
+        K.shape,
+    )
     return CouplingMatrix(base=P, entries=E)
 
 
@@ -388,7 +364,7 @@ def grand_coupling_matrix(rmr: RandomMappingRep) -> CouplingMatrix:
     return C
 
 
-def kron_square_sum(factors, weights, n: int) -> scipy.sparse.csr_array:
+def kron_square_sum(factors, weights, n: int) -> Csr:
     """sum_r weights[r] * kron(F_r, F_r), assembled from the nonzeros only.
 
     Each n x n factor F_r is given as (rows, cols, values) of its nonzeros.
@@ -398,8 +374,6 @@ def kron_square_sum(factors, weights, n: int) -> scipy.sparse.csr_array:
     unbuffered and sequential), so the result equals the dense
     ``S = 0; S += w_r * kron(F_r, F_r)`` loop bit for bit.
     """
-    import scipy.sparse
-
     rows, cols, vals = [], [], []
     for (i, k, v), w in zip(factors, weights):
         rows.append((i[:, None] * n + i[None, :]).ravel())
@@ -413,10 +387,10 @@ def kron_square_sum(factors, weights, n: int) -> scipy.sparse.csr_array:
     keep = data != 0
     positions, data = positions[keep], data[keep]
     indptr = np.searchsorted(positions, np.arange(n2 + 1) * n2)
-    return scipy.sparse.csr_array((data, positions % n2, indptr), shape=(n2, n2))
+    return Csr(data, positions % n2, indptr, (n2, n2))
 
 
-def grand_coupling_operator(rmr: RandomMappingRep) -> scipy.sparse.csr_array:
+def grand_coupling_operator(rmr: RandomMappingRep) -> Csr:
     """Pair-space transition matrix of the grand coupling, built from the table.
 
     C = sum_r Pr(r) kron(F_r, F_r) with F_r[f(x, r), x] = 1, so column
@@ -427,21 +401,20 @@ def grand_coupling_operator(rmr: RandomMappingRep) -> scipy.sparse.csr_array:
     and swapping the components maps the column of (x, y) onto that of
     (y, x) with the same weights. The base chain is not needed.
 
-    Built on the first call and cached on ``rmr`` with read-only arrays, so
-    every later call, and :func:`grand_coupling_matrix`, returns the same
-    matrix.
+    Built on the first call and cached on ``rmr``, so every later call, and
+    :func:`grand_coupling_matrix`, returns the same (immutable) matrix.
     """
     if rmr._operator is None:
         n = rmr.n
         x = np.arange(n)
         ones = np.ones(n)
         factors = [(rmr.table[:, r], x, ones) for r in range(rmr.n_r)]
-        object.__setattr__(rmr, "_operator", _freeze(kron_square_sum(factors, rmr.probs, n)))
+        object.__setattr__(rmr, "_operator", kron_square_sum(factors, rmr.probs, n))
     return rmr._operator
 
 
-def pair_transition(coupling: CouplingMatrix | RandomMappingRep) -> scipy.sparse.csr_array:
-    """Pair-space transition matrix of either kind of coupling, as a CSR array.
+def pair_transition(coupling: CouplingMatrix | RandomMappingRep) -> Csr:
+    """Pair-space transition matrix of either kind of coupling, as a :class:`Csr`.
 
     A random mapping gives :func:`grand_coupling_operator`; a
     :class:`CouplingMatrix` is validated and gives its entries.
@@ -463,7 +436,8 @@ def _offdiag_mask(n: int) -> np.ndarray:
 
 
 def _offdiag_pairs(n: int) -> list[tuple[int, int]]:
-    return [(x, y) for x in range(n) for y in range(n) if x != y]
+    x, y = np.divmod(np.flatnonzero(_offdiag_mask(n)), n)
+    return list(zip(x.tolist(), y.tolist()))
 
 
 def coalescence_tail_exact(
@@ -494,7 +468,7 @@ def coalescence_tail_exact(
         raise InvalidInputError("m_max must be nonnegative")
     off = _offdiag_mask(n)
     pairs = _offdiag_pairs(n)
-    pair_cols = [pair_index(x, y, n) for x, y in pairs]
+    pair_cols = np.flatnonzero(off)  # pair_index of each pair, in the order of pairs
 
     v = off.astype(float)  # v C^m gives all tails at time m simultaneously
     per_pair = np.empty((m_max + 1, len(pairs)))

@@ -221,7 +221,7 @@ def laplacian_preservation_check(
     S = c_star_superop(C)
     e = edge_state(x, y, n)
     lhs = S.apply(np.outer(e, e))
-    column = S.matrix[:, [x * n + y]].toarray().ravel()
+    column = S.matrix.block(np.arange(n * n), [x * n + y])[:, 0]
     rhs = np.zeros((n, n))
     for target in np.flatnonzero(column):
         xp, yp = divmod(int(target), n)

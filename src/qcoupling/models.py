@@ -30,6 +30,7 @@ from qcoupling.coupling import (
     grand_coupling_matrix,
     induced_entries,
 )
+from qcoupling.csr import Csr
 from qcoupling.errors import GuardExceededError, InvalidInputError
 
 ENUMERATION_GUARD = 2_000_000  # largest configuration space we will filter
@@ -196,7 +197,6 @@ def cycle_coupling_model(
         raise InvalidInputError("bias p must lie in [0, 1]")
     if variant not in ("prose", "printed"):
         raise InvalidInputError(f"unknown cycle variant {variant!r}")
-    import scipy.sparse
 
     q = 1.0 - p
     labels = tuple(str(i) for i in range(n))
@@ -223,7 +223,7 @@ def cycle_coupling_model(
     rows = np.concatenate([target[starts] for target, _, starts in moves])
     cols = np.concatenate([np.flatnonzero(starts) for _, _, starts in moves])
     vals = np.concatenate([np.full(np.count_nonzero(starts), v) for _, v, starts in moves])
-    E = scipy.sparse.csr_array((vals, (rows, cols)), shape=(n * n, n * n))
+    E = Csr.from_coo(vals, rows, cols, (n * n, n * n))
     coupling = CouplingMatrix(
         base=chain, entries=E, marginal_verified=variant != "printed"
     )

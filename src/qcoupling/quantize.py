@@ -25,6 +25,7 @@ from qcoupling.coupling import (
     swap_pair,
     validate_coupling,
 )
+from qcoupling.csr import Csr, as_csr
 from qcoupling.errors import InvalidInputError
 
 CP_TOL_REL = 1e-9  # CP tolerance relative to max |J| entry
@@ -46,24 +47,20 @@ def unvec(v: np.ndarray) -> np.ndarray:
 class Superoperator:
     """Linear map on N x N matrices in the column-stacking vectorization.
 
-    ``matrix`` is always a ``scipy.sparse`` CSR array (a dense or other sparse
-    input is converted), and ``apply`` is a sparse mat-vec.
+    ``matrix`` is always a :class:`~qcoupling.csr.Csr` (a dense input is
+    converted), and ``apply`` is a sparse mat-vec.
     ``cp_status`` is one of "unchecked" / "verified" / "failed" and travels
     with the map; apply_channel refuses to label outputs as states unless the
     map is CP-verified.
     """
 
     dim: int
-    matrix: scipy.sparse.csr_array
+    matrix: Csr
     kind: str = "generic"
     cp_status: str = "unchecked"
 
     def __post_init__(self):
-        import scipy.sparse
-
-        m = scipy.sparse.csr_array(self.matrix, dtype=float)
-        m.sum_duplicates()
-        object.__setattr__(self, "matrix", m)
+        m = self.matrix = as_csr(self.matrix)
         n2 = self.dim * self.dim
         if m.shape != (n2, n2):
             raise InvalidInputError(f"superoperator matrix must be {n2}x{n2}")
@@ -114,11 +111,10 @@ class KrausSet:
         return sum(T @ M @ T.T for T in self.ops)
 
 
-def _nonzero_entries(M: scipy.sparse.csr_array):
+def _nonzero_entries(M: Csr):
     """(rows, cols, values) of the stored entries of M that are not zero."""
-    stored = M.tocoo()
-    keep = stored.data != 0
-    return stored.row[keep], stored.col[keep], stored.data[keep]
+    keep = M.data != 0
+    return M.rows[keep], M.indices[keep], M.data[keep]
 
 
 @dataclass
@@ -128,21 +124,17 @@ class ChoiMatrix:
     ``order`` is "map_first" (J = sum S(E_xy) (x) E_xy) or "basis_first"
     (J = sum E_xy (x) S(E_xy)); the two are related by the tensor-swap
     permutation and share their spectrum. ``matrix`` is always a
-    ``scipy.sparse`` CSR array (a dense input is converted): J permutes the
+    :class:`~qcoupling.csr.Csr` (a dense input is converted): J permutes the
     entries of its superoperator, so it has the same number of nonzeros.
     """
 
     dim: int
-    matrix: scipy.sparse.csr_array
+    matrix: Csr
     order: str = "map_first"
     _spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        import scipy.sparse
-
-        m = scipy.sparse.csr_array(self.matrix, dtype=float)
-        m.sum_duplicates()
-        object.__setattr__(self, "matrix", m)
+        m = self.matrix = as_csr(self.matrix)
         n2 = self.dim * self.dim
         if m.shape != (n2, n2):
             raise InvalidInputError(f"Choi matrix must be {n2}x{n2}")
@@ -162,7 +154,7 @@ class ChoiMatrix:
         if self._spectrum is None:
             rows, cols, _ = _nonzero_entries(self.matrix)
             support = np.union1d(rows, cols)
-            sub = self.matrix[np.ix_(support, support)].toarray()
+            sub = self.matrix.block(support, support)
             asym = np.max(np.abs(sub - sub.T), initial=0.0)
             if asym > ATOL_COMPUTED:
                 raise InvalidInputError(f"Choi matrix asymmetric by {asym:.3g}")
@@ -173,15 +165,10 @@ class ChoiMatrix:
 
     def swapped(self) -> "ChoiMatrix":
         """Same map in the other factor order (tensor-swap permutation)."""
-        import scipy.sparse
-
         n = self.dim
         other = "basis_first" if self.order == "map_first" else "map_first"
-        stored = self.matrix.tocoo()
-        m = scipy.sparse.csr_array(
-            (stored.data, (swap_pair(stored.row, n), swap_pair(stored.col, n))),
-            shape=stored.shape,
-        )
+        J = self.matrix
+        m = Csr.from_coo(J.data, swap_pair(J.rows, n), swap_pair(J.indices, n), J.shape)
         return ChoiMatrix(n, m, order=other)
 
 
@@ -202,16 +189,17 @@ def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
     """
     if isinstance(C, RandomMappingRep):
         return Superoperator(dim=C.n, matrix=grand_coupling_operator(C), kind="C*")
-    import scipy.sparse
-
     n = C.n
-    stored = C.entries.tocoo()
-    S = scipy.sparse.csr_array(
-        (stored.data, (swap_pair(stored.row, n), swap_pair(stored.col, n))),
-        shape=(n * n, n * n),
-    )
+    E = C.entries
+    S = Csr.from_coo(E.data, swap_pair(E.rows, n), swap_pair(E.indices, n), E.shape)
     if not validate_coupling(C).details["symmetry"]:
-        asym = float(abs(S - C.entries).max())
+        diff = Csr.from_coo(  # S - C: where both store an entry, S's plus C's negated
+            np.concatenate([S.data, -E.data]),
+            np.concatenate([S.rows, E.rows]),
+            np.concatenate([S.indices, E.indices]),
+            S.shape,
+        )
+        asym = float(np.abs(diff.data).max(initial=0.0))
         raise InvalidInputError(
             f"coupling violates the symmetry condition by {asym:.3g}; "
             "the vectorized identity matrix(C*) = C requires it"
@@ -227,7 +215,7 @@ def quantized_coupling(
     T*(M) = D^{-1/2} C*(D^{1/2} M D^{1/2}) D^{-1/2}; T is the Hilbert-Schmidt
     adjoint. Verifies T*(I) = I and that the qsample projector is fixed by T.
     ``c_star`` is :func:`c_star_superop` of C when the caller has built it
-    already; a copy of it is rescaled, so it is left as it was.
+    already; its entries are rescaled into a new matrix.
     """
     n = C.n
     if pi.n != n:
@@ -235,9 +223,8 @@ def quantized_coupling(
     if pi.weights.min() <= 0:
         raise InvalidInputError("pi must be strictly positive (ergodicity guarantees this)")
     s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
-    S_tstar = (c_star if c_star is not None else c_star_superop(C)).matrix.copy()
-    rows = np.repeat(np.arange(n * n), np.diff(S_tstar.indptr))
-    S_tstar.data *= s[S_tstar.indices] / s[rows]
+    S = (c_star if c_star is not None else c_star_superop(C)).matrix
+    S_tstar = Csr(S.data * (s[S.indices] / s[S.rows]), S.indices, S.indptr, S.shape)
     T_star = Superoperator(dim=n, matrix=S_tstar, kind="T*")
     T = Superoperator(dim=n, matrix=S_tstar.T, kind="T")
 
@@ -295,23 +282,20 @@ def _choi_positions(S: Superoperator, order: str):
     map-first order and at (x*N + i, y*N + j) in the basis-first order.
     """
     n = S.dim
-    entries = S.matrix.tocoo()
-    (j, i), (y, x) = np.divmod(entries.row, n), np.divmod(entries.col, n)
+    M = S.matrix
+    (j, i), (y, x) = np.divmod(M.rows, n), np.divmod(M.indices, n)
     if order == "map_first":
-        return i * n + x, j * n + y, entries.data
+        return i * n + x, j * n + y, M.data
     if order == "basis_first":
-        return x * n + i, y * n + j, entries.data
+        return x * n + i, y * n + j, M.data
     raise InvalidInputError(f"unknown factor order {order!r}")
 
 
 def choi_matrix(S: Superoperator, order: str = "map_first") -> ChoiMatrix:
     """Choi matrix of S: S's stored entries scattered to their Choi positions."""
-    import scipy.sparse
-
     n2 = S.dim * S.dim
     rows, cols, values = _choi_positions(S, order)
-    J = scipy.sparse.csr_array((values, (rows, cols)), shape=(n2, n2))
-    return ChoiMatrix(dim=S.dim, matrix=J, order=order)
+    return ChoiMatrix(dim=S.dim, matrix=Csr.from_coo(values, rows, cols, (n2, n2)), order=order)
 
 
 def min_choi_eigenvalue(J: ChoiMatrix) -> float:
@@ -512,19 +496,15 @@ def independent_choi_structure_check(P) -> CheckResult:
 # Export helpers
 
 
-def matrix_to_csv(matrix: scipy.sparse.sparray, header: str) -> str:
-    """The nonzero entries of a sparse ``matrix`` as ``row,col,value`` lines.
+def matrix_to_csv(matrix: Csr, header: str) -> str:
+    """The nonzero entries of ``matrix`` as ``row,col,value`` lines.
 
     ``header`` is the first line and ``row,col,value`` the second. The
-    entries follow CSR order (row-major, then ascending column), duplicates
-    summed, each value as ``f"{v:.17g}"`` so that it reads back exactly.
-    Stored zeros, -0.0 among them, are left out; NaN and +-inf are written as
-    formatted. Every cell without a line is 0.0.
+    entries follow CSR order (row-major, then ascending column; a ``Csr``
+    stores each cell once), each value as ``f"{v:.17g}"`` so that it reads
+    back exactly. Stored zeros, -0.0 among them, are left out; NaN and +-inf
+    are written as formatted. Every cell without a line is 0.0.
     """
-    import scipy.sparse
-
-    matrix = scipy.sparse.csr_array(matrix, copy=True)
-    matrix.sum_duplicates()  # sorted, distinct column indices in every row
     rows, cols, values = _nonzero_entries(matrix)
     lines = [header, "row,col,value"]
     lines += [

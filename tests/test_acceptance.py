@@ -147,7 +147,7 @@ def test_criterion_02_independent_coupling_cp(capsys):
         n = 2 + i % 5
         P = random_ergodic_chain(n, rng)
         J = choi_matrix(c_star_superop(independent_coupling(P)))
-        floor = -1e-9 * float(np.max(np.abs(J.matrix)))
+        floor = -1e-9 * float(np.max(np.abs(J.matrix.toarray())))
         expect(failures, min_choi_eigenvalue(J) >= floor,
                f"chain {i} (n={n}): independent-coupling Choi not PSD")
         res = independent_choi_structure_check(P)
@@ -172,7 +172,7 @@ def test_criterion_03_quantized_channels(capsys):
                f"{kind}: Kraus normalization violated")
         J = choi_matrix(S)
         expect(failures,
-               min_choi_eigenvalue(J) >= -1e-9 * float(np.max(np.abs(J.matrix))),
+               min_choi_eigenvalue(J) >= -1e-9 * float(np.max(np.abs(J.matrix.toarray()))),
                f"{kind}: channel Choi not PSD")
         # quantized_coupling itself enforces T*(I) = I and T(Q) = Q at 1e-10
         try:
@@ -180,7 +180,7 @@ def test_criterion_03_quantized_channels(capsys):
         except Exception as exc:  # noqa: BLE001 - reported as a criterion failure
             failures.append(f"{kind}: quantized coupling rejected: {exc}")
             continue
-        expect(failures, np.max(np.abs(T.matrix - S.matrix)) <= 1e-10,
+        expect(failures, np.max(np.abs(T.matrix.toarray() - S.matrix.toarray())) <= 1e-10,
                f"{kind}: Kraus route disagrees with similarity-transform route")
     conclude(capsys, 3, "quantized channel structure", failures, started, budget=60.0)
 

@@ -259,6 +259,19 @@ class TestModelAndConfig:
         assert "--m-grid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag,value", [("samples", 5), ("seed", 4), ("workers", 3)])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_mc_flags_without_mc_rejected(self, tmp_path, capsys, via, flag, value):
+        # they used to be dropped silently, leaving the plain exact files
+        if via == "flags":
+            code = run("coalesce", "--model", "hypercube3", f"--{flag}", str(value),
+                       "--out", str(tmp_path / "o"))
+        else:
+            code = self._run_config(tmp_path, "coalesce", model="hypercube3", **{flag: value})
+        assert code == 2
+        assert f"--{flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_switch_takes_bool(self, tmp_path, capsys):
         code = self._run_config(tmp_path, "coalesce", model="hypercube3", mc="yes", seed=1)
         assert code == 2

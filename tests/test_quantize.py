@@ -137,7 +137,7 @@ class TestChoi:
         T, _ = quantized_coupling(hypercube3.coupling(), hypercube3.pi)
         J = verify_cp(T)
         assert T.cp_status == "verified"
-        assert min_choi_eigenvalue(J) >= -1e-9 * np.max(np.abs(J.matrix))
+        assert min_choi_eigenvalue(J) >= -1e-9 * np.max(np.abs(J.matrix.toarray()))
 
     def test_asymmetric_choi_rejected(self):
         with pytest.raises(InvalidInputError, match="asymmetric"):

@@ -121,7 +121,7 @@ def _assert_operator_matches_dense(rmr: RandomMappingRep):
     assert np.array_equal(full, dense)
     assert np.array_equal(np.signbit(full), np.signbit(dense))
     assert grand_coupling_matrix(rmr).entries is op
-    assert np.diff(op.tocsc().indptr).max(initial=0) <= rmr.n_r
+    assert np.diff(op.T.indptr).max(initial=0) <= rmr.n_r  # nonzeros per column
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +302,15 @@ class TestSparseKraus:
     def test_corrupted_entry_reaches_eigensolve(self, hypercube2, eigensolves, where):
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
         n = ks.dim
-        S = superop_from_kraus(ks).matrix.tolil()
-        rows, cols = S.nonzero() if where == "stored" else np.nonzero(S.toarray() == 0)
+        S = superop_from_kraus(ks).matrix.toarray()  # it stores no zeros
+        rows, cols = np.nonzero(S) if where == "stored" else np.nonzero(S == 0)
         p, q = rows[3], cols[3]
         # bump the entry and its mirror under the Choi transpose, so Choi(S)
         # stays symmetric and the eigensolve can decide
         for a, b in {(p, q), ((p % n) * n + p // n, (q % n) * n + q // n)}:
             S[a, b] += 1e-6
-        bumped = Superoperator(ks.dim, S.tocsr())
-        ref = Superoperator(ks.dim, S.toarray())
+        bumped = Superoperator(ks.dim, S)
+        ref = Superoperator(ks.dim, S.copy())
         verify_cp(ref)
         assert certify_kraus_cp(bumped, ks.ops) == ref.cp_status
         assert eigensolves == [bumped]
