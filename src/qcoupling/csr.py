@@ -7,8 +7,9 @@ kept, as in scipy's canonical form. Each operation gives the bits that the
 same operation on a ``scipy.sparse.csr_array`` with these arrays gives: the
 1-D products add a row's or a column's terms in storage order, starting from
 0.0, as scipy's ``csr_matvec`` and ``csc_matvec`` do, and the product with a
-2-D array is scipy's compiled ``csr_matvecs`` itself. That product is the only
-place scipy is imported.
+2-D array is the 1-D product column by column, which adds each cell's terms
+in that order too, as scipy's ``csr_matvecs`` does. scipy is not imported:
+the tests use it as the oracle for every operation.
 """
 
 from __future__ import annotations
@@ -130,11 +131,12 @@ class Csr:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         if other.ndim == 1:
             return sums_by_key(self.rows, self.data * other[self.indices], self.shape[0])
-        import scipy.sparse  # the compiled multi-column product; the arrays are not copied
-
-        wrapped = scipy.sparse.csr_array(
-            (self.data, self.indices, self.indptr), shape=self.shape, copy=False)
-        return wrapped @ other
+        if other.ndim != 2:
+            raise ValueError(f"need a 1-D or 2-D operand, got shape {other.shape}")
+        out = np.empty((self.shape[0], other.shape[1]))
+        for j in range(other.shape[1]):
+            out[:, j] = self @ other[:, j]
+        return out
 
     def __rmatmul__(self, other):
         other = np.asarray(other)

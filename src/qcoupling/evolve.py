@@ -26,9 +26,6 @@ from qcoupling.errors import InvalidInputError
 from qcoupling.quantize import KrausSet, Superoperator, c_star_superop
 
 PSD_SLACK = 1e-10  # eigenvalue floor for density matrices
-# Bytes of the edge-Laplacian panel the trace identity evolves at a time,
-# sized to stay in a 2 MiB per-core L2 cache.
-TRACE_PANEL_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -284,37 +281,26 @@ def rescaled_qperp_decomposition_check(pi: Distribution) -> CheckResult:
 def edge_laplacian_traces(S, pairs: list[tuple[int, int]], n: int, m: int) -> np.ndarray:
     """tr([C*]^k |-_xy><-_xy|) for k = 0..m (rows) and each pair (columns).
 
-    ``S`` is the matrix of C*; it is applied m times to the vectorized edge
-    Laplacians. |-_xy><-_xy| = |-_yx><-_yx| entry for entry, so each
-    unordered pair is evolved once. The Laplacians are evolved in panels of
-    TRACE_PANEL_BYTES: each panel is scattered from its four nonzeros per
-    column and runs all m steps before the next one starts, so memory is two
-    panels plus the (m + 1) x len(pairs) result, whatever the pair count. A
-    column's arithmetic does not depend on its panel (the sparse product and
-    the running diagonal sum both go column by column in a fixed order), so
-    the result is the same for every panel size.
+    ``S`` is the matrix of C*. Read in the Heisenberg picture,
+    tr(S^k vec(L)) = <vec(I) S^k, vec(L)>: the row vector u_k = vec(I) S^k is
+    evolved once, by u <- u @ S, and each pair's trace is read off the four
+    nonzeros of its Laplacian, 1/2 at (x, x) and (y, y) and -1/2 at (x, y)
+    and (y, x). Work is O(nnz(S)) per step plus O(1) per pair, and memory is
+    the N^2 vector plus the (m + 1) x len(pairs) result. Both orders of a
+    pair read the same four entries and give the same bits.
     """
     x, y = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    edges, take = np.unique(np.minimum(x, y) * n + np.maximum(x, y), return_inverse=True)
-    lo, hi = np.divmod(edges, n)
     e = edge_state(0, 1, 2)  # the products np.outer forms at the four nonzeros
     diag, off = e[0] * e[0], e[0] * e[1]
-    trace_rows = np.arange(n) * (n + 1)  # vec positions of diagonal entries
-    width = max(1, TRACE_PANEL_BYTES // (8 * n * n))
-    out = np.empty((m + 1, edges.size))
-    for start in range(0, edges.size, width):
-        a, b = lo[start : start + width], hi[start : start + width]
-        cols = np.arange(a.size)
-        V = np.zeros((n * n, a.size))
-        V[a * (n + 1), cols] = V[b * (n + 1), cols] = diag  # vec(M)[i + N j] = M[i, j]
-        V[a + n * b, cols] = V[b + n * a, cols] = off
-        for k in range(m + 1):
-            # cumsum adds the rows in order for any width; sum would add the
-            # rows of a one-column panel pairwise and round differently
-            out[k, start : start + a.size] = np.cumsum(V[trace_rows], axis=0)[-1]
-            if k < m:
-                V = S @ V
-    return out[:, take]
+    xx, yy, xy, yx = x * (n + 1), y * (n + 1), x + n * y, y + n * x  # vec(M)[i + N j] = M[i, j]
+    u = np.zeros(n * n)
+    u[np.arange(n) * (n + 1)] = 1.0  # vec(I)
+    out = np.empty((m + 1, x.size))
+    for k in range(m + 1):
+        out[k] = diag * (u[xx] + u[yy]) + off * (u[xy] + u[yx])
+        if k < m:
+            u = u @ S
+    return out
 
 
 def coalescence_trace_identity_check(
@@ -322,11 +308,14 @@ def coalescence_trace_identity_check(
 ) -> CheckResult:
     """Pr_{x,y}{tau > k} = tr([C*]^k applied to the edge Laplacian), all x != y.
 
-    Checked at every step k = 0..m by evolving the stack of vectorized edge
-    Laplacians under the sparse C* one step at a time (no matrix powers are
-    formed); C* has at most |R| nonzeros per column for a grand coupling, and
-    a random mapping's C* is built from its table. The tails on the other
-    side come from the row-vector recursion of :func:`coalescence_tail_exact`.
+    Checked at every step k = 0..m in the Heisenberg picture
+    (:func:`edge_laplacian_traces`): tr(A) = <I, A>, so the identity's left
+    side is <C^k(I), |-_xy><-_xy|>, with C the adjoint of C*. One row vector
+    vec(I) is evolved under the sparse C* one step at a time (no matrix
+    powers are formed), and every pair reads its trace off that vector. C*
+    has at most |R| nonzeros per column for a grand coupling, and a random
+    mapping's C* is built from its table. The tails on the other side come
+    from the row-vector recursion of :func:`coalescence_tail_exact`.
     """
     n = C.n
     report = coalescence_tail_exact(C, m_max=m)

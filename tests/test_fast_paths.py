@@ -8,21 +8,27 @@
 - matrix_to_csv, and the Choi CSV that quantize writes: the dense matrix
   rebuilt from its triplets against the dense reference, bit for bit, and
   the text against a per-cell formatter on that reference;
+- the trace identity's Heisenberg route (one evolved row vector) against the
+  Schrodinger references (the full edge-Laplacian stack, and the dense
+  matmul), within 1e-14 on every bundled model and hypercube6 and within a
+  stated rounding bound on random sparse operators; a tracemalloc bound at
+  N = 64; and a misrouted C* that both routes reject alike;
 - the forms that hold no N^4-sized temporary against the ones they replaced,
-  bit for bit: the trace identity's edge-Laplacian panels against the full
-  stack, the CSR ChoiMatrix against its dense matrix, validate_coupling's
-  symmetry residual from the stored entries, the rescaled-Qperp scatter and
-  emit_report's incremental digest; then tracemalloc bounds on the trace
-  identity and the Choi spectrum at N = 64.
+  bit for bit: the CSR ChoiMatrix against its dense matrix,
+  validate_coupling's symmetry residual from the stored entries, the
+  rescaled-Qperp scatter and emit_report's incremental digest; then a
+  tracemalloc bound on the Choi spectrum at N = 64.
 """
 
 import hashlib
 import json
+import math
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -35,6 +41,7 @@ from qcoupling.coupling import (
     CouplingMatrix,
     _offdiag_pairs,
     coalescence_tail_exact,
+    grand_coupling_operator,
     independent_coupling,
     swap_pair,
     validate_coupling,
@@ -46,7 +53,12 @@ from qcoupling.evolve import (
     edge_laplacian_traces,
     edge_state,
 )
-from qcoupling.models import load_counterexample_fixture
+from qcoupling.models import (
+    coupon_collector_tail,
+    hypercube_model,
+    hypercube_worst_pair,
+    load_counterexample_fixture,
+)
 from qcoupling.quantize import (
     ChoiMatrix,
     Superoperator,
@@ -86,7 +98,7 @@ def _reference_status(S: Superoperator) -> str:
 
 
 def _dense_reference_traces(S: np.ndarray, pairs, n: int, m: int) -> np.ndarray:
-    """The evolution edge_laplacian_traces replaces: every ordered pair, dense matmul."""
+    """The Schrodinger route: every ordered pair's Laplacian, dense matmul."""
     V = np.column_stack(
         [vec(np.outer(edge_state(x, y, n), edge_state(x, y, n))) for x, y in pairs]
     )
@@ -533,54 +545,58 @@ class TestValidationCache:
 
 
 # ---------------------------------------------------------------------------
-# Trace identity in panels against the full edge-Laplacian stack
+# Trace identity: the Heisenberg route against the Schrodinger references
 
 
-def _full_stack_traces(S, pairs, n: int, m: int) -> np.ndarray:
-    """The evolution the panels replace: all unordered pairs in one dense stack."""
+def _full_stack_traces(S: Csr, pairs, n: int, m: int) -> np.ndarray:
+    """The Schrodinger route at any N: the Laplacians of all unordered pairs in
+    one dense stack, multiplied by S with scipy's compiled csr_matvecs."""
     edges = sorted({(min(x, y), max(x, y)) for x, y in pairs})
     column = {e: c for c, e in enumerate(edges)}
     take = [column[min(x, y), max(x, y)] for x, y in pairs]
     V = np.column_stack(
         [vec(np.outer(edge_state(x, y, n), edge_state(x, y, n))) for x, y in edges]
     )
+    compiled = scipy.sparse.csr_array((S.data, S.indices, S.indptr), shape=S.shape)
     trace_rows = np.arange(n) * (n + 1)
     out = np.empty((m + 1, len(pairs)))
     for k in range(m + 1):
         out[k] = V[trace_rows, :].sum(axis=0)[take]
         if k < m:
-            V = S @ V
+            V = compiled @ V
     return out
 
 
-def _panel_bytes(n: int, n_edges: int, columns: str) -> int:
-    """Panel size of one column, or of the fewest columns (>= 2) that leave a
-    shorter last panel."""
-    if columns == "one":
-        return 8 * n * n
-    width = next(w for w in range(2, n_edges + 2) if n_edges % w)
-    return 8 * n * n * width
+def _magnitude_traces(S: Csr, pairs, n: int, m: int) -> np.ndarray:
+    """<vec(I) |S|^k, |vec(L_xy)|>: the sum each route forms, over absolute values."""
+    absolute = Csr(np.abs(S.data), S.indices, S.indptr, S.shape)
+    e = edge_state(0, 1, 2)
+    diag, off = abs(e[0] * e[0]), abs(e[0] * e[1])
+    x, y = np.array(pairs, dtype=np.int64).T
+    u = np.zeros(n * n)
+    u[np.arange(n) * (n + 1)] = 1.0
+    out = np.empty((m + 1, len(pairs)))
+    for k in range(m + 1):
+        out[k] = diag * (u[x * (n + 1)] + u[y * (n + 1)]) + off * (u[x + n * y] + u[y + n * x])
+        if k < m:
+            u = u @ absolute
+    return out
 
 
-class TestTracePanels:
-    @pytest.mark.parametrize("columns", ["one", "ragged", "default"])
+class TestHeisenbergTraces:
     @pytest.mark.parametrize("name", RMR_MODELS + DENSE_MODELS + ["hypercube6"])
-    def test_bundled_models_equal_full_stack(self, name, columns, monkeypatch):
+    def test_bundled_models_match_full_stack(self, name):
         C = _model(name, bias=0.7).exact_coupling()
         n = C.n
         pairs = _offdiag_pairs(n)
-        if columns != "default":
-            monkeypatch.setattr(
-                evolve, "TRACE_PANEL_BYTES", _panel_bytes(n, n * (n - 1) // 2, columns))
         S = c_star_superop(C).matrix
-        _assert_bit_identical(edge_laplacian_traces(S, pairs, n, 10),
-                              _full_stack_traces(S, pairs, n, 10))
+        np.testing.assert_allclose(edge_laplacian_traces(S, pairs, n, 10),
+                                   _full_stack_traces(S, pairs, n, 10), rtol=0, atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
-           zero_share=st.sampled_from([0.0, 0.5, 0.9]), width=st.integers(1, 11),
-           m=st.integers(0, 4))
-    def test_property_equal_full_stack(self, n, seed, zero_share, width, m):
+           zero_share=st.sampled_from([0.0, 0.5, 0.9]), m=st.integers(0, 4))
+    def test_property_matches_schrodinger(self, n, seed, zero_share, m):
         # any sparse S and any pair list: both orders, repeats, a subset
         rng = np.random.Generator(np.random.Philox(seed))
         M = rng.standard_normal((n * n, n * n))
@@ -589,23 +605,97 @@ class TestTracePanels:
         pairs = [(int(x), int(y)) for x, y in rng.integers(0, n, size=(3 * n, 2)) if x != y]
         if not pairs:
             pairs = [(0, 1)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evolve, "TRACE_PANEL_BYTES", 8 * n * n * width)
-            got = edge_laplacian_traces(S, pairs, n, m)
-        _assert_bit_identical(got, _full_stack_traces(S, pairs, n, m))
+        got = edge_laplacian_traces(S, pairs, n, m)
+        # Each route adds at most (k + 1) N^2 rounded terms per cell at step k,
+        # so each is within about (k + 1) N^2 eps of the exact value, scaled
+        # by the same sum over absolute values; twice that bounds their gap.
+        scale = _magnitude_traces(S, pairs, n, m)
+        tol = 4 * (np.arange(m + 1)[:, None] + 1) * n * n * np.finfo(float).eps * scale
+        for ref in (_full_stack_traces(S, pairs, n, m), _dense_reference_traces(M, pairs, n, m)):
+            assert np.all(np.abs(got - ref) <= tol)
+        reversed_pairs = edge_laplacian_traces(S, [(y, x) for x, y in pairs], n, m)
+        _assert_bit_identical(got, reversed_pairs)
 
     def test_memory_bound_at_n64(self):
-        # two panels in flight plus the (m + 1) x pairs result
+        # the N^2 row vector and its product, the (m + 1) x pairs result, the
+        # pair list and its index arrays, and three nnz-length arrays: S's
+        # row index (cached on first use) and the two temporaries of u @ S
         rmr = _model("hypercube6").rmr
         S = c_star_superop(rmr).matrix
-        pairs = _offdiag_pairs(rmr.n)
+        n, m = rmr.n, 10
+        pairs = _offdiag_pairs(n)
         tracemalloc.start()
         try:
-            edge_laplacian_traces(S, pairs, rmr.n, 10)
+            edge_laplacian_traces(S, pairs, n, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * evolve.TRACE_PANEL_BYTES + (1 << 20)
+        floats = 4 * n * n + (m + 1 + 8) * len(pairs) + 3 * S.nnz
+        assert peak <= 8 * floats + (64 << 10)
+
+
+def _hamming_coupon_tails(d: int, pairs, m: int) -> np.ndarray:
+    """Pr{tau > k} on hypercube_d for each pair: some of the h coordinates the
+    pair differs in not yet refreshed after k uniform draws of d coordinates."""
+    h = np.array([bin(x ^ y).count("1") for x, y in pairs])
+    k = np.arange(m + 1)[:, None]
+    out = np.zeros((m + 1, len(pairs)))
+    for j in range(1, d + 1):
+        terms = np.array([math.comb(int(c), j) for c in h], dtype=float)
+        out += (-1) ** (j + 1) * terms * (1.0 - j / d) ** k
+    return out
+
+
+class TestHeisenbergBeyondGuard:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_hypercube_traces_equal_coupon_collector(self, d):
+        # up to N = 256, past the exact guard of 64 states: all N (N - 1)
+        # ordered pairs from one evolved row vector, against the closed form
+        m = 10
+        rmr = hypercube_model(d).rmr
+        n = rmr.n
+        pairs = _offdiag_pairs(n)
+        got = edge_laplacian_traces(grand_coupling_operator(rmr), pairs, n, m)
+        np.testing.assert_allclose(got, _hamming_coupon_tails(d, pairs, m), rtol=0, atol=1e-12)
+        worst = pairs.index(hypercube_worst_pair(d))
+        np.testing.assert_allclose(got[:, worst], [coupon_collector_tail(d, k) for k in range(m + 1)],
+                                   rtol=0, atol=1e-12)
+
+
+def _misrouted(S: Csr, column: int, target: int) -> Csr:
+    """S with the whole mass of one column moved onto the single row target."""
+    moved = S.indices == column
+    return Csr.from_coo(np.append(S.data[~moved], S.data[moved].sum()),
+                        np.append(S.rows[~moved], target),
+                        np.append(S.indices[~moved], column), S.shape)
+
+
+class TestTraceIdentityGate:
+    @pytest.mark.parametrize("name", RMR_MODELS + DENSE_MODELS)
+    def test_misrouted_column_fails_on_both_routes(self, name, monkeypatch):
+        # the pair most likely to coalesce in one step sends all its mass to
+        # its swapped pair instead: column sums stay 1, but the operator is
+        # no longer the coupling's C*
+        C = _model(name, bias=0.7).exact_coupling()
+        n, m = C.n, 6
+        report = coalescence_tail_exact(C, m_max=m)
+        x, y = report.pairs[int(np.argmin(report.per_pair[1]))]
+        assert report.per_pair[1].min() < 1.0 - 1e-3
+        S = c_star_superop(C).matrix
+        bad = _misrouted(S, x + n * y, y + n * x)
+        np.testing.assert_allclose(np.ones(n * n) @ bad, np.ones(n * n) @ S, rtol=0, atol=1e-15)
+
+        dual = edge_laplacian_traces(bad, report.pairs, n, m)
+        for ref in (_full_stack_traces(bad, report.pairs, n, m),
+                    _dense_reference_traces(bad.toarray(), report.pairs, n, m)):
+            np.testing.assert_allclose(dual, ref, rtol=0, atol=1e-14)
+            assert np.abs(ref - report.per_pair).max() > ATOL_COMPUTED
+        worst = np.abs(dual - report.per_pair).max()
+        assert worst > ATOL_COMPUTED
+
+        monkeypatch.setattr(evolve, "c_star_superop", lambda _: SimpleNamespace(matrix=bad))
+        result = coalescence_trace_identity_check(C, m)
+        assert not result.passed and result.lhs == worst
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +827,6 @@ class TestCsrChoi:
         # stored zeros and -0.0, and duplicates given in unsorted order, summed
         # by Csr.from_coo; scipy's canonical form of the same triplets is the
         # reference (at most 12 entries a row, so it sums them in input order)
-        import scipy.sparse
-
         rng = np.random.Generator(np.random.Philox(seed))
         rows = rng.integers(0, shape[0], size=len(values))
         cols = rng.integers(0, shape[1], size=len(values))

@@ -36,7 +36,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -497,12 +496,11 @@ def _openblas_config() -> str | None:
 
 
 def _float_platform() -> dict:
-    """What the artifact bytes depend on beyond the code: the floating-point
-    libraries and the BLAS kernel picked for this CPU."""
+    """What the artifact bytes depend on beyond the code: numpy (no subcommand
+    loads scipy) and the BLAS kernel picked for this CPU."""
     return {
         "machine": platform.machine(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "openblas": _openblas_config(),
     }
 
