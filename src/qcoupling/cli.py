@@ -427,7 +427,11 @@ def cmd_verify(args) -> int:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     rng = _seeded_rng(args.seed)
     C = rm.exact_coupling()
-    report = coalescence_tail_exact(C, m_max=args.m_max)
+    # one tails run, to the largest m any check reads (6 = m * l of the
+    # submultiplicativity check); each check gets the report or its cut
+    rate_grid = [] if rm.instance.rate is None else [rm.instance.n_sites * k for k in range(1, 8)]
+    tails = coalescence_tail_exact(C, m_max=max([args.m_max, 6, *rate_grid]))
+    report = tails.up_to(args.m_max)
     pi = rm.pi
     n = pi.n
     ks = kraus_from_grand(rm.rmr, pi)
@@ -437,9 +441,9 @@ def cmd_verify(args) -> int:
     checks = [
         laplacian_preservation_check(C, 0, n - 1),
         rescaled_qperp_decomposition_check(pi),
-        coalescence_trace_identity_check(C, min(args.m_max, 10)),
+        coalescence_trace_identity_check(C, tails.up_to(min(args.m_max, 10))),
         qperp_bound_check(T, pi, report, rho0_set, list(range(args.m_max + 1))),
-        check_tail_submultiplicativity(C, m=2, l=3),
+        check_tail_submultiplicativity(C, tails, m=2, l=3),
     ]
     q = qsample(pi)
     mixed = DensityMatrix(
@@ -448,11 +452,8 @@ def cmd_verify(args) -> int:
     checks.append(gentle_measurement_step_check(mixed, q, eps=2e-3))
     if report.t_couple is not None:
         checks.append(main_theorem_check(T, pi, report, rho0_set[:3], [0.25]))
-    if rm.instance.rate is not None:
-        ns = rm.instance.n_sites
-        checks.append(
-            contraction_rate_check(rm.instance, [ns * k for k in range(1, 8)], mode="exact")
-        )
+    if rate_grid:
+        checks.append(contraction_rate_check(rm.instance, tails, rate_grid))
     summary = _summaries(checks, {"model": rm.name, "seed": args.seed})
     emit_report(args.out, f"verify-{rm.name}-seed{args.seed}", summary)
     return EXIT_OK if summary["pass"] else EXIT_CHECK_FAILED

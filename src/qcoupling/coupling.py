@@ -178,6 +178,24 @@ class CoalescenceReport:
     expected_time_truncation: int | None = None
     details: dict = field(default_factory=dict)
 
+    def up_to(self, m: int) -> CoalescenceReport:
+        """This exact report cut to the one a run to m_max = m gives, bit for bit:
+        each tail row depends only on the rows before it, and t_couple is found
+        again by the same crossing rule. Expected-time fields are dropped."""
+        if self.mode != "exact":
+            raise InvalidInputError("only an exact report can be cut at m")
+        if not 0 <= m <= self.m_values[-1]:
+            raise InvalidInputError(f"m_max must be in 0..{int(self.m_values[-1])}, got {m}")
+        m_values, tail_max = self.m_values[: m + 1], self.tail_max[: m + 1]
+        return CoalescenceReport(
+            mode="exact",
+            m_values=m_values,
+            tail_max=tail_max,
+            pairs=self.pairs,
+            per_pair=self.per_pair[: m + 1],
+            t_couple=_t_couple(tail_max, m_values),
+        )
+
     def tail_at(self, m: int) -> float:
         pos = np.nonzero(self.m_values == m)[0]
         if pos.size == 0:
@@ -200,6 +218,12 @@ class CoalescenceReport:
                 row += [f"{v:.17g}" for v in self.per_pair[i]]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
+
+
+def _t_couple(upper: np.ndarray, m_values: np.ndarray) -> int | None:
+    """The first m whose tail bound ``upper`` is at most COUPLING_THRESHOLD."""
+    crossing = np.flatnonzero(upper <= COUPLING_THRESHOLD)
+    return int(m_values[crossing[0]]) if crossing.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +467,6 @@ def _offdiag_pairs(n: int) -> list[tuple[int, int]]:
 def coalescence_tail_exact(
     coupling: CouplingMatrix | RandomMappingRep,
     m_max: int,
-    guard_n: int = EXACT_GUARD_N,
     expected_time: bool = False,
     expectation_tol: float = 1e-15,
     expectation_cap: int = 100_000,
@@ -459,9 +482,9 @@ def coalescence_tail_exact(
     ``expectation_tol``, giving E[tau_coal] with a stated truncation.
     """
     n = coupling.n
-    if n > guard_n:
+    if n > EXACT_GUARD_N:
         raise GuardExceededError(
-            f"exact mode guarded at N <= {guard_n}; N = {n}. Use coalescence_tail_mc."
+            f"exact mode guarded at N <= {EXACT_GUARD_N}; N = {n}. Use coalescence_tail_mc."
         )
     C = pair_transition(coupling)
     if m_max < 0:
@@ -481,10 +504,7 @@ def coalescence_tail_exact(
             v = v @ C
 
     tail_max = per_pair.max(axis=1) if pairs else np.zeros(m_max + 1)
-    t_couple = None
-    crossing = np.nonzero(tail_max <= COUPLING_THRESHOLD)[0]
-    if crossing.size:
-        t_couple = int(crossing[0])
+    m_values = np.arange(m_max + 1)
 
     e_tau_max = None
     truncation = None
@@ -503,11 +523,11 @@ def coalescence_tail_exact(
 
     return CoalescenceReport(
         mode="exact",
-        m_values=np.arange(m_max + 1),
+        m_values=m_values,
         tail_max=tail_max,
         pairs=pairs,
         per_pair=per_pair,
-        t_couple=t_couple,
+        t_couple=_t_couple(tail_max, m_values),
         expected_time_max=e_tau_max,
         expected_time_truncation=truncation,
     )
@@ -631,10 +651,6 @@ def coalescence_tail_mc(
     ci_half = np.maximum(
         1.96 * np.sqrt(tail_max * (1.0 - tail_max) / samples), 3.0 / samples
     )
-    t_couple = None
-    ok = np.nonzero(tail_max + ci_half <= COUPLING_THRESHOLD)[0]
-    if ok.size:
-        t_couple = int(grid[ok[0]])
     return CoalescenceReport(
         mode="monte_carlo",
         m_values=grid,
@@ -644,7 +660,7 @@ def coalescence_tail_mc(
         samples=samples,
         seed=seed,
         ci_half=ci_half,
-        t_couple=t_couple,
+        t_couple=_t_couple(tail_max + ci_half, grid),
     )
 
 
@@ -668,32 +684,37 @@ def coupling_time(report: CoalescenceReport) -> int:
 
 
 def check_tail_submultiplicativity(
-    coupling: CouplingMatrix | RandomMappingRep, m: int, l: int
+    coupling: CouplingMatrix | RandomMappingRep, report: CoalescenceReport, m: int, l: int
 ) -> CheckResult:
     """Pr_max{tau > l*m} <= (Pr_max{tau > m})^l, plus the block-structure identity.
 
-    Also verifies that C^m restricted to the diagonal block equals P^m (once the
-    components meet they stay together forever). A random mapping runs on
-    its sparse :func:`grand_coupling_operator`, with P its induced chain.
+    Both tails are read from ``report``, the coupling's exact tails to at
+    least l*m. The block identity: C^k on the diagonal pairs equals P^k (once
+    the components meet they stay together). The diagonal absorbs, so that
+    block of C^k is D^k, D the N x N diagonal block of C; D^k is compared with
+    P^k at every k <= m, and ``diag_block_error`` also counts the largest mass
+    a diagonal column sends to off-diagonal rows. A random mapping runs on its
+    sparse :func:`grand_coupling_operator`, with P its induced chain.
     """
     if m < 0 or l < 1:
         raise InvalidInputError("need m >= 0 and l >= 1")
-    report = coalescence_tail_exact(coupling, m_max=m * l)
+    if report.mode != "exact":
+        raise InvalidInputError("tail submultiplicativity needs exact tails")
     lhs = report.tail_at(m * l)
     rhs = float(report.tail_at(m) ** l)
     n = coupling.n
     C = pair_transition(coupling)
     P = coupling.base.entries if coupling.base is not None else coupling.induced_chain_entries()
-    # C^m restricted to diagonal-pair columns, via column iteration (no C^m formed)
-    diag_idx = np.arange(n) * n + np.arange(n)
-    V = np.zeros((n * n, n))
-    V[diag_idx, np.arange(n)] = 1.0
-    Pm = np.eye(n)
+    diag_idx = np.arange(n) * (n + 1)
+    on_diag = np.zeros(n * n, dtype=bool)
+    on_diag[diag_idx] = True
+    leaving = on_diag[C.indices] & ~on_diag[C.rows]
+    block_err = float(sums_by_key(C.indices[leaving], np.abs(C.data[leaving]), n * n).max())
+    D = C.block(diag_idx, diag_idx)
+    Dk, Pk = np.eye(n), np.eye(n)
     for _ in range(m):
-        V = C @ V
-        Pm = P @ Pm
-    diag_block = V[diag_idx, :]
-    block_err = float(np.max(np.abs(diag_block - Pm)))
+        Dk, Pk = D @ Dk, P @ Pk
+        block_err = max(block_err, float(np.max(np.abs(Dk - Pk))))
     passed = lhs <= rhs + ATOL_COMPUTED and block_err <= ATOL_INPUT
     return CheckResult(
         name="tail_submultiplicativity",

@@ -5,11 +5,10 @@ A :class:`Csr` is immutable and canonical: within each row the column indices
 are strictly ascending, so a cell is stored at most once. Stored zeros are
 kept, as in scipy's canonical form. Each operation gives the bits that the
 same operation on a ``scipy.sparse.csr_array`` with these arrays gives: the
-1-D products add a row's or a column's terms in storage order, starting from
-0.0, as scipy's ``csr_matvec`` and ``csc_matvec`` do, and the product with a
-2-D array is the 1-D product column by column, which adds each cell's terms
-in that order too, as scipy's ``csr_matvecs`` does. scipy is not imported:
-the tests use it as the oracle for every operation.
+products ``M @ v`` and ``v @ M`` take 1-D operands only and add a row's or a
+column's terms in storage order, starting from 0.0, as scipy's
+``csr_matvec`` and ``csc_matvec`` do. scipy is not imported: the tests use it
+as the oracle for every operation.
 """
 
 from __future__ import annotations
@@ -127,16 +126,9 @@ class Csr:
 
     def __matmul__(self, other):
         other = np.asarray(other)
-        if other.shape[:1] != self.shape[1:]:
+        if other.shape != self.shape[1:]:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        if other.ndim == 1:
-            return sums_by_key(self.rows, self.data * other[self.indices], self.shape[0])
-        if other.ndim != 2:
-            raise ValueError(f"need a 1-D or 2-D operand, got shape {other.shape}")
-        out = np.empty((self.shape[0], other.shape[1]))
-        for j in range(other.shape[1]):
-            out[:, j] = self @ other[:, j]
-        return out
+        return sums_by_key(self.rows, self.data * other[self.indices], self.shape[0])
 
     def __rmatmul__(self, other):
         other = np.asarray(other)

@@ -20,7 +20,6 @@ from qcoupling.coupling import (
     CoalescenceReport,
     CouplingMatrix,
     RandomMappingRep,
-    coalescence_tail_exact,
 )
 from qcoupling.errors import InvalidInputError
 from qcoupling.quantize import KrausSet, Superoperator, c_star_superop
@@ -75,9 +74,6 @@ class Qsample:
     @property
     def complement(self) -> np.ndarray:
         return np.eye(self.dim) - self.projector
-
-    def as_density(self) -> DensityMatrix:
-        return DensityMatrix(self.projector)
 
 
 @dataclass
@@ -304,23 +300,26 @@ def edge_laplacian_traces(S, pairs: list[tuple[int, int]], n: int, m: int) -> np
 
 
 def coalescence_trace_identity_check(
-    C: CouplingMatrix | RandomMappingRep, m: int
+    C: CouplingMatrix | RandomMappingRep, report: CoalescenceReport
 ) -> CheckResult:
     """Pr_{x,y}{tau > k} = tr([C*]^k applied to the edge Laplacian), all x != y.
 
-    Checked at every step k = 0..m in the Heisenberg picture
+    Checked at every step k the exact ``report`` of C's tails covers, against
+    its ``per_pair`` rows, in the Heisenberg picture
     (:func:`edge_laplacian_traces`): tr(A) = <I, A>, so the identity's left
     side is <C^k(I), |-_xy><-_xy|>, with C the adjoint of C*. One row vector
     vec(I) is evolved under the sparse C* one step at a time (no matrix
     powers are formed), and every pair reads its trace off that vector. C*
     has at most |R| nonzeros per column for a grand coupling, and a random
     mapping's C* is built from its table. The tails on the other side come
-    from the row-vector recursion of :func:`coalescence_tail_exact`.
+    from the row-vector recursion of :func:`coalescence_tail_exact` on the
+    pair-space operator, so the two sides are separate constructions.
     """
-    n = C.n
-    report = coalescence_tail_exact(C, m_max=m)
+    if report.mode != "exact":
+        raise InvalidInputError("the trace identity needs exact tails")
+    m = int(report.m_values[-1])
     S = c_star_superop(C).matrix
-    lhs = edge_laplacian_traces(S, report.pairs, n, m)
+    lhs = edge_laplacian_traces(S, report.pairs, C.n, m)
     worst = float(np.abs(lhs - report.per_pair).max(initial=0.0))
     return CheckResult(
         name="coalescence_trace_identity",

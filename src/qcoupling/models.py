@@ -24,9 +24,8 @@ from qcoupling.checks import CheckResult
 from qcoupling.coupling import (
     EXACT_GUARD_N,
     CouplingMatrix,
+    CoalescenceReport,
     RandomMappingRep,
-    coalescence_tail_exact,
-    coalescence_tail_mc,
     grand_coupling_matrix,
     induced_entries,
 )
@@ -388,19 +387,14 @@ def default_start_pairs(model: ModelInstance, count: int, seed: int) -> list[tup
 
 
 def contraction_rate_check(
-    model: ModelInstance,
-    m_grid: list[int],
-    mode: str = "exact",
-    samples: int | None = None,
-    seed: int | None = None,
-    start_pairs: list[tuple[int, int]] | None = None,
-    workers: int = 1,
+    model: ModelInstance, report: CoalescenceReport, m_grid: list[int]
 ) -> CheckResult:
     """Tails never exceed the model's envelope n_sites * exp(-m * rate / n_sites).
 
-    Exact mode compares the worst-pair tail directly; MC mode requires the CI
-    upper bound to stay below the envelope. A nonpositive rate makes every
-    envelope value >= n_sites and the check is reported vacuous.
+    ``report`` holds the model's tails at every m in the grid. An exact report
+    is compared directly; a Monte Carlo report, which needs samples >= 1000,
+    must keep its CI upper bound below the envelope. A nonpositive rate makes
+    every envelope value >= n_sites and the check is reported vacuous.
     """
     if model.rate is None:
         raise InvalidInputError(f"model {model.kind} has no rate constant")
@@ -413,26 +407,12 @@ def contraction_rate_check(
             details={"vacuous": True, "rate": model.rate},
         )
 
-    if mode == "exact":
-        report = coalescence_tail_exact(model.rmr, m_max=max(grid))
-        rows = [(m, report.tail_at(m), envelope[m]) for m in grid]
-        margin = ATOL_COMPUTED
-    elif mode == "mc":
-        if samples is None or samples < 1_000:
-            raise InvalidInputError("MC mode requires samples >= 1000")
-        if seed is None:
-            raise InvalidInputError("MC mode requires a seed")
-        pairs = start_pairs or default_start_pairs(model, count=5, seed=seed)
-        report = coalescence_tail_mc(
-            model.rmr, pairs, grid, samples=samples, seed=seed, workers=workers
-        )
-        rows = [
-            (m, report.tail_at(m) + float(report.ci_half[i]), envelope[m])
-            for i, m in enumerate(report.m_values)
-        ]
-        margin = 0.0
-    else:
-        raise InvalidInputError(f"unknown mode {mode!r}")
+    mc = report.mode == "monte_carlo"
+    if mc and (report.samples is None or report.samples < 1_000):
+        raise InvalidInputError("MC mode requires samples >= 1000")
+    ci_half = dict(zip(report.m_values.tolist(), report.ci_half.tolist())) if mc else {}
+    rows = [(m, report.tail_at(m) + ci_half.get(m, 0.0), envelope[m]) for m in grid]
+    margin = 0.0 if mc else ATOL_COMPUTED
 
     worst = max((tail - env for _, tail, env in rows), default=-np.inf)
     passed = worst <= margin
@@ -443,7 +423,7 @@ def contraction_rate_check(
         rhs=0.0,
         tolerance=margin,
         details={
-            "mode": mode,
+            "mode": report.mode,
             "rate": model.rate,
             "rows": [
                 {"m": m, "tail": tail, "envelope": env} for m, tail, env in rows

@@ -42,6 +42,7 @@ from qcoupling.models import (
     complete_graph,
     contraction_rate_check,
     cycle_coupling_model,
+    default_start_pairs,
     hardcore_model,
     hypercube_model,
     hypercube_worst_pair,
@@ -107,9 +108,11 @@ def hypercube8_mc_report(workers):
 def colorings_path5_mc_check(workers):
     model = colorings_model(path_graph(5), 7)
     grid = [model.n_sites * k for k in range(1, 15)]
-    return contraction_rate_check(
-        model, grid, mode="mc", samples=10_000, seed=MC_SEED, workers=workers
+    report = coalescence_tail_mc(
+        model.rmr, default_start_pairs(model, count=5, seed=MC_SEED), grid,
+        samples=10_000, seed=MC_SEED, workers=workers,
     )
+    return contraction_rate_check(model, report, grid)
 
 
 def verified_channel(model):
@@ -200,7 +203,7 @@ def test_criterion_04_lemma_suite(capsys):
         res = rescaled_qperp_decomposition_check(model.pi)
         expect(failures, res.passed and res.lhs <= 1e-12,
                f"{kind}: rescaled Qperp decomposition off by {res.lhs:.3g}")
-        res = coalescence_trace_identity_check(C, 20)
+        res = coalescence_trace_identity_check(C, coalescence_tail_exact(C, m_max=20))
         expect(failures, res.passed and res.lhs <= 1e-10,
                f"{kind}: trace identity off by {res.lhs:.3g}")
 
@@ -226,7 +229,7 @@ def test_criterion_04_lemma_suite(capsys):
                 rhs = report.tail_at(m) ** l
                 expect(failures, lhs <= rhs + 1e-10,
                        f"{kind}: tail({m}*{l}) > tail({m})^{l}")
-        res = check_tail_submultiplicativity(C, 10, 4)
+        res = check_tail_submultiplicativity(C, report, 10, 4)
         expect(failures, res.passed,
                f"{kind}: diagonal-block identity fails in submultiplicativity check")
     conclude(capsys, 4, "projector lemma suite", failures, started, budget=120.0)
@@ -287,7 +290,8 @@ def test_criterion_07_contraction_rates(capsys):
 
     model = exact_model("hardcore_p3_half")
     grid = [model.n_sites * k for k in range(1, 15)]
-    res = contraction_rate_check(model, grid, mode="exact")
+    res = contraction_rate_check(
+        model, coalescence_tail_exact(model.rmr, m_max=max(grid)), grid)
     expect(failures, res.passed and not res.details.get("vacuous", False),
            f"hardcore lambda=1/2 exact tails exceed the rate envelope ({res.details})")
     expect(failures, res.details["rate"] == pytest.approx(1.0 / 3.0),
@@ -369,9 +373,10 @@ def test_criterion_10_mc_determinism(capsys):
            "colorings path5 MC differs between 1 and 4 workers")
     model = colorings_model(path_graph(5), 7)
     grid = [model.n_sites * k for k in range(1, 15)]
-    rerun = contraction_rate_check(
-        model, grid, mode="mc", samples=10_000, seed=MC_SEED, workers=1
-    )
+    rerun = contraction_rate_check(model, coalescence_tail_mc(
+        model.rmr, default_start_pairs(model, count=5, seed=MC_SEED), grid,
+        samples=10_000, seed=MC_SEED, workers=1,
+    ), grid)
     expect(failures, first.details == rerun.details,
            "colorings path5 MC differs between identical runs")
     conclude(capsys, 10, "Monte Carlo determinism", failures, started, budget=120.0)

@@ -155,7 +155,7 @@ class TestStrongComponents:
             "validate --model cycle5-prose",  # a coupling built from triplets
             "quantize --model hypercube3",
             "evolve --model hypercube3 --m-max 6",
-            "verify --model hypercube2 --m-max 4",  # trace identity, 2-D products
+            "verify --model hypercube2 --m-max 4",  # trace identity, N x N block identity
         ]
         out = subprocess.run(
             [sys.executable, "-c", code, *(f"{job} --out {tmp_path}" for job in jobs)],

@@ -1,8 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from qcoupling import coupling
 from qcoupling.cli import main
 
 
@@ -109,6 +111,22 @@ class TestVerify:
         assert doc["pass"] is True
         names = [c["check"] for c in doc["checks"]]
         assert len(names) == len(set(names))  # every check listed exactly once
+
+    def test_tails_run_once(self, tmp_path, monkeypatch):
+        # every tail check reads one shared report, run to the largest m any
+        # of them needs: max(--m-max 20, 6, 7 x n_sites = 42)
+        calls = []
+        original = coupling.coalescence_tail_exact
+
+        def counting(C, m_max, **kwargs):
+            calls.append(m_max)
+            return original(C, m_max, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qcoupling") and hasattr(module, "coalescence_tail_exact"):
+                monkeypatch.setattr(module, "coalescence_tail_exact", counting)
+        assert run("verify", "--model", "hypercube6", "--out", str(tmp_path)) == 0
+        assert calls == [42]
 
 
 class TestCoalesce:

@@ -1,10 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coupling_4tensor, random_ergodic_chain
+from qcoupling import coupling
+from qcoupling.chain import ATOL_COMPUTED
+from qcoupling.cli import resolve_model
 from qcoupling.coupling import (
+    EXACT_GUARD_N,
     CouplingMatrix,
     RandomMappingRep,
     check_tail_submultiplicativity,
@@ -16,15 +22,18 @@ from qcoupling.coupling import (
     independent_coupling,
     mixing_vs_coalescence_bound,
     pair_index,
+    pair_transition,
     rmr_to_json_dict,
     coupling_to_json_dict,
     validate_coupling,
 )
+from qcoupling.csr import Csr
 from qcoupling.errors import (
     GuardExceededError,
     InvalidInputError,
     ThresholdNotReachedError,
 )
+from qcoupling.models import hypercube_model
 
 
 class TestValidateCoupling:
@@ -124,9 +133,10 @@ class TestExactTails:
         report = coalescence_tail_exact(hypercube3.coupling(), m_max=8)
         assert np.all(np.diff(report.per_pair, axis=0) <= 1e-12)
 
-    def test_guard(self, hypercube3):
-        with pytest.raises(GuardExceededError):
-            coalescence_tail_exact(hypercube3.coupling(), m_max=3, guard_n=4)
+    def test_guard(self):
+        rmr = hypercube_model(7).rmr  # N = 128 > EXACT_GUARD_N
+        with pytest.raises(GuardExceededError, match=f"N <= {EXACT_GUARD_N}; N = 128"):
+            coalescence_tail_exact(rmr, m_max=3)
 
     def test_expected_time_reported(self, hypercube2):
         report = coalescence_tail_exact(
@@ -155,13 +165,78 @@ class TestExactTails:
 class TestSubmultiplicativity:
     def test_hypercube3_grid(self, hypercube3):
         C = hypercube3.coupling()
+        report = coalescence_tail_exact(C, m_max=20)
         for m in (1, 3, 5):
             for l in (2, 4):
-                assert check_tail_submultiplicativity(C, m, l).passed
+                assert check_tail_submultiplicativity(C, report, m, l).passed
 
     def test_diagonal_block_matches_chain_power(self, hypercube2):
-        res = check_tail_submultiplicativity(hypercube2.coupling(), 4, 2)
+        C = hypercube2.coupling()
+        res = check_tail_submultiplicativity(C, coalescence_tail_exact(C, m_max=8), 4, 2)
         assert res.details["diag_block_error"] <= 1e-12
+
+    @pytest.mark.parametrize("name", ["hypercube3", "hardcore-path3", "cycle5-prose"])
+    @pytest.mark.parametrize("kind", ["off the diagonal", "added off the diagonal",
+                                      "within the diagonal"])
+    def test_perturbed_diagonal_column_fails(self, name, kind, monkeypatch):
+        # half of the largest entry of diagonal column (0, 0) is moved to an
+        # off-diagonal row, added there on top, or moved to another diagonal
+        # row; the tails come from the true coupling, so only the block
+        # identity can fail
+        C = _exact_coupling(name)
+        n = C.n
+        report = coalescence_tail_exact(C, m_max=6)
+        S = pair_transition(C).toarray()
+        src = int(np.argmax(S[:, 0]))
+        x = src // n
+        assert src == x * (n + 1)  # the diagonal absorbs
+        delta = S[src, 0] / 2
+        y = (x + 1) % n
+        dst = y * (n + 1) if kind == "within the diagonal" else x * n + y
+        if kind != "added off the diagonal":
+            S[src, 0] -= delta
+        S[dst, 0] += delta
+        monkeypatch.setattr(coupling, "pair_transition", lambda _: Csr.from_dense(S))
+        res = check_tail_submultiplicativity(C, report, 2, 3)
+        assert res.lhs <= res.rhs + ATOL_COMPUTED
+        assert not res.passed
+        assert res.details["diag_block_error"] >= delta
+
+
+BUNDLED_EXACT = [
+    "hypercube2", "hypercube3", "hypercube6", "colorings-k3-q4", "colorings-path2-q4",
+    "colorings-path3-q4", "hardcore-path3", "hardcore-path4", "hardcore-path5",
+    "cycle3-prose", "cycle5-prose",
+]
+
+
+def _exact_coupling(name):
+    return resolve_model(name, SimpleNamespace(bias=0.5, fugacity=2.0)).exact_coupling()
+
+
+class TestCutReport:
+    @pytest.mark.parametrize("name", BUNDLED_EXACT)
+    def test_cut_equals_fresh_run(self, name):
+        C = _exact_coupling(name)
+        full = coalescence_tail_exact(C, m_max=60)
+        t = full.t_couple
+        assert t is not None and t >= 1
+        for m in (0, t - 1, t, t + 1, 60):
+            cut, fresh = full.up_to(m), coalescence_tail_exact(C, m_max=m)
+            assert cut.per_pair.shape == fresh.per_pair.shape == (m + 1, len(fresh.pairs))
+            assert cut.per_pair.tobytes() == fresh.per_pair.tobytes()
+            assert cut.tail_max.tobytes() == fresh.tail_max.tobytes()
+            assert cut.t_couple == fresh.t_couple == (t if m >= t else None)
+            assert cut.pairs == fresh.pairs and np.array_equal(cut.m_values, fresh.m_values)
+
+    def test_rejects_uncovered_m_and_mc_reports(self, hypercube2):
+        full = coalescence_tail_exact(hypercube2.rmr, m_max=5)
+        for m in (-1, 6):
+            with pytest.raises(InvalidInputError, match="m_max must be in 0..5"):
+                full.up_to(m)
+        mc = coalescence_tail_mc(hypercube2.rmr, [(0, 3)], [1, 2], samples=100, seed=0)
+        with pytest.raises(InvalidInputError, match="exact"):
+            mc.up_to(1)
 
 
 class TestMonteCarlo:

@@ -82,8 +82,6 @@ def _assert_operations_match(M: Csr, rng, special: bool = False):
     _bits(M @ v, ref @ v)
     _bits(w @ M, w @ ref)
     _bits(M.T @ w, ref.T @ w)
-    V = rng.standard_normal((M.shape[1], 3))
-    _bits(M @ V, ref @ V)
     rows = rng.permutation(M.shape[0])[: max(1, M.shape[0] // 2)]
     cols = rng.permutation(M.shape[1])[: max(1, M.shape[1] // 2)]
     _bits(M.block(rows, cols), ref[np.ix_(rows, cols)].toarray())
@@ -231,27 +229,12 @@ class TestOperations:
             _assert_operations_match(M, rng)
             _assert_same(Csr.from_coo(M.data, M.rows, M.indices, M.shape), _oracle(M))
 
-    @pytest.mark.parametrize("operand", ["no columns", "one column", "strided", "fortran",
-                                         "special", "integer"])
-    def test_matrix_product_column_by_column(self, operand):
-        # each column is the 1-D product; scipy's csr_matvecs adds each cell's
-        # terms in the same order, so every layout and dtype gives its bits
-        rng = np.random.Generator(np.random.Philox(11))
-        M = Csr.from_coo(rng.standard_normal(40), rng.integers(0, 9, 40),
-                         rng.integers(0, 7, 40), (9, 7))
-        V = {
-            "no columns": np.empty((7, 0)),
-            "one column": rng.standard_normal((7, 1)),
-            "strided": rng.standard_normal((7, 10))[:, ::3],
-            "fortran": np.asfortranarray(rng.standard_normal((7, 4))),
-            "special": rng.choice(SPECIAL, size=(7, 5)),
-            "integer": rng.integers(-3, 4, size=(7, 4)),
-        }[operand]
-        _bits(M @ V, _oracle(M) @ V)
-
-    def test_product_with_3d_operand_rejected(self):
-        with pytest.raises(ValueError, match="1-D or 2-D"):
-            Csr.from_dense(np.ones((2, 3))) @ np.ones((3, 2, 2))
+    def test_product_with_2d_operand_rejected(self):
+        # products take 1-D operands only; no caller multiplies by a matrix
+        M = Csr.from_dense(np.ones((2, 3)))
+        for bad in (np.ones((3, 1)), np.ones((3, 2)), np.ones((3, 2, 2))):
+            with pytest.raises(ValueError, match="cannot multiply"):
+                M @ bad
 
     def test_hypercube6_products(self):
         M = c_star_superop(resolve_model("hypercube6", SimpleNamespace()).rmr).matrix

@@ -102,7 +102,8 @@ class TestStructuralChecks:
 
     def test_coalescence_trace_identity(self, hypercube2):
         for m in (0, 1, 3, 6):
-            assert coalescence_trace_identity_check(hypercube2.coupling(), m).passed
+            C = hypercube2.coupling()
+            assert coalescence_trace_identity_check(C, coalescence_tail_exact(C, m_max=m)).passed
 
     def test_qperp_bound(self, hypercube3):
         T = channel_for(hypercube3)

@@ -118,7 +118,7 @@ def _assert_sparse_matches_dense(C: CouplingMatrix, m: int):
     sparse = edge_laplacian_traces(S, report.pairs, C.n, m)
     np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-14)
     np.testing.assert_allclose(sparse, report.per_pair, rtol=0, atol=ATOL_COMPUTED)
-    assert coalescence_trace_identity_check(C, m).passed
+    assert coalescence_trace_identity_check(C, report).passed
 
 
 class TestSparseTraceIdentity:
@@ -694,7 +694,7 @@ class TestTraceIdentityGate:
         assert worst > ATOL_COMPUTED
 
         monkeypatch.setattr(evolve, "c_star_superop", lambda _: SimpleNamespace(matrix=bad))
-        result = coalescence_trace_identity_check(C, m)
+        result = coalescence_trace_identity_check(C, report)
         assert not result.passed and result.lhs == worst
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import coupling_4tensor
 from qcoupling.chain import stationary_distribution
-from qcoupling.coupling import coalescence_tail_exact, validate_coupling
+from qcoupling.coupling import coalescence_tail_exact, coalescence_tail_mc, validate_coupling
 from qcoupling.errors import GuardExceededError, InvalidInputError
 from qcoupling.models import (
     GraphSpec,
@@ -202,27 +202,29 @@ class TestHardcore:
 
 class TestContractionRate:
     def test_hypercube_exact_envelope(self, hypercube3):
-        res = contraction_rate_check(hypercube3, [3, 6, 9, 12], mode="exact")
+        report = coalescence_tail_exact(hypercube3.rmr, m_max=12)
+        res = contraction_rate_check(hypercube3, report, [3, 6, 9, 12])
         assert res.passed
         assert not res.details.get("vacuous", False)
 
     def test_hardcore_exact_envelope(self, hardcore_p3_lam_half):
         grid = list(range(3, 61, 3))
-        res = contraction_rate_check(hardcore_p3_lam_half, grid, mode="exact")
+        report = coalescence_tail_exact(hardcore_p3_lam_half.rmr, m_max=max(grid))
+        res = contraction_rate_check(hardcore_p3_lam_half, report, grid)
         assert res.passed
         # envelope is 3*exp(-m/9)
         row = res.details["rows"][0]
         assert row["envelope"] == pytest.approx(3 * math.exp(-row["m"] / 9))
 
     def test_negative_rate_vacuous(self, hardcore_p3_lam2):
-        res = contraction_rate_check(hardcore_p3_lam2, [3, 6], mode="exact")
+        report = coalescence_tail_exact(hardcore_p3_lam2.rmr, m_max=6)
+        res = contraction_rate_check(hardcore_p3_lam2, report, [3, 6])
         assert res.passed and res.details["vacuous"]
 
     def test_mc_mode_guards(self, hypercube3):
+        report = coalescence_tail_mc(hypercube3.rmr, [(0, 7)], [3], samples=10, seed=0)
         with pytest.raises(InvalidInputError, match="samples"):
-            contraction_rate_check(hypercube3, [3], mode="mc", samples=10, seed=0)
-        with pytest.raises(InvalidInputError, match="seed"):
-            contraction_rate_check(hypercube3, [3], mode="mc", samples=2_000)
+            contraction_rate_check(hypercube3, report, [3])
 
 
 class TestFixture:

@@ -151,7 +151,7 @@ class TestPairOperator:
         report = coalescence_tail_exact(bare, m_max=8)
         np.testing.assert_array_equal(
             report.per_pair, coalescence_tail_exact(rmr, m_max=8).per_pair)
-        assert check_tail_submultiplicativity(bare, 2, 3).passed
+        assert check_tail_submultiplicativity(bare, report, 2, 3).passed
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +191,17 @@ class TestChecksAgree:
             if x != y:
                 _close(laplacian_preservation_check(m.rmr, x, y),
                        laplacian_preservation_check(C, x, y))
-        _close(coalescence_trace_identity_check(m.rmr, 10),
-               coalescence_trace_identity_check(C, 10))
-        _close(check_tail_submultiplicativity(m.rmr, 2, 3),
-               check_tail_submultiplicativity(C, 2, 3))
+        table, dense = coalescence_tail_exact(m.rmr, m_max=10), coalescence_tail_exact(C, m_max=10)
+        _close(coalescence_trace_identity_check(m.rmr, table),
+               coalescence_trace_identity_check(C, dense))
+        _close(check_tail_submultiplicativity(m.rmr, table, 2, 3),
+               check_tail_submultiplicativity(C, dense, 2, 3))
 
     @pytest.mark.parametrize("name", ["hypercube3", "hardcore-path3", "colorings-path2-q4"])
     def test_contraction_rate(self, name):
         m = _model(name, fugacity=0.5).instance
         grid = [m.n_sites * k for k in range(1, 8)]
-        res = contraction_rate_check(m, grid, mode="exact")
+        res = contraction_rate_check(m, coalescence_tail_exact(m.rmr, m_max=max(grid)), grid)
         dense = coalescence_tail_exact(m.coupling(), m_max=max(grid))
         worst = max(dense.tail_at(g) - m.n_sites * math.exp(-g * m.rate / m.n_sites)
                     for g in grid)
