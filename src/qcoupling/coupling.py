@@ -31,6 +31,9 @@ from qcoupling.kernels import coalescence_counts
 COUPLING_THRESHOLD = 0.25  # t_couple crossing level
 EXACT_GUARD_N = 64  # largest state count for exact pair-space work and dense chains
 MC_BLOCK_ELEMENTS = 1 << 20  # randomness elements drawn and held per MC block
+# Philox words per draw call: the chunk's 8-byte words, their 8-byte bucket shift
+# and the 1 MiB block of 1-byte indices fit together in a 2 MiB L2 cache
+DRAW_CHUNK_WORDS = 1 << 15
 CDF_BUCKET_BITS = 12  # inverse-CDF buckets are indexed by a Philox word's top bits
 
 
@@ -567,9 +570,10 @@ class _InverseCDF:
 def mc_block_rows(m_max: int) -> int:
     """Trajectories per randomness block, a multiple of 4 (at least 4).
 
-    A block holds at most MC_BLOCK_ELEMENTS randomness elements; taking m_max
-    as at least 4 also keeps the kernel's per-row state (about 33 bytes a row)
-    below the draw's 17 bytes per element when m_max is tiny.
+    A block holds at most MC_BLOCK_ELEMENTS randomness indices, 1 byte each
+    (2 when |R| >= 256). Taking m_max as at least 4 keeps the kernel's per-row
+    state (about 33 bytes a row) within a few bytes per element when m_max is
+    tiny.
     """
     return max(4, MC_BLOCK_ELEMENTS // max(m_max, 4) // 4 * 4)
 
@@ -583,10 +587,23 @@ def _draw_block(
     stream keyed by (seed, pair_slot). Philox yields 4 words per counter step
     and ``start`` is a multiple of 4, so ``advance`` reaches the block's first
     word exactly, and the blocks reproduce the full (samples, m_max) draw.
+
+    The words are drawn in chunks of whole trajectories, about
+    DRAW_CHUNK_WORDS words each (at least one trajectory), and each chunk's
+    indices are written straight into the Fortran-ordered block, whose
+    column ``step`` the kernel reads contiguously. Philox keeps the unused
+    words of its last counter step between ``random_raw`` calls, so chunks of
+    any size, multiples of 4 words or not, continue one stream.
     """
     bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(pair_slot,)))
     bits.advance(start * m_max // 4)
-    return inverse_cdf(bits.random_raw(rows * m_max)).reshape(rows, m_max)
+    out = np.empty((rows, m_max), dtype=inverse_cdf.code.dtype, order="F")
+    if m_max:
+        step = max(1, DRAW_CHUNK_WORDS // m_max)  # whole trajectories, at least one
+        for a in range(0, rows, step):
+            b = min(a + step, rows)
+            out[a:b] = inverse_cdf(bits.random_raw((b - a) * m_max)).reshape(b - a, m_max)
+    return out
 
 
 def coalescence_tail_mc(
@@ -602,12 +619,13 @@ def coalescence_tail_mc(
     Deterministic given (seed, samples): trajectory t of start-pair slot s
     uses row t of a Philox stream keyed by (seed, s). The stream is drawn in
     blocks of ``mc_block_rows(m_max)`` trajectories, each passed to the kernel
-    and dropped, so memory stays O(MC_BLOCK_ELEMENTS) per worker. With
-    ``workers`` > 1 the blocks run on that many threads; the integer counts are
-    summed per pair, so the result is byte-identical for any worker count.
+    and dropped, so memory stays O(MC_BLOCK_ELEMENTS + DRAW_CHUNK_WORDS) per
+    worker. With ``workers`` > 1 the blocks run on that many threads; the
+    integer counts are summed per pair, so the result is byte-identical for any
+    worker count.
     """
     if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
+        raise InvalidInputError(f"--samples must be >= 1, got {samples}")
     if seed < 0:
         raise InvalidInputError(f"--seed must be >= 0, got {seed}")
     if workers < 1:
@@ -616,7 +634,7 @@ def coalescence_tail_mc(
         raise InvalidInputError("start_pairs and m_grid must be nonempty")
     grid = np.array(sorted(set(int(m) for m in m_grid)), dtype=np.int64)
     if grid[0] < 0:
-        raise InvalidInputError("m_grid entries must be nonnegative")
+        raise InvalidInputError(f"--m-grid entries must be nonnegative, got {grid[0]}")
     m_max = int(grid[-1])
     n = rmr.n
     for x, y in start_pairs:

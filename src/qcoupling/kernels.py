@@ -34,7 +34,8 @@ def coalescence_counts(table, r_idx, x0, y0, grid):
         n_r = table.shape[1]
         # succ[x * |R| + r] = f(x, r) * |R|: one gather per component and step
         succ = (np.asarray(table, dtype=np.intp) * n_r).ravel()
-        columns = np.asfortranarray(r_idx)  # column `step` is contiguous
+        # column `step` is contiguous; blocks from the MC draw already are, so no copy
+        columns = np.asfortranarray(r_idx)
         active = None  # rows of r_idx still carried; None while that is all of them
         X = np.full(samples, int(x0) * n_r, dtype=np.intp)
         Y = np.full(samples, int(y0) * n_r, dtype=np.intp)

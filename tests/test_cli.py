@@ -156,6 +156,14 @@ class TestCoalesce:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_mc_zero_grid(self, tmp_path):
+        # m = 0 needs no randomness; the hypercube's start pair is apart there
+        code = run("coalesce", "--model", "hypercube3", "--mc", "--seed", "1",
+                   "--samples", "100", "--m-grid", "0", "--out", str(tmp_path))
+        assert code == 0
+        doc = load_summary(tmp_path, "coalesce-hypercube3")
+        assert doc["mode"] == "monte_carlo" and doc["tail_final"] == 1.0
+
     def test_mc_determinism_across_runs_and_workers(self, tmp_path):
         outs = []
         for i, workers in enumerate(("1", "4", "1")):
@@ -288,6 +296,24 @@ class TestModelAndConfig:
             code = self._run_config(tmp_path, "coalesce", model="hypercube3", **{flag: value})
         assert code == 2
         assert f"--{flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("samples", 0, "--samples must be >= 1, got 0"),
+        ("m_grid", [-1, 4], "--m-grid entries must be nonnegative, got -1"),
+    ])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_mc_bad_samples_or_grid_names_flag(self, tmp_path, capsys, via, flag, value,
+                                               message):
+        if via == "flags":
+            values = [str(v) for v in (value if isinstance(value, list) else [value])]
+            code = run("coalesce", "--model", "hypercube3", "--mc", "--seed", "1",
+                       "--" + flag.replace("_", "-"), *values, "--out", str(tmp_path / "o"))
+        else:
+            code = self._run_config(tmp_path, "coalesce", model="hypercube3", mc=True, seed=1,
+                                    **{flag: value})
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_switch_takes_bool(self, tmp_path, capsys):

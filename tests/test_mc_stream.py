@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qcoupling import coupling
 from qcoupling.coupling import (
     CDF_BUCKET_BITS,
+    DRAW_CHUNK_WORDS,
     MC_BLOCK_ELEMENTS,
     RandomMappingRep,
     _draw_block,
@@ -94,7 +95,7 @@ def mappings(draw):
 @st.composite
 def mc_problems(draw):
     rmr = draw(mappings())
-    m_max = draw(st.sampled_from([1, 7, 33, 64, 160]))
+    m_max = draw(st.sampled_from([0, 1, 7, 33, 64, 160]))
     grid = sorted(set(draw(st.lists(st.integers(0, m_max), max_size=5))) | {m_max})
     pairs = draw(st.lists(st.tuples(st.integers(0, rmr.n - 1), st.integers(0, rmr.n - 1)),
                           min_size=1, max_size=3))
@@ -131,22 +132,51 @@ class TestInverseCDF:
         assert _InverseCDF(np.array([0.3, 0.7])).straddle == 2
 
 
+M_MAX_CHOICES = [0, 1, 7, 33, 64, 160]
+
+
+def draw_in_blocks(probs, samples, m_max, seed, slot):
+    inverse_cdf = _InverseCDF(probs)
+    rows = mc_block_rows(m_max)
+    blocks = [
+        _draw_block(inverse_cdf, seed, slot, start, min(rows, samples - start), m_max)
+        for start in range(0, samples, rows)
+    ]
+    assert all(block.flags.f_contiguous for block in blocks)  # the kernel's column layout
+    assert all(block.dtype == np.uint8 for block in blocks)  # fewer than 256 values
+    return np.concatenate(blocks)
+
+
 class TestStreamedDraw:
     @settings(max_examples=25, deadline=None)
-    @given(weights, st.sampled_from([1, 7, 33, 64, 160]), st.integers(1, 40),
+    @given(weights, st.sampled_from(M_MAX_CHOICES), st.integers(1, 40),
            st.integers(0, 2**32), st.integers(0, 3))
     def test_blocks_reproduce_full_draw(self, w, m_max, extra, seed, slot):
         probs = probs_from(w)
-        rows = mc_block_rows(m_max)
-        samples = rows + extra  # a partial second block
-        full = reference_draw(probs, samples, m_max, seed, slot)
-        inverse_cdf = _InverseCDF(probs)
-        blocks = [
-            _draw_block(inverse_cdf, seed, slot, start, min(rows, samples - start), m_max)
-            for start in range(0, samples, rows)
-        ]
-        np.testing.assert_array_equal(np.concatenate(blocks), full)
-        assert all(block.dtype == np.uint8 for block in blocks)  # fewer than 256 values
+        samples = mc_block_rows(m_max) + extra  # a partial second block
+        np.testing.assert_array_equal(
+            draw_in_blocks(probs, samples, m_max, seed, slot),
+            reference_draw(probs, samples, m_max, seed, slot),
+        )
+
+    # chunks below one trajectory, word counts that are not multiples of
+    # Philox's 4-word step, and blocks whose last chunk is short
+    @settings(max_examples=60, deadline=None)
+    @given(weights, st.sampled_from(M_MAX_CHOICES),
+           st.sampled_from([1, 3, 4, 7, "m_max - 1", DRAW_CHUNK_WORDS]),
+           st.integers(1, 40), st.integers(0, 2**32), st.integers(0, 3))
+    def test_chunks_reproduce_full_draw(self, w, m_max, chunk, extra, seed, slot):
+        probs = probs_from(w)
+        if chunk == "m_max - 1":
+            chunk = max(m_max - 1, 1)
+        # small blocks keep one-word chunks quick; the default chunk keeps the
+        # default block, which it splits into several chunks
+        block = MC_BLOCK_ELEMENTS if chunk == DRAW_CHUNK_WORDS else 4_000
+        with mock.patch.object(coupling, "DRAW_CHUNK_WORDS", chunk), \
+                mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", block):
+            samples = mc_block_rows(m_max) + extra
+            drawn = draw_in_blocks(probs, samples, m_max, seed, slot)
+        np.testing.assert_array_equal(drawn, reference_draw(probs, samples, m_max, seed, slot))
 
 
 class TestKernel:
@@ -189,19 +219,36 @@ class TestStreamedTails:
             ]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_peak_memory_bounded_by_block(self):
-        # One block of 2^20 elements holds 8-byte Philox words, their 8-byte
-        # buckets and 1-byte indices: 17 bytes per element. 64 KiB covers the
-        # model's tables and the per-pair results. The full-array path held
-        # about 256 MB at this size.
-        bound = 17 * MC_BLOCK_ELEMENTS + 64 * 1024
+    @staticmethod
+    def _traced_mc_peak(workers, m_max=160):
+        """Traced peak bytes of a 100k-trajectory hypercube8 run, and its bound.
+
+        Each worker holds one block of 1-byte indices and one draw chunk:
+        8-byte Philox words, their 8-byte bucket shift and 1-byte indices, 17
+        bytes per chunk word. 64 KiB covers the model's tables, the kernel's
+        per-row state and the per-pair results. The full-array path held about
+        256 MB at this size, the unchunked draw about 17.8 MB per worker.
+        """
+        bound = workers * (mc_block_rows(m_max) * m_max + 17 * DRAW_CHUNK_WORDS + 64 * 1024)
         model = hypercube_model(8)
+        # the first run imports numpy.random (and the thread pool), about 0.7 MB
+        # of module objects that are not the MC path's own memory
+        coalescence_tail_mc(model.rmr, [(0, 255)], [m_max], samples=10, seed=2, workers=workers)
         tracemalloc.start()
         try:
-            coalescence_tail_mc(model.rmr, [(0, 255)], [160], samples=100_000, seed=2)
+            coalescence_tail_mc(model.rmr, [(0, 255)], [m_max], samples=100_000, seed=2,
+                                workers=workers)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, bound
+
+    def test_peak_memory_bounded_by_block(self):
+        peak, bound = self._traced_mc_peak(workers=1)
+        assert peak <= bound
+
+    def test_peak_memory_bounded_per_worker(self):
+        peak, bound = self._traced_mc_peak(workers=2)
         assert peak <= bound
 
     @pytest.mark.parametrize("kwargs, flag", [
