@@ -75,7 +75,6 @@ from qcoupling.models import (
     path_graph,
 )
 from qcoupling.quantize import (
-    certify_cp_by_congruence,
     choi_matrix,
     c_star_superop,
     is_completely_positive,
@@ -84,6 +83,7 @@ from qcoupling.quantize import (
     min_choi_eigenvalue,
     quantized_coupling,
     superop_from_kraus,
+    verify_cp,
 )
 
 EXIT_OK = 0
@@ -276,12 +276,12 @@ def cmd_validate(args) -> int:
         rep = validate_chain(rm.chain)
         summary["chain"] = {"valid": rep.valid, "issues": rep.issues, **rep.details}
         ok = ok and rep.valid
-    try:
-        C = rm.coupling()
-    except (InvalidInputError, GuardExceededError) as exc:
-        summary["coupling"] = {"skipped": str(exc)}
+    if rm.instance is None and rm._coupling is None:  # a chain file without --coupling
+        summary["coupling"] = {"skipped": f"model {rm.name} has no coupling"}
     else:
-        rep = validate_coupling(C)
+        # an MC-only model's guard and an invalid mapping propagate (exit 3
+        # and 2): a check that never ran is not a pass
+        rep = validate_coupling(rm.coupling())
         summary["coupling"] = {"valid": rep.valid, "issues": rep.issues, **rep.details}
         ok = ok and rep.valid
     summary["pass"] = ok
@@ -292,30 +292,30 @@ def cmd_validate(args) -> int:
 def _quantize_summary(rm: ResolvedModel, order: str):
     """Choi matrix of C* and the quantize summary.
 
-    C* is built once, for the Choi matrix and for the channel T. The
-    coupling and T are dropped on return; only the CSR Choi matrix, whose
-    nonzeros the Choi CSV lists, is kept.
+    C* is built once, for the channel T and for the Choi matrix J. Each map
+    gets its own support eigensolve: T's CP verdict comes from
+    :func:`verify_cp` on T, and ``cp`` from J's spectrum. T, T* and T's Choi
+    matrix are dropped before J is built, so they never share the peak with
+    it. Only the CSR Choi matrix, whose nonzeros the Choi CSV lists, is kept.
     """
     C = rm.coupling()
     S = c_star_superop(C)
-    J = choi_matrix(S, order=order)
-    eigs = J.eigenvalues
-    summary = {
-        "model": rm.name,
-        "order": order,
-        "choi_min_eigenvalue": float(min_choi_eigenvalue(J)),
-        "choi_eigenvalues": eigs.tolist(),
-        "choi_eigenvalue_sum": float(eigs.sum()),
-        "cp": bool(is_completely_positive(J)),
-    }
+    summary = {"model": rm.name, "order": order}
     if C.marginal_verified and validate_coupling(C).valid:
-        T, _ = quantized_coupling(C, rm.pi, c_star=S)
-        certify_cp_by_congruence(T, J, rm.pi)
+        T = quantized_coupling(C, rm.pi, c_star=S)[0]
+        verify_cp(T)
         summary["trace_preserving"] = True  # asserted inside quantized_coupling
         summary["fixed_point_holds"] = True
         summary["channel_cp"] = T.cp_status == "verified"
+        del T
     else:
         summary["channel_skipped"] = "coupling is not a verified stochastic coupling"
+    J = choi_matrix(S, order=order)
+    eigs = J.eigenvalues
+    summary["choi_min_eigenvalue"] = float(min_choi_eigenvalue(J))
+    summary["choi_eigenvalues"] = eigs.tolist()
+    summary["choi_eigenvalue_sum"] = float(eigs.sum())
+    summary["cp"] = bool(is_completely_positive(J))
     return J, summary
 
 
@@ -330,7 +330,14 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
+def _check_m_max(args):
+    """Reject a negative --m-max before any work is done."""
+    if args.m_max < 0:
+        raise InvalidInputError(f"--m-max must be >= 0, got {args.m_max}")
+
+
 def cmd_coalesce(args) -> int:
+    _check_m_max(args)
     if not args.mc:
         for dest in ("m_grid", "samples", "seed", "workers"):
             if getattr(args, dest) is not None:
@@ -381,6 +388,7 @@ def _seeded_rng(seed: int) -> np.random.Generator:
 
 
 def cmd_evolve(args) -> int:
+    _check_m_max(args)
     rm = _load_inputs(args)
     if rm.rmr is None:
         raise InvalidInputError("evolve needs a random-mapping model (CP channel)")
@@ -402,10 +410,7 @@ def cmd_evolve(args) -> int:
         rho0 = random_density(n, _seeded_rng(args.seed))
     else:
         raise InvalidInputError(f"unknown --rho0 {args.rho0!r}")
-    ks = kraus_from_grand(rm.rmr, rm.pi)
-    T = superop_from_kraus(ks)
-    if T.cp_status != "verified":
-        raise InvalidInputError("channel failed the complete-positivity check")
+    T = superop_from_kraus(kraus_from_grand(rm.rmr, rm.pi))
     report = coalescence_tail_exact(rm.exact_coupling(), m_max=args.m_max)
     trace = evolve_trace(T, rho0, qsample(rm.pi), args.m_max, report=report)
     summary = {
@@ -420,6 +425,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_m_max(args)
     rm = _load_inputs(args)
     if rm.rmr is None or rm.instance is None:
         raise InvalidInputError("verify needs a named random-mapping model")

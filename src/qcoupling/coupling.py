@@ -134,8 +134,8 @@ class RandomMappingRep:
         nr = len(self.r_labels)
         if probs.shape != (nr,):
             raise InvalidInputError("probs must have one entry per randomness value")
-        if probs.min() < 0 or abs(probs.sum() - 1.0) > ATOL_INPUT:
-            raise InvalidInputError("Pr(r) must be nonnegative and sum to 1 within 1e-12")
+        if not (probs.min() >= 0 and abs(probs.sum() - 1.0) <= ATOL_INPUT):  # NaN fails
+            raise InvalidInputError("Pr(r) must be finite, nonnegative and sum to 1 within 1e-12")
         if table.ndim != 2 or table.shape[1] != nr:
             raise InvalidInputError(f"table must be N x {nr}, got {table.shape}")
         n = table.shape[0]
@@ -484,14 +484,14 @@ def coalescence_tail_exact(
     ``expected_time`` the tails are summed past m_max until they fall below
     ``expectation_tol``, giving E[tau_coal] with a stated truncation.
     """
+    if m_max < 0:
+        raise InvalidInputError(f"m_max must be >= 0, got {m_max}")
     n = coupling.n
     if n > EXACT_GUARD_N:
         raise GuardExceededError(
             f"exact mode guarded at N <= {EXACT_GUARD_N}; N = {n}. Use coalescence_tail_mc."
         )
     C = pair_transition(coupling)
-    if m_max < 0:
-        raise InvalidInputError("m_max must be nonnegative")
     off = _offdiag_mask(n)
     pairs = _offdiag_pairs(n)
     pair_cols = np.flatnonzero(off)  # pair_index of each pair, in the order of pairs

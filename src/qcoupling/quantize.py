@@ -9,7 +9,6 @@ precision; the maps built here have real matrix representations throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,9 @@ class Superoperator:
     converted), and ``apply`` is a sparse mat-vec.
     ``cp_status`` is one of "unchecked" / "verified" / "failed" and travels
     with the map; apply_channel refuses to label outputs as states unless the
-    map is CP-verified.
+    map is CP-verified. One rule sets it: :func:`superop_from_kraus` stamps
+    its maps "verified" by construction, and every other map is stamped by
+    :func:`verify_cp` from its own Choi spectrum.
     """
 
     dim: int
@@ -95,11 +96,13 @@ class KrausSet:
         for T in ops:
             if T.shape != (self.dim, self.dim):
                 raise InvalidInputError("all Kraus operators must be dim x dim")
+            if not np.isfinite(T).all():  # superop_from_kraus's CP stamp relies on it
+                raise InvalidInputError("Kraus operators must be finite")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(len(ops))))
         total = sum(T.T @ T for T in ops)
         err = np.max(np.abs(total - np.eye(self.dim)))
-        if err > ATOL_COMPUTED:
+        if not err <= ATOL_COMPUTED:  # NaN where the products overflow
             raise InvalidInputError(
                 f"Kraus condition sum T_r^T T_r = I violated by {err:.3g}"
             )
@@ -262,17 +265,19 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
 
     Only the nonzeros of each kron(T_r, T_r) are formed; for the Kraus
     operators of a grand coupling that is at most |R| per row. The entries
-    equal those of the dense sum bit for bit (:func:`kron_square_sum`). The CP
-    status comes from :func:`certify_kraus_cp` on the assembled matrix.
+    equal those of the dense sum bit for bit (:func:`kron_square_sum`).
+
+    The map is stamped CP-verified by construction: its map-first Choi
+    matrix is sum_r u_r u_r^T with u_r[i*N + x] = T_r[i, x] (Choi 1975), a
+    sum of outer products and so PSD. That needs finite Kraus operators,
+    which :class:`KrausSet` guarantees.
     """
     factors = []
     for T in ks.ops:
         rows, cols = np.nonzero(T)
         factors.append((rows, cols, T[rows, cols]))
     S = kron_square_sum(factors, np.ones(len(ks.ops)), ks.dim)
-    out = Superoperator(dim=ks.dim, matrix=S, kind="T_from_kraus")
-    certify_kraus_cp(out, ks.ops)
-    return out
+    return Superoperator(dim=ks.dim, matrix=S, kind="T_from_kraus", cp_status="verified")
 
 
 def _choi_positions(S: Superoperator, order: str):
@@ -308,129 +313,22 @@ def min_choi_eigenvalue(J: ChoiMatrix) -> float:
     return float(J.eigenvalues[0])
 
 
-def _cp_tolerance(values: np.ndarray, cp_tol_rel: float = CP_TOL_REL) -> float:
-    """Scale-free CP tolerance cp_tol_rel * max|J| from the entries of J or of
-    its superoperator S: J permutes S's entries, so both give the same max."""
-    largest = max(float(values.max(initial=0.0)), -float(values.min(initial=0.0)))
-    return cp_tol_rel * max(largest, 1e-300)
+def is_completely_positive(J: ChoiMatrix) -> bool:
+    """lambda_min(J) >= -CP_TOL_REL * max|J|, a scale-free tolerance."""
+    largest = float(np.abs(J.matrix.data).max(initial=0.0))
+    return min_choi_eigenvalue(J) >= -CP_TOL_REL * max(largest, 1e-300)
 
 
-def is_completely_positive(J: ChoiMatrix, cp_tol_rel: float = CP_TOL_REL) -> bool:
-    return min_choi_eigenvalue(J) >= -_cp_tolerance(J.matrix.data, cp_tol_rel)
+def verify_cp(S: Superoperator) -> ChoiMatrix:
+    """Stamp S.cp_status from the spectrum of S's own Choi matrix.
 
-
-def verify_cp(S: Superoperator, cp_tol_rel: float = CP_TOL_REL) -> ChoiMatrix:
-    """Compute the Choi matrix and stamp S.cp_status accordingly."""
+    This is the CP rule for every map not built by :func:`superop_from_kraus`:
+    the support eigensolve of Choi(S), with the tolerance
+    ``CP_TOL_REL * max|J|``. Returns the Choi matrix (map-first order).
+    """
     J = choi_matrix(S)
-    S.cp_status = "verified" if is_completely_positive(J, cp_tol_rel) else "failed"
+    S.cp_status = "verified" if is_completely_positive(J) else "failed"
     return J
-
-
-# CP certificates: verdicts of verify_cp without its dense eigensolve. Each
-# bounds lambda_min of the map's Choi matrix and stamps the map only when the
-# bounds decide the test lambda_min >= -CP_TOL_REL * max|J| either way;
-# otherwise verify_cp decides.
-
-
-def _choi_residual(S: Superoperator, keys: np.ndarray, form: np.ndarray) -> float:
-    """Frobenius norm of Choi_map_first(S) - F, where F holds ``form`` at the
-    sorted flat positions ``keys`` (row * N^2 + column) and is zero elsewhere.
-
-    Only the stored entries of S and of F are visited: where both have one
-    the difference counts, elsewhere each side's own entries do.
-    """
-    rows, cols, values = _choi_positions(S, "map_first")
-    s_keys = rows.astype(np.int64) * S.dim**2 + cols
-    pos = np.searchsorted(keys, s_keys)
-    inside = pos < keys.size
-    inside[inside] = keys[pos[inside]] == s_keys[inside]
-    diff = np.array(form, dtype=float)
-    diff[pos[inside]] -= values[inside]
-    outside = values[~inside]
-    return math.sqrt(float(np.vdot(diff, diff)) + float(np.vdot(outside, outside)))
-
-
-def _kraus_residual(S: Superoperator, ops: list[np.ndarray]) -> float:
-    """Frobenius norm of Choi(S) - sum_r u_r u_r^T, with u_r[i*N + x] = T_r[i, x].
-
-    The form is evaluated straight from the Kraus operators, at the positions
-    where it can be nonzero: products of two nonzeros of one T_r. It is added
-    up one r at a time, so no more than one u_r u_r^T is held beside it.
-    """
-    n2 = S.dim**2
-    support = []
-    for T in ops:
-        p = np.flatnonzero(T)  # u_r's nonzeros, row-major as u_r[i*N + x]
-        support.append((p, (p[:, None] * n2 + p[None, :]).ravel()))
-    keys = np.unique(np.concatenate([k for _, k in support]))
-    form = np.zeros(keys.size)
-    for T, (p, k) in zip(ops, support):
-        u = T.ravel()[p]
-        form[np.searchsorted(keys, k)] += (u[:, None] * u[None, :]).ravel()
-    return _choi_residual(S, keys, form)
-
-
-def certify_kraus_cp(S: Superoperator, ops: list[np.ndarray]) -> str:
-    """Stamp S CP-verified if it is the Kraus map rho -> sum_r T_r rho T_r^T.
-
-    That map's Choi matrix is sum_r u_r u_r^T (Choi 1975), which is PSD, so
-    by Weyl's inequality lambda_min(Choi(S)) >= -||Choi(S) - sum_r u_r u_r^T||_F.
-    A residual within the CP tolerance therefore passes the test verify_cp
-    applies. Any other S goes to verify_cp.
-    """
-    if _kraus_residual(S, ops) <= _cp_tolerance(S.matrix.data):
-        S.cp_status = "verified"
-    else:
-        verify_cp(S)
-    return S.cp_status
-
-
-def _congruence_residual(T: Superoperator, J: ChoiMatrix, k: np.ndarray) -> float:
-    """Frobenius norm of Choi_map_first(T) - K Choi_basis_first(C*) K, K = diag(k),
-    with the form evaluated at the nonzeros of J."""
-    n = T.dim
-    rows, cols, form = _nonzero_entries(J.matrix)
-    if J.order == "map_first":  # to the basis-first positions
-        rows, cols = swap_pair(rows, n), swap_pair(cols, n)
-    form = form * k[cols] * k[rows]
-    keys = rows.astype(np.int64) * n * n + cols
-    sort = np.argsort(keys)
-    return _choi_residual(T, keys[sort], form[sort])
-
-
-def certify_cp_by_congruence(T: Superoperator, J: ChoiMatrix, pi: Distribution) -> str:
-    """Stamp the similarity-route T from the already computed spectrum of J = Choi(C*).
-
-    Choi_map_first(T) = K Choi_basis_first(C*) K with the positive diagonal
-    K = diag(kron(sqrt(pi), 1/sqrt(pi))), so by Ostrowski's theorem
-    lambda_min(Choi(T)) = theta * lambda_min(J) for some theta in
-    [min K^2, max K^2] (Sylvester's law of inertia is the sign part). The
-    congruence is checked entrywise on the actual matrices; its Frobenius
-    residual and a backward-error allowance for J's computed spectrum widen
-    the bounds (Weyl). Bounds that straddle the CP tolerance fall back to
-    verify_cp.
-    """
-    n = T.dim
-    if J.dim != n or pi.n != n:
-        raise InvalidInputError("channel, Choi matrix and pi dimensions differ")
-    d = np.sqrt(pi.weights)
-    k = np.kron(d, 1.0 / d)  # K's diagonal
-    residual = _congruence_residual(T, J, k)
-
-    eigs = J.eigenvalues
-    lam = float(eigs[0])
-    slack = n * n * np.finfo(float).eps * max(abs(lam), abs(float(eigs[-1])))
-    k2 = (float(k.min()) ** 2, float(k.max()) ** 2)
-    lo = min(c * (lam - slack) for c in k2) - residual
-    hi = max(c * (lam + slack) for c in k2) + residual
-    tol = _cp_tolerance(T.matrix.data)
-    if lo >= -tol:
-        T.cp_status = "verified"
-    elif hi < -tol:
-        T.cp_status = "failed"
-    else:
-        verify_cp(T)
-    return T.cp_status
 
 
 def apply_channel(channel, rho):

@@ -54,7 +54,9 @@ def coupling_4tensor(C) -> np.ndarray:
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Count verify_cp calls made from inside the CP certificates."""
+    """Record the maps passed to quantize.verify_cp through the module attribute:
+    the calls made inside qcoupling.quantize. A test's own verify_cp, imported
+    by name, is not recorded."""
     calls = []
     verify_cp = quantize.verify_cp
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qcoupling import coupling
+from qcoupling import cli, coupling
 from qcoupling.cli import main
 
 
@@ -84,6 +84,59 @@ class TestExitCodes:
         assert run(*argv, "--out", str(tmp_path)) == 2
         assert "--states" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+def mapping_files(tmp_path, prob=None, table=None):
+    """hypercube1's chain and random-mapping files (2 states, 2 values of r);
+    ``prob`` replaces Pr(r) of the first r and ``table`` the successor table."""
+    out = tmp_path / "model"
+    assert run("model", "--model", "hypercube1", "--out", str(out)) == 0
+    doc = load_summary(out, "model-hypercube1")
+    if prob is not None:
+        doc["coupling"]["R"][0]["prob"] = prob
+    if table is not None:
+        doc["coupling"]["f"] = table
+    paths = tmp_path / "chain.json", tmp_path / "mapping.json"
+    for path, part in zip(paths, ("chain", "coupling")):
+        path.write_text(json.dumps(doc[part]))  # a NaN is written as NaN, which json reads
+    return [str(p) for p in paths]
+
+
+class TestMappingFiles:
+    @pytest.mark.parametrize("prob", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("subcommand", ["coalesce", "validate", "quantize"])
+    def test_non_finite_probability_is_invalid_input(self, tmp_path, capsys, subcommand, prob):
+        chain, mapping = mapping_files(tmp_path, prob=prob)
+        capsys.readouterr()
+        argv = (subcommand, "--chain", chain, "--coupling", mapping)
+        assert run(*argv, "--out", str(tmp_path / "o")) == 2
+        assert "Pr(r) must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestValidate:
+    def test_chain_without_coupling_is_skipped(self, tmp_path):
+        chain, _ = mapping_files(tmp_path)
+        assert run("validate", "--chain", chain, "--out", str(tmp_path / "o")) == 0
+        doc = load_summary(tmp_path / "o", "validate-chain")
+        assert doc["coupling"] == {"skipped": "model chain has no coupling"}
+        assert doc["chain"]["valid"] and doc["pass"]
+
+    def test_mc_only_model_is_guard(self, tmp_path, capsys):
+        # hypercube7 has no dense chain or coupling: nothing could be checked
+        assert run("validate", "--model", "hypercube7", "--out", str(tmp_path / "o")) == 3
+        assert "MC-only" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("table", [[[0, 1], [0, 1]], [[0, 0], [1, 2]]])
+    def test_invalid_mapping_is_invalid_input(self, tmp_path, capsys, table):
+        # a table that does not reproduce the chain, and one with an out-of-range successor
+        chain, mapping = mapping_files(tmp_path, table=table)
+        capsys.readouterr()
+        assert run("validate", "--chain", chain, "--coupling", mapping,
+                   "--out", str(tmp_path / "o")) == 2
+        assert "mapping.json" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestQuantize:
@@ -314,6 +367,23 @@ class TestModelAndConfig:
                                     **{flag: value})
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand", ["coalesce", "evolve", "verify"])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_negative_m_max_names_flag(self, tmp_path, capsys, monkeypatch, via, subcommand):
+        # rejected before any work: the model is never resolved
+        def unreachable(name, args):
+            raise AssertionError("model resolved before --m-max was checked")
+
+        monkeypatch.setattr(cli, "resolve_model", unreachable)
+        if via == "flags":
+            code = run(subcommand, "--model", "hypercube2", "--m-max", "-1",
+                       "--out", str(tmp_path / "o"))
+        else:
+            code = self._run_config(tmp_path, subcommand, model="hypercube2", m_max=-1)
+        assert code == 2
+        assert "--m-max must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_switch_takes_bool(self, tmp_path, capsys):

@@ -229,6 +229,14 @@ class TestCutReport:
             assert cut.t_couple == fresh.t_couple == (t if m >= t else None)
             assert cut.pairs == fresh.pairs and np.array_equal(cut.m_values, fresh.m_values)
 
+    def test_negative_m_max_rejected_before_pair_operator(self, hypercube2, monkeypatch):
+        def unreachable(c):
+            raise AssertionError("pair operator built before m_max was checked")
+
+        monkeypatch.setattr(coupling, "pair_transition", unreachable)
+        with pytest.raises(InvalidInputError, match="m_max must be >= 0, got -1"):
+            coalescence_tail_exact(hypercube2.rmr, m_max=-1)
+
     def test_rejects_uncovered_m_and_mc_reports(self, hypercube2):
         full = coalescence_tail_exact(hypercube2.rmr, m_max=5)
         for m in (-1, 6):

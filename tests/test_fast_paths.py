@@ -2,9 +2,10 @@
 
 - the trace identity evolved with a sparse C* against the dense matmul;
 - the CSR superoperators against the dense reshapes they replaced: the
-  Choi scatter, the re-indexed C* of a dense coupling, the rescaled T*, and
-  the congruence residual;
-- the Kraus and congruence CP certificates against verify_cp's eigensolve;
+  Choi scatter, the re-indexed C* of a dense coupling and the rescaled T*;
+- the one CP rule: superop_from_kraus's CP-by-construction stamp against
+  verify_cp's eigensolve, and quantize's two eigensolves (C*'s Choi matrix
+  and the similarity-route T's) agreeing in both factor orders;
 - matrix_to_csv, and the Choi CSV that quantize writes: the dense matrix
   rebuilt from its triplets against the dense reference, bit for bit, and
   the text against a per-cell formatter on that reference;
@@ -34,16 +35,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import coupling_4tensor, random_ergodic_chain
-from qcoupling import evolve, quantize
+from qcoupling import cli, evolve
 from qcoupling.chain import ATOL_COMPUTED, ATOL_INPUT, Distribution, TransitionMatrix
-from qcoupling.cli import emit_report, main, resolve_model
+from qcoupling.cli import _quantize_summary, emit_report, main, resolve_model
 from qcoupling.coupling import (
     CouplingMatrix,
     _offdiag_pairs,
     coalescence_tail_exact,
     grand_coupling_operator,
     independent_coupling,
-    swap_pair,
     validate_coupling,
 )
 from qcoupling.csr import Csr
@@ -63,8 +63,6 @@ from qcoupling.quantize import (
     ChoiMatrix,
     Superoperator,
     c_star_superop,
-    certify_cp_by_congruence,
-    certify_kraus_cp,
     choi_matrix,
     kraus_from_grand,
     matrix_to_csv,
@@ -159,25 +157,18 @@ def _row_block_t_star(C: CouplingMatrix, pi: Distribution) -> np.ndarray:
     return S
 
 
-def _blockwise_congruence_residual(T: np.ndarray, J: ChoiMatrix, k: np.ndarray) -> float:
-    """||Choi_map_first(T) - K Choi_basis_first(C*) K||_F one block at a time."""
-    n = J.dim
-    k = k.reshape(n, n)  # K's diagonal at (i, x)
-    choi_t = T.reshape(n, n, n, n).transpose(1, 3, 0, 2)  # axes (i, x, j, y)
-    J4 = J.matrix.toarray().reshape(n, n, n, n)
-    choi_c = J4 if J.order == "basis_first" else J4.transpose(1, 0, 3, 2)
-    total = 0.0
-    for b in range(n):
-        diff = choi_c[b] * k
-        diff *= k[b][:, None, None]
-        np.subtract(choi_t[b], diff, out=diff)
-        total += float(np.vdot(diff, diff))
-    return float(np.sqrt(total))
-
-
 def _assert_bit_identical(a: np.ndarray, b: np.ndarray):
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _similarity_channel(C: CouplingMatrix, pi: Distribution) -> Superoperator:
+    """T of the similarity route; built directly where quantized_coupling refuses C."""
+    if C.marginal_verified and validate_coupling(C).valid:
+        return quantized_coupling(C, pi)[0]
+    s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
+    S_c = c_star_superop(C).matrix
+    return Superoperator(C.n, (S_c.toarray() * (s[None, :] / s[:, None])).T)
 
 
 def _bundled_superops(name):
@@ -240,121 +231,24 @@ class TestCsrSuperoperators:
         _assert_bit_identical(T_star.matrix.toarray(), ref)
         _assert_bit_identical(T.matrix.toarray(), ref.T)
 
-    @pytest.mark.parametrize("order", ["basis_first", "map_first"])
-    @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE)
-    def test_congruence_residual_equals_blockwise(self, name, order):
-        m = _model(name, bias=0.7)
-        C = m.coupling()
-        J = choi_matrix(c_star_superop(C), order=order)
-        T = _similarity_channel(C, m.pi)
-        k = np.kron(np.sqrt(m.pi.weights), 1.0 / np.sqrt(m.pi.weights))
-        np.testing.assert_allclose(
-            quantize._congruence_residual(T, J, k),
-            _blockwise_congruence_residual(T.matrix.toarray(), J, k), rtol=1e-12, atol=0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-           zero_share=st.sampled_from([0.0, 0.5, 0.9]),
-           order=st.sampled_from(["map_first", "basis_first"]))
-    def test_property_congruence_residual(self, n, seed, zero_share, order):
-        # T congruent to a perturbed J: the residual is far from zero
-        rng = np.random.Generator(np.random.Philox(seed))
-        pi = Distribution(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
-        J = _choi_with_min_eigenvalue(n, -0.5, rng) if n > 1 else np.ones((1, 1))
-        J[rng.random(J.shape) < zero_share] = 0.0
-        J = 0.5 * (J + J.T)
-        T = _congruent_channel(J + rng.standard_normal(J.shape), pi)
-        J_c = ChoiMatrix(n, J, "basis_first")
-        J_c = J_c if order == "basis_first" else J_c.swapped()
-        k = np.kron(np.sqrt(pi.weights), 1.0 / np.sqrt(pi.weights))
-        np.testing.assert_allclose(
-            quantize._congruence_residual(T, J_c, k),
-            _blockwise_congruence_residual(T.matrix.toarray(), J_c, k), rtol=1e-12, atol=0)
-
 
 # ---------------------------------------------------------------------------
-# Kraus certificate
+# One CP rule: Kraus-built maps are CP by construction, every other map is
+# judged by its own Choi spectrum
 
 
-class TestKrausCertificate:
+class TestOneCpRule:
     @pytest.mark.parametrize("name", RMR_MODELS)
-    def test_verdict_matches_verify_cp(self, name, eigensolves):
+    def test_kraus_stamp_matches_verify_cp(self, name, eigensolves):
         m = _model(name)
         S = superop_from_kraus(kraus_from_grand(m.rmr, m.pi))
         assert S.cp_status == _reference_status(S) == "verified"
-        assert eigensolves == []
+        assert eigensolves == []  # stamped without an eigensolve
 
     def test_matrix_equals_kron_sum(self, hypercube3):
         ks = kraus_from_grand(hypercube3.rmr, hypercube3.pi)
         S = superop_from_kraus(ks)
         np.testing.assert_array_equal(S.matrix.toarray(), sum(np.kron(T, T) for T in ks.ops))
-
-    def test_non_cp_kraus_shaped_map_fails(self, hypercube2, eigensolves):
-        # sum_r s_r kron(T_r, T_r) with one s_r = -1: Kraus-shaped, not CP
-        ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
-        signs = [1.0] * (len(ks.ops) - 1) + [-1.0]
-        S = Superoperator(ks.dim, sum(s * np.kron(T, T) for s, T in zip(signs, ks.ops)))
-        assert _reference_status(S) == "failed"
-        assert certify_kraus_cp(S, ks.ops) == "failed"
-        assert eigensolves == [S]
-
-    def test_perturbation_beyond_tolerance_reaches_eigensolve(self, hypercube2, eigensolves):
-        ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
-        S = superop_from_kraus(ks)
-        bumped = Superoperator(S.dim, S.matrix.toarray() + 1e-6 * np.eye(S.dim**2))
-        assert certify_kraus_cp(bumped, ks.ops) == _reference_status(bumped)
-        assert eigensolves == [bumped]
-
-
-# ---------------------------------------------------------------------------
-# Congruence certificate
-
-
-def _similarity_channel(C: CouplingMatrix, pi: Distribution) -> Superoperator:
-    """T of the similarity route; built directly where quantized_coupling refuses C."""
-    if C.marginal_verified and validate_coupling(C).valid:
-        return quantized_coupling(C, pi)[0]
-    s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
-    S_c = c_star_superop(C).matrix
-    return Superoperator(C.n, (S_c.toarray() * (s[None, :] / s[:, None])).T)
-
-
-def _superop_from_map_first_choi(J: np.ndarray, n: int) -> Superoperator:
-    """Inverse of choi_matrix(S, "map_first")."""
-    return Superoperator(n, J.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n))
-
-
-def _congruent_channel(J_bf: np.ndarray, pi: Distribution) -> Superoperator:
-    """T with Choi_map_first(T) = K J_bf K, K = diag(kron(sqrt(pi), 1/sqrt(pi)))."""
-    d = np.sqrt(pi.weights)
-    k = np.kron(d, 1.0 / d)
-    return _superop_from_map_first_choi(k[:, None] * J_bf * k[None, :], pi.n)
-
-
-def _choi_with_min_eigenvalue(n: int, lam: float, rng) -> np.ndarray:
-    """Symmetric N^2 x N^2 matrix: PSD of rank N^2 - 1, plus lam on the null vector."""
-    G = rng.standard_normal((n * n, n * n - 1))
-    Q, _ = np.linalg.qr(np.column_stack([G, rng.standard_normal(n * n)]))
-    v = Q[:, -1]  # orthogonal to the range of G
-    J = G @ G.T + lam * np.outer(v, v)
-    return 0.5 * (J + J.T)
-
-
-class TestCongruenceCertificate:
-    @pytest.mark.parametrize("order", ["basis_first", "map_first"])
-    @pytest.mark.parametrize(
-        "name", RMR_MODELS + DENSE_MODELS + ["cycle3-printed", "cycle5-printed"]
-    )
-    def test_verdict_matches_verify_cp(self, name, order, eigensolves):
-        m = _model(name, bias=0.7)
-        C = m.coupling()
-        J = choi_matrix(c_star_superop(C), order=order)
-        T = _similarity_channel(C, m.pi)
-        # grand couplings quantize to channels; the cycle couplings do not
-        want = "failed" if name.startswith("cycle") else "verified"
-        assert _reference_status(T) == want
-        assert certify_cp_by_congruence(T, J, m.pi) == want
-        assert eigensolves == []
 
     def test_congruence_holds_entrywise(self, hardcore_p3_lam2):
         C, pi = hardcore_p3_lam2.coupling(), hardcore_p3_lam2.pi
@@ -366,51 +260,26 @@ class TestCongruenceCertificate:
             choi_matrix(T).matrix.toarray(), k[:, None] * J_bf * k[None, :], rtol=0, atol=1e-15
         )
 
-    def test_nonuniform_pi_non_cp_decided_without_eigensolve(self, eigensolves):
-        n = 3
-        rng = np.random.Generator(np.random.Philox(5))
-        pi = Distribution(np.array([0.2, 0.3, 0.5]))
-        J = _choi_with_min_eigenvalue(n, -0.5, rng)
-        T = _congruent_channel(J, pi)
-        assert certify_cp_by_congruence(T, ChoiMatrix(n, J, "basis_first"), pi) == "failed"
-        assert _reference_status(T) == "failed"
-        assert eigensolves == []
+    @pytest.mark.parametrize("name,bias", [(name, 0.5) for name in RMR_MODELS] + [
+        (name, bias) for name in ALL_DENSE for bias in (0.5, 0.7, 0.9, 1.0)])
+    def test_quantize_orders_agree(self, name, bias):
+        # Choi(T) is congruent to Choi(C*) (test_congruence_holds_entrywise),
+        # so their two eigensolves must give one verdict, in either order
+        m = _model(name, bias=bias)
+        want = not name.startswith("cycle")  # grand couplings are CP, the cycle ones are not
+        for order in ("map_first", "basis_first"):
+            summary = _quantize_summary(m, order)[1]
+            assert summary["cp"] == want
+            # the printed variant is no stochastic coupling, so it has no channel
+            assert ("channel_cp" in summary) == (not name.endswith("printed"))
+            assert summary.get("channel_cp", want) == want
 
-    def test_inconclusive_band_reaches_eigensolve(self, eigensolves):
-        # pi_max / pi_min = 4 puts lambda_min(Choi(T)) in [4 lam, lam / 4]; a lam
-        # near -tol straddles the CP threshold, so only the eigensolve can decide
-        n = 2
-        rng = np.random.Generator(np.random.Philox(9))
-        pi = Distribution(np.array([0.2, 0.8]))
-        J = _choi_with_min_eigenvalue(n, 0.0, rng)
-        tol = quantize.CP_TOL_REL * np.max(np.abs(choi_matrix(_congruent_channel(J, pi)).matrix.toarray()))
-        J = _choi_with_min_eigenvalue(n, -tol, np.random.Generator(np.random.Philox(9)))
-        T = _congruent_channel(J, pi)
-        status = certify_cp_by_congruence(T, ChoiMatrix(n, J, "basis_first"), pi)
-        assert eigensolves == [T]
-        assert status == _reference_status(T)
-
-    def test_unrelated_choi_reaches_eigensolve(self, hypercube2, eigensolves):
-        # a Choi matrix of another coupling is not congruent to Choi(T)
-        other = independent_coupling(hypercube2.chain)
-        J = choi_matrix(c_star_superop(other), order="basis_first")
-        T, _ = quantized_coupling(hypercube2.coupling(), hypercube2.pi)
-        assert certify_cp_by_congruence(T, J, hypercube2.pi) == "verified"
-        assert eigensolves == [T]
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(2, 3),
-        seed=st.integers(0, 2**32 - 1),
-        lam=st.sampled_from([-1.0, -1e-3, -1e-8, -1e-9, -1e-10, 0.0, 1e-9, 0.5]),
-    )
-    def test_property_verdict_matches_verify_cp(self, n, seed, lam):
-        rng = np.random.Generator(np.random.Philox(seed))
-        pi = Distribution(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
-        J = _choi_with_min_eigenvalue(n, lam, rng)
-        T = _congruent_channel(J, pi)
-        status = certify_cp_by_congruence(T, ChoiMatrix(n, J, "basis_first"), pi)
-        assert status == _reference_status(T)
+    def test_similarity_channel_gets_its_own_eigensolve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "verify_cp", lambda S: calls.append(S) or verify_cp(S))
+        _quantize_summary(_model("hypercube2"), "basis_first")
+        [T] = calls
+        assert T.kind == "T" and T.cp_status == "verified"
 
 
 # ---------------------------------------------------------------------------
@@ -748,19 +617,6 @@ def _dense_swapped(J: np.ndarray, n: int) -> np.ndarray:
     return J.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
 
 
-def _dense_congruence_residual(T: Superoperator, J: np.ndarray, order: str, k) -> float:
-    """_congruence_residual as computed on a dense J."""
-    n = T.dim
-    rows, cols = np.nonzero(J)
-    form = J[rows, cols]
-    if order == "map_first":
-        rows, cols = swap_pair(rows, n), swap_pair(cols, n)
-    form = form * k[cols] * k[rows]
-    keys = rows.astype(np.int64) * n * n + cols
-    sort = np.argsort(keys)
-    return quantize._choi_residual(T, keys[sort], form[sort])
-
-
 def _assert_choi_matches_dense(J: ChoiMatrix, dense: np.ndarray):
     assert isinstance(J.matrix, Csr)
     _assert_bit_identical(J.eigenvalues, _dense_support_eigenvalues(dense))
@@ -777,12 +633,7 @@ class TestCsrChoi:
         m = _model(name, bias=0.7)
         C = m.coupling()
         J = choi_matrix(c_star_superop(C), order=order)
-        dense = J.matrix.toarray()
-        _assert_choi_matches_dense(J, dense)
-        T = _similarity_channel(C, m.pi)
-        k = np.kron(np.sqrt(m.pi.weights), 1.0 / np.sqrt(m.pi.weights))
-        assert quantize._congruence_residual(T, J, k) == _dense_congruence_residual(
-            T, dense, order, k)
+        _assert_choi_matches_dense(J, J.matrix.toarray())
 
     def test_counterexample_fixture(self):
         fx = load_counterexample_fixture()
@@ -803,21 +654,6 @@ class TestCsrChoi:
         J[zero, :] = 0.0
         J[:, zero] = 0.0
         _assert_choi_matches_dense(ChoiMatrix(n, J), J)
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-           zero_share=st.sampled_from([0.0, 0.5, 0.9]),
-           order=st.sampled_from(["map_first", "basis_first"]))
-    def test_property_congruence_residual(self, n, seed, zero_share, order):
-        rng = np.random.Generator(np.random.Philox(seed))
-        pi = Distribution(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
-        J = rng.standard_normal((n * n, n * n))
-        J[rng.random(J.shape) < zero_share] = 0.0
-        J = 0.5 * (J + J.T)
-        T = _congruent_channel(J + rng.standard_normal(J.shape), pi)
-        k = np.kron(np.sqrt(pi.weights), 1.0 / np.sqrt(pi.weights))
-        assert quantize._congruence_residual(T, ChoiMatrix(n, J, order), k) == (
-            _dense_congruence_residual(T, J, order, k))
 
     @settings(max_examples=100, deadline=None)
     @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5)), seed=st.integers(0, 2**32 - 1),

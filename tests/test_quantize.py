@@ -113,6 +113,21 @@ class TestQuantizedCoupling:
         with pytest.raises(InvalidInputError, match="Kraus condition"):
             KrausSet(dim=2, ops=[np.eye(2), np.eye(2)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kraus_operator_rejected(self, hypercube2, bad):
+        # superop_from_kraus stamps its map CP-verified by construction, so a
+        # non-finite operator must never reach it
+        ops = kraus_from_grand(hypercube2.rmr, hypercube2.pi).ops
+        ops[0][0, 0] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            KrausSet(dim=4, ops=ops)
+
+    def test_overflowing_kraus_condition_rejected(self):
+        # finite operators whose products overflow: sum T_r^T T_r holds inf and NaN
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidInputError, match="Kraus condition"):
+            KrausSet(dim=2, ops=[np.array([[1e200, 1e200], [1e200, -1e200]])])
+
 
 class TestChoi:
     def test_orders_share_spectrum(self, hypercube2):

@@ -10,8 +10,6 @@ replaced, kept here:
 - the sparse cycle and independent-coupling constructions against their
   dense 4-tensor constructions, bit for bit;
 - the grand-coupling operator, built once per mapping and read-only;
-- the Kraus residual added up one r at a time against the einsum over the
-  (|R|, nnz) gather;
 - the blockwise dilation operators W, W^T, P, R, R0 and G against the dense
   block_diag / kron products, and the batched channel route against the
   per-eigenvector loop;
@@ -62,15 +60,7 @@ from qcoupling.dilation import (
 )
 from qcoupling.evolve import random_density
 from qcoupling.models import cycle_coupling_model
-from qcoupling.quantize import (
-    KrausSet,
-    Superoperator,
-    _choi_residual,
-    _kraus_residual,
-    c_star_superop,
-    kraus_from_grand,
-    superop_from_kraus,
-)
+from qcoupling.quantize import KrausSet, c_star_superop, kraus_from_grand
 
 RMR_MODELS = [
     "hypercube2", "hypercube3", "hypercube4", "colorings-k3-q4", "colorings-path2-q4",
@@ -292,56 +282,6 @@ class TestOperatorCache:
         monkeypatch.setattr(coupling_module, "kron_square_sum", counting)
         assert main(["verify", "--model", "hypercube6", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
-
-
-# ---------------------------------------------------------------------------
-# Kraus residual one r at a time
-
-
-def _einsum_kraus_residual(S: Superoperator, ops: list[np.ndarray]) -> float:
-    """The residual over the (|R|, nnz) gather that _kraus_residual replaced."""
-    n2 = S.dim**2
-    flat = np.stack(ops).reshape(len(ops), n2)
-    keys = []
-    for u in flat:
-        p = np.flatnonzero(u)
-        keys.append((p[:, None] * n2 + p[None, :]).ravel())
-    keys = np.unique(np.concatenate(keys))
-    rows, cols = np.divmod(keys, n2)
-    form = np.einsum("rk,rk->k", flat[:, rows], flat[:, cols])
-    return _choi_residual(S, keys, form)
-
-
-def _assert_residual_matches(S: Superoperator, ops: list[np.ndarray]):
-    got, want = _kraus_residual(S, ops), _einsum_kraus_residual(S, ops)
-    scale = max(1.0, float(np.abs(S.matrix.data).max(initial=0.0)))
-    assert abs(got - want) <= 1e-13 * scale * max(1.0, want)
-
-
-class TestKrausResidual:
-    @pytest.mark.parametrize("name", RMR_MODELS + ["hypercube6", "hardcore-path8"])
-    def test_bundled_models(self, name):
-        m = _model(name)
-        ks = kraus_from_grand(m.rmr, m.pi)
-        T = superop_from_kraus(ks)
-        assert T.cp_status == "verified"
-        _assert_residual_matches(T, ks.ops)
-        # both this form and the superoperator add the r terms in order from 0
-        assert _kraus_residual(T, ks.ops) == 0.0
-        off = Superoperator(T.dim, T.matrix.toarray() * (1.0 + 1e-3))
-        _assert_residual_matches(off, ks.ops)
-        assert _kraus_residual(off, ks.ops) > 0.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 4), n_ops=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-           density=st.sampled_from([0.3, 0.6, 1.0]), noise=st.sampled_from([0.0, 1e-6, 0.5]))
-    def test_property(self, n, n_ops, seed, density, noise):
-        rng = _rng(seed)
-        ops = [rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
-               for _ in range(n_ops)]
-        S = sum(np.kron(T, T) for T in ops)
-        S = S + noise * rng.random(S.shape) * (rng.random(S.shape) < 0.3)
-        _assert_residual_matches(Superoperator(n, S), ops)
 
 
 # ---------------------------------------------------------------------------
