@@ -4,8 +4,10 @@
 - the CSR superoperators against the dense reshapes they replaced: the
   Choi scatter, the re-indexed C* of a dense coupling and the rescaled T*;
 - the one CP rule: superop_from_kraus's CP-by-construction stamp against
-  verify_cp's eigensolve, and quantize's two eigensolves (C*'s Choi matrix
-  and the similarity-route T's) agreeing in both factor orders;
+  verify_cp's eigensolve, a Kraus-shaped matrix that is no Kraus map judged
+  by its own spectrum, the congruence between Choi(T) and C*'s Choi matrix in
+  either factor order, and quantize's two eigensolves (C*'s Choi matrix and
+  the similarity-route T's) agreeing in both factor orders;
 - matrix_to_csv, and the Choi CSV that quantize writes: the dense matrix
   rebuilt from its triplets against the dense reference, bit for bit, and
   the text against a per-cell formatter on that reference;
@@ -36,7 +38,13 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import coupling_4tensor, random_ergodic_chain
 from qcoupling import cli, evolve
-from qcoupling.chain import ATOL_COMPUTED, ATOL_INPUT, Distribution, TransitionMatrix
+from qcoupling.chain import (
+    ATOL_COMPUTED,
+    ATOL_INPUT,
+    Distribution,
+    TransitionMatrix,
+    stationary_distribution,
+)
 from qcoupling.cli import _quantize_summary, emit_report, main, resolve_model
 from qcoupling.coupling import (
     CouplingMatrix,
@@ -171,6 +179,16 @@ def _similarity_channel(C: CouplingMatrix, pi: Distribution) -> Superoperator:
     return Superoperator(C.n, (S_c.toarray() * (s[None, :] / s[:, None])).T)
 
 
+def _assert_congruent(T: Superoperator, J: ChoiMatrix, pi: Distribution):
+    """Choi(T) = K J_bf K entrywise, J_bf = J in basis-first order."""
+    J_bf = (J if J.order == "basis_first" else J.swapped()).matrix.toarray()
+    d = np.sqrt(pi.weights)
+    k = np.kron(d, 1.0 / d)
+    np.testing.assert_allclose(
+        choi_matrix(T).matrix.toarray(), k[:, None] * J_bf * k[None, :], rtol=1e-14, atol=0
+    )
+
+
 def _bundled_superops(name):
     """Every superoperator the pipeline builds for one bundled model."""
     m = _model(name, bias=0.7)
@@ -259,6 +277,33 @@ class TestOneCpRule:
         np.testing.assert_allclose(
             choi_matrix(T).matrix.toarray(), k[:, None] * J_bf * k[None, :], rtol=0, atol=1e-15
         )
+
+    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
+    @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE)
+    def test_congruence_holds_in_either_order(self, name, order):
+        # Choi(T) = K Choi_basis_first(C*) K, K = diag(kron(sqrt(pi), 1/sqrt(pi))),
+        # whichever factor order C*'s Choi matrix was built in
+        m = _model(name, bias=0.7)
+        C = m.coupling()
+        _assert_congruent(_similarity_channel(C, m.pi), choi_matrix(c_star_superop(C), order), m.pi)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           order=st.sampled_from(["map_first", "basis_first"]))
+    def test_property_congruence_independent_coupling(self, n, seed, order):
+        P = random_ergodic_chain(n, np.random.Generator(np.random.Philox(seed)))
+        C, pi = independent_coupling(P), stationary_distribution(P)
+        _assert_congruent(_similarity_channel(C, pi), choi_matrix(c_star_superop(C), order), pi)
+
+    def test_kraus_shaped_matrix_is_judged_by_its_spectrum(self, hypercube2):
+        # sum_r s_r kron(T_r, T_r) with one s_r = -1 has the Kraus form's sparsity,
+        # but it is no Kraus map: it is unstamped until its own eigensolve fails it
+        ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
+        signs = [1.0] * (len(ks.ops) - 1) + [-1.0]
+        S = Superoperator(ks.dim, sum(s * np.kron(T, T) for s, T in zip(signs, ks.ops)))
+        assert S.cp_status == "unchecked"
+        verify_cp(S)
+        assert S.cp_status == "failed"
 
     @pytest.mark.parametrize("name,bias", [(name, 0.5) for name in RMR_MODELS] + [
         (name, bias) for name in ALL_DENSE for bias in (0.5, 0.7, 0.9, 1.0)])
