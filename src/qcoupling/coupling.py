@@ -31,10 +31,10 @@ from qcoupling.kernels import coalescence_counts
 COUPLING_THRESHOLD = 0.25  # t_couple crossing level
 EXACT_GUARD_N = 64  # largest state count for exact pair-space work and dense chains
 MC_BLOCK_ELEMENTS = 1 << 20  # randomness elements drawn and held per MC block
-# Philox words per draw call: the chunk's 8-byte words, their 8-byte bucket shift
+# 64-bit words per draw call: the chunk's 8-byte words, their 8-byte bucket shift
 # and the 1 MiB block of 1-byte indices fit together in a 2 MiB L2 cache
 DRAW_CHUNK_WORDS = 1 << 15
-CDF_BUCKET_BITS = 12  # inverse-CDF buckets are indexed by a Philox word's top bits
+CDF_BUCKET_BITS = 12  # inverse-CDF buckets are indexed by a random word's top bits
 
 
 def pair_index(x: int, y: int, n: int) -> int:
@@ -134,7 +134,7 @@ class RandomMappingRep:
         nr = len(self.r_labels)
         if probs.shape != (nr,):
             raise InvalidInputError("probs must have one entry per randomness value")
-        if not (probs.min() >= 0 and abs(probs.sum() - 1.0) <= ATOL_INPUT):  # NaN fails
+        if not (probs.min(initial=0.0) >= 0 and abs(probs.sum() - 1.0) <= ATOL_INPUT):  # NaN fails
             raise InvalidInputError("Pr(r) must be finite, nonnegative and sum to 1 within 1e-12")
         if table.ndim != 2 or table.shape[1] != nr:
             raise InvalidInputError(f"table must be N x {nr}, got {table.shape}")
@@ -537,7 +537,7 @@ def coalescence_tail_exact(
 
 
 class _InverseCDF:
-    """Exact inverse CDF of Pr(r) applied to raw 64-bit Philox words.
+    """Exact inverse CDF of Pr(r) applied to raw 64-bit generator words.
 
     ``Generator.random`` turns a word w into the uniform u = (w >> 11) * 2**-53,
     so with b = CDF_BUCKET_BITS the bucket floor(u * 2**b) is w >> (64 - b),
@@ -568,14 +568,14 @@ class _InverseCDF:
 
 
 def mc_block_rows(m_max: int) -> int:
-    """Trajectories per randomness block, a multiple of 4 (at least 4).
+    """Trajectories per randomness block (at least one).
 
     A block holds at most MC_BLOCK_ELEMENTS randomness indices, 1 byte each
     (2 when |R| >= 256). Taking m_max as at least 4 keeps the kernel's per-row
     state (about 33 bytes a row) within a few bytes per element when m_max is
     tiny.
     """
-    return max(4, MC_BLOCK_ELEMENTS // max(m_max, 4) // 4 * 4)
+    return max(1, MC_BLOCK_ELEMENTS // max(m_max, 4))
 
 
 def _draw_block(
@@ -583,20 +583,20 @@ def _draw_block(
 ) -> np.ndarray:
     """Randomness indices of trajectories start .. start + rows - 1 for one start pair.
 
-    Trajectory t reads words t * m_max .. (t + 1) * m_max - 1 of the Philox
-    stream keyed by (seed, pair_slot). Philox yields 4 words per counter step
-    and ``start`` is a multiple of 4, so ``advance`` reaches the block's first
-    word exactly, and the blocks reproduce the full (samples, m_max) draw.
+    Trajectory t reads words t * m_max .. (t + 1) * m_max - 1 of the
+    PCG64DXSM stream keyed by (seed, pair_slot). PCG64DXSM steps one 64-bit
+    word at a time, so ``advance`` reaches the block's first word exactly for
+    any ``start``, and blocks of any row count reproduce the full
+    (samples, m_max) draw.
 
     The words are drawn in chunks of whole trajectories, about
     DRAW_CHUNK_WORDS words each (at least one trajectory), and each chunk's
     indices are written straight into the Fortran-ordered block, whose
-    column ``step`` the kernel reads contiguously. Philox keeps the unused
-    words of its last counter step between ``random_raw`` calls, so chunks of
-    any size, multiples of 4 words or not, continue one stream.
+    column ``step`` the kernel reads contiguously. ``random_raw`` buffers
+    nothing between calls, so chunks of any size continue one stream.
     """
-    bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(pair_slot,)))
-    bits.advance(start * m_max // 4)
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(entropy=seed, spawn_key=(pair_slot,)))
+    bits.advance(start * m_max)
     out = np.empty((rows, m_max), dtype=inverse_cdf.code.dtype, order="F")
     if m_max:
         step = max(1, DRAW_CHUNK_WORDS // m_max)  # whole trajectories, at least one
@@ -617,7 +617,7 @@ def coalescence_tail_mc(
     """Monte Carlo tails with normal-approximation 95% CIs.
 
     Deterministic given (seed, samples): trajectory t of start-pair slot s
-    uses row t of a Philox stream keyed by (seed, s). The stream is drawn in
+    uses row t of a PCG64DXSM stream keyed by (seed, s). The stream is drawn in
     blocks of ``mc_block_rows(m_max)`` trajectories, each passed to the kernel
     and dropped, so memory stays O(MC_BLOCK_ELEMENTS + DRAW_CHUNK_WORDS) per
     worker. With ``workers`` > 1 the blocks run on that many threads; the
@@ -778,6 +778,13 @@ def rmr_to_json_dict(rmr: RandomMappingRep) -> dict:
     }
 
 
+def _numeric_array(value, name: str, dtype) -> np.ndarray:
+    try:
+        return np.array(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be a rectangular numeric array") from exc
+
+
 def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
     """Load either a dense CouplingMatrix or a RandomMappingRep.
 
@@ -788,8 +795,13 @@ def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidInputError("coupling JSON must be an object with a 'kind' field")
     kind = doc["kind"]
+    if kind not in ("dense", "rmr"):
+        raise InvalidInputError(f"unknown coupling kind {kind!r}")
+    for key in ("C",) if kind == "dense" else ("R", "f"):
+        if key not in doc:
+            raise InvalidInputError(f"coupling JSON of kind {kind!r} missing field {key!r}")
     if kind == "dense":
-        entries = np.array(doc["C"], dtype=float)
+        entries = _numeric_array(doc["C"], "field 'C'", float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidInputError("field 'C' must be a square nested array")
         n2 = entries.shape[0]
@@ -801,16 +813,21 @@ def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
             P = entries[np.ix_(diag_idx, diag_idx)]
             base = TransitionMatrix(tuple(str(i) for i in range(n)), P)
         return CouplingMatrix(base=base, entries=entries)
-    if kind == "rmr":
-        rs = doc["R"]
-        table = np.array(doc["f"], dtype=np.int64).T
-        labels = tuple(str(r["label"]) for r in rs)
-        probs = np.array([r["prob"] for r in rs], dtype=float)
-        if base is None:
-            n = table.shape[0]
-            base = TransitionMatrix(tuple(str(i) for i in range(n)), induced_entries(table, probs))
-        return RandomMappingRep(base=base, r_labels=labels, probs=probs, table=table)
-    raise InvalidInputError(f"unknown coupling kind {kind!r}")
+    rs = doc["R"]
+    if not isinstance(rs, list) or not rs:
+        raise InvalidInputError("field 'R' must be a nonempty array")
+    for i, r in enumerate(rs):
+        if not (isinstance(r, dict) and "label" in r and "prob" in r):
+            raise InvalidInputError(f"field 'R' entry {i} needs fields 'label' and 'prob'")
+    table = _numeric_array(doc["f"], "field 'f'", np.int64).T
+    if table.ndim != 2 or table.shape[1] != len(rs):
+        raise InvalidInputError("field 'f' must hold one successor row per entry of 'R'")
+    labels = tuple(str(r["label"]) for r in rs)
+    probs = _numeric_array([r["prob"] for r in rs], "field 'R' prob values", float)
+    if base is None:
+        n = table.shape[0]
+        base = TransitionMatrix(tuple(str(i) for i in range(n)), induced_entries(table, probs))
+    return RandomMappingRep(base=base, r_labels=labels, probs=probs, table=table)
 
 
 def read_coupling_json(path, base: TransitionMatrix | None = None):

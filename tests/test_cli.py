@@ -138,6 +138,23 @@ class TestValidate:
         assert "mapping.json" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("coupling_doc, field", [
+        ({"kind": "rmr"}, "'R'"),
+        ({"kind": "dense"}, "'C'"),
+        ({"kind": "rmr", "R": [], "f": []}, "'R'"),
+        ({"kind": "rmr", "R": [{"prob": 0.5}, {"label": "b", "prob": 0.5}],
+          "f": [[0, 0], [1, 1]]}, "'label'"),
+    ], ids=["rmr-without-R", "dense-without-C", "empty-R", "R-entry-without-label"])
+    def test_malformed_coupling_names_field(self, tmp_path, capsys, coupling_doc, field):
+        chain, mapping = mapping_files(tmp_path)
+        Path(mapping).write_text(json.dumps(coupling_doc))
+        capsys.readouterr()
+        assert run("validate", "--chain", chain, "--coupling", mapping,
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "mapping.json" in err and field in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestQuantize:
     def test_printed_fixture_report(self, tmp_path):

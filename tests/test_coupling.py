@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from qcoupling.errors import (
     InvalidInputError,
     ThresholdNotReachedError,
 )
-from qcoupling.models import hypercube_model
+from qcoupling.models import hypercube_model, hypercube_worst_pair
 
 
 class TestValidateCoupling:
@@ -104,6 +105,11 @@ class TestRandomMappingRep:
                 base=None, r_labels=("r",), probs=np.array([1.0]),
                 table=np.array([[5]]),
             )
+
+    def test_empty_randomness_rejected(self):
+        with pytest.raises(InvalidInputError, match="sum to 1"):
+            RandomMappingRep(base=None, r_labels=(), probs=np.zeros(0),
+                             table=np.zeros((2, 0), dtype=np.int64))
 
     def test_base_free_mapping_allowed(self):
         rmr = RandomMappingRep(
@@ -249,12 +255,23 @@ class TestCutReport:
 
 class TestMonteCarlo:
     def test_matches_exact_within_ci(self, hypercube2):
-        exact = coalescence_tail_exact(hypercube2.coupling(), m_max=8)
-        mc = coalescence_tail_mc(
-            hypercube2.rmr, [(0, 3)], list(range(9)), samples=20_000, seed=5
-        )
-        for i, m in enumerate(mc.m_values):
-            assert abs(mc.tail_max[i] - exact.tail_at(int(m))) <= 3 * mc.ci_half[i]
+        # hypercube6 with 7001-element blocks: 333 rows of 21 words, so blocks
+        # start at odd words (6993 k) and the last of 20 000 trajectories is partial
+        cases = [
+            (hypercube2, (0, 3), 8, coupling.MC_BLOCK_ELEMENTS, [5]),
+            (hypercube_model(6), hypercube_worst_pair(6), 21, 7_001, [5, 17, 2026]),
+        ]
+        for model, pair, m_max, block, seeds in cases:
+            exact = coalescence_tail_exact(model.coupling(), m_max=m_max)
+            with mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", block):
+                for seed in seeds:
+                    mc = coalescence_tail_mc(
+                        model.rmr, [pair], list(range(m_max + 1)), samples=20_000, seed=seed
+                    )
+                    for i, m in enumerate(mc.m_values):
+                        assert abs(mc.tail_max[i] - exact.tail_at(int(m))) <= 3 * mc.ci_half[i]
+        with mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", 7_001):
+            assert coupling.mc_block_rows(21) == 333
 
     def test_worker_count_invariance(self, hypercube3):
         runs = [

@@ -1,7 +1,7 @@
 """Streamed Monte-Carlo tails against the full-array reference.
 
 The reference is the earlier MC path: draw the whole (samples, m_max) array of
-uniforms from one Philox stream per start pair, map it with ``searchsorted``
+uniforms from one PCG64DXSM stream per start pair, map it with ``searchsorted``
 and step every trajectory for every m. The streamed path must reproduce its
 indices and counts bit for bit.
 """
@@ -32,7 +32,7 @@ from qcoupling.models import hypercube_model
 
 def reference_draw(probs, samples, m_max, seed, pair_slot):
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(pair_slot,))
-    u = np.random.Generator(np.random.Philox(ss)).random((samples, m_max))
+    u = np.random.Generator(np.random.PCG64DXSM(ss)).random((samples, m_max))
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     return np.searchsorted(cum, u, side="right").astype(np.int64)
@@ -92,14 +92,20 @@ def mappings(draw):
     return RandomMappingRep(base=None, r_labels=labels, probs=probs, table=table)
 
 
+M_MAX_CHOICES = [0, 1, 7, 33, 64, 160]
+# mocked MC_BLOCK_ELEMENTS: 7 and 1001 give odd block rows (7 // 7 = 1, 1001 // 7
+# = 143, 1001 // 33 = 30 ...), so blocks start at odd word offsets
+BLOCK_CHOICES = [4, 7, 100, 1000, 1001, MC_BLOCK_ELEMENTS]
+
+
 @st.composite
 def mc_problems(draw):
     rmr = draw(mappings())
-    m_max = draw(st.sampled_from([0, 1, 7, 33, 64, 160]))
+    m_max = draw(st.sampled_from(M_MAX_CHOICES))
     grid = sorted(set(draw(st.lists(st.integers(0, m_max), max_size=5))) | {m_max})
     pairs = draw(st.lists(st.tuples(st.integers(0, rmr.n - 1), st.integers(0, rmr.n - 1)),
                           min_size=1, max_size=3))
-    block = draw(st.sampled_from([4, 100, 1000, MC_BLOCK_ELEMENTS]))
+    block = draw(st.sampled_from(BLOCK_CHOICES))
     with mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", block):
         rows = mc_block_rows(m_max)
     # sample counts that are and are not multiples of the block rows
@@ -132,7 +138,6 @@ class TestInverseCDF:
         assert _InverseCDF(np.array([0.3, 0.7])).straddle == 2
 
 
-M_MAX_CHOICES = [0, 1, 7, 33, 64, 160]
 
 
 def draw_in_blocks(probs, samples, m_max, seed, slot):
@@ -148,30 +153,30 @@ def draw_in_blocks(probs, samples, m_max, seed, slot):
 
 
 class TestStreamedDraw:
-    @settings(max_examples=25, deadline=None)
-    @given(weights, st.sampled_from(M_MAX_CHOICES), st.integers(1, 40),
-           st.integers(0, 2**32), st.integers(0, 3))
-    def test_blocks_reproduce_full_draw(self, w, m_max, extra, seed, slot):
+    @settings(max_examples=40, deadline=None)
+    @given(weights, st.sampled_from(M_MAX_CHOICES), st.sampled_from(BLOCK_CHOICES),
+           st.integers(1, 40), st.integers(0, 2**32), st.integers(0, 3))
+    def test_blocks_reproduce_full_draw(self, w, m_max, block, extra, seed, slot):
         probs = probs_from(w)
-        samples = mc_block_rows(m_max) + extra  # a partial second block
-        np.testing.assert_array_equal(
-            draw_in_blocks(probs, samples, m_max, seed, slot),
-            reference_draw(probs, samples, m_max, seed, slot),
-        )
+        with mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", block):
+            samples = mc_block_rows(m_max) + extra  # a partial last block
+            drawn = draw_in_blocks(probs, samples, m_max, seed, slot)
+        np.testing.assert_array_equal(drawn, reference_draw(probs, samples, m_max, seed, slot))
 
-    # chunks below one trajectory, word counts that are not multiples of
-    # Philox's 4-word step, and blocks whose last chunk is short
+    # chunks below one trajectory, odd word counts, and blocks whose last
+    # chunk is short
     @settings(max_examples=60, deadline=None)
     @given(weights, st.sampled_from(M_MAX_CHOICES),
            st.sampled_from([1, 3, 4, 7, "m_max - 1", DRAW_CHUNK_WORDS]),
+           st.sampled_from([7, 1001, 4_000]),
            st.integers(1, 40), st.integers(0, 2**32), st.integers(0, 3))
-    def test_chunks_reproduce_full_draw(self, w, m_max, chunk, extra, seed, slot):
+    def test_chunks_reproduce_full_draw(self, w, m_max, chunk, small_block, extra, seed, slot):
         probs = probs_from(w)
         if chunk == "m_max - 1":
             chunk = max(m_max - 1, 1)
         # small blocks keep one-word chunks quick; the default chunk keeps the
         # default block, which it splits into several chunks
-        block = MC_BLOCK_ELEMENTS if chunk == DRAW_CHUNK_WORDS else 4_000
+        block = MC_BLOCK_ELEMENTS if chunk == DRAW_CHUNK_WORDS else small_block
         with mock.patch.object(coupling, "DRAW_CHUNK_WORDS", chunk), \
                 mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", block):
             samples = mc_block_rows(m_max) + extra
@@ -224,7 +229,7 @@ class TestStreamedTails:
         """Traced peak bytes of a 100k-trajectory hypercube8 run, and its bound.
 
         Each worker holds one block of 1-byte indices and one draw chunk:
-        8-byte Philox words, their 8-byte bucket shift and 1-byte indices, 17
+        8-byte random words, their 8-byte bucket shift and 1-byte indices, 17
         bytes per chunk word. 64 KiB covers the model's tables, the kernel's
         per-row state and the per-pair results. The full-array path held about
         256 MB at this size, the unchunked draw about 17.8 MB per worker.
