@@ -71,7 +71,6 @@ from qcoupling.models import (
     default_start_pairs,
     hardcore_model,
     hypercube_model,
-    hypercube_worst_pair,
     path_graph,
 )
 from qcoupling.quantize import (
@@ -100,7 +99,8 @@ class ResolvedModel:
     """A named model resolved to its chain / coupling / mapping pieces.
 
     ``coupling`` is a :class:`CouplingMatrix` or, from a coupling file, a
-    :class:`RandomMappingRep`.
+    :class:`RandomMappingRep`; ``rmr`` is the random mapping of a bundled
+    instance or of a mapping file, None when there is none.
     """
 
     def __init__(self, name, chain=None, coupling=None, instance=None):
@@ -110,10 +110,10 @@ class ResolvedModel:
             instance.chain if instance else None
         )
         self._coupling = coupling
-
-    @property
-    def rmr(self):
-        return self.instance.rmr if self.instance else None
+        self.rmr: RandomMappingRep | None = (
+            instance.rmr if instance
+            else coupling if isinstance(coupling, RandomMappingRep) else None
+        )
 
     @property
     def pi(self):
@@ -124,23 +124,19 @@ class ResolvedModel:
     def coupling(self) -> CouplingMatrix:
         """The coupling as a sparse :class:`CouplingMatrix`; a random mapping's
         grand coupling wraps its cached pair-space operator and is validated."""
-        if isinstance(self._coupling, RandomMappingRep):
-            return grand_coupling_matrix(self._coupling)
+        if self.instance is not None:
+            return self.instance.coupling()  # an MC-only model's guard
+        if self.rmr is not None:
+            return grand_coupling_matrix(self.rmr)
         if self._coupling is not None:
             return self._coupling
-        if self.instance is not None:
-            return self.instance.coupling()
         raise InvalidInputError(f"model {self.name} has no coupling")
 
     def exact_coupling(self) -> CouplingMatrix | RandomMappingRep:
         """What the exact path runs on: a random mapping when there is one,
         so its pair-space operator is built once from the successor table,
         else the coupling matrix."""
-        if self.instance is not None:
-            return self.instance.rmr
-        if isinstance(self._coupling, RandomMappingRep):
-            return self._coupling
-        return self.coupling()
+        return self.rmr if self.rmr is not None else self.coupling()
 
 
 _MODEL_PATTERNS = [
@@ -301,7 +297,7 @@ def _quantize_summary(rm: ResolvedModel, order: str):
     C = rm.coupling()
     S = c_star_superop(C)
     summary = {"model": rm.name, "order": order}
-    if C.marginal_verified and validate_coupling(C).valid:
+    if validate_coupling(C).valid:
         T = quantized_coupling(C, rm.pi, c_star=S)[0]
         verify_cp(T)
         summary["trace_preserving"] = True  # asserted inside quantized_coupling
@@ -352,11 +348,7 @@ def cmd_coalesce(args) -> int:
         if rm.rmr is None:
             raise InvalidInputError("MC tails need a random-mapping model")
         grid = args.m_grid or _default_grid(args.m_max)
-        pairs = (
-            [hypercube_worst_pair(rm.instance.params["n"])]
-            if rm.instance and rm.instance.kind == "hypercube"
-            else default_start_pairs(rm.instance, count=5, seed=args.seed)
-        )
+        pairs = default_start_pairs(rm.instance or rm.rmr, count=5, seed=args.seed)
         report = coalescence_tail_mc(
             rm.rmr, pairs, grid, seed=args.seed,
             samples=100_000 if args.samples is None else args.samples,

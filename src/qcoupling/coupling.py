@@ -59,24 +59,17 @@ class CouplingMatrix:
     Construction performs only light structural checks so that deliberately
     broken or rescaled matrices (e.g. the ``printed`` counterexample fixture variant)
     remain constructible; use :func:`validate_coupling` for the full three
-    coupling conditions. ``marginal_verified`` is False for fixture-matching
-    constructions that are not stochastic couplings.
+    coupling conditions.
     """
 
     base: TransitionMatrix
     entries: Csr
-    marginal_verified: bool = True
     _validation: ValidationReport | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        entries = as_csr(self.entries)
-        keep = entries.data != 0
-        if not keep.all():  # stored zeros go
-            entries = Csr.from_coo(
-                entries.data[keep], entries.rows[keep], entries.indices[keep], entries.shape
-            )
+        entries = as_csr(self.entries).without_zeros()
         object.__setattr__(self, "entries", entries)
         n = self.base.n
         if entries.shape != (n * n, n * n):
@@ -91,6 +84,21 @@ class CouplingMatrix:
     @property
     def n(self) -> int:
         return self.base.n
+
+
+def _successor_table(table, name: str) -> np.ndarray:
+    """``table`` as int64 successor indices, shared when it is int64 already.
+
+    Integers and floats with integral int64 values are taken; booleans,
+    fractions and non-finite values are rejected, not cast.
+    """
+    table = np.asarray(table)
+    if table.dtype.kind == "f" and np.all((np.trunc(table) == table) & (abs(table) < 2.0**63)):
+        table = table.astype(np.int64)
+    if table.dtype.kind not in "iu":
+        raise InvalidInputError(
+            f"{name} must hold integer successor indices, not booleans or fractions")
+    return table.astype(np.int64, copy=False)
 
 
 def induced_entries(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -111,6 +119,7 @@ class RandomMappingRep:
     probabilities form a distribution and, when a base chain is attached, the
     induced marginal reproduces it entrywise within 1e-12. ``base`` may be
     None for state spaces too large to hold a dense chain (MC-only use).
+    A boolean or fractional ``table`` is rejected, never truncated.
     ``probs`` and ``table`` are made read-only (an input of the right dtype
     is shared, not copied), so the pair-space operator
     :func:`grand_coupling_operator` caches on the instance stays current.
@@ -126,7 +135,7 @@ class RandomMappingRep:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        table = np.asarray(self.table, dtype=np.int64)
+        table = _successor_table(self.table, "table")
         probs.flags.writeable = table.flags.writeable = False  # the operator cache relies on it
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "table", table)
@@ -179,7 +188,6 @@ class CoalescenceReport:
     t_couple: int | None = None
     expected_time_max: float | None = None
     expected_time_truncation: int | None = None
-    details: dict = field(default_factory=dict)
 
     def up_to(self, m: int) -> CoalescenceReport:
         """This exact report cut to the one a run to m_max = m gives, bit for bit:
@@ -363,13 +371,13 @@ def independent_coupling(P: TransitionMatrix) -> CouplingMatrix:
         raise NonErgodicError("independent coupling requires an ergodic base chain")
     n = P.n
     xp, x = np.nonzero(P.entries)
-    K = kron_square_sum([(xp, x, P.entries[xp, x])], [1.0], n)
-    apart = K.indices % (n + 1) != 0  # pair (x, x) has index x (N + 1)
+    data, rows, cols = kron_square_entries(P.entries)
+    apart = cols % (n + 1) != 0  # pair (x, x) has index x (N + 1)
     E = Csr.from_coo(
-        np.concatenate([K.data[apart], P.entries[xp, x]]),
-        np.concatenate([K.rows[apart], xp * (n + 1)]),
-        np.concatenate([K.indices[apart], x * (n + 1)]),
-        K.shape,
+        np.concatenate([data[apart], P.entries[xp, x]]),
+        np.concatenate([rows[apart], xp * (n + 1)]),
+        np.concatenate([cols[apart], x * (n + 1)]),
+        (n * n, n * n),
     )
     return CouplingMatrix(base=P, entries=E)
 
@@ -391,30 +399,19 @@ def grand_coupling_matrix(rmr: RandomMappingRep) -> CouplingMatrix:
     return C
 
 
-def kron_square_sum(factors, weights, n: int) -> Csr:
-    """sum_r weights[r] * kron(F_r, F_r), assembled from the nonzeros only.
-
-    Each n x n factor F_r is given as (rows, cols, values) of its nonzeros.
-    The entry at (i*n + j, k*n + l) of kron(F_r, F_r) is the single product
-    F_r[i, k] * F_r[j, l], as in ``np.kron``. Entries that land on the same
-    position are added in r order starting from 0.0 (``np.add.at`` is
-    unbuffered and sequential), so the result equals the dense
-    ``S = 0; S += w_r * kron(F_r, F_r)`` loop bit for bit.
-    """
-    rows, cols, vals = [], [], []
-    for (i, k, v), w in zip(factors, weights):
-        rows.append((i[:, None] * n + i[None, :]).ravel())
-        cols.append((k[:, None] * n + k[None, :]).ravel())
-        vals.append(w * (v[:, None] * v[None, :]).ravel())
-    n2 = n * n
-    keys = np.concatenate(rows) * n2 + np.concatenate(cols)
-    positions, slot = np.unique(keys, return_inverse=True)
-    data = np.zeros(positions.size)
-    np.add.at(data, slot, np.concatenate(vals))
-    keep = data != 0
-    positions, data = positions[keep], data[keep]
-    indptr = np.searchsorted(positions, np.arange(n2 + 1) * n2)
-    return Csr(data, positions % n2, indptr, (n2, n2))
+def kron_square_entries(F: np.ndarray):
+    """(data, rows, cols) of kron(F, F) at the products of F's nonzeros: the
+    entry at (i*n + j, k*n + l) is F[i, k] * F[j, l], as in ``np.kron``. Given
+    to :meth:`Csr.from_coo`, the entries of several factors add up at each
+    cell in factor order, as in the dense ``S += kron(F_r, F_r)`` loop."""
+    n = F.shape[0]
+    i, k = np.nonzero(F)
+    v = F[i, k]
+    return (
+        (v[:, None] * v[None, :]).ravel(),
+        (i[:, None] * n + i[None, :]).ravel(),
+        (k[:, None] * n + k[None, :]).ravel(),
+    )
 
 
 def grand_coupling_operator(rmr: RandomMappingRep) -> Csr:
@@ -422,21 +419,25 @@ def grand_coupling_operator(rmr: RandomMappingRep) -> Csr:
 
     C = sum_r Pr(r) kron(F_r, F_r) with F_r[f(x, r), x] = 1, so column
     idx(x, y) holds Pr(r) at row idx(f(x, r), f(y, r)): at most |R| nonzeros
-    per column. It is a coupling by construction: both marginals are the
-    induced chain, which :class:`RandomMappingRep` checks against its base;
-    a diagonal start (x, x) only reaches diagonal pairs (f(x, r), f(x, r));
-    and swapping the components maps the column of (x, y) onto that of
-    (y, x) with the same weights. The base chain is not needed.
+    per column. :meth:`Csr.from_coo` takes these entries in (r, x, y) order
+    and adds those that meet at a cell in r order; a cell that sums to zero,
+    as one reached only by values with Pr(r) = 0 does, is not stored. It is
+    a coupling by construction: both marginals are the induced chain, which
+    :class:`RandomMappingRep` checks against its base; a diagonal start
+    (x, x) only reaches diagonal pairs (f(x, r), f(x, r)); and swapping the
+    components maps the column of (x, y) onto that of (y, x) with the same
+    weights. The base chain is not needed.
 
     Built on the first call and cached on ``rmr``, so every later call, and
     :func:`grand_coupling_matrix`, returns the same (immutable) matrix.
     """
     if rmr._operator is None:
         n = rmr.n
-        x = np.arange(n)
-        ones = np.ones(n)
-        factors = [(rmr.table[:, r], x, ones) for r in range(rmr.n_r)]
-        object.__setattr__(rmr, "_operator", kron_square_sum(factors, rmr.probs, n))
+        f = rmr.table.T  # f[r, x] = f(x, r)
+        rows = (f[:, :, None] * n + f[:, None, :]).ravel()
+        cols = np.tile(np.arange(n * n), rmr.n_r)
+        C = Csr.from_coo(np.repeat(rmr.probs, n * n), rows, cols, (n * n, n * n))
+        object.__setattr__(rmr, "_operator", C.without_zeros())
     return rmr._operator
 
 
@@ -819,7 +820,10 @@ def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
     for i, r in enumerate(rs):
         if not (isinstance(r, dict) and "label" in r and "prob" in r):
             raise InvalidInputError(f"field 'R' entry {i} needs fields 'label' and 'prob'")
-    table = _numeric_array(doc["f"], "field 'f'", np.int64).T
+    f = _numeric_array(doc["f"], "field 'f'", float)
+    if f.ndim == 2 and any(isinstance(v, bool) for row in doc["f"] for v in row):
+        f = f.astype(bool)  # rejected below: JSON true and false are no indices
+    table = _successor_table(f, "field 'f'").T
     if table.ndim != 2 or table.shape[1] != len(rs):
         raise InvalidInputError("field 'f' must hold one successor row per entry of 'R'")
     labels = tuple(str(r["label"]) for r in rs)

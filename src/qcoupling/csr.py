@@ -2,13 +2,15 @@
 operator, superoperator and Choi matrix.
 
 A :class:`Csr` is immutable and canonical: within each row the column indices
-are strictly ascending, so a cell is stored at most once. Stored zeros are
-kept, as in scipy's canonical form. Each operation gives the bits that the
-same operation on a ``scipy.sparse.csr_array`` with these arrays gives: the
-products ``M @ v`` and ``v @ M`` take 1-D operands only and add a row's or a
-column's terms in storage order, starting from 0.0, as scipy's
-``csr_matvec`` and ``csc_matvec`` do. scipy is not imported: the tests use it
-as the oracle for every operation.
+are strictly ascending, so a cell is stored at most once. Every matrix is
+assembled by :meth:`Csr.from_coo`, which keeps stored zeros, as scipy's
+canonical form does; :meth:`Csr.without_zeros` is the one place they go.
+Each operation gives the bits that the same operation on a
+``scipy.sparse.csr_array`` with these arrays gives: the products ``M @ v``
+and ``v @ M`` take 1-D operands only and add a row's or a column's terms in
+storage order, starting from 0.0, as scipy's ``csr_matvec`` and
+``csc_matvec`` do. scipy is not imported: the tests use it as the oracle for
+every operation.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class Csr:
         if M.ndim != 2:
             raise ValueError(f"need a 2-D array, got shape {M.shape}")
         rows, cols = np.nonzero(M)
-        return cls(M[rows, cols], cols, np.searchsorted(rows, np.arange(M.shape[0] + 1)), M.shape)
+        return cls.from_coo(M[rows, cols], rows, cols, M.shape)
 
     def __repr__(self) -> str:
         return f"Csr(shape={self.shape}, nnz={self.nnz})"
@@ -102,10 +104,15 @@ class Csr:
     @property
     def T(self) -> Csr:
         """The transpose: entries stably sorted by column, as scipy's CSR to CSC."""
-        order = np.argsort(self.indices, kind="stable")
-        cols = self.indices[order]
-        indptr = np.searchsorted(cols, np.arange(self.shape[1] + 1))
-        return Csr(self.data[order], self.rows[order], indptr, self.shape[::-1])
+        return Csr.from_coo(self.data, self.indices, self.rows, self.shape[::-1])
+
+    def without_zeros(self) -> Csr:
+        """This matrix without its stored zeros, as scipy's ``eliminate_zeros``:
+        -0.0 goes, NaN stays. A matrix that stores no zero is returned itself."""
+        keep = self.data != 0
+        if keep.all():
+            return self
+        return Csr.from_coo(self.data[keep], self.rows[keep], self.indices[keep], self.shape)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)

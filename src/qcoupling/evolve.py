@@ -10,7 +10,7 @@ resulting convergence theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class ConvergenceTrace:
     classical_tail_max: np.ndarray | None = None
     qperp_bound: np.ndarray | None = None
     theorem_envelope: np.ndarray | None = None
-    details: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         cols = ["m", "trace_distance", "qperp_overlap"]

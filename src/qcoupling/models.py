@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -88,9 +88,10 @@ def complete_graph(n: int) -> GraphSpec:
 class ModelInstance:
     """A realized model: chain, grand coupling mapping, and rate constant.
 
-    ``chain`` is None for state spaces beyond the exact guard (MC-only use);
-    ``rate`` is the coalescence rate constant in the tail envelope
-    n_sites * exp(-m * rate / n_sites), None when the model has no such bound.
+    ``chain`` is None for state spaces beyond the exact guard (MC-only use),
+    and ``exact`` says whether there is one. ``rate`` is the coalescence rate
+    constant in the tail envelope n_sites * exp(-m * rate / n_sites), None when
+    the model has no such bound.
     """
 
     kind: str
@@ -101,16 +102,18 @@ class ModelInstance:
     pi: Distribution
     n_sites: int
     rate: float | None = None
-    exact: bool = True
-    details: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return len(self.state_labels)
 
+    @property
+    def exact(self) -> bool:
+        return self.chain is not None
+
     def coupling(self) -> CouplingMatrix:
         """The grand coupling as a validated :class:`CouplingMatrix` (sparse)."""
-        if not self.exact or self.chain is None:
+        if not self.exact:
             raise GuardExceededError(
                 f"model {self.kind} with {self.n} states is MC-only; "
                 "no dense coupling matrix is built"
@@ -138,9 +141,8 @@ def hypercube_model(n: int) -> ModelInstance:
             columns.append((states & ~bit) | (bit if b else 0))
     table = np.stack(columns, axis=1)
     probs = np.full(2 * n, 1.0 / (2 * n))
-    exact = n_states <= EXACT_GUARD_N
     chain = None
-    if exact:
+    if n_states <= EXACT_GUARD_N:
         chain = TransitionMatrix(
             labels,
             induced_entries(table, probs),
@@ -155,7 +157,6 @@ def hypercube_model(n: int) -> ModelInstance:
         pi=Distribution(np.full(n_states, 1.0 / n_states)),
         n_sites=n,
         rate=1.0,  # coupon-collector envelope n * exp(-m / n)
-        exact=exact,
     )
 
 
@@ -187,8 +188,8 @@ def cycle_coupling_model(
     probability p, -1 with probability q = 1 - p); diagonal starts make
     identical lazy moves. The ``printed`` variant doubles the
     off-diagonal-start transition weights so the resulting Choi matrix matches
-    the checked-in 9x9 fixture; it is a fixture-matching construction only and
-    is flagged as not marginal-verified.
+    the checked-in 9x9 fixture; it is a fixture-matching construction only,
+    and :func:`validate_coupling` fails it on stochasticity and marginals.
     """
     if n < 3:
         raise InvalidInputError("cycle needs n >= 3")
@@ -223,10 +224,7 @@ def cycle_coupling_model(
     cols = np.concatenate([np.flatnonzero(starts) for _, _, starts in moves])
     vals = np.concatenate([np.full(np.count_nonzero(starts), v) for _, v, starts in moves])
     E = Csr.from_coo(vals, rows, cols, (n * n, n * n))
-    coupling = CouplingMatrix(
-        base=chain, entries=E, marginal_verified=variant != "printed"
-    )
-    return chain, coupling
+    return chain, CouplingMatrix(base=chain, entries=E)
 
 
 def load_counterexample_fixture() -> dict:
@@ -282,10 +280,9 @@ def colorings_model(g: GraphSpec, q: int) -> ModelInstance:
                     y[v] = k
                     table[i, r] = index[tuple(y)]
     probs = np.full(g.n * q, 1.0 / (g.n * q))
-    exact = n_states <= EXACT_GUARD_N
     chain = (
         TransitionMatrix(tuple("".join(map(str, x)) for x in states), induced_entries(table, probs))
-        if exact
+        if n_states <= EXACT_GUARD_N
         else None
     )
     rmr = RandomMappingRep(base=chain, r_labels=tuple(r_labels), probs=probs, table=table)
@@ -298,7 +295,6 @@ def colorings_model(g: GraphSpec, q: int) -> ModelInstance:
         pi=Distribution(np.full(n_states, 1.0 / n_states)),
         n_sites=g.n,
         rate=1.0 - 3.0 * g.max_degree / q,  # c_met(Delta, q)
-        exact=exact,
     )
 
 
@@ -325,7 +321,6 @@ def hardcore_model(g: GraphSpec, lam: float) -> ModelInstance:
     ]
     index = {x: i for i, x in enumerate(states)}
     n_states = len(states)
-    exact = n_states <= EXACT_GUARD_N
 
     heads = lam / (1.0 + lam)
     r_labels, prob_list, columns = [], [], []
@@ -349,7 +344,7 @@ def hardcore_model(g: GraphSpec, lam: float) -> ModelInstance:
     pi = Distribution(weights / weights.sum())
     chain = (
         TransitionMatrix(tuple("".join(map(str, x)) for x in states), induced_entries(table, probs))
-        if exact
+        if n_states <= EXACT_GUARD_N
         else None
     )
     rmr = RandomMappingRep(base=chain, r_labels=tuple(r_labels), probs=probs, table=table)
@@ -362,7 +357,6 @@ def hardcore_model(g: GraphSpec, lam: float) -> ModelInstance:
         pi=pi,
         n_sites=g.n,
         rate=(1.0 + lam * (1.0 - g.max_degree)) / (1.0 + lam),  # c_H(lambda)
-        exact=exact,
     )
 
 
@@ -370,9 +364,15 @@ def hardcore_model(g: GraphSpec, lam: float) -> ModelInstance:
 # Rate envelopes
 
 
-def default_start_pairs(model: ModelInstance, count: int, seed: int) -> list[tuple[int, int]]:
-    """Heuristic worst-case start pairs for MC tail estimation."""
-    if model.kind == "hypercube":
+def default_start_pairs(
+    model: ModelInstance | RandomMappingRep, count: int, seed: int
+) -> list[tuple[int, int]]:
+    """Heuristic worst-case start pairs for MC tail estimation.
+
+    A hypercube gives its all-zeros vs all-ones pair; any other model, and a
+    mapping read from a file, gives ``count`` seeded pairs over its N states.
+    """
+    if isinstance(model, ModelInstance) and model.kind == "hypercube":
         return [hypercube_worst_pair(model.params["n"])]
     if seed < 0:
         raise InvalidInputError(f"--seed must be >= 0, got {seed}")

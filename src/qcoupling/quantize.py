@@ -20,7 +20,7 @@ from qcoupling.coupling import (
     RandomMappingRep,
     grand_coupling_operator,
     independent_coupling,
-    kron_square_sum,
+    kron_square_entries,
     swap_pair,
     validate_coupling,
 )
@@ -57,7 +57,6 @@ class Superoperator:
 
     dim: int
     matrix: Csr
-    kind: str = "generic"
     cp_status: str = "unchecked"
 
     def __post_init__(self):
@@ -76,8 +75,7 @@ class Superoperator:
 
     def adjoint(self) -> "Superoperator":
         """Hilbert-Schmidt adjoint (transpose of the matrix; real case)."""
-        return Superoperator(self.dim, self.matrix.T, kind=self.kind + "_adjoint",
-                             cp_status=self.cp_status)
+        return Superoperator(self.dim, self.matrix.T, cp_status=self.cp_status)
 
 
 @dataclass
@@ -112,12 +110,6 @@ class KrausSet:
         if M.shape != (self.dim, self.dim):
             raise InvalidInputError("dimension mismatch in Kraus application")
         return sum(T @ M @ T.T for T in self.ops)
-
-
-def _nonzero_entries(M: Csr):
-    """(rows, cols, values) of the stored entries of M that are not zero."""
-    keep = M.data != 0
-    return M.rows[keep], M.indices[keep], M.data[keep]
 
 
 @dataclass
@@ -155,8 +147,8 @@ class ChoiMatrix:
         J[j, i] are both zero.
         """
         if self._spectrum is None:
-            rows, cols, _ = _nonzero_entries(self.matrix)
-            support = np.union1d(rows, cols)
+            J = self.matrix.without_zeros()
+            support = np.union1d(J.rows, J.indices)
             sub = self.matrix.block(support, support)
             asym = np.max(np.abs(sub - sub.T), initial=0.0)
             if asym > ATOL_COMPUTED:
@@ -191,7 +183,7 @@ def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
     :func:`grand_coupling_operator` itself.
     """
     if isinstance(C, RandomMappingRep):
-        return Superoperator(dim=C.n, matrix=grand_coupling_operator(C), kind="C*")
+        return Superoperator(dim=C.n, matrix=grand_coupling_operator(C))
     n = C.n
     E = C.entries
     S = Csr.from_coo(E.data, swap_pair(E.rows, n), swap_pair(E.indices, n), E.shape)
@@ -207,7 +199,7 @@ def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
             f"coupling violates the symmetry condition by {asym:.3g}; "
             "the vectorized identity matrix(C*) = C requires it"
         )
-    return Superoperator(dim=n, matrix=S, kind="C*")
+    return Superoperator(dim=n, matrix=S)
 
 
 def quantized_coupling(
@@ -228,8 +220,8 @@ def quantized_coupling(
     s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
     S = (c_star if c_star is not None else c_star_superop(C)).matrix
     S_tstar = Csr(S.data * (s[S.indices] / s[S.rows]), S.indices, S.indptr, S.shape)
-    T_star = Superoperator(dim=n, matrix=S_tstar, kind="T*")
-    T = Superoperator(dim=n, matrix=S_tstar.T, kind="T")
+    T_star = Superoperator(dim=n, matrix=S_tstar)
+    T = Superoperator(dim=n, matrix=S_tstar.T)
 
     err_tp = np.max(np.abs(T_star.apply(np.eye(n)) - np.eye(n)))
     if err_tp > ATOL_COMPUTED:
@@ -263,21 +255,22 @@ def kraus_from_grand(rmr: RandomMappingRep, pi: Distribution) -> KrausSet:
 def superop_from_kraus(ks: KrausSet) -> Superoperator:
     """Superoperator matrix of the Kraus channel: sum_r kron(T_r, T_r), sparse.
 
-    Only the nonzeros of each kron(T_r, T_r) are formed; for the Kraus
-    operators of a grand coupling that is at most |R| per row. The entries
-    equal those of the dense sum bit for bit (:func:`kron_square_sum`).
+    Only the products of the nonzeros of each T_r are formed
+    (:func:`kron_square_entries`); for the Kraus operators of a grand coupling
+    that is at most |R| per row. :meth:`Csr.from_coo` adds them at each cell
+    in r order, so the entries equal those of the dense sum bit for bit, and
+    cells where the products cancel are not stored.
 
     The map is stamped CP-verified by construction: its map-first Choi
     matrix is sum_r u_r u_r^T with u_r[i*N + x] = T_r[i, x] (Choi 1975), a
     sum of outer products and so PSD. That needs finite Kraus operators,
     which :class:`KrausSet` guarantees.
     """
-    factors = []
-    for T in ks.ops:
-        rows, cols = np.nonzero(T)
-        factors.append((rows, cols, T[rows, cols]))
-    S = kron_square_sum(factors, np.ones(len(ks.ops)), ks.dim)
-    return Superoperator(dim=ks.dim, matrix=S, kind="T_from_kraus", cp_status="verified")
+    parts = [kron_square_entries(T) for T in ks.ops]
+    data, rows, cols = (np.concatenate(p) for p in zip(*parts))
+    n2 = ks.dim * ks.dim
+    S = Csr.from_coo(data, rows, cols, (n2, n2)).without_zeros()
+    return Superoperator(dim=ks.dim, matrix=S, cp_status="verified")
 
 
 def _choi_positions(S: Superoperator, order: str):
@@ -403,10 +396,9 @@ def matrix_to_csv(matrix: Csr, header: str) -> str:
     back exactly. Stored zeros, -0.0 among them, are left out; NaN and +-inf
     are written as formatted. Every cell without a line is 0.0.
     """
-    rows, cols, values = _nonzero_entries(matrix)
+    M = matrix.without_zeros()
+    entries = zip(M.rows.tolist(), M.indices.tolist(), M.data.tolist())
     lines = [header, "row,col,value"]
-    lines += [
-        f"{i},{j},{v:.17g}" for i, j, v in zip(rows.tolist(), cols.tolist(), values.tolist())
-    ]
+    lines += [f"{i},{j},{v:.17g}" for i, j, v in entries]
     lines.append("")  # the trailing newline
     return "\n".join(lines)

@@ -2,6 +2,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcoupling import cli, coupling
@@ -86,12 +87,13 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
 
-def mapping_files(tmp_path, prob=None, table=None):
-    """hypercube1's chain and random-mapping files (2 states, 2 values of r);
-    ``prob`` replaces Pr(r) of the first r and ``table`` the successor table."""
+def mapping_files(tmp_path, prob=None, table=None, model="hypercube1"):
+    """A bundled model's chain and random-mapping files, by default
+    hypercube1's (2 states, 2 values of r); ``prob`` replaces Pr(r) of the
+    first r and ``table`` the successor table."""
     out = tmp_path / "model"
-    assert run("model", "--model", "hypercube1", "--out", str(out)) == 0
-    doc = load_summary(out, "model-hypercube1")
+    assert run("model", "--model", model, "--out", str(out)) == 0
+    doc = load_summary(out, f"model-{model}")
     if prob is not None:
         doc["coupling"]["R"][0]["prob"] = prob
     if table is not None:
@@ -112,6 +114,66 @@ class TestMappingFiles:
         assert run(*argv, "--out", str(tmp_path / "o")) == 2
         assert "Pr(r) must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_integral_float_successors_read_as_integers(self, tmp_path):
+        chain, mapping = mapping_files(tmp_path, table=[[0.0, 0.0], [1.0, 1]])
+        assert run("validate", "--chain", chain, "--coupling", mapping,
+                   "--out", str(tmp_path / "o")) == 0
+
+
+def _both(tmp_path, *argv):
+    """Run argv on hypercube3 and on its chain and mapping files; the two
+    output directories."""
+    chain, mapping = mapping_files(tmp_path, model="hypercube3")
+    outs = tmp_path / "bundled", tmp_path / "files"
+    assert run(*argv, "--model", "hypercube3", "--out", str(outs[0])) == 0
+    assert run(*argv, "--chain", chain, "--coupling", mapping, "--out", str(outs[1])) == 0
+    return outs
+
+
+def _series(out: Path, label: str) -> list[list[str]]:
+    [path] = out.glob(f"*-{label}-*.csv")
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+class TestMappingFileIsAModel:
+    """A mapping file runs every subcommand that a bundled mapping runs, but verify."""
+
+    def test_exact_tails_identical(self, tmp_path):
+        bundled, files = _both(tmp_path, "coalesce", "--m-max", "20")
+        [a], [b] = bundled.glob("*-tails-*.csv"), files.glob("*-tails-*.csv")
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_evolve_matches_bundled(self, tmp_path):
+        # the file's pi comes from GTH elimination, not the bundled uniform pi
+        bundled, files = _both(tmp_path, "evolve", "--m-max", "12")
+        want, got = _series(bundled, "trace"), _series(files, "trace")
+        assert got[0] == want[0] and len(got) == len(want) == 14
+        np.testing.assert_allclose(np.array(got[1:], dtype=float),
+                                   np.array(want[1:], dtype=float), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("dilate",), ("coalesce", "--mc", "--samples", "2000", "--seed", "1"),
+    ], ids=["dilate", "coalesce-mc"])
+    def test_runs(self, tmp_path, argv):
+        chain, mapping = mapping_files(tmp_path, model="hypercube3")
+        assert run(*argv, "--chain", chain, "--coupling", mapping,
+                   "--out", str(tmp_path / "o")) == 0
+
+    def test_model_writes_the_mapping(self, tmp_path):
+        chain, mapping = mapping_files(tmp_path, model="hypercube3")
+        assert run("model", "--chain", chain, "--coupling", mapping,
+                   "--out", str(tmp_path / "o")) == 0
+        doc = load_summary(tmp_path / "o", "model-chain")
+        assert doc["coupling"]["kind"] == "rmr"
+        assert doc["coupling"] == json.loads(Path(mapping).read_text())
+
+    def test_verify_needs_a_named_model(self, tmp_path, capsys):
+        chain, mapping = mapping_files(tmp_path, model="hypercube3")
+        capsys.readouterr()
+        assert run("verify", "--chain", chain, "--coupling", mapping,
+                   "--out", str(tmp_path / "o")) == 2
+        assert "named" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -144,7 +206,12 @@ class TestValidate:
         ({"kind": "rmr", "R": [], "f": []}, "'R'"),
         ({"kind": "rmr", "R": [{"prob": 0.5}, {"label": "b", "prob": 0.5}],
           "f": [[0, 0], [1, 1]]}, "'label'"),
-    ], ids=["rmr-without-R", "dense-without-C", "empty-R", "R-entry-without-label"])
+        ({"kind": "rmr", "R": [{"label": "a", "prob": 0.5}, {"label": "b", "prob": 0.5}],
+          "f": [[0.9, 1.7], [0, 1]]}, "'f'"),
+        ({"kind": "rmr", "R": [{"label": "a", "prob": 0.5}, {"label": "b", "prob": 0.5}],
+          "f": [[True, False], [0, 1]]}, "'f'"),
+    ], ids=["rmr-without-R", "dense-without-C", "empty-R", "R-entry-without-label",
+            "fractional-f", "boolean-f"])
     def test_malformed_coupling_names_field(self, tmp_path, capsys, coupling_doc, field):
         chain, mapping = mapping_files(tmp_path)
         Path(mapping).write_text(json.dumps(coupling_doc))

@@ -111,6 +111,19 @@ class TestRandomMappingRep:
             RandomMappingRep(base=None, r_labels=(), probs=np.zeros(0),
                              table=np.zeros((2, 0), dtype=np.int64))
 
+    @pytest.mark.parametrize("table", [
+        [[0.9, 1.7], [0.0, 1.0]], [[True, False], [False, True]], [[0.0, np.inf], [1.0, 0.0]],
+    ], ids=["fractional", "boolean", "infinite"])
+    def test_non_integer_table_rejected_not_truncated(self, table):
+        with pytest.raises(InvalidInputError, match="integer successor indices"):
+            RandomMappingRep(base=None, r_labels=("a", "b"), probs=np.array([0.5, 0.5]),
+                             table=np.array(table))
+
+    def test_integral_float_table_taken(self):
+        rmr = RandomMappingRep(base=None, r_labels=("a", "b"), probs=np.array([0.5, 0.5]),
+                               table=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert rmr.table.dtype == np.int64 and rmr.table.tolist() == [[1, 0], [0, 1]]
+
     def test_base_free_mapping_allowed(self):
         rmr = RandomMappingRep(
             base=None, r_labels=("a", "b"), probs=np.array([0.5, 0.5]),

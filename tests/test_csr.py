@@ -133,6 +133,24 @@ class TestConstruction:
         assert M.nnz == 4  # (0, 1) 0.0, (2, 0) -0.0, (2, 3) 1 - 1, (4, 2) NaN
         _bits(M.data[:2], np.array([0.0, -0.0]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(triplets())
+    def test_without_zeros_as_eliminate_zeros(self, t):
+        data, rows, cols, shape = t
+        ref = scipy.sparse.csr_array((data, (rows, cols)), shape=shape)
+        ref.eliminate_zeros()
+        M = Csr.from_coo(data, rows, cols, shape).without_zeros()
+        _assert_same(M, ref)
+        assert M.without_zeros() is M
+
+    def test_without_zeros_drops_signed_zeros_keeps_nan(self):
+        data = np.array([0.0, -0.0, np.nan, 1.0, 2.0, -2.0])
+        rows = np.array([0, 0, 1, 1, 2, 2])
+        cols = np.array([0, 1, 0, 2, 1, 1])
+        M = Csr.from_coo(data, rows, cols, (3, 3)).without_zeros()
+        assert M.nnz == 2 and np.isnan(M.data[0]) and M.data[1] == 1.0  # 2 - 2 went too
+        _bits(M.indptr, np.array([0, 0, 2, 2]))
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.data())
     def test_from_dense(self, n_rows, n_cols, data):

@@ -172,7 +172,7 @@ def _assert_bit_identical(a: np.ndarray, b: np.ndarray):
 
 def _similarity_channel(C: CouplingMatrix, pi: Distribution) -> Superoperator:
     """T of the similarity route; built directly where quantized_coupling refuses C."""
-    if C.marginal_verified and validate_coupling(C).valid:
+    if validate_coupling(C).valid:
         return quantized_coupling(C, pi)[0]
     s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
     S_c = c_star_superop(C).matrix
@@ -322,9 +322,12 @@ class TestOneCpRule:
     def test_similarity_channel_gets_its_own_eigensolve(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "verify_cp", lambda S: calls.append(S) or verify_cp(S))
-        _quantize_summary(_model("hypercube2"), "basis_first")
+        m = _model("hypercube2")
+        _quantize_summary(m, "basis_first")
         [T] = calls
-        assert T.kind == "T" and T.cp_status == "verified"
+        assert T.cp_status == "verified"
+        want = quantized_coupling(m.coupling(), m.pi)[0].matrix
+        _assert_bit_identical(T.matrix.toarray(), want.toarray())  # the channel T, not T*
 
 
 # ---------------------------------------------------------------------------

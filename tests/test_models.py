@@ -90,13 +90,14 @@ class TestCycleCoupling:
 
     def test_prose_variant_is_valid_coupling(self):
         _, C = cycle_coupling_model(3, 0.5, variant="prose")
-        assert C.marginal_verified
         assert validate_coupling(C).valid
 
     def test_printed_variant_flagged_and_doubled(self):
         _, C_prose = cycle_coupling_model(3, 0.5, variant="prose")
         _, C_print = cycle_coupling_model(3, 0.5, variant="printed")
-        assert not C_print.marginal_verified
+        for n in (3, 5):  # no stochastic coupling: validation fails it, so it has no channel
+            details = validate_coupling(cycle_coupling_model(n, 0.5, variant="printed")[1]).details
+            assert not details["stochastic"] and not details["marginals"]
         Ep, Ed = coupling_4tensor(C_prose), coupling_4tensor(C_print)
         for x in range(3):
             for y in range(3):

@@ -28,6 +28,7 @@ import io
 import json
 import os
 import platform
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -272,16 +273,21 @@ class TestOperatorCache:
         _assert_bit_identical(grand_coupling_operator(rmr).toarray(), before)
 
     def test_verify_builds_it_once(self, monkeypatch, tmp_path, capsys):
-        calls = []
-        build = coupling_module.kron_square_sum
+        # a build is a call on a mapping whose operator is not cached yet; every
+        # qcoupling module that holds the builder gets the counting one
+        builds = []
+        build = coupling_module.grand_coupling_operator
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return build(*args, **kwargs)
+        def counting(rmr):
+            builds.append(rmr._operator is None)
+            return build(rmr)
 
-        monkeypatch.setattr(coupling_module, "kron_square_sum", counting)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "qcoupling" and vars(module).get(
+                    "grand_coupling_operator") is build:
+                monkeypatch.setattr(module, "grand_coupling_operator", counting)
         assert main(["verify", "--model", "hypercube6", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        assert sum(builds) == 1 and len(builds) > 1  # built once, then read from the cache
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,14 @@ class TestSparseKraus:
     def test_property_dense_kraus_operators(self, n, n_r, seed):
         _assert_superop_matches_dense(_isometry_kraus(n, n_r, seed))
 
+    def test_cancelling_products_are_not_stored(self):
+        # kron(T, T) is +-1/4 on every cell for both operators, and the two
+        # cancel on 8 of the 16
+        H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        ks = KrausSet(2, [H / math.sqrt(2.0), H @ np.diag([1.0, -1.0]) / math.sqrt(2.0)])
+        _assert_superop_matches_dense(ks)
+        assert superop_from_kraus(ks).matrix.nnz == 8
+
     def test_apply_matches_dense(self, hypercube3):
         T = superop_from_kraus(kraus_from_grand(hypercube3.rmr, hypercube3.pi))
         rho = random_density(8, np.random.Generator(np.random.Philox(1))).matrix
