@@ -13,7 +13,6 @@ from qcoupling.chain import (
     distance_to_stationary,
     mixing_time,
     stationary_distribution,
-    total_variation,
     validate_chain,
 )
 from qcoupling.coupling import (
@@ -22,7 +21,6 @@ from qcoupling.coupling import (
     RandomMappingRep,
     coalescence_tail_exact,
     coalescence_tail_mc,
-    coupling_time,
     grand_coupling_matrix,
     independent_coupling,
     validate_coupling,
@@ -31,7 +29,6 @@ from qcoupling.quantize import (
     ChoiMatrix,
     KrausSet,
     Superoperator,
-    apply_channel,
     c_star_superop,
     choi_matrix,
     kraus_from_grand,

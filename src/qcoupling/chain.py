@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,17 +84,6 @@ class Distribution:
     @property
     def n(self) -> int:
         return self.weights.size
-
-
-@dataclass
-class MixingReport:
-    """Total-variation decay d(m) and mixing times t_mix(eps)."""
-
-    d_values: np.ndarray  # d(m) for m = 0 .. m_max
-    t_mix: dict[float, int]  # eps -> t_mix(eps) for resolved thresholds
-    ergodic: bool
-    irreducible: bool
-    aperiodic: bool
 
 
 def _strong_components(adj: list[np.ndarray]) -> tuple[int, np.ndarray]:
@@ -250,13 +239,6 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     return Distribution(pi)
 
 
-def total_variation(p: Distribution, q: Distribution) -> float:
-    """Total variation distance (1/2) sum |p_x - q_x|."""
-    if p.n != q.n:
-        raise InvalidInputError(f"length mismatch: {p.n} vs {q.n}")
-    return 0.5 * float(np.abs(p.weights - q.weights).sum())
-
-
 def _tv_to_pi_all_starts(M: np.ndarray, pi: np.ndarray) -> float:
     """max over basis starts of the TV distance between M's columns and pi."""
     return 0.5 * float(np.abs(M - pi[:, None]).sum(axis=0).max())
@@ -273,63 +255,41 @@ def distance_to_stationary(P: TransitionMatrix, m: int) -> float:
     return _tv_to_pi_all_starts(M, pi)
 
 
-def mixing_report(
-    P: TransitionMatrix, eps_list: tuple[float, ...] = (0.25,), m_max: int = 10_000
-) -> MixingReport:
-    """d(m) series and t_mix(eps) for every requested eps, scanning m upward."""
-    validation = validate_chain(P)
-    _require_ergodic(P)
+def mixing_time(P: TransitionMatrix, eps: float, m_max: int = 10_000) -> int:
+    """Smallest m with d(m) <= eps, scanning m upward from 0.
+
+    Asserts that d(m) never increases, and checks the result against the
+    standard relation t_mix(eps) <= ceil(log2(1/eps)) * t_mix(1/4).
+    """
     pi = stationary_distribution(P).weights
-    eps_sorted = sorted(set(eps_list), reverse=True)
-    for eps in eps_sorted:
-        if not 0.0 < eps < 1.0:
-            raise InvalidInputError(f"eps must lie in (0, 1), got {eps}")
-    remaining = list(eps_sorted)
-    t_mix: dict[float, int] = {}
-    d_values = []
+    if not 0.0 < eps < 1.0:
+        raise InvalidInputError(f"eps must lie in (0, 1), got {eps}")
+    t_mix: dict[float, int] = {}  # threshold -> first m with d(m) <= threshold
     M = np.eye(P.n)
-    m = 0
-    while True:
+    d_prev = math.inf
+    for m in range(max(m_max, 0) + 1):
         d = _tv_to_pi_all_starts(M, pi)
-        if d_values and d > d_values[-1] + ATOL_INPUT:
-            raise AssertionError(f"d(m) increased at m={m}: {d_values[-1]} -> {d}")
-        d_values.append(d)
-        while remaining and d <= remaining[0]:
-            t_mix[remaining.pop(0)] = m
-        if not remaining or m >= m_max:
+        if d > d_prev + ATOL_INPUT:
+            raise AssertionError(f"d(m) increased at m={m}: {d_prev} -> {d}")
+        for threshold in (eps, 0.25):
+            if d <= threshold:
+                t_mix.setdefault(threshold, m)
+        if d <= min(eps, 0.25):
             break
         M = P.entries @ M
-        m += 1
-    if remaining:
+        d_prev = d
+    else:
         raise ThresholdNotReachedError(
-            f"d(m) did not reach eps={remaining[0]} within m_max={m_max}; "
-            f"best d({len(d_values) - 1}) = {d_values[-1]:.6g}",
-            best=(len(d_values) - 1, d_values[-1]),
+            f"d(m) did not reach eps={max({eps, 0.25} - t_mix.keys())} within m_max={m_max}; "
+            f"best d({m}) = {d:.6g}",
+            best=(m, d),
         )
-    return MixingReport(
-        d_values=np.array(d_values),
-        t_mix=t_mix,
-        ergodic=validation.details["ergodic"],
-        irreducible=validation.details["irreducible"],
-        aperiodic=validation.details["aperiodic"],
-    )
-
-
-def mixing_time(P: TransitionMatrix, eps: float, m_max: int = 10_000) -> int:
-    """Smallest m with d(m) <= eps.
-
-    Also checks the computed values against the standard relation
-    t_mix(eps) <= ceil(log2(1/eps)) * t_mix(1/4).
-    """
-    report = mixing_report(P, (eps, 0.25), m_max=m_max)
-    t_eps = report.t_mix[eps]
-    t_quarter = report.t_mix[0.25]
-    bound = math.ceil(math.log2(1.0 / eps)) * t_quarter if eps < 1 else 0
-    if eps <= 0.25 and t_eps > bound:
+    bound = math.ceil(math.log2(1.0 / eps)) * t_mix[0.25]
+    if eps <= 0.25 and t_mix[eps] > bound:
         raise AssertionError(
-            f"t_mix({eps}) = {t_eps} exceeds ceil(log2(1/eps)) * t_mix = {bound}"
+            f"t_mix({eps}) = {t_mix[eps]} exceeds ceil(log2(1/eps)) * t_mix = {bound}"
         )
-    return t_eps
+    return t_mix[eps]
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +298,29 @@ def mixing_time(P: TransitionMatrix, eps: float, m_max: int = 10_000) -> int:
 
 def chain_to_json_dict(P: TransitionMatrix) -> dict:
     return {"labels": list(P.labels), "P": P.entries.tolist()}
+
+
+def json_numbers(value, name: str) -> np.ndarray:
+    """``value``, a JSON number or nested array of numbers, as a float array.
+
+    Only JSON numbers are taken: a boolean, string or null anywhere in
+    ``value`` is an error naming ``name``, never cast, and so is a ragged array.
+    """
+    ragged = f"{name} must be a rectangular array of numbers"
+    try:
+        cells = np.array(value, dtype=object)  # keeps each parsed JSON value as it is
+    except ValueError as exc:
+        raise InvalidInputError(ragged) from exc
+    kinds = set(map(type, cells.flat))
+    if list in kinds:  # rows of unequal length become cells
+        raise InvalidInputError(ragged)
+    if not kinds <= {int, float}:  # a bool is no int here: its type is bool
+        bad = next(c for c in cells.flat if type(c) not in (int, float))
+        raise InvalidInputError(f"{name} must hold numbers only, not {json.dumps(bad)}")
+    try:
+        return cells.astype(float)
+    except OverflowError as exc:
+        raise InvalidInputError(f"{name} holds an integer beyond the float range") from exc
 
 
 def chain_from_json_dict(doc: dict) -> TransitionMatrix:
@@ -356,7 +339,7 @@ def chain_from_json_dict(doc: dict) -> TransitionMatrix:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise InvalidInputError(f"field 'P' row {i} has length {len(row)}, expected {n}")
-    return TransitionMatrix(labels=tuple(labels), entries=np.array(rows, dtype=float))
+    return TransitionMatrix(labels=tuple(labels), entries=json_numbers(rows, "field 'P'"))
 
 
 def read_chain_json(path) -> TransitionMatrix:
@@ -370,8 +353,3 @@ def read_chain_json(path) -> TransitionMatrix:
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
-
-def write_chain_json(P: TransitionMatrix, path):
-    with open(path, "w") as fh:
-        json.dump(chain_to_json_dict(P), fh, indent=1)
-        fh.write("\n")

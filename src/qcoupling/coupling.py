@@ -16,6 +16,7 @@ from qcoupling.chain import (
     ATOL_COMPUTED,
     ATOL_INPUT,
     TransitionMatrix,
+    json_numbers,
     validate_chain,
 )
 from qcoupling.checks import CheckResult, ValidationReport
@@ -24,7 +25,6 @@ from qcoupling.errors import (
     GuardExceededError,
     InvalidInputError,
     NonErgodicError,
-    ThresholdNotReachedError,
 )
 from qcoupling.kernels import coalescence_counts
 
@@ -35,10 +35,6 @@ MC_BLOCK_ELEMENTS = 1 << 20  # randomness elements drawn and held per MC block
 # and the 1 MiB block of 1-byte indices fit together in a 2 MiB L2 cache
 DRAW_CHUNK_WORDS = 1 << 15
 CDF_BUCKET_BITS = 12  # inverse-CDF buckets are indexed by a random word's top bits
-
-
-def pair_index(x: int, y: int, n: int) -> int:
-    return x * n + y
 
 
 def swap_pair(index: np.ndarray, n: int) -> np.ndarray:
@@ -186,13 +182,11 @@ class CoalescenceReport:
     seed: int | None = None
     ci_half: np.ndarray | None = None  # 95% CI half-widths on tail_max (MC only)
     t_couple: int | None = None
-    expected_time_max: float | None = None
-    expected_time_truncation: int | None = None
 
     def up_to(self, m: int) -> CoalescenceReport:
         """This exact report cut to the one a run to m_max = m gives, bit for bit:
         each tail row depends only on the rows before it, and t_couple is found
-        again by the same crossing rule. Expected-time fields are dropped."""
+        again by the same crossing rule."""
         if self.mode != "exact":
             raise InvalidInputError("only an exact report can be cut at m")
         if not 0 <= m <= self.m_values[-1]:
@@ -469,11 +463,7 @@ def _offdiag_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def coalescence_tail_exact(
-    coupling: CouplingMatrix | RandomMappingRep,
-    m_max: int,
-    expected_time: bool = False,
-    expectation_tol: float = 1e-15,
-    expectation_cap: int = 100_000,
+    coupling: CouplingMatrix | RandomMappingRep, m_max: int
 ) -> CoalescenceReport:
     """Exact tails Pr_{x,y}{tau_coal > m} for all start pairs and m <= m_max.
 
@@ -481,9 +471,7 @@ def coalescence_tail_exact(
     off-diagonal pair rows, computed for all starts at once by iterating the
     off-diagonal indicator row vector (never forming C^m). For a random
     mapping each step is the gather V_m[x, y] = sum_r Pr(r) V_{m-1}[f(x, r),
-    f(y, r)], applied as the sparse :func:`grand_coupling_operator`. With
-    ``expected_time`` the tails are summed past m_max until they fall below
-    ``expectation_tol``, giving E[tau_coal] with a stated truncation.
+    f(y, r)], applied as the sparse :func:`grand_coupling_operator`.
     """
     if m_max < 0:
         raise InvalidInputError(f"m_max must be >= 0, got {m_max}")
@@ -495,7 +483,7 @@ def coalescence_tail_exact(
     C = pair_transition(coupling)
     off = _offdiag_mask(n)
     pairs = _offdiag_pairs(n)
-    pair_cols = np.flatnonzero(off)  # pair_index of each pair, in the order of pairs
+    pair_cols = np.flatnonzero(off)  # pair index x * N + y of each pair, in the order of pairs
 
     v = off.astype(float)  # v C^m gives all tails at time m simultaneously
     per_pair = np.empty((m_max + 1, len(pairs)))
@@ -510,21 +498,6 @@ def coalescence_tail_exact(
     tail_max = per_pair.max(axis=1) if pairs else np.zeros(m_max + 1)
     m_values = np.arange(m_max + 1)
 
-    e_tau_max = None
-    truncation = None
-    if expected_time:
-        # E[tau] = sum_{m >= 0} Pr{tau > m}; truncate when the tail is exhausted.
-        total = per_pair.sum(axis=0)
-        tails = per_pair[-1].copy()
-        m = m_max
-        while tails.max(initial=0.0) > expectation_tol and m < expectation_cap:
-            v = v @ C
-            tails = v[pair_cols]
-            total += tails
-            m += 1
-        e_tau_max = float(total.max(initial=0.0))
-        truncation = m
-
     return CoalescenceReport(
         mode="exact",
         m_values=m_values,
@@ -532,8 +505,6 @@ def coalescence_tail_exact(
         pairs=pairs,
         per_pair=per_pair,
         t_couple=_t_couple(tail_max, m_values),
-        expected_time_max=e_tau_max,
-        expected_time_truncation=truncation,
     )
 
 
@@ -683,25 +654,6 @@ def coalescence_tail_mc(
     )
 
 
-def coupling_time(report: CoalescenceReport) -> int:
-    """Smallest m with max tail <= 1/4; in MC mode the CI upper bound must cross."""
-    if report.t_couple is not None:
-        return report.t_couple
-    if report.mode == "monte_carlo":
-        straddling = np.any(
-            (report.tail_max <= COUPLING_THRESHOLD)
-            & (report.tail_max + report.ci_half > COUPLING_THRESHOLD)
-        )
-        if straddling:
-            raise ThresholdNotReachedError(
-                "threshold not resolved: CI straddles 1/4 at every candidate m"
-            )
-    raise ThresholdNotReachedError(
-        f"tail never crossed {COUPLING_THRESHOLD} within the computed range "
-        f"(last tail {report.tail_max[-1]:.6g} at m={int(report.m_values[-1])})"
-    )
-
-
 def check_tail_submultiplicativity(
     coupling: CouplingMatrix | RandomMappingRep, report: CoalescenceReport, m: int, l: int
 ) -> CheckResult:
@@ -745,21 +697,6 @@ def check_tail_submultiplicativity(
     )
 
 
-def mixing_vs_coalescence_bound(P: TransitionMatrix, report: CoalescenceReport) -> dict:
-    """Report (not gate) the classical bound t_mix <= 4 * max E[tau_coal]."""
-    from qcoupling.chain import mixing_report
-
-    if report.expected_time_max is None:
-        raise InvalidInputError("report lacks expected coalescence time")
-    mix = mixing_report(P, (0.25,))
-    return {
-        "t_mix": mix.t_mix[0.25],
-        "four_expected_tau_max": 4.0 * report.expected_time_max,
-        "expectation_truncated_at": report.expected_time_truncation,
-        "holds": mix.t_mix[0.25] <= 4.0 * report.expected_time_max + ATOL_COMPUTED,
-    }
-
-
 # ---------------------------------------------------------------------------
 # JSON interface
 
@@ -779,13 +716,6 @@ def rmr_to_json_dict(rmr: RandomMappingRep) -> dict:
     }
 
 
-def _numeric_array(value, name: str, dtype) -> np.ndarray:
-    try:
-        return np.array(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{name} must be a rectangular numeric array") from exc
-
-
 def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
     """Load either a dense CouplingMatrix or a RandomMappingRep.
 
@@ -802,7 +732,7 @@ def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
         if key not in doc:
             raise InvalidInputError(f"coupling JSON of kind {kind!r} missing field {key!r}")
     if kind == "dense":
-        entries = _numeric_array(doc["C"], "field 'C'", float)
+        entries = json_numbers(doc["C"], "field 'C'")
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidInputError("field 'C' must be a square nested array")
         n2 = entries.shape[0]
@@ -820,14 +750,11 @@ def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
     for i, r in enumerate(rs):
         if not (isinstance(r, dict) and "label" in r and "prob" in r):
             raise InvalidInputError(f"field 'R' entry {i} needs fields 'label' and 'prob'")
-    f = _numeric_array(doc["f"], "field 'f'", float)
-    if f.ndim == 2 and any(isinstance(v, bool) for row in doc["f"] for v in row):
-        f = f.astype(bool)  # rejected below: JSON true and false are no indices
-    table = _successor_table(f, "field 'f'").T
+    table = _successor_table(json_numbers(doc["f"], "field 'f'"), "field 'f'").T
     if table.ndim != 2 or table.shape[1] != len(rs):
         raise InvalidInputError("field 'f' must hold one successor row per entry of 'R'")
     labels = tuple(str(r["label"]) for r in rs)
-    probs = _numeric_array([r["prob"] for r in rs], "field 'R' prob values", float)
+    probs = json_numbers([r["prob"] for r in rs], "field 'R' prob values")
     if base is None:
         n = table.shape[0]
         base = TransitionMatrix(tuple(str(i) for i in range(n)), induced_entries(table, probs))
@@ -844,10 +771,3 @@ def read_coupling_json(path, base: TransitionMatrix | None = None):
         return coupling_from_json_dict(doc, base=base)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
-
-
-def write_coupling_json(obj, path):
-    doc = rmr_to_json_dict(obj) if isinstance(obj, RandomMappingRep) else coupling_to_json_dict(obj)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")

@@ -454,39 +454,3 @@ def gentle_measurement_step_check(rho: DensityMatrix, q: Qsample, eps: float) ->
         details={"precondition_holds": True, "qperp_overlap": overlap},
     )
 
-
-def reducing_projector_check(
-    T: Superoperator, pi: Distribution, m: int, rng: np.random.Generator, trials: int = 10
-) -> CheckResult:
-    """tr(T^m(Q rho Q) A) = <pi|rho|pi> <pi|A|pi> for random (rho, A) pairs."""
-    q = qsample(pi)
-    a = q.amplitudes
-    n = pi.n
-    worst = 0.0
-    for _ in range(trials):
-        rho = random_density(n, rng).matrix
-        A = rng.standard_normal((n, n))
-        A = 0.5 * (A + A.T)
-        inner = q.projector @ rho @ q.projector
-        for _ in range(m):
-            inner = T.apply(inner)
-        lhs = float(np.trace(inner @ A))
-        rhs = float((a @ rho @ a) * (a @ A @ a))
-        worst = max(worst, abs(lhs - rhs))
-    return CheckResult(
-        name="reducing_projector",
-        passed=worst <= ATOL_COMPUTED,
-        lhs=worst,
-        rhs=0.0,
-        tolerance=ATOL_COMPUTED,
-        details={"m": m, "trials": trials},
-    )
-
-
-def expanding_projector_residual(T_star: Superoperator, pi: Distribution, m: int) -> float:
-    """max-norm of (T*)^m(Q) - I; tends to 0 as the coupling coalesces."""
-    q = qsample(pi)
-    out = q.projector
-    for _ in range(m):
-        out = T_star.apply(out)
-    return float(np.max(np.abs(out - np.eye(pi.n))))

@@ -49,8 +49,8 @@ class Superoperator:
     ``matrix`` is always a :class:`~qcoupling.csr.Csr` (a dense input is
     converted), and ``apply`` is a sparse mat-vec.
     ``cp_status`` is one of "unchecked" / "verified" / "failed" and travels
-    with the map; apply_channel refuses to label outputs as states unless the
-    map is CP-verified. One rule sets it: :func:`superop_from_kraus` stamps
+    with the map; the overlap-bound and main-theorem checks refuse a map that
+    is not CP-verified. One rule sets it: :func:`superop_from_kraus` stamps
     its maps "verified" by construction, and every other map is stamped by
     :func:`verify_cp` from its own Choi spectrum.
     """
@@ -322,28 +322,6 @@ def verify_cp(S: Superoperator) -> ChoiMatrix:
     J = choi_matrix(S)
     S.cp_status = "verified" if is_completely_positive(J) else "failed"
     return J
-
-
-def apply_channel(channel, rho):
-    """Apply a Superoperator or KrausSet to a state.
-
-    For CP-verified maps (Kraus sets are CP by construction) the output is
-    returned as a validated DensityMatrix; for analysis maps that are not
-    CP-verified, the raw output matrix is returned instead and positivity is
-    not asserted.
-    """
-    from qcoupling.evolve import DensityMatrix
-
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=float)
-    if isinstance(channel, KrausSet):
-        out = channel.apply(mat)
-        return DensityMatrix(out) if isinstance(rho, DensityMatrix) else out
-    if isinstance(channel, Superoperator):
-        out = channel.apply(mat)
-        if channel.cp_status == "verified" and isinstance(rho, DensityMatrix):
-            return DensityMatrix(out)
-        return out
-    raise InvalidInputError(f"unsupported channel type {type(channel).__name__}")
 
 
 def independent_choi_structure_check(P) -> CheckResult:

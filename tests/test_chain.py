@@ -14,17 +14,14 @@ import qcoupling
 from conftest import random_ergodic_chain
 from qcoupling.chain import (
     ATOL_INPUT,
-    Distribution,
     TransitionMatrix,
     chain_from_json_dict,
+    chain_to_json_dict,
     distance_to_stationary,
-    mixing_report,
     mixing_time,
     read_chain_json,
     stationary_distribution,
-    total_variation,
     validate_chain,
-    write_chain_json,
     _strong_components,
     _support_periods,
 )
@@ -240,21 +237,17 @@ class TestStationary:
 
 
 class TestDistances:
-    def test_total_variation_bounds(self):
-        p = Distribution(np.array([1.0, 0.0]))
-        q = Distribution(np.array([0.0, 1.0]))
-        assert total_variation(p, q) == pytest.approx(1.0)
-        assert total_variation(p, p) == 0.0
-
     def test_distance_decreases(self):
         P = two_state()
         d = [distance_to_stationary(P, m) for m in range(6)]
         assert all(d[i + 1] <= d[i] + 1e-12 for i in range(5))
 
-    def test_mixing_report_monotone_and_threshold(self):
-        rep = mixing_report(two_state(), (0.25, 0.01))
-        assert rep.t_mix[0.25] <= rep.t_mix[0.01]
-        assert np.all(np.diff(rep.d_values) <= 1e-12)
+    def test_mixing_time_is_first_crossing(self):
+        P = two_state()
+        t_q, t_e = mixing_time(P, 0.25), mixing_time(P, 0.01)
+        assert 0 < t_q <= t_e
+        for eps, t in ((0.25, t_q), (0.01, t_e)):
+            assert distance_to_stationary(P, t) <= eps < distance_to_stationary(P, t - 1)
 
     def test_mixing_time_relation(self):
         P = two_state()
@@ -267,7 +260,7 @@ class TestDistances:
             ("a", "b"), np.array([[1 - 1e-6, 1e-6], [1e-6, 1 - 1e-6]])
         )
         with pytest.raises(ThresholdNotReachedError) as exc:
-            mixing_report(slow, (0.25,), m_max=10)
+            mixing_time(slow, 0.25, m_max=10)
         assert exc.value.best is not None
 
 
@@ -275,7 +268,7 @@ class TestChainJson:
     def test_roundtrip(self, tmp_path):
         P = two_state()
         path = tmp_path / "chain.json"
-        write_chain_json(P, path)
+        path.write_text(json.dumps(chain_to_json_dict(P)))
         P2 = read_chain_json(path)
         assert P2.labels == P.labels
         np.testing.assert_array_equal(P2.entries, P.entries)

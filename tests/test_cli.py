@@ -210,8 +210,20 @@ class TestValidate:
           "f": [[0.9, 1.7], [0, 1]]}, "'f'"),
         ({"kind": "rmr", "R": [{"label": "a", "prob": 0.5}, {"label": "b", "prob": 0.5}],
           "f": [[True, False], [0, 1]]}, "'f'"),
+        # booleans and strings are no JSON numbers: none is cast, in any numeric field
+        ({"kind": "rmr", "R": [{"label": "a", "prob": True}, {"label": "b", "prob": 0.0}],
+          "f": [[0, 0], [1, 1]]}, "prob"),
+        ({"kind": "rmr", "R": [{"label": "a", "prob": "0.5"}, {"label": "b", "prob": 0.5}],
+          "f": [[0, 0], [1, 1]]}, "prob"),
+        ({"kind": "rmr", "R": [{"label": "a", "prob": 0.5}, {"label": "b", "prob": 0.5}],
+          "f": [["0", "1"], ["1", "0"]]}, "'f'"),
+        ({"kind": "dense", "C": [[0.5, 0.5, 0.5, 0.5], [0, 0, 0, 0], [0, 0, 0, 0],
+                                 [0.5, 0.5, 0.5, True]]}, "'C'"),
+        ({"kind": "dense", "C": [[0.5, 0.5, 0.5, 0.5], [0, 0, 0, 0], [0, 0, 0, False],
+                                 [0.5, 0.5, 0.5, 0.5]]}, "'C'"),
     ], ids=["rmr-without-R", "dense-without-C", "empty-R", "R-entry-without-label",
-            "fractional-f", "boolean-f"])
+            "fractional-f", "boolean-f", "boolean-prob", "string-prob", "string-f",
+            "true-in-C", "false-in-C"])
     def test_malformed_coupling_names_field(self, tmp_path, capsys, coupling_doc, field):
         chain, mapping = mapping_files(tmp_path)
         Path(mapping).write_text(json.dumps(coupling_doc))
@@ -220,6 +232,18 @@ class TestValidate:
                    "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert "mapping.json" in err and field in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("entry", [True, "0.5", None])
+    def test_non_number_in_chain_names_field(self, tmp_path, capsys, entry):
+        chain, mapping = mapping_files(tmp_path)
+        Path(chain).write_text(json.dumps({"labels": ["0", "1"],
+                                           "P": [[entry, 0.5], [0.5, 0.5]]}))
+        capsys.readouterr()
+        assert run("validate", "--chain", chain, "--coupling", mapping,
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "chain.json" in err and "'P'" in err
         assert not (tmp_path / "o").exists()
 
 

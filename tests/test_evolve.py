@@ -13,14 +13,12 @@ from qcoupling.evolve import (
     coalescence_trace_identity_check,
     edge_state,
     evolve_trace,
-    expanding_projector_residual,
     gentle_measurement_step_check,
     laplacian_preservation_check,
     main_theorem_check,
     qperp_bound_check,
     qsample,
     random_density,
-    reducing_projector_check,
     rescaled_qperp_decomposition_check,
     trace_distance,
 )
@@ -113,23 +111,6 @@ class TestStructuralChecks:
         res = qperp_bound_check(T, hypercube3.pi, report, rho0s, list(range(16)))
         assert res.passed
         assert res.details["violations"] == 0
-
-    def test_reducing_projector(self, hypercube2):
-        T = channel_for(hypercube2)
-        rng = np.random.Generator(np.random.Philox(9))
-        assert reducing_projector_check(T, hypercube2.pi, m=3, rng=rng).passed
-
-    def test_expanding_projector_residual_decays(self, hypercube2):
-        _, T_star = _quantized(hypercube2)
-        r5 = expanding_projector_residual(T_star, hypercube2.pi, 5)
-        r15 = expanding_projector_residual(T_star, hypercube2.pi, 15)
-        assert r15 < r5
-
-
-def _quantized(model):
-    from qcoupling.quantize import quantized_coupling
-
-    return quantized_coupling(model.coupling(), model.pi)
 
 
 class TestGentleMeasurement:

@@ -11,7 +11,6 @@ from qcoupling.evolve import DensityMatrix, qsample, random_density
 from qcoupling.quantize import (
     ChoiMatrix,
     KrausSet,
-    apply_channel,
     c_star_superop,
     choi_matrix,
     independent_choi_structure_check,
@@ -182,17 +181,9 @@ class TestApplyChannel:
         T, _ = quantized_coupling(hypercube2.coupling(), hypercube2.pi)
         verify_cp(T)
         rho = random_density(4, np.random.Generator(np.random.Philox(1)))
-        out = apply_channel(T, rho)
-        assert isinstance(out, DensityMatrix)
-
-    def test_unverified_returns_raw_matrix(self, hypercube2):
-        T, _ = quantized_coupling(hypercube2.coupling(), hypercube2.pi)
-        rho = random_density(4, np.random.Generator(np.random.Philox(1)))
-        out = apply_channel(T, rho)  # cp_status still "unchecked"
-        assert isinstance(out, np.ndarray)
+        DensityMatrix(T.apply(rho.matrix))  # a state: symmetric, PSD, trace 1
 
     def test_kraus_channel_preserves_trace(self, hypercube2):
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
         rho = random_density(4, np.random.Generator(np.random.Philox(2)))
-        out = apply_channel(ks, rho)
-        assert np.trace(out.matrix) == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(ks.apply(rho.matrix)) == pytest.approx(1.0, abs=1e-12)
