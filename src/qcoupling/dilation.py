@@ -44,14 +44,14 @@ CHANNEL_TOL = 1e-9  # dilation route vs Kraus route, entrywise
 EXACT_ROTATION_ITERATIONS = {1: 0, 4: 1}
 
 
-def sqrtm_psd(M: np.ndarray, clip_tol: float = ATOL_COMPUTED) -> np.ndarray:
+def sqrtm_psd(M: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition, clamping tiny negatives."""
     M = np.asarray(M, dtype=float)
     sym_err = np.max(np.abs(M - M.T))
     if sym_err > ATOL_COMPUTED:
         raise InvalidInputError(f"matrix asymmetric by {sym_err:.3g}; no symmetric root")
     w, V = np.linalg.eigh(0.5 * (M + M.T))
-    if w.min(initial=0.0) < -clip_tol:
+    if w.min(initial=0.0) < -ATOL_COMPUTED:
         raise InvalidInputError(f"matrix has eigenvalue {w.min():.3g} < 0; not PSD")
     root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
     return 0.5 * (root + root.T)
@@ -85,7 +85,7 @@ class BlockEncoding:
         return self.U[self.dim :, : self.dim]
 
 
-def unitary_completion(A: np.ndarray, tol: float = ATOL_COMPUTED) -> BlockEncoding:
+def unitary_completion(A: np.ndarray) -> BlockEncoding:
     """Complete a contraction A (A^T A <= I) to the unitary
     [[A, (I - A A^T)^{1/2}], [(I - A^T A)^{1/2}, -A^T]]."""
     A = np.asarray(A, dtype=float)
@@ -94,12 +94,12 @@ def unitary_completion(A: np.ndarray, tol: float = ATOL_COMPUTED) -> BlockEncodi
     d = A.shape[0]
     gram = A.T @ A
     top = np.linalg.eigvalsh(0.5 * (gram + gram.T)).max(initial=0.0)
-    if top > 1.0 + tol:
+    if top > 1.0 + ATOL_COMPUTED:
         raise InvalidInputError(
             f"block has singular value {np.sqrt(top):.6g} > 1; not a contraction"
         )
-    C = sqrtm_psd(np.eye(d) - A @ A.T, clip_tol=tol)
-    B = sqrtm_psd(np.eye(d) - A.T @ A, clip_tol=tol)
+    C = sqrtm_psd(np.eye(d) - A @ A.T)
+    B = sqrtm_psd(np.eye(d) - A.T @ A)
     U = np.block([[A, C], [B, -A.T]])
     return BlockEncoding(dim=d, U=U)
 

@@ -442,8 +442,7 @@ def gentle_measurement_step_check(rho: DensityMatrix, q: Qsample, eps: float) ->
             rhs=eps,
             details={"precondition_holds": False},
         )
-    diff = rho.matrix - q.projector
-    lhs = float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.T))).sum())
+    lhs = 2.0 * trace_distance(rho, q.projector)
     rhs = 2.0 * math.sqrt(eps)
     return CheckResult(
         name="gentle_measurement",

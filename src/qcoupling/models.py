@@ -1,17 +1,20 @@
 """Bundled model chains and couplings.
 
-Four families: the lazy hypercube walk with bit-refresh grand coupling, the
-lazy biased cycle walk with the one-particle-moves coupling (plus the checked
-in 9x9 Choi fixture for the unbiased 3-cycle), Metropolis recolorings of a
-graph, and hardcore (independent-set) Glauber dynamics with fugacity.
-
-State enumeration is lexicographic by configuration vector, which fixes all
-matrix layouts and the fixture comparison.
+Four families. Three are one single-site-update rule: the random mapping
+draws a site v and a value k and moves to the configuration with x[v] = k
+when that is a state, else stays. They are the lazy hypercube walk (every
+bit string is a state), Metropolis recolorings of a graph (the proper
+colorings) and hardcore Glauber dynamics with fugacity (the independent
+sets). Their states are enumerated lexicographically by configuration
+vector, site 0 most significant, which fixes all matrix layouts; a state's
+label, its digit string, exists only for chains of at most ``EXACT_GUARD_N``
+states, the ones with a dense chain. The fourth family is the lazy biased
+cycle walk with the one-particle-moves coupling, plus the checked-in 9x9 Choi
+fixture for the unbiased 3-cycle.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -43,6 +46,8 @@ class GraphSpec:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InvalidInputError(f"graph needs at least one vertex, got n={self.n}")
         edges = []
         seen = set()
         for u, v in self.edges:
@@ -66,15 +71,6 @@ class GraphSpec:
             deg[v] += 1
         return max(deg) if deg else 0
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
 
 def path_graph(n: int) -> GraphSpec:
     return GraphSpec(n, tuple((i, i + 1) for i in range(n - 1)))
@@ -96,7 +92,6 @@ class ModelInstance:
 
     kind: str
     params: dict
-    state_labels: tuple[str, ...]
     rmr: RandomMappingRep
     chain: TransitionMatrix | None
     pi: Distribution
@@ -105,7 +100,7 @@ class ModelInstance:
 
     @property
     def n(self) -> int:
-        return len(self.state_labels)
+        return self.rmr.n
 
     @property
     def exact(self) -> bool:
@@ -122,41 +117,108 @@ class ModelInstance:
 
 
 # ---------------------------------------------------------------------------
-# Hypercube
+# Single-site updates: hypercube, colorings and hardcore
+
+
+def _single_site_model(
+    kind: str, params: dict, g: GraphSpec, q: int, *, values, r_labels, probs,
+    rate: float, edge_ok=None, weights=None,
+) -> ModelInstance:
+    """The chain whose mapping draws r = (site v, value k) and moves x to the
+    configuration with x[v] = k when that is a state, else stays.
+
+    Configurations of g's sites in {0..q-1}^n are mixed-radix codes in
+    lexicographic order (site 0 most significant); the states are the codes
+    whose every edge (u, v) has ``edge_ok(x[u], x[v])``. ``values`` lists a
+    site's k in r order: column v * len(values) + j of the table sets site v to
+    values[j], looked up as the moved code's state index. ``weights(codes)`` is
+    pi up to normalization, uniform when None.
+    The dense chain and its labels, the states' digit strings, are built only
+    for at most EXACT_GUARD_N states.
+    """
+    size = q**g.n
+    if size > ENUMERATION_GUARD:
+        raise GuardExceededError(f"{q}^{g.n} = {size} configurations exceed the enumeration guard")
+    place = [q ** (g.n - 1 - v) for v in range(g.n)]
+    codes = np.arange(size, dtype=np.int64)
+    for u, v in g.edges:
+        codes = codes[edge_ok(codes // place[u] % q, codes // place[v] % q)]
+    n_states = codes.size
+    index = np.full(size, -1, dtype=np.int64)  # a code's state index, -1 when not a state
+    index[codes] = stay = np.arange(n_states)
+    table = np.empty((n_states, g.n * len(values)), dtype=np.int64)
+    for v, p in enumerate(place):
+        cleared = codes - codes // p % q * p  # one site's digits at a time, never an N x n matrix
+        for j, k in enumerate(values):
+            i = index[cleared + k * p]
+            table[:, v * len(values) + j] = np.where(i < 0, stay, i)
+    chain = None
+    if n_states <= EXACT_GUARD_N:
+        labels = tuple("".join(str(c // p % q) for p in place) for c in codes.tolist())
+        chain = TransitionMatrix(labels, induced_entries(table, probs))
+    w = np.ones(n_states) if weights is None else weights(codes)
+    rmr = RandomMappingRep(base=chain, r_labels=r_labels, probs=probs, table=table)
+    return ModelInstance(kind=kind, params=params, rmr=rmr, chain=chain,
+                         pi=Distribution(w / w.sum()), n_sites=g.n, rate=rate)
 
 
 def hypercube_model(n: int) -> ModelInstance:
     """Lazy walk on {0,1}^n: refresh a uniformly chosen coordinate with a fair bit."""
     if not 1 <= n <= 20:
         raise InvalidInputError("hypercube size must satisfy 1 <= n <= 20")
-    n_states = 2**n
-    labels = tuple(format(x, f"0{n}b") for x in range(n_states))
-    r_labels = []
-    columns = []
-    states = np.arange(n_states, dtype=np.int64)
-    for i in range(n):
-        bit = 1 << (n - 1 - i)  # coordinate i is character i of the label
-        for b in (0, 1):
-            r_labels.append(f"coord{i}_bit{b}")
-            columns.append((states & ~bit) | (bit if b else 0))
-    table = np.stack(columns, axis=1)
-    probs = np.full(2 * n, 1.0 / (2 * n))
-    chain = None
-    if n_states <= EXACT_GUARD_N:
-        chain = TransitionMatrix(
-            labels,
-            induced_entries(table, probs),
-        )
-    rmr = RandomMappingRep(base=chain, r_labels=tuple(r_labels), probs=probs, table=table)
-    return ModelInstance(
-        kind="hypercube",
-        params={"n": n},
-        state_labels=labels,
-        rmr=rmr,
-        chain=chain,
-        pi=Distribution(np.full(n_states, 1.0 / n_states)),
-        n_sites=n,
+    return _single_site_model(
+        "hypercube", {"n": n}, GraphSpec(n, ()), 2, values=(0, 1),
+        r_labels=[f"coord{i}_bit{b}" for i in range(n) for b in (0, 1)],
+        probs=np.full(2 * n, 1.0 / (2 * n)),
         rate=1.0,  # coupon-collector envelope n * exp(-m / n)
+    )
+
+
+def colorings_model(g: GraphSpec, q: int) -> ModelInstance:
+    """Metropolis chain on the proper q-colorings of g.
+
+    A move picks (vertex, color) uniformly and recolors when the color is
+    allowable (differs from all neighbor colors); otherwise it stays. The
+    state space is restricted to proper colorings; the stationary distribution
+    is uniform. Requires q >= max_degree + 2 for ergodicity of the restricted
+    chain.
+    """
+    if q < g.max_degree + 2:
+        raise InvalidInputError(
+            f"need q >= max_degree + 2 = {g.max_degree + 2} for ergodicity, got q={q}"
+        )
+    return _single_site_model(
+        "colorings", {"n": g.n, "q": q, "max_degree": g.max_degree}, g, q, values=range(q),
+        r_labels=[f"v{v}_k{k}" for v in range(g.n) for k in range(q)],
+        probs=np.full(g.n * q, 1.0 / (g.n * q)),
+        rate=1.0 - 3.0 * g.max_degree / q,  # c_met(Delta, q)
+        edge_ok=np.not_equal,
+    )
+
+
+def hardcore_model(g: GraphSpec, lam: float) -> ModelInstance:
+    """Glauber dynamics on hardcore configurations (independent sets) of g.
+
+    A move picks a vertex uniformly and tosses a lambda/(1+lambda) coin:
+    tails removes any particle at the vertex, heads places one when all
+    neighbors are vacant. pi(x) is proportional to lambda^(occupied count).
+    """
+    if not 0 < lam < math.inf:  # NaN fails too
+        raise InvalidInputError(f"fugacity lambda must be positive and finite, got {lam}")
+    heads = lam / (1.0 + lam)
+    try:  # lam ** k as a Python float, k the occupied count
+        power = np.array([lam**k for k in range(g.n + 1)], dtype=float)
+    except OverflowError:
+        raise InvalidInputError(f"fugacity lambda = {lam} too large: lambda**{g.n} overflows") from None
+
+    return _single_site_model(
+        "hardcore", {"n": g.n, "lambda": lam, "max_degree": g.max_degree}, g, 2,
+        values=(1, 0),  # heads places a particle, tails removes it
+        r_labels=[f"v{v}_{toss}" for v in range(g.n) for toss in ("heads", "tails")],
+        probs=np.tile([heads / g.n, (1.0 - heads) / g.n], g.n),
+        rate=(1.0 + lam * (1.0 - g.max_degree)) / (1.0 + lam),  # c_H(lambda)
+        edge_ok=lambda a, b: (a & b) == 0,
+        weights=lambda codes: power[sum(codes >> v & 1 for v in range(g.n))],
     )
 
 
@@ -234,130 +296,6 @@ def load_counterexample_fixture() -> dict:
     doc["matrix"] = np.array(doc["matrix"], dtype=float)
     doc["eigenvalues_2digits"] = np.array(doc["eigenvalues_2digits"], dtype=float)
     return doc
-
-
-# ---------------------------------------------------------------------------
-# Metropolis recolorings
-
-
-def colorings_model(g: GraphSpec, q: int) -> ModelInstance:
-    """Metropolis chain on the proper q-colorings of g.
-
-    A move picks (vertex, color) uniformly and recolors when the color is
-    allowable (differs from all neighbor colors); otherwise it stays. The
-    state space is restricted to proper colorings; the stationary distribution
-    is uniform. Requires q >= max_degree + 2 for ergodicity of the restricted
-    chain.
-    """
-    if q < g.max_degree + 2:
-        raise InvalidInputError(
-            f"need q >= max_degree + 2 = {g.max_degree + 2} for ergodicity, got q={q}"
-        )
-    if q**g.n > ENUMERATION_GUARD:
-        raise GuardExceededError(f"q^n = {q**g.n} exceeds the enumeration guard")
-    neighbors = [g.neighbors(v) for v in range(g.n)]
-    states = [
-        x
-        for x in itertools.product(range(q), repeat=g.n)
-        if all(x[u] != x[v] for u, v in g.edges)
-    ]
-    if not states:
-        raise InvalidInputError("graph has no proper coloring with the given q")
-    index = {x: i for i, x in enumerate(states)}
-    n_states = len(states)
-
-    r_labels = [f"v{v}_k{k}" for v in range(g.n) for k in range(q)]
-    table = np.empty((n_states, g.n * q), dtype=np.int64)
-    for i, x in enumerate(states):
-        for v in range(g.n):
-            blocked = {x[w] for w in neighbors[v]}
-            for k in range(q):
-                r = v * q + k
-                if k in blocked:
-                    table[i, r] = i
-                else:
-                    y = list(x)
-                    y[v] = k
-                    table[i, r] = index[tuple(y)]
-    probs = np.full(g.n * q, 1.0 / (g.n * q))
-    chain = (
-        TransitionMatrix(tuple("".join(map(str, x)) for x in states), induced_entries(table, probs))
-        if n_states <= EXACT_GUARD_N
-        else None
-    )
-    rmr = RandomMappingRep(base=chain, r_labels=tuple(r_labels), probs=probs, table=table)
-    return ModelInstance(
-        kind="colorings",
-        params={"n": g.n, "q": q, "max_degree": g.max_degree},
-        state_labels=tuple("".join(map(str, x)) for x in states),
-        rmr=rmr,
-        chain=chain,
-        pi=Distribution(np.full(n_states, 1.0 / n_states)),
-        n_sites=g.n,
-        rate=1.0 - 3.0 * g.max_degree / q,  # c_met(Delta, q)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Hardcore model
-
-
-def hardcore_model(g: GraphSpec, lam: float) -> ModelInstance:
-    """Glauber dynamics on hardcore configurations (independent sets) of g.
-
-    A move picks a vertex uniformly and tosses a lambda/(1+lambda) coin:
-    tails removes any particle at the vertex, heads places one when all
-    neighbors are vacant. pi(x) is proportional to lambda^(occupied count).
-    """
-    if lam <= 0:
-        raise InvalidInputError("fugacity lambda must be positive")
-    if 2**g.n > ENUMERATION_GUARD:
-        raise GuardExceededError(f"2^n = {2**g.n} exceeds the enumeration guard")
-    neighbors = [g.neighbors(v) for v in range(g.n)]
-    states = [
-        x
-        for x in itertools.product((0, 1), repeat=g.n)
-        if all(not (x[u] and x[v]) for u, v in g.edges)
-    ]
-    index = {x: i for i, x in enumerate(states)}
-    n_states = len(states)
-
-    heads = lam / (1.0 + lam)
-    r_labels, prob_list, columns = [], [], []
-    for v in range(g.n):
-        for toss, pr in (("heads", heads / g.n), ("tails", (1.0 - heads) / g.n)):
-            r_labels.append(f"v{v}_{toss}")
-            prob_list.append(pr)
-            col = np.empty(n_states, dtype=np.int64)
-            for i, x in enumerate(states):
-                y = list(x)
-                if toss == "tails":
-                    y[v] = 0
-                elif all(x[w] == 0 for w in neighbors[v]):
-                    y[v] = 1
-                col[i] = index[tuple(y)]
-            columns.append(col)
-    table = np.stack(columns, axis=1)
-    probs = np.array(prob_list)
-
-    weights = np.array([lam ** sum(x) for x in states], dtype=float)
-    pi = Distribution(weights / weights.sum())
-    chain = (
-        TransitionMatrix(tuple("".join(map(str, x)) for x in states), induced_entries(table, probs))
-        if n_states <= EXACT_GUARD_N
-        else None
-    )
-    rmr = RandomMappingRep(base=chain, r_labels=tuple(r_labels), probs=probs, table=table)
-    return ModelInstance(
-        kind="hardcore",
-        params={"n": g.n, "lambda": lam, "max_degree": g.max_degree},
-        state_labels=tuple("".join(map(str, x)) for x in states),
-        rmr=rmr,
-        chain=chain,
-        pi=pi,
-        n_sites=g.n,
-        rate=(1.0 + lam * (1.0 - g.max_degree)) / (1.0 + lam),  # c_H(lambda)
-    )
 
 
 # ---------------------------------------------------------------------------

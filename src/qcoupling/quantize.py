@@ -73,10 +73,6 @@ class Superoperator:
             )
         return unvec(self.matrix @ vec(M))
 
-    def adjoint(self) -> "Superoperator":
-        """Hilbert-Schmidt adjoint (transpose of the matrix; real case)."""
-        return Superoperator(self.dim, self.matrix.T, cp_status=self.cp_status)
-
 
 @dataclass
 class KrausSet:

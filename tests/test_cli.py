@@ -41,6 +41,19 @@ class TestExitCodes:
     def test_valid_model_is_0(self, tmp_path):
         assert run("validate", "--model", "hypercube2", "--out", str(tmp_path)) == 0
 
+    @pytest.mark.parametrize("argv, problem", [
+        (("--model", "colorings-path0-q2"), "at least one vertex"),
+        (("--model", "colorings-k0-q3"), "at least one vertex"),
+        (("--model", "hardcore-path0"), "at least one vertex"),
+        (("--model", "hardcore-path3", "--fugacity", "nan"), "fugacity"),
+        (("--model", "hardcore-path10", "--fugacity", "inf"), "fugacity"),  # MC-only: no chain
+        (("--model", "hardcore-path3", "--fugacity", "1e200"), "fugacity"),  # lambda**2 overflows
+    ])
+    def test_degenerate_model_is_invalid_input(self, tmp_path, capsys, argv, problem):
+        assert run("validate", *argv, "--out", str(tmp_path / "o")) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--model", "hypercube2"),
         ("dilate", "--model", "hypercube2"),

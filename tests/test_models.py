@@ -27,7 +27,6 @@ class TestGraphSpec:
     def test_path_and_complete(self):
         assert path_graph(5).max_degree == 2
         assert complete_graph(4).max_degree == 3
-        assert sorted(path_graph(3).neighbors(1)) == [0, 2]
 
     def test_rejects_self_loop_and_duplicates(self):
         with pytest.raises(InvalidInputError, match="self-loop"):
@@ -170,6 +169,11 @@ class TestColorings:
         m = colorings_model(path_graph(5), 7)
         assert not m.exact and m.chain is None
 
+    def test_enumeration_guard(self):
+        # 7^8 = 5,764,801 configurations exceed ENUMERATION_GUARD before any is built
+        with pytest.raises(GuardExceededError, match="7\\^8 = 5764801 configurations exceed the enumeration guard"):
+            colorings_model(path_graph(8), 7)
+
 
 class TestHardcore:
     def test_p3_stationary_oracle(self, hardcore_p3_lam2):
@@ -199,6 +203,10 @@ class TestHardcore:
     def test_rejects_nonpositive_fugacity(self):
         with pytest.raises(InvalidInputError):
             hardcore_model(path_graph(2), 0.0)
+
+    def test_enumeration_guard(self):
+        with pytest.raises(GuardExceededError, match="2\\^21 = 2097152 configurations exceed the enumeration guard"):
+            hardcore_model(path_graph(21), 1.0)
 
 
 class TestContractionRate:

@@ -1,13 +1,15 @@
-"""Every top-level definition in ``src/qcoupling`` is reached from an entry point.
+"""Every definition in ``src/qcoupling`` is reached from an entry point.
 
 A name-reference walk over the package's source. The roots are the CLI's
 ``cmd_*`` subcommands and its entry points, every name that
-``tests/test_acceptance.py`` uses, and the functions perfbench traces (its
-``SPANS`` table in ``perfbench/tracing.py``, read as text). A top-level
-function, class or assigned name is reached when module-level code or a
-reached definition refers to it; a class counts as one definition, its
-methods included. Names are matched by identifier, so the walk can only
-overcount what is reached.
+``tests/test_acceptance.py`` uses, and the functions and methods perfbench
+traces (its ``SPANS`` table in ``perfbench/tracing.py``, read as text). A
+top-level function, class or assigned name is reached when module-level code
+or a reached definition refers to it. Each method and property of a class is
+a definition of its own, ``Class.name``: it is reached when its class is and
+a reached definition refers to its name, and a dunder method is reached with
+its class. Names are matched by identifier, so the walk can only overcount
+what is reached.
 """
 
 import ast
@@ -22,6 +24,8 @@ ENTRY_POINTS = {"main", "build_parser", "resolve_model", "emit_report"}
 ALLOWED_UNREACHED = {
     "coupon_collector_tail": "the closed-form tail that tests compare exact and MC tails with",
     "DEFAULT_BACKEND": "perfbench records it in each run's provenance",
+    "Csr.nbytes": "perfbench's owned_nbytes reads it for coupling.coupling_bytes",
+    "ChoiMatrix.swapped": "tests convert Choi matrices between factor orders with it",
 }
 
 
@@ -36,13 +40,32 @@ def _names(node):
             yield from (alias.name for alias in sub.names)
 
 
+def _class_defs(cls):
+    """(the class's own nodes, its methods): decorators, bases and body
+    statements other than methods, and ``Class.name`` -> each method node."""
+    methods = {}
+    own = [*cls.decorator_list, *cls.bases, *cls.keywords]
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            methods.setdefault(f"{cls.name}.{stmt.name}", []).append(stmt)
+        else:
+            own.append(stmt)
+    return own, methods
+
+
 def _package():
-    """(definitions, module-level references): top-level name -> the nodes that
-    define it, and the names module-level code outside any definition uses."""
+    """(definitions, module-level references): each top-level name and each
+    ``Class.method`` -> the nodes that define it, and the names module-level
+    code outside any definition uses."""
     defs, module_refs = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(stmt, ast.ClassDef):
+                own, methods = _class_defs(stmt)
+                defs.setdefault(stmt.name, []).extend(own)
+                for key, nodes in methods.items():
+                    defs.setdefault(key, []).extend(nodes)
+            elif isinstance(stmt, ast.FunctionDef):
                 defs.setdefault(stmt.name, []).append(stmt)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
@@ -57,25 +80,30 @@ def _package():
 
 def _span_targets():
     text = (REPO / "perfbench" / "tracing.py").read_text()
-    return {m[1] for m in re.finditer(r'\("qcoupling\.\w+", "(\w+)(?:\.\w+)?"\)', text)}
+    return {m[1] for m in re.finditer(r'\("qcoupling\.\w+", "(\w+(?:\.\w+)?)"\)', text)}
 
 
 def _roots(defs, module_refs):
     acceptance = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
     subcommands = {name for name in defs if name.startswith("cmd_")}
-    return subcommands | ENTRY_POINTS | set(_names(acceptance)) | _span_targets() | module_refs
+    spans = _span_targets()
+    span_classes = {target.partition(".")[0] for target in spans}
+    return subcommands | ENTRY_POINTS | set(_names(acceptance)) | spans | span_classes | module_refs
 
 
 def _unreached():
     defs, module_refs = _package()
-    reached, todo = set(), [n for n in _roots(defs, module_refs) if n in defs]
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for node in defs[name]:
-            todo += [n for n in _names(node) if n in defs and n not in reached]
+    refs, reached, grew = _roots(defs, module_refs), set(), True
+    while grew:  # a method is reached only once its class is, so repeat until nothing grows
+        grew = False
+        for key, nodes in defs.items():
+            owner, _, name = key.rpartition(".")
+            if key in reached or (owner and owner not in reached):
+                continue
+            if key in refs or name in refs or (owner and name.startswith("__")):
+                reached.add(key)
+                refs.update(n for node in nodes for n in _names(node))
+                grew = True
     return set(defs) - reached, defs
 
 
