@@ -342,14 +342,19 @@ def chain_from_json_dict(doc: dict) -> TransitionMatrix:
     return TransitionMatrix(labels=tuple(labels), entries=json_numbers(rows, "field 'P'"))
 
 
-def read_chain_json(path) -> TransitionMatrix:
+def read_json_file(path, parse):
+    """``parse`` of the JSON document at ``path``; every error names the file,
+    and malformed JSON also the line."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     try:
-        return chain_from_json_dict(doc)
+        return parse(doc)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
+
+def read_chain_json(path) -> TransitionMatrix:
+    return read_json_file(path, chain_from_json_dict)

@@ -45,3 +45,11 @@ class ValidationReport:
 
     def __bool__(self):
         return self.valid
+
+
+def series_csv(m_values, columns: list[tuple[str, object]]) -> str:
+    """An integer ``m`` column, then each named column as ``.17g``, which reads back exactly."""
+    lines = [",".join(["m", *(name for name, _ in columns)])]
+    for i, m in enumerate(m_values):
+        lines.append(",".join([str(int(m)), *(f"{col[i]:.17g}" for _, col in columns)]))
+    return "\n".join(lines) + "\n"

@@ -404,7 +404,7 @@ def cmd_evolve(args) -> int:
         raise InvalidInputError(f"unknown --rho0 {args.rho0!r}")
     T = superop_from_kraus(kraus_from_grand(rm.rmr, rm.pi))
     report = coalescence_tail_exact(rm.exact_coupling(), m_max=args.m_max)
-    trace = evolve_trace(T, rho0, qsample(rm.pi), args.m_max, report=report)
+    trace = evolve_trace(T, rho0, rm.pi, args.m_max, report=report)
     summary = {
         "model": rm.name,
         "m_max": args.m_max,

@@ -7,7 +7,6 @@ left-factor-major tensor order, which makes the vectorized identity
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +16,10 @@ from qcoupling.chain import (
     ATOL_INPUT,
     TransitionMatrix,
     json_numbers,
+    read_json_file,
     validate_chain,
 )
-from qcoupling.checks import CheckResult, ValidationReport
+from qcoupling.checks import CheckResult, ValidationReport, series_csv
 from qcoupling.csr import Csr, as_csr, sums_by_key
 from qcoupling.errors import (
     GuardExceededError,
@@ -208,21 +208,14 @@ class CoalescenceReport:
         return float(self.tail_max[pos[0]])
 
     def to_csv(self, include_pairs: bool = False) -> str:
-        cols = ["m", "tail_max"]
+        columns = [("tail_max", self.tail_max)]
         if self.mode == "monte_carlo":
-            cols.append("tail_ci_hi")
+            ci = self.ci_half if self.ci_half is not None else 0.0
+            columns.append(("tail_ci_hi", self.tail_max + ci))
         if include_pairs and self.per_pair is not None:
-            cols += [f"pair_{x}_{y}" for x, y in self.pairs]
-        lines = [",".join(cols)]
-        for i, m in enumerate(self.m_values):
-            row = [str(int(m)), f"{self.tail_max[i]:.17g}"]
-            if self.mode == "monte_carlo":
-                hi = self.tail_max[i] + (self.ci_half[i] if self.ci_half is not None else 0.0)
-                row.append(f"{hi:.17g}")
-            if include_pairs and self.per_pair is not None:
-                row += [f"{v:.17g}" for v in self.per_pair[i]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+            columns += [(f"pair_{x}_{y}", self.per_pair[:, j])
+                        for j, (x, y) in enumerate(self.pairs)]
+        return series_csv(self.m_values, columns)
 
 
 def _t_couple(upper: np.ndarray, m_values: np.ndarray) -> int | None:
@@ -762,12 +755,4 @@ def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
 
 
 def read_coupling_json(path, base: TransitionMatrix | None = None):
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    try:
-        return coupling_from_json_dict(doc, base=base)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
+    return read_json_file(path, lambda doc: coupling_from_json_dict(doc, base=base))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qcoupling.chain import ATOL_COMPUTED, ATOL_INPUT, Distribution
-from qcoupling.checks import CheckResult
+from qcoupling.checks import CheckResult, series_csv
 from qcoupling.coupling import (
     CoalescenceReport,
     CouplingMatrix,
@@ -93,19 +93,10 @@ class ConvergenceTrace:
     theorem_envelope: np.ndarray | None = None
 
     def to_csv(self) -> str:
-        cols = ["m", "trace_distance", "qperp_overlap"]
-        extras = []
-        for name in ("classical_tail_max", "qperp_bound", "theorem_envelope"):
-            if getattr(self, name) is not None:
-                cols.append(name)
-                extras.append(getattr(self, name))
-        lines = [",".join(cols)]
-        for i, m in enumerate(self.m_values):
-            row = [str(int(m)), f"{self.trace_distance[i]:.17g}",
-                   f"{self.qperp_overlap[i]:.17g}"]
-            row += [f"{col[i]:.17g}" for col in extras]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        names = ("trace_distance", "qperp_overlap", "classical_tail_max", "qperp_bound",
+                 "theorem_envelope")
+        columns = [(k, getattr(self, k)) for k in names if getattr(self, k) is not None]
+        return series_csv(self.m_values, columns)
 
 
 def qsample(pi: Distribution) -> Qsample:
@@ -134,16 +125,32 @@ def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m))
 
 
-def _cp_verified(channel) -> bool:
+def _require_cp(channel):
+    """The one CP rule: a KrausSet, or a Superoperator stamped "verified"."""
     if isinstance(channel, KrausSet):
-        return True
-    return isinstance(channel, Superoperator) and channel.cp_status == "verified"
+        return
+    if not (isinstance(channel, Superoperator) and channel.cp_status == "verified"):
+        raise InvalidInputError("channel must be a KrausSet or a CP-verified Superoperator")
+
+
+def _orbit(channel, rho0: DensityMatrix, m_max: int):
+    """rho0, T(rho0), ..., T^m_max(rho0), lazily: the only code that applies a channel."""
+    rho = rho0.matrix
+    yield rho
+    for _ in range(m_max):
+        rho = channel.apply(rho)
+        yield rho
+
+
+def _qperp_overlap(Qp: np.ndarray, rho: np.ndarray) -> float:
+    """tr(Qperp rho) for the complement ``Qp`` formed once by the caller."""
+    return float(np.trace(Qp @ rho))
 
 
 def evolve_trace(
     channel,
     rho0: DensityMatrix,
-    q: Qsample,
+    pi: Distribution,
     m_max: int,
     report: CoalescenceReport | None = None,
 ) -> ConvergenceTrace:
@@ -153,27 +160,22 @@ def evolve_trace(
     checked to be non-increasing (data processing); the Qperp overlap series
     is recorded but not asserted monotone.
     """
-    if not _cp_verified(channel):
-        raise InvalidInputError("evolve_trace requires a CP-verified channel")
-    Q = q.projector
-    Qp = q.complement
-    rho = rho0.matrix
+    _require_cp(channel)
+    q = qsample(pi)
+    Q, Qp = q.projector, q.complement
     dists, overlaps = [], []
-    for m in range(m_max + 1):
+    for m, rho in enumerate(_orbit(channel, rho0, m_max)):
         dists.append(trace_distance(rho, Q))
-        overlaps.append(float(np.trace(Qp @ rho)))
+        overlaps.append(_qperp_overlap(Qp, rho))
         if m > 0 and dists[-1] > dists[-2] + ATOL_COMPUTED:
             raise AssertionError(
                 f"trace distance to the fixed point increased at m={m}"
             )
-        if m < m_max:
-            rho = channel.apply(rho)
 
     tails = bound = envelope = None
     if report is not None:
-        pi_star = float(np.min(q.amplitudes) ** 2)
         tails = np.array([report.tail_at(m) for m in range(m_max + 1)])
-        bound = tails / pi_star
+        bound = tails / float(pi.weights.min())
         envelope = np.sqrt(np.minimum(1.0, bound))
     return ConvergenceTrace(
         m_values=np.arange(m_max + 1),
@@ -195,6 +197,12 @@ def edge_state(x: int, y: int, n: int) -> np.ndarray:
     v[x] = 1.0 / math.sqrt(2.0)
     v[y] = -1.0 / math.sqrt(2.0)
     return v
+
+
+# An edge Laplacian |-_xy><-_xy| as np.outer forms it: _LAPLACIAN_DIAG = 1/2 at
+# (x, x) and (y, y), _LAPLACIAN_OFF = -1/2 at (x, y) and (y, x).
+_E = edge_state(0, 1, 2)
+_LAPLACIAN_DIAG, _LAPLACIAN_OFF = _E[0] * _E[0], _E[0] * _E[1]
 
 
 def laplacian_preservation_check(
@@ -234,17 +242,15 @@ def laplacian_preservation_check(
 def _edge_laplacian_combination(weights: np.ndarray) -> np.ndarray:
     """sum_{x != y} weights[x] weights[y] |-_{xy}><-_{xy}|, pairs in (x, y) order.
 
-    Each |-_{xy}><-_{xy}| has four nonzeros, 1/2 at (x, x) and (y, y) and
-    -1/2 at (x, y) and (y, x), so each pair adds four entries. ``np.add.at``
-    adds them sequentially in pair order, which is the order in which the sum
-    of dense outer products accumulates every entry, so the result is the
-    same bit for bit in O(N^2) work.
+    Each |-_{xy}><-_{xy}| has four nonzeros, so each pair adds four entries.
+    ``np.add.at`` adds them sequentially in pair order, which is the order in
+    which the sum of dense outer products accumulates every entry, so the
+    result is the same bit for bit in O(N^2) work.
     """
     n = weights.size
     x, y = np.nonzero(~np.eye(n, dtype=bool))
-    e = edge_state(0, 1, 2)  # the products np.outer forms at the four nonzeros
-    diag = weights[x] * weights[y] * (e[0] * e[0])
-    off = weights[x] * weights[y] * (e[0] * e[1])
+    diag = weights[x] * weights[y] * _LAPLACIAN_DIAG
+    off = weights[x] * weights[y] * _LAPLACIAN_OFF
     combo = np.zeros((n, n))
     np.add.at(
         combo,
@@ -285,14 +291,12 @@ def edge_laplacian_traces(S, pairs: list[tuple[int, int]], n: int, m: int) -> np
     pair read the same four entries and give the same bits.
     """
     x, y = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    e = edge_state(0, 1, 2)  # the products np.outer forms at the four nonzeros
-    diag, off = e[0] * e[0], e[0] * e[1]
     xx, yy, xy, yx = x * (n + 1), y * (n + 1), x + n * y, y + n * x  # vec(M)[i + N j] = M[i, j]
     u = np.zeros(n * n)
     u[np.arange(n) * (n + 1)] = 1.0  # vec(I)
     out = np.empty((m + 1, x.size))
     for k in range(m + 1):
-        out[k] = diag * (u[xx] + u[yy]) + off * (u[xy] + u[yx])
+        out[k] = _LAPLACIAN_DIAG * (u[xx] + u[yy]) + _LAPLACIAN_OFF * (u[xy] + u[yx])
         if k < m:
             u = u @ S
     return out
@@ -331,7 +335,7 @@ def coalescence_trace_identity_check(
 
 
 def qperp_bound_check(
-    T: Superoperator,
+    T: Superoperator | KrausSet,
     pi: Distribution,
     report: CoalescenceReport,
     rho0_set: list[DensityMatrix],
@@ -344,26 +348,17 @@ def qperp_bound_check(
     """
     if report.mode != "exact":
         raise InvalidInputError("qperp_bound_check needs exact tails")
-    if T.cp_status != "verified":
-        raise InvalidInputError("channel must be CP-verified")
-    q = qsample(pi)
-    Qp = q.complement
+    _require_cp(T)
+    Qp = qsample(pi).complement
     pi_star = float(pi.weights.min())
-    worst_ratio = 0.0
-    worst_informative_ratio = 0.0
-    violations = 0
-    vacuous = 0
+    worst_ratio = worst_informative_ratio = 0.0
+    violations = vacuous = 0
     grid = set(int(v) for v in m_grid)
-    m_last = max(m_grid)
     for rho0 in rho0_set:
-        rho = rho0.matrix
-        by_m = {}
-        for m in range(m_last + 1):
-            if m in grid:
-                by_m[m] = float(np.trace(Qp @ rho))
-            if m < m_last:
-                rho = T.apply(rho)
-        for m, lhs in by_m.items():
+        for m, rho in enumerate(_orbit(T, rho0, max(grid))):
+            if m not in grid:
+                continue
+            lhs = _qperp_overlap(Qp, rho)
             rhs = report.tail_at(m) / pi_star
             ratio = lhs / rhs if rhs > 0 else (0.0 if lhs <= ATOL_COMPUTED else np.inf)
             worst_ratio = max(worst_ratio, ratio)
@@ -388,42 +383,44 @@ def qperp_bound_check(
 
 
 def main_theorem_check(
-    T: Superoperator,
+    T: Superoperator | KrausSet,
     pi: Distribution,
     report: CoalescenceReport,
     rho0_set: list[DensityMatrix],
     eps_list: list[float],
 ) -> CheckResult:
-    """Halved trace distance <= sqrt(eps) at m = ceil(log2(1/(eps pi_*))/2) * t_couple."""
+    """Halved trace distance <= sqrt(eps) at m = ceil(log2(1/(eps pi_*))/2) * t_couple.
+
+    Each state runs one orbit, to the schedule's largest m, and every eps is
+    tested at its own m on it (an eps above 1/pi_* at m = 0).
+    """
     if report.t_couple is None:
         raise InvalidInputError("t_couple not resolved in the coalescence report")
-    if T.cp_status != "verified":
-        raise InvalidInputError("channel must be CP-verified")
-    q = qsample(pi)
-    Q = q.projector
+    _require_cp(T)
+    Q = qsample(pi).projector
     pi_star = float(pi.weights.min())
-    worst_margin = -np.inf
-    rows = []
-    passed = True
+    schedule: dict[int, list[float]] = {}  # m -> the eps tested at m
     for eps in eps_list:
         m = math.ceil(0.5 * math.log2(1.0 / (eps * pi_star))) * report.t_couple
-        for rho0 in rho0_set:
-            rho = rho0.matrix
-            for _ in range(m):
-                rho = T.apply(rho)
+        schedule.setdefault(max(m, 0), []).append(eps)
+    worst_margin, passed = -np.inf, True
+    for rho0 in rho0_set:
+        for m, rho in enumerate(_orbit(T, rho0, max(schedule, default=0))):
+            if m not in schedule:
+                continue
             lhs = trace_distance(rho, Q)
-            rhs = math.sqrt(eps)
-            rows.append({"eps": eps, "m": m, "lhs": lhs, "rhs": rhs})
-            worst_margin = max(worst_margin, lhs - rhs)
-            if lhs > rhs + ATOL_COMPUTED:
-                passed = False
+            for eps in schedule[m]:
+                rhs = math.sqrt(eps)
+                worst_margin = max(worst_margin, lhs - rhs)
+                if lhs > rhs + ATOL_COMPUTED:
+                    passed = False
     return CheckResult(
         name="main_theorem",
         passed=passed,
         lhs=worst_margin,
         rhs=0.0,
         tolerance=ATOL_COMPUTED,
-        details={"t_couple": report.t_couple, "cases": len(rows)},
+        details={"t_couple": report.t_couple, "cases": len(eps_list) * len(rho0_set)},
     )
 
 
@@ -433,7 +430,7 @@ def gentle_measurement_step_check(rho: DensityMatrix, q: Qsample, eps: float) ->
     For the rank-1 projector Q the post-measurement state is Q itself. A
     violated precondition is reported in the result, not raised.
     """
-    overlap = float(np.trace(q.complement @ rho.matrix))
+    overlap = _qperp_overlap(q.complement, rho.matrix)
     if overlap >= eps:
         return CheckResult(
             name="gentle_measurement",

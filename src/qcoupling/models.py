@@ -255,6 +255,8 @@ def cycle_coupling_model(
     """
     if n < 3:
         raise InvalidInputError("cycle needs n >= 3")
+    if n > EXACT_GUARD_N:  # the family has no random mapping, so no MC path either
+        raise GuardExceededError(f"cycle models are guarded at N <= {EXACT_GUARD_N}; N = {n}")
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError("bias p must lie in [0, 1]")
     if variant not in ("prose", "printed"):

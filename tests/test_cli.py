@@ -34,6 +34,28 @@ class TestExitCodes:
         code = run("coalesce", "--model", "colorings-path5-q7", "--out", str(tmp_path))
         assert code == 3
 
+    def test_cycle_past_exact_guard_is_3(self, tmp_path, capsys):
+        # the cycle family is dense and has no MC path, so it stops at the guard
+        assert run("validate", "--model", "cycle65-prose", "--out", str(tmp_path / "o")) == 3
+        assert "guard" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_cycle_at_exact_guard_is_0(self, tmp_path):
+        assert run("validate", "--model", "cycle64-prose", "--out", str(tmp_path)) == 0
+
+    def test_malformed_coupling_json_names_file_and_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("model", "--model", "hypercube2", "--out", str(out)) == 0
+        chain = tmp_path / "c.json"
+        chain.write_text(json.dumps(load_summary(out, "model-hypercube2")["chain"]))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "rmr",\n "R": [,]}')
+        capsys.readouterr()
+        argv = ["validate", "--chain", str(chain), "--coupling", str(bad)]
+        assert run(*argv, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: invalid JSON at line 2" in err, err
+
     def test_failed_math_check_is_1(self, tmp_path):
         # the printed fixture variant is deliberately not a stochastic coupling
         assert run("validate", "--model", "cycle3-printed", "--out", str(tmp_path)) == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoupling.chain import Distribution
+from qcoupling.chain import ATOL_COMPUTED, Distribution
 from qcoupling.coupling import coalescence_tail_exact
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import (
@@ -22,7 +22,13 @@ from qcoupling.evolve import (
     rescaled_qperp_decomposition_check,
     trace_distance,
 )
-from qcoupling.quantize import kraus_from_grand, superop_from_kraus, verify_cp
+from qcoupling.quantize import (
+    KrausSet,
+    Superoperator,
+    kraus_from_grand,
+    superop_from_kraus,
+    verify_cp,
+)
 
 
 def channel_for(model):
@@ -66,7 +72,7 @@ class TestEvolveTrace:
         T = channel_for(hypercube3)
         report = coalescence_tail_exact(hypercube3.coupling(), m_max=25)
         rho0 = DensityMatrix(np.eye(8) / 8)
-        trace = evolve_trace(T, rho0, qsample(hypercube3.pi), 25, report=report)
+        trace = evolve_trace(T, rho0, hypercube3.pi, 25, report=report)
         assert np.all(np.diff(trace.trace_distance) <= 1e-10)
         assert trace.trace_distance[-1] < 0.05
         # csv has every column
@@ -80,7 +86,7 @@ class TestEvolveTrace:
         T = superop_from_kraus(kraus_from_grand(hypercube3.rmr, hypercube3.pi))
         T.cp_status = "unchecked"
         with pytest.raises(InvalidInputError, match="CP-verified"):
-            evolve_trace(T, DensityMatrix(np.eye(8) / 8), qsample(hypercube3.pi), 2)
+            evolve_trace(T, DensityMatrix(np.eye(8) / 8), hypercube3.pi, 2)
 
 
 class TestStructuralChecks:
@@ -111,6 +117,66 @@ class TestStructuralChecks:
         res = qperp_bound_check(T, hypercube3.pi, report, rho0s, list(range(16)))
         assert res.passed
         assert res.details["violations"] == 0
+
+
+def _hypercube3_inputs(hypercube3):
+    """hypercube3's exact report to m = 15 and ten seeded random states."""
+    rng = np.random.Generator(np.random.Philox(7))
+    report = coalescence_tail_exact(hypercube3.coupling(), m_max=15)
+    return report, [random_density(8, rng) for _ in range(10)]
+
+
+def _identity_kraus(model):
+    return KrausSet(model.n, [np.eye(model.n)])
+
+
+def _grand_kraus(model):
+    return kraus_from_grand(model.rmr, model.pi)
+
+
+class TestChannelCheckGates:
+    """qperp_bound_check and main_theorem_check on failing and Kraus-form channels."""
+
+    def test_identity_channel_fails_both(self, hypercube3):
+        report, rho0s = _hypercube3_inputs(hypercube3)
+        identity = superop_from_kraus(_identity_kraus(hypercube3))
+        res = qperp_bound_check(identity, hypercube3.pi, report, rho0s, list(range(16)))
+        assert not res.passed
+        assert res.details["violations"] > 0
+        res = main_theorem_check(identity, hypercube3.pi, report, rho0s, [0.25, 0.04])
+        assert not res.passed
+        assert res.lhs > 0
+
+    def test_vacuous_rows_match_direct_computation(self, hypercube3):
+        report, rho0s = _hypercube3_inputs(hypercube3)
+        T = superop_from_kraus(_grand_kraus(hypercube3))
+        grid = list(range(16))
+        res = qperp_bound_check(T, hypercube3.pi, report, rho0s, grid)
+        # each row directly: tr(Qperp rho) = tr(rho) - <q|rho|q>, pi_* = min pi
+        a = np.sqrt(hypercube3.pi.weights)
+        pi_star = hypercube3.pi.weights.min()
+        rows = []
+        for rho0 in rho0s:
+            rho = rho0.matrix
+            for m in grid:
+                rows.append((np.trace(rho) - a @ rho @ a, report.tail_at(m) / pi_star))
+                rho = T.apply(rho)
+        assert res.details["vacuous_rows"] == sum(rhs >= 1.0 for _, rhs in rows) == 80
+        assert res.details["worst_ratio_incl_vacuous"] == pytest.approx(
+            max(lhs / rhs for lhs, rhs in rows), rel=1e-12)
+
+    @pytest.mark.parametrize("kraus", [_identity_kraus, _grand_kraus])
+    def test_kraus_set_matches_its_superoperator(self, hypercube3, kraus):
+        report, rho0s = _hypercube3_inputs(hypercube3)
+        ks = kraus(hypercube3)
+        S = superop_from_kraus(ks)
+        for check, arg in ((qperp_bound_check, list(range(16))),
+                           (main_theorem_check, [0.25, 0.04])):
+            got = check(ks, hypercube3.pi, report, rho0s, arg)
+            want = check(S, hypercube3.pi, report, rho0s, arg)
+            assert got.passed == want.passed
+            assert abs(got.lhs - want.lhs) <= 1e-12
+            assert got.details == pytest.approx(want.details, rel=0, abs=1e-12)
 
 
 class TestGentleMeasurement:
@@ -146,3 +212,61 @@ class TestMainTheorem:
         rho0s = [random_density(8, rng) for _ in range(5)]
         res = main_theorem_check(T, hypercube3.pi, report, rho0s, [0.25, 0.04])
         assert res.passed
+
+    @staticmethod
+    def _per_eps_reference(T, pi, report, rho0s, eps_list):
+        """(lhs, passed, cases) from one run per eps and state, each to its own m."""
+        Q = qsample(pi).projector
+        pi_star = float(pi.weights.min())
+        worst, passed, cases = -np.inf, True, 0
+        for eps in eps_list:
+            m = math.ceil(0.5 * math.log2(1.0 / (eps * pi_star))) * report.t_couple
+            for rho0 in rho0s:
+                rho = rho0.matrix
+                for _ in range(m):
+                    rho = T.apply(rho)
+                lhs, rhs = trace_distance(rho, Q), math.sqrt(eps)
+                worst = max(worst, lhs - rhs)
+                passed = passed and not lhs > rhs + ATOL_COMPUTED
+                cases += 1
+        return worst, passed, cases
+
+    def test_one_orbit_per_state(self, hypercube3, monkeypatch):
+        # acceptance criterion 05's inputs: 28 states, eps scheduled at m = 21, 28, 35
+        T = superop_from_kraus(_grand_kraus(hypercube3))
+        report = coalescence_tail_exact(hypercube3.coupling(), m_max=10)
+        rng = np.random.Generator(np.random.Philox(5))
+        rho0s = [DensityMatrix(np.diag(np.eye(8)[i])) for i in range(8)]
+        rho0s += [random_density(8, rng) for _ in range(20)]
+        eps_list = [0.25, 0.04, 0.01]
+        calls = []
+        apply = Superoperator.apply
+
+        def counted(self, M):
+            calls.append(M.shape)
+            return apply(self, M)
+
+        monkeypatch.setattr(Superoperator, "apply", counted)
+        res = main_theorem_check(T, hypercube3.pi, report, rho0s, eps_list)
+        assert len(calls) == 28 * 35
+        calls.clear()
+        want = self._per_eps_reference(T, hypercube3.pi, report, rho0s, eps_list)
+        assert len(calls) == 28 * (21 + 28 + 35)
+        assert (res.lhs, res.passed, res.details["cases"]) == want
+        assert res.passed
+
+    def test_eps_sharing_a_step_are_each_tested(self, hypercube3):
+        # pi_* = 1/8 and t_couple = 7 put eps 0.25 and 0.26 both at m = 21. Under
+        # the identity channel rho0 = (1 - d) Q + d I / 8 stays at halved trace
+        # distance 7 d / 8 = 0.505 from Q: over sqrt(0.25), under sqrt(0.26).
+        report = coalescence_tail_exact(hypercube3.coupling(), m_max=10)
+        Q = qsample(hypercube3.pi).projector
+        d = 0.505 * 8 / 7
+        rho0s = [DensityMatrix((1 - d) * Q + d * np.eye(8) / 8)]
+        identity = _identity_kraus(hypercube3)
+        for eps_list in ([0.25, 0.26], [0.26, 0.25]):
+            res = main_theorem_check(identity, hypercube3.pi, report, rho0s, eps_list)
+            assert not res.passed
+            assert res.lhs == pytest.approx(0.005, abs=1e-12)
+            assert (res.lhs, res.passed, res.details["cases"]) == self._per_eps_reference(
+                identity, hypercube3.pi, report, rho0s, eps_list)

@@ -47,7 +47,6 @@ from qcoupling.evolve import (
     laplacian_preservation_check,
     main_theorem_check,
     qperp_bound_check,
-    qsample,
     random_density,
 )
 from qcoupling.models import contraction_rate_check, load_counterexample_fixture
@@ -223,8 +222,8 @@ class TestChecksAgree:
         if table.t_couple is not None:
             _close(main_theorem_check(T, m.pi, table, states, [0.25]),
                    main_theorem_check(T_dense, m.pi, dense, states, [0.25]))
-        a = evolve_trace(T, states[0], qsample(m.pi), 15, report=table)
-        b = evolve_trace(T_dense, states[0], qsample(m.pi), 15, report=dense)
+        a = evolve_trace(T, states[0], m.pi, 15, report=table)
+        b = evolve_trace(T_dense, states[0], m.pi, 15, report=dense)
         np.testing.assert_allclose(a.trace_distance, b.trace_distance, rtol=0, atol=LHS_TOL)
         np.testing.assert_allclose(a.qperp_bound, b.qperp_bound, rtol=0, atol=1e-12)
 
