@@ -20,20 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from qcoupling.chain import (
-    TransitionMatrix,
-    chain_to_json_dict,
-    read_chain_json,
-    stationary_distribution,
-    validate_chain,
-)
+from qcoupling.chain import chain_to_json_dict, read_chain_json, validate_chain
 from qcoupling.coupling import (
-    CouplingMatrix,
     RandomMappingRep,
     check_tail_submultiplicativity,
     coalescence_tail_exact,
     coalescence_tail_mc,
-    grand_coupling_matrix,
     read_coupling_json,
     rmr_to_json_dict,
     coupling_to_json_dict,
@@ -42,6 +34,7 @@ from qcoupling.coupling import (
 from qcoupling.dilation import (
     build_dilation,
     dilation_route_check,
+    require_dilation_dim,
     state_decomposition_check,
 )
 from qcoupling.errors import (
@@ -95,69 +88,31 @@ EXIT_GUARD = 3
 # Model registry
 
 
-class ResolvedModel:
-    """A named model resolved to its chain / coupling / mapping pieces.
-
-    ``coupling`` is a :class:`CouplingMatrix` or, from a coupling file, a
-    :class:`RandomMappingRep`; ``rmr`` is the random mapping of a bundled
-    instance or of a mapping file, None when there is none.
-    """
-
-    def __init__(self, name, chain=None, coupling=None, instance=None):
-        self.name = name
-        self.instance: ModelInstance | None = instance
-        self.chain: TransitionMatrix | None = chain or (
-            instance.chain if instance else None
-        )
-        self._coupling = coupling
-        self.rmr: RandomMappingRep | None = (
-            instance.rmr if instance
-            else coupling if isinstance(coupling, RandomMappingRep) else None
-        )
-
-    @property
-    def pi(self):
-        if self.instance is not None:
-            return self.instance.pi
-        return stationary_distribution(self.chain)
-
-    def coupling(self) -> CouplingMatrix:
-        """The coupling as a sparse :class:`CouplingMatrix`; a random mapping's
-        grand coupling wraps its cached pair-space operator and is validated."""
-        if self.instance is not None:
-            return self.instance.coupling()  # an MC-only model's guard
-        if self.rmr is not None:
-            return grand_coupling_matrix(self.rmr)
-        if self._coupling is not None:
-            return self._coupling
-        raise InvalidInputError(f"model {self.name} has no coupling")
-
-    def exact_coupling(self) -> CouplingMatrix | RandomMappingRep:
-        """What the exact path runs on: a random mapping when there is one,
-        so its pair-space operator is built once from the successor table,
-        else the coupling matrix."""
-        return self.rmr if self.rmr is not None else self.coupling()
+def _cycle_model(n: int, p: float, variant: str) -> ModelInstance:
+    chain, C = cycle_coupling_model(n, p=p, variant=variant)
+    return ModelInstance("cycle", chain, dense=C)
 
 
 _MODEL_PATTERNS = [
-    (re.compile(r"^hypercube(\d+)$"), lambda m, a: ResolvedModel(
-        m.string, instance=hypercube_model(int(m.group(1))))),
-    (re.compile(r"^cycle(\d+)-(prose|printed)$"), lambda m, a: ResolvedModel(
-        m.string, *cycle_coupling_model(int(m.group(1)), p=a.bias, variant=m.group(2)))),
-    (re.compile(r"^colorings-k(\d+)-q(\d+)$"), lambda m, a: ResolvedModel(
-        m.string, instance=colorings_model(complete_graph(int(m.group(1))), int(m.group(2))))),
-    (re.compile(r"^colorings-path(\d+)-q(\d+)$"), lambda m, a: ResolvedModel(
-        m.string, instance=colorings_model(path_graph(int(m.group(1))), int(m.group(2))))),
-    (re.compile(r"^hardcore-path(\d+)$"), lambda m, a: ResolvedModel(
-        m.string, instance=hardcore_model(path_graph(int(m.group(1))), a.fugacity))),
+    (re.compile(r"^hypercube(\d+)$"), lambda m, a: hypercube_model(int(m.group(1)))),
+    (re.compile(r"^cycle(\d+)-(prose|printed)$"), lambda m, a: _cycle_model(
+        int(m.group(1)), a.bias, m.group(2))),
+    (re.compile(r"^colorings-k(\d+)-q(\d+)$"), lambda m, a: colorings_model(
+        complete_graph(int(m.group(1))), int(m.group(2)))),
+    (re.compile(r"^colorings-path(\d+)-q(\d+)$"), lambda m, a: colorings_model(
+        path_graph(int(m.group(1))), int(m.group(2)))),
+    (re.compile(r"^hardcore-path(\d+)$"), lambda m, a: hardcore_model(
+        path_graph(int(m.group(1))), a.fugacity)),
 ]
 
 
-def resolve_model(name: str, args) -> ResolvedModel:
+def resolve_model(name: str, args) -> ModelInstance:
     for pattern, build in _MODEL_PATTERNS:
         m = pattern.match(name)
         if m:
-            return build(m, args)
+            model = build(m, args)
+            model.name = name
+            return model
     raise InvalidInputError(
         f"unknown model {name!r}; expected hypercube<n>, cycle<n>-prose, "
         "cycle<n>-printed, colorings-k<n>-q<q>, colorings-path<n>-q<q>, "
@@ -165,7 +120,7 @@ def resolve_model(name: str, args) -> ResolvedModel:
     )
 
 
-def _load_inputs(args) -> ResolvedModel:
+def _load_inputs(args) -> ModelInstance:
     """Resolve either --model or --chain/--coupling file inputs, never both."""
     if getattr(args, "model", None):
         files = [f"--{flag}" for flag in ("chain", "coupling") if getattr(args, flag, None)]
@@ -180,7 +135,9 @@ def _load_inputs(args) -> ResolvedModel:
         coupling = None
         if getattr(args, "coupling", None):
             coupling = read_coupling_json(args.coupling, base=chain)
-        return ResolvedModel(Path(args.chain).stem, chain=chain, coupling=coupling)
+        rmr = coupling if isinstance(coupling, RandomMappingRep) else None
+        return ModelInstance("file", chain, rmr=rmr, dense=None if rmr else coupling,
+                             name=Path(args.chain).stem)
     raise InvalidInputError("provide --model or --chain")
 
 
@@ -251,15 +208,12 @@ def cmd_model(args) -> int:
         summary["stationary"] = rm.pi.weights.tolist()
     if rm.rmr is not None:
         summary["coupling"] = rmr_to_json_dict(rm.rmr)
-    else:
-        try:
-            summary["coupling"] = coupling_to_json_dict(rm.coupling())
-        except (InvalidInputError, GuardExceededError):
-            pass
-    if rm.instance is not None:
-        summary["rate"] = rm.instance.rate
-        summary["exact"] = rm.instance.exact
-        summary["n_states"] = rm.instance.n
+    elif rm.dense is not None:
+        summary["coupling"] = coupling_to_json_dict(rm.dense)
+    if rm.n_sites is not None:  # a single-site family
+        summary["rate"] = rm.rate
+        summary["exact"] = rm.exact
+        summary["n_states"] = rm.n
     emit_report(args.out, f"model-{rm.name}", summary, series)
     return EXIT_OK
 
@@ -272,10 +226,10 @@ def cmd_validate(args) -> int:
         rep = validate_chain(rm.chain)
         summary["chain"] = {"valid": rep.valid, "issues": rep.issues, **rep.details}
         ok = ok and rep.valid
-    if rm.instance is None and rm._coupling is None:  # a chain file without --coupling
+    if rm.rmr is None and rm.dense is None:  # a chain file without --coupling
         summary["coupling"] = {"skipped": f"model {rm.name} has no coupling"}
     else:
-        # an MC-only model's guard and an invalid mapping propagate (exit 3
+        # the exact limit's guard and an invalid mapping propagate (exit 3
         # and 2): a check that never ran is not a pass
         rep = validate_coupling(rm.coupling())
         summary["coupling"] = {"valid": rep.valid, "issues": rep.issues, **rep.details}
@@ -285,7 +239,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _quantize_summary(rm: ResolvedModel, order: str):
+def _quantize_summary(rm: ModelInstance, order: str):
     """Choi matrix of C* and the quantize summary.
 
     C* is built once, for the channel T and for the Choi matrix J. Each map
@@ -348,7 +302,7 @@ def cmd_coalesce(args) -> int:
         if rm.rmr is None:
             raise InvalidInputError("MC tails need a random-mapping model")
         grid = args.m_grid or _default_grid(args.m_max)
-        pairs = default_start_pairs(rm.instance or rm.rmr, count=5, seed=args.seed)
+        pairs = default_start_pairs(rm, count=5, seed=args.seed)
         report = coalescence_tail_mc(
             rm.rmr, pairs, grid, seed=args.seed,
             samples=100_000 if args.samples is None else args.samples,
@@ -384,6 +338,7 @@ def cmd_evolve(args) -> int:
     rm = _load_inputs(args)
     if rm.rmr is None:
         raise InvalidInputError("evolve needs a random-mapping model (CP channel)")
+    C = rm.exact_coupling()
     n = rm.pi.n
     if args.rho0 == "mixed":
         rho0 = DensityMatrix(np.eye(n) / n)
@@ -403,7 +358,7 @@ def cmd_evolve(args) -> int:
     else:
         raise InvalidInputError(f"unknown --rho0 {args.rho0!r}")
     T = superop_from_kraus(kraus_from_grand(rm.rmr, rm.pi))
-    report = coalescence_tail_exact(rm.exact_coupling(), m_max=args.m_max)
+    report = coalescence_tail_exact(C, m_max=args.m_max)
     trace = evolve_trace(T, rho0, rm.pi, args.m_max, report=report)
     summary = {
         "model": rm.name,
@@ -419,15 +374,15 @@ def cmd_evolve(args) -> int:
 def cmd_verify(args) -> int:
     _check_m_max(args)
     rm = _load_inputs(args)
-    if rm.rmr is None or rm.instance is None:
-        raise InvalidInputError("verify needs a named random-mapping model")
+    if rm.rmr is None:
+        raise InvalidInputError("verify needs a random-mapping model")
     if args.states < 1:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     rng = _seeded_rng(args.seed)
     C = rm.exact_coupling()
     # one tails run, to the largest m any check reads (6 = m * l of the
     # submultiplicativity check); each check gets the report or its cut
-    rate_grid = [] if rm.instance.rate is None else [rm.instance.n_sites * k for k in range(1, 8)]
+    rate_grid = [] if rm.rate is None else [rm.n_sites * k for k in range(1, 8)]
     tails = coalescence_tail_exact(C, m_max=max([args.m_max, 6, *rate_grid]))
     report = tails.up_to(args.m_max)
     pi = rm.pi
@@ -451,7 +406,7 @@ def cmd_verify(args) -> int:
     if report.t_couple is not None:
         checks.append(main_theorem_check(T, pi, report, rho0_set[:3], [0.25]))
     if rate_grid:
-        checks.append(contraction_rate_check(rm.instance, tails, rate_grid))
+        checks.append(contraction_rate_check(rm, tails, rate_grid))
     summary = _summaries(checks, {"model": rm.name, "seed": args.seed})
     emit_report(args.out, f"verify-{rm.name}-seed{args.seed}", summary)
     return EXIT_OK if summary["pass"] else EXIT_CHECK_FAILED
@@ -464,6 +419,7 @@ def cmd_dilate(args) -> int:
     if args.states < 1:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     rng = _seeded_rng(args.seed)
+    require_dilation_dim(rm.rmr.n_r, rm.n)
     ks = kraus_from_grand(rm.rmr, rm.pi)
     circ = build_dilation(ks)
     checks = []

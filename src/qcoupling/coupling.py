@@ -37,6 +37,12 @@ DRAW_CHUNK_WORDS = 1 << 15
 CDF_BUCKET_BITS = 12  # inverse-CDF buckets are indexed by a random word's top bits
 
 
+def require_exact(n: int):
+    """The exact limit: pair-space work on N states needs N <= EXACT_GUARD_N."""
+    if n > EXACT_GUARD_N:
+        raise GuardExceededError(f"exact mode guarded at N <= {EXACT_GUARD_N}; N = {n}")
+
+
 def swap_pair(index: np.ndarray, n: int) -> np.ndarray:
     """Pair index of (b, a) for each pair index a*N + b: the component swap."""
     a, b = np.divmod(index, n)
@@ -469,10 +475,7 @@ def coalescence_tail_exact(
     if m_max < 0:
         raise InvalidInputError(f"m_max must be >= 0, got {m_max}")
     n = coupling.n
-    if n > EXACT_GUARD_N:
-        raise GuardExceededError(
-            f"exact mode guarded at N <= {EXACT_GUARD_N}; N = {n}. Use coalescence_tail_mc."
-        )
+    require_exact(n)
     C = pair_transition(coupling)
     off = _offdiag_mask(n)
     pairs = _offdiag_pairs(n)

@@ -63,7 +63,6 @@ class BlockEncoding:
 
     dim: int
     U: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=float)
@@ -203,6 +202,16 @@ def _unit_vector(xi, d: int) -> np.ndarray:
     return xi
 
 
+def require_dilation_dim(kappa: int, d: int):
+    """The dilation's limit: kappa Kraus operators on C^d need kappa * 2d <=
+    DILATION_DIM_GUARD. Checkable before the Kraus set is built."""
+    total = kappa * 2 * d
+    if total > DILATION_DIM_GUARD:
+        raise GuardExceededError(
+            f"statevector dimension kappa*2d = {total} exceeds {DILATION_DIM_GUARD}"
+        )
+
+
 def build_dilation(kraus: KrausSet) -> DilationCircuit:
     """Complete each Kraus operator to its block encoding U_k; mu is uniform.
 
@@ -211,11 +220,7 @@ def build_dilation(kraus: KrausSet) -> DilationCircuit:
     """
     d = kraus.dim
     kappa = len(kraus.ops)
-    total = kappa * 2 * d
-    if total > DILATION_DIM_GUARD:
-        raise GuardExceededError(
-            f"statevector dimension kappa*2d = {total} exceeds {DILATION_DIM_GUARD}"
-        )
+    require_dilation_dim(kappa, d)
     encodings = tuple(
         unitary_completion(T) for T in kraus.ops
     )

@@ -1,4 +1,5 @@
-"""Bundled model chains and couplings.
+"""Bundled model chains and couplings, and the one record every input
+resolves to, :class:`ModelInstance`.
 
 Four families. Three are one single-site-update rule: the random mapping
 draws a site v and a value k and moves to the configuration with x[v] = k
@@ -17,12 +18,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from qcoupling.chain import ATOL_COMPUTED, Distribution, TransitionMatrix
+from qcoupling.chain import (
+    ATOL_COMPUTED,
+    Distribution,
+    TransitionMatrix,
+    stationary_distribution,
+)
 from qcoupling.checks import CheckResult
 from qcoupling.coupling import (
     EXACT_GUARD_N,
@@ -31,6 +37,7 @@ from qcoupling.coupling import (
     RandomMappingRep,
     grand_coupling_matrix,
     induced_entries,
+    require_exact,
 )
 from qcoupling.csr import Csr
 from qcoupling.errors import GuardExceededError, InvalidInputError
@@ -82,38 +89,60 @@ def complete_graph(n: int) -> GraphSpec:
 
 @dataclass
 class ModelInstance:
-    """A realized model: chain, grand coupling mapping, and rate constant.
+    """A chain and its coupling: every input the CLI takes resolves to one.
 
-    ``chain`` is None for state spaces beyond the exact guard (MC-only use),
-    and ``exact`` says whether there is one. ``rate`` is the coalescence rate
-    constant in the tail envelope n_sites * exp(-m * rate / n_sites), None when
-    the model has no such bound.
+    ``kind`` is the bundled family ("hypercube", "colorings", "hardcore",
+    "cycle") or "file" for a chain file. The coupling is the random mapping
+    ``rmr`` or, for the cycle family and ``"kind": "dense"`` files, the
+    pair-space matrix ``dense``; a chain file without a coupling file has
+    neither. ``chain`` is None for bundled state spaces beyond the exact
+    guard (MC-only use). ``n_sites`` and ``rate``, the coalescence rate
+    constant in the tail envelope n_sites * exp(-m * rate / n_sites), are None
+    unless the model is a single-site family. ``stationary`` is the builder's
+    closed form of pi, or None until :attr:`pi` solves it from the chain.
+    ``name`` is the name the model was resolved from.
     """
 
     kind: str
-    params: dict
-    rmr: RandomMappingRep
     chain: TransitionMatrix | None
-    pi: Distribution
-    n_sites: int
+    rmr: RandomMappingRep | None = None
+    dense: CouplingMatrix | None = None
+    params: dict = field(default_factory=dict)
+    n_sites: int | None = None
     rate: float | None = None
+    stationary: Distribution | None = None
+    name: str = ""
 
     @property
     def n(self) -> int:
-        return self.rmr.n
+        return self.rmr.n if self.rmr is not None else self.chain.n
 
     @property
     def exact(self) -> bool:
         return self.chain is not None
 
+    @property
+    def pi(self) -> Distribution:
+        """The stationary distribution, solved from the chain on first use
+        when the builder gave no closed form (a non-ergodic chain raises here)."""
+        if self.stationary is None:
+            self.stationary = stationary_distribution(self.chain)
+        return self.stationary
+
+    def exact_coupling(self) -> CouplingMatrix | RandomMappingRep:
+        """What the exact path runs on, once N passes :func:`require_exact`:
+        the mapping when there is one, so its pair-space operator is built
+        once from the successor table, else the coupling matrix."""
+        if self.rmr is None and self.dense is None:
+            raise InvalidInputError(f"model {self.name} has no coupling")
+        require_exact(self.n)
+        return self.rmr if self.rmr is not None else self.dense
+
     def coupling(self) -> CouplingMatrix:
-        """The grand coupling as a validated :class:`CouplingMatrix` (sparse)."""
-        if not self.exact:
-            raise GuardExceededError(
-                f"model {self.kind} with {self.n} states is MC-only; "
-                "no dense coupling matrix is built"
-            )
-        return grand_coupling_matrix(self.rmr)
+        """The coupling as a sparse :class:`CouplingMatrix`; a random mapping's
+        grand coupling wraps its cached pair-space operator and is validated."""
+        C = self.exact_coupling()
+        return grand_coupling_matrix(C) if isinstance(C, RandomMappingRep) else C
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +187,8 @@ def _single_site_model(
         chain = TransitionMatrix(labels, induced_entries(table, probs))
     w = np.ones(n_states) if weights is None else weights(codes)
     rmr = RandomMappingRep(base=chain, r_labels=r_labels, probs=probs, table=table)
-    return ModelInstance(kind=kind, params=params, rmr=rmr, chain=chain,
-                         pi=Distribution(w / w.sum()), n_sites=g.n, rate=rate)
+    return ModelInstance(kind=kind, chain=chain, rmr=rmr, params=params, n_sites=g.n,
+                         rate=rate, stationary=Distribution(w / w.sum()))
 
 
 def hypercube_model(n: int) -> ModelInstance:
@@ -255,8 +284,7 @@ def cycle_coupling_model(
     """
     if n < 3:
         raise InvalidInputError("cycle needs n >= 3")
-    if n > EXACT_GUARD_N:  # the family has no random mapping, so no MC path either
-        raise GuardExceededError(f"cycle models are guarded at N <= {EXACT_GUARD_N}; N = {n}")
+    require_exact(n)  # the family has no random mapping, so no MC path either
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError("bias p must lie in [0, 1]")
     if variant not in ("prose", "printed"):
@@ -304,15 +332,13 @@ def load_counterexample_fixture() -> dict:
 # Rate envelopes
 
 
-def default_start_pairs(
-    model: ModelInstance | RandomMappingRep, count: int, seed: int
-) -> list[tuple[int, int]]:
+def default_start_pairs(model: ModelInstance, count: int, seed: int) -> list[tuple[int, int]]:
     """Heuristic worst-case start pairs for MC tail estimation.
 
-    A hypercube gives its all-zeros vs all-ones pair; any other model, and a
-    mapping read from a file, gives ``count`` seeded pairs over its N states.
+    A hypercube gives its all-zeros vs all-ones pair; any other model, a
+    mapping read from a file too, gives ``count`` seeded pairs over its N states.
     """
-    if isinstance(model, ModelInstance) and model.kind == "hypercube":
+    if model.kind == "hypercube":
         return [hypercube_worst_pair(model.params["n"])]
     if seed < 0:
         raise InvalidInputError(f"--seed must be >= 0, got {seed}")

@@ -80,7 +80,6 @@ class KrausSet:
 
     dim: int
     ops: list[np.ndarray]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         ops = [np.asarray(T, dtype=float) for T in self.ops]
@@ -92,8 +91,6 @@ class KrausSet:
                 raise InvalidInputError("all Kraus operators must be dim x dim")
             if not np.isfinite(T).all():  # superop_from_kraus's CP stamp relies on it
                 raise InvalidInputError("Kraus operators must be finite")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(len(ops))))
         total = sum(T.T @ T for T in ops)
         err = np.max(np.abs(total - np.eye(self.dim)))
         if not err <= ATOL_COMPUTED:  # NaN where the products overflow
@@ -245,7 +242,7 @@ def kraus_from_grand(rmr: RandomMappingRep, pi: Distribution) -> KrausSet:
         succ = rmr.table[:, r]
         T[rows, succ] = np.sqrt(rmr.probs[r]) * d / d[succ]
         ops.append(T)
-    return KrausSet(dim=n, ops=ops, labels=rmr.r_labels)
+    return KrausSet(dim=n, ops=ops)
 
 
 def superop_from_kraus(ks: KrausSet) -> Superoperator:

@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 
 from qcoupling import cli, coupling
+from qcoupling.chain import stationary_distribution
 from qcoupling.cli import main
+from qcoupling.coupling import induced_entries, rmr_to_json_dict
+from qcoupling.models import hypercube_model
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def patch_everywhere(monkeypatch, name, replacement):
+    """Replace ``name`` in every qcoupling module that holds it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("qcoupling") and hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
 
 
 def files_in(path):
@@ -172,7 +182,7 @@ def _series(out: Path, label: str) -> list[list[str]]:
 
 
 class TestMappingFileIsAModel:
-    """A mapping file runs every subcommand that a bundled mapping runs, but verify."""
+    """A mapping file runs every subcommand that a bundled mapping runs."""
 
     def test_exact_tails_identical(self, tmp_path):
         bundled, files = _both(tmp_path, "coalesce", "--m-max", "20")
@@ -203,12 +213,72 @@ class TestMappingFileIsAModel:
         assert doc["coupling"]["kind"] == "rmr"
         assert doc["coupling"] == json.loads(Path(mapping).read_text())
 
-    def test_verify_needs_a_named_model(self, tmp_path, capsys):
+    def test_verify_runs_the_named_models_checks_but_the_rate(self, tmp_path):
+        # a file has no rate constant, so no contraction-rate envelope
+        bundled, files = _both(tmp_path, "verify", "--m-max", "10", "--states", "3")
+        want = load_summary(bundled, "verify-hypercube3")
+        got = load_summary(files, "verify-chain")
+        assert got["pass"] is True
+        names = [c["check"] for c in want["checks"]]
+        assert "contraction_rate" in names
+        assert [c["check"] for c in got["checks"]] == [n for n in names if n != "contraction_rate"]
+
+    def test_evolve_solves_pi_once(self, tmp_path, monkeypatch):
         chain, mapping = mapping_files(tmp_path, model="hypercube3")
-        capsys.readouterr()
-        assert run("verify", "--chain", chain, "--coupling", mapping,
-                   "--out", str(tmp_path / "o")) == 2
-        assert "named" in capsys.readouterr().err
+        calls = []
+
+        def counting(P):
+            calls.append(P.n)
+            return stationary_distribution(P)
+
+        patch_everywhere(monkeypatch, "stationary_distribution", counting)
+        assert run("evolve", "--chain", chain, "--coupling", mapping, "--m-max", "4",
+                   "--out", str(tmp_path / "o")) == 0
+        assert calls == [8]
+
+
+def past_exact_limit_files(tmp_path):
+    """hypercube7's successor table and the 128-state chain it induces: a
+    random-mapping model one step past the exact limit, given as files."""
+    rmr = hypercube_model(7).rmr
+    chain = {"labels": [str(i) for i in range(rmr.n)],
+             "P": induced_entries(rmr.table, rmr.probs).tolist()}
+    paths = tmp_path / "chain128.json", tmp_path / "mapping128.json"
+    paths[0].write_text(json.dumps(chain))
+    paths[1].write_text(json.dumps(rmr_to_json_dict(rmr)))
+    return [str(p) for p in paths]
+
+
+class TestExactLimit:
+    """Every kind of input meets the one exact limit, with one message."""
+
+    @pytest.mark.parametrize("argv", [
+        ("validate",), ("quantize",), ("coalesce", "--m-max", "5"),
+        ("evolve", "--m-max", "5"), ("verify", "--m-max", "5"),
+    ], ids=lambda argv: argv[0])
+    def test_mapping_files_past_the_limit_are_guard(self, tmp_path, capsys, argv):
+        chain, mapping = past_exact_limit_files(tmp_path)
+        argv = (*argv, "--chain", chain, "--coupling", mapping)
+        assert run(*argv, "--out", str(tmp_path / "o")) == 3
+        assert "exact mode guarded at N <= 64; N = 128" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_model_on_files_past_the_limit_runs(self, tmp_path):
+        chain, mapping = past_exact_limit_files(tmp_path)
+        assert run("model", "--chain", chain, "--coupling", mapping,
+                   "--out", str(tmp_path / "o")) == 0
+        assert load_summary(tmp_path / "o", "model-chain128")["coupling"]["kind"] == "rmr"
+
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--model", "hypercube8"), ("dilate", "--model", "hypercube12"),
+    ], ids=["evolve", "dilate"])
+    def test_guard_before_the_kraus_set(self, tmp_path, monkeypatch, argv):
+        def unreachable(rmr, pi):
+            raise AssertionError("Kraus set built past a guard")
+
+        patch_everywhere(monkeypatch, "kraus_from_grand", unreachable)
+        assert run(*argv, "--out", str(tmp_path / "o")) == 3
+        assert not (tmp_path / "o").exists()
 
 
 class TestValidate:
@@ -222,7 +292,7 @@ class TestValidate:
     def test_mc_only_model_is_guard(self, tmp_path, capsys):
         # hypercube7 has no dense chain or coupling: nothing could be checked
         assert run("validate", "--model", "hypercube7", "--out", str(tmp_path / "o")) == 3
-        assert "MC-only" in capsys.readouterr().err
+        assert "exact mode guarded at N <= 64; N = 128" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("table", [[[0, 1], [0, 1]], [[0, 0], [1, 2]]])
@@ -318,9 +388,7 @@ class TestVerify:
             calls.append(m_max)
             return original(C, m_max, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("qcoupling") and hasattr(module, "coalescence_tail_exact"):
-                monkeypatch.setattr(module, "coalescence_tail_exact", counting)
+        patch_everywhere(monkeypatch, "coalescence_tail_exact", counting)
         assert run("verify", "--model", "hypercube6", "--out", str(tmp_path)) == 0
         assert calls == [42]
 

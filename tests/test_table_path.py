@@ -199,7 +199,7 @@ class TestChecksAgree:
 
     @pytest.mark.parametrize("name", ["hypercube3", "hardcore-path3", "colorings-path2-q4"])
     def test_contraction_rate(self, name):
-        m = _model(name, fugacity=0.5).instance
+        m = _model(name, fugacity=0.5)
         grid = [m.n_sites * k for k in range(1, 8)]
         res = contraction_rate_check(m, coalescence_tail_exact(m.rmr, m_max=max(grid)), grid)
         dense = coalescence_tail_exact(m.coupling(), m_max=max(grid))
