@@ -12,7 +12,6 @@ timestamp), so identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
@@ -157,6 +156,8 @@ def emit_report(outdir: str, stem: str, summary: dict, series: dict | None = Non
     # keeps that order and concatenation, so each part is encoded once and fed
     # to the hash on its own
     encoded = {label: csv.encode() for label, csv in (series or {}).items()}
+    import hashlib  # OpenSSL's _hashlib adds about 3.5 MB of RSS: loaded after a job's work
+
     h = hashlib.sha256(body)
     for data in sorted(encoded.values()):
         h.update(data)

@@ -65,14 +65,26 @@ class Csr:
         if rows.size and (min(rows.min(), cols.min()) < 0
                           or rows.max() >= n_rows or cols.max() >= n_cols):
             raise ValueError(f"entry index out of range for shape {tuple(shape)}")
-        order = np.argsort(rows * n_cols + cols, kind="stable")
-        rows, cols, data = rows[order], cols[order], data[order]
-        first = np.ones(data.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        summed = data[first]
-        np.add.at(summed, np.cumsum(first)[~first] - 1, data[~first])  # one by one, in order
-        indptr = np.searchsorted(rows[first], np.arange(n_rows + 1))
-        return cls(summed, cols[first], indptr, shape)
+        # one int64 key per entry, sorted stably and gathered once with the
+        # data, each array replacing its predecessor; the distinct keys give
+        # the columns and each row's first entry
+        key = rows * n_cols
+        key += cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        data = data[order]
+        del order
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not first.all():
+            repeat = np.flatnonzero(~first)
+            terms = data[repeat]
+            key = key[first]
+            data = data[first]
+            repeat -= np.arange(1, repeat.size + 1)  # the k-th repeat, at p, adds to cell p - k - 1
+            np.add.at(data, repeat, terms)  # one by one, in order
+        indptr = np.searchsorted(key, np.arange(n_rows + 1) * n_cols)
+        return cls(data, key % max(n_cols, 1), indptr, shape)
 
     @classmethod
     def from_dense(cls, M) -> Csr:

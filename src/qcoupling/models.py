@@ -169,18 +169,23 @@ def _single_site_model(
     if size > ENUMERATION_GUARD:
         raise GuardExceededError(f"{q}^{g.n} = {size} configurations exceed the enumeration guard")
     place = [q ** (g.n - 1 - v) for v in range(g.n)]
-    codes = np.arange(size, dtype=np.int64)
-    for u, v in g.edges:
-        codes = codes[edge_ok(codes // place[u] % q, codes // place[v] % q)]
+    codes = np.zeros(1, dtype=np.int64)  # the states' codes on sites 0 .. s, ascending
+    for s in range(g.n):
+        codes = (codes[:, None] * q + np.arange(q)).ravel()
+        for u, v in g.edges:  # u < v: an edge is checked once its later site v is placed
+            if v == s:
+                codes = codes[edge_ok(codes // q ** (s - u) % q, codes % q)]
     n_states = codes.size
-    index = np.full(size, -1, dtype=np.int64)  # a code's state index, -1 when not a state
-    index[codes] = stay = np.arange(n_states)
+    stay = np.arange(n_states)
     table = np.empty((n_states, g.n * len(values)), dtype=np.int64)
     for v, p in enumerate(place):
         cleared = codes - codes // p % q * p  # one site's digits at a time, never an N x n matrix
         for j, k in enumerate(values):
-            i = index[cleared + k * p]
-            table[:, v * len(values) + j] = np.where(i < 0, stay, i)
+            i = cleared + k * p  # the moved code: its own index when every code is a state
+            if n_states < size:  # else its index by bisection, or stay where it is no state
+                found = codes.searchsorted(i)
+                i = np.where(codes.take(found, mode="clip") == i, found, stay)
+            table[:, v * len(values) + j] = i
     chain = None
     if n_states <= EXACT_GUARD_N:
         labels = tuple("".join(str(c // p % q) for p in place) for c in codes.tolist())

@@ -28,6 +28,7 @@ from qcoupling.csr import Csr, as_csr
 from qcoupling.errors import InvalidInputError
 
 CP_TOL_REL = 1e-9  # CP tolerance relative to max |J| entry
+CSV_CHUNK_ENTRIES = 1 << 12  # matrix_to_csv formats this many entries at a time
 
 
 def vec(M: np.ndarray) -> np.ndarray:
@@ -140,14 +141,23 @@ class ChoiMatrix:
         J[j, i] are both zero.
         """
         if self._spectrum is None:
-            J = self.matrix.without_zeros()
-            support = np.union1d(J.rows, J.indices)
-            sub = self.matrix.block(support, support)
-            asym = np.max(np.abs(sub - sub.T), initial=0.0)
+            J = self.matrix
+            nonzero = J.data != 0
+            used = np.zeros(J.shape[0], dtype=bool)
+            used[J.rows[nonzero]] = used[J.indices[nonzero]] = True
+            support = np.flatnonzero(used)
+            sub = J.block(support, support)
+            # two support-sized arrays at a time: the block and the work array
+            # that holds |sub - sub^T| and then the symmetrized block
+            work = np.subtract(sub, sub.T)
+            asym = np.max(np.abs(work, out=work), initial=0.0)
             if asym > ATOL_COMPUTED:
                 raise InvalidInputError(f"Choi matrix asymmetric by {asym:.3g}")
-            eigs = np.zeros(self.matrix.shape[0])
-            eigs[: support.size] = np.linalg.eigvalsh(0.5 * (sub + sub.T))
+            np.add(sub, sub.T, out=work)
+            del sub
+            work *= 0.5
+            eigs = np.zeros(J.shape[0])
+            eigs[: support.size] = np.linalg.eigvalsh(work)
             object.__setattr__(self, "_spectrum", np.sort(eigs))
         return self._spectrum
 
@@ -259,8 +269,7 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     sum of outer products and so PSD. That needs finite Kraus operators,
     which :class:`KrausSet` guarantees.
     """
-    parts = [kron_square_entries(T) for T in ks.ops]
-    data, rows, cols = (np.concatenate(p) for p in zip(*parts))
+    data, rows, cols = kron_square_entries(*ks.ops)
     n2 = ks.dim * ks.dim
     S = Csr.from_coo(data, rows, cols, (n2, n2)).without_zeros()
     return Superoperator(dim=ks.dim, matrix=S, cp_status="verified")
@@ -368,8 +377,9 @@ def matrix_to_csv(matrix: Csr, header: str) -> str:
     are written as formatted. Every cell without a line is 0.0.
     """
     M = matrix.without_zeros()
-    entries = zip(M.rows.tolist(), M.indices.tolist(), M.data.tolist())
-    lines = [header, "row,col,value"]
-    lines += [f"{i},{j},{v:.17g}" for i, j, v in entries]
-    lines.append("")  # the trailing newline
-    return "\n".join(lines)
+    parts = [f"{header}\nrow,col,value\n"]
+    for a in range(0, M.nnz, CSV_CHUNK_ENTRIES):  # Python objects for one chunk at a time
+        b = a + CSV_CHUNK_ENTRIES
+        entries = zip(M.rows[a:b].tolist(), M.indices[a:b].tolist(), M.data[a:b].tolist())
+        parts.append("".join([f"{i},{j},{v:.17g}\n" for i, j, v in entries]))
+    return "".join(parts)

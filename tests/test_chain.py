@@ -131,14 +131,20 @@ class TestStrongComponents:
 
     def test_cli_jobs_never_load_scipy(self, tmp_path):
         # numpy alone: neither scipy nor scipy.sparse is loaded by the import
-        # or after any job; a fresh interpreter runs the jobs in turn
+        # or after any job; a fresh interpreter runs the jobs in turn. The
+        # import also leaves out numpy.random and OpenSSL's _hashlib (which
+        # numpy.random loads through secrets; about 3.5 MB of RSS), unless
+        # numpy's own import loads them, as older numpy releases do
         src = Path(qcoupling.__file__).resolve().parent.parent
         code = (
             "import contextlib, io, sys\n"
+            "import numpy\n"
+            "numpy_loads = set(sys.modules)\n"
             "import qcoupling.cli as cli\n"
-            "def loaded():\n"
-            "    return [m for m in ('scipy', 'scipy.sparse') if m in sys.modules]\n"
-            "print('import', *loaded())\n"
+            "def loaded(*more):\n"
+            "    names = ('scipy', 'scipy.sparse', *more)\n"
+            "    return [m for m in names if m in sys.modules and m not in numpy_loads]\n"
+            "print('import', *loaded('numpy.random', '_hashlib'))\n"
             "for argv in sys.argv[1:]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv.split()) == 0, argv\n"

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -604,3 +606,34 @@ class TestModelAndConfig:
 
     def test_config_non_flag_attribute_rejected(self, tmp_path):
         assert self._run_config(tmp_path, "validate", model="hypercube2", func="x") == 2
+
+
+class TestImportFootprint:
+    def test_quantize_loads_hashlib_only_for_the_digest(self, tmp_path):
+        # OpenSSL's _hashlib adds about 3.5 MB of RSS. quantize draws no
+        # numbers, so it is first loaded when emit_report imports hashlib,
+        # after the job's work. Only a fresh interpreter shows what is loaded
+        src = Path(cli.__file__).resolve().parent.parent
+        code = (
+            "import contextlib, io, sys\n"
+            "import numpy\n"
+            "seen = [('numpy', '_hashlib' in sys.modules)]\n"
+            "import qcoupling.cli as cli\n"
+            "emit_report = cli.emit_report\n"
+            "def emit(*args, **kwargs):\n"
+            "    seen.append(('emit', '_hashlib' in sys.modules))\n"
+            "    emit_report(*args, **kwargs)\n"
+            "    seen.append(('emitted', '_hashlib' in sys.modules))\n"
+            "cli.emit_report = emit\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
+            "print(*(f'{stage}:{loaded}' for stage, loaded in seen))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, "quantize", "--model", "hypercube2", "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            check=True, timeout=120,
+        )
+        if out.stdout.split()[0] == "numpy:True":
+            pytest.skip("this numpy loads numpy.random, and so _hashlib, on import")
+        assert out.stdout.split() == ["numpy:False", "emit:False", "emitted:True"]

@@ -10,6 +10,7 @@ rows.
 """
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -166,6 +167,24 @@ class TestConstruction:
         _bits(M @ np.ones(shape[1]), np.zeros(shape[0]))
         _bits(np.ones(shape[0]) @ M, np.zeros(shape[1]))
         _bits(M.toarray(), np.zeros(shape))
+
+    @pytest.mark.parametrize("side", [100, 300, 3000, 100_000])
+    def test_from_coo_memory_per_entry(self, side):
+        # the stable order, the sorted key and the sorted data hold 8 bytes per
+        # entry each; the repeats' positions and terms, the output and the row
+        # starts come on top. Gathering rows, columns and data by the order,
+        # then their first entries, took 50-62 bytes per entry
+        n = 200_000
+        rng = np.random.default_rng(side)
+        rows, cols = rng.integers(0, side, n), rng.integers(0, side, n)
+        data = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            Csr.from_coo(data, rows, cols, (side, side))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * n + 24 * (side + 1) + (64 << 10), f"{peak / n:.1f} bytes per entry"
 
     def test_as_csr_keeps_a_csr(self):
         M = Csr.from_dense(np.eye(3))

@@ -6,9 +6,15 @@ The reference builders below are the earlier ``hypercube_model``,
 ``SimpleNamespace`` (``ModelInstance`` has no ``state_labels`` field any
 more) and read neighbours from ``_Graph.neighbors``, the method
 ``GraphSpec`` used to have.
+
+Then the enumeration by prefixes against the filter over all q ** n codes it
+replaced, whose table ``ref_arange_table`` rebuilds: bit for bit on every
+bundled family and on drawn graphs, and a tracemalloc bound on the
+hardcore-path20 build.
 """
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoupling.chain import Distribution, TransitionMatrix
+from qcoupling.cli import resolve_model
 from qcoupling.coupling import EXACT_GUARD_N, RandomMappingRep, induced_entries
 from qcoupling.errors import GuardExceededError, InvalidInputError
 from qcoupling.models import (
@@ -248,3 +255,67 @@ def test_colorings_on_drawn_graphs(g, extra):
 ))
 def test_hardcore_on_drawn_graphs(g, lam):
     assert_same_model(hardcore_model(g, lam), ref_hardcore_model(g, lam))
+
+
+# ---------------------------------------------------------------------------
+# The enumeration by prefixes against the filter over all q ** n codes
+
+
+def ref_arange_table(g: GraphSpec, q: int, values, edge_ok) -> np.ndarray:
+    """The table as ``_single_site_model`` made it from all q ** n codes:
+    filter them edge by edge, then look each moved code up in an index array
+    of q ** n entries (-1 where a code is no state, which stays)."""
+    place = [q ** (g.n - 1 - v) for v in range(g.n)]
+    codes = np.arange(q**g.n, dtype=np.int64)
+    for u, v in g.edges:
+        codes = codes[edge_ok(codes // place[u] % q, codes // place[v] % q)]
+    index = np.full(q**g.n, -1, dtype=np.int64)
+    index[codes] = stay = np.arange(codes.size)
+    table = np.empty((codes.size, g.n * len(values)), dtype=np.int64)
+    for v, p in enumerate(place):
+        cleared = codes - codes // p % q * p
+        for j, k in enumerate(values):
+            i = index[cleared + k * p]
+            table[:, v * len(values) + j] = np.where(i < 0, stay, i)
+    return table
+
+
+def _hardcore_ok(a, b):
+    return (a & b) == 0
+
+
+@pytest.mark.parametrize("name, g, q, values, edge_ok", [
+    *[(f"hypercube{n}", GraphSpec(n, ()), 2, (0, 1), None) for n in (1, 6, 12)],
+    *[(f"hardcore-path{n}", path_graph(n), 2, (1, 0), _hardcore_ok) for n in (3, 10, 14, 20)],
+    ("colorings-path6-q4", path_graph(6), 4, range(4), np.not_equal),
+    ("colorings-k3-q4", complete_graph(3), 4, range(4), np.not_equal),
+])
+def test_enumeration_equals_arange_filter(name, g, q, values, edge_ok):
+    model = resolve_model(name, SimpleNamespace(bias=0.5, fugacity=2.0))
+    _same_bits(model.rmr.table, ref_arange_table(g, q, values, edge_ok))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(max_n=10))
+def test_hardcore_enumeration_on_drawn_graphs(g):
+    _same_bits(hardcore_model(g, 1.0).rmr.table, ref_arange_table(g, 2, (1, 0), _hardcore_ok))
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=graphs(max_n=5), extra=st.integers(0, 1))
+def test_colorings_enumeration_on_drawn_graphs(g, extra):
+    q = g.max_degree + 2 + extra  # at most 7 ** 5 codes
+    _same_bits(colorings_model(g, q).rmr.table, ref_arange_table(g, q, range(q), np.not_equal))
+
+
+def test_hardcore_path20_builds_without_q_to_the_n_arrays():
+    # 17,711 states out of 2^20 codes: the table is 5.4 MiB, and one int64
+    # array over all codes is 8 MiB (the arange filter peaked at 33 MiB)
+    tracemalloc.start()
+    try:
+        m = hardcore_model(path_graph(20), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.n == 17711
+    assert peak < 7 * 2**20, f"peak {peak / 2**20:.1f} MiB"
