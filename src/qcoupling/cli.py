@@ -319,6 +319,8 @@ def cmd_coalesce(args) -> int:
         "seed": report.seed,
         "tail_final": float(report.tail_max[-1]),
     }
+    if args.mc:
+        summary["mc_words_drawn"] = report.words_drawn
     stem = f"coalesce-{rm.name}" + (f"-seed{args.seed}" if args.mc else "")
     emit_report(args.out, stem, summary, {"tails": report.to_csv()})
     return EXIT_OK

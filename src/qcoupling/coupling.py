@@ -26,15 +26,16 @@ from qcoupling.errors import (
     InvalidInputError,
     NonErgodicError,
 )
-from qcoupling.kernels import coalescence_counts
+from qcoupling.kernels import DRAW_CHUNK_WORDS, coalescence_counts
 
 COUPLING_THRESHOLD = 0.25  # t_couple crossing level
 EXACT_GUARD_N = 64  # largest state count for exact pair-space work and dense chains
-MC_BLOCK_ELEMENTS = 1 << 20  # randomness elements drawn and held per MC block
-# 64-bit words per draw call: the chunk's 8-byte words, their 8-byte bucket shift
-# and the 1 MiB block of 1-byte indices fit together in a 2 MiB L2 cache
-DRAW_CHUNK_WORDS = 1 << 15
+MC_BLOCK_ELEMENTS = 1 << 20  # randomness indices held per MC block
 CDF_BUCKET_BITS = 12  # inverse-CDF buckets are indexed by a random word's top bits
+# 64-bit words per draw call (17 bytes each while it is mapped), a quarter of a
+# window's, so that a draw beside the kernel's successor table and pair state
+# holds no more than a step does. The stream does not depend on it.
+DRAW_PIECE_WORDS = DRAW_CHUNK_WORDS // 4
 
 
 def require_exact(n: int):
@@ -188,6 +189,7 @@ class CoalescenceReport:
     seed: int | None = None
     ci_half: np.ndarray | None = None  # 95% CI half-widths on tail_max (MC only)
     t_couple: int | None = None
+    words_drawn: int | None = None  # 64-bit random words drawn (MC only)
 
     def up_to(self, m: int) -> CoalescenceReport:
         """This exact report cut to the one a run to m_max = m gives, bit for bit:
@@ -543,42 +545,46 @@ class _InverseCDF:
 
 
 def mc_block_rows(m_max: int) -> int:
-    """Trajectories per randomness block (at least one).
+    """Trajectories per MC block (at least one).
 
-    A block holds at most MC_BLOCK_ELEMENTS randomness indices, 1 byte each
-    (2 when |R| >= 256). Taking m_max as at least 4 keeps the kernel's per-row
-    state (about 33 bytes a row) within a few bytes per element when m_max is
-    tiny.
+    A block's record ``r_idx`` holds at most MC_BLOCK_ELEMENTS randomness
+    indices, 1 byte each (2 when |R| >= 256). The kernel's per-row state is
+    the pair of states, 16 bytes a row, and up to about 60 bytes a row while
+    it steps or drops the pairs that met (the old and new pair, the apart
+    mask, the kept and active rows). Taking m_max as at least 4 keeps that
+    within about 15 bytes per element when m_max is tiny. The row count is
+    part of the stream's definition.
     """
     return max(1, MC_BLOCK_ELEMENTS // max(m_max, 4))
 
 
-def _draw_block(
-    inverse_cdf: _InverseCDF, seed: int, pair_slot: int, start: int, rows: int, m_max: int
-) -> np.ndarray:
-    """Randomness indices of trajectories start .. start + rows - 1 for one start pair.
+class _BlockStream:
+    """The randomness of one MC block, drawn on demand as indices into R.
 
-    Trajectory t reads words t * m_max .. (t + 1) * m_max - 1 of the
-    PCG64DXSM stream keyed by (seed, pair_slot). PCG64DXSM steps one 64-bit
-    word at a time, so ``advance`` reaches the block's first word exactly for
-    any ``start``, and blocks of any row count reproduce the full
-    (samples, m_max) draw.
-
-    The words are drawn in chunks of whole trajectories, about
-    DRAW_CHUNK_WORDS words each (at least one trajectory), and each chunk's
-    indices are written straight into the Fortran-ordered block, whose
-    column ``step`` the kernel reads contiguously. ``random_raw`` buffers
-    nothing between calls, so chunks of any size continue one stream.
+    Block ``block`` of start-pair slot ``slot`` reads the PCG64DXSM stream
+    keyed by ``SeedSequence(entropy=seed, spawn_key=(slot, block))``, one
+    64-bit word per index mapped by ``_InverseCDF``, in the order the kernel
+    asks for them. A call fills its (trajectories, steps) array row by row,
+    drawing whole rows of at most DRAW_PIECE_WORDS words at a time (at least
+    one row). ``random_raw`` buffers nothing between calls, so the words form
+    one stream however they are split. ``words`` counts the words drawn.
     """
-    bits = np.random.PCG64DXSM(np.random.SeedSequence(entropy=seed, spawn_key=(pair_slot,)))
-    bits.advance(start * m_max)
-    out = np.empty((rows, m_max), dtype=inverse_cdf.code.dtype, order="F")
-    if m_max:
-        step = max(1, DRAW_CHUNK_WORDS // m_max)  # whole trajectories, at least one
-        for a in range(0, rows, step):
-            b = min(a + step, rows)
-            out[a:b] = inverse_cdf(bits.random_raw((b - a) * m_max)).reshape(b - a, m_max)
-    return out
+
+    def __init__(self, inverse_cdf: _InverseCDF, seed: int, slot: int, block: int):
+        self.bits = np.random.PCG64DXSM(
+            np.random.SeedSequence(entropy=seed, spawn_key=(slot, block))
+        )
+        self.inverse_cdf = inverse_cdf
+        self.words = 0
+
+    def __call__(self, out: np.ndarray):
+        rows, width = out.shape
+        piece = max(1, DRAW_PIECE_WORDS // width)
+        for a in range(0, rows, piece):
+            b = min(a + piece, rows)
+            n_words = (b - a) * width
+            out[a:b] = self.inverse_cdf(self.bits.random_raw(n_words)).reshape(b - a, width)
+        self.words += out.size
 
 
 def coalescence_tail_mc(
@@ -591,13 +597,17 @@ def coalescence_tail_mc(
 ) -> CoalescenceReport:
     """Monte Carlo tails with normal-approximation 95% CIs.
 
-    Deterministic given (seed, samples): trajectory t of start-pair slot s
-    uses row t of a PCG64DXSM stream keyed by (seed, s). The stream is drawn in
-    blocks of ``mc_block_rows(m_max)`` trajectories, each passed to the kernel
-    and dropped, so memory stays O(MC_BLOCK_ELEMENTS + DRAW_CHUNK_WORDS) per
-    worker. With ``workers`` > 1 the blocks run on that many threads; the
-    integer counts are summed per pair, so the result is byte-identical for any
-    worker count.
+    The ``samples`` trajectories of each start pair run in blocks of
+    ``mc_block_rows(m_max)`` rows. Block b of start-pair slot s draws from its
+    own PCG64DXSM stream, keyed by (seed, s, b) (see ``_BlockStream``), and
+    the kernel takes words from it only for the trajectories still apart, one
+    window of steps at a time (``kernels.coalescence_counts``). So the result
+    depends only on the seed, the samples, the m-grid, the start pairs and the
+    module constants MC_BLOCK_ELEMENTS and DRAW_CHUNK_WORDS (the window rule).
+    Memory stays O(MC_BLOCK_ELEMENTS + 16 x block rows + DRAW_CHUNK_WORDS)
+    bytes per worker. With ``workers`` > 1 the blocks run on that many
+    threads; the integer counts and the words drawn are summed per block, so
+    the report is byte-identical for any worker count.
     """
     if samples < 1:
         raise InvalidInputError(f"--samples must be >= 1, got {samples}")
@@ -619,14 +629,22 @@ def coalescence_tail_mc(
     inverse_cdf = _InverseCDF(rmr.probs)
     rows = mc_block_rows(m_max)
     blocks = [
-        (slot, start) for slot in range(len(start_pairs)) for start in range(0, samples, rows)
+        (slot, block, start)
+        for slot in range(len(start_pairs))
+        for block, start in enumerate(range(0, samples, rows))
     ]
 
-    def run(block):
-        slot, start = block
+    def run(job):
+        slot, block, start = job
         x0, y0 = start_pairs[slot]
-        r_idx = _draw_block(inverse_cdf, seed, slot, start, min(rows, samples - start), m_max)
-        return slot, coalescence_counts(rmr.table, r_idx, x0, y0, grid)
+        # the record of the indices the kernel reads; column-major, so that a
+        # window's columns are one contiguous run
+        r_idx = np.zeros(
+            (min(rows, samples - start), m_max), dtype=inverse_cdf.code.dtype, order="F"
+        )
+        draw = _BlockStream(inverse_cdf, seed, slot, block)
+        counts = coalescence_counts(rmr.table, r_idx, x0, y0, grid, draw)
+        return slot, counts, draw.words
 
     if workers == 1:
         results = list(map(run, blocks))
@@ -636,8 +654,9 @@ def coalescence_tail_mc(
         with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             results = list(pool.map(run, blocks))
     counts = np.zeros((len(grid), len(start_pairs)), dtype=np.int64)
-    for slot, block_counts in results:
+    for slot, block_counts, _ in results:
         counts[:, slot] += block_counts
+    words_drawn = sum(words for _, _, words in results)
     per_pair = counts / samples
 
     tail_max = per_pair.max(axis=1)
@@ -654,6 +673,7 @@ def coalescence_tail_mc(
         seed=seed,
         ci_half=ci_half,
         t_couple=_t_couple(tail_max + ci_half, grid),
+        words_drawn=words_drawn,
     )
 
 

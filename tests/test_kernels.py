@@ -8,24 +8,30 @@ def small_problem(seed=0, samples=500, m_max=12):
     # 4-state mapping with 3 randomness values, constructed to coalesce
     table = rng.integers(0, 4, size=(4, 3)).astype(np.int64)
     table[:, 0] = 0  # one value that collapses everything
-    r_idx = rng.integers(0, 3, size=(samples, m_max)).astype(np.int64)
+    r_idx = np.zeros((samples, m_max), dtype=np.uint8)
     grid = np.array([0, 1, 3, 6, 12], dtype=np.int64)
-    return table, r_idx, grid
+
+    def draw(out):
+        out[...] = rng.integers(0, 3, size=out.shape)
+
+    return table, r_idx, grid, draw
 
 
 class TestKernels:
     def test_counts_monotone_nonincreasing(self):
-        table, r_idx, grid = small_problem(seed=4)
-        counts = coalescence_counts(table, r_idx, 1, 3, grid)
+        table, r_idx, grid, draw = small_problem(seed=4)
+        counts = coalescence_counts(table, r_idx, 1, 3, grid, draw)
         assert np.all(np.diff(counts) <= 0)
 
     def test_equal_starts_never_separate(self):
-        table, r_idx, grid = small_problem(seed=5)
-        counts = coalescence_counts(table, r_idx, 2, 2, grid)
+        table, r_idx, grid, draw = small_problem(seed=5)
+        drawn = []
+        counts = coalescence_counts(table, r_idx, 2, 2, grid, lambda out: drawn.append(out))
         np.testing.assert_array_equal(counts, 0)
+        assert drawn == []  # a pair that starts together draws nothing
 
     def test_grid_at_zero_counts_all(self):
-        table, r_idx, _ = small_problem(seed=6, samples=123)
+        table, r_idx, _, draw = small_problem(seed=6, samples=123)
         grid = np.array([0], dtype=np.int64)
-        counts = coalescence_counts(table, r_idx, 0, 1, grid)
+        counts = coalescence_counts(table, r_idx, 0, 1, grid, draw)
         assert counts[0] == 123

@@ -1,11 +1,16 @@
-"""Streamed Monte-Carlo tails against the full-array reference.
+"""Windowed Monte-Carlo tails against a pure-Python reference of the stream.
 
-The reference is the earlier MC path: draw the whole (samples, m_max) array of
-uniforms from one PCG64DXSM stream per start pair, map it with ``searchsorted``
-and step every trajectory for every m. The streamed path must reproduce its
-indices and counts bit for bit.
+The reference follows the stream's definition one trajectory at a time:
+block b of start-pair slot s draws 64-bit words from PCG64DXSM keyed by
+(seed, s, b); at each window start the k trajectories still apart, in row
+order, each take W = min(max(1, DRAW_CHUNK_WORDS // k), steps left)
+consecutive words; a word w gives the index searchsorted(cum, u, "right") of
+the uniform u = (w >> 11) * 2**-53; pairs that have met by a window's end
+are dropped there. The kernel and ``coalescence_tail_mc`` must reproduce its
+counts, its words and its record of the indices read, bit for bit.
 """
 
+import bisect
 import tracemalloc
 from unittest import mock
 
@@ -14,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoupling import coupling
+from qcoupling import coupling, kernels
 from qcoupling.coupling import (
     CDF_BUCKET_BITS,
     DRAW_CHUNK_WORDS,
     MC_BLOCK_ELEMENTS,
     RandomMappingRep,
-    _draw_block,
+    _BlockStream,
     _InverseCDF,
     coalescence_tail_mc,
     mc_block_rows,
@@ -30,37 +35,76 @@ from qcoupling.kernels import coalescence_counts
 from qcoupling.models import hypercube_model
 
 
-def reference_draw(probs, samples, m_max, seed, pair_slot):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(pair_slot,))
-    u = np.random.Generator(np.random.PCG64DXSM(ss)).random((samples, m_max))
+def reference_block(probs, table, x0, y0, rows, m_max, grid, words):
+    """(counts at ``grid``, words drawn, {(row, step): index read}) of one block.
+
+    ``words(n)`` returns the block's next n 64-bit words as Python ints.
+    """
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+    cum = cum.tolist()
+    apart_at = [0] * (m_max + 1)
+    record, drawn = {}, 0
+    if x0 != y0 and rows:
+        states = {t: (int(x0), int(y0)) for t in range(rows)}  # rows still apart
+        apart_at[0] = rows
+        step = 0
+        while step < m_max and states:
+            k = len(states)
+            w = min(max(1, kernels.DRAW_CHUNK_WORDS // k), m_max - step)
+            block_words = words(k * w)
+            drawn += k * w
+            for i, t in enumerate(sorted(states)):
+                x, y = states[t]
+                for j in range(w):
+                    r = bisect.bisect_right(cum, (block_words[i * w + j] >> 11) * 2.0**-53)
+                    record[t, step + j] = r
+                    x, y = int(table[x][r]), int(table[y][r])
+                    apart_at[step + j + 1] += x != y
+                states[t] = (x, y)
+            states = {t: xy for t, xy in states.items() if xy[0] != xy[1]}
+            step += w
+    return [apart_at[int(m)] for m in grid], drawn, record
 
 
-def reference_counts(table, r_idx, x0, y0, grid):
-    samples, m_max = r_idx.shape
-    counts = np.zeros(len(grid), dtype=np.int64)
-    slot = {int(m): i for i, m in enumerate(grid)}
-    X = np.full(samples, x0, dtype=np.int64)
-    Y = np.full(samples, y0, dtype=np.int64)
-    if 0 in slot:
-        counts[slot[0]] = samples if x0 != y0 else 0
-    for step in range(m_max):
-        r = r_idx[:, step]
-        X = table[X, r]
-        Y = table[Y, r]
-        if step + 1 in slot:
-            counts[slot[step + 1]] = int(np.count_nonzero(X != Y))
-    return counts
+def pcg_words(seed, slot, block):
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(entropy=seed, spawn_key=(slot, block)))
+    return lambda n: [int(v) for v in bits.random_raw(n)]
 
 
-def reference_per_pair(rmr, pairs, grid, samples, seed):
+def reference_report(rmr, pairs, grid, samples, seed):
+    """(per-pair tails, words drawn) of ``coalescence_tail_mc`` by the reference."""
+    m_max = int(grid[-1])
+    rows = mc_block_rows(m_max)
     per_pair = np.empty((len(grid), len(pairs)))
+    drawn = 0
     for slot, (x0, y0) in enumerate(pairs):
-        r_idx = reference_draw(rmr.probs, samples, int(grid[-1]), seed, slot)
-        per_pair[:, slot] = reference_counts(rmr.table, r_idx, x0, y0, grid) / samples
-    return per_pair
+        total = np.zeros(len(grid), dtype=np.int64)
+        for block, start in enumerate(range(0, samples, rows)):
+            counts, words, _ = reference_block(
+                rmr.probs, rmr.table, x0, y0, min(rows, samples - start), m_max, grid,
+                pcg_words(seed, slot, block),
+            )
+            total += counts
+            drawn += words
+        per_pair[:, slot] = total / samples
+    return per_pair, drawn
+
+
+def replay(table, r_idx, x0, y0, grid):
+    """Counts at ``grid`` from stepping each row of ``r_idx`` while it is apart."""
+    rows, m_max = r_idx.shape
+    apart_at = [0] * (m_max + 1)
+    for t in range(rows if x0 != y0 else 0):
+        x, y = int(x0), int(y0)
+        apart_at[0] += 1
+        for step in range(m_max):
+            r = r_idx[t, step]
+            x, y = int(table[x][r]), int(table[y][r])
+            if x == y:
+                break
+            apart_at[step + 1] += 1
+    return [apart_at[int(m)] for m in grid]
 
 
 # Weights whose CDF lands exactly on bucket edges (sum 4 or 4096), with zeros,
@@ -88,14 +132,18 @@ def mappings(draw):
         draw(st.lists(st.integers(0, n - 1), min_size=n * len(probs), max_size=n * len(probs))),
         dtype=np.int64,
     ).reshape(n, len(probs))
+    if draw(st.booleans()):  # one value sends every state to one successor
+        table[:, draw(st.integers(0, len(probs) - 1))] = draw(st.integers(0, n - 1))
     labels = tuple(f"r{i}" for i in range(len(probs)))
     return RandomMappingRep(base=None, r_labels=labels, probs=probs, table=table)
 
 
 M_MAX_CHOICES = [0, 1, 7, 33, 64, 160]
 # mocked MC_BLOCK_ELEMENTS: 7 and 1001 give odd block rows (7 // 7 = 1, 1001 // 7
-# = 143, 1001 // 33 = 30 ...), so blocks start at odd word offsets
+# = 143, 1001 // 33 = 30 ...)
 BLOCK_CHOICES = [4, 7, 100, 1000, 1001, MC_BLOCK_ELEMENTS]
+# mocked window budgets: one step per window, a few steps, and the real rule
+WINDOW_CHOICES = [1, 5, 64, DRAW_CHUNK_WORDS]
 
 
 @st.composite
@@ -111,7 +159,8 @@ def mc_problems(draw):
     # sample counts that are and are not multiples of the block rows
     samples = min(draw(st.sampled_from([1, 3, rows, rows + 1, 2 * rows + 3, 257])), 3_000)
     seed = draw(st.integers(0, 2**32))
-    return rmr, pairs, grid, samples, seed, block
+    window = draw(st.sampled_from(WINDOW_CHOICES))
+    return rmr, pairs, grid, samples, seed, block, window
 
 
 class TestInverseCDF:
@@ -138,80 +187,106 @@ class TestInverseCDF:
         assert _InverseCDF(np.array([0.3, 0.7])).straddle == 2
 
 
+def run_kernel(rmr, x0, y0, rows, m_max, grid, seed, slot=0, block=0):
+    """(counts, words drawn, filled r_idx) of one kernel call on a block's
+    stream; the entries no trajectory read keep the marker 255."""
+    inverse_cdf = _InverseCDF(rmr.probs)
+    r_idx = np.full((rows, m_max), 255, dtype=inverse_cdf.code.dtype, order="F")
+    draw = _BlockStream(inverse_cdf, seed, slot, block)
+    counts = coalescence_counts(rmr.table, r_idx, x0, y0, grid, draw)
+    return [int(c) for c in counts], draw.words, r_idx
 
 
-def draw_in_blocks(probs, samples, m_max, seed, slot):
-    inverse_cdf = _InverseCDF(probs)
-    rows = mc_block_rows(m_max)
-    blocks = [
-        _draw_block(inverse_cdf, seed, slot, start, min(rows, samples - start), m_max)
-        for start in range(0, samples, rows)
-    ]
-    assert all(block.flags.f_contiguous for block in blocks)  # the kernel's column layout
-    assert all(block.dtype == np.uint8 for block in blocks)  # fewer than 256 values
-    return np.concatenate(blocks)
+def random_start(rmr, m_max, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.unique(np.append(rng.integers(0, m_max + 1, size=3), [0, m_max]))
+    x0, y0 = (int(v) for v in rng.integers(0, rmr.n, size=2))
+    return grid, x0, y0
 
 
-class TestStreamedDraw:
+class TestBlockStream:
     @settings(max_examples=40, deadline=None)
-    @given(weights, st.sampled_from(M_MAX_CHOICES), st.sampled_from(BLOCK_CHOICES),
-           st.integers(1, 40), st.integers(0, 2**32), st.integers(0, 3))
-    def test_blocks_reproduce_full_draw(self, w, m_max, block, extra, seed, slot):
+    @given(weights, st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32),
+           st.integers(0, 3), st.integers(0, 3))
+    def test_blocks_draw_from_own_streams(self, w, rows, width, seed, slot, block):
         probs = probs_from(w)
-        with mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", block):
-            samples = mc_block_rows(m_max) + extra  # a partial last block
-            drawn = draw_in_blocks(probs, samples, m_max, seed, slot)
-        np.testing.assert_array_equal(drawn, reference_draw(probs, samples, m_max, seed, slot))
+        out = np.empty((rows, width), dtype=np.uint8)
+        _BlockStream(_InverseCDF(probs), seed, slot, block)(out)
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        words = np.array(pcg_words(seed, slot, block)(rows * width), dtype=np.uint64)
+        want = np.searchsorted(cum, (words >> np.uint64(11)) * 2.0**-53, side="right")
+        np.testing.assert_array_equal(out, want.reshape(rows, width))
 
-    # chunks below one trajectory, odd word counts, and blocks whose last
-    # chunk is short
-    @settings(max_examples=60, deadline=None)
-    @given(weights, st.sampled_from(M_MAX_CHOICES),
-           st.sampled_from([1, 3, 4, 7, "m_max - 1", DRAW_CHUNK_WORDS]),
-           st.sampled_from([7, 1001, 4_000]),
-           st.integers(1, 40), st.integers(0, 2**32), st.integers(0, 3))
-    def test_chunks_reproduce_full_draw(self, w, m_max, chunk, small_block, extra, seed, slot):
-        probs = probs_from(w)
-        if chunk == "m_max - 1":
-            chunk = max(m_max - 1, 1)
-        # small blocks keep one-word chunks quick; the default chunk keeps the
-        # default block, which it splits into several chunks
-        block = MC_BLOCK_ELEMENTS if chunk == DRAW_CHUNK_WORDS else small_block
-        with mock.patch.object(coupling, "DRAW_CHUNK_WORDS", chunk), \
-                mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", block):
-            samples = mc_block_rows(m_max) + extra
-            drawn = draw_in_blocks(probs, samples, m_max, seed, slot)
-        np.testing.assert_array_equal(drawn, reference_draw(probs, samples, m_max, seed, slot))
+    # pieces below one row, odd word counts, and calls whose last piece is short
+    @settings(max_examples=40, deadline=None)
+    @given(weights, st.sampled_from([1, 3, 4, 7, 1 << 14]),
+           st.lists(st.tuples(st.integers(1, 30), st.integers(1, 9)), min_size=1, max_size=4),
+           st.integers(0, 2**32))
+    def test_pieces_continue_one_stream(self, w, piece, shapes, seed):
+        inverse_cdf = _InverseCDF(probs_from(w))
+        drawn = []
+        for words in (piece, coupling.DRAW_PIECE_WORDS):
+            with mock.patch.object(coupling, "DRAW_PIECE_WORDS", words):
+                draw = _BlockStream(inverse_cdf, seed, 1, 2)
+                outs = [np.empty(shape, dtype=np.uint8) for shape in shapes]
+                for out in outs:
+                    draw(out)
+            assert draw.words == sum(r * c for r, c in shapes)
+            drawn.append(np.concatenate([out.ravel() for out in outs]))
+        np.testing.assert_array_equal(drawn[0], drawn[1])
 
 
 class TestKernel:
     @settings(max_examples=100, deadline=None)
-    @given(mappings(), st.sampled_from([0, 1, 7, 33]), st.integers(1, 300),
-           st.integers(0, 2**32), st.booleans())
-    def test_matches_reference_loop(self, rmr, m_max, samples, seed, fortran):
-        rng = np.random.default_rng(seed)
-        r_idx = rng.integers(0, rmr.n_r, size=(samples, m_max))
-        if fortran:
-            r_idx = np.asfortranarray(r_idx)
-        grid = np.unique(np.append(rng.integers(0, m_max + 1, size=3), [0, m_max]))
-        x0, y0 = rng.integers(0, rmr.n, size=2)
+    @given(mappings(), st.sampled_from(M_MAX_CHOICES), st.integers(1, 300),
+           st.sampled_from(WINDOW_CHOICES), st.integers(0, 2**32))
+    def test_matches_reference_loop(self, rmr, m_max, rows, window, seed):
+        grid, x0, y0 = random_start(rmr, m_max, seed)
         for start in ((x0, y0), (x0, x0)):
-            np.testing.assert_array_equal(
-                coalescence_counts(rmr.table, r_idx, *start, grid),
-                reference_counts(rmr.table, r_idx, *start, grid),
-            )
+            with mock.patch.object(kernels, "DRAW_CHUNK_WORDS", window):
+                counts, words, r_idx = run_kernel(rmr, *start, rows, m_max, grid, seed)
+                want, want_words, record = reference_block(
+                    rmr.probs, rmr.table, *start, rows, m_max, grid, pcg_words(seed, 0, 0))
+            assert (counts, words) == (want, want_words)
+            read = np.full(r_idx.shape, 255, dtype=r_idx.dtype)
+            for (t, step), r in record.items():
+                read[t, step] = r
+            np.testing.assert_array_equal(r_idx, read)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mappings(), st.sampled_from(M_MAX_CHOICES), st.integers(1, 300),
+           st.sampled_from(WINDOW_CHOICES), st.integers(0, 2**32))
+    def test_counts_equal_replay_of_filled_record(self, rmr, m_max, rows, window, seed):
+        grid, x0, y0 = random_start(rmr, m_max, seed)
+        with mock.patch.object(kernels, "DRAW_CHUNK_WORDS", window):
+            counts, _, r_idx = run_kernel(rmr, x0, y0, rows, m_max, grid, seed)
+        assert counts == replay(rmr.table, r_idx, x0, y0, grid)
+
+    def test_windows_skip_coalesced_trajectories(self):
+        # hypercube3 from all-zeros to all-ones: the first window gives each of
+        # the 3000 rows 32768 // 3000 = 10 steps, and a row that met within it
+        # reads no index after it
+        rmr = hypercube_model(3).rmr
+        counts, words, r_idx = run_kernel(rmr, 0, 7, 3000, 64, [0, 10, 64], seed=9)
+        assert (r_idx[:, :10] != 255).all()
+        still_apart = r_idx[:, 10] != 255
+        assert still_apart.sum() == counts[1] > 0
+        assert (r_idx[~still_apart, 10:] == 255).all()
+        assert words < 3000 * 64
 
 
 class TestStreamedTails:
     @settings(max_examples=150, deadline=None)
     @given(mc_problems())
     def test_counts_match_reference(self, problem):
-        rmr, pairs, grid, samples, seed, block = problem
-        with mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", block):
+        rmr, pairs, grid, samples, seed, block, window = problem
+        with mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", block), \
+                mock.patch.object(kernels, "DRAW_CHUNK_WORDS", window):
             report = coalescence_tail_mc(rmr, pairs, grid, samples=samples, seed=seed)
-        np.testing.assert_array_equal(
-            report.per_pair, reference_per_pair(rmr, pairs, np.array(grid), samples, seed)
-        )
+            per_pair, drawn = reference_report(rmr, pairs, np.array(grid), samples, seed)
+        np.testing.assert_array_equal(report.per_pair, per_pair)
+        assert report.words_drawn == drawn
 
     def test_worker_counts_give_identical_reports(self):
         model = hypercube_model(6)
@@ -219,20 +294,24 @@ class TestStreamedTails:
         with mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", 4_000):
             reports = [
                 coalescence_tail_mc(model.rmr, pairs, [5, 10, 33], samples=3_001, seed=4,
-                                    workers=w).to_csv(include_pairs=True)
+                                    workers=w)
                 for w in (1, 2, 3)
             ]
-        assert reports[0] == reports[1] == reports[2]
+        assert len({report.to_csv(include_pairs=True) for report in reports}) == 1
+        assert len({report.words_drawn for report in reports}) == 1
 
     @staticmethod
     def _traced_mc_peak(workers, m_max=160):
         """Traced peak bytes of a 100k-trajectory hypercube8 run, and its bound.
 
-        Each worker holds one block of 1-byte indices and one draw chunk:
-        8-byte random words, their 8-byte bucket shift and 1-byte indices, 17
-        bytes per chunk word. 64 KiB covers the model's tables, the kernel's
-        per-row state and the per-pair results. The full-array path held about
-        256 MB at this size, the unchunked draw about 17.8 MB per worker.
+        Each worker holds one block's record of 1-byte indices. While it draws
+        it also holds one window of 1-byte indices (at most DRAW_CHUNK_WORDS of
+        them here), the kernel's pair state (16 bytes a row) and one draw piece
+        of DRAW_CHUNK_WORDS / 2 words: 8-byte random words, their 8-byte bucket
+        shift and 1-byte indices. That stays within 17 bytes per
+        DRAW_CHUNK_WORDS word plus 64 KiB, which also covers the model's tables
+        and the per-pair results. The full-array path held about 256 MB at this
+        size.
         """
         bound = workers * (mc_block_rows(m_max) * m_max + 17 * DRAW_CHUNK_WORDS + 64 * 1024)
         model = hypercube_model(8)
