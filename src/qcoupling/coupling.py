@@ -236,19 +236,28 @@ def _t_couple(upper: np.ndarray, m_values: np.ndarray) -> int | None:
 # Validation of the three coupling conditions
 
 
-def validate_coupling(C: CouplingMatrix) -> ValidationReport:
+def validate_coupling(C: CouplingMatrix | RandomMappingRep) -> ValidationReport:
     """Check column-stochasticity plus the three coupling conditions.
 
     Report-style: lists each violated condition with the worst offending
     indices and magnitudes; ``valid`` iff everything holds within 1e-12.
-    The report is computed once per coupling and cached on it.
 
-    Every condition is read off the stored entries of the CSR matrix, so the
-    work is O(nnz + N^3). Sums are accumulated in row order, as a dense
-    column or axis sum would, so the reported values and indices are those
-    of the dense N^2 x N^2 computation: a reported index is the first
-    maximum in C order of the (x', x, y), (y', x, y) or (x', y', x, y) array.
+    A random mapping is valid by construction (see
+    :func:`grand_coupling_operator`): :class:`RandomMappingRep` checked that
+    Pr(r) sums to 1 and that the induced marginal is its base chain, each
+    within 1e-12, and the other two conditions hold for every table. So no
+    pair-space operator is built for it.
+
+    A :class:`CouplingMatrix` report is computed once and cached on it. Every
+    condition is read off the stored entries of the CSR matrix, so the work
+    is O(nnz + N^3). Sums are accumulated in row order, as a dense column or
+    axis sum would, so the reported values and indices are those of the
+    dense N^2 x N^2 computation: a reported index is the first maximum in C
+    order of the (x', x, y), (y', x, y) or (x', y', x, y) array.
     """
+    if isinstance(C, RandomMappingRep):
+        conditions = ("stochastic", "marginals", "coalescence", "symmetry")
+        return ValidationReport(valid=True, details=dict.fromkeys(conditions, True))
     if C._validation is not None:
         return C._validation
     n = C.n
@@ -380,17 +389,14 @@ def independent_coupling(P: TransitionMatrix) -> CouplingMatrix:
 def grand_coupling_matrix(rmr: RandomMappingRep) -> CouplingMatrix:
     """Grand coupling: both components driven by the same randomness draw.
 
-    Wraps the cached :func:`grand_coupling_operator` (no copy) and validates
-    it as a coupling.
+    Wraps the cached :func:`grand_coupling_operator` (no copy), stamped with
+    the mapping's :func:`validate_coupling` report: it is a coupling by
+    construction, so the N^3 check of the matrix never runs on it.
     """
     if rmr.base is None:
         raise InvalidInputError("grand coupling matrix requires a mapping with a base chain")
     C = CouplingMatrix(base=rmr.base, entries=grand_coupling_operator(rmr))
-    report = validate_coupling(C)
-    if not report.valid:
-        raise InvalidInputError(
-            "grand coupling failed the coupling conditions: " + "; ".join(report.issues)
-        )
+    object.__setattr__(C, "_validation", validate_coupling(rmr))
     return C
 
 
@@ -739,13 +745,8 @@ def rmr_to_json_dict(rmr: RandomMappingRep) -> dict:
     }
 
 
-def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
-    """Load either a dense CouplingMatrix or a RandomMappingRep.
-
-    If ``base`` is omitted it is reconstructed: for dense couplings from the
-    diagonal-to-diagonal block (condition 2), for mappings from the induced
-    marginal, with generic integer labels.
-    """
+def coupling_from_json_dict(doc: dict, base: TransitionMatrix):
+    """Load either a dense CouplingMatrix or a RandomMappingRep of the chain ``base``."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidInputError("coupling JSON must be an object with a 'kind' field")
     kind = doc["kind"]
@@ -762,10 +763,6 @@ def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
         n = int(round(np.sqrt(n2)))
         if n * n != n2:
             raise InvalidInputError(f"field 'C' has side {n2}, not a perfect square")
-        if base is None:
-            diag_idx = np.arange(n) * n + np.arange(n)
-            P = entries[np.ix_(diag_idx, diag_idx)]
-            base = TransitionMatrix(tuple(str(i) for i in range(n)), P)
         return CouplingMatrix(base=base, entries=entries)
     rs = doc["R"]
     if not isinstance(rs, list) or not rs:
@@ -778,11 +775,8 @@ def coupling_from_json_dict(doc: dict, base: TransitionMatrix | None = None):
         raise InvalidInputError("field 'f' must hold one successor row per entry of 'R'")
     labels = tuple(str(r["label"]) for r in rs)
     probs = json_numbers([r["prob"] for r in rs], "field 'R' prob values")
-    if base is None:
-        n = table.shape[0]
-        base = TransitionMatrix(tuple(str(i) for i in range(n)), induced_entries(table, probs))
     return RandomMappingRep(base=base, r_labels=labels, probs=probs, table=table)
 
 
-def read_coupling_json(path, base: TransitionMatrix | None = None):
+def read_coupling_json(path, base: TransitionMatrix):
     return read_json_file(path, lambda doc: coupling_from_json_dict(doc, base=base))

@@ -140,7 +140,8 @@ class ModelInstance:
 
     def coupling(self) -> CouplingMatrix:
         """The coupling as a sparse :class:`CouplingMatrix`; a random mapping's
-        grand coupling wraps its cached pair-space operator and is validated."""
+        grand coupling wraps its cached pair-space operator and is stamped
+        valid by construction."""
         C = self.exact_coupling()
         return grand_coupling_matrix(C) if isinstance(C, RandomMappingRep) else C
 
@@ -337,6 +338,13 @@ def load_counterexample_fixture() -> dict:
 # Rate envelopes
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The Philox generator of ``--seed`` (numpy.random is loaded on first use)."""
+    if seed < 0:
+        raise InvalidInputError(f"--seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def default_start_pairs(model: ModelInstance, count: int, seed: int) -> list[tuple[int, int]]:
     """Heuristic worst-case start pairs for MC tail estimation.
 
@@ -345,9 +353,7 @@ def default_start_pairs(model: ModelInstance, count: int, seed: int) -> list[tup
     """
     if model.kind == "hypercube":
         return [hypercube_worst_pair(model.params["n"])]
-    if seed < 0:
-        raise InvalidInputError(f"--seed must be >= 0, got {seed}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     pairs = set()
     n = model.n
     while len(pairs) < min(count, n * (n - 1) // 2):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcoupling import quantize
+from qcoupling.coupling import CouplingMatrix, grand_coupling_operator
 from qcoupling.models import (
     colorings_model,
     complete_graph,
@@ -50,6 +51,13 @@ def coupling_4tensor(C) -> np.ndarray:
     reference the sparse pair-space code is tested against."""
     n = C.n
     return C.entries.toarray().reshape(n, n, n, n)
+
+
+def unstamped_grand_coupling(rmr) -> CouplingMatrix:
+    """A mapping's grand coupling as a plain CouplingMatrix, without the report
+    ``grand_coupling_matrix`` stamps on it by construction, so that
+    validate_coupling runs its full check of the stored entries."""
+    return CouplingMatrix(base=rmr.base, entries=grand_coupling_operator(rmr))
 
 
 @pytest.fixture

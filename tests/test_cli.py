@@ -7,11 +7,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import unstamped_grand_coupling
 from qcoupling import cli, coupling
-from qcoupling.chain import stationary_distribution
+from qcoupling.chain import TransitionMatrix, stationary_distribution
 from qcoupling.cli import main
-from qcoupling.coupling import induced_entries, rmr_to_json_dict
+from qcoupling.coupling import (
+    RandomMappingRep,
+    induced_entries,
+    rmr_to_json_dict,
+    validate_coupling,
+)
 from qcoupling.models import hypercube_model
+
+
+# the coupling section of a `validate` summary that passes
+VALID = {"valid": True, "issues": [], "stochastic": True, "marginals": True,
+         "coalescence": True, "symmetry": True}
 
 
 def run(*argv):
@@ -297,6 +308,23 @@ class TestValidate:
         assert "exact mode guarded at N <= 64; N = 128" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_mapping_builds_no_pair_space_operator(self, tmp_path, monkeypatch):
+        # a mapping is valid by construction: its report needs no N^2 x N^2 operator
+        chain, mapping = mapping_files(tmp_path, model="hypercube3")
+        runs = {"model": ("--model", "hypercube6"), "files": ("--chain", chain, "--coupling", mapping)}
+        for name, argv in runs.items():
+            assert run("validate", *argv, "--out", str(tmp_path / f"{name}-built")) == 0
+
+        def unreachable(rmr):
+            raise AssertionError("pair-space operator built")
+
+        patch_everywhere(monkeypatch, "grand_coupling_operator", unreachable)
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}-not-built"
+            assert run("validate", *argv, "--out", str(out)) == 0
+            assert files_in(out) == files_in(tmp_path / f"{name}-built")
+        assert load_summary(tmp_path / "files-not-built", "validate-chain")["coupling"] == VALID
+
     @pytest.mark.parametrize("table", [[[0, 1], [0, 1]], [[0, 0], [1, 2]]])
     def test_invalid_mapping_is_invalid_input(self, tmp_path, capsys, table):
         # a table that does not reproduce the chain, and one with an out-of-range successor
@@ -352,6 +380,60 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "chain.json" in err and "'P'" in err
         assert not (tmp_path / "o").exists()
+
+
+# Pr(r) = 0.3, 0.1, 0.2, 0.4 on two states: r0 and r2 send both states to 0, r1
+# is the identity and r3 sends both to 1. The mapping induces P[0, 0] = (0.3 +
+# 0.1) + 0.2 = 0.6000000000000001, summed in r order. The grand coupling's
+# x-marginal at (x'=0, x=0, y=1) sums the same weights by cell, (0.3 + 0.2) +
+# 0.1 = 0.6, one ulp lower, and that is what the full N^3 check compares with
+# the chain.
+EDGE_MAPPING = {
+    "kind": "rmr",
+    "R": [{"label": f"r{i}", "prob": p} for i, p in enumerate([0.3, 0.1, 0.2, 0.4])],
+    "f": [[0, 0], [0, 1], [0, 0], [1, 1]],
+}
+EDGE_INDUCED_P00 = (0.3 + 0.1) + 0.2
+
+
+class TestToleranceEdge:
+    """Chains whose P[0, 0] lies within a few ulps of 1e-12 from the induced
+    marginal (P[1, 0] is 5e-13 off, and P[:, 1] exact). The one rule is the
+    mapping's construction check; a mapping that passes it is a coupling."""
+
+    def test_full_check_differs_by_an_ulp_at_the_edge(self):
+        # at P[0, 0] = 0.6000000000010001 the construction check reads
+        # 9.99978e-13 and the full check of the unstamped operator 1.0000889e-12
+        P = np.array([[0.6000000000010001, 0.5], [0.3999999999995, 0.5]])
+        rmr = RandomMappingRep(
+            base=TransitionMatrix(("a", "b"), P), r_labels=("r0", "r1", "r2", "r3"),
+            probs=np.array([r["prob"] for r in EDGE_MAPPING["R"]]),
+            table=np.array(EDGE_MAPPING["f"]).T)
+        assert validate_coupling(rmr).valid
+        assert validate_coupling(unstamped_grand_coupling(rmr)).issues == [
+            "condition 1 (x-marginal) violated at (x'=0, x=0, y=1) by 1e-12"]
+
+    @pytest.mark.parametrize("p00, valid", [
+        (0.6000000000009998, True), (0.600000000001, True), (0.6000000000010001, True),
+        (0.6000000000010002, False), (0.6000000000010003, False),
+    ])
+    def test_validate_and_quantize(self, tmp_path, capsys, p00, valid):
+        assert (abs(p00 - EDGE_INDUCED_P00) <= 1e-12) == valid
+        chain, mapping = tmp_path / "edge.json", tmp_path / "mapping.json"
+        chain.write_text(json.dumps({"labels": ["a", "b"],
+                                     "P": [[p00, 0.5], [0.3999999999995, 0.5]]}))
+        mapping.write_text(json.dumps(EDGE_MAPPING))
+        files = ("--chain", str(chain), "--coupling", str(mapping))
+        codes = [run(cmd, *files, "--out", str(tmp_path / cmd)) for cmd in ("validate", "quantize")]
+        if not valid:
+            assert codes == [2, 2]
+            assert capsys.readouterr().err.count("does not reproduce the base chain") == 2
+            return
+        assert codes == [0, 0]
+        doc = load_summary(tmp_path / "validate", "validate-edge")
+        assert doc["pass"] and doc["coupling"] == VALID
+        doc = load_summary(tmp_path / "quantize", "quantize-edge")
+        assert doc["channel_cp"] is True and doc["cp"] is True and "channel_skipped" not in doc
 
 
 class TestQuantize:

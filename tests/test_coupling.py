@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling_4tensor, random_ergodic_chain
+from conftest import coupling_4tensor, random_ergodic_chain, unstamped_grand_coupling
 from qcoupling import coupling
-from qcoupling.chain import ATOL_COMPUTED
+from qcoupling.chain import ATOL_COMPUTED, TransitionMatrix
 from qcoupling.cli import resolve_model
 from qcoupling.coupling import (
     EXACT_GUARD_N,
@@ -20,6 +20,7 @@ from qcoupling.coupling import (
     coupling_from_json_dict,
     grand_coupling_matrix,
     independent_coupling,
+    induced_entries,
     pair_transition,
     rmr_to_json_dict,
     coupling_to_json_dict,
@@ -42,7 +43,7 @@ class TestValidateCoupling:
             assert rep.valid, rep.issues
 
     def test_grand_coupling_satisfies_all_conditions(self, hypercube3):
-        rep = validate_coupling(hypercube3.coupling())
+        rep = validate_coupling(unstamped_grand_coupling(hypercube3.rmr))
         assert rep.valid, rep.issues
 
     def test_broken_marginal_reported(self, hypercube2):
@@ -83,6 +84,53 @@ class TestValidateCoupling:
             CouplingMatrix(base=C.base, entries=E.reshape(C.n**2, C.n**2))
         )
         assert not rep.details["symmetry"]
+
+
+MAPPING_MODELS = [
+    ("hypercube1", 2.0), ("hypercube3", 2.0), ("hypercube6", 2.0),
+    ("colorings-k3-q4", 2.0), ("colorings-path2-q4", 2.0), ("colorings-path3-q4", 2.0),
+    ("hardcore-path3", 2.0), ("hardcore-path5", 2.0), ("hardcore-path8", 2.0),
+    ("hardcore-path3", 0.5), ("hardcore-path5", 0.5), ("hardcore-path8", 0.5),
+]
+
+
+def _assert_stamp_equals_full_check(rmr):
+    stamped = validate_coupling(rmr)
+    assert grand_coupling_matrix(rmr)._validation == stamped
+    assert validate_coupling(unstamped_grand_coupling(rmr)) == stamped
+
+
+class TestValidByConstruction:
+    """A mapping's report, stamped without a pair-space build, is the one the
+    full check of its grand-coupling operator gives."""
+
+    @pytest.mark.parametrize("name,fugacity", MAPPING_MODELS)
+    def test_bundled_mappings(self, name, fugacity):
+        rmr = resolve_model(name, SimpleNamespace(bias=0.5, fugacity=fugacity)).rmr
+        _assert_stamp_equals_full_check(rmr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), n_r=st.integers(1, 6))
+    def test_tables_with_collisions_and_zero_weights(self, data, n, n_r):
+        # few states and many values of r: successors collide; integer weights
+        # with zeros give values of r that the operator stores nothing for
+        table = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=n_r, max_size=n_r),
+            min_size=n, max_size=n)), dtype=np.int64)
+        weights = np.array(data.draw(st.lists(
+            st.integers(0, 3), min_size=n_r, max_size=n_r).filter(any)), dtype=float)
+        probs = weights / weights.sum()
+        base = TransitionMatrix(tuple(map(str, range(n))), induced_entries(table, probs))
+        rmr = RandomMappingRep(base=base, r_labels=tuple(map(str, range(n_r))),
+                               probs=probs, table=table)
+        _assert_stamp_equals_full_check(rmr)
+        assert validate_coupling(rmr).details == dict.fromkeys(
+            ("stochastic", "marginals", "coalescence", "symmetry"), True)
+
+    def test_base_free_mapping_is_valid(self):
+        rmr = RandomMappingRep(base=None, r_labels=("a", "b"), probs=np.array([0.5, 0.5]),
+                               table=np.array([[0, 1], [0, 1]]))
+        assert validate_coupling(rmr).valid and rmr._operator is None
 
 
 class TestRandomMappingRep:
@@ -292,20 +340,20 @@ class TestMonteCarlo:
 class TestCouplingJson:
     def test_dense_roundtrip(self, hypercube2):
         C = hypercube2.coupling()
-        C2 = coupling_from_json_dict(coupling_to_json_dict(C))
+        C2 = coupling_from_json_dict(coupling_to_json_dict(C), hypercube2.chain)
         np.testing.assert_allclose(C2.entries.toarray(), C.entries.toarray(), atol=1e-15)
         assert validate_coupling(C2).valid
 
     def test_rmr_roundtrip(self, hypercube2):
         rmr = hypercube2.rmr
-        rmr2 = coupling_from_json_dict(rmr_to_json_dict(rmr))
+        rmr2 = coupling_from_json_dict(rmr_to_json_dict(rmr), hypercube2.chain)
         np.testing.assert_array_equal(rmr2.table, rmr.table)
         np.testing.assert_allclose(rmr2.probs, rmr.probs, atol=1e-15)
 
-    def test_unknown_kind(self):
+    def test_unknown_kind(self, hypercube2):
         with pytest.raises(InvalidInputError, match="unknown coupling kind"):
-            coupling_from_json_dict({"kind": "sparse"})
+            coupling_from_json_dict({"kind": "sparse"}, hypercube2.chain)
 
-    def test_non_square_side(self):
+    def test_non_square_side(self, hypercube2):
         with pytest.raises(InvalidInputError, match="perfect square"):
-            coupling_from_json_dict({"kind": "dense", "C": np.eye(3).tolist()})
+            coupling_from_json_dict({"kind": "dense", "C": np.eye(3).tolist()}, hypercube2.chain)

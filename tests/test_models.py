@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coupling_4tensor
+from conftest import coupling_4tensor, unstamped_grand_coupling
 from qcoupling.chain import stationary_distribution
 from qcoupling.coupling import coalescence_tail_exact, coalescence_tail_mc, validate_coupling
 from qcoupling.errors import GuardExceededError, InvalidInputError
@@ -159,7 +159,7 @@ class TestColorings:
         np.testing.assert_array_equal(m.rmr.table[:, 1], [1, 1])
 
     def test_grand_coupling_valid(self, colorings_k3_q4):
-        assert validate_coupling(colorings_k3_q4.coupling()).valid
+        assert validate_coupling(unstamped_grand_coupling(colorings_k3_q4.rmr)).valid
 
     def test_ergodicity_guard(self):
         with pytest.raises(InvalidInputError, match="q >= max_degree"):
@@ -192,7 +192,7 @@ class TestHardcore:
         np.testing.assert_allclose(m.pi.weights, [0.5, 0.5], atol=1e-15)
 
     def test_grand_coupling_valid(self, hardcore_p3_lam2):
-        assert validate_coupling(hardcore_p3_lam2.coupling()).valid
+        assert validate_coupling(unstamped_grand_coupling(hardcore_p3_lam2.rmr)).valid
 
     def test_rmr_reproduces_chain(self, hardcore_p3_lam_half):
         induced = hardcore_p3_lam_half.rmr.induced_chain_entries()

@@ -40,7 +40,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling_4tensor, random_ergodic_chain
+from conftest import coupling_4tensor, random_ergodic_chain, unstamped_grand_coupling
 from qcoupling import coupling as coupling_module
 from qcoupling.chain import ATOL_INPUT, TransitionMatrix
 from qcoupling.checks import ValidationReport
@@ -188,7 +188,7 @@ class TestSparseValidation:
 
     @pytest.mark.parametrize("name", RMR_MODELS)
     def test_bundled_mappings(self, name):
-        _assert_validation_matches_dense(_model(name).coupling())
+        _assert_validation_matches_dense(unstamped_grand_coupling(_model(name).rmr))
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
@@ -407,7 +407,7 @@ class TestMemoryAtN64:
     def test_coupling_validation_and_c_star(self):
         rmr = _model("hypercube6").rmr  # the operator is not built yet
         with _peak_below(4.75 * 2**20):  # 4.3 MiB; the dense coupling alone was 128 MiB
-            C = grand_coupling_matrix(rmr)
+            C = unstamped_grand_coupling(rmr)  # so that the full N^3 check runs
             assert validate_coupling(C).valid
             c_star_superop(C)
 
