@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ class TransitionMatrix:
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
+        entries.flags.writeable = False  # the checks below stay true
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         n = len(self.labels)
@@ -86,98 +86,55 @@ class Distribution:
         return self.weights.size
 
 
-def _strong_components(adj: list[np.ndarray]) -> tuple[int, np.ndarray]:
-    """Strong components of the digraph with successor lists ``adj``.
+def _components_and_periods(entries: np.ndarray) -> tuple[int, np.ndarray, list[int]]:
+    """Strong components of the support digraph, which has an edge j -> i
+    where ``entries[i, j] > ATOL_INPUT``, and the period of each.
 
-    Iterative Tarjan: returns (number of components, component id of each
-    node). Components are numbered in the order Tarjan completes them.
+    Kosaraju-Sharir: a depth-first pass records the finishing order; a
+    breadth-first pass over the reversed graph, rooted in reverse finishing
+    order, labels each component and finds d(v), the distance from v to its
+    component's root. A period is the gcd of |d(i) + 1 - d(j)| over the
+    component's internal edges j -> i, and 1 for a component without one.
+    Returns (number of components, component of each state, periods).
     """
-    n = len(adj)
-    index = [-1] * n  # discovery order
-    low = [0] * n
-    comp = np.full(n, -1, dtype=np.int64)
-    on_stack = [False] * n
-    stack: list[int] = []
-    n_comp = 0
-    counter = 0
+    support = entries > ATOL_INPUT
+    n = support.shape[0]
+    succ = [np.flatnonzero(col).tolist() for col in support.T]
+    pred = [np.flatnonzero(row).tolist() for row in support]
+    seen, finished = [False] * n, []
     for root in range(n):
-        if index[root] >= 0:
+        if seen[root]:
             continue
-        work = [(root, 0)]  # (node, position of the next successor to visit)
-        while work:
-            u, i = work.pop()
-            if i == 0:
-                index[u] = low[u] = counter
-                counter += 1
-                stack.append(u)
-                on_stack[u] = True
-            successors = adj[u]
-            while i < len(successors):
-                v = int(successors[i])
-                i += 1
-                if index[v] < 0:
-                    work.append((u, i))
-                    work.append((v, 0))
-                    break
-                if on_stack[v]:
-                    low[u] = min(low[u], index[v])
-            else:  # every successor of u visited: pop its component if u is a root
-                if low[u] == index[u]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = n_comp
-                        if w == u:
-                            break
-                    n_comp += 1
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[u])
-    return n_comp, comp
-
-
-def _support_periods(entries: np.ndarray) -> tuple[int, list[int]]:
-    """Strong components of the support digraph and the period of each.
-
-    Returns (number of strong components, list of per-component periods).
-    A component without any internal cycle gets period 1 (trivially aperiodic).
-    """
-    n = entries.shape[0]
-    adj = [np.nonzero(entries[:, j] > ATOL_INPUT)[0] for j in range(n)]
-    n_comp, comp = _strong_components(adj)
-    periods = []
-    for c in range(n_comp):
-        nodes = np.nonzero(comp == c)[0]
-        # BFS levels within the component; gcd of (level[u] + 1 - level[v])
-        # over intra-component edges u -> v gives the period.
-        root = nodes[0]
-        level = {int(root): 0}
-        g = 0
-        queue = deque([int(root)])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                v = int(v)
-                if comp[v] != c:
-                    continue
-                if v not in level:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-                else:
-                    g = math.gcd(g, level[u] + 1 - level[v])
-        periods.append(abs(g) if g != 0 else 1)
-    return n_comp, periods
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v = next((v for v in stack[-1][1] if not seen[v]), None)
+            if v is None:
+                finished.append(stack.pop()[0])
+            else:
+                seen[v] = True
+                stack.append((v, iter(succ[v])))
+    comp, dist, n_comp = [-1] * n, [0] * n, 0
+    for root in reversed(finished):
+        if comp[root] < 0:
+            comp[root], queue = n_comp, [root]
+            for u in queue:
+                for v in pred[u]:
+                    if comp[v] < 0:
+                        comp[v], dist[v] = n_comp, dist[u] + 1
+                        queue.append(v)
+            n_comp += 1
+    comp, dist = np.array(comp), np.array(dist)
+    i, j = np.nonzero(support & (comp[:, None] == comp))
+    gcd = np.zeros(n_comp, dtype=np.int64)
+    np.gcd.at(gcd, comp[i], np.abs(dist[i] + 1 - dist[j]))
+    return n_comp, comp, [int(g) or 1 for g in gcd]
 
 
 def validate_chain(P: TransitionMatrix) -> ValidationReport:
-    """Report column-stochasticity, irreducibility, and aperiodicity of P."""
-    entries = P.entries
+    """Report irreducibility and aperiodicity of P (its columns sum to 1 by construction)."""
+    n_comp, _, periods = _components_and_periods(P.entries)
     issues = []
-    colsums = entries.sum(axis=0)
-    bad_cols = np.nonzero(np.abs(colsums - 1.0) > ATOL_INPUT)[0]
-    for j in bad_cols:
-        issues.append(f"column {j} sums to {colsums[j]:.12g}")
-    n_comp, periods = _support_periods(entries)
     irreducible = n_comp == 1
     if not irreducible:
         issues.append(f"support digraph has {n_comp} strong components")
@@ -185,7 +142,7 @@ def validate_chain(P: TransitionMatrix) -> ValidationReport:
     aperiodic = all(p == 1 for p in periods)
     if not aperiodic:
         issues.append(f"chain is periodic with period {period}")
-    ergodic = irreducible and aperiodic and len(bad_cols) == 0
+    ergodic = irreducible and aperiodic
     return ValidationReport(
         valid=ergodic,
         issues=issues,
@@ -199,15 +156,9 @@ def validate_chain(P: TransitionMatrix) -> ValidationReport:
 
 
 def _require_ergodic(P: TransitionMatrix):
-    report = validate_chain(P)
-    if not report.details["ergodic"]:
-        missing = []
-        if not report.details["irreducible"]:
-            missing.append("irreducible")
-        if not report.details["aperiodic"]:
-            missing.append("aperiodic")
-        if not missing:
-            missing.append("column-stochastic")
+    details = validate_chain(P).details
+    missing = [name for name in ("irreducible", "aperiodic") if not details[name]]
+    if missing:
         raise NonErgodicError(f"chain is not ergodic: fails to be {' and '.join(missing)}")
 
 
@@ -344,12 +295,16 @@ def chain_from_json_dict(doc: dict) -> TransitionMatrix:
 
 def read_json_file(path, parse):
     """``parse`` of the JSON document at ``path``; every error names the file,
-    and malformed JSON also the line."""
-    with open(path) as fh:
-        try:
+    and malformed JSON also the line. A file that cannot be read, is not
+    UTF-8, nests too deeply or holds an integer too long to convert is
+    invalid input too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise InvalidInputError(f"{path}: cannot read: {exc}") from exc
     try:
         return parse(doc)
     except InvalidInputError as exc:

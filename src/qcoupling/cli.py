@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qcoupling.chain import chain_to_json_dict, read_chain_json, validate_chain
+from qcoupling.chain import chain_to_json_dict, read_chain_json, read_json_file, validate_chain
 from qcoupling.coupling import (
     RandomMappingRep,
     check_tail_submultiplicativity,
@@ -552,10 +552,9 @@ def _apply_config(args, parser):
     if not args.config:
         return args
     try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"config {args.config}: {exc}")
+        doc = read_json_file(args.config, lambda doc: doc)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"config {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInputError("config must be a JSON object")
     subparsers = next(
@@ -582,7 +581,7 @@ def main(argv=None) -> int:
     except GuardExceededError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (InvalidInputError, FileNotFoundError) as exc:
+    except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (AssertionError, QCouplingError) as exc:

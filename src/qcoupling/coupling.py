@@ -15,17 +15,13 @@ from qcoupling.chain import (
     ATOL_COMPUTED,
     ATOL_INPUT,
     TransitionMatrix,
+    _require_ergodic,
     json_numbers,
     read_json_file,
-    validate_chain,
 )
 from qcoupling.checks import CheckResult, ValidationReport, series_csv
 from qcoupling.csr import Csr, as_csr, sums_by_key
-from qcoupling.errors import (
-    GuardExceededError,
-    InvalidInputError,
-    NonErgodicError,
-)
+from qcoupling.errors import GuardExceededError, InvalidInputError
 from qcoupling.kernels import DRAW_CHUNK_WORDS, coalescence_counts
 
 COUPLING_THRESHOLD = 0.25  # t_couple crossing level
@@ -371,8 +367,7 @@ def independent_coupling(P: TransitionMatrix) -> CouplingMatrix:
     Column (x, y) with x != y holds P[x', x] P[y', y] at row (x', y'), the
     entry of kron(P, P); column (x, x) holds P[x', x] at row (x', x').
     """
-    if not validate_chain(P).details["ergodic"]:
-        raise NonErgodicError("independent coupling requires an ergodic base chain")
+    _require_ergodic(P)
     n = P.n
     xp, x = np.nonzero(P.entries)
     data, rows, cols = kron_square_entries(P.entries)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -107,7 +107,6 @@ class ModelInstance:
     chain: TransitionMatrix | None
     rmr: RandomMappingRep | None = None
     dense: CouplingMatrix | None = None
-    params: dict = field(default_factory=dict)
     n_sites: int | None = None
     rate: float | None = None
     stationary: Distribution | None = None
@@ -151,7 +150,7 @@ class ModelInstance:
 
 
 def _single_site_model(
-    kind: str, params: dict, g: GraphSpec, q: int, *, values, r_labels, probs,
+    kind: str, g: GraphSpec, q: int, *, values, r_labels, probs,
     rate: float, edge_ok=None, weights=None,
 ) -> ModelInstance:
     """The chain whose mapping draws r = (site v, value k) and moves x to the
@@ -193,7 +192,7 @@ def _single_site_model(
         chain = TransitionMatrix(labels, induced_entries(table, probs))
     w = np.ones(n_states) if weights is None else weights(codes)
     rmr = RandomMappingRep(base=chain, r_labels=r_labels, probs=probs, table=table)
-    return ModelInstance(kind=kind, chain=chain, rmr=rmr, params=params, n_sites=g.n,
+    return ModelInstance(kind=kind, chain=chain, rmr=rmr, n_sites=g.n,
                          rate=rate, stationary=Distribution(w / w.sum()))
 
 
@@ -202,7 +201,7 @@ def hypercube_model(n: int) -> ModelInstance:
     if not 1 <= n <= 20:
         raise InvalidInputError("hypercube size must satisfy 1 <= n <= 20")
     return _single_site_model(
-        "hypercube", {"n": n}, GraphSpec(n, ()), 2, values=(0, 1),
+        "hypercube", GraphSpec(n, ()), 2, values=(0, 1),
         r_labels=[f"coord{i}_bit{b}" for i in range(n) for b in (0, 1)],
         probs=np.full(2 * n, 1.0 / (2 * n)),
         rate=1.0,  # coupon-collector envelope n * exp(-m / n)
@@ -223,7 +222,7 @@ def colorings_model(g: GraphSpec, q: int) -> ModelInstance:
             f"need q >= max_degree + 2 = {g.max_degree + 2} for ergodicity, got q={q}"
         )
     return _single_site_model(
-        "colorings", {"n": g.n, "q": q, "max_degree": g.max_degree}, g, q, values=range(q),
+        "colorings", g, q, values=range(q),
         r_labels=[f"v{v}_k{k}" for v in range(g.n) for k in range(q)],
         probs=np.full(g.n * q, 1.0 / (g.n * q)),
         rate=1.0 - 3.0 * g.max_degree / q,  # c_met(Delta, q)
@@ -247,7 +246,7 @@ def hardcore_model(g: GraphSpec, lam: float) -> ModelInstance:
         raise InvalidInputError(f"fugacity lambda = {lam} too large: lambda**{g.n} overflows") from None
 
     return _single_site_model(
-        "hardcore", {"n": g.n, "lambda": lam, "max_degree": g.max_degree}, g, 2,
+        "hardcore", g, 2,
         values=(1, 0),  # heads places a particle, tails removes it
         r_labels=[f"v{v}_{toss}" for v in range(g.n) for toss in ("heads", "tails")],
         probs=np.tile([heads / g.n, (1.0 - heads) / g.n], g.n),
@@ -352,7 +351,7 @@ def default_start_pairs(model: ModelInstance, count: int, seed: int) -> list[tup
     mapping read from a file too, gives ``count`` seeded pairs over its N states.
     """
     if model.kind == "hypercube":
-        return [hypercube_worst_pair(model.params["n"])]
+        return [hypercube_worst_pair(model.n_sites)]
     rng = seeded_rng(seed)
     pairs = set()
     n = model.n

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,8 +23,7 @@ from qcoupling.chain import (
     read_chain_json,
     stationary_distribution,
     validate_chain,
-    _strong_components,
-    _support_periods,
+    _components_and_periods,
 )
 from qcoupling.errors import (
     InvalidInputError,
@@ -58,6 +58,12 @@ class TestTransitionMatrix:
         m = np.array([[0.5, 0.5], [0.5, 0.5]]) + np.array([[1e-13, 0], [0, 0]])
         TransitionMatrix(("a", "b"), m)  # within the 1e-12 input tolerance
 
+    def test_entries_are_read_only(self):
+        # validate_chain relies on the construction checks staying true
+        P = two_state()
+        with pytest.raises(ValueError, match="read-only"):
+            P.entries[0, 0] = 0.5
+
 
 class TestValidateChain:
     def test_ergodic_chain(self):
@@ -80,8 +86,8 @@ class TestValidateChain:
 
 
 def _csgraph_components_and_periods(entries: np.ndarray):
-    """Strong components by scipy's csgraph, with the same BFS for the periods:
-    the computation _support_periods did before it had its own Tarjan pass."""
+    """Strong components by scipy's csgraph and each period by a BFS from the
+    component's first state: the reference for _components_and_periods."""
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
@@ -106,6 +112,16 @@ def _csgraph_components_and_periods(entries: np.ndarray):
     return n_comp, comp, periods
 
 
+def _assert_matches_csgraph(E: np.ndarray):
+    n_comp, comp, periods = _csgraph_components_and_periods(E)
+    got_n_comp, got_comp, got_periods = _components_and_periods(E)
+    assert got_n_comp == n_comp
+    for x in range(E.shape[0]):
+        assert set(np.flatnonzero(got_comp == got_comp[x])) == set(np.flatnonzero(comp == comp[x]))
+        assert got_periods[got_comp[x]] == periods[comp[x]]
+    assert all(type(p) is int for p in got_periods)  # JSON writes them as it did
+
+
 class TestStrongComponents:
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
@@ -120,14 +136,24 @@ class TestStrongComponents:
         for cycle in np.split(order, cuts):
             E[np.roll(cycle, -1), cycle] = 0.5
         E[rng.random((n, n)) < 0.1] = ATOL_INPUT
-        n_comp, comp, periods = _csgraph_components_and_periods(E)
-        got_comp = _strong_components([np.nonzero(E[:, j] > ATOL_INPUT)[0] for j in range(n)])
-        got_periods = _support_periods(E)
-        assert got_comp[0] == got_periods[0] == n_comp
-        for x in range(n):
-            assert set(np.flatnonzero(got_comp[1] == got_comp[1][x])) == set(
-                np.flatnonzero(comp == comp[x]))
-            assert got_periods[1][got_comp[1][x]] == periods[comp[x]]
+        _assert_matches_csgraph(E)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(10, 60), seed=st.integers(0, 2**32 - 1),
+           step=st.integers(1, 4), extra=st.integers(0, 4))
+    def test_property_long_cycles_match_csgraph(self, n, seed, step, extra):
+        # a few long cycles, most of a length divisible by ``step``, joined by
+        # a few random edges: BFS levels run deep, and periodic components
+        # meet in one component or feed into each other
+        rng = np.random.Generator(np.random.Philox(seed))
+        E = np.zeros((n, n))
+        order = rng.permutation(n)
+        cuts = [c for c in range(step, n, step) if rng.random() < 0.08]
+        for cycle in np.split(order, cuts):
+            E[np.roll(cycle, -1), cycle] = 0.5
+        E[rng.integers(0, n, extra), rng.integers(0, n, extra)] = 0.25
+        E[rng.integers(0, n, 3), rng.integers(0, n, 3)] = ATOL_INPUT
+        _assert_matches_csgraph(E)
 
     def test_cli_jobs_never_load_scipy(self, tmp_path):
         # numpy alone: neither scipy nor scipy.sparse is loaded by the import
@@ -291,4 +317,16 @@ class TestChainJson:
         path = tmp_path / "bad.json"
         path.write_text('{"labels": [,]}')
         with pytest.raises(InvalidInputError, match="line 1"):
+            read_chain_json(path)
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(b'{"labels": ["a"], "P": [[' + b"1" * 5000 + b"]]}", marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")),
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["long-integer", "deep-nesting"])
+    def test_parser_limits_name_path(self, tmp_path, body):
+        # json.load raises ValueError and RecursionError here, not JSONDecodeError
+        path = tmp_path / "bad.json"
+        path.write_bytes(body)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: cannot read: "):
             read_chain_json(path)

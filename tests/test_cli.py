@@ -79,6 +79,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{bad}: invalid JSON at line 2" in err, err
 
+    @pytest.mark.parametrize("bad", ["chain", "coupling", "config"])
+    def test_unreadable_file_is_invalid_input(self, tmp_path, capsys, bad):
+        # a directory as --chain, or a --coupling or --config file that is not
+        # UTF-8, exits 2 and names the path
+        out = tmp_path / "out"
+        assert run("model", "--model", "hypercube2", "--out", str(out)) == 0
+        chain = tmp_path / "c.json"
+        chain.write_text(json.dumps(load_summary(out, "model-hypercube2")["chain"]))
+        path = tmp_path / f"bad-{bad}"
+        if bad == "chain":
+            path.mkdir()
+        else:
+            path.write_bytes('{"model": "caf\u00e9"}'.encode("latin-1"))
+        argv = ["validate", "--chain", str(path if bad == "chain" else chain),
+                "--out", str(tmp_path / "o")]
+        if bad == "coupling":
+            argv += ["--coupling", str(path)]
+        if bad == "config":
+            argv = ["--config", str(path), *argv]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: cannot read" in err, err
+        assert err.startswith("invalid input: config ") == (bad == "config"), err
+        assert not (tmp_path / "o").exists()
+
     def test_failed_math_check_is_1(self, tmp_path):
         # the printed fixture variant is deliberately not a stochastic coupling
         assert run("validate", "--model", "cycle3-printed", "--out", str(tmp_path)) == 1

@@ -30,6 +30,7 @@ from qcoupling.csr import Csr
 from qcoupling.errors import (
     GuardExceededError,
     InvalidInputError,
+    NonErgodicError,
 )
 from qcoupling.models import hypercube_model, hypercube_worst_pair
 
@@ -41,6 +42,17 @@ class TestValidateCoupling:
             C = independent_coupling(random_ergodic_chain(n, rng))
             rep = validate_coupling(C)
             assert rep.valid, rep.issues
+
+    @pytest.mark.parametrize("entries, missing", [
+        (np.eye(2), "irreducible"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "aperiodic"),
+        (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+         "irreducible and aperiodic"),
+    ])
+    def test_independent_coupling_rejects_non_ergodic(self, entries, missing):
+        P = TransitionMatrix(tuple(map(str, range(len(entries)))), entries)
+        with pytest.raises(NonErgodicError, match=f"chain is not ergodic: fails to be {missing}$"):
+            independent_coupling(P)
 
     def test_grand_coupling_satisfies_all_conditions(self, hypercube3):
         rep = validate_coupling(unstamped_grand_coupling(hypercube3.rmr))
