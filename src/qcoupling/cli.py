@@ -12,7 +12,6 @@ timestamp), so identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -26,6 +25,7 @@ from qcoupling.coupling import (
     coalescence_tail_exact,
     coalescence_tail_mc,
     read_coupling_json,
+    require_bytes,
     rmr_to_json_dict,
     coupling_to_json_dict,
     validate_coupling,
@@ -76,6 +76,7 @@ from qcoupling.quantize import (
     superop_from_kraus,
     verify_cp,
 )
+from qcoupling.report import emit_report
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -141,53 +142,7 @@ def _load_inputs(args) -> ModelInstance:
 
 
 # ---------------------------------------------------------------------------
-# Report emission
-
-
-def emit_report(outdir: str, stem: str, summary: dict, series: dict | None = None):
-    """Write a JSON summary and CSV series with content-hashed file names."""
-    out = Path(outdir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot create output directory {outdir}: {exc}")
-    body = json.dumps(summary, sort_keys=True, indent=2, default=_jsonable).encode() + b"\n"
-    # the digest covers body + the series concatenated in sorted order; UTF-8
-    # keeps that order and concatenation, so each part is encoded once and fed
-    # to the hash on its own
-    encoded = {label: csv.encode() for label, csv in (series or {}).items()}
-    import hashlib  # OpenSSL's _hashlib adds about 3.5 MB of RSS: loaded after a job's work
-
-    h = hashlib.sha256(body)
-    for data in sorted(encoded.values()):
-        h.update(data)
-    digest = h.hexdigest()[:12]
-    paths = []
-    p = out / f"{stem}-{digest}.json"
-    _write(p, body)
-    paths.append(p)
-    for label, data in encoded.items():
-        p = out / f"{stem}-{label}-{digest}.csv"
-        _write(p, data)
-        paths.append(p)
-    for p in paths:
-        print(p)
-    return paths
-
-
-def _write(path: Path, data: bytes):
-    try:
-        path.write_bytes(data)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write {path}: {exc}")
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON-serializable: {type(v).__name__}")
+# Summaries
 
 
 def _summaries(checks, extra=None) -> dict:
@@ -203,7 +158,6 @@ def _summaries(checks, extra=None) -> dict:
 def cmd_model(args) -> int:
     rm = _load_inputs(args)
     summary = {"model": rm.name}
-    series = {}
     if rm.chain is not None:
         summary["chain"] = chain_to_json_dict(rm.chain)
         summary["stationary"] = rm.pi.weights.tolist()
@@ -215,7 +169,7 @@ def cmd_model(args) -> int:
         summary["rate"] = rm.rate
         summary["exact"] = rm.exact
         summary["n_states"] = rm.n
-    emit_report(args.out, f"model-{rm.name}", summary, series)
+    emit_report(args.out, f"model-{rm.name}", summary)
     return EXIT_OK
 
 
@@ -275,11 +229,11 @@ def _quantize_summary(rm: ModelInstance, order: str):
 def cmd_quantize(args) -> int:
     rm = _load_inputs(args)
     J, summary = _quantize_summary(rm, args.order)
-    # the nonzero (row, col, value) triplets of the N^2 x N^2 Choi matrix
+    # the nonzero (row, col, value) triplets of the N^2 x N^2 Choi matrix,
+    # formatted chunk by chunk as emit_report writes them
     header = f"# choi order={args.order} dim={J.matrix.shape[0]}"
-    series = {"choi": matrix_to_csv(J.matrix, header=header)}
-    del J  # the CSV carries it from here on
-    emit_report(args.out, f"quantize-{rm.name}", summary, series)
+    emit_report(args.out, f"quantize-{rm.name}", summary,
+                ("choi", matrix_to_csv(J.matrix, header=header)))
     return EXIT_OK
 
 
@@ -324,7 +278,7 @@ def cmd_coalesce(args) -> int:
     if args.mc:
         summary["mc_words_drawn"] = report.words_drawn
     stem = f"coalesce-{rm.name}" + (f"-seed{args.seed}" if args.mc else "")
-    emit_report(args.out, stem, summary, {"tails": report.to_csv()})
+    emit_report(args.out, stem, summary, ("tails", [report.to_csv()]))
     return EXIT_OK
 
 
@@ -366,7 +320,7 @@ def cmd_evolve(args) -> int:
         "seed": args.seed,
         "final_trace_distance": float(trace.trace_distance[-1]),
     }
-    emit_report(args.out, f"evolve-{rm.name}", summary, {"trace": trace.to_csv()})
+    emit_report(args.out, f"evolve-{rm.name}", summary, ("trace", [trace.to_csv()]))
     return EXIT_OK
 
 
@@ -377,23 +331,27 @@ def cmd_verify(args) -> int:
         raise InvalidInputError("verify needs a random-mapping model")
     if args.states < 1:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
+    pi = rm.pi
+    n = pi.n
+    require_bytes("verify's start states", args.states * n * n * 8)
     rng = seeded_rng(args.seed)
     C = rm.exact_coupling()
+    # T before the tails, so that its build does not share the peak with them;
+    # the Kraus set is dropped once T is built
+    T = superop_from_kraus(kraus_from_grand(rm.rmr, pi))
     # one tails run, to the largest m any check reads (6 = m * l of the
     # submultiplicativity check); each check gets the report or its cut
     rate_grid = [] if rm.rate is None else [rm.n_sites * k for k in range(1, 8)]
     tails = coalescence_tail_exact(C, m_max=max([args.m_max, 6, *rate_grid]))
+    trace_identity = coalescence_trace_identity_check(C, tails.up_to(min(args.m_max, 10)))
+    tails.per_pair = None  # no other check reads the per-pair rows
     report = tails.up_to(args.m_max)
-    pi = rm.pi
-    n = pi.n
-    ks = kraus_from_grand(rm.rmr, pi)
-    T = superop_from_kraus(ks)
     rho0_set = [random_density(n, rng) for _ in range(args.states)]
 
     checks = [
         laplacian_preservation_check(C, 0, n - 1),
         rescaled_qperp_decomposition_check(pi),
-        coalescence_trace_identity_check(C, tails.up_to(min(args.m_max, 10))),
+        trace_identity,
         qperp_bound_check(T, pi, report, rho0_set, list(range(args.m_max + 1))),
         check_tail_submultiplicativity(C, tails, m=2, l=3),
     ]

@@ -26,6 +26,7 @@ from qcoupling.kernels import DRAW_CHUNK_WORDS, coalescence_counts
 
 COUPLING_THRESHOLD = 0.25  # t_couple crossing level
 EXACT_GUARD_N = 64  # largest state count for exact pair-space work and dense chains
+BYTES_GUARD = 1 << 30  # largest array, in bytes, that a stage sized by the user's input holds
 MC_BLOCK_ELEMENTS = 1 << 20  # randomness indices held per MC block
 CDF_BUCKET_BITS = 12  # inverse-CDF buckets are indexed by a random word's top bits
 # 64-bit words per draw call (17 bytes each while it is mapped), a quarter of a
@@ -38,6 +39,15 @@ def require_exact(n: int):
     """The exact limit: pair-space work on N states needs N <= EXACT_GUARD_N."""
     if n > EXACT_GUARD_N:
         raise GuardExceededError(f"exact mode guarded at N <= {EXACT_GUARD_N}; N = {n}")
+
+
+def require_bytes(stage: str, estimate: int):
+    """The byte budget: a stage that would hold an array of ``estimate`` bytes
+    needs estimate <= BYTES_GUARD. Called before the allocation."""
+    if estimate > BYTES_GUARD:
+        raise GuardExceededError(
+            f"{stage} would hold {estimate:,} bytes; the byte guard is {BYTES_GUARD:,}"
+        )
 
 
 def swap_pair(index: np.ndarray, n: int) -> np.ndarray:
@@ -180,7 +190,7 @@ class CoalescenceReport:
     m_values: np.ndarray
     tail_max: np.ndarray
     pairs: list[tuple[int, int]]
-    per_pair: np.ndarray | None = None  # shape (len(m_values), len(pairs))
+    per_pair: np.ndarray | None = None  # shape (len(m_values), len(pairs)), if kept
     samples: int | None = None
     seed: int | None = None
     ci_half: np.ndarray | None = None  # 95% CI half-widths on tail_max (MC only)
@@ -201,7 +211,7 @@ class CoalescenceReport:
             m_values=m_values,
             tail_max=tail_max,
             pairs=self.pairs,
-            per_pair=self.per_pair[: m + 1],
+            per_pair=None if self.per_pair is None else self.per_pair[: m + 1],
             t_couple=_t_couple(tail_max, m_values),
         )
 
@@ -486,6 +496,7 @@ def coalescence_tail_exact(
         raise InvalidInputError(f"m_max must be >= 0, got {m_max}")
     n = coupling.n
     require_exact(n)
+    require_bytes("exact tails", (m_max + 1) * n * (n - 1) * 8)  # per_pair
     C = pair_transition(coupling)
     off = _offdiag_mask(n)
     pairs = _offdiag_pairs(n)

@@ -147,18 +147,30 @@ class Csr:
         other = np.asarray(other)
         if other.shape != self.shape[1:]:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        return sums_by_key(self.rows, self.data * other[self.indices], self.shape[0])
+        return sums_by_key(self.rows, _products(other, self.indices, self.data), self.shape[0])
 
     def __rmatmul__(self, other):
         other = np.asarray(other)
         if other.shape != self.shape[:1]:
             raise ValueError(f"cannot multiply {other.shape} by {self.shape}")
-        return sums_by_key(self.indices, self.data * other[self.rows], self.shape[1])
+        return sums_by_key(self.indices, _products(other, self.rows, self.data), self.shape[1])
+
+
+def _products(v: np.ndarray, at: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """``data * v[at]`` in one nnz-sized array: the float gather, multiplied in
+    place (``np.take`` would copy the read-only ``at`` first)."""
+    terms = v[at].astype(float, copy=False)
+    terms *= data
+    return terms
 
 
 def sums_by_key(keys: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
-    """Sum of ``terms`` per key in 0 .. size - 1, each added in storage order."""
-    return np.bincount(keys, weights=terms, minlength=size).astype(float, copy=False)
+    """Sum of ``terms`` per key in 0 .. size - 1, each added in storage order,
+    starting from 0.0. ``np.add.at`` reads the keys in place, where
+    ``np.bincount`` would copy a read-only key array first."""
+    out = np.zeros(size)
+    np.add.at(out, keys, terms)
+    return out
 
 
 def as_csr(M) -> Csr:

@@ -18,8 +18,9 @@ oblivious.
 
 Register order everywhere: C^kappa (x) C^2 (x) C^d. W is block-diagonal and
 every projector is diagonal or acts on one register, so the circuit stores
-only the U_k and applies each operator to the (kappa, 2, d) view of a state:
-its memory is kappa (2d)^2 numbers, not (kappa 2d)^2.
+only the U_k, in one (kappa, 2d, 2d) array, and applies each operator to the
+(kappa, 2, d) view of a state: its memory is kappa (2d)^2 numbers, not
+(kappa 2d)^2.
 """
 
 from __future__ import annotations
@@ -107,9 +108,10 @@ def unitary_completion(A: np.ndarray) -> BlockEncoding:
 class DilationCircuit:
     """Controlled dilation of a Kraus channel, with its Grover operator.
 
-    Holds only the block encodings U_k and the uniform control state mu; every
-    operator acts on a state, or a batch of states as the columns of a
-    (kappa 2d) x b array, through its (kappa, 2, d, b) view:
+    Holds only the block encodings U_k, as one (kappa, 2d, 2d) array
+    ``unitaries``, and the uniform control state mu; every operator acts on a
+    state, or a batch of states as the columns of a (kappa 2d) x b array,
+    through its (kappa, 2, d, b) view:
 
     - W = sum_k |k><k| (x) U_k multiplies block k by U_k (W^T by U_k^T);
     - P projects the middle register onto |0>, zeroing the flag-1 half, and
@@ -122,12 +124,13 @@ class DilationCircuit:
 
     dim: int
     kappa: int
-    encodings: tuple[BlockEncoding, ...]
+    unitaries: np.ndarray  # (kappa, 2d, 2d): U_k = unitaries[k]
     mu: np.ndarray
 
     @cached_property
-    def _unitaries(self) -> np.ndarray:
-        return np.stack([enc.U for enc in self.encodings])  # (kappa, 2d, 2d)
+    def encodings(self) -> tuple[BlockEncoding, ...]:
+        """The U_k as block encodings: views into ``unitaries``, not copies."""
+        return tuple(BlockEncoding(self.dim, U) for U in self.unitaries)
 
     @property
     def total_dim(self) -> int:
@@ -142,7 +145,7 @@ class DilationCircuit:
 
     def controlled(self, states: np.ndarray, transpose: bool = False) -> np.ndarray:
         """W states, or W^T states: U_k (or U_k^T) applied to block k."""
-        U = self._unitaries.transpose(0, 2, 1) if transpose else self._unitaries
+        U = self.unitaries.transpose(0, 2, 1) if transpose else self.unitaries
         blocks = self._blocks(states).reshape(self.kappa, 2 * self.dim, -1)
         return np.matmul(U, blocks).reshape(np.shape(states))
 
@@ -187,7 +190,8 @@ class DilationCircuit:
         since sum A_k^T A_k = I)."""
         xi = _unit_vector(xi, self.dim)
         out = np.zeros((self.kappa, 2, self.dim))
-        out[:, 0] = [enc.A @ xi for enc in self.encodings]
+        d = self.dim
+        out[:, 0] = [U[:d, :d] @ xi for U in self.unitaries]  # A_k xi
         out = out.reshape(-1)
         return out / np.linalg.norm(out)
 
@@ -215,23 +219,27 @@ def require_dilation_dim(kappa: int, d: int):
 def build_dilation(kraus: KrausSet) -> DilationCircuit:
     """Complete each Kraus operator to its block encoding U_k; mu is uniform.
 
-    Asserts the completion identity sum_k B_k^T B_k = (kappa - 1) I within
-    1e-9, which is what makes the success amplitude input-independent.
+    Each completion is copied into its slice of the circuit's one
+    (kappa, 2d, 2d) array as it is made. Asserts the completion identity
+    sum_k B_k^T B_k = (kappa - 1) I within 1e-9, which is what makes the
+    success amplitude input-independent.
     """
     d = kraus.dim
     kappa = len(kraus.ops)
     require_dilation_dim(kappa, d)
-    encodings = tuple(
-        unitary_completion(T) for T in kraus.ops
-    )
-    block_sum = sum(enc.B.T @ enc.B for enc in encodings)
+    unitaries = np.empty((kappa, 2 * d, 2 * d))
+    block_sum = np.zeros((d, d))
+    for T, U in zip(kraus.ops, unitaries):
+        enc = unitary_completion(T)
+        U[...] = enc.U
+        block_sum += enc.B.T @ enc.B
     err = np.max(np.abs(block_sum - (kappa - 1) * np.eye(d)))
     if err > BLOCK_SUM_TOL:
         raise InvalidInputError(
             f"sum B_k^T B_k = (kappa-1) I violated by {err:.3g}"
         )
     mu = np.full(kappa, 1.0 / np.sqrt(kappa))
-    return DilationCircuit(dim=d, kappa=kappa, encodings=encodings, mu=mu)
+    return DilationCircuit(dim=d, kappa=kappa, unitaries=unitaries, mu=mu)
 
 
 def state_decomposition_check(circ: DilationCircuit, xi: np.ndarray) -> CheckResult:

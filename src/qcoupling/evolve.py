@@ -221,7 +221,10 @@ def laplacian_preservation_check(
     S = c_star_superop(C)
     e = edge_state(x, y, n)
     lhs = S.apply(np.outer(e, e))
-    column = S.matrix.block(np.arange(n * n), [x * n + y])[:, 0]
+    M = S.matrix
+    hits = np.flatnonzero(M.indices == x * n + y)  # the stored entries of the column
+    column = np.zeros(n * n)
+    column[M.rows[hits]] = M.data[hits]
     rhs = np.zeros((n, n))
     for target in np.flatnonzero(column):
         xp, yp = divmod(int(target), n)
@@ -322,8 +325,9 @@ def coalescence_trace_identity_check(
         raise InvalidInputError("the trace identity needs exact tails")
     m = int(report.m_values[-1])
     S = c_star_superop(C).matrix
-    lhs = edge_laplacian_traces(S, report.pairs, C.n, m)
-    worst = float(np.abs(lhs - report.per_pair).max(initial=0.0))
+    err = edge_laplacian_traces(S, report.pairs, C.n, m)
+    err -= report.per_pair
+    worst = float(np.abs(err, out=err).max(initial=0.0))
     return CheckResult(
         name="coalescence_trace_identity",
         passed=worst <= ATOL_COMPUTED,

@@ -9,6 +9,7 @@ precision; the maps built here have real matrix representations throughout.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -367,19 +368,21 @@ def independent_choi_structure_check(P) -> CheckResult:
 # Export helpers
 
 
-def matrix_to_csv(matrix: Csr, header: str) -> str:
-    """The nonzero entries of ``matrix`` as ``row,col,value`` lines.
+def matrix_to_csv(matrix: Csr, header: str) -> Iterator[str]:
+    """The nonzero entries of ``matrix`` as ``row,col,value`` lines, yielded
+    in chunks of at most CSV_CHUNK_ENTRIES lines, so that the whole text is
+    never held.
 
-    ``header`` is the first line and ``row,col,value`` the second. The
-    entries follow CSR order (row-major, then ascending column; a ``Csr``
-    stores each cell once), each value as ``f"{v:.17g}"`` so that it reads
-    back exactly. Stored zeros, -0.0 among them, are left out; NaN and +-inf
-    are written as formatted. Every cell without a line is 0.0.
+    ``header`` is the first line and ``row,col,value`` the second, both in
+    the first chunk. The entries follow CSR order (row-major, then ascending
+    column; a ``Csr`` stores each cell once), each value as ``f"{v:.17g}"``
+    so that it reads back exactly. Stored zeros, -0.0 among them, are left
+    out; NaN and +-inf are written as formatted. Every cell without a line
+    is 0.0.
     """
     M = matrix.without_zeros()
-    parts = [f"{header}\nrow,col,value\n"]
+    yield f"{header}\nrow,col,value\n"
     for a in range(0, M.nnz, CSV_CHUNK_ENTRIES):  # Python objects for one chunk at a time
         b = a + CSV_CHUNK_ENTRIES
         entries = zip(M.rows[a:b].tolist(), M.indices[a:b].tolist(), M.data[a:b].tolist())
-        parts.append("".join([f"{i},{j},{v:.17g}\n" for i, j, v in entries]))
-    return "".join(parts)
+        yield "".join([f"{i},{j},{v:.17g}\n" for i, j, v in entries])

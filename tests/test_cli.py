@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from qcoupling.coupling import (
     rmr_to_json_dict,
     validate_coupling,
 )
+from qcoupling.errors import GuardExceededError
 from qcoupling.models import hypercube_model
 
 
@@ -501,6 +503,93 @@ class TestVerify:
         patch_everywhere(monkeypatch, "coalescence_tail_exact", counting)
         assert run("verify", "--model", "hypercube6", "--out", str(tmp_path)) == 0
         assert calls == [42]
+
+    def test_channel_first_and_pair_rows_dropped(self, tmp_path, monkeypatch):
+        # T is built before the tails, and only the trace identity reads the
+        # per-pair rows: every later tail check gets a report without them
+        seen = []
+
+        def recording(name, rows_of=None):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                report = None if rows_of is None else args[rows_of]
+                seen.append((name, None if report is None else report.per_pair is not None))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapper)
+
+        recording("superop_from_kraus")
+        recording("coalescence_tail_exact")
+        recording("coalescence_trace_identity_check", rows_of=1)
+        recording("qperp_bound_check", rows_of=2)
+        recording("check_tail_submultiplicativity", rows_of=1)
+        recording("main_theorem_check", rows_of=2)
+        recording("contraction_rate_check", rows_of=1)
+        assert run("verify", "--model", "hypercube6", "--out", str(tmp_path)) == 0
+        assert seen == [
+            ("superop_from_kraus", None), ("coalescence_tail_exact", None),
+            ("coalescence_trace_identity_check", True), ("qperp_bound_check", False),
+            ("check_tail_submultiplicativity", False), ("main_theorem_check", False),
+            ("contraction_rate_check", False),
+        ]
+
+    def test_same_summary_as_checks_run_in_list_order(self, tmp_path):
+        # the checks run in another order than they are listed; the summary
+        # lists them as before
+        assert run("verify", "--model", "hypercube3", "--out", str(tmp_path)) == 0
+        names = [c["check"] for c in load_summary(tmp_path, "verify-hypercube3")["checks"]]
+        assert names == [
+            "laplacian_preservation", "rescaled_qperp_decomposition",
+            "coalescence_trace_identity", "qperp_bound", "tail_submultiplicativity",
+            "gentle_measurement", "main_theorem", "contraction_rate",
+        ]
+
+
+class TestByteGuard:
+    """A stage sized by the input stops at the byte guard before it allocates:
+    exit 3, a message naming the stage, its estimate and the budget, and no
+    files."""
+
+    @pytest.mark.parametrize("argv,stage,estimate", [
+        (("coalesce", "--model", "hypercube6", "--m-max", "100000000"),
+         "exact tails", 100_000_001 * 64 * 63 * 8),
+        (("evolve", "--model", "hypercube3", "--m-max", "100000000"),
+         "exact tails", 100_000_001 * 8 * 7 * 8),
+        (("verify", "--model", "hypercube3", "--m-max", "100000000"),
+         "exact tails", 100_000_001 * 8 * 7 * 8),
+        (("verify", "--model", "hypercube3", "--states", "100000000"),
+         "verify's start states", 100_000_000 * 8 * 8 * 8),
+    ], ids=["coalesce", "evolve", "verify-m-max", "verify-states"])
+    def test_past_the_budget_is_guard(self, tmp_path, capsys, argv, stage, estimate):
+        tracemalloc.start()
+        try:
+            code = run(*argv, "--out", str(tmp_path / "o"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"guard exceeded: {stage} would hold {estimate:,} bytes" in err
+        assert f"the byte guard is {coupling.BYTES_GUARD:,}" in err
+        assert peak < 16 * 2**20  # nothing of the stage's size was allocated
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("m_max", [0, 7])
+    def test_tails_estimate_is_the_per_pair_array(self, monkeypatch, m_max):
+        rmr = hypercube_model(3).rmr
+        nbytes = coupling.coalescence_tail_exact(rmr, m_max=m_max).per_pair.nbytes
+        monkeypatch.setattr(coupling, "BYTES_GUARD", nbytes)
+        coupling.coalescence_tail_exact(rmr, m_max=m_max)  # exactly at the budget
+        with pytest.raises(GuardExceededError, match="exact tails"):
+            coupling.coalescence_tail_exact(rmr, m_max=m_max + 1)
+
+    def test_states_at_the_budget_run(self, tmp_path, monkeypatch):
+        # hypercube3: the tails, to 7 x n_sites = 21, hold 22 x 56 x 8 = 9856
+        # bytes, and 20 start states of 8 x 8 hold 10240, which is the budget
+        monkeypatch.setattr(coupling, "BYTES_GUARD", 20 * 8 * 8 * 8)
+        argv = ("verify", "--model", "hypercube3", "--out", str(tmp_path))
+        assert run(*argv, "--states", "20") == 0
+        assert run(*argv, "--states", "21") == 3
 
 
 class TestCoalesce:

@@ -20,7 +20,7 @@
 - the forms that hold no N^4-sized temporary against the ones they replaced,
   bit for bit: the CSR ChoiMatrix against its dense matrix,
   validate_coupling's symmetry residual from the stored entries, the
-  rescaled-Qperp scatter and emit_report's incremental digest; then a
+  rescaled-Qperp scatter and emit_report's streamed digest; then a
   tracemalloc bound on the Choi spectrum at N = 64.
 """
 
@@ -378,6 +378,11 @@ def _stored(M: np.ndarray) -> Csr:
     return Csr.from_coo(M[rows, cols], rows, cols, M.shape)
 
 
+def _csv(matrix: Csr, header: str) -> str:
+    """The whole text of the chunks matrix_to_csv yields."""
+    return "".join(matrix_to_csv(matrix, header))
+
+
 def _one_shot_csv(matrix: Csr, header: str) -> str:
     """matrix_to_csv as one list of lines over the whole matrix, joined once:
     the chunked formatting must give these bytes."""
@@ -419,7 +424,11 @@ class TestMatrixCsv:
     @pytest.mark.parametrize("name", sorted(CSV_CASES))
     def test_chunks_equal_one_shot_join(self, name):
         M = CSV_CASES[name]
-        assert matrix_to_csv(M, "# h") == _one_shot_csv(M, "# h")
+        assert _csv(M, "# h") == _one_shot_csv(M, "# h")
+        # the header alone, then at most a chunk of entry lines at a time
+        chunks = list(matrix_to_csv(M, "# h"))
+        assert chunks[0] == "# h\nrow,col,value\n"
+        assert all(0 < c.count("\n") <= CHUNK for c in chunks[1:])
 
     def test_special_values(self):
         M = np.array([
@@ -427,7 +436,7 @@ class TestMatrixCsv:
             [np.inf, -np.inf, np.nan, 2.2250738585072014e-308 / 3],
             [0.1, -1e300, 1.0, 0.0],
         ])
-        csv = matrix_to_csv(_stored(M), "# h")
+        csv = _csv(_stored(M), "# h")
         _assert_triplets(csv, "# h", M)
         assert csv.splitlines()[2:] == [
             "0,2,4.9406564584124654e-324", "0,3,-4.9406564584124654e-324",
@@ -438,13 +447,13 @@ class TestMatrixCsv:
     @pytest.mark.parametrize("order", ["map_first", "basis_first"])
     def test_sparse_choi_matrix(self, hypercube3, order):
         J = choi_matrix(c_star_superop(hypercube3.coupling()), order=order).matrix
-        _assert_triplets(matrix_to_csv(J, "# choi"), "# choi", J.toarray())
+        _assert_triplets(_csv(J, "# choi"), "# choi", J.toarray())
 
     @pytest.mark.parametrize("order", ["map_first", "basis_first"])
     def test_counterexample_choi(self, order):
         C = _model("cycle3-printed").coupling()
         J = choi_matrix(c_star_superop(C), order=order).matrix
-        _assert_triplets(matrix_to_csv(J, "# choi"), "# choi", J.toarray())
+        _assert_triplets(_csv(J, "# choi"), "# choi", J.toarray())
 
     @pytest.mark.parametrize("order", ["map_first", "basis_first"])
     @pytest.mark.parametrize("name", ["hypercube3", "colorings-k3-q4",
@@ -459,13 +468,13 @@ class TestMatrixCsv:
 
     def test_integer_matrix(self):
         M = np.array([[0, 3], [-2, 0]])
-        csv = matrix_to_csv(_stored(M), "h")
+        csv = _csv(_stored(M), "h")
         _assert_triplets(csv, "h", M)
         assert csv == "h\nrow,col,value\n0,1,3\n1,0,-2\n"
 
     def test_all_zero_matrix(self):
         M = np.array([[0.0, -0.0], [0.0, 0.0]])
-        assert matrix_to_csv(_stored(M), "h") == "h\nrow,col,value\n"
+        assert _csv(_stored(M), "h") == "h\nrow,col,value\n"
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(
@@ -475,7 +484,7 @@ class TestMatrixCsv:
         | st.sampled_from([0.0, -0.0]),
     ))
     def test_property_equals_reference(self, M):
-        _assert_triplets(matrix_to_csv(_stored(M), "# h"), "# h", M)
+        _assert_triplets(_csv(_stored(M), "# h"), "# h", M)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +724,7 @@ def _assert_choi_matches_dense(J: ChoiMatrix, dense: np.ndarray):
     swapped = J.swapped()
     assert swapped.order != J.order
     _assert_bit_identical(swapped.matrix.toarray(), _dense_swapped(dense, J.dim))
-    _assert_triplets(matrix_to_csv(J.matrix, "# choi"), "# choi", dense)
+    _assert_triplets(_csv(J.matrix, "# choi"), "# choi", dense)
 
 
 class TestCsrChoi:
@@ -763,7 +772,7 @@ class TestCsrChoi:
         dense = np.zeros(shape)
         dense[stored.row, stored.col] = stored.data  # keeps a stored -0.0
         M = Csr.from_coo(values, rows, cols, shape)
-        _assert_triplets(matrix_to_csv(M, "# h"), "# h", dense)
+        _assert_triplets(_csv(M, "# h"), "# h", dense)
 
     def test_choi_and_spectrum_memory_at_n64(self):
         S = c_star_superop(_model("hypercube6").rmr)
@@ -821,26 +830,47 @@ class TestSlicedSymmetry:
 
 
 # ---------------------------------------------------------------------------
-# emit_report: incremental digest against the digest of the concatenated blob
+# emit_report: streamed digest against the digest of the concatenated blob
 
 
 class TestEmitDigest:
+    # the series as one chunk or several, with an empty chunk, multi-byte
+    # characters, and no chunk at all
     @pytest.mark.parametrize("series", [
         None,
-        {},
-        {"tails": "m,tail\n0,1\n"},
-        {"b": "zeta\n", "a": "alpha\n", "c": "alpha\n"},
-        {"x": "\u00e9t\u00e9\n", "y": "z\n", "w": "\U0001f600\n"},
+        ("tails", ["m,tail\n0,1\n"]),
+        ("choi", ["# h\nrow,col,value\n", "", "0,1,0.5\n1,0,-2\n"]),
+        ("x", ["\u00e9t\u00e9\n", "z\n", "\U0001f600\n"]),
+        ("empty", []),
     ])
     def test_same_names_and_bytes(self, series, tmp_path, capsys):
         summary = {"model": "m", "values": np.arange(3), "x": np.float64(0.5)}
         paths = emit_report(str(tmp_path), "stem", summary, series)
         body = json.dumps(summary, sort_keys=True, indent=2,
                           default=lambda v: v.tolist() if hasattr(v, "tolist") else v) + "\n"
-        blob = body + "".join(sorted((series or {}).values()))
-        digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
+        text = None if series is None else "".join(series[1])
+        digest = hashlib.sha256((body + (text or "")).encode()).hexdigest()[:12]
         want = {f"stem-{digest}.json": body}
-        want.update({f"stem-{label}-{digest}.csv": csv for label, csv in (series or {}).items()})
+        if series is not None:
+            want[f"stem-{series[0]}-{digest}.csv"] = text
         assert [p.name for p in paths] == list(want)
+        # no temporary file is left beside the artifacts
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
             name: text.encode() for name, text in want.items()}
+
+    def test_failed_series_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "m,tail\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            emit_report(str(tmp_path), "stem", {"model": "m"}, ("tails", chunks()))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_summary_write_leaves_no_partial_file(self, tmp_path):
+        body = json.dumps({"model": "m"}, sort_keys=True, indent=2) + "\n"
+        digest = hashlib.sha256((body + "m,tail\n").encode()).hexdigest()[:12]
+        (tmp_path / f"stem-{digest}.json").mkdir()  # the summary cannot be written
+        with pytest.raises(InvalidInputError, match="cannot write"):
+            emit_report(str(tmp_path), "stem", {"model": "m"}, ("tails", ["m,tail\n"]))
+        assert [p.name for p in tmp_path.iterdir()] == [f"stem-{digest}.json"]

@@ -44,7 +44,7 @@ from conftest import coupling_4tensor, random_ergodic_chain, unstamped_grand_cou
 from qcoupling import coupling as coupling_module
 from qcoupling.chain import ATOL_INPUT, TransitionMatrix
 from qcoupling.checks import ValidationReport
-from qcoupling.cli import main, resolve_model
+from qcoupling.cli import emit_report, main, resolve_model
 from qcoupling.coupling import (
     CouplingMatrix,
     grand_coupling_matrix,
@@ -59,10 +59,17 @@ from qcoupling.dilation import (
     channel_via_dilation,
     dilation_route_check,
     state_decomposition_check,
+    unitary_completion,
 )
 from qcoupling.evolve import random_density
 from qcoupling.models import cycle_coupling_model
-from qcoupling.quantize import KrausSet, c_star_superop, kraus_from_grand
+from qcoupling.quantize import (
+    KrausSet,
+    c_star_superop,
+    choi_matrix,
+    kraus_from_grand,
+    matrix_to_csv,
+)
 
 RMR_MODELS = [
     "hypercube2", "hypercube3", "hypercube4", "colorings-k3-q4", "colorings-path2-q4",
@@ -368,7 +375,22 @@ class TestBlockwiseDilation:
 
     def test_holds_no_dilation_matrix(self):
         circ = build_dilation(KRAUS["hypercube3"])
-        assert [f.name for f in dataclasses.fields(circ)] == ["dim", "kappa", "encodings", "mu"]
+        assert [f.name for f in dataclasses.fields(circ)] == ["dim", "kappa", "unitaries", "mu"]
+        two_d = 2 * circ.dim
+        assert circ.unitaries.shape == (circ.kappa, two_d, two_d)  # no (kappa 2d)^2 matrix
+
+    @pytest.mark.parametrize("name", ["hypercube2", "hypercube3", "swap-kappa1"])
+    def test_encodings_share_one_buffer(self, name):
+        # the block encodings are views into the one (kappa, 2d, 2d) array,
+        # so the circuit holds kappa (2d)^2 numbers once
+        circ = build_dilation(KRAUS[name])
+        two_d = 2 * circ.dim
+        assert circ.unitaries.nbytes == circ.kappa * two_d**2 * 8
+        assert len(circ.encodings) == circ.kappa
+        for U, enc in zip(circ.unitaries, circ.encodings):
+            assert np.shares_memory(enc.U, circ.unitaries)
+            _assert_bit_identical(enc.U, U)
+            _assert_bit_identical(enc.U, unitary_completion(enc.A).U)
 
     @pytest.mark.parametrize("name,mode", [
         ("hypercube2", "postselect"), ("hypercube2", "amplified"),
@@ -415,23 +437,38 @@ class TestMemoryAtN64:
         m = _model("hypercube6")
         ks = kraus_from_grand(m.rmr, m.pi)
         rng = _rng(0)
-        # 4.7 MiB; the dense W, P, R and R0 were 18.9 MB each
-        with _peak_below(5.25 * 2**20):
+        # 3.2 MiB; a stacked copy of the U_k beside the block encodings took
+        # 4.7 MiB, and the dense W, P, R and R0 were 18.9 MB each
+        with _peak_below(3.5 * 2**20):
             circ = build_dilation(ks)
             xi = rng.standard_normal(circ.dim)
             assert state_decomposition_check(circ, xi / np.linalg.norm(xi)).passed
             assert dilation_route_check(circ, ks, random_density(circ.dim, rng)).passed
 
     def test_quantize_command(self, tmp_path):
-        # 7.5 MiB; whole-matrix CSV line lists and gathers took 10.8 MiB, and
-        # the dense Choi CSV string and its encoded bytes were about 69 MB
-        with _peak_below(8.25 * 2**20), contextlib.redirect_stdout(io.StringIO()):
+        # 6.6 MiB, in the Choi spectra; whole-matrix CSV line lists and
+        # gathers took 10.8 MiB, and the dense Choi CSV string and its encoded
+        # bytes were about 69 MB
+        with _peak_below(7.25 * 2**20), contextlib.redirect_stdout(io.StringIO()):
             assert main(["quantize", "--model", "hypercube6", "--out", str(tmp_path)]) == 0
 
+    def test_choi_csv_never_held_whole(self, tmp_path):
+        rm = _model("hypercube6")
+        J = choi_matrix(c_star_superop(rm.exact_coupling()), order="basis_first").matrix
+        J.rows  # the cached row index is the matrix's, not the CSV's
+        # 0.78 MiB, the Python objects of one chunk of 4096 lines, below the
+        # 1.16 MiB of text written; formatting the whole text and then
+        # encoding it took 2.6 MiB
+        with _peak_below(0.875 * 2**20), contextlib.redirect_stdout(io.StringIO()):
+            paths = emit_report(str(tmp_path), "q", {}, ("choi", matrix_to_csv(J, "# h")))
+        assert paths[1].stat().st_size > 1.1 * 2**20
+
     def test_verify_command(self, tmp_path):
-        # 5.6 MiB; concatenated Kraus superoperator parts took 7.8 MiB
+        # 4.2 MiB, in the trace identity; with the Kraus superoperator built
+        # beside the tails and the per-pair rows kept to the end it was
+        # 5.6 MiB, and concatenated Kraus superoperator parts took 7.8 MiB
         argv = ["verify", "--model", "hypercube6", "--m-max", "20", "--out", str(tmp_path)]
-        with _peak_below(6.25 * 2**20), contextlib.redirect_stdout(io.StringIO()):
+        with _peak_below(4.6 * 2**20), contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
 
 
