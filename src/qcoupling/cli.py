@@ -195,7 +195,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _quantize_summary(rm: ModelInstance, order: str):
+def _quantize_summary(rm: ModelInstance):
     """Choi matrix of C* and the quantize summary.
 
     C* is built once, for the channel T and for the Choi matrix J; a
@@ -207,9 +207,9 @@ def _quantize_summary(rm: ModelInstance, order: str):
     """
     C = rm.coupling()
     S = c_star_superop(rm.exact_coupling())
-    summary = {"model": rm.name, "order": order}
+    summary = {"model": rm.name, "order": "basis_first"}  # the one Choi layout
     if validate_coupling(C).valid:
-        T = quantized_coupling(C, rm.pi, c_star=S)[0]
+        T = quantized_coupling(S, rm.pi)[0]
         verify_cp(T)
         summary["trace_preserving"] = True  # asserted inside quantized_coupling
         summary["fixed_point_holds"] = True
@@ -217,7 +217,7 @@ def _quantize_summary(rm: ModelInstance, order: str):
         del T
     else:
         summary["channel_skipped"] = "coupling is not a verified stochastic coupling"
-    J = choi_matrix(S, order=order)
+    J = choi_matrix(S)
     eigs = J.eigenvalues
     summary["choi_min_eigenvalue"] = float(min_choi_eigenvalue(J))
     summary["choi_eigenvalues"] = eigs.tolist()
@@ -228,10 +228,10 @@ def _quantize_summary(rm: ModelInstance, order: str):
 
 def cmd_quantize(args) -> int:
     rm = _load_inputs(args)
-    J, summary = _quantize_summary(rm, args.order)
+    J, summary = _quantize_summary(rm)
     # the nonzero (row, col, value) triplets of the N^2 x N^2 Choi matrix,
     # formatted chunk by chunk as emit_report writes them
-    header = f"# choi order={args.order} dim={J.matrix.shape[0]}"
+    header = f"# choi order=basis_first dim={J.matrix.shape[0]}"
     emit_report(args.out, f"quantize-{rm.name}", summary,
                 ("choi", matrix_to_csv(J.matrix, header=header)))
     return EXIT_OK
@@ -425,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="build the quantized map and its Choi report")
     _add_common(p)
-    p.add_argument("--order", default="basis_first",
-                   choices=["map_first", "basis_first"])
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("coalesce", help="coalescence tails, exact or Monte Carlo")

@@ -640,6 +640,8 @@ def coalescence_tail_mc(
 
     inverse_cdf = _InverseCDF(rmr.probs)
     rows = mc_block_rows(m_max)
+    # the kernel's counts and report mask, 9 bytes a step, and one block's record r_idx
+    require_bytes("MC tails", 9 * (m_max + 1) + rows * m_max * inverse_cdf.code.itemsize)
     blocks = [
         (slot, block, start)
         for slot in range(len(start_pairs))

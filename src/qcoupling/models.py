@@ -261,16 +261,6 @@ def hypercube_worst_pair(n: int) -> tuple[int, int]:
     return 0, 2**n - 1
 
 
-def coupon_collector_tail(n: int, m: int) -> float:
-    """Exact Pr{some of n coupons unseen after m draws} by inclusion-exclusion."""
-    if m < 0:
-        raise InvalidInputError("m must be nonnegative")
-    total = 0.0
-    for k in range(1, n + 1):
-        total += (-1) ** (k + 1) * math.comb(n, k) * (1.0 - k / n) ** m
-    return min(1.0, max(0.0, total))
-
-
 # ---------------------------------------------------------------------------
 # Lazy biased cycle and the bundled counterexample fixture
 

@@ -3,7 +3,8 @@
 Vectorization convention (fixed globally): column stacking,
 ``vec(M)[i + N*j] = M[i, j]``, with left-factor-major tensor products, so that
 ``vec(A M B) = kron(B.T, A) vec(M)`` and the matrix of the map C* equals the
-coupling transition matrix C entrywise. All arithmetic is real double
+coupling transition matrix C entrywise. Every Choi matrix has one layout,
+basis first: J = sum_{x,y} E_xy (x) S(E_xy). All arithmetic is real double
 precision; the maps built here have real matrix representations throughout.
 """
 
@@ -109,18 +110,17 @@ class KrausSet:
 
 @dataclass
 class ChoiMatrix:
-    """Choi-Jamiolkowski matrix with either tensor-factor order.
+    """Choi-Jamiolkowski matrix J = sum_{x,y} E_xy (x) S(E_xy) of a map S.
 
-    ``order`` is "map_first" (J = sum S(E_xy) (x) E_xy) or "basis_first"
-    (J = sum E_xy (x) S(E_xy)); the two are related by the tensor-swap
-    permutation and share their spectrum. ``matrix`` is always a
+    This basis-first layout, the order of the bundled 3-cycle fixture, is the
+    only one built; the map-first layout sum S(E_xy) (x) E_xy is its
+    tensor-swap permutation and shares its spectrum. ``matrix`` is always a
     :class:`~qcoupling.csr.Csr` (a dense input is converted): J permutes the
     entries of its superoperator, so it has the same number of nonzeros.
     """
 
     dim: int
     matrix: Csr
-    order: str = "map_first"
     _spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -128,8 +128,6 @@ class ChoiMatrix:
         n2 = self.dim * self.dim
         if m.shape != (n2, n2):
             raise InvalidInputError(f"Choi matrix must be {n2}x{n2}")
-        if self.order not in ("map_first", "basis_first"):
-            raise InvalidInputError(f"unknown factor order {self.order!r}")
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -161,14 +159,6 @@ class ChoiMatrix:
             eigs[: support.size] = np.linalg.eigvalsh(work)
             object.__setattr__(self, "_spectrum", np.sort(eigs))
         return self._spectrum
-
-    def swapped(self) -> "ChoiMatrix":
-        """Same map in the other factor order (tensor-swap permutation)."""
-        n = self.dim
-        other = "basis_first" if self.order == "map_first" else "map_first"
-        J = self.matrix
-        m = Csr.from_coo(J.data, swap_pair(J.rows, n), swap_pair(J.indices, n), J.shape)
-        return ChoiMatrix(n, m, order=other)
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +197,22 @@ def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
 
 
 def quantized_coupling(
-    C: CouplingMatrix, pi: Distribution, c_star: Superoperator | None = None
+    c_star: Superoperator, pi: Distribution
 ) -> tuple[Superoperator, Superoperator]:
     """Quantized coupling (T, T*) via the similarity transform by D = diag(pi).
 
     T*(M) = D^{-1/2} C*(D^{1/2} M D^{1/2}) D^{-1/2}; T is the Hilbert-Schmidt
     adjoint. Verifies T*(I) = I and that the qsample projector is fixed by T.
-    ``c_star`` is :func:`c_star_superop` of C when the caller has built it
-    already; its entries are rescaled into a new matrix.
+    ``c_star`` is :func:`c_star_superop` of the coupling; its entries are
+    rescaled into a new matrix.
     """
-    n = C.n
+    n = c_star.dim
     if pi.n != n:
         raise InvalidInputError("distribution length does not match coupling dimension")
     if pi.weights.min() <= 0:
         raise InvalidInputError("pi must be strictly positive (ergodicity guarantees this)")
     s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
-    S = (c_star if c_star is not None else c_star_superop(C)).matrix
+    S = c_star.matrix
     S_tstar = Csr(S.data * (s[S.indices] / s[S.rows]), S.indices, S.indptr, S.shape)
     T_star = Superoperator(dim=n, matrix=S_tstar)
     T = Superoperator(dim=n, matrix=S_tstar.T)
@@ -265,10 +255,10 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     in r order, so the entries equal those of the dense sum bit for bit, and
     cells where the products cancel are not stored.
 
-    The map is stamped CP-verified by construction: its map-first Choi
-    matrix is sum_r u_r u_r^T with u_r[i*N + x] = T_r[i, x] (Choi 1975), a
-    sum of outer products and so PSD. That needs finite Kraus operators,
-    which :class:`KrausSet` guarantees.
+    The map is stamped CP-verified by construction: its Choi matrix is
+    sum_r u_r u_r^T with u_r[x*N + i] = T_r[i, x] (Choi 1975), a sum of
+    outer products and so PSD. That needs finite Kraus operators, which
+    :class:`KrausSet` guarantees.
     """
     data, rows, cols = kron_square_entries(*ks.ops)
     n2 = ks.dim * ks.dim
@@ -276,27 +266,17 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     return Superoperator(dim=ks.dim, matrix=S, cp_status="verified")
 
 
-def _choi_positions(S: Superoperator, order: str):
-    """Positions in Choi(S) of S's stored entries: (rows, cols, values).
+def choi_matrix(S: Superoperator) -> ChoiMatrix:
+    """Choi matrix of S: S's stored entries scattered to their Choi positions.
 
-    S[i + N*j, x + N*y] = S(E_xy)[i, j] sits at (i*N + x, j*N + y) in the
-    map-first order and at (x*N + i, y*N + j) in the basis-first order.
+    S[i + N*j, x + N*y] = S(E_xy)[i, j] sits at (x*N + i, y*N + j); each
+    position is one expression, so i, j, x and y are not held in the scatter.
     """
     n = S.dim
     M = S.matrix
-    (j, i), (y, x) = np.divmod(M.rows, n), np.divmod(M.indices, n)
-    if order == "map_first":
-        return i * n + x, j * n + y, M.data
-    if order == "basis_first":
-        return x * n + i, y * n + j, M.data
-    raise InvalidInputError(f"unknown factor order {order!r}")
-
-
-def choi_matrix(S: Superoperator, order: str = "map_first") -> ChoiMatrix:
-    """Choi matrix of S: S's stored entries scattered to their Choi positions."""
-    n2 = S.dim * S.dim
-    rows, cols, values = _choi_positions(S, order)
-    return ChoiMatrix(dim=S.dim, matrix=Csr.from_coo(values, rows, cols, (n2, n2)), order=order)
+    rows = M.indices % n * n + M.rows % n  # x*N + i
+    cols = M.indices // n * n + M.rows // n  # y*N + j
+    return ChoiMatrix(dim=n, matrix=Csr.from_coo(M.data, rows, cols, (n * n, n * n)))
 
 
 def min_choi_eigenvalue(J: ChoiMatrix) -> float:
@@ -320,7 +300,7 @@ def verify_cp(S: Superoperator) -> ChoiMatrix:
 
     This is the CP rule for every map not built by :func:`superop_from_kraus`:
     the support eigensolve of Choi(S), with the tolerance
-    ``CP_TOL_REL * max|J|``. Returns the Choi matrix (map-first order).
+    ``CP_TOL_REL * max|J|``. Returns the Choi matrix.
     """
     J = choi_matrix(S)
     S.cp_status = "verified" if is_completely_positive(J) else "failed"
@@ -330,23 +310,23 @@ def verify_cp(S: Superoperator) -> ChoiMatrix:
 def independent_choi_structure_check(P) -> CheckResult:
     """Verify the Choi decomposition of the independent coupling.
 
-    J(C*) = sum_{x,y} |p_x><p_y| (x) |x><y|
-            + sum_x (diag(p_x) - |p_x><p_x|) (x) |x><x|,
+    J(C*) = sum_{x,y} |x><y| (x) |p_x><p_y|
+            + sum_x |x><x| (x) (diag(p_x) - |p_x><p_x|),
     with each correction block diagonally dominant with nonnegative diagonal.
     """
     C = independent_coupling(P)
-    J = choi_matrix(c_star_superop(C), order="map_first").matrix.toarray()
+    J = choi_matrix(c_star_superop(C)).matrix.toarray()
     n = P.n
     cols = P.entries  # |p_x> are the columns of P
-    J_dec = np.zeros((n, n, n, n))  # axes (i, x, j, y), built from the decomposition
+    J_dec = np.zeros((n, n, n, n))  # axes (x, i, y, j), built from the decomposition
 
     for x in range(n):
         for y in range(n):
-            J_dec[:, x, :, y] += np.outer(cols[:, x], cols[:, y])
+            J_dec[x, :, y, :] += np.outer(cols[:, x], cols[:, y])
     dominant = True
     for x in range(n):
         block = np.diag(cols[:, x]) - np.outer(cols[:, x], cols[:, x])
-        J_dec[:, x, :, x] += block
+        J_dec[x, :, x, :] += block
         offsums = np.abs(block).sum(axis=1) - np.abs(np.diag(block))
         if np.any(np.diag(block) < -ATOL_INPUT) or np.any(
             np.diag(block) + ATOL_INPUT < offsums

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,12 @@ def eigensolves(monkeypatch):
 
     monkeypatch.setattr(quantize, "verify_cp", counting)
     return calls
+
+
+def coupon_collector_tail(n: int, m: int) -> float:
+    """Exact Pr{some of n coupons unseen after m draws} by inclusion-exclusion:
+    the closed form that the hypercube's exact and MC tails are compared with."""
+    total = 0.0
+    for k in range(1, n + 1):
+        total += (-1) ** (k + 1) * math.comb(n, k) * (1.0 - k / n) ** m
+    return min(1.0, max(0.0, total))

@@ -125,7 +125,7 @@ def test_criterion_01_counterexample_fixture(capsys):
     failures = []
     fx = load_counterexample_fixture()
     _, C = cycle_coupling_model(3, 0.5, variant="printed")
-    J = choi_matrix(c_star_superop(C), order="basis_first")
+    J = choi_matrix(c_star_superop(C))
 
     expect(failures, np.max(np.abs(J.matrix.toarray() - fx["matrix"])) <= 1e-12,
            "Choi matrix differs from the bundled 9x9 fixture")
@@ -179,7 +179,7 @@ def test_criterion_03_quantized_channels(capsys):
                f"{kind}: channel Choi not PSD")
         # quantized_coupling itself enforces T*(I) = I and T(Q) = Q at 1e-10
         try:
-            T, _ = quantized_coupling(model.coupling(), model.pi)
+            T, _ = quantized_coupling(c_star_superop(model.coupling()), model.pi)
         except Exception as exc:  # noqa: BLE001 - reported as a criterion failure
             failures.append(f"{kind}: quantized coupling rejected: {exc}")
             continue

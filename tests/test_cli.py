@@ -559,7 +559,12 @@ class TestByteGuard:
          "exact tails", 100_000_001 * 8 * 7 * 8),
         (("verify", "--model", "hypercube3", "--states", "100000000"),
          "verify's start states", 100_000_000 * 8 * 8 * 8),
-    ], ids=["coalesce", "evolve", "verify-m-max", "verify-states"])
+        # 9 bytes a step for the kernel's counts and report mask, and a
+        # one-row block record of 1-byte indices
+        (("coalesce", "--model", "hypercube3", "--mc", "--seed", "1", "--samples", "10",
+          "--m-grid", "2000000000"),
+         "MC tails", 9 * 2_000_000_001 + 2_000_000_000),
+    ], ids=["coalesce", "evolve", "verify-m-max", "verify-states", "coalesce-mc"])
     def test_past_the_budget_is_guard(self, tmp_path, capsys, argv, stage, estimate):
         tracemalloc.start()
         try:
@@ -714,10 +719,19 @@ class TestModelAndConfig:
         assert "'m_max'" in err and "expected int" in err
 
     def test_config_bad_choice_names_choices(self, tmp_path, capsys):
-        code = self._run_config(tmp_path, "quantize", model="hypercube2", order="diagonal")
+        code = self._run_config(tmp_path, "dilate", model="hypercube2", mode="diagonal")
         assert code == 2
         err = capsys.readouterr().err
-        assert "'order'" in err and "basis_first" in err
+        assert "'mode'" in err and "postselect" in err
+
+    def test_quantize_has_no_order(self, tmp_path, capsys):
+        # every Choi matrix has one layout, so neither the flag nor the config key exists
+        with pytest.raises(SystemExit) as exc:
+            run("quantize", "--model", "hypercube2", "--order", "map_first", "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert self._run_config(tmp_path, "quantize", model="hypercube2", order="map_first") == 2
+        assert "config key 'order' does not match any flag" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_m_grid_list(self, tmp_path):
         code = self._run_config(

@@ -258,10 +258,8 @@ class TestOperations:
         mats = [m.coupling().entries, S.matrix]
         if m.rmr is not None:
             mats.append(superop_from_kraus(kraus_from_grand(m.rmr, m.pi)).matrix)
-            mats += [M.matrix for M in quantized_coupling(m.coupling(), m.pi)]
-        for order in ("map_first", "basis_first"):
-            J = choi_matrix(S, order=order)
-            mats += [J.matrix, J.swapped().matrix]
+            mats += [M.matrix for M in quantized_coupling(S, m.pi)]
+        mats.append(choi_matrix(S).matrix)
         for M in mats:
             _assert_operations_match(M, rng)
             _assert_same(Csr.from_coo(M.data, M.rows, M.indices, M.shape), _oracle(M))

@@ -5,9 +5,9 @@
   Choi scatter, the re-indexed C* of a dense coupling and the rescaled T*;
 - the one CP rule: superop_from_kraus's CP-by-construction stamp against
   verify_cp's eigensolve, a Kraus-shaped matrix that is no Kraus map judged
-  by its own spectrum, the congruence between Choi(T) and C*'s Choi matrix in
-  either factor order, and quantize's two eigensolves (C*'s Choi matrix and
-  the similarity-route T's) agreeing in both factor orders;
+  by its own spectrum, the congruence between Choi(T) and the pair-swapped
+  Choi matrix of C*, and quantize's two eigensolves (C*'s Choi matrix and
+  the similarity-route T's) agreeing;
 - matrix_to_csv, and the Choi CSV that quantize writes: the dense matrix
   rebuilt from its triplets against the dense reference, bit for bit, the
   text against a per-cell formatter on that reference, and the chunked text
@@ -37,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import coupling_4tensor, random_ergodic_chain
+from conftest import coupling_4tensor, coupon_collector_tail, random_ergodic_chain
 from qcoupling import cli, evolve
 from qcoupling.chain import (
     ATOL_COMPUTED,
@@ -53,6 +53,7 @@ from qcoupling.coupling import (
     coalescence_tail_exact,
     grand_coupling_operator,
     independent_coupling,
+    swap_pair,
     validate_coupling,
 )
 from qcoupling.csr import Csr
@@ -63,7 +64,6 @@ from qcoupling.evolve import (
     edge_state,
 )
 from qcoupling.models import (
-    coupon_collector_tail,
     hypercube_model,
     hypercube_worst_pair,
     load_counterexample_fixture,
@@ -145,9 +145,32 @@ class TestSparseTraceIdentity:
 # CSR superoperators against the dense reshapes they replaced
 
 
-def _reshape_choi(S: np.ndarray, n: int, order: str) -> np.ndarray:
+# Choi matrices are built basis first. The "map_first" cases read them in the
+# map-first layout sum S(E_xy) (x) E_xy, by README's re-indexing
+# (r, c) -> (sigma(r), sigma(c)) with sigma the pair swap
+LAYOUTS = ["map_first", "basis_first"]
+
+
+def _pair_swap(n: int) -> np.ndarray:
+    return swap_pair(np.arange(n * n), n)
+
+
+def _read_as(J: np.ndarray, layout: str) -> np.ndarray:
+    """The dense basis-first Choi matrix J read in ``layout``."""
+    if layout == "basis_first":
+        return J
+    p = _pair_swap(math.isqrt(J.shape[0]))
+    return J[np.ix_(p, p)]
+
+
+def _csr_read_as(J: Csr, layout: str) -> Csr:
+    """The built Csr J itself, or the Csr of J read in the map-first layout."""
+    return J if layout == "basis_first" else _stored(_read_as(J.toarray(), layout))
+
+
+def _reshape_choi(S: np.ndarray, n: int, layout: str) -> np.ndarray:
     """Choi matrix by reshape and transpose: S's axes are (j, i, y, x)."""
-    axes = (1, 3, 0, 2) if order == "map_first" else (3, 1, 2, 0)
+    axes = (1, 3, 0, 2) if layout == "map_first" else (3, 1, 2, 0)
     return S.reshape(n, n, n, n).transpose(axes).reshape(n * n, n * n)
 
 
@@ -175,20 +198,22 @@ def _assert_bit_identical(a: np.ndarray, b: np.ndarray):
 def _similarity_channel(C: CouplingMatrix, pi: Distribution) -> Superoperator:
     """T of the similarity route; built directly where quantized_coupling refuses C."""
     if validate_coupling(C).valid:
-        return quantized_coupling(C, pi)[0]
+        return quantized_coupling(c_star_superop(C), pi)[0]
     s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
     S_c = c_star_superop(C).matrix
     return Superoperator(C.n, (S_c.toarray() * (s[None, :] / s[:, None])).T)
 
 
-def _assert_congruent(T: Superoperator, J: ChoiMatrix, pi: Distribution):
-    """Choi(T) = K J_bf K entrywise, J_bf = J in basis-first order."""
-    J_bf = (J if J.order == "basis_first" else J.swapped()).matrix.toarray()
+def _assert_congruent(T: Superoperator, J: ChoiMatrix, pi: Distribution,
+                      layout: str = "basis_first"):
+    """Choi(T) = K J[sigma, sigma] K entrywise, J = Choi(C*), sigma the pair
+    swap and K = diag(kron(1/sqrt(pi), sqrt(pi))); both sides read in ``layout``."""
+    p = _pair_swap(T.dim)
     d = np.sqrt(pi.weights)
-    k = np.kron(d, 1.0 / d)
-    np.testing.assert_allclose(
-        choi_matrix(T).matrix.toarray(), k[:, None] * J_bf * k[None, :], rtol=1e-14, atol=0
-    )
+    k = np.kron(1.0 / d, d)
+    want = k[:, None] * J.matrix.toarray()[np.ix_(p, p)] * k[None, :]
+    np.testing.assert_allclose(_read_as(choi_matrix(T).matrix.toarray(), layout),
+                               _read_as(want, layout), rtol=1e-14, atol=0)
 
 
 def _bundled_superops(name):
@@ -205,27 +230,22 @@ ALL_DENSE = DENSE_MODELS + ["cycle3-printed", "cycle5-printed"]
 
 
 class TestCsrSuperoperators:
-    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE)
-    def test_choi_scatter_equals_reshape(self, name, order):
+    def test_choi_scatter_equals_reshape(self, name, layout):
         for S in _bundled_superops(name):
-            J = choi_matrix(S, order=order)
-            _assert_bit_identical(J.matrix.toarray(), _reshape_choi(S.matrix.toarray(), S.dim, order))
+            J = _read_as(choi_matrix(S).matrix.toarray(), layout)
+            _assert_bit_identical(J, _reshape_choi(S.matrix.toarray(), S.dim, layout))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-           zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
-           order=st.sampled_from(["map_first", "basis_first"]))
-    def test_property_choi_scatter_equals_reshape(self, n, seed, zero_share, order):
+           zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    def test_property_choi_scatter_equals_reshape(self, n, seed, zero_share):
         rng = np.random.Generator(np.random.Philox(seed))
         M = rng.standard_normal((n * n, n * n))
         M[rng.random(M.shape) < zero_share] = 0.0
-        J = choi_matrix(Superoperator(n, M), order=order)
-        _assert_bit_identical(J.matrix.toarray(), _reshape_choi(M, n, order))
-
-    def test_unknown_order_rejected(self, hypercube2):
-        with pytest.raises(InvalidInputError, match="factor order"):
-            choi_matrix(c_star_superop(hypercube2.rmr), order="diagonal")
+        J = choi_matrix(Superoperator(n, M))
+        _assert_bit_identical(J.matrix.toarray(), _reshape_choi(M, n, "basis_first"))
 
     @pytest.mark.parametrize("bias", [0.5, 0.7])
     @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE + ["cycle7-prose"])
@@ -246,7 +266,7 @@ class TestCsrSuperoperators:
     def test_t_star_equals_row_block_rescaling(self, name):
         m = _model(name, bias=0.7)
         C = m.coupling()
-        T, T_star = quantized_coupling(C, m.pi)
+        T, T_star = quantized_coupling(c_star_superop(C), m.pi)
         ref = _row_block_t_star(C, m.pi)
         _assert_bit_identical(T_star.matrix.toarray(), ref)
         _assert_bit_identical(T.matrix.toarray(), ref.T)
@@ -272,30 +292,32 @@ class TestOneCpRule:
 
     def test_congruence_holds_entrywise(self, hardcore_p3_lam2):
         C, pi = hardcore_p3_lam2.coupling(), hardcore_p3_lam2.pi
-        T, _ = quantized_coupling(C, pi)
-        J_bf = choi_matrix(c_star_superop(C), order="basis_first").matrix.toarray()
+        S = c_star_superop(C)
+        T, _ = quantized_coupling(S, pi)
+        p = _pair_swap(pi.n)
+        J = choi_matrix(S).matrix.toarray()[np.ix_(p, p)]
         d = np.sqrt(pi.weights)
-        k = np.kron(d, 1.0 / d)
+        k = np.kron(1.0 / d, d)
         np.testing.assert_allclose(
-            choi_matrix(T).matrix.toarray(), k[:, None] * J_bf * k[None, :], rtol=0, atol=1e-15
+            choi_matrix(T).matrix.toarray(), k[:, None] * J * k[None, :], rtol=0, atol=1e-15
         )
 
-    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE)
-    def test_congruence_holds_in_either_order(self, name, order):
-        # Choi(T) = K Choi_basis_first(C*) K, K = diag(kron(sqrt(pi), 1/sqrt(pi))),
-        # whichever factor order C*'s Choi matrix was built in
+    def test_congruence_holds_in_either_order(self, name, layout):
+        # Choi(T) = K Choi(C*)[sigma, sigma] K, K = diag(kron(1/sqrt(pi), sqrt(pi))),
+        # read in either layout
         m = _model(name, bias=0.7)
         C = m.coupling()
-        _assert_congruent(_similarity_channel(C, m.pi), choi_matrix(c_star_superop(C), order), m.pi)
+        _assert_congruent(_similarity_channel(C, m.pi), choi_matrix(c_star_superop(C)), m.pi,
+                          layout)
 
     @settings(max_examples=20, deadline=None)
-    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
-           order=st.sampled_from(["map_first", "basis_first"]))
-    def test_property_congruence_independent_coupling(self, n, seed, order):
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_property_congruence_independent_coupling(self, n, seed):
         P = random_ergodic_chain(n, np.random.Generator(np.random.Philox(seed)))
         C, pi = independent_coupling(P), stationary_distribution(P)
-        _assert_congruent(_similarity_channel(C, pi), choi_matrix(c_star_superop(C), order), pi)
+        _assert_congruent(_similarity_channel(C, pi), choi_matrix(c_star_superop(C)), pi)
 
     def test_kraus_shaped_matrix_is_judged_by_its_spectrum(self, hypercube2):
         # sum_r s_r kron(T_r, T_r) with one s_r = -1 has the Kraus form's sparsity,
@@ -310,25 +332,25 @@ class TestOneCpRule:
     @pytest.mark.parametrize("name,bias", [(name, 0.5) for name in RMR_MODELS] + [
         (name, bias) for name in ALL_DENSE for bias in (0.5, 0.7, 0.9, 1.0)])
     def test_quantize_orders_agree(self, name, bias):
-        # Choi(T) is congruent to Choi(C*) (test_congruence_holds_entrywise),
-        # so their two eigensolves must give one verdict, in either order
+        # Choi(T) is congruent to a re-indexing of Choi(C*)
+        # (test_congruence_holds_entrywise), so their two eigensolves must give
+        # one verdict
         m = _model(name, bias=bias)
         want = not name.startswith("cycle")  # grand couplings are CP, the cycle ones are not
-        for order in ("map_first", "basis_first"):
-            summary = _quantize_summary(m, order)[1]
-            assert summary["cp"] == want
-            # the printed variant is no stochastic coupling, so it has no channel
-            assert ("channel_cp" in summary) == (not name.endswith("printed"))
-            assert summary.get("channel_cp", want) == want
+        summary = _quantize_summary(m)[1]
+        assert summary["cp"] == want
+        # the printed variant is no stochastic coupling, so it has no channel
+        assert ("channel_cp" in summary) == (not name.endswith("printed"))
+        assert summary.get("channel_cp", want) == want
 
     def test_similarity_channel_gets_its_own_eigensolve(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "verify_cp", lambda S: calls.append(S) or verify_cp(S))
         m = _model("hypercube2")
-        _quantize_summary(m, "basis_first")
+        _quantize_summary(m)
         [T] = calls
         assert T.cp_status == "verified"
-        want = quantized_coupling(m.coupling(), m.pi)[0].matrix
+        want = quantized_coupling(c_star_superop(m.coupling()), m.pi)[0].matrix
         _assert_bit_identical(T.matrix.toarray(), want.toarray())  # the channel T, not T*
 
 
@@ -444,27 +466,31 @@ class TestMatrixCsv:
             "2,0,0.10000000000000001", "2,1,-1.0000000000000001e+300", "2,2,1",
         ]
 
-    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
-    def test_sparse_choi_matrix(self, hypercube3, order):
-        J = choi_matrix(c_star_superop(hypercube3.coupling()), order=order).matrix
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_sparse_choi_matrix(self, hypercube3, layout):
+        J = _csr_read_as(choi_matrix(c_star_superop(hypercube3.coupling())).matrix, layout)
         _assert_triplets(_csv(J, "# choi"), "# choi", J.toarray())
 
-    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
-    def test_counterexample_choi(self, order):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_counterexample_choi(self, layout):
         C = _model("cycle3-printed").coupling()
-        J = choi_matrix(c_star_superop(C), order=order).matrix
+        J = _csr_read_as(choi_matrix(c_star_superop(C)).matrix, layout)
         _assert_triplets(_csv(J, "# choi"), "# choi", J.toarray())
 
-    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("name", ["hypercube3", "colorings-k3-q4",
                                       "cycle3-printed", "cycle5-prose"])
-    def test_quantize_csv_lists_choi_matrix(self, name, order, tmp_path):
-        assert main(["quantize", "--model", name, "--order", order,
-                     "--out", str(tmp_path)]) == 0
+    def test_quantize_csv_lists_choi_matrix(self, name, layout, tmp_path):
+        assert main(["quantize", "--model", name, "--out", str(tmp_path)]) == 0
         [csv] = [p for p in tmp_path.iterdir() if "-choi-" in p.name]
-        J = choi_matrix(c_star_superop(_model(name).coupling()), order=order).matrix
-        header = f"# choi order={order} dim={J.shape[0]}"
-        _assert_triplets(csv.read_bytes().decode(), header, J.toarray())
+        text = csv.read_bytes().decode()
+        S = c_star_superop(_model(name).coupling())
+        J = choi_matrix(S).matrix
+        header = f"# choi order=basis_first dim={J.shape[0]}"
+        _assert_triplets(text, header, J.toarray())
+        # the CSV's triplets, read in either layout, give the reshape of C*
+        _assert_bit_identical(_read_as(_from_triplets(text, header, J.shape), layout),
+                              _reshape_choi(S.matrix.toarray(), S.dim, layout))
 
     def test_integer_matrix(self):
         M = np.array([[0, 3], [-2, 0]])
@@ -714,32 +740,25 @@ def _dense_support_eigenvalues(J: np.ndarray) -> np.ndarray:
     return np.sort(eigs)
 
 
-def _dense_swapped(J: np.ndarray, n: int) -> np.ndarray:
-    return J.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
-
-
 def _assert_choi_matches_dense(J: ChoiMatrix, dense: np.ndarray):
     assert isinstance(J.matrix, Csr)
     _assert_bit_identical(J.eigenvalues, _dense_support_eigenvalues(dense))
-    swapped = J.swapped()
-    assert swapped.order != J.order
-    _assert_bit_identical(swapped.matrix.toarray(), _dense_swapped(dense, J.dim))
     _assert_triplets(_csv(J.matrix, "# choi"), "# choi", dense)
 
 
 class TestCsrChoi:
-    @pytest.mark.parametrize("order", ["map_first", "basis_first"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("name", RMR_MODELS + ALL_DENSE)
-    def test_bundled_models(self, name, order):
+    def test_bundled_models(self, name, layout):
         m = _model(name, bias=0.7)
-        C = m.coupling()
-        J = choi_matrix(c_star_superop(C), order=order)
+        J = choi_matrix(c_star_superop(m.coupling()))
+        J = ChoiMatrix(J.dim, _csr_read_as(J.matrix, layout))
         _assert_choi_matches_dense(J, J.matrix.toarray())
 
     def test_counterexample_fixture(self):
         fx = load_counterexample_fixture()
         dense = np.array(fx["matrix"], dtype=float)
-        J = ChoiMatrix(3, dense, order=fx["order"])
+        J = ChoiMatrix(3, dense)
         _assert_choi_matches_dense(J, dense)
         assert round(float(J.eigenvalues[0]), 2) == -1.04
         assert not is_completely_positive(J)
@@ -778,7 +797,7 @@ class TestCsrChoi:
         S = c_star_superop(_model("hypercube6").rmr)
         tracemalloc.start()
         try:
-            choi_matrix(S, order="basis_first").eigenvalues
+            choi_matrix(S).eigenvalues
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coupling_4tensor, unstamped_grand_coupling
+from conftest import coupling_4tensor, coupon_collector_tail, unstamped_grand_coupling
 from qcoupling.chain import stationary_distribution
 from qcoupling.coupling import coalescence_tail_exact, coalescence_tail_mc, validate_coupling
 from qcoupling.errors import GuardExceededError, InvalidInputError
@@ -12,7 +12,6 @@ from qcoupling.models import (
     colorings_model,
     complete_graph,
     contraction_rate_check,
-    coupon_collector_tail,
     cycle_coupling_model,
     hardcore_model,
     hypercube_model,
@@ -107,7 +106,7 @@ class TestCycleCoupling:
 
     def test_printed_choi_matches_fixture(self):
         _, C = cycle_coupling_model(3, 0.5, variant="printed")
-        J = choi_matrix(c_star_superop(C), order="basis_first")
+        J = choi_matrix(c_star_superop(C))
         fx = load_counterexample_fixture()
         np.testing.assert_allclose(J.matrix.toarray(), fx["matrix"], atol=1e-15)
         np.testing.assert_allclose(
@@ -117,8 +116,8 @@ class TestCycleCoupling:
     def test_prose_diag_blocks_match_printed(self):
         _, C_prose = cycle_coupling_model(3, 0.5, variant="prose")
         _, C_print = cycle_coupling_model(3, 0.5, variant="printed")
-        Jp = choi_matrix(c_star_superop(C_prose), order="basis_first").matrix.toarray()
-        Jd = choi_matrix(c_star_superop(C_print), order="basis_first").matrix.toarray()
+        Jp = choi_matrix(c_star_superop(C_prose)).matrix.toarray()
+        Jd = choi_matrix(c_star_superop(C_print)).matrix.toarray()
         for x in range(3):
             np.testing.assert_allclose(
                 Jp[3 * x : 3 * x + 3, 3 * x : 3 * x + 3],
@@ -129,7 +128,7 @@ class TestCycleCoupling:
     def test_prose_variant_also_not_cp(self):
         # settled empirically: the undoubled construction is non-CP as well
         _, C = cycle_coupling_model(3, 0.5, variant="prose")
-        J = choi_matrix(c_star_superop(C), order="basis_first")
+        J = choi_matrix(c_star_superop(C))
         assert J.eigenvalues[0] < -1e-6
 
     def test_rejects_small_n_and_bad_variant(self):

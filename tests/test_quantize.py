@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import coupling_4tensor, random_ergodic_chain
 from qcoupling.chain import Distribution, stationary_distribution
-from qcoupling.coupling import CouplingMatrix, independent_coupling
+from qcoupling.coupling import CouplingMatrix, independent_coupling, swap_pair
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import DensityMatrix, qsample, random_density
 from qcoupling.quantize import (
@@ -86,25 +86,26 @@ class TestQuantizedCoupling:
     def test_trace_preservation_and_fixed_point(self, hardcore_p3_lam2):
         C = hardcore_p3_lam2.coupling()
         pi = hardcore_p3_lam2.pi
-        T, T_star = quantized_coupling(C, pi)
+        T, T_star = quantized_coupling(c_star_superop(C), pi)
         n = pi.n
         np.testing.assert_allclose(T_star.apply(np.eye(n)), np.eye(n), atol=1e-10)
         Q = qsample(pi).projector
         np.testing.assert_allclose(T.apply(Q), Q, atol=1e-10)
 
     def test_adjoint_is_transpose(self, hypercube2):
-        T, T_star = quantized_coupling(hypercube2.coupling(), hypercube2.pi)
+        T, T_star = quantized_coupling(c_star_superop(hypercube2.coupling()), hypercube2.pi)
         np.testing.assert_array_equal(T.matrix.toarray(), T_star.matrix.T.toarray())
 
     def test_kraus_route_equals_superop_route(self, hypercube3):
-        T, _ = quantized_coupling(hypercube3.coupling(), hypercube3.pi)
+        T, _ = quantized_coupling(c_star_superop(hypercube3.coupling()), hypercube3.pi)
         ks = kraus_from_grand(hypercube3.rmr, hypercube3.pi)
         T2 = superop_from_kraus(ks)
         np.testing.assert_allclose(T2.matrix.toarray(), T.matrix.toarray(), atol=1e-12)
 
     def test_kraus_route_nonuniform_pi(self, hardcore_p3_lam2):
-        T, _ = quantized_coupling(hardcore_p3_lam2.coupling(), hardcore_p3_lam2.pi)
-        ks = kraus_from_grand(hardcore_p3_lam2.rmr, hardcore_p3_lam2.pi)
+        m = hardcore_p3_lam2
+        T, _ = quantized_coupling(c_star_superop(m.coupling()), m.pi)
+        ks = kraus_from_grand(m.rmr, m.pi)
         np.testing.assert_allclose(superop_from_kraus(ks).matrix.toarray(), T.matrix.toarray(),
                                    atol=1e-12)
 
@@ -130,11 +131,19 @@ class TestQuantizedCoupling:
 
 class TestChoi:
     def test_orders_share_spectrum(self, hypercube2):
+        # J is sum E_xy (x) S(E_xy); re-indexed by the pair swap it is the
+        # map-first layout sum S(E_xy) (x) E_xy, with the same spectrum
         S = c_star_superop(hypercube2.coupling())
-        J1 = choi_matrix(S, order="map_first")
-        J2 = choi_matrix(S, order="basis_first")
-        np.testing.assert_allclose(J1.eigenvalues, J2.eigenvalues, atol=1e-12)
-        np.testing.assert_allclose(J1.swapped().matrix.toarray(), J2.matrix.toarray(), atol=1e-14)
+        n = S.dim
+        units = [np.outer(np.eye(n)[x], np.eye(n)[y]) for x in range(n) for y in range(n)]
+        J = choi_matrix(S)
+        np.testing.assert_allclose(J.matrix.toarray(), sum(np.kron(E, S.apply(E)) for E in units),
+                                   atol=1e-14)
+        p = swap_pair(np.arange(n * n), n)
+        J_mf = ChoiMatrix(n, J.matrix.toarray()[np.ix_(p, p)])
+        np.testing.assert_allclose(J_mf.matrix.toarray(),
+                                   sum(np.kron(S.apply(E), E) for E in units), atol=1e-14)
+        np.testing.assert_allclose(J_mf.eigenvalues, J.eigenvalues, atol=1e-12)
 
     def test_choi_trace_equals_dimension(self):
         n = 3
@@ -148,7 +157,7 @@ class TestChoi:
         assert np.trace(J.matrix.toarray()) == pytest.approx(n, abs=1e-10)
 
     def test_grand_coupling_channel_is_cp(self, hypercube3):
-        T, _ = quantized_coupling(hypercube3.coupling(), hypercube3.pi)
+        T, _ = quantized_coupling(c_star_superop(hypercube3.coupling()), hypercube3.pi)
         J = verify_cp(T)
         assert T.cp_status == "verified"
         assert min_choi_eigenvalue(J) >= -1e-9 * np.max(np.abs(J.matrix.toarray()))
@@ -178,7 +187,7 @@ class TestIndependentCouplingCP:
 
 class TestApplyChannel:
     def test_cp_verified_returns_density(self, hypercube2):
-        T, _ = quantized_coupling(hypercube2.coupling(), hypercube2.pi)
+        T, _ = quantized_coupling(c_star_superop(hypercube2.coupling()), hypercube2.pi)
         verify_cp(T)
         rho = random_density(4, np.random.Generator(np.random.Philox(1)))
         DensityMatrix(T.apply(rho.matrix))  # a state: symmetric, PSD, trace 1

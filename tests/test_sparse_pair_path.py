@@ -454,7 +454,7 @@ class TestMemoryAtN64:
 
     def test_choi_csv_never_held_whole(self, tmp_path):
         rm = _model("hypercube6")
-        J = choi_matrix(c_star_superop(rm.exact_coupling()), order="basis_first").matrix
+        J = choi_matrix(c_star_superop(rm.exact_coupling())).matrix
         J.rows  # the cached row index is the matrix's, not the CSV's
         # 0.78 MiB, the Python objects of one chunk of 4096 lines, below the
         # 1.16 MiB of text written; formatting the whole text and then

@@ -22,10 +22,8 @@ ENTRY_POINTS = {"main", "build_parser", "resolve_model", "emit_report"}
 
 # Kept although no root reaches them, each for the stated reason.
 ALLOWED_UNREACHED = {
-    "coupon_collector_tail": "the closed-form tail that tests compare exact and MC tails with",
     "DEFAULT_BACKEND": "perfbench records it in each run's provenance",
     "Csr.nbytes": "perfbench's owned_nbytes reads it for coupling.coupling_bytes",
-    "ChoiMatrix.swapped": "tests convert Choi matrices between factor orders with it",
 }
 
 

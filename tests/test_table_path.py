@@ -169,7 +169,7 @@ def _close(a, b):
 
 def _similarity_channel(m) -> Superoperator:
     """T quantized from the model's dense grand coupling, CP-verified by eigensolve."""
-    T, _ = quantized_coupling(m.coupling(), m.pi)
+    T, _ = quantized_coupling(c_star_superop(m.coupling()), m.pi)
     verify_cp(T)
     return T
 
@@ -324,13 +324,11 @@ class TestSupportSpectrum:
                                       "cycle3-prose", "cycle5-printed"])
     def test_bundled_choi(self, name):
         C = _model(name).coupling()
-        for order in ("map_first", "basis_first"):
-            _assert_spectrum_matches_full(
-                choi_matrix(c_star_superop(C), order=order).matrix.toarray())
+        _assert_spectrum_matches_full(choi_matrix(c_star_superop(C)).matrix.toarray())
 
     def test_counterexample_fixture(self):
         fx = load_counterexample_fixture()
-        J = ChoiMatrix(3, fx["matrix"], order=fx["order"])
+        J = ChoiMatrix(3, fx["matrix"])
         _assert_spectrum_matches_full(fx["matrix"])
         assert round(float(J.eigenvalues[0]), 2) == -1.04
         assert not quantize.is_completely_positive(J)
