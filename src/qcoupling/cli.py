@@ -34,6 +34,7 @@ from qcoupling.dilation import (
     build_dilation,
     dilation_route_check,
     require_dilation_dim,
+    require_mode,
     state_decomposition_check,
 )
 from qcoupling.errors import (
@@ -375,6 +376,7 @@ def cmd_dilate(args) -> int:
         raise InvalidInputError("dilate needs a random-mapping model")
     if args.states < 1:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
+    require_mode(rm.rmr.n_r, args.mode)
     rng = seeded_rng(args.seed)
     require_dilation_dim(rm.rmr.n_r, rm.n)
     ks = kraus_from_grand(rm.rmr, rm.pi)

@@ -119,7 +119,10 @@ class DilationCircuit:
     - P0 also projects the control register onto mu, and R0 = 2P0 - I;
     - G = -W R0 W^T R.
 
-    No (kappa 2d)^2 matrix is formed.
+    No (kappa 2d)^2 matrix is formed. The postselect channel route needs only
+    the A_k, the (kappa, d, d) view ``unitaries[:, :d, :d]``; the B_k and C_k
+    blocks serve the bad branch, the Grover operator and the completion
+    identity.
     """
 
     dim: int
@@ -216,6 +219,24 @@ def require_dilation_dim(kappa: int, d: int):
         )
 
 
+def require_mode(kappa: int, mode: str) -> int:
+    """Grover iterations ``mode`` runs on kappa Kraus operators: none for
+    postselect, the exact rotation's count for amplified, which admits only
+    the kappa in EXACT_ROTATION_ITERATIONS. Checkable before the Kraus set is
+    built."""
+    if mode == "postselect":
+        return 0
+    if mode != "amplified":
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if kappa not in EXACT_ROTATION_ITERATIONS:
+        raise InvalidInputError(
+            f"amplified mode supports exact-rotation kappa "
+            f"{sorted(EXACT_ROTATION_ITERATIONS)} only, got kappa={kappa}; "
+            "use postselect"
+        )
+    return EXACT_ROTATION_ITERATIONS[kappa]
+
+
 def build_dilation(kraus: KrausSet) -> DilationCircuit:
     """Complete each Kraus operator to its block encoding U_k; mu is uniform.
 
@@ -298,38 +319,35 @@ def channel_via_dilation(
 ) -> tuple[DensityMatrix, dict]:
     """Run rho's eigenvectors through the circuit as one batch; mix the outputs.
 
-    ``postselect`` projects the ancilla onto |0> and renormalizes, reporting
-    the acceptance probability (always 1/kappa); ``amplified`` runs the exact
-    Grover rotation instead and needs no postselection. Either way the reduced
+    ``postselect`` keeps the ancilla-|0> branch and renormalizes, reporting
+    the acceptance probability (always 1/kappa). Each eigenvector v enters W
+    as mu (x) |0> (x) v, so that branch is A_k (mu_k v) in block k: only the
+    top-left d x d blocks of the U_k are multiplied, and the flag-1 half of
+    the batch is never formed. ``amplified`` runs the exact Grover rotation
+    on the full W instead and needs no postselection. Either way the reduced
     state on C^d equals sum_k A_k rho A_k^T.
     """
-    if mode not in ("postselect", "amplified"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    if mode == "amplified" and circ.kappa not in EXACT_ROTATION_ITERATIONS:
-        raise InvalidInputError(
-            f"amplified mode supports exact-rotation kappa "
-            f"{sorted(EXACT_ROTATION_ITERATIONS)} only, got kappa={circ.kappa}; "
-            "use postselect"
-        )
-    iterations = EXACT_ROTATION_ITERATIONS[circ.kappa] if mode == "amplified" else 0
+    iterations = require_mode(circ.kappa, mode)
 
     d = circ.dim
     w, V = np.linalg.eigh(rho.matrix)
     keep = w >= ATOL_COMPUTED
     lam = w[keep]
     V = V[:, keep] / np.linalg.norm(V[:, keep], axis=0)
-    states = circ.controlled(circ.initial_states(V))
-    for _ in range(iterations):
-        states = circ.grover(states)
-    good = states.reshape(circ.kappa, 2, d, -1)[:, 0]  # (kappa, d, b)
-    weights = lam
     if mode == "postselect":
+        good = np.matmul(circ.unitaries[:, :d, :d], circ.mu[:, None, None] * V)
         p_accept = np.sum(good**2, axis=(0, 1))
         acceptance = float(lam @ p_accept)
         weights = lam / p_accept
+    else:
+        states = circ.controlled(circ.initial_states(V))
+        for _ in range(iterations):
+            states = circ.grover(states)
+        good = states.reshape(circ.kappa, 2, d, -1)[:, 0]  # (kappa, d, b)
+        weights = lam
     # sum over eigenvectors b and blocks k of weights[b] g_kb g_kb^T
-    scaled = good * np.sqrt(weights)
-    flat = scaled.transpose(1, 0, 2).reshape(d, -1)
+    good *= np.sqrt(weights)
+    flat = good.transpose(1, 0, 2).reshape(d, -1)
     out = flat @ flat.T
 
     info = {"mode": mode}

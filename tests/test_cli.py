@@ -675,6 +675,16 @@ class TestDilate:
         doc = load_summary(tmp_path, "dilate-hypercube2")
         assert doc["pass"] is True and doc["kappa"] == 4
 
+    def test_amplified_kappa_rule_before_the_kraus_set(self, tmp_path, monkeypatch, capsys):
+        def unreachable(rmr, pi):
+            raise AssertionError("Kraus set built for an inexact kappa")
+
+        patch_everywhere(monkeypatch, "kraus_from_grand", unreachable)
+        argv = ("dilate", "--model", "hypercube7", "--mode", "amplified", "--seed", "1")
+        assert run(*argv, "--out", str(tmp_path / "o")) == 2
+        assert "got kappa=14" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestModelAndConfig:
     def test_model_materializes_json(self, tmp_path):

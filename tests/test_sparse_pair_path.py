@@ -11,8 +11,9 @@ replaced, kept here:
   dense 4-tensor constructions, bit for bit;
 - the grand-coupling operator, built once per mapping and read-only;
 - the blockwise dilation operators W, W^T, P, R, R0 and G against the dense
-  block_diag / kron products, and the batched channel route against the
-  per-eigenvector loop;
+  block_diag / kron products, the batched channel route against the
+  per-eigenvector loop, and the postselect route, which multiplies only the
+  A_k blocks, against the route through the whole of W, bit for bit;
 
 then tracemalloc bounds at hypercube6, each the measured peak plus about
 10 %, and the artifact names the exact-n64
@@ -346,6 +347,22 @@ def _channel_loop(circ, rho, mode, dense):
     return out, acceptance
 
 
+def _full_w_postselect(circ, rho):
+    """The postselect route through the whole of W: the batch mu (x) |0> (x) V
+    with its zero flag-1 half, W applied, the flag-0 rows read off."""
+    d = circ.dim
+    w, V = np.linalg.eigh(rho.matrix)
+    keep = w >= 1e-10
+    lam = w[keep]
+    V = V[:, keep] / np.linalg.norm(V[:, keep], axis=0)
+    states = circ.controlled(circ.initial_states(V))
+    good = states.reshape(circ.kappa, 2, d, -1)[:, 0]
+    p_accept = np.sum(good**2, axis=(0, 1))
+    scaled = good * np.sqrt(lam / p_accept)
+    flat = scaled.transpose(1, 0, 2).reshape(d, -1)
+    return flat @ flat.T, float(lam @ p_accept)
+
+
 class TestBlockwiseDilation:
     @pytest.mark.parametrize("name", sorted(KRAUS))
     def test_operators_match_dense(self, name):
@@ -408,6 +425,17 @@ class TestBlockwiseDilation:
             assert abs(info["acceptance_probability"] - acceptance) <= 1e-15
         assert dilation_route_check(circ, ks, rho, mode=mode).passed
 
+    @pytest.mark.parametrize("name", sorted(KRAUS))
+    def test_postselect_keeps_the_full_w_bits(self, name):
+        # the flag-1 terms the postselect route leaves out are exact zeros,
+        # so its output and acceptance equal the full-W route's bit for bit
+        circ = build_dilation(KRAUS[name])
+        rho = random_density(circ.dim, _rng(11))
+        out, info = channel_via_dilation(circ, rho)
+        want, acceptance = _full_w_postselect(circ, rho)
+        assert np.array_equal(out.matrix, want)
+        assert info["acceptance_probability"] == acceptance
+
 
 # ---------------------------------------------------------------------------
 # Memory at N = 64
@@ -437,9 +465,11 @@ class TestMemoryAtN64:
         m = _model("hypercube6")
         ks = kraus_from_grand(m.rmr, m.pi)
         rng = _rng(0)
-        # 3.2 MiB; a stacked copy of the U_k beside the block encodings took
-        # 4.7 MiB, and the dense W, P, R and R0 were 18.9 MB each
-        with _peak_below(3.5 * 2**20):
+        # 2.4 MiB, the 1.5 MiB unitary array and the postselect route's
+        # flag-0 batch; building the flag-1 half too took 3.2 MiB, a stacked
+        # copy of the U_k beside the block encodings 4.7 MiB, and the dense
+        # W, P, R and R0 were 18.9 MB each
+        with _peak_below(2.65 * 2**20):
             circ = build_dilation(ks)
             xi = rng.standard_normal(circ.dim)
             assert state_decomposition_check(circ, xi / np.linalg.norm(xi)).passed
