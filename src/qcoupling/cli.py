@@ -247,7 +247,7 @@ def _check_m_max(args):
 def cmd_coalesce(args) -> int:
     _check_m_max(args)
     if not args.mc:
-        for dest in ("m_grid", "samples", "seed", "workers"):
+        for dest in ("m_grid", "samples", "seed"):
             if getattr(args, dest) is not None:
                 flag = "--" + dest.replace("_", "-")
                 raise InvalidInputError(
@@ -264,7 +264,6 @@ def cmd_coalesce(args) -> int:
         report = coalescence_tail_mc(
             rm.rmr, pairs, grid, seed=args.seed,
             samples=100_000 if args.samples is None else args.samples,
-            workers=1 if args.workers is None else args.workers,
         )
     else:
         report = coalescence_tail_exact(rm.exact_coupling(), m_max=args.m_max)
@@ -436,9 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="MC trajectories per start pair "
                    "(--mc only; default 100000)")
     p.add_argument("--seed", type=int, help="MC randomness seed (--mc only, required there)")
-    p.add_argument("--workers", type=int,
-                   help="threads running the fixed MC randomness blocks (--mc only; "
-                   "default 1); the output is identical for any count")
     p.add_argument("--m-grid", type=int, nargs="+", help="m values of the MC tails (--mc only)")
     p.set_defaults(func=cmd_coalesce)
 

@@ -605,7 +605,6 @@ def coalescence_tail_mc(
     m_grid: list[int],
     samples: int,
     seed: int,
-    workers: int = 1,
 ) -> CoalescenceReport:
     """Monte Carlo tails with normal-approximation 95% CIs.
 
@@ -616,17 +615,14 @@ def coalescence_tail_mc(
     window of steps at a time (``kernels.coalescence_counts``). So the result
     depends only on the seed, the samples, the m-grid, the start pairs and the
     module constants MC_BLOCK_ELEMENTS and DRAW_CHUNK_WORDS (the window rule).
-    Memory stays O(MC_BLOCK_ELEMENTS + 16 x block rows + DRAW_CHUNK_WORDS)
-    bytes per worker. With ``workers`` > 1 the blocks run on that many
-    threads; the integer counts and the words drawn are summed per block, so
-    the report is byte-identical for any worker count.
+    The blocks run one after another on the calling thread, each adding its
+    integer counts and words drawn to the totals, so memory stays
+    O(MC_BLOCK_ELEMENTS + 16 x block rows + DRAW_CHUNK_WORDS) bytes.
     """
     if samples < 1:
         raise InvalidInputError(f"--samples must be >= 1, got {samples}")
     if seed < 0:
         raise InvalidInputError(f"--seed must be >= 0, got {seed}")
-    if workers < 1:
-        raise InvalidInputError(f"--workers must be >= 1, got {workers}")
     if not start_pairs or not list(m_grid):
         raise InvalidInputError("start_pairs and m_grid must be nonempty")
     grid = np.array(sorted(set(int(m) for m in m_grid)), dtype=np.int64)
@@ -642,35 +638,21 @@ def coalescence_tail_mc(
     rows = mc_block_rows(m_max)
     # the kernel's counts and report mask, 9 bytes a step, and one block's record r_idx
     require_bytes("MC tails", 9 * (m_max + 1) + rows * m_max * inverse_cdf.code.itemsize)
-    blocks = [
-        (slot, block, start)
-        for slot in range(len(start_pairs))
-        for block, start in enumerate(range(0, samples, rows))
-    ]
-
-    def run(job):
-        slot, block, start = job
-        x0, y0 = start_pairs[slot]
-        # the record of the indices the kernel reads; column-major, so that a
-        # window's columns are one contiguous run
-        r_idx = np.zeros(
-            (min(rows, samples - start), m_max), dtype=inverse_cdf.code.dtype, order="F"
-        )
-        draw = _BlockStream(inverse_cdf, seed, slot, block)
-        counts = coalescence_counts(rmr.table, r_idx, x0, y0, grid, draw)
-        return slot, counts, draw.words
-
-    if workers == 1:
-        results = list(map(run, blocks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            results = list(pool.map(run, blocks))
     counts = np.zeros((len(grid), len(start_pairs)), dtype=np.int64)
-    for slot, block_counts, _ in results:
-        counts[:, slot] += block_counts
-    words_drawn = sum(words for _, _, words in results)
+    words_drawn = 0
+    for slot, (x0, y0) in enumerate(start_pairs):
+        for block, start in enumerate(range(0, samples, rows)):
+            draw = _BlockStream(inverse_cdf, seed, slot, block)
+            # the record of the indices the kernel reads, column-major so that a
+            # window's columns are one contiguous run; made inside the call, so
+            # it is freed before the next block makes its own
+            counts[:, slot] += coalescence_counts(
+                rmr.table,
+                np.zeros((min(rows, samples - start), m_max),
+                         dtype=inverse_cdf.code.dtype, order="F"),
+                x0, y0, grid, draw,
+            )
+            words_drawn += draw.words
     per_pair = counts / samples
 
     tail_max = per_pair.max(axis=1)

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qcoupling import quantize
-from qcoupling.coupling import CouplingMatrix, grand_coupling_operator
+from qcoupling.chain import TransitionMatrix
+from qcoupling.coupling import (
+    CouplingMatrix,
+    RandomMappingRep,
+    grand_coupling_operator,
+    induced_entries,
+)
 from qcoupling.models import (
     colorings_model,
     complete_graph,
@@ -41,8 +48,6 @@ def colorings_k3_q4():
 
 def random_ergodic_chain(n: int, rng: np.random.Generator):
     """Strictly positive column-stochastic matrix (hence ergodic)."""
-    from qcoupling.chain import TransitionMatrix
-
     cols = rng.dirichlet(np.ones(n), size=n).T + 1e-3
     cols /= cols.sum(axis=0)
     return TransitionMatrix(tuple(str(i) for i in range(n)), cols)
@@ -85,3 +90,46 @@ def coupon_collector_tail(n: int, m: int) -> float:
     for k in range(1, n + 1):
         total += (-1) ** (k + 1) * math.comb(n, k) * (1.0 - k / n) ** m
     return min(1.0, max(0.0, total))
+
+
+# Weights whose CDF lands exactly on bucket edges (sum 4 or 4096), with zeros,
+# and generic weights whose CDF values fall inside buckets.
+on_edges = st.lists(st.integers(0, 3), min_size=1, max_size=6).filter(
+    lambda w: 0 < sum(w) <= 4
+).map(lambda w: w + [4 - sum(w)])
+dyadic = st.lists(st.integers(0, 4096), min_size=1, max_size=6).filter(
+    lambda w: 0 < sum(w) <= 4096
+).map(lambda w: w + [4096 - sum(w)])
+generic = st.lists(st.integers(0, 1000), min_size=1, max_size=7).filter(lambda w: sum(w) > 0)
+weights = st.one_of(on_edges, dyadic, generic)
+
+
+def probs_from(w):
+    w = np.asarray(w, dtype=float)
+    return w / w.sum()
+
+
+@st.composite
+def mappings(draw, ergodic=False):
+    """Random tables on 1 to 6 states, with their base chain from
+    ``induced_entries``: ``weights`` (zero probabilities included), few
+    distinct targets, a duplicated column, and a value that sends every state
+    to one successor. An ``ergodic`` mapping also holds a lazy step and a
+    cyclic shift with positive weight, so its chain is irreducible and
+    aperiodic."""
+    w = draw(weights)
+    n = draw(st.integers(1, 6))
+    targets = draw(st.integers(1, n))
+    columns = [draw(st.lists(st.integers(0, targets - 1), min_size=n, max_size=n))
+               for _ in w]
+    if len(columns) > 1 and draw(st.booleans()):
+        columns[-1] = columns[0]
+    if draw(st.booleans()):
+        columns[draw(st.integers(0, len(columns) - 1))] = [draw(st.integers(0, n - 1))] * n
+    if ergodic:
+        columns += [list(range(n)), [(x + 1) % n for x in range(n)]]
+        w = w + draw(st.lists(st.integers(1, 7), min_size=2, max_size=2))
+    table = np.array(columns, dtype=np.int64).T
+    probs = probs_from(w)
+    base = TransitionMatrix(tuple(str(i) for i in range(n)), induced_entries(table, probs))
+    return RandomMappingRep(base, tuple(f"r{r}" for r in range(len(columns))), probs, table)

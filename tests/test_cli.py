@@ -617,13 +617,6 @@ class TestCoalesce:
         assert code == 2
         assert "--seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_mc_workers_below_one_is_invalid_input(self, tmp_path, capsys, workers):
-        code = run("coalesce", "--model", "hypercube4", "--mc", "--seed", "1",
-                   "--samples", "100", "--workers", workers, "--out", str(tmp_path))
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
-
     def test_mc_zero_grid(self, tmp_path):
         # m = 0 needs no randomness; the hypercube's start pair is apart there
         code = run("coalesce", "--model", "hypercube3", "--mc", "--seed", "1",
@@ -632,13 +625,13 @@ class TestCoalesce:
         doc = load_summary(tmp_path, "coalesce-hypercube3")
         assert doc["mode"] == "monte_carlo" and doc["tail_final"] == 1.0
 
-    def test_mc_determinism_across_runs_and_workers(self, tmp_path):
+    def test_mc_determinism_across_reruns(self, tmp_path):
         outs = []
-        for i, workers in enumerate(("1", "4", "1")):
+        for i in range(3):
             out = tmp_path / f"run{i}"
             assert run(
                 "coalesce", "--model", "hypercube8", "--mc",
-                "--samples", "20000", "--seed", "7", "--workers", workers,
+                "--samples", "20000", "--seed", "7",
                 "--m-grid", "10", "20", "33", "--out", str(out),
             ) == 0
             outs.append(files_in(out))
@@ -743,6 +736,22 @@ class TestModelAndConfig:
         assert "config key 'order' does not match any flag" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_coalesce_has_no_workers(self, tmp_path, capsys, via):
+        # MC blocks run on one thread, so neither the flag nor the config key exists
+        if via == "flags":
+            with pytest.raises(SystemExit) as exc:
+                run("coalesce", "--model", "hypercube3", "--mc", "--seed", "1",
+                    "--samples", "100", "--workers", "2", "--out", str(tmp_path / "o"))
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
+        else:
+            code = self._run_config(tmp_path, "coalesce", model="hypercube3", mc=True,
+                                    seed=1, samples=100, workers=2)
+            assert code == 2
+            assert "config key 'workers' does not match any flag" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_m_grid_list(self, tmp_path):
         code = self._run_config(
             tmp_path, "coalesce", model="hypercube3", mc=True, samples=200, seed=1,
@@ -772,7 +781,7 @@ class TestModelAndConfig:
         assert "--m-grid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("flag,value", [("samples", 5), ("seed", 4), ("workers", 3)])
+    @pytest.mark.parametrize("flag,value", [("samples", 5), ("seed", 4)])
     @pytest.mark.parametrize("via", ["flags", "config"])
     def test_mc_flags_without_mc_rejected(self, tmp_path, capsys, via, flag, value):
         # they used to be dropped silently, leaving the plain exact files

@@ -326,17 +326,6 @@ class TestMonteCarlo:
         with mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", 7_001):
             assert coupling.mc_block_rows(21) == 333
 
-    def test_worker_count_invariance(self, hypercube3):
-        runs = [
-            coalescence_tail_mc(
-                hypercube3.rmr, [(0, 7)], [5, 10, 20], samples=5_000, seed=9,
-                workers=w,
-            )
-            for w in (1, 2, 4)
-        ]
-        for other in runs[1:]:
-            assert runs[0].to_csv() == other.to_csv()
-
     def test_seed_changes_result(self, hypercube3):
         a = coalescence_tail_mc(hypercube3.rmr, [(0, 7)], [5], samples=2_000, seed=1)
         b = coalescence_tail_mc(hypercube3.rmr, [(0, 7)], [5], samples=2_000, seed=2)

@@ -19,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mappings, probs_from, weights
 from qcoupling import coupling, kernels
 from qcoupling.coupling import (
     CDF_BUCKET_BITS,
     DRAW_CHUNK_WORDS,
     MC_BLOCK_ELEMENTS,
-    RandomMappingRep,
     _BlockStream,
     _InverseCDF,
     coalescence_tail_mc,
@@ -105,37 +105,6 @@ def replay(table, r_idx, x0, y0, grid):
                 break
             apart_at[step + 1] += 1
     return [apart_at[int(m)] for m in grid]
-
-
-# Weights whose CDF lands exactly on bucket edges (sum 4 or 4096), with zeros,
-# and generic weights whose CDF values fall inside buckets.
-on_edges = st.lists(st.integers(0, 3), min_size=1, max_size=6).filter(
-    lambda w: 0 < sum(w) <= 4
-).map(lambda w: w + [4 - sum(w)])
-dyadic = st.lists(st.integers(0, 4096), min_size=1, max_size=6).filter(
-    lambda w: 0 < sum(w) <= 4096
-).map(lambda w: w + [4096 - sum(w)])
-generic = st.lists(st.integers(0, 1000), min_size=1, max_size=7).filter(lambda w: sum(w) > 0)
-weights = st.one_of(on_edges, dyadic, generic)
-
-
-def probs_from(w):
-    w = np.asarray(w, dtype=float)
-    return w / w.sum()
-
-
-@st.composite
-def mappings(draw):
-    probs = probs_from(draw(weights))
-    n = draw(st.integers(1, 6))
-    table = np.array(
-        draw(st.lists(st.integers(0, n - 1), min_size=n * len(probs), max_size=n * len(probs))),
-        dtype=np.int64,
-    ).reshape(n, len(probs))
-    if draw(st.booleans()):  # one value sends every state to one successor
-        table[:, draw(st.integers(0, len(probs) - 1))] = draw(st.integers(0, n - 1))
-    labels = tuple(f"r{i}" for i in range(len(probs)))
-    return RandomMappingRep(base=None, r_labels=labels, probs=probs, table=table)
 
 
 M_MAX_CHOICES = [0, 1, 7, 33, 64, 160]
@@ -288,23 +257,10 @@ class TestStreamedTails:
         np.testing.assert_array_equal(report.per_pair, per_pair)
         assert report.words_drawn == drawn
 
-    def test_worker_counts_give_identical_reports(self):
-        model = hypercube_model(6)
-        pairs = [(0, 63), (5, 40)]
-        with mock.patch.object(coupling, "MC_BLOCK_ELEMENTS", 4_000):
-            reports = [
-                coalescence_tail_mc(model.rmr, pairs, [5, 10, 33], samples=3_001, seed=4,
-                                    workers=w)
-                for w in (1, 2, 3)
-            ]
-        assert len({report.to_csv(include_pairs=True) for report in reports}) == 1
-        assert len({report.words_drawn for report in reports}) == 1
+    def test_peak_memory_bounded_by_block(self):
+        """Traced peak bytes of a 100k-trajectory hypercube8 run stay bounded.
 
-    @staticmethod
-    def _traced_mc_peak(workers, m_max=160):
-        """Traced peak bytes of a 100k-trajectory hypercube8 run, and its bound.
-
-        Each worker holds one block's record of 1-byte indices. While it draws
+        The run holds one block's record of 1-byte indices. While it draws
         it also holds one window of 1-byte indices (at most DRAW_CHUNK_WORDS of
         them here), the kernel's pair state (16 bytes a row) and one draw piece
         of DRAW_CHUNK_WORDS / 2 words: 8-byte random words, their 8-byte bucket
@@ -313,31 +269,22 @@ class TestStreamedTails:
         and the per-pair results. The full-array path held about 256 MB at this
         size.
         """
-        bound = workers * (mc_block_rows(m_max) * m_max + 17 * DRAW_CHUNK_WORDS + 64 * 1024)
+        m_max = 160
+        bound = mc_block_rows(m_max) * m_max + 17 * DRAW_CHUNK_WORDS + 64 * 1024
         model = hypercube_model(8)
-        # the first run imports numpy.random (and the thread pool), about 0.7 MB
-        # of module objects that are not the MC path's own memory
-        coalescence_tail_mc(model.rmr, [(0, 255)], [m_max], samples=10, seed=2, workers=workers)
+        # the first run imports numpy.random, about 0.7 MB of module objects
+        # that are not the MC path's own memory
+        coalescence_tail_mc(model.rmr, [(0, 255)], [m_max], samples=10, seed=2)
         tracemalloc.start()
         try:
-            coalescence_tail_mc(model.rmr, [(0, 255)], [m_max], samples=100_000, seed=2,
-                                workers=workers)
+            coalescence_tail_mc(model.rmr, [(0, 255)], [m_max], samples=100_000, seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak, bound
-
-    def test_peak_memory_bounded_by_block(self):
-        peak, bound = self._traced_mc_peak(workers=1)
-        assert peak <= bound
-
-    def test_peak_memory_bounded_per_worker(self):
-        peak, bound = self._traced_mc_peak(workers=2)
         assert peak <= bound
 
     @pytest.mark.parametrize("kwargs, flag", [
         ({"seed": -1}, "--seed"),
-        ({"seed": 1, "workers": 0}, "--workers"),
     ])
     def test_bad_seed_or_workers_rejected(self, kwargs, flag):
         model = hypercube_model(3)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mappings
 from qcoupling import quantize
 from qcoupling.chain import (
     ATOL_COMPUTED,
@@ -78,31 +79,6 @@ LHS_TOL = 1e-14
 
 def _model(name, fugacity=2.0):
     return resolve_model(name, SimpleNamespace(bias=0.5, fugacity=fugacity))
-
-
-@st.composite
-def mappings(draw, ergodic=False):
-    """Random tables and probabilities: zero probabilities, repeated successors
-    (few distinct targets, duplicated columns) and unequal weights. An
-    ``ergodic`` mapping also holds a lazy step and a cyclic shift with
-    positive weight, so its chain is irreducible and aperiodic."""
-    n = draw(st.integers(1, 6))
-    n_r = draw(st.integers(1, 6))
-    targets = draw(st.integers(1, n))
-    columns = [draw(st.lists(st.integers(0, targets - 1), min_size=n, max_size=n))
-               for _ in range(n_r)]
-    if draw(st.booleans()):
-        columns.append(columns[0])
-    weights = draw(st.lists(st.integers(0, 7), min_size=len(columns), max_size=len(columns)))
-    if ergodic:
-        columns += [list(range(n)), [(x + 1) % n for x in range(n)]]
-        weights += draw(st.lists(st.integers(1, 7), min_size=2, max_size=2))
-    if sum(weights) == 0:
-        weights[0] = 1
-    table = np.array(columns, dtype=np.int64).T
-    probs = np.array(weights, dtype=float) / sum(weights)
-    base = TransitionMatrix(tuple(str(i) for i in range(n)), induced_entries(table, probs))
-    return RandomMappingRep(base, tuple(str(r) for r in range(len(columns))), probs, table)
 
 
 def _scatter_grand_coupling(rmr: RandomMappingRep) -> np.ndarray:
