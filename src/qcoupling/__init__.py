@@ -52,7 +52,6 @@ from qcoupling.models import (
 from qcoupling.dilation import (
     build_dilation,
     channel_via_dilation,
-    unitary_completion,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,7 +33,6 @@ from qcoupling.coupling import (
 from qcoupling.dilation import (
     build_dilation,
     dilation_route_check,
-    require_dilation_dim,
     require_mode,
     state_decomposition_check,
 )
@@ -283,7 +282,7 @@ def cmd_coalesce(args) -> int:
 
 
 def _default_grid(m_max: int) -> list[int]:
-    return list(range(0, m_max + 1, max(1, m_max // 20)))
+    return list(range(0, m_max, max(1, m_max // 20))) + [m_max]
 
 
 def cmd_evolve(args) -> int:
@@ -376,8 +375,9 @@ def cmd_dilate(args) -> int:
     if args.states < 1:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     require_mode(rm.rmr.n_r, args.mode)
+    # the Kraus list and the route batch: kappa d^2 and 2 kappa d^2 doubles
+    require_bytes("dilation", 3 * rm.rmr.n_r * rm.n * rm.n * 8)
     rng = seeded_rng(args.seed)
-    require_dilation_dim(rm.rmr.n_r, rm.n)
     ks = kraus_from_grand(rm.rmr, rm.pi)
     circ = build_dilation(ks)
     checks = []

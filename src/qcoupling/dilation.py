@@ -1,11 +1,24 @@
 """Statevector simulation of channels via controlled unitary dilation.
 
-Each Kraus operator A_k (with sum A_k^T A_k = I) is completed to a unitary
-U_k on C^2 (x) C^d whose top-left block is A_k. The controlled unitary
+Each Kraus operator A_k (with sum A_k^T A_k = I) is completed to Halmos's
+unitary dilation (Halmos 1950)
+
+    U_k = [[A_k, (I - A_k A_k^T)^{1/2}], [(I - A_k^T A_k)^{1/2}, -A_k^T]]
+
+on C^2 (x) C^d, whose top-left block is A_k. The controlled unitary
 W = sum_k |k><k| (x) U_k, applied to the uniform control state, realizes the
 channel on the ancilla-|0> branch with input-independent success amplitude
 1/sqrt(kappa); that independence is what lets a Grover operator amplify the
 branch without any reflection about the (unknown) input state.
+
+A grand coupling's Kraus operators have at most one nonzero per row,
+A_k[x, f_k(x)] = a_k(x), so both square roots are closed forms. A_k^T A_k is
+diagonal, with entries s_k(z) = sum_{f_k(x) = z} a_k(x)^2, so the lower-left
+block B_k is diag(sqrt(1 - s_k)). A_k A_k^T is block-diagonal over the fibres
+of f_k, each block the rank-one a_F a_F^T with |a_F|^2 = s_k(z), so the
+upper-right block is I - sum_F g_k(z) a_F a_F^T, with
+g = (1 - sqrt(1 - s)) / s = 1 / (1 + sqrt(1 - s)). Applying U_k or U_k^T to a
+state is a gather, a bincount over the fibres and a scatter.
 
 The Grover operator used here is G = -W R0 W^T R, where R = 2P - I reflects
 about the flag-|0> subspace and R0 = 2P0 - I reflects about the initial-branch
@@ -17,10 +30,9 @@ reflections avoid the unknown input state, so the amplification stays
 oblivious.
 
 Register order everywhere: C^kappa (x) C^2 (x) C^d. W is block-diagonal and
-every projector is diagonal or acts on one register, so the circuit stores
-only the U_k, in one (kappa, 2d, 2d) array, and applies each operator to the
-(kappa, 2, d) view of a state: its memory is kappa (2d)^2 numbers, not
-(kappa 2d)^2.
+every projector is diagonal or acts on one register, so each operator acts on
+the (kappa, 2, d) view of a state, and the circuit holds O(kappa d) numbers:
+no U_k and no (kappa 2d)^2 matrix is formed.
 """
 
 from __future__ import annotations
@@ -32,12 +44,11 @@ import numpy as np
 
 from qcoupling.chain import ATOL_COMPUTED
 from qcoupling.checks import CheckResult
-from qcoupling.errors import GuardExceededError, InvalidInputError
+from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import DensityMatrix
 from qcoupling.quantize import KrausSet
 
-DILATION_DIM_GUARD = 4096  # largest kappa * 2d statevector dimension
-BLOCK_SUM_TOL = 1e-9  # tolerance on sum B_k^T B_k = (kappa - 1) I
+BLOCK_SUM_TOL = 1e-9  # tolerance on sum_k s_k = 1, i.e. sum B_k^T B_k = (kappa - 1) I
 CHANNEL_TOL = 1e-9  # dilation route vs Kraus route, entrywise
 
 # kappa values whose success amplitude 1/sqrt(kappa) admits an exact Grover
@@ -45,99 +56,65 @@ CHANNEL_TOL = 1e-9  # dilation route vs Kraus route, entrywise
 EXACT_ROTATION_ITERATIONS = {1: 0, 4: 1}
 
 
-def sqrtm_psd(M: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition, clamping tiny negatives."""
-    M = np.asarray(M, dtype=float)
-    sym_err = np.max(np.abs(M - M.T))
-    if sym_err > ATOL_COMPUTED:
-        raise InvalidInputError(f"matrix asymmetric by {sym_err:.3g}; no symmetric root")
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    if w.min(initial=0.0) < -ATOL_COMPUTED:
-        raise InvalidInputError(f"matrix has eigenvalue {w.min():.3g} < 0; not PSD")
-    root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
-    return 0.5 * (root + root.T)
-
-
-@dataclass(frozen=True)
-class BlockEncoding:
-    """Unitary U of size 2d x 2d whose top-left d x d block is A."""
-
-    dim: int
-    U: np.ndarray
-
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        object.__setattr__(self, "U", U)
-        d = self.dim
-        if U.shape != (2 * d, 2 * d):
-            raise InvalidInputError(f"block encoding must be {2 * d}x{2 * d}")
-        err = np.max(np.abs(U.T @ U - np.eye(2 * d)))
-        if err > ATOL_COMPUTED:
-            raise InvalidInputError(f"block encoding not unitary (error {err:.3g})")
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.U[: self.dim, : self.dim]
-
-    @property
-    def B(self) -> np.ndarray:
-        """Lower-left block: the |1>-branch operator (I - A^T A)^{1/2}."""
-        return self.U[self.dim :, : self.dim]
-
-
-def unitary_completion(A: np.ndarray) -> BlockEncoding:
-    """Complete a contraction A (A^T A <= I) to the unitary
-    [[A, (I - A A^T)^{1/2}], [(I - A^T A)^{1/2}, -A^T]]."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidInputError("only square blocks are completed here")
-    d = A.shape[0]
-    gram = A.T @ A
-    top = np.linalg.eigvalsh(0.5 * (gram + gram.T)).max(initial=0.0)
-    if top > 1.0 + ATOL_COMPUTED:
-        raise InvalidInputError(
-            f"block has singular value {np.sqrt(top):.6g} > 1; not a contraction"
-        )
-    C = sqrtm_psd(np.eye(d) - A @ A.T)
-    B = sqrtm_psd(np.eye(d) - A.T @ A)
-    U = np.block([[A, C], [B, -A.T]])
-    return BlockEncoding(dim=d, U=U)
-
-
 @dataclass(frozen=True)
 class DilationCircuit:
     """Controlled dilation of a Kraus channel, with its Grover operator.
 
-    Holds only the block encodings U_k, as one (kappa, 2d, 2d) array
-    ``unitaries``, and the uniform control state mu; every operator acts on a
-    state, or a batch of states as the columns of a (kappa 2d) x b array,
-    through its (kappa, 2, d, b) view:
+    Holds each A_k as its successors and nonzeros, A_k[x, f[k, x]] = a[k, x],
+    the diagonal s[k] of A_k^T A_k, and the uniform control state mu. Every
+    operator acts on a state, or a batch of states as the columns of a
+    (kappa 2d) x b array, through its (kappa, 2, d, b) view:
 
-    - W = sum_k |k><k| (x) U_k multiplies block k by U_k (W^T by U_k^T);
+    - W = sum_k |k><k| (x) U_k applies U_k to block k (W^T applies U_k^T);
     - P projects the middle register onto |0>, zeroing the flag-1 half, and
       R = 2P - I negates that half;
     - P0 also projects the control register onto mu, and R0 = 2P0 - I;
     - G = -W R0 W^T R.
-
-    No (kappa 2d)^2 matrix is formed. The postselect channel route needs only
-    the A_k, the (kappa, d, d) view ``unitaries[:, :d, :d]``; the B_k and C_k
-    blocks serve the bad branch, the Grover operator and the completion
-    identity.
     """
 
-    dim: int
-    kappa: int
-    unitaries: np.ndarray  # (kappa, 2d, 2d): U_k = unitaries[k]
-    mu: np.ndarray
+    f: np.ndarray  # (kappa, d) successors f_k(x)
+    a: np.ndarray  # (kappa, d) nonzeros a_k(x)
+    s: np.ndarray  # (kappa, d) s_k(z), the diagonal of A_k^T A_k
+    mu: np.ndarray  # (kappa,) uniform control state
 
-    @cached_property
-    def encodings(self) -> tuple[BlockEncoding, ...]:
-        """The U_k as block encodings: views into ``unitaries``, not copies."""
-        return tuple(BlockEncoding(self.dim, U) for U in self.unitaries)
+    @property
+    def kappa(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[1]
 
     @property
     def total_dim(self) -> int:
         return self.kappa * 2 * self.dim
+
+    @cached_property
+    def _complement(self) -> np.ndarray:
+        """sqrt(1 - s_k): the diagonal of B_k = (I - A_k^T A_k)^{1/2}."""
+        return np.sqrt(np.clip(1.0 - self.s, 0.0, None))
+
+    @cached_property
+    def _fibre_weight(self) -> np.ndarray:
+        """a_k(x) g_k(f_k(x)): C_k w = w - a g[f] (A_k^T w)[f] is the upper-right block."""
+        g = 1.0 / (1.0 + self._complement)
+        return self.a * np.take_along_axis(g, self.f, axis=1)
+
+    @cached_property
+    def _targets(self) -> np.ndarray:
+        """k d + f_k(x) for each (k, x): the flat index of row x's nonzero."""
+        return (np.arange(self.kappa)[:, None] * self.dim + self.f).ravel()
+
+    def _gather(self, w: np.ndarray) -> np.ndarray:
+        """w_k[f_k(x)] for each (k, x) of a (kappa, d, b) array."""
+        return w.reshape(-1, w.shape[-1])[self._targets].reshape(w.shape)
+
+    def _adjoint(self, w: np.ndarray) -> np.ndarray:
+        """A_k^T w_k for each block k: (A^T w)[z] = sum_{f(x) = z} a(x) w[x]."""
+        b = w.shape[-1]
+        bins = (self._targets[:, None] * b + np.arange(b)).ravel()
+        sums = np.bincount(bins, weights=(self.a[:, :, None] * w).ravel(), minlength=bins.size)
+        return sums.reshape(w.shape)
 
     def _blocks(self, states: np.ndarray) -> np.ndarray:
         """(kappa, 2, d, b) view of a state (b = 1) or of a batch of column states."""
@@ -147,10 +124,26 @@ class DilationCircuit:
         return states.reshape(self.kappa, 2, self.dim, -1)
 
     def controlled(self, states: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """W states, or W^T states: U_k (or U_k^T) applied to block k."""
-        U = self.unitaries.transpose(0, 2, 1) if transpose else self.unitaries
-        blocks = self._blocks(states).reshape(self.kappa, 2 * self.dim, -1)
-        return np.matmul(U, blocks).reshape(np.shape(states))
+        """W states, or W^T states, block by block:
+
+        U_k [u; v] = [A u + C v; B u - A^T v] and
+        U_k^T [u; v] = [A^T u + B v; C u - A v].
+        """
+        blocks = self._blocks(states)
+        u, v = blocks[:, 0], blocks[:, 1]
+        a = self.a[:, :, None]
+        root = self._complement[:, :, None]
+        ag = self._fibre_weight[:, :, None]
+        out = np.empty_like(blocks)
+        if transpose:
+            at_u = self._adjoint(u)
+            out[:, 0] = at_u + root * v
+            out[:, 1] = u - ag * self._gather(at_u) - a * self._gather(v)
+        else:
+            at_v = self._adjoint(v)
+            out[:, 0] = a * self._gather(u) + v - ag * self._gather(at_v)
+            out[:, 1] = root * u - at_v
+        return out.reshape(np.shape(states))
 
     def project_flag(self, states: np.ndarray) -> np.ndarray:
         """P states: the flag-|0> branch."""
@@ -193,8 +186,7 @@ class DilationCircuit:
         since sum A_k^T A_k = I)."""
         xi = _unit_vector(xi, self.dim)
         out = np.zeros((self.kappa, 2, self.dim))
-        d = self.dim
-        out[:, 0] = [U[:d, :d] @ xi for U in self.unitaries]  # A_k xi
+        out[:, 0] = self.a * xi[self.f]  # A_k xi
         out = out.reshape(-1)
         return out / np.linalg.norm(out)
 
@@ -207,16 +199,6 @@ def _unit_vector(xi, d: int) -> np.ndarray:
     if abs(nrm - 1.0) > ATOL_COMPUTED:
         raise InvalidInputError(f"input vector not normalized (norm {nrm:.12g})")
     return xi
-
-
-def require_dilation_dim(kappa: int, d: int):
-    """The dilation's limit: kappa Kraus operators on C^d need kappa * 2d <=
-    DILATION_DIM_GUARD. Checkable before the Kraus set is built."""
-    total = kappa * 2 * d
-    if total > DILATION_DIM_GUARD:
-        raise GuardExceededError(
-            f"statevector dimension kappa*2d = {total} exceeds {DILATION_DIM_GUARD}"
-        )
 
 
 def require_mode(kappa: int, mode: str) -> int:
@@ -238,29 +220,42 @@ def require_mode(kappa: int, mode: str) -> int:
 
 
 def build_dilation(kraus: KrausSet) -> DilationCircuit:
-    """Complete each Kraus operator to its block encoding U_k; mu is uniform.
+    """Read f_k and a_k off each Kraus operator's rows; mu is uniform.
 
-    Each completion is copied into its slice of the circuit's one
-    (kappa, 2d, 2d) array as it is made. Asserts the completion identity
-    sum_k B_k^T B_k = (kappa - 1) I within 1e-9, which is what makes the
+    A zero row gets a = 0; a row with two nonzeros has no closed-form
+    completion here and raises. Asserts that each A_k is a contraction
+    (1 - s_k >= -1e-10) and the completion identity sum_k s_k = 1 within
+    1e-9, i.e. sum_k B_k^T B_k = (kappa - 1) I, which is what makes the
     success amplitude input-independent.
     """
-    d = kraus.dim
-    kappa = len(kraus.ops)
-    require_dilation_dim(kappa, d)
-    unitaries = np.empty((kappa, 2 * d, 2 * d))
-    block_sum = np.zeros((d, d))
-    for T, U in zip(kraus.ops, unitaries):
-        enc = unitary_completion(T)
-        U[...] = enc.U
-        block_sum += enc.B.T @ enc.B
-    err = np.max(np.abs(block_sum - (kappa - 1) * np.eye(d)))
+    kappa, d = len(kraus.ops), kraus.dim
+    rows = np.arange(d)
+    f = np.empty((kappa, d), dtype=np.intp)
+    a = np.empty(f.shape)
+    s = np.empty(f.shape)
+    for k, T in enumerate(kraus.ops):
+        nonzero = T != 0
+        counts = nonzero.sum(axis=1)
+        if counts.max() > 1:
+            x = int(counts.argmax())
+            raise InvalidInputError(
+                f"Kraus operator {k} has {counts[x]} nonzeros in row {x}; "
+                "the dilation needs at most one per row"
+            )
+        f[k] = nonzero.argmax(axis=1)
+        a[k] = T[rows, f[k]]
+        s[k] = np.bincount(f[k], weights=a[k] ** 2, minlength=d)
+    top = s.max()
+    if top > 1.0 + ATOL_COMPUTED:
+        raise InvalidInputError(
+            f"block has singular value {np.sqrt(top):.6g} > 1; not a contraction"
+        )
+    err = np.max(np.abs(s.sum(axis=0) - 1.0))
     if err > BLOCK_SUM_TOL:
         raise InvalidInputError(
             f"sum B_k^T B_k = (kappa-1) I violated by {err:.3g}"
         )
-    mu = np.full(kappa, 1.0 / np.sqrt(kappa))
-    return DilationCircuit(dim=d, kappa=kappa, unitaries=unitaries, mu=mu)
+    return DilationCircuit(f=f, a=a, s=s, mu=np.full(kappa, 1.0 / np.sqrt(kappa)))
 
 
 def state_decomposition_check(circ: DilationCircuit, xi: np.ndarray) -> CheckResult:
@@ -321,11 +316,11 @@ def channel_via_dilation(
 
     ``postselect`` keeps the ancilla-|0> branch and renormalizes, reporting
     the acceptance probability (always 1/kappa). Each eigenvector v enters W
-    as mu (x) |0> (x) v, so that branch is A_k (mu_k v) in block k: only the
-    top-left d x d blocks of the U_k are multiplied, and the flag-1 half of
-    the batch is never formed. ``amplified`` runs the exact Grover rotation
-    on the full W instead and needs no postselection. Either way the reduced
-    state on C^d equals sum_k A_k rho A_k^T.
+    as mu (x) |0> (x) v, so that branch is A_k (mu_k v) in block k, the gather
+    a_k(x) mu_k v[f_k(x)]: the flag-1 half of the batch is never formed.
+    ``amplified`` runs the exact Grover rotation on the full W instead and
+    needs no postselection. Either way the reduced state on C^d equals
+    sum_k A_k rho A_k^T.
     """
     iterations = require_mode(circ.kappa, mode)
 
@@ -335,7 +330,9 @@ def channel_via_dilation(
     lam = w[keep]
     V = V[:, keep] / np.linalg.norm(V[:, keep], axis=0)
     if mode == "postselect":
-        good = np.matmul(circ.unitaries[:, :d, :d], circ.mu[:, None, None] * V)
+        good = V[circ.f]  # (kappa, d, b)
+        good *= circ.mu[:, None, None]
+        good *= circ.a[:, :, None]
         p_accept = np.sum(good**2, axis=(0, 1))
         acceptance = float(lam @ p_accept)
         weights = lam / p_accept

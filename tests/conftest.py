@@ -5,13 +5,14 @@ import pytest
 from hypothesis import strategies as st
 
 from qcoupling import quantize
-from qcoupling.chain import TransitionMatrix
+from qcoupling.chain import ATOL_COMPUTED, TransitionMatrix
 from qcoupling.coupling import (
     CouplingMatrix,
     RandomMappingRep,
     grand_coupling_operator,
     induced_entries,
 )
+from qcoupling.errors import InvalidInputError
 from qcoupling.models import (
     colorings_model,
     complete_graph,
@@ -90,6 +91,52 @@ def coupon_collector_tail(n: int, m: int) -> float:
     for k in range(1, n + 1):
         total += (-1) ** (k + 1) * math.comb(n, k) * (1.0 - k / n) ** m
     return min(1.0, max(0.0, total))
+
+
+def hypercube_qperp_overlap(n: int, m: int) -> float:
+    """tr(Q_perp T^m(rho)) on the n-cube from I/N or a basis state:
+    1 - sum_k C(n, k) (-1/2)^k (1 - k/n)^m, the pi (x) pi-averaged
+    coupon-collector tail (Levin, Peres & Wilmer, Markov Chains and Mixing
+    Times, 2nd ed. 2017)."""
+    return 1.0 - sum(math.comb(n, k) * (-0.5) ** k * (1.0 - k / n) ** m for k in range(n + 1))
+
+
+def sqrtm_psd(M: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition, clamping tiny negatives."""
+    M = np.asarray(M, dtype=float)
+    sym_err = np.max(np.abs(M - M.T))
+    if sym_err > ATOL_COMPUTED:
+        raise InvalidInputError(f"matrix asymmetric by {sym_err:.3g}; no symmetric root")
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    if w.min(initial=0.0) < -ATOL_COMPUTED:
+        raise InvalidInputError(f"matrix has eigenvalue {w.min():.3g} < 0; not PSD")
+    root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    return 0.5 * (root + root.T)
+
+
+def unitary_completion(A: np.ndarray) -> np.ndarray:
+    """Halmos's unitary dilation [[A, (I - A A^T)^{1/2}], [(I - A^T A)^{1/2}, -A^T]]
+    of a square contraction A, by two dense eigensolves: the reference the
+    closed-form dilation circuit is tested against."""
+    A = np.asarray(A, dtype=float)
+    d = A.shape[0]
+    gram = A.T @ A
+    top = np.linalg.eigvalsh(0.5 * (gram + gram.T)).max(initial=0.0)
+    if top > 1.0 + ATOL_COMPUTED:
+        raise InvalidInputError(
+            f"block has singular value {np.sqrt(top):.6g} > 1; not a contraction"
+        )
+    C = sqrtm_psd(np.eye(d) - A @ A.T)
+    B = sqrtm_psd(np.eye(d) - A.T @ A)
+    return np.block([[A, C], [B, -A.T]])
+
+
+def dilation_blocks(circ) -> np.ndarray:
+    """The U_k of a dilation circuit, (kappa, 2d, 2d), read off W applied to
+    every basis state: block k of W's columns for block k."""
+    kappa, two_d = circ.kappa, 2 * circ.dim
+    W = circ.controlled(np.eye(circ.total_dim)).reshape(kappa, two_d, kappa, two_d)
+    return np.stack([W[k, :, k] for k in range(kappa)])
 
 
 # Weights whose CDF lands exactly on bucket edges (sum 4 or 4096), with zeros,

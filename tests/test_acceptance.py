@@ -307,7 +307,10 @@ def test_criterion_08_dilation(capsys):
     circ = build_dilation(ks)
     expect(failures, circ.kappa == 4 and circ.dim == 4, "unexpected dilation shape")
 
-    block_sum = sum(enc.B.T @ enc.B for enc in circ.encodings)
+    # B_k, the flag-1 rows of W's flag-0 columns in block k, read off W
+    # applied to every basis state
+    W = circ.controlled(np.eye(circ.total_dim)).reshape(4, 2, 4, 4, 2, 4)
+    block_sum = sum(W[k, 1, :, k, 0, :].T @ W[k, 1, :, k, 0, :] for k in range(4))
     expect(failures, np.max(np.abs(block_sum - 3.0 * np.eye(4))) <= 1e-9,
            "sum of B_k^T B_k != (kappa - 1) I within 1e-9")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import unstamped_grand_coupling
+from conftest import hypercube_qperp_overlap, unstamped_grand_coupling
 from qcoupling import cli, coupling
 from qcoupling.chain import TransitionMatrix, stationary_distribution
 from qcoupling.cli import main
@@ -564,7 +564,9 @@ class TestByteGuard:
         (("coalesce", "--model", "hypercube3", "--mc", "--seed", "1", "--samples", "10",
           "--m-grid", "2000000000"),
          "MC tails", 9 * 2_000_000_001 + 2_000_000_000),
-    ], ids=["coalesce", "evolve", "verify-m-max", "verify-states", "coalesce-mc"])
+        # the Kraus list and the route batch, 3 x kappa x d^2 doubles
+        (("dilate", "--model", "hypercube12"), "dilation", 3 * 24 * 4096**2 * 8),
+    ], ids=["coalesce", "evolve", "verify-m-max", "verify-states", "coalesce-mc", "dilate"])
     def test_past_the_budget_is_guard(self, tmp_path, capsys, argv, stage, estimate):
         tracemalloc.start()
         try:
@@ -625,6 +627,27 @@ class TestCoalesce:
         doc = load_summary(tmp_path, "coalesce-hypercube3")
         assert doc["mode"] == "monte_carlo" and doc["tail_final"] == 1.0
 
+    @pytest.mark.parametrize("m_max,grid", [
+        (0, [0]), (1, [0, 1]), (40, [*range(0, 41, 2)]),
+        (41, [*range(0, 41, 2), 41]), (45, [*range(0, 45, 2), 45]),
+    ])
+    def test_mc_default_grid_ends_at_m_max(self, tmp_path, m_max, grid):
+        code = run("coalesce", "--model", "hypercube3", "--mc", "--seed", "1",
+                   "--samples", "1000", "--m-max", str(m_max), "--out", str(tmp_path))
+        assert code == 0
+        rows = _series(tmp_path, "tails")[1:]
+        assert [int(row[0]) for row in rows] == grid
+        assert load_summary(tmp_path, "coalesce-hypercube3")["tail_final"] == float(rows[-1][1])
+
+    def test_mc_default_grid_at_default_m_max(self, tmp_path):
+        # --m-max 40 by default, every second m: the same files as that grid given
+        argv = ("coalesce", "--model", "hardcore-path4", "--mc", "--seed", "2",
+                "--samples", "3000")
+        assert run(*argv, "--out", str(tmp_path / "default")) == 0
+        grid = [str(m) for m in range(0, 41, 2)]
+        assert run(*argv, "--m-grid", *grid, "--out", str(tmp_path / "given")) == 0
+        assert files_in(tmp_path / "default") == files_in(tmp_path / "given")
+
     def test_mc_determinism_across_reruns(self, tmp_path):
         outs = []
         for i in range(3):
@@ -656,6 +679,20 @@ class TestEvolve:
         assert run(*argv, "--out", str(tmp_path)) == 0
         doc = load_summary(tmp_path, "evolve-hypercube2")
         assert doc["rho0"] == f"basis:{index}"
+
+    @pytest.mark.parametrize("rho0", ["mixed", "basis:0", "basis:5"])
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_hypercube_overlap_oracle(self, tmp_path, n, rho0):
+        # from I/N or a basis state the overlap is the pi (x) pi-averaged
+        # coupon-collector tail, at every m to the default --m-max of 30
+        assert run("evolve", "--model", f"hypercube{n}", "--rho0", rho0,
+                   "--out", str(tmp_path)) == 0
+        header, *rows = _series(tmp_path, "trace")
+        col = header.index("qperp_overlap")
+        assert [int(row[0]) for row in rows] == list(range(31))
+        for row in rows:
+            m = int(row[0])
+            assert abs(float(row[col]) - hypercube_qperp_overlap(n, m)) <= 1e-12, m
 
 
 class TestDilate:

@@ -1,19 +1,24 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import dilation_blocks, mappings, sqrtm_psd, unitary_completion
+from qcoupling import coupling
+from qcoupling.chain import stationary_distribution
+from qcoupling.cli import main, resolve_model
 from qcoupling.dilation import (
     EXACT_ROTATION_ITERATIONS,
     amplify_and_extract,
     build_dilation,
     channel_via_dilation,
     dilation_route_check,
-    sqrtm_psd,
     state_decomposition_check,
-    unitary_completion,
 )
-from qcoupling.errors import GuardExceededError, InvalidInputError
+from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import random_density
 from qcoupling.quantize import KrausSet, kraus_from_grand
 
@@ -40,18 +45,18 @@ class TestSqrtmPsd:
 
 
 class TestUnitaryCompletion:
+    # the dense reference of the closed-form circuit
+
     def test_blocks(self):
         A = np.diag([0.5, 0.8])
-        enc = unitary_completion(A)
-        np.testing.assert_allclose(enc.A, A, atol=1e-14)
-        np.testing.assert_allclose(
-            enc.U.T @ enc.U, np.eye(4), atol=1e-12
-        )
-        np.testing.assert_allclose(enc.B, np.diag(np.sqrt([0.75, 0.36])), atol=1e-12)
+        U = unitary_completion(A)
+        np.testing.assert_allclose(U[:2, :2], A, atol=1e-14)
+        np.testing.assert_allclose(U.T @ U, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(U[2:, :2], np.diag(np.sqrt([0.75, 0.36])), atol=1e-12)
 
     def test_unitary_input_gives_zero_b_block(self):
-        enc = unitary_completion(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(enc.B, 0.0, atol=1e-12)
+        U = unitary_completion(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(U[2:, :2], 0.0, atol=1e-12)
 
     def test_rejects_expansion(self):
         with pytest.raises(InvalidInputError, match="not a contraction"):
@@ -63,13 +68,14 @@ class TestBuildDilation:
         ks = KrausSet(dim=2, ops=[np.array([[0.0, 1.0], [1.0, 0.0]])])
         circ = build_dilation(ks)
         assert circ.kappa == 1
-        np.testing.assert_allclose(circ.encodings[0].B, 0.0, atol=1e-12)
+        np.testing.assert_allclose(dilation_blocks(circ)[0, 2:, :2], 0.0, atol=1e-12)
 
     def test_block_sum_identity_hypercube(self, hypercube2):
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
         circ = build_dilation(ks)
-        total = sum(enc.B.T @ enc.B for enc in circ.encodings)
+        total = sum(U[4:, :4].T @ U[4:, :4] for U in dilation_blocks(circ))
         np.testing.assert_allclose(total, (circ.kappa - 1) * np.eye(4), atol=1e-9)
+        np.testing.assert_allclose(circ.s.sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
     def test_w_unitary_and_projector(self, hypercube2):
         circ = build_dilation(kraus_from_grand(hypercube2.rmr, hypercube2.pi))
@@ -80,18 +86,38 @@ class TestBuildDilation:
         P = circ.project_flag(eye)
         np.testing.assert_allclose(P @ P, P, atol=1e-12)
 
-    def test_dimension_guard(self, hypercube3):
-        # kappa = 6, d = 8 is fine; force the guard with a tiny cap
-        import qcoupling.dilation as dil
+    def test_dimension_guard(self, tmp_path, monkeypatch):
+        # dilate meets the byte guard before the Kraus list: on hypercube3
+        # (kappa = 6, d = 8) the list and the route batch hold 3 x 6 x 8^2 x 8
+        # bytes, which runs at a budget of exactly that and stops one byte under
+        estimate = 3 * 6 * 8 * 8 * 8
+        argv = ["dilate", "--model", "hypercube3"]
+        monkeypatch.setattr(coupling, "BYTES_GUARD", estimate)
+        assert main([*argv, "--out", str(tmp_path / "at")]) == 0
+        monkeypatch.setattr(coupling, "BYTES_GUARD", estimate - 1)
+        assert main([*argv, "--out", str(tmp_path / "under")]) == 3
+        assert not (tmp_path / "under").exists()
 
-        ks = kraus_from_grand(hypercube3.rmr, hypercube3.pi)
-        old = dil.DILATION_DIM_GUARD
-        dil.DILATION_DIM_GUARD = 8
-        try:
-            with pytest.raises(GuardExceededError):
-                build_dilation(ks)
-        finally:
-            dil.DILATION_DIM_GUARD = old
+    def test_rejects_two_nonzeros_in_a_row(self):
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        with pytest.raises(InvalidInputError, match="2 nonzeros in row 0"):
+            build_dilation(KrausSet(dim=2, ops=[hadamard]))
+
+    def test_zero_rows_and_operators(self):
+        # a zero Kraus operator (a zero-probability column of a table) has
+        # a = 0 in every row, and its U_k is [[0, I], [I, 0]]
+        ks = KrausSet(dim=2, ops=[np.zeros((2, 2)), np.eye(2)])
+        circ = build_dilation(ks)
+        np.testing.assert_array_equal(circ.a[0], 0.0)
+        np.testing.assert_array_equal(dilation_blocks(circ)[0], np.eye(4)[[2, 3, 0, 1]])
+
+    @pytest.mark.parametrize("scale,match", [(0.5, "violated"), (2.0, "not a contraction")])
+    def test_rejects_a_broken_kraus_list(self, hypercube2, scale, match):
+        # the list is edited after KrausSet checked it
+        ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
+        ks.ops[0] = scale * ks.ops[0]
+        with pytest.raises(InvalidInputError, match=match):
+            build_dilation(ks)
 
 
 class TestStateDecomposition:
@@ -163,3 +189,111 @@ class TestChannelViaDilation:
         rho = random_density(2, np.random.Generator(np.random.Philox(8)))
         with pytest.raises(InvalidInputError, match="exact-rotation"):
             channel_via_dilation(circ, rho, mode="amplified")
+
+
+# ---------------------------------------------------------------------------
+# The closed form against the dense completion
+
+BUNDLED = [
+    "hypercube2", "hypercube3", "hypercube6", "hardcore-path3", "hardcore-path5",
+    "colorings-k3-q4", "colorings-path2-q4", "colorings-path3-q4",
+]
+TOL = 1e-13
+
+
+def _kraus(name):
+    m = resolve_model(name, SimpleNamespace(bias=0.5, fugacity=2.0))
+    return kraus_from_grand(m.rmr, m.pi)
+
+
+def _dense_blocks(ks):
+    return np.stack([unitary_completion(T) for T in ks.ops])
+
+
+def _blockwise(U, X):
+    """sum_k |k><k| (x) U_k applied to the columns of X."""
+    blocks = X.reshape(len(U), U.shape[1], -1)
+    return np.matmul(U, blocks).reshape(X.shape)
+
+
+def _dense_route(U, mu, rho, mode):
+    """The dilation route through the dense U_k: rho's eigenvectors through
+    W, G^l if amplified, and the flag-0 branch, renormalized if postselected."""
+    kappa, d = len(U), U.shape[1] // 2
+    w, V = np.linalg.eigh(rho.matrix)
+    keep = w >= 1e-10
+    lam, V = w[keep], V[:, keep]
+    states = np.zeros((kappa, 2, d, V.shape[1]))
+    states[:, 0] = mu[:, None, None] * V
+    states = _blockwise(U, states.reshape(2 * kappa * d, -1))
+    if mode == "amplified":
+        eye = np.eye(2 * kappa * d)
+        P = np.kron(np.eye(kappa), np.kron(np.diag([1.0, 0.0]), np.eye(d)))
+        P0 = np.kron(np.outer(mu, mu), np.kron(np.diag([1.0, 0.0]), np.eye(d)))
+        W = _blockwise(U, eye)
+        G = -W @ (2 * P0 - eye) @ W.T @ (2 * P - eye)
+        states = np.linalg.matrix_power(G, EXACT_ROTATION_ITERATIONS[kappa]) @ states
+    good = states.reshape(kappa, 2, d, -1)[:, 0]
+    if mode == "postselect":
+        lam = lam / np.sum(good**2, axis=(0, 1))
+    return np.einsum("kxb,kyb,b->xy", good, good, lam)
+
+
+def _assert_matches_dense(ks, seed):
+    circ = build_dilation(ks)
+    U = _dense_blocks(ks)
+    rng = np.random.Generator(np.random.Philox(seed))
+    for X in (rng.standard_normal(circ.total_dim), rng.standard_normal((circ.total_dim, 5))):
+        np.testing.assert_allclose(circ.controlled(X), _blockwise(U, X), rtol=0, atol=TOL)
+        np.testing.assert_allclose(circ.controlled(X, transpose=True),
+                                   _blockwise(U.transpose(0, 2, 1), X), rtol=0, atol=TOL)
+    # W on every basis state gives its columns: block-diagonal, each block
+    # orthogonal and equal to the dense completion
+    read = dilation_blocks(circ)
+    np.testing.assert_allclose(read, U, rtol=0, atol=TOL)
+    eye = np.eye(2 * circ.dim)
+    for block in read:
+        np.testing.assert_allclose(block.T @ block, eye, rtol=0, atol=TOL)
+    xi = rng.standard_normal(circ.dim)
+    xi /= np.linalg.norm(xi)
+    want = np.zeros((circ.kappa, 2, circ.dim))
+    want[:, 0] = [T @ xi for T in ks.ops]
+    want = want.reshape(-1)
+    np.testing.assert_allclose(circ.good_state(xi), want / np.linalg.norm(want), rtol=0, atol=TOL)
+    rho = random_density(circ.dim, rng)
+    modes = ["postselect"] + (["amplified"] if circ.kappa in EXACT_ROTATION_ITERATIONS else [])
+    for mode in modes:
+        out, _ = channel_via_dilation(circ, rho, mode=mode)
+        np.testing.assert_allclose(out.matrix, _dense_route(U, circ.mu, rho, mode),
+                                   rtol=0, atol=TOL, err_msg=mode)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_mapping_matches_dense_completion(self, name):
+        _assert_matches_dense(_kraus(name), seed=len(name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mappings(ergodic=True))
+    def test_mapping_table_matches_dense_completion(self, rmr):
+        _assert_matches_dense(kraus_from_grand(rmr, stationary_distribution(rmr.base)), seed=1)
+
+    def test_swap_pair_matches_dense_completion(self):
+        _assert_matches_dense(swap_kraus_pair(), seed=2)
+
+    @pytest.mark.parametrize("name", ["hypercube3", "hardcore-path5", "colorings-path3-q4"])
+    def test_fibre_missing_an_x_fails(self, name):
+        # a mutant s_k(z) that leaves out one x of a fibre of two or more
+        ks = _kraus(name)
+        circ = build_dilation(ks)
+        k, x = next((k, x) for k in range(circ.kappa) for x in range(circ.dim)
+                    if circ.a[k, x] != 0 and np.sum(circ.f[k] == circ.f[k, x]) > 1)
+        s = circ.s.copy()
+        s[k, circ.f[k, x]] -= circ.a[k, x] ** 2
+        mutant = dataclasses.replace(circ, s=s)
+        X = np.random.Generator(np.random.Philox(4)).standard_normal((circ.total_dim, 3))
+        U = _dense_blocks(ks)
+        assert np.abs(mutant.controlled(X) - _blockwise(U, X)).max() > 1e-6
+        block = dilation_blocks(mutant)[k]
+        assert np.abs(block.T @ block - np.eye(2 * circ.dim)).max() > 1e-6
+        assert np.abs(mutant.s.sum(axis=0) - 1.0).max() > 1e-6  # the block-sum identity

@@ -41,7 +41,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling_4tensor, random_ergodic_chain, unstamped_grand_coupling
+from conftest import (
+    coupling_4tensor,
+    random_ergodic_chain,
+    unitary_completion,
+    unstamped_grand_coupling,
+)
 from qcoupling import coupling as coupling_module
 from qcoupling.chain import ATOL_INPUT, TransitionMatrix
 from qcoupling.checks import ValidationReport
@@ -60,7 +65,6 @@ from qcoupling.dilation import (
     channel_via_dilation,
     dilation_route_check,
     state_decomposition_check,
-    unitary_completion,
 )
 from qcoupling.evolve import random_density
 from qcoupling.models import cycle_coupling_model
@@ -303,10 +307,10 @@ class TestOperatorCache:
 # Blockwise dilation against the dense operators
 
 
-def _dense_operators(circ) -> dict[str, np.ndarray]:
+def _dense_operators(circ, ks) -> dict[str, np.ndarray]:
     d, kappa, mu = circ.dim, circ.kappa, circ.mu
     eye = np.eye(circ.total_dim)
-    W = scipy.linalg.block_diag(*[enc.U for enc in circ.encodings])
+    W = scipy.linalg.block_diag(*[unitary_completion(T) for T in ks.ops])
     flag0 = np.diag([1.0, 0.0])
     P = np.kron(np.eye(kappa), np.kron(flag0, np.eye(d)))
     R0 = 2.0 * np.kron(np.outer(mu, mu), np.kron(flag0, np.eye(d))) - eye
@@ -367,7 +371,7 @@ class TestBlockwiseDilation:
     @pytest.mark.parametrize("name", sorted(KRAUS))
     def test_operators_match_dense(self, name):
         circ = build_dilation(KRAUS[name])
-        dense = _dense_operators(circ)
+        dense = _dense_operators(circ, KRAUS[name])
         rng = _rng(5)
         for X in (rng.standard_normal(circ.total_dim), rng.standard_normal((circ.total_dim, 3))):
             got = {
@@ -392,22 +396,19 @@ class TestBlockwiseDilation:
 
     def test_holds_no_dilation_matrix(self):
         circ = build_dilation(KRAUS["hypercube3"])
-        assert [f.name for f in dataclasses.fields(circ)] == ["dim", "kappa", "unitaries", "mu"]
-        two_d = 2 * circ.dim
-        assert circ.unitaries.shape == (circ.kappa, two_d, two_d)  # no (kappa 2d)^2 matrix
+        assert [f.name for f in dataclasses.fields(circ)] == ["f", "a", "s", "mu"]
+        for name in ("f", "a", "s"):  # no U_k and no (kappa 2d)^2 matrix
+            assert getattr(circ, name).shape == (circ.kappa, circ.dim)
 
     @pytest.mark.parametrize("name", ["hypercube2", "hypercube3", "swap-kappa1"])
-    def test_encodings_share_one_buffer(self, name):
-        # the block encodings are views into the one (kappa, 2d, 2d) array,
-        # so the circuit holds kappa (2d)^2 numbers once
+    def test_holds_o_kappa_d_numbers(self, name):
+        # the successors, nonzeros and fibre sums of each A_k and mu, and
+        # after the operators ran, their cached sqrt(1 - s), a g[f] and flat
+        # successor index: kappa d numbers each, never kappa (2d)^2
         circ = build_dilation(KRAUS[name])
-        two_d = 2 * circ.dim
-        assert circ.unitaries.nbytes == circ.kappa * two_d**2 * 8
-        assert len(circ.encodings) == circ.kappa
-        for U, enc in zip(circ.unitaries, circ.encodings):
-            assert np.shares_memory(enc.U, circ.unitaries)
-            _assert_bit_identical(enc.U, U)
-            _assert_bit_identical(enc.U, unitary_completion(enc.A).U)
+        circ.grover(np.ones(circ.total_dim))
+        held = vars(circ).values()  # the fields and the cached arrays
+        assert sum(x.nbytes for x in held) == (6 * circ.dim + 1) * circ.kappa * 8
 
     @pytest.mark.parametrize("name,mode", [
         ("hypercube2", "postselect"), ("hypercube2", "amplified"),
@@ -419,7 +420,7 @@ class TestBlockwiseDilation:
         circ = build_dilation(ks)
         rho = random_density(circ.dim, _rng(7))
         out, info = channel_via_dilation(circ, rho, mode=mode)
-        want, acceptance = _channel_loop(circ, rho, mode, _dense_operators(circ))
+        want, acceptance = _channel_loop(circ, rho, mode, _dense_operators(circ, ks))
         np.testing.assert_allclose(out.matrix, want, rtol=0, atol=1e-14)
         if mode == "postselect":
             assert abs(info["acceptance_probability"] - acceptance) <= 1e-15
@@ -465,11 +466,12 @@ class TestMemoryAtN64:
         m = _model("hypercube6")
         ks = kraus_from_grand(m.rmr, m.pi)
         rng = _rng(0)
-        # 2.4 MiB, the 1.5 MiB unitary array and the postselect route's
-        # flag-0 batch; building the flag-1 half too took 3.2 MiB, a stacked
-        # copy of the U_k beside the block encodings 4.7 MiB, and the dense
-        # W, P, R and R0 were 18.9 MB each
-        with _peak_below(2.65 * 2**20):
+        # 0.95 MiB, the postselect route's flag-0 batch and its flattened
+        # copy; the dense completions held in one (kappa, 2d, 2d) array took
+        # 2.4 MiB, building the flag-1 half too 3.2 MiB, a stacked copy of the
+        # U_k beside the block encodings 4.7 MiB, and the dense W, P, R and R0
+        # were 18.9 MB each
+        with _peak_below(1.05 * 2**20):
             circ = build_dilation(ks)
             xi = rng.standard_normal(circ.dim)
             assert state_decomposition_check(circ, xi / np.linalg.norm(xi)).passed
