@@ -52,6 +52,8 @@ from qcoupling.evolve import (
     qsample,
     random_density,
     rescaled_qperp_decomposition_check,
+    start_state_rng,
+    uniform_entries,
 )
 from qcoupling.models import (
     ModelInstance,
@@ -63,7 +65,6 @@ from qcoupling.models import (
     hardcore_model,
     hypercube_model,
     path_graph,
-    seeded_rng,
 )
 from qcoupling.quantize import (
     choi_matrix,
@@ -306,7 +307,7 @@ def cmd_evolve(args) -> int:
     elif args.rho0 == "random":
         if args.seed is None:
             raise InvalidInputError("--rho0 random requires --seed")
-        rho0 = random_density(n, seeded_rng(args.seed))
+        rho0 = random_density(n, start_state_rng(args.seed))
     else:
         raise InvalidInputError(f"unknown --rho0 {args.rho0!r}")
     T = superop_from_kraus(kraus_from_grand(rm.rmr, rm.pi))
@@ -333,7 +334,7 @@ def cmd_verify(args) -> int:
     pi = rm.pi
     n = pi.n
     require_bytes("verify's start states", args.states * n * n * 8)
-    rng = seeded_rng(args.seed)
+    rng = start_state_rng(args.seed)
     C = rm.exact_coupling()
     # T before the tails, so that its build does not share the peak with them;
     # the Kraus set is dropped once T is built
@@ -375,14 +376,14 @@ def cmd_dilate(args) -> int:
     if args.states < 1:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     require_mode(rm.rmr.n_r, args.mode)
-    # the Kraus list and the route batch: kappa d^2 and 2 kappa d^2 doubles
+    # 3 kappa d^2 doubles, a bound on the Kraus list and the route batch (kappa d^2 each)
     require_bytes("dilation", 3 * rm.rmr.n_r * rm.n * rm.n * 8)
-    rng = seeded_rng(args.seed)
+    rng = start_state_rng(args.seed)
     ks = kraus_from_grand(rm.rmr, rm.pi)
     circ = build_dilation(ks)
     checks = []
     for _ in range(args.states):
-        xi = rng.standard_normal(circ.dim)
+        xi = uniform_entries(rng, (circ.dim,))
         xi /= np.linalg.norm(xi)
         checks.append(state_decomposition_check(circ, xi))
         checks.append(dilation_route_check(circ, ks, random_density(circ.dim, rng),

@@ -333,7 +333,7 @@ def channel_via_dilation(
         good = V[circ.f]  # (kappa, d, b)
         good *= circ.mu[:, None, None]
         good *= circ.a[:, :, None]
-        p_accept = np.sum(good**2, axis=(0, 1))
+        p_accept = np.einsum("kxb,kxb->b", good, good)  # no squared copy of the batch
         acceptance = float(lam @ p_accept)
         weights = lam / p_accept
     else:
@@ -342,10 +342,12 @@ def channel_via_dilation(
             states = circ.grover(states)
         good = states.reshape(circ.kappa, 2, d, -1)[:, 0]  # (kappa, d, b)
         weights = lam
-    # sum over eigenvectors b and blocks k of weights[b] g_kb g_kb^T
+    # sum over eigenvectors b and blocks k of weights[b] g_kb g_kb^T, a block
+    # at a time, so that the batch is never copied
     good *= np.sqrt(weights)
-    flat = good.transpose(1, 0, 2).reshape(d, -1)
-    out = flat @ flat.T
+    out = np.zeros((d, d))
+    for g in good:
+        out += g @ g.T
 
     info = {"mode": mode}
     if mode == "postselect":

@@ -10,6 +10,7 @@ resulting convergence theorem.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from qcoupling.coupling import (
     RandomMappingRep,
 )
 from qcoupling.errors import InvalidInputError
+from qcoupling.models import _checked_seed
 from qcoupling.quantize import KrausSet, Superoperator, c_star_superop
 
 PSD_SLACK = 1e-10  # eigenvalue floor for density matrices
@@ -117,9 +119,25 @@ def trace_distance(rho, sigma) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.T))).sum())
 
 
-def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
+def start_state_rng(seed: int) -> random.Random:
+    """The generator of ``--seed`` that start states draw from, through
+    :func:`uniform_entries`: the stdlib Mersenne Twister, which maps no
+    library, where numpy.random loads OpenSSL (through ``secrets``), about
+    5 MB of RSS."""
+    return random.Random(_checked_seed(seed))
+
+
+def uniform_entries(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """Entries uniform on [-1, 1), the same bits on every platform: each 8 of
+    ``rng``'s bytes are a little-endian word w, and its entry
+    (w >> 11) 2**-52 - 1 is exact, a multiple of 2**-52."""
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return ((words >> 11) * 2.0**-52 - 1.0).reshape(shape)
+
+
+def random_density(n: int, rng: random.Random) -> DensityMatrix:
     """Reproducible PSD trace-1 state: squared seeded symmetric matrix."""
-    g = rng.standard_normal((n, n))
+    g = uniform_entries(rng, (n, n))
     g = 0.5 * (g + g.T)
     m = g @ g.T
     return DensityMatrix(m / np.trace(m))

@@ -327,11 +327,16 @@ def load_counterexample_fixture() -> dict:
 # Rate envelopes
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """The Philox generator of ``--seed`` (numpy.random is loaded on first use)."""
+def _checked_seed(seed: int) -> int:
     if seed < 0:
         raise InvalidInputError(f"--seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.Philox(seed))
+    return seed
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The Philox generator of ``--seed``, for MC start pairs only: MC loads
+    numpy.random for its blocks anyway (it is loaded on first use)."""
+    return np.random.Generator(np.random.Philox(_checked_seed(seed)))
 
 
 def default_start_pairs(model: ModelInstance, count: int, seed: int) -> list[tuple[int, int]]:

@@ -16,6 +16,17 @@ import numpy as np
 
 from qcoupling.errors import InvalidInputError
 
+# CPython's own SHA-256 (_sha2 from 3.12, _sha256 before), the module hashlib
+# falls back to: hashlib itself loads OpenSSL's _hashlib, about 3.5 MB of RSS,
+# for the same digest. A build without it uses hashlib's
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 
 def emit_report(outdir: str, stem: str, summary: dict,
                 series: tuple[str, Iterable[str]] | None = None):
@@ -33,9 +44,7 @@ def emit_report(outdir: str, stem: str, summary: dict,
     except OSError as exc:
         raise InvalidInputError(f"cannot create output directory {outdir}: {exc}")
     body = json.dumps(summary, sort_keys=True, indent=2, default=_jsonable).encode() + b"\n"
-    import hashlib  # OpenSSL's _hashlib adds about 3.5 MB of RSS: loaded after a job's work
-
-    h = hashlib.sha256(body)
+    h = sha256(body)
     if series is not None:
         label, chunks = series
         partial = out / f".{stem}-{label}-{os.getpid()}.partial"

@@ -36,6 +36,8 @@ from qcoupling.evolve import (
     qsample,
     random_density,
     rescaled_qperp_decomposition_check,
+    start_state_rng,
+    uniform_entries,
 )
 from qcoupling.models import (
     colorings_model,
@@ -216,7 +218,7 @@ def test_criterion_04_lemma_suite(capsys):
                    f"{kind}: gentle measurement fails at delta={delta:.3g}")
 
         _, S = verified_channel(model)
-        rng = np.random.Generator(np.random.Philox(4))
+        rng = start_state_rng(4)
         rho0s = [random_density(n, rng) for _ in range(50)]
         report = coalescence_tail_exact(C, m_max=40)
         res = qperp_bound_check(S, model.pi, report, rho0s, list(range(21)))
@@ -251,7 +253,7 @@ def test_criterion_05_main_theorem(capsys):
     expect(failures, schedule == {0.25: 21, 0.04: 28, 0.01: 35},
            f"unexpected iteration schedule {schedule}")
 
-    rng = np.random.Generator(np.random.Philox(5))
+    rng = start_state_rng(5)
     rho0s = [DensityMatrix(np.diag(np.eye(8)[i])) for i in range(8)]
     rho0s += [random_density(8, rng) for _ in range(20)]
     res = main_theorem_check(S, model.pi, report, rho0s, [0.25, 0.04, 0.01])
@@ -314,9 +316,9 @@ def test_criterion_08_dilation(capsys):
     expect(failures, np.max(np.abs(block_sum - 3.0 * np.eye(4))) <= 1e-9,
            "sum of B_k^T B_k != (kappa - 1) I within 1e-9")
 
-    rng = np.random.Generator(np.random.Philox(8))
+    rng = start_state_rng(8)
     for i in range(20):
-        xi = rng.standard_normal(4)
+        xi = uniform_entries(rng, (4,))
         xi /= np.linalg.norm(xi)
         res = state_decomposition_check(circ, xi)
         ok = (res.passed

@@ -159,8 +159,10 @@ class TestStrongComponents:
         # numpy alone: neither scipy nor scipy.sparse is loaded by the import
         # or after any job; a fresh interpreter runs the jobs in turn. The
         # import also leaves out numpy.random and OpenSSL's _hashlib (which
-        # numpy.random loads through secrets; about 3.5 MB of RSS), unless
-        # numpy's own import loads them, as older numpy releases do
+        # numpy.random loads through secrets; about 5 MB of RSS), unless
+        # numpy's own import loads them, as older numpy releases do; that no
+        # job but coalesce --mc loads them is
+        # tests/test_cli.py::TestImportFootprint's to check
         src = Path(qcoupling.__file__).resolve().parent.parent
         code = (
             "import contextlib, io, sys\n"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import hypercube_qperp_overlap, unstamped_grand_coupling
-from qcoupling import cli, coupling
+from qcoupling import cli, coupling, report
 from qcoupling.chain import TransitionMatrix, stationary_distribution
 from qcoupling.cli import main
 from qcoupling.coupling import (
@@ -876,31 +876,47 @@ class TestModelAndConfig:
 
 
 class TestImportFootprint:
-    def test_quantize_loads_hashlib_only_for_the_digest(self, tmp_path):
-        # OpenSSL's _hashlib adds about 3.5 MB of RSS. quantize draws no
-        # numbers, so it is first loaded when emit_report imports hashlib,
-        # after the job's work. Only a fresh interpreter shows what is loaded
+    def test_jobs_without_mc_load_neither_numpy_random_nor_openssl(self, tmp_path):
+        # numpy.random loads OpenSSL's _hashlib through secrets, about 5 MB of
+        # RSS, and hashlib loads it too. Start states draw from the stdlib
+        # generator and emit_report hashes with CPython's own SHA-256, so no
+        # job but coalesce --mc, whose streams are numpy's, loads either. Only
+        # a fresh interpreter shows what is loaded; it runs the jobs in turn
+        if report.sha256.__module__ == "_hashlib":
+            pytest.skip("this CPython has no SHA-256 of its own: emit_report uses hashlib's")
         src = Path(cli.__file__).resolve().parent.parent
         code = (
             "import contextlib, io, sys\n"
+            "def loaded():\n"
+            "    return [m for m in ('numpy.random', '_hashlib') if m in sys.modules]\n"
             "import numpy\n"
-            "seen = [('numpy', '_hashlib' in sys.modules)]\n"
+            "print('numpy', *loaded())\n"
             "import qcoupling.cli as cli\n"
-            "emit_report = cli.emit_report\n"
-            "def emit(*args, **kwargs):\n"
-            "    seen.append(('emit', '_hashlib' in sys.modules))\n"
-            "    emit_report(*args, **kwargs)\n"
-            "    seen.append(('emitted', '_hashlib' in sys.modules))\n"
-            "cli.emit_report = emit\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(sys.argv[1:]) == 0\n"
-            "print(*(f'{stage}:{loaded}' for stage, loaded in seen))\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv.split()) == 0, argv\n"
+            "    print(argv.split()[0], *loaded())\n"
         )
+        jobs = [
+            "model --model hypercube3",
+            "validate --model hypercube3",
+            "coalesce --model hypercube3 --m-max 6",
+            "quantize --model hypercube3",
+            "evolve --model hypercube3 --m-max 6",
+            "evolve --model hardcore-path4 --m-max 6 --rho0 random --seed 3",
+            "verify --model hypercube2 --m-max 4 --seed 3",
+            "dilate --model hypercube2 --mode amplified --seed 3",
+            "dilate --model hypercube3 --seed 3",
+        ]
+        mc = "coalesce --model hypercube3 --mc --samples 1000 --seed 1 --m-grid 2 4"
         out = subprocess.run(
-            [sys.executable, "-c", code, "quantize", "--model", "hypercube2", "--out", str(tmp_path)],
+            [sys.executable, "-c", code, *(f"{job} --out {tmp_path}" for job in [*jobs, mc])],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
             check=True, timeout=120,
         )
-        if out.stdout.split()[0] == "numpy:True":
+        lines = out.stdout.splitlines()
+        if lines[0] != "numpy":
             pytest.skip("this numpy loads numpy.random, and so _hashlib, on import")
-        assert out.stdout.split() == ["numpy:False", "emit:False", "emitted:True"]
+        assert lines[1:-1] == [job.split()[0] for job in jobs]
+        # the probe sees a load: MC tails still run, on numpy.random
+        assert lines[-1].split()[:2] == ["coalesce", "numpy.random"]

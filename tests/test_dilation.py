@@ -19,7 +19,7 @@ from qcoupling.dilation import (
     state_decomposition_check,
 )
 from qcoupling.errors import InvalidInputError
-from qcoupling.evolve import random_density
+from qcoupling.evolve import random_density, start_state_rng, uniform_entries
 from qcoupling.quantize import KrausSet, kraus_from_grand
 
 
@@ -168,7 +168,7 @@ class TestChannelViaDilation:
     def test_postselect_matches_kraus(self, hypercube2):
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
         circ = build_dilation(ks)
-        rng = np.random.Generator(np.random.Philox(6))
+        rng = start_state_rng(6)
         for _ in range(5):
             res = dilation_route_check(circ, ks, random_density(4, rng))
             assert res.passed and res.lhs <= 1e-9
@@ -179,14 +179,14 @@ class TestChannelViaDilation:
     def test_amplified_matches_kraus(self, hypercube2):
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
         circ = build_dilation(ks)
-        rng = np.random.Generator(np.random.Philox(7))
+        rng = start_state_rng(7)
         res = dilation_route_check(circ, ks, random_density(4, rng), mode="amplified")
         assert res.passed and res.details["iterations"] == 1
 
     def test_amplified_rejected_for_inexact_kappa(self):
         circ = build_dilation(swap_kraus_pair())
         assert 2 not in EXACT_ROTATION_ITERATIONS
-        rho = random_density(2, np.random.Generator(np.random.Philox(8)))
+        rho = random_density(2, start_state_rng(8))
         with pytest.raises(InvalidInputError, match="exact-rotation"):
             channel_via_dilation(circ, rho, mode="amplified")
 
@@ -242,8 +242,9 @@ def _dense_route(U, mu, rho, mode):
 def _assert_matches_dense(ks, seed):
     circ = build_dilation(ks)
     U = _dense_blocks(ks)
-    rng = np.random.Generator(np.random.Philox(seed))
-    for X in (rng.standard_normal(circ.total_dim), rng.standard_normal((circ.total_dim, 5))):
+    rng = start_state_rng(seed)
+    for X in (uniform_entries(rng, (circ.total_dim,)),
+              uniform_entries(rng, (circ.total_dim, 5))):
         np.testing.assert_allclose(circ.controlled(X), _blockwise(U, X), rtol=0, atol=TOL)
         np.testing.assert_allclose(circ.controlled(X, transpose=True),
                                    _blockwise(U.transpose(0, 2, 1), X), rtol=0, atol=TOL)
@@ -254,7 +255,7 @@ def _assert_matches_dense(ks, seed):
     eye = np.eye(2 * circ.dim)
     for block in read:
         np.testing.assert_allclose(block.T @ block, eye, rtol=0, atol=TOL)
-    xi = rng.standard_normal(circ.dim)
+    xi = uniform_entries(rng, (circ.dim,))
     xi /= np.linalg.norm(xi)
     want = np.zeros((circ.kappa, 2, circ.dim))
     want[:, 0] = [T @ xi for T in ks.ops]

@@ -20,7 +20,9 @@ from qcoupling.evolve import (
     qsample,
     random_density,
     rescaled_qperp_decomposition_check,
+    start_state_rng,
     trace_distance,
+    uniform_entries,
 )
 from qcoupling.quantize import (
     KrausSet,
@@ -46,6 +48,28 @@ class TestStates:
         with pytest.raises(InvalidInputError, match="eigenvalue"):
             DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**70), st.integers(min_value=1, max_value=40))
+    def test_property_uniform_entries(self, seed, k):
+        x = uniform_entries(start_state_rng(seed), (k,))
+        assert x.shape == (k,) and np.all(x >= -1.0) and np.all(x < 1.0)
+        assert np.array_equal(np.floor(x * 2.0**52), x * 2.0**52)  # multiples of 2**-52
+        # each entry from its little-endian word in integer arithmetic
+        raw = start_state_rng(seed).randbytes(8 * k)
+        words = [int.from_bytes(raw[i:i + 8], "little") for i in range(0, 8 * k, 8)]
+        assert x.tolist() == [(w >> 11) / 2**52 - 1 for w in words]
+        assert np.array_equal(uniform_entries(start_state_rng(seed), (k,)), x)
+        assert not np.array_equal(uniform_entries(start_state_rng(seed + 1), (k,)), x)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
+    def test_property_random_density_is_a_state(self, n, seed):
+        m = random_density(n, start_state_rng(seed)).matrix
+        assert np.array_equal(m, m.T)
+        assert np.linalg.eigvalsh(m)[0] >= -1e-12
+        assert np.trace(m) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(random_density(n, start_state_rng(seed)).matrix, m)
+
     def test_qsample_amplitudes(self):
         pi = Distribution(np.array([0.25, 0.75]))
         q = qsample(pi)
@@ -61,7 +85,7 @@ class TestStates:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10**6))
     def test_property_trace_distance_range(self, n, seed):
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = start_state_rng(seed)
         a, b = random_density(n, rng), random_density(n, rng)
         d = trace_distance(a, b)
         assert -1e-12 <= d <= 1.0 + 1e-12
@@ -112,7 +136,7 @@ class TestStructuralChecks:
     def test_qperp_bound(self, hypercube3):
         T = channel_for(hypercube3)
         report = coalescence_tail_exact(hypercube3.coupling(), m_max=15)
-        rng = np.random.Generator(np.random.Philox(7))
+        rng = start_state_rng(7)
         rho0s = [random_density(8, rng) for _ in range(10)]
         res = qperp_bound_check(T, hypercube3.pi, report, rho0s, list(range(16)))
         assert res.passed
@@ -121,7 +145,7 @@ class TestStructuralChecks:
 
 def _hypercube3_inputs(hypercube3):
     """hypercube3's exact report to m = 15 and ten seeded random states."""
-    rng = np.random.Generator(np.random.Philox(7))
+    rng = start_state_rng(7)
     report = coalescence_tail_exact(hypercube3.coupling(), m_max=15)
     return report, [random_density(8, rng) for _ in range(10)]
 
@@ -208,7 +232,7 @@ class TestMainTheorem:
     def test_bound_holds(self, hypercube3):
         T = channel_for(hypercube3)
         report = coalescence_tail_exact(hypercube3.coupling(), m_max=10)
-        rng = np.random.Generator(np.random.Philox(13))
+        rng = start_state_rng(13)
         rho0s = [random_density(8, rng) for _ in range(5)]
         res = main_theorem_check(T, hypercube3.pi, report, rho0s, [0.25, 0.04])
         assert res.passed
@@ -235,7 +259,7 @@ class TestMainTheorem:
         # acceptance criterion 05's inputs: 28 states, eps scheduled at m = 21, 28, 35
         T = superop_from_kraus(_grand_kraus(hypercube3))
         report = coalescence_tail_exact(hypercube3.coupling(), m_max=10)
-        rng = np.random.Generator(np.random.Philox(5))
+        rng = start_state_rng(5)
         rho0s = [DensityMatrix(np.diag(np.eye(8)[i])) for i in range(8)]
         rho0s += [random_density(8, rng) for _ in range(20)]
         eps_list = [0.25, 0.04, 0.01]

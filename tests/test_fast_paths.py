@@ -27,6 +27,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -854,13 +857,15 @@ class TestSlicedSymmetry:
 
 class TestEmitDigest:
     # the series as one chunk or several, with an empty chunk, multi-byte
-    # characters, and no chunk at all
+    # characters, no chunk at all, and 1.2 MB, the size of hypercube6's Choi
+    # CSV; hashlib's digest is the reference for the built-in SHA-256
     @pytest.mark.parametrize("series", [
         None,
         ("tails", ["m,tail\n0,1\n"]),
         ("choi", ["# h\nrow,col,value\n", "", "0,1,0.5\n1,0,-2\n"]),
         ("x", ["\u00e9t\u00e9\n", "z\n", "\U0001f600\n"]),
         ("empty", []),
+        ("big", ["row,col,value\n", "63,4095,-0.015625\n" * 65536]),
     ])
     def test_same_names_and_bytes(self, series, tmp_path, capsys):
         summary = {"model": "m", "values": np.arange(3), "x": np.float64(0.5)}
@@ -876,6 +881,25 @@ class TestEmitDigest:
         # no temporary file is left beside the artifacts
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
             name: text.encode() for name, text in want.items()}
+
+    def test_build_without_builtin_sha256_names_the_same(self, tmp_path):
+        # a CPython built without its own SHA-256 module has neither _sha2 nor
+        # _sha256; emit_report then hashes with hashlib's, to the same name
+        code = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from qcoupling.report import emit_report, sha256\n"
+            "paths = emit_report(sys.argv[1], 'stem', {'model': 'm'}, ('tails', ['m,tail\\n']))\n"
+            "print(sha256.__module__, *(p.name for p in paths))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src},
+                             check=True, timeout=60)
+        body = json.dumps({"model": "m"}, sort_keys=True, indent=2) + "\n"
+        digest = hashlib.sha256((body + "m,tail\n").encode()).hexdigest()[:12]
+        assert out.stdout.splitlines()[-1].split() == [
+            "_hashlib", f"stem-{digest}.json", f"stem-tails-{digest}.csv"]
 
     def test_failed_series_leaves_no_file(self, tmp_path):
         def chunks():

@@ -7,7 +7,7 @@ from conftest import coupling_4tensor, random_ergodic_chain
 from qcoupling.chain import Distribution, stationary_distribution
 from qcoupling.coupling import CouplingMatrix, independent_coupling, swap_pair
 from qcoupling.errors import InvalidInputError
-from qcoupling.evolve import DensityMatrix, qsample, random_density
+from qcoupling.evolve import DensityMatrix, qsample, random_density, start_state_rng
 from qcoupling.quantize import (
     ChoiMatrix,
     KrausSet,
@@ -189,10 +189,10 @@ class TestApplyChannel:
     def test_cp_verified_returns_density(self, hypercube2):
         T, _ = quantized_coupling(c_star_superop(hypercube2.coupling()), hypercube2.pi)
         verify_cp(T)
-        rho = random_density(4, np.random.Generator(np.random.Philox(1)))
+        rho = random_density(4, start_state_rng(1))
         DensityMatrix(T.apply(rho.matrix))  # a state: symmetric, PSD, trace 1
 
     def test_kraus_channel_preserves_trace(self, hypercube2):
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
-        rho = random_density(4, np.random.Generator(np.random.Philox(2)))
+        rho = random_density(4, start_state_rng(2))
         assert np.trace(ks.apply(rho.matrix)) == pytest.approx(1.0, abs=1e-12)

@@ -66,7 +66,7 @@ from qcoupling.dilation import (
     dilation_route_check,
     state_decomposition_check,
 )
-from qcoupling.evolve import random_density
+from qcoupling.evolve import random_density, start_state_rng, uniform_entries
 from qcoupling.models import cycle_coupling_model
 from qcoupling.quantize import (
     KrausSet,
@@ -361,10 +361,13 @@ def _full_w_postselect(circ, rho):
     V = V[:, keep] / np.linalg.norm(V[:, keep], axis=0)
     states = circ.controlled(circ.initial_states(V))
     good = states.reshape(circ.kappa, 2, d, -1)[:, 0]
-    p_accept = np.sum(good**2, axis=(0, 1))
+    # the route's own reductions: p per column, then a block at a time
+    p_accept = np.einsum("kxb,kxb->b", good, good)
     scaled = good * np.sqrt(lam / p_accept)
-    flat = scaled.transpose(1, 0, 2).reshape(d, -1)
-    return flat @ flat.T, float(lam @ p_accept)
+    out = np.zeros((d, d))
+    for g in scaled:
+        out += g @ g.T
+    return out, float(lam @ p_accept)
 
 
 class TestBlockwiseDilation:
@@ -418,7 +421,7 @@ class TestBlockwiseDilation:
     def test_batched_channel_matches_loop(self, name, mode):
         ks = KRAUS[name]
         circ = build_dilation(ks)
-        rho = random_density(circ.dim, _rng(7))
+        rho = random_density(circ.dim, start_state_rng(7))
         out, info = channel_via_dilation(circ, rho, mode=mode)
         want, acceptance = _channel_loop(circ, rho, mode, _dense_operators(circ, ks))
         np.testing.assert_allclose(out.matrix, want, rtol=0, atol=1e-14)
@@ -431,7 +434,7 @@ class TestBlockwiseDilation:
         # the flag-1 terms the postselect route leaves out are exact zeros,
         # so its output and acceptance equal the full-W route's bit for bit
         circ = build_dilation(KRAUS[name])
-        rho = random_density(circ.dim, _rng(11))
+        rho = random_density(circ.dim, start_state_rng(11))
         out, info = channel_via_dilation(circ, rho)
         want, acceptance = _full_w_postselect(circ, rho)
         assert np.array_equal(out.matrix, want)
@@ -465,15 +468,16 @@ class TestMemoryAtN64:
     def test_dilation(self):
         m = _model("hypercube6")
         ks = kraus_from_grand(m.rmr, m.pi)
-        rng = _rng(0)
-        # 0.95 MiB, the postselect route's flag-0 batch and its flattened
-        # copy; the dense completions held in one (kappa, 2d, 2d) array took
+        rng = start_state_rng(0)
+        # 0.58 MiB, the postselect route's flag-0 batch of 64 states (0.38
+        # MiB); the batch with its squares or its flattened copy took 0.95
+        # MiB, the dense completions held in one (kappa, 2d, 2d) array took
         # 2.4 MiB, building the flag-1 half too 3.2 MiB, a stacked copy of the
         # U_k beside the block encodings 4.7 MiB, and the dense W, P, R and R0
         # were 18.9 MB each
         with _peak_below(1.05 * 2**20):
             circ = build_dilation(ks)
-            xi = rng.standard_normal(circ.dim)
+            xi = uniform_entries(rng, (circ.dim,))
             assert state_decomposition_check(circ, xi / np.linalg.norm(xi)).passed
             assert dilation_route_check(circ, ks, random_density(circ.dim, rng)).passed
 

@@ -49,6 +49,7 @@ from qcoupling.evolve import (
     main_theorem_check,
     qperp_bound_check,
     random_density,
+    start_state_rng,
 )
 from qcoupling.models import contraction_rate_check, load_counterexample_fixture
 from qcoupling.quantize import (
@@ -191,7 +192,7 @@ class TestChecksAgree:
         T_dense = _similarity_channel(m)
         table = coalescence_tail_exact(m.rmr, m_max=15)
         dense = coalescence_tail_exact(m.coupling(), m_max=15)
-        rng = np.random.Generator(np.random.Philox(3))
+        rng = start_state_rng(3)
         states = [random_density(m.rmr.n, rng) for _ in range(3)]
         _close(qperp_bound_check(T, m.pi, table, states, list(range(16))),
                qperp_bound_check(T_dense, m.pi, dense, states, list(range(16))))
@@ -272,7 +273,7 @@ class TestSparseKraus:
 
     def test_apply_matches_dense(self, hypercube3):
         T = superop_from_kraus(kraus_from_grand(hypercube3.rmr, hypercube3.pi))
-        rho = random_density(8, np.random.Generator(np.random.Philox(1))).matrix
+        rho = random_density(8, start_state_rng(1)).matrix
         np.testing.assert_allclose(
             T.apply(rho), unvec(T.matrix.toarray() @ vec(rho)), rtol=0, atol=1e-15)
         np.testing.assert_allclose(
