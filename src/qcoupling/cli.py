@@ -200,8 +200,8 @@ def _quantize_summary(rm: ModelInstance):
     """Choi matrix of C* and the quantize summary.
 
     C* is built once, for the channel T and for the Choi matrix J; a
-    mapping's is its cached pair-space operator, not a copy. Each map
-    gets its own support eigensolve: T's CP verdict comes from
+    mapping's is its cached pair-space operator, not a copy. Each map has its
+    own Choi spectrum (a mapping's from its Gram matrix): T's CP verdict is
     :func:`verify_cp` on T, and ``cp`` from J's spectrum. T, T* and T's Choi
     matrix are dropped before J is built, so they never share the peak with
     it. Only the CSR Choi matrix, whose nonzeros the Choi CSV lists, is kept.
@@ -376,8 +376,8 @@ def cmd_dilate(args) -> int:
     if args.states < 1:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     require_mode(rm.rmr.n_r, args.mode)
-    # 3 kappa d^2 doubles, a bound on the Kraus list and the route batch (kappa d^2 each)
-    require_bytes("dilation", 3 * rm.rmr.n_r * rm.n * rm.n * 8)
+    # 2 kappa d^2 doubles: the Kraus list and the route batch (kappa d^2 each)
+    require_bytes("dilation", 2 * rm.rmr.n_r * rm.n * rm.n * 8)
     rng = start_state_rng(args.seed)
     ks = kraus_from_grand(rm.rmr, rm.pi)
     circ = build_dilation(ks)

@@ -45,6 +45,46 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v).reshape(n, n, order="F")
 
 
+@dataclass(frozen=True)
+class TableKraus:
+    """Kraus operators read off a successor table: operator r holds
+    sqrt(Pr(r)) * weights[x, r] at (f(x, r), x) for each state x, or at the
+    transposed positions for the adjoint map. ``weights`` None means all ones:
+    the operators F_r of a random mapping's C*.
+
+    The Choi matrix of the map is sum_r u_r u_r^T, with u_r the operator's
+    entries (Choi 1975), so its nonzero eigenvalues are those of the
+    |R| x |R| Gram matrix G_rs = u_r . u_s, equal for the map and its adjoint.
+    """
+
+    probs: np.ndarray
+    table: np.ndarray
+    weights: np.ndarray | None = None
+
+    def choi_spectrum(self) -> np.ndarray:
+        """Ascending Choi spectrum: eigvalsh of the Gram matrix, padded with
+        exact zeros to N^2 entries.
+
+        G_rs = sqrt(Pr(r) Pr(s)) * sum over x with f(x, r) = f(x, s) of
+        weights[x, r] * weights[x, s]. The Choi matrix has rank at most N^2,
+        so where |R| > N^2 the |R| - N^2 eigenvalues of G nearest 0 are left
+        out.
+        """
+        f = self.table
+        w = np.ones(f.shape) if self.weights is None else self.weights
+        n_r, n2 = f.shape[1], f.shape[0] ** 2
+        G = np.empty((n_r, n_r))
+        for r in range(n_r):
+            G[r] = np.sum((f == f[:, r, None]) * (w * w[:, r, None]), axis=0)
+        G *= np.sqrt(np.outer(self.probs, self.probs))
+        gram = np.linalg.eigvalsh(G)
+        if n_r > n2:
+            gram = gram[np.sort(np.argsort(np.abs(gram))[n_r - n2:])]
+        eigs = np.zeros(n2)
+        eigs[: gram.size] = gram
+        return np.sort(eigs)
+
+
 @dataclass
 class Superoperator:
     """Linear map on N x N matrices in the column-stacking vectorization.
@@ -55,12 +95,15 @@ class Superoperator:
     with the map; the overlap-bound and main-theorem checks refuse a map that
     is not CP-verified. One rule sets it: :func:`superop_from_kraus` stamps
     its maps "verified" by construction, and every other map is stamped by
-    :func:`verify_cp` from its own Choi spectrum.
+    :func:`verify_cp` from its own Choi spectrum. ``kraus``, set by the
+    constructions from a random mapping, is the map's :class:`TableKraus`,
+    from which that spectrum is computed.
     """
 
     dim: int
     matrix: Csr
     cp_status: str = "unchecked"
+    kraus: TableKraus | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = self.matrix = as_csr(self.matrix)
@@ -117,10 +160,12 @@ class ChoiMatrix:
     tensor-swap permutation and shares its spectrum. ``matrix`` is always a
     :class:`~qcoupling.csr.Csr` (a dense input is converted): J permutes the
     entries of its superoperator, so it has the same number of nonzeros.
+    ``kraus`` is that superoperator's :class:`TableKraus`, when it has one.
     """
 
     dim: int
     matrix: Csr
+    kraus: TableKraus | None = field(default=None, repr=False)
     _spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -131,15 +176,19 @@ class ChoiMatrix:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum, computed on the support of J.
+        """Ascending spectrum: from the Gram matrix of ``kraus`` when J has
+        one (:meth:`TableKraus.choi_spectrum`), else computed on the support
+        of J.
 
         An index i whose row and column hold no nonzero splits off a zero
         block, so ``eigvalsh`` runs only on the dense submatrix of the rows
         and columns that do, and every other eigenvalue is an exact 0. The
         asymmetry check runs on the same submatrix: outside it, J[i, j] and
-        J[j, i] are both zero.
+        J[j, i] are both zero. A J with ``kraus`` is symmetric by construction.
         """
-        if self._spectrum is None:
+        if self._spectrum is None and self.kraus is not None:
+            object.__setattr__(self, "_spectrum", self.kraus.choi_spectrum())
+        elif self._spectrum is None:
             J = self.matrix
             nonzero = J.data != 0
             used = np.zeros(J.shape[0], dtype=bool)
@@ -174,10 +223,12 @@ def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
     :func:`validate_coupling` report) are rejected because the identity, and
     everything downstream, breaks without condition 3. A random mapping's
     grand coupling is symmetric by construction, so its C* is
-    :func:`grand_coupling_operator` itself.
+    :func:`grand_coupling_operator` itself, with the mapping's table as its
+    :class:`TableKraus`.
     """
     if isinstance(C, RandomMappingRep):
-        return Superoperator(dim=C.n, matrix=grand_coupling_operator(C))
+        return Superoperator(dim=C.n, matrix=grand_coupling_operator(C),
+                             kraus=TableKraus(C.probs, C.table))
     n = C.n
     E = C.entries
     S = Csr.from_coo(E.data, swap_pair(E.rows, n), swap_pair(E.indices, n), E.shape)
@@ -204,7 +255,9 @@ def quantized_coupling(
     T*(M) = D^{-1/2} C*(D^{1/2} M D^{1/2}) D^{-1/2}; T is the Hilbert-Schmidt
     adjoint. Verifies T*(I) = I and that the qsample projector is fixed by T.
     ``c_star`` is :func:`c_star_superop` of the coupling; its entries are
-    rescaled into a new matrix.
+    rescaled into a new matrix. A C* with a :class:`TableKraus` hands T and
+    T* its table with the weights d_x / d_f(x,r), d = sqrt(pi), of
+    :func:`kraus_from_grand`.
     """
     n = c_star.dim
     if pi.n != n:
@@ -214,8 +267,12 @@ def quantized_coupling(
     s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
     S = c_star.matrix
     S_tstar = Csr(S.data * (s[S.indices] / s[S.rows]), S.indices, S.indptr, S.shape)
-    T_star = Superoperator(dim=n, matrix=S_tstar)
-    T = Superoperator(dim=n, matrix=S_tstar.T)
+    kraus = c_star.kraus
+    if kraus is not None:
+        d = np.sqrt(pi.weights)
+        kraus = TableKraus(kraus.probs, kraus.table, d[:, None] / d[kraus.table])
+    T_star = Superoperator(dim=n, matrix=S_tstar, kraus=kraus)
+    T = Superoperator(dim=n, matrix=S_tstar.T, kraus=kraus)
 
     err_tp = np.max(np.abs(T_star.apply(np.eye(n)) - np.eye(n)))
     if err_tp > ATOL_COMPUTED:
@@ -271,12 +328,14 @@ def choi_matrix(S: Superoperator) -> ChoiMatrix:
 
     S[i + N*j, x + N*y] = S(E_xy)[i, j] sits at (x*N + i, y*N + j); each
     position is one expression, so i, j, x and y are not held in the scatter.
+    S's :class:`TableKraus`, if it has one, goes with it.
     """
     n = S.dim
     M = S.matrix
     rows = M.indices % n * n + M.rows % n  # x*N + i
     cols = M.indices // n * n + M.rows // n  # y*N + j
-    return ChoiMatrix(dim=n, matrix=Csr.from_coo(M.data, rows, cols, (n * n, n * n)))
+    J = Csr.from_coo(M.data, rows, cols, (n * n, n * n))
+    return ChoiMatrix(dim=n, matrix=J, kraus=S.kraus)
 
 
 def min_choi_eigenvalue(J: ChoiMatrix) -> float:
@@ -299,8 +358,9 @@ def verify_cp(S: Superoperator) -> ChoiMatrix:
     """Stamp S.cp_status from the spectrum of S's own Choi matrix.
 
     This is the CP rule for every map not built by :func:`superop_from_kraus`:
-    the support eigensolve of Choi(S), with the tolerance
-    ``CP_TOL_REL * max|J|``. Returns the Choi matrix.
+    the spectrum of Choi(S) (:attr:`ChoiMatrix.eigenvalues`: the Gram route
+    for a map with a :class:`TableKraus`, else the support eigensolve), with
+    the tolerance ``CP_TOL_REL * max|J|``. Returns the Choi matrix.
     """
     J = choi_matrix(S)
     S.cp_status = "verified" if is_completely_positive(J) else "failed"

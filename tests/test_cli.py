@@ -564,8 +564,8 @@ class TestByteGuard:
         (("coalesce", "--model", "hypercube3", "--mc", "--seed", "1", "--samples", "10",
           "--m-grid", "2000000000"),
          "MC tails", 9 * 2_000_000_001 + 2_000_000_000),
-        # the Kraus list and the route batch, 3 x kappa x d^2 doubles
-        (("dilate", "--model", "hypercube12"), "dilation", 3 * 24 * 4096**2 * 8),
+        # the Kraus list and the route batch, 2 x kappa x d^2 doubles
+        (("dilate", "--model", "hypercube12"), "dilation", 2 * 24 * 4096**2 * 8),
     ], ids=["coalesce", "evolve", "verify-m-max", "verify-states", "coalesce-mc", "dilate"])
     def test_past_the_budget_is_guard(self, tmp_path, capsys, argv, stage, estimate):
         tracemalloc.start()

@@ -88,9 +88,9 @@ class TestBuildDilation:
 
     def test_dimension_guard(self, tmp_path, monkeypatch):
         # dilate meets the byte guard before the Kraus list: on hypercube3
-        # (kappa = 6, d = 8) the list and the route batch hold 3 x 6 x 8^2 x 8
+        # (kappa = 6, d = 8) the list and the route batch hold 2 x 6 x 8^2 x 8
         # bytes, which runs at a budget of exactly that and stops one byte under
-        estimate = 3 * 6 * 8 * 8 * 8
+        estimate = 2 * 6 * 8 * 8 * 8
         argv = ["dilate", "--model", "hypercube3"]
         monkeypatch.setattr(coupling, "BYTES_GUARD", estimate)
         assert main([*argv, "--out", str(tmp_path / "at")]) == 0

@@ -336,7 +336,7 @@ class TestOneCpRule:
         (name, bias) for name in ALL_DENSE for bias in (0.5, 0.7, 0.9, 1.0)])
     def test_quantize_orders_agree(self, name, bias):
         # Choi(T) is congruent to a re-indexing of Choi(C*)
-        # (test_congruence_holds_entrywise), so their two eigensolves must give
+        # (test_congruence_holds_entrywise), so their two spectra must give
         # one verdict
         m = _model(name, bias=bias)
         want = not name.startswith("cycle")  # grand couplings are CP, the cycle ones are not

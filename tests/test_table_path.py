@@ -10,6 +10,9 @@
   of the same matrix: bundled and hypothesis grand mappings, dense isometry
   Kraus sets and a mapping with min pi about 1e-6;
 - the Choi spectrum computed on the support against the full ``eigvalsh``;
+- a mapping's C* and T Choi spectra from the |R| x |R| Gram matrix against
+  the support eigensolve of the same maps built from the dense grand
+  coupling: bundled and hypothesis mappings;
 - coupling files of either kind.
 """
 
@@ -23,14 +26,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mappings
-from qcoupling import quantize
+from qcoupling import cli, quantize
 from qcoupling.chain import (
     ATOL_COMPUTED,
     TransitionMatrix,
     chain_to_json_dict,
     stationary_distribution,
 )
-from qcoupling.cli import main, resolve_model
+from qcoupling.cli import _quantize_summary, main, resolve_model
 from qcoupling.coupling import (
     RandomMappingRep,
     check_tail_submultiplicativity,
@@ -339,6 +342,81 @@ class TestSupportSpectrum:
         J[zero, :] = 0.0
         J[:, zero] = 0.0
         _assert_spectrum_matches_full(J)
+
+
+# ---------------------------------------------------------------------------
+# A mapping's two Choi spectra from the |R| x |R| Gram matrix
+
+
+def _assert_gram_matches_support(table_map: Superoperator, dense_map: Superoperator):
+    """The Gram spectrum of a map built from a table against the support
+    eigensolve of the same map built from the dense grand coupling."""
+    assert table_map.kraus is not None and dense_map.kraus is None
+    got, want = choi_matrix(table_map), choi_matrix(dense_map)
+    assert got.kraus is table_map.kraus and want.kraus is None
+    np.testing.assert_array_equal(got.matrix.toarray(), want.matrix.toarray())
+    n2 = table_map.dim**2
+    assert got.eigenvalues.shape == want.eigenvalues.shape == (n2,)
+    assert np.all(np.diff(got.eigenvalues) >= 0)
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12)
+    # at most |R| nonzero eigenvalues; the rest are exact zeros
+    assert np.count_nonzero(got.eigenvalues) <= len(table_map.kraus.probs)
+
+
+def _assert_c_star_gram(rmr: RandomMappingRep):
+    _assert_gram_matches_support(c_star_superop(rmr),
+                                 c_star_superop(grand_coupling_matrix(rmr)))
+
+
+def _assert_channel_gram(rmr: RandomMappingRep, pi):
+    table_map = quantized_coupling(c_star_superop(rmr), pi)[0]
+    dense_map = quantized_coupling(c_star_superop(grand_coupling_matrix(rmr)), pi)[0]
+    _assert_gram_matches_support(table_map, dense_map)
+
+
+class TestGramSpectrum:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_c_star(self, name):
+        _assert_c_star_gram(_model(name).rmr)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_channel(self, name):
+        m = _model(name)
+        _assert_channel_gram(m.rmr, m.pi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mappings())
+    def test_property_c_star(self, rmr):
+        _assert_c_star_gram(rmr)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mappings(ergodic=True))
+    def test_property_channel(self, rmr):
+        _assert_channel_gram(rmr, stationary_distribution(rmr.base))
+
+    def test_more_values_than_choi_entries(self):
+        # one state and three values, one of zero probability: G is the
+        # rank-one 3 x 3 outer product of sqrt(Pr(r)), and only its largest
+        # eigenvalue, 1, is J's single entry
+        table = np.zeros((1, 3), dtype=np.int64)
+        probs = np.array([0.25, 0.0, 0.75])
+        base = TransitionMatrix(("0",), induced_entries(table, probs))
+        rmr = RandomMappingRep(base, ("a", "b", "c"), probs, table)
+        np.testing.assert_array_equal(choi_matrix(c_star_superop(rmr)).eigenvalues, [1.0])
+        _assert_c_star_gram(rmr)
+
+    def test_quantize_judges_both_maps_by_gram(self, monkeypatch):
+        # quantize's C* and T carry the table; its CP verdicts and the
+        # summary's spectrum are the Gram route's
+        calls = []
+        monkeypatch.setattr(cli, "verify_cp", lambda S: calls.append(S) or verify_cp(S))
+        m = _model("hardcore-path5")
+        J, summary = _quantize_summary(m)
+        [T] = calls
+        assert T.kraus is not None and J.kraus is not None
+        assert summary["cp"] and summary["channel_cp"]
+        assert summary["choi_min_eigenvalue"] == 0.0
+        assert summary["choi_eigenvalue_sum"] == pytest.approx(m.n, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
