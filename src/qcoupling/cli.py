@@ -376,8 +376,8 @@ def cmd_dilate(args) -> int:
     if args.states < 1:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     require_mode(rm.rmr.n_r, args.mode)
-    # 2 kappa d^2 doubles: the Kraus list and the route batch (kappa d^2 each)
-    require_bytes("dilation", 2 * rm.rmr.n_r * rm.n * rm.n * 8)
+    # kappa d^2 doubles: the route batch
+    require_bytes("dilation", rm.rmr.n_r * rm.n * rm.n * 8)
     rng = start_state_rng(args.seed)
     ks = kraus_from_grand(rm.rmr, rm.pi)
     circ = build_dilation(ks)

@@ -405,26 +405,14 @@ def grand_coupling_matrix(rmr: RandomMappingRep) -> CouplingMatrix:
     return C
 
 
-def kron_square_entries(*factors: np.ndarray):
-    """(data, rows, cols) of kron(F, F) at the products of F's nonzeros, for
-    each factor F in turn: the entry at (i*n + j, k*n + l) is F[i, k] * F[j, l],
-    as in ``np.kron``. Given to :meth:`Csr.from_coo`, the entries of several
-    factors add up at each cell in factor order, as in the dense
-    ``S += kron(F_r, F_r)`` loop. Each factor's products are written straight
-    into the three arrays, which are sized once for all factors."""
-    nonzeros = [np.nonzero(F) for F in factors]
-    total = sum(i.size**2 for i, _ in nonzeros)
-    data, rows, cols = np.empty(total), np.empty(total, np.intp), np.empty(total, np.intp)
-    a = 0
-    for F, (i, k) in zip(factors, nonzeros):
-        n, m = F.shape[0], i.size
-        b = a + m * m
-        v = F[i, k]
-        np.multiply.outer(v, v, out=data[a:b].reshape(m, m))
-        np.add.outer(i * n, i, out=rows[a:b].reshape(m, m))
-        np.add.outer(k * n, k, out=cols[a:b].reshape(m, m))
-        a = b
-    return data, rows, cols
+def kron_square_entries(F: np.ndarray):
+    """(data, rows, cols) of kron(F, F) at the products of F's nonzeros: the
+    entry at (i*n + j, k*n + l) is F[i, k] * F[j, l], as in ``np.kron``."""
+    i, k = np.nonzero(F)
+    v = F[i, k]
+    n = F.shape[0]
+    return (np.multiply.outer(v, v).ravel(), np.add.outer(i * n, i).ravel(),
+            np.add.outer(k * n, k).ravel())
 
 
 def grand_coupling_operator(rmr: RandomMappingRep) -> Csr:

@@ -11,10 +11,11 @@ channel on the ancilla-|0> branch with input-independent success amplitude
 1/sqrt(kappa); that independence is what lets a Grover operator amplify the
 branch without any reflection about the (unknown) input state.
 
-A grand coupling's Kraus operators have at most one nonzero per row,
-A_k[x, f_k(x)] = a_k(x), so both square roots are closed forms. A_k^T A_k is
-diagonal, with entries s_k(z) = sum_{f_k(x) = z} a_k(x)^2, so the lower-left
-block B_k is diag(sqrt(1 - s_k)). A_k A_k^T is block-diagonal over the fibres
+A :class:`~qcoupling.quantize.KrausSet` holds each A_k as a column of its
+successor table: A_k[x, f_k(x)] = a_k(x) is the only nonzero of row x, so
+both square roots are closed forms. A_k^T A_k is diagonal, with entries
+s_k(z) = sum_{f_k(x) = z} a_k(x)^2, so the lower-left block B_k is
+diag(sqrt(1 - s_k)). A_k A_k^T is block-diagonal over the fibres
 of f_k, each block the rank-one a_F a_F^T with |a_F|^2 = s_k(z), so the
 upper-right block is I - sum_F g_k(z) a_F a_F^T, with
 g = (1 - sqrt(1 - s)) / s = 1 / (1 + sqrt(1 - s)). Applying U_k or U_k^T to a
@@ -46,7 +47,7 @@ from qcoupling.chain import ATOL_COMPUTED
 from qcoupling.checks import CheckResult
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import DensityMatrix
-from qcoupling.quantize import KrausSet
+from qcoupling.quantize import KrausSet, TableKraus
 
 BLOCK_SUM_TOL = 1e-9  # tolerance on sum_k s_k = 1, i.e. sum B_k^T B_k = (kappa - 1) I
 CHANNEL_TOL = 1e-9  # dilation route vs Kraus route, entrywise
@@ -219,32 +220,20 @@ def require_mode(kappa: int, mode: str) -> int:
     return EXACT_ROTATION_ITERATIONS[kappa]
 
 
-def build_dilation(kraus: KrausSet) -> DilationCircuit:
-    """Read f_k and a_k off each Kraus operator's rows; mu is uniform.
+def build_dilation(kraus: TableKraus) -> DilationCircuit:
+    """f_k and a_k are column k of the table and of its amplitudes, as
+    :class:`KrausSet` orients them; mu is uniform.
 
-    A zero row gets a = 0; a row with two nonzeros has no closed-form
-    completion here and raises. Asserts that each A_k is a contraction
-    (1 - s_k >= -1e-10) and the completion identity sum_k s_k = 1 within
-    1e-9, i.e. sum_k B_k^T B_k = (kappa - 1) I, which is what makes the
-    success amplitude input-independent.
+    Asserts that each A_k is a contraction (s_k <= 1 + 1e-10) and the
+    completion identity sum_k s_k = 1 within 1e-9, i.e.
+    sum_k B_k^T B_k = (kappa - 1) I, which makes the success amplitude
+    input-independent. A KrausSet's Kraus condition implies both; a bare
+    :class:`TableKraus` is unchecked.
     """
-    kappa, d = len(kraus.ops), kraus.dim
-    rows = np.arange(d)
-    f = np.empty((kappa, d), dtype=np.intp)
-    a = np.empty(f.shape)
-    s = np.empty(f.shape)
-    for k, T in enumerate(kraus.ops):
-        nonzero = T != 0
-        counts = nonzero.sum(axis=1)
-        if counts.max() > 1:
-            x = int(counts.argmax())
-            raise InvalidInputError(
-                f"Kraus operator {k} has {counts[x]} nonzeros in row {x}; "
-                "the dilation needs at most one per row"
-            )
-        f[k] = nonzero.argmax(axis=1)
-        a[k] = T[rows, f[k]]
-        s[k] = np.bincount(f[k], weights=a[k] ** 2, minlength=d)
+    f, a = kraus.table.T, kraus.amplitudes.T  # [k, x]
+    kappa, d = f.shape
+    bins = (np.arange(kappa)[:, None] * d + f).ravel()
+    s = np.bincount(bins, weights=(a**2).ravel(), minlength=kappa * d).reshape(kappa, d)
     top = s.max()
     if top > 1.0 + ATOL_COMPUTED:
         raise InvalidInputError(

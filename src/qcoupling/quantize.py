@@ -6,6 +6,7 @@ Vectorization convention (fixed globally): column stacking,
 coupling transition matrix C entrywise. Every Choi matrix has one layout,
 basis first: J = sum_{x,y} E_xy (x) S(E_xy). All arithmetic is real double
 precision; the maps built here have real matrix representations throughout.
+A Kraus set is a successor table (:class:`KrausSet`), never N x N matrices.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from qcoupling.checks import CheckResult
 from qcoupling.coupling import (
     CouplingMatrix,
     RandomMappingRep,
+    _successor_table,
     grand_coupling_operator,
     independent_coupling,
-    kron_square_entries,
     swap_pair,
     validate_coupling,
 )
@@ -47,10 +48,11 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TableKraus:
-    """Kraus operators read off a successor table: operator r holds
-    sqrt(Pr(r)) * weights[x, r] at (f(x, r), x) for each state x, or at the
-    transposed positions for the adjoint map. ``weights`` None means all ones:
-    the operators F_r of a random mapping's C*.
+    """Kraus operators read off a successor table: operator r holds the
+    amplitude sqrt(Pr(r)) * weights[x, r] of each state x at (x, f(x, r)),
+    as :class:`KrausSet` orients it, or at the transposed positions for the
+    adjoint map. ``weights`` None means all ones: the operators F_r of a
+    random mapping's C*.
 
     The Choi matrix of the map is sum_r u_r u_r^T, with u_r the operator's
     entries (Choi 1975), so its nonzero eigenvalues are those of the
@@ -60,6 +62,16 @@ class TableKraus:
     probs: np.ndarray
     table: np.ndarray
     weights: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.table.shape[0]
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """N x |R| read-only array of sqrt(Pr(r)) * weights[x, r]."""
+        w = 1.0 if self.weights is None else self.weights
+        return np.broadcast_to(np.sqrt(self.probs) * w, self.table.shape)
 
     def choi_spectrum(self) -> np.ndarray:
         """Ascending Choi spectrum: eigvalsh of the Gram matrix, padded with
@@ -120,35 +132,45 @@ class Superoperator:
         return unvec(self.matrix @ vec(M))
 
 
-@dataclass
-class KrausSet:
-    """Kraus operators of a channel rho -> sum_r T_r rho T_r^T."""
-
-    dim: int
-    ops: list[np.ndarray]
+@dataclass(frozen=True)
+class KrausSet(TableKraus):
+    """Kraus operators of a channel rho -> sum_r T_r rho T_r^T, one per table
+    column: T_r[x, f(x, r)] = sqrt(Pr(r)) * weights[x, r], the only nonzero
+    of row x. Its arrays are made read-only (an input of the right dtype is
+    shared, not copied), and the Kraus condition sum_r T_r^T T_r = I, the
+    N-vector identity sum_r sum_{f(x, r) = z} (sqrt(Pr(r)) weights[x, r])^2 = 1,
+    is checked within ATOL_COMPUTED on construction.
+    """
 
     def __post_init__(self):
-        ops = [np.asarray(T, dtype=float) for T in self.ops]
-        object.__setattr__(self, "ops", ops)
-        if not ops:
-            raise InvalidInputError("Kraus set must be nonempty")
-        for T in ops:
-            if T.shape != (self.dim, self.dim):
-                raise InvalidInputError("all Kraus operators must be dim x dim")
-            if not np.isfinite(T).all():  # superop_from_kraus's CP stamp relies on it
-                raise InvalidInputError("Kraus operators must be finite")
-        total = sum(T.T @ T for T in ops)
-        err = np.max(np.abs(total - np.eye(self.dim)))
-        if not err <= ATOL_COMPUTED:  # NaN where the products overflow
-            raise InvalidInputError(
-                f"Kraus condition sum T_r^T T_r = I violated by {err:.3g}"
-            )
+        w = None if self.weights is None else np.asarray(self.weights, dtype=float)
+        f, p = _successor_table(self.table, "Kraus table"), np.asarray(self.probs, dtype=float)
+        for name, arr in (("table", f), ("probs", p), ("weights", w)):
+            if arr is not None:
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if (f.ndim != 2 or f.size == 0 or f.min() < 0 or f.max() >= f.shape[0]
+                or p.shape != f.shape[1:] or not p.min() >= 0  # NaN fails
+                or (w is not None and w.shape != f.shape)):
+            raise InvalidInputError("Kraus set needs a nonempty N x |R| table of successors "
+                                    "in range, one Pr(r) >= 0 per column and N x |R| weights")
+        a = self.amplitudes
+        if not np.isfinite(a).all():  # superop_from_kraus's CP stamp relies on it
+            raise InvalidInputError("Kraus operators must be finite")
+        err = np.max(np.abs(np.bincount(f.ravel(), (a * a).ravel(), f.shape[0]) - 1.0))
+        if not err <= ATOL_COMPUTED:  # NaN where the squares overflow
+            raise InvalidInputError(f"Kraus condition sum T_r^T T_r = I violated by {err:.3g}")
 
     def apply(self, M: np.ndarray) -> np.ndarray:
+        """sum_r T_r M T_r^T as a gather: entry (x, y) adds
+        a_r(x) a_r(y) M[f(x, r), f(y, r)] over r, a the amplitudes."""
         M = np.asarray(M, dtype=float)
         if M.shape != (self.dim, self.dim):
             raise InvalidInputError("dimension mismatch in Kraus application")
-        return sum(T @ M @ T.T for T in self.ops)
+        out = np.zeros(M.shape)
+        for a, f in zip(self.amplitudes.T, self.table.T):
+            out += M[np.ix_(f, f)] * a[:, None] * a
+        return out
 
 
 @dataclass
@@ -269,8 +291,7 @@ def quantized_coupling(
     S_tstar = Csr(S.data * (s[S.indices] / s[S.rows]), S.indices, S.indptr, S.shape)
     kraus = c_star.kraus
     if kraus is not None:
-        d = np.sqrt(pi.weights)
-        kraus = TableKraus(kraus.probs, kraus.table, d[:, None] / d[kraus.table])
+        kraus = TableKraus(kraus.probs, kraus.table, _qsample_weights(kraus.table, pi))
     T_star = Superoperator(dim=n, matrix=S_tstar, kraus=kraus)
     T = Superoperator(dim=n, matrix=S_tstar.T, kraus=kraus)
 
@@ -285,42 +306,41 @@ def quantized_coupling(
     return T, T_star
 
 
+def _qsample_weights(table: np.ndarray, pi: Distribution) -> np.ndarray:
+    """d_x / d_f(x, r), d = sqrt(pi): the weights of T's Kraus operators."""
+    d = np.sqrt(pi.weights)
+    return d[:, None] / d[table]
+
+
 def kraus_from_grand(rmr: RandomMappingRep, pi: Distribution) -> KrausSet:
-    """Kraus operators T_r = sqrt(Pr(r)) sum_x D^{1/2} |x><f(x,r)| D^{-1/2}."""
-    n = rmr.n
-    if pi.n != n:
+    """Kraus operators T_r = sqrt(Pr(r)) sum_x (d_x / d_f(x,r)) |x><f(x,r)|,
+    d = sqrt(pi): the mapping's table with :func:`_qsample_weights`."""
+    if pi.n != rmr.n:
         raise InvalidInputError("distribution length does not match mapping dimension")
     if pi.weights.min() <= 0:
         raise InvalidInputError("pi must be strictly positive")
-    d = np.sqrt(pi.weights)
-    ops = []
-    rows = np.arange(n)
-    for r in range(rmr.n_r):
-        T = np.zeros((n, n))
-        succ = rmr.table[:, r]
-        T[rows, succ] = np.sqrt(rmr.probs[r]) * d / d[succ]
-        ops.append(T)
-    return KrausSet(dim=n, ops=ops)
+    return KrausSet(rmr.probs, rmr.table, _qsample_weights(rmr.table, pi))
 
 
 def superop_from_kraus(ks: KrausSet) -> Superoperator:
     """Superoperator matrix of the Kraus channel: sum_r kron(T_r, T_r), sparse.
 
-    Only the products of the nonzeros of each T_r are formed
-    (:func:`kron_square_entries`); for the Kraus operators of a grand coupling
-    that is at most |R| per row. :meth:`Csr.from_coo` adds them at each cell
-    in r order, so the entries equal those of the dense sum bit for bit, and
-    cells where the products cancel are not stored.
+    Read off the table: operator r puts a_r(x) a_r(y), a the amplitudes, at
+    row x*N + y, column f(x, r)*N + f(y, r). :meth:`Csr.from_coo` adds them
+    at each cell in r order, so the entries equal those of the dense sum bit
+    for bit; cells that sum to zero are not stored.
 
     The map is stamped CP-verified by construction: its Choi matrix is
     sum_r u_r u_r^T with u_r[x*N + i] = T_r[i, x] (Choi 1975), a sum of
     outer products and so PSD. That needs finite Kraus operators, which
     :class:`KrausSet` guarantees.
     """
-    data, rows, cols = kron_square_entries(*ks.ops)
-    n2 = ks.dim * ks.dim
-    S = Csr.from_coo(data, rows, cols, (n2, n2)).without_zeros()
-    return Superoperator(dim=ks.dim, matrix=S, cp_status="verified")
+    n, n2 = ks.dim, ks.dim * ks.dim
+    a, f = ks.amplitudes.T, ks.table.T  # [r, x]
+    data = (a[:, :, None] * a[:, None, :]).ravel()
+    cols = ((f * n)[:, :, None] + f[:, None, :]).ravel()
+    S = Csr.from_coo(data, np.tile(np.arange(n2), f.shape[0]), cols, (n2, n2))
+    return Superoperator(dim=ks.dim, matrix=S.without_zeros(), cp_status="verified")
 
 
 def choi_matrix(S: Superoperator) -> ChoiMatrix:

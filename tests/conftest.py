@@ -101,6 +101,18 @@ def hypercube_qperp_overlap(n: int, m: int) -> float:
     return 1.0 - sum(math.comb(n, k) * (-0.5) ** k * (1.0 - k / n) ** m for k in range(n + 1))
 
 
+def dense_kraus_ops(ks) -> list[np.ndarray]:
+    """A table's Kraus operators as N x N matrices, T_r[x, f(x, r)] = a_r(x):
+    the dense reference the table-driven Kraus code is tested against."""
+    n = ks.dim
+    ops = []
+    for a, f in zip(ks.amplitudes.T, ks.table.T):
+        T = np.zeros((n, n))
+        T[np.arange(n), f] = a
+        ops.append(T)
+    return ops
+
+
 def sqrtm_psd(M: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition, clamping tiny negatives."""
     M = np.asarray(M, dtype=float)

@@ -62,7 +62,7 @@ from qcoupling.quantize import (
     superop_from_kraus,
 )
 
-from conftest import random_ergodic_chain
+from conftest import dense_kraus_ops, random_ergodic_chain
 
 MC_SEED = 2026
 
@@ -172,7 +172,7 @@ def test_criterion_03_quantized_channels(capsys):
         model = exact_model(kind)
         ks, S = verified_channel(model)
         n = model.n
-        norm = sum(T.T @ T for T in ks.ops)
+        norm = sum(T.T @ T for T in dense_kraus_ops(ks))
         expect(failures, np.max(np.abs(norm - np.eye(n))) <= 1e-10,
                f"{kind}: Kraus normalization violated")
         J = choi_matrix(S)

@@ -564,8 +564,8 @@ class TestByteGuard:
         (("coalesce", "--model", "hypercube3", "--mc", "--seed", "1", "--samples", "10",
           "--m-grid", "2000000000"),
          "MC tails", 9 * 2_000_000_001 + 2_000_000_000),
-        # the Kraus list and the route batch, 2 x kappa x d^2 doubles
-        (("dilate", "--model", "hypercube12"), "dilation", 2 * 24 * 4096**2 * 8),
+        # the route batch, kappa x d^2 doubles
+        (("dilate", "--model", "hypercube12"), "dilation", 24 * 4096**2 * 8),
     ], ids=["coalesce", "evolve", "verify-m-max", "verify-states", "coalesce-mc", "dilate"])
     def test_past_the_budget_is_guard(self, tmp_path, capsys, argv, stage, estimate):
         tracemalloc.start()
@@ -580,6 +580,19 @@ class TestByteGuard:
         assert f"the byte guard is {coupling.BYTES_GUARD:,}" in err
         assert peak < 16 * 2**20  # nothing of the stage's size was allocated
         assert not (tmp_path / "o").exists()
+
+    def test_dilate_admits_hypercube11(self, tmp_path, monkeypatch):
+        # 22 x 2048^2 doubles, 0.74 GB, are under the budget: dilate goes on
+        # to build its Kraus set
+        class Reached(Exception):
+            pass
+
+        def reached(rmr, pi):
+            raise Reached
+
+        patch_everywhere(monkeypatch, "kraus_from_grand", reached)
+        with pytest.raises(Reached):
+            run("dilate", "--model", "hypercube11", "--out", str(tmp_path / "o"))
 
     @pytest.mark.parametrize("m_max", [0, 7])
     def test_tails_estimate_is_the_per_pair_array(self, monkeypatch, m_max):

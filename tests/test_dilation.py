@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import dilation_blocks, mappings, sqrtm_psd, unitary_completion
+from conftest import dense_kraus_ops, dilation_blocks, mappings, sqrtm_psd, unitary_completion
 from qcoupling import coupling
 from qcoupling.chain import stationary_distribution
 from qcoupling.cli import main, resolve_model
 from qcoupling.dilation import (
     EXACT_ROTATION_ITERATIONS,
+    DilationCircuit,
     amplify_and_extract,
     build_dilation,
     channel_via_dilation,
@@ -20,14 +21,15 @@ from qcoupling.dilation import (
 )
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import random_density, start_state_rng, uniform_entries
-from qcoupling.quantize import KrausSet, kraus_from_grand
+from qcoupling.quantize import KrausSet, TableKraus, kraus_from_grand
+
+IDENTITY = KrausSet([1.0], [[0], [1]])
+FLIP = KrausSet([1.0], [[1], [0]])
 
 
 def swap_kraus_pair():
     """kappa = 2 channel mixing identity and a bit flip, each weight 1/2."""
-    A0 = np.eye(2) / math.sqrt(2)
-    A1 = np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2)
-    return KrausSet(dim=2, ops=[A0, A1])
+    return KrausSet([0.5, 0.5], [[0, 1], [1, 0]])
 
 
 class TestSqrtmPsd:
@@ -65,8 +67,7 @@ class TestUnitaryCompletion:
 
 class TestBuildDilation:
     def test_block_sum_identity_kappa1(self):
-        ks = KrausSet(dim=2, ops=[np.array([[0.0, 1.0], [1.0, 0.0]])])
-        circ = build_dilation(ks)
+        circ = build_dilation(FLIP)
         assert circ.kappa == 1
         np.testing.assert_allclose(dilation_blocks(circ)[0, 2:, :2], 0.0, atol=1e-12)
 
@@ -87,10 +88,10 @@ class TestBuildDilation:
         np.testing.assert_allclose(P @ P, P, atol=1e-12)
 
     def test_dimension_guard(self, tmp_path, monkeypatch):
-        # dilate meets the byte guard before the Kraus list: on hypercube3
-        # (kappa = 6, d = 8) the list and the route batch hold 2 x 6 x 8^2 x 8
-        # bytes, which runs at a budget of exactly that and stops one byte under
-        estimate = 2 * 6 * 8 * 8 * 8
+        # dilate meets the byte guard before the Kraus set: on hypercube3
+        # (kappa = 6, d = 8) the route batch holds 6 x 8^2 x 8 bytes, which
+        # runs at a budget of exactly that and stops one byte under
+        estimate = 6 * 8 * 8 * 8
         argv = ["dilate", "--model", "hypercube3"]
         monkeypatch.setattr(coupling, "BYTES_GUARD", estimate)
         assert main([*argv, "--out", str(tmp_path / "at")]) == 0
@@ -98,26 +99,26 @@ class TestBuildDilation:
         assert main([*argv, "--out", str(tmp_path / "under")]) == 3
         assert not (tmp_path / "under").exists()
 
-    def test_rejects_two_nonzeros_in_a_row(self):
-        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-        with pytest.raises(InvalidInputError, match="2 nonzeros in row 0"):
-            build_dilation(KrausSet(dim=2, ops=[hadamard]))
-
     def test_zero_rows_and_operators(self):
         # a zero Kraus operator (a zero-probability column of a table) has
         # a = 0 in every row, and its U_k is [[0, I], [I, 0]]
-        ks = KrausSet(dim=2, ops=[np.zeros((2, 2)), np.eye(2)])
+        ks = KrausSet([0.0, 1.0], [[1, 0], [1, 1]])
         circ = build_dilation(ks)
         np.testing.assert_array_equal(circ.a[0], 0.0)
         np.testing.assert_array_equal(dilation_blocks(circ)[0], np.eye(4)[[2, 3, 0, 1]])
 
     @pytest.mark.parametrize("scale,match", [(0.5, "violated"), (2.0, "not a contraction")])
     def test_rejects_a_broken_kraus_list(self, hypercube2, scale, match):
-        # the list is edited after KrausSet checked it
+        # a bare TableKraus has no Kraus condition of its own: operator 0
+        # scaled by 1/2 breaks sum_k s_k = 1, and by 2 (s_0 = 2 on its
+        # fibres) the contraction; KrausSet refuses both tables
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
-        ks.ops[0] = scale * ks.ops[0]
+        weights = ks.weights.copy()
+        weights[:, 0] *= scale
+        with pytest.raises(InvalidInputError, match="Kraus condition"):
+            KrausSet(ks.probs, ks.table, weights)
         with pytest.raises(InvalidInputError, match=match):
-            build_dilation(ks)
+            build_dilation(TableKraus(ks.probs, ks.table, weights))
 
 
 class TestStateDecomposition:
@@ -135,7 +136,7 @@ class TestStateDecomposition:
             )
 
     def test_kappa1_good_norm_one(self):
-        circ = build_dilation(KrausSet(dim=2, ops=[np.eye(2)]))
+        circ = build_dilation(IDENTITY)
         res = state_decomposition_check(circ, np.array([1.0, 0.0]))
         assert res.passed and res.details["good_norm"] == pytest.approx(1.0)
 
@@ -151,7 +152,7 @@ class TestAmplification:
             assert fid >= 1 - 1e-9
 
     def test_kappa1_zero_iterations(self):
-        circ = build_dilation(KrausSet(dim=2, ops=[np.eye(2)]))
+        circ = build_dilation(IDENTITY)
         _, fid = amplify_and_extract(circ, np.array([0.0, 1.0]), 0)
         assert fid == pytest.approx(1.0, abs=1e-12)
 
@@ -207,7 +208,17 @@ def _kraus(name):
 
 
 def _dense_blocks(ks):
-    return np.stack([unitary_completion(T) for T in ks.ops])
+    return np.stack([unitary_completion(T) for T in dense_kraus_ops(ks)])
+
+
+def _circuit_from_rows(ks) -> DilationCircuit:
+    """The circuit read off the rows of the dense operators: a row's one
+    nonzero gives f and a, and a zero row a = 0 (at f = 0)."""
+    ops = np.stack(dense_kraus_ops(ks))
+    f = (ops != 0).argmax(axis=2)
+    a = np.take_along_axis(ops, f[:, :, None], axis=2)[:, :, 0]
+    s = np.stack([np.bincount(fk, weights=ak**2, minlength=ks.dim) for fk, ak in zip(f, a)])
+    return DilationCircuit(f=f, a=a, s=s, mu=np.full(len(ops), 1.0 / math.sqrt(len(ops))))
 
 
 def _blockwise(U, X):
@@ -243,6 +254,16 @@ def _assert_matches_dense(ks, seed):
     circ = build_dilation(ks)
     U = _dense_blocks(ks)
     rng = start_state_rng(seed)
+    # the circuit the rows of the dense operators give: the same a and s,
+    # and the same f wherever a row has its nonzero
+    rows = _circuit_from_rows(ks)
+    np.testing.assert_array_equal(circ.a, rows.a)
+    np.testing.assert_array_equal(circ.s, rows.s)
+    np.testing.assert_array_equal(circ.mu, rows.mu)
+    np.testing.assert_array_equal(np.where(rows.a != 0, circ.f, 0), rows.f)
+    X = uniform_entries(rng, (circ.total_dim, 3))
+    for transpose in (False, True):
+        np.testing.assert_array_equal(circ.controlled(X, transpose), rows.controlled(X, transpose))
     for X in (uniform_entries(rng, (circ.total_dim,)),
               uniform_entries(rng, (circ.total_dim, 5))):
         np.testing.assert_allclose(circ.controlled(X), _blockwise(U, X), rtol=0, atol=TOL)
@@ -258,7 +279,7 @@ def _assert_matches_dense(ks, seed):
     xi = uniform_entries(rng, (circ.dim,))
     xi /= np.linalg.norm(xi)
     want = np.zeros((circ.kappa, 2, circ.dim))
-    want[:, 0] = [T @ xi for T in ks.ops]
+    want[:, 0] = [T @ xi for T in dense_kraus_ops(ks)]
     want = want.reshape(-1)
     np.testing.assert_allclose(circ.good_state(xi), want / np.linalg.norm(want), rtol=0, atol=TOL)
     rho = random_density(circ.dim, rng)

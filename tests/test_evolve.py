@@ -151,7 +151,7 @@ def _hypercube3_inputs(hypercube3):
 
 
 def _identity_kraus(model):
-    return KrausSet(model.n, [np.eye(model.n)])
+    return KrausSet([1.0], np.arange(model.n)[:, None])
 
 
 def _grand_kraus(model):

@@ -40,7 +40,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import coupling_4tensor, coupon_collector_tail, random_ergodic_chain
+from conftest import (
+    coupling_4tensor,
+    coupon_collector_tail,
+    dense_kraus_ops,
+    random_ergodic_chain,
+)
 from qcoupling import cli, evolve
 from qcoupling.chain import (
     ATOL_COMPUTED,
@@ -291,7 +296,8 @@ class TestOneCpRule:
     def test_matrix_equals_kron_sum(self, hypercube3):
         ks = kraus_from_grand(hypercube3.rmr, hypercube3.pi)
         S = superop_from_kraus(ks)
-        np.testing.assert_array_equal(S.matrix.toarray(), sum(np.kron(T, T) for T in ks.ops))
+        np.testing.assert_array_equal(S.matrix.toarray(),
+                                      sum(np.kron(T, T) for T in dense_kraus_ops(ks)))
 
     def test_congruence_holds_entrywise(self, hardcore_p3_lam2):
         C, pi = hardcore_p3_lam2.coupling(), hardcore_p3_lam2.pi
@@ -326,8 +332,9 @@ class TestOneCpRule:
         # sum_r s_r kron(T_r, T_r) with one s_r = -1 has the Kraus form's sparsity,
         # but it is no Kraus map: it is unstamped until its own eigensolve fails it
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
-        signs = [1.0] * (len(ks.ops) - 1) + [-1.0]
-        S = Superoperator(ks.dim, sum(s * np.kron(T, T) for s, T in zip(signs, ks.ops)))
+        ops = dense_kraus_ops(ks)
+        signs = [1.0] * (len(ops) - 1) + [-1.0]
+        S = Superoperator(ks.dim, sum(s * np.kron(T, T) for s, T in zip(signs, ops)))
         assert S.cp_status == "unchecked"
         verify_cp(S)
         assert S.cp_status == "failed"

@@ -111,22 +111,44 @@ class TestQuantizedCoupling:
 
     def test_kraus_condition_enforced(self):
         with pytest.raises(InvalidInputError, match="Kraus condition"):
-            KrausSet(dim=2, ops=[np.eye(2), np.eye(2)])
+            KrausSet([1.0, 1.0], [[0, 0], [1, 1]])
+
+    @pytest.mark.parametrize("probs,table,weights,match", [
+        ([1.0], [[0], [2]], None, "in range"),
+        ([1.0], np.empty((2, 0), dtype=int), None, "nonempty"),
+        ([-1.0, 2.0], [[0, 0], [1, 1]], None, "Pr"),
+        ([np.nan], [[0], [1]], None, "Pr"),
+        ([1.0], [[0], [1]], [1.0, 1.0], "weights"),
+        ([1.0], [[0.5], [1.0]], None, "integer"),
+    ])
+    def test_malformed_table_rejected(self, probs, table, weights, match):
+        with pytest.raises(InvalidInputError, match=match):
+            KrausSet(probs, table, weights)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_kraus_operator_rejected(self, hypercube2, bad):
         # superop_from_kraus stamps its map CP-verified by construction, so a
         # non-finite operator must never reach it
-        ops = kraus_from_grand(hypercube2.rmr, hypercube2.pi).ops
-        ops[0][0, 0] = bad
+        ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
+        weights = ks.weights.copy()
+        weights[0, 0] = bad
         with pytest.raises(InvalidInputError, match="finite"):
-            KrausSet(dim=4, ops=ops)
+            KrausSet(ks.probs, ks.table, weights)
 
     def test_overflowing_kraus_condition_rejected(self):
-        # finite operators whose products overflow: sum T_r^T T_r holds inf and NaN
-        with np.errstate(over="ignore", invalid="ignore"), \
+        # finite amplitudes whose squares overflow: the condition holds inf
+        with np.errstate(over="ignore"), \
                 pytest.raises(InvalidInputError, match="Kraus condition"):
-            KrausSet(dim=2, ops=[np.array([[1e200, 1e200], [1e200, -1e200]])])
+            KrausSet([1.0], [[0], [1]], [[1e200], [1.0]])
+
+    def test_checked_set_is_read_only(self, hypercube2):
+        # the Kraus condition holds for the life of the set
+        ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
+        for arr in (ks.probs, ks.table, ks.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(AttributeError):
+            ks.weights = None
 
 
 class TestChoi:

@@ -43,6 +43,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     coupling_4tensor,
+    dense_kraus_ops,
     random_ergodic_chain,
     unitary_completion,
     unstamped_grand_coupling,
@@ -310,7 +311,7 @@ class TestOperatorCache:
 def _dense_operators(circ, ks) -> dict[str, np.ndarray]:
     d, kappa, mu = circ.dim, circ.kappa, circ.mu
     eye = np.eye(circ.total_dim)
-    W = scipy.linalg.block_diag(*[unitary_completion(T) for T in ks.ops])
+    W = scipy.linalg.block_diag(*[unitary_completion(T) for T in dense_kraus_ops(ks)])
     flag0 = np.diag([1.0, 0.0])
     P = np.kron(np.eye(kappa), np.kron(flag0, np.eye(d)))
     R0 = 2.0 * np.kron(np.outer(mu, mu), np.kron(flag0, np.eye(d))) - eye
@@ -319,7 +320,7 @@ def _dense_operators(circ, ks) -> dict[str, np.ndarray]:
 
 
 def _kraus_sets():
-    single = KrausSet(dim=2, ops=[np.array([[0.0, 1.0], [1.0, 0.0]])])
+    single = KrausSet([1.0], [[1], [0]])
     out = {"swap-kappa1": single}
     for name in ("hypercube2", "hypercube3", "hardcore-path3"):
         m = _model(name)
@@ -507,6 +508,17 @@ class TestMemoryAtN64:
         argv = ["verify", "--model", "hypercube6", "--m-max", "20", "--out", str(tmp_path)]
         with _peak_below(4.6 * 2**20), contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
+
+
+class TestMemoryPastN64:
+    def test_kraus_set(self):
+        # 0.63 MiB at hypercube10 (N = 1024, kappa = 20): the weights, the
+        # amplitudes and their squares, N x kappa doubles (160 KiB) each; the
+        # list of dense N x N Kraus operators took 184 MiB
+        m = _model("hypercube10")
+        rmr, pi = m.rmr, m.pi
+        with _peak_below(2**20):
+            kraus_from_grand(rmr, pi)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@
   for bit);
 - verify's checks run on a random mapping against the same checks on its
   dense grand coupling and that coupling's similarity-route channel;
-- the sparse Kraus superoperator against the dense sum of Kronecker
-  products, and its CP-by-construction stamp against verify_cp's eigensolve
-  of the same matrix: bundled and hypothesis grand mappings, dense isometry
-  Kraus sets and a mapping with min pi about 1e-6;
+- the Kraus superoperator built from the table against the dense sum of
+  Kronecker products, its CP-by-construction stamp against verify_cp's
+  eigensolve of the same matrix, and the gather ``KrausSet.apply`` against
+  sum T rho T^T: bundled and hypothesis grand mappings and a mapping with
+  min pi about 1e-6; a misrouted table column fails both;
 - the Choi spectrum computed on the support against the full ``eigvalsh``;
 - a mapping's C* and T Choi spectra from the |R| x |R| Gram matrix against
   the support eigensolve of the same maps built from the dense grand
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mappings
+from conftest import dense_kraus_ops, mappings
 from qcoupling import cli, quantize
 from qcoupling.chain import (
     ATOL_COMPUTED,
@@ -44,6 +45,7 @@ from qcoupling.coupling import (
     induced_entries,
     rmr_to_json_dict,
 )
+from qcoupling.csr import Csr
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import (
     coalescence_trace_identity_check,
@@ -59,6 +61,7 @@ from qcoupling.quantize import (
     ChoiMatrix,
     KrausSet,
     Superoperator,
+    TableKraus,
     c_star_superop,
     choi_matrix,
     kraus_from_grand,
@@ -212,23 +215,20 @@ class TestChecksAgree:
 # Sparse Kraus superoperator and its CP stamp
 
 
-def _isometry_kraus(n: int, n_r: int, seed: int) -> KrausSet:
-    """Dense Kraus operators: the n x n blocks of a random (n_r n) x n isometry."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    Q, _ = np.linalg.qr(rng.standard_normal((n_r * n, n)))
-    return KrausSet(n, [Q[r * n:(r + 1) * n] for r in range(n_r)])
-
-
-def _assert_superop_matches_dense(ks: KrausSet):
+def _assert_matches_dense(ks: KrausSet, seed: int = 0):
+    """superop_from_kraus and KrausSet.apply against the dense operators."""
+    ops = dense_kraus_ops(ks)
     S = superop_from_kraus(ks)
-    dense = np.zeros((ks.dim**2, ks.dim**2))
-    for T in ks.ops:
-        dense += np.kron(T, T)
-    assert np.array_equal(S.matrix.toarray(), dense)
+    dense = Csr.from_dense(sum(np.kron(T, T) for T in ops))
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(S.matrix, name), getattr(dense, name)), name
     # the stamp by construction against the eigensolve of the same matrix
     ref = Superoperator(ks.dim, dense)
     verify_cp(ref)
     assert S.cp_status == ref.cp_status == "verified"
+    rho = random_density(ks.dim, start_state_rng(seed)).matrix
+    np.testing.assert_allclose(ks.apply(rho), sum(T @ rho @ T.T for T in ops),
+                               rtol=0, atol=1e-14)
 
 
 class TestSparseKraus:
@@ -236,7 +236,7 @@ class TestSparseKraus:
     def test_grand_kraus_equals_kron_sum(self, name, eigensolves):
         m = _model(name)
         ks = kraus_from_grand(m.rmr, m.pi)
-        _assert_superop_matches_dense(ks)
+        _assert_matches_dense(ks, seed=len(name))
         assert eigensolves == []
         per_row = np.diff(superop_from_kraus(ks).matrix.indptr)
         assert per_row.max() <= m.rmr.n_r
@@ -245,7 +245,7 @@ class TestSparseKraus:
     @given(mappings(ergodic=True))
     def test_property_grand_kraus(self, rmr):
         pi = stationary_distribution(rmr.base)
-        _assert_superop_matches_dense(kraus_from_grand(rmr, pi))
+        _assert_matches_dense(kraus_from_grand(rmr, pi))
 
     def test_small_pi_mapping(self):
         # KrausSet checks sum_r T_r^T T_r = I to 1e-10 and its diagonal at y
@@ -259,20 +259,29 @@ class TestSparseKraus:
         rmr = RandomMappingRep(base, ("0", "1", "2", "3"), probs, table)
         pi = stationary_distribution(base)
         assert pi.weights.min() < 2e-6
-        _assert_superop_matches_dense(kraus_from_grand(rmr, pi))
+        _assert_matches_dense(kraus_from_grand(rmr, pi))
 
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(1, 4), n_r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    def test_property_dense_kraus_operators(self, n, n_r, seed):
-        _assert_superop_matches_dense(_isometry_kraus(n, n_r, seed))
+    @pytest.mark.parametrize("name", ["hypercube3", "hardcore-path5", "colorings-path3-q4"])
+    def test_misrouted_column_fails(self, name):
+        # a mutant table whose column 0 sends every state one further
+        m = _model(name)
+        ks = kraus_from_grand(m.rmr, m.pi)
+        table = ks.table.copy()
+        table[:, 0] = (table[:, 0] + 1) % ks.dim
+        mutant = TableKraus(ks.probs, table, ks.weights)  # unchecked: no Kraus condition
+        ops = dense_kraus_ops(ks)
+        dense = sum(np.kron(T, T) for T in ops)
+        assert not np.array_equal(superop_from_kraus(mutant).matrix.toarray(), dense)
+        rho = random_density(ks.dim, start_state_rng(2)).matrix
+        want = sum(T @ rho @ T.T for T in ops)
+        assert np.abs(KrausSet.apply(mutant, rho) - want).max() > 1e-6
 
     def test_cancelling_products_are_not_stored(self):
-        # kron(T, T) is +-1/4 on every cell for both operators, and the two
-        # cancel on 8 of the 16
-        H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        ks = KrausSet(2, [H / math.sqrt(2.0), H @ np.diag([1.0, -1.0]) / math.sqrt(2.0)])
-        _assert_superop_matches_dense(ks)
-        assert superop_from_kraus(ks).matrix.nnz == 8
+        # complete dephasing: two identity routes with amplitudes (1, 1) and
+        # (1, -1) over sqrt(2), whose products cancel off the diagonal
+        ks = KrausSet([0.5, 0.5], [[0, 0], [1, 1]], [[1.0, 1.0], [1.0, -1.0]])
+        _assert_matches_dense(ks)
+        assert superop_from_kraus(ks).matrix.nnz == 2
 
     def test_apply_matches_dense(self, hypercube3):
         T = superop_from_kraus(kraus_from_grand(hypercube3.rmr, hypercube3.pi))
