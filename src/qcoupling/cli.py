@@ -67,6 +67,7 @@ from qcoupling.models import (
     path_graph,
 )
 from qcoupling.quantize import (
+    check_fixed_point,
     choi_matrix,
     c_star_superop,
     is_completely_positive,
@@ -199,20 +200,24 @@ def cmd_validate(args) -> int:
 def _quantize_summary(rm: ModelInstance):
     """Choi matrix of C* and the quantize summary.
 
-    C* is built once, for the channel T and for the Choi matrix J; a
-    mapping's is its cached pair-space operator, not a copy. Each map has its
-    own Choi spectrum (a mapping's from its Gram matrix): T's CP verdict is
-    :func:`verify_cp` on T, and ``cp`` from J's spectrum. T, T* and T's Choi
-    matrix are dropped before J is built, so they never share the peak with
-    it. Only the CSR Choi matrix, whose nonzeros the Choi CSV lists, is kept.
+    C* is built once (a mapping's is its cached pair-space operator). T is a
+    mapping's ``superop_from_kraus(kraus_from_grand(...))``, as in ``evolve``
+    and ``verify`` (its :class:`KrausSet` checks trace preservation), or a
+    dense coupling's :func:`quantized_coupling`. :func:`verify_cp` judges T
+    (a mapping's by its Gram matrix, never building Choi(T)), and ``cp`` is
+    J's spectrum. T is dropped before J (the Choi CSV's CSR matrix) is built.
     """
     C = rm.coupling()
     S = c_star_superop(rm.exact_coupling())
     summary = {"model": rm.name, "order": "basis_first"}  # the one Choi layout
     if validate_coupling(C).valid:
-        T = quantized_coupling(S, rm.pi)[0]
+        if rm.rmr is not None:
+            T = superop_from_kraus(kraus_from_grand(rm.rmr, rm.pi))
+            check_fixed_point(T, rm.pi)
+        else:
+            T = quantized_coupling(S, rm.pi)[0]
         verify_cp(T)
-        summary["trace_preserving"] = True  # asserted inside quantized_coupling
+        summary["trace_preserving"] = True  # asserted by the constructions
         summary["fixed_point_holds"] = True
         summary["channel_cp"] = T.cp_status == "verified"
         del T
@@ -337,7 +342,7 @@ def cmd_verify(args) -> int:
     rng = start_state_rng(args.seed)
     C = rm.exact_coupling()
     # T before the tails, so that its build does not share the peak with them;
-    # the Kraus set is dropped once T is built
+    # T keeps its Kraus set (N x |R| numbers) as T.kraus
     T = superop_from_kraus(kraus_from_grand(rm.rmr, pi))
     # one tails run, to the largest m any check reads (6 = m * l of the
     # submultiplicativity check); each check gets the report or its cut

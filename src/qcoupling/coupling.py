@@ -587,6 +587,12 @@ class _BlockStream:
         self.words += out.size
 
 
+def _checked_seed(seed: int) -> int:
+    if seed < 0:
+        raise InvalidInputError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def coalescence_tail_mc(
     rmr: RandomMappingRep,
     start_pairs: list[tuple[int, int]],
@@ -609,8 +615,7 @@ def coalescence_tail_mc(
     """
     if samples < 1:
         raise InvalidInputError(f"--samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise InvalidInputError(f"--seed must be >= 0, got {seed}")
+    _checked_seed(seed)
     if not start_pairs or not list(m_grid):
         raise InvalidInputError("start_pairs and m_grid must be nonempty")
     grid = np.array(sorted(set(int(m) for m in m_grid)), dtype=np.int64)

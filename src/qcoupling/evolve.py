@@ -21,9 +21,9 @@ from qcoupling.coupling import (
     CoalescenceReport,
     CouplingMatrix,
     RandomMappingRep,
+    _checked_seed,
 )
 from qcoupling.errors import InvalidInputError
-from qcoupling.models import _checked_seed
 from qcoupling.quantize import KrausSet, Superoperator, c_star_superop
 
 PSD_SLACK = 1e-10  # eigenvalue floor for density matrices

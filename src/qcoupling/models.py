@@ -35,6 +35,7 @@ from qcoupling.coupling import (
     CouplingMatrix,
     CoalescenceReport,
     RandomMappingRep,
+    _checked_seed,
     grand_coupling_matrix,
     induced_entries,
     require_exact,
@@ -325,12 +326,6 @@ def load_counterexample_fixture() -> dict:
 
 # ---------------------------------------------------------------------------
 # Rate envelopes
-
-
-def _checked_seed(seed: int) -> int:
-    if seed < 0:
-        raise InvalidInputError(f"--seed must be >= 0, got {seed}")
-    return seed
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

@@ -106,10 +106,10 @@ class Superoperator:
     ``cp_status`` is one of "unchecked" / "verified" / "failed" and travels
     with the map; the overlap-bound and main-theorem checks refuse a map that
     is not CP-verified. One rule sets it: :func:`superop_from_kraus` stamps
-    its maps "verified" by construction, and every other map is stamped by
-    :func:`verify_cp` from its own Choi spectrum. ``kraus``, set by the
-    constructions from a random mapping, is the map's :class:`TableKraus`,
-    from which that spectrum is computed.
+    its maps "verified" by construction, and :func:`verify_cp` stamps any map
+    from its own Choi spectrum. ``kraus``, set by the constructions from a
+    random mapping (its C* and its channel T), is the map's
+    :class:`TableKraus`, from which that spectrum is computed.
     """
 
     dim: int
@@ -275,51 +275,46 @@ def quantized_coupling(
     """Quantized coupling (T, T*) via the similarity transform by D = diag(pi).
 
     T*(M) = D^{-1/2} C*(D^{1/2} M D^{1/2}) D^{-1/2}; T is the Hilbert-Schmidt
-    adjoint. Verifies T*(I) = I and that the qsample projector is fixed by T.
-    ``c_star`` is :func:`c_star_superop` of the coupling; its entries are
-    rescaled into a new matrix. A C* with a :class:`TableKraus` hands T and
-    T* its table with the weights d_x / d_f(x,r), d = sqrt(pi), of
-    :func:`kraus_from_grand`.
+    adjoint. Verifies T*(I) = I and :func:`check_fixed_point`. ``c_star`` is
+    :func:`c_star_superop` of a dense coupling; its entries are rescaled into
+    a new matrix. A random mapping's T is built from its table instead, by
+    ``superop_from_kraus(kraus_from_grand(rmr, pi))``.
     """
     n = c_star.dim
-    if pi.n != n:
-        raise InvalidInputError("distribution length does not match coupling dimension")
-    if pi.weights.min() <= 0:
-        raise InvalidInputError("pi must be strictly positive (ergodicity guarantees this)")
+    _check_pi(pi, n)
     s = np.sqrt(np.outer(pi.weights, pi.weights)).reshape(-1, order="F")
     S = c_star.matrix
     S_tstar = Csr(S.data * (s[S.indices] / s[S.rows]), S.indices, S.indptr, S.shape)
-    kraus = c_star.kraus
-    if kraus is not None:
-        kraus = TableKraus(kraus.probs, kraus.table, _qsample_weights(kraus.table, pi))
-    T_star = Superoperator(dim=n, matrix=S_tstar, kraus=kraus)
-    T = Superoperator(dim=n, matrix=S_tstar.T, kraus=kraus)
+    T_star = Superoperator(dim=n, matrix=S_tstar)
+    T = Superoperator(dim=n, matrix=S_tstar.T)
 
     err_tp = np.max(np.abs(T_star.apply(np.eye(n)) - np.eye(n)))
     if err_tp > ATOL_COMPUTED:
         raise InvalidInputError(f"T*(I) = I violated by {err_tp:.3g}")
+    check_fixed_point(T, pi)
+    return T, T_star
+
+
+def check_fixed_point(T: Superoperator, pi: Distribution):
+    """Raise unless T(Q) = Q within ATOL_COMPUTED, Q the qsample projector."""
     amp = np.sqrt(pi.weights)
     Q = np.outer(amp, amp)
     err_fp = np.max(np.abs(T.apply(Q) - Q))
     if err_fp > ATOL_COMPUTED:
         raise InvalidInputError(f"qsample fixed point violated by {err_fp:.3g}")
-    return T, T_star
 
 
-def _qsample_weights(table: np.ndarray, pi: Distribution) -> np.ndarray:
-    """d_x / d_f(x, r), d = sqrt(pi): the weights of T's Kraus operators."""
-    d = np.sqrt(pi.weights)
-    return d[:, None] / d[table]
+def _check_pi(pi: Distribution, n: int):
+    if pi.n != n or not pi.weights.min() > 0:
+        raise InvalidInputError(f"pi must be {n} positive weights (ergodicity guarantees this)")
 
 
 def kraus_from_grand(rmr: RandomMappingRep, pi: Distribution) -> KrausSet:
     """Kraus operators T_r = sqrt(Pr(r)) sum_x (d_x / d_f(x,r)) |x><f(x,r)|,
-    d = sqrt(pi): the mapping's table with :func:`_qsample_weights`."""
-    if pi.n != rmr.n:
-        raise InvalidInputError("distribution length does not match mapping dimension")
-    if pi.weights.min() <= 0:
-        raise InvalidInputError("pi must be strictly positive")
-    return KrausSet(rmr.probs, rmr.table, _qsample_weights(rmr.table, pi))
+    d = sqrt(pi): the mapping's table with the weights d_x / d_f(x, r)."""
+    _check_pi(pi, rmr.n)
+    d = np.sqrt(pi.weights)
+    return KrausSet(rmr.probs, rmr.table, d[:, None] / d[rmr.table])
 
 
 def superop_from_kraus(ks: KrausSet) -> Superoperator:
@@ -330,17 +325,18 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     at each cell in r order, so the entries equal those of the dense sum bit
     for bit; cells that sum to zero are not stored.
 
-    The map is stamped CP-verified by construction: its Choi matrix is
-    sum_r u_r u_r^T with u_r[x*N + i] = T_r[i, x] (Choi 1975), a sum of
-    outer products and so PSD. That needs finite Kraus operators, which
-    :class:`KrausSet` guarantees.
+    Of :func:`kraus_from_grand`'s set, it is every command's one T of a
+    random mapping. The map is stamped CP-verified by construction: its Choi
+    matrix is sum_r u_r u_r^T with u_r[x*N + i] = T_r[i, x] (Choi 1975), a
+    sum of outer products and so PSD (finite operators: :class:`KrausSet`).
+    ``ks`` is the map's ``kraus``, so :func:`verify_cp` takes the Gram route.
     """
     n, n2 = ks.dim, ks.dim * ks.dim
     a, f = ks.amplitudes.T, ks.table.T  # [r, x]
     data = (a[:, :, None] * a[:, None, :]).ravel()
     cols = ((f * n)[:, :, None] + f[:, None, :]).ravel()
     S = Csr.from_coo(data, np.tile(np.arange(n2), f.shape[0]), cols, (n2, n2))
-    return Superoperator(dim=ks.dim, matrix=S.without_zeros(), cp_status="verified")
+    return Superoperator(dim=ks.dim, matrix=S.without_zeros(), cp_status="verified", kraus=ks)
 
 
 def choi_matrix(S: Superoperator) -> ChoiMatrix:
@@ -359,32 +355,31 @@ def choi_matrix(S: Superoperator) -> ChoiMatrix:
 
 
 def min_choi_eigenvalue(J: ChoiMatrix) -> float:
-    """Smallest Choi eigenvalue (symmetric eigensolver).
-
-    Raises if J is asymmetric beyond 1e-10. The companion CP verdict is
-    exposed through :func:`is_completely_positive` with the scale-free
-    tolerance ``CP_TOL_REL * max|J|``.
-    """
+    """Smallest eigenvalue of :attr:`ChoiMatrix.eigenvalues`."""
     return float(J.eigenvalues[0])
+
+
+def _cp_verdict(lambda_min: float, entries: np.ndarray) -> bool:
+    """lambda_min >= -CP_TOL_REL * max|entry|, a scale-free tolerance."""
+    largest = float(np.abs(entries).max(initial=0.0))
+    return lambda_min >= -CP_TOL_REL * max(largest, 1e-300)
 
 
 def is_completely_positive(J: ChoiMatrix) -> bool:
     """lambda_min(J) >= -CP_TOL_REL * max|J|, a scale-free tolerance."""
-    largest = float(np.abs(J.matrix.data).max(initial=0.0))
-    return min_choi_eigenvalue(J) >= -CP_TOL_REL * max(largest, 1e-300)
+    return _cp_verdict(min_choi_eigenvalue(J), J.matrix.data)
 
 
-def verify_cp(S: Superoperator) -> ChoiMatrix:
-    """Stamp S.cp_status from the spectrum of S's own Choi matrix.
+def verify_cp(S: Superoperator):
+    """Stamp S.cp_status from the spectrum of S's own Choi matrix J, with the
+    tolerance ``CP_TOL_REL * max|J|`` read off S's entries, which J permutes.
 
-    This is the CP rule for every map not built by :func:`superop_from_kraus`:
-    the spectrum of Choi(S) (:attr:`ChoiMatrix.eigenvalues`: the Gram route
-    for a map with a :class:`TableKraus`, else the support eigensolve), with
-    the tolerance ``CP_TOL_REL * max|J|``. Returns the Choi matrix.
+    A map with a :class:`TableKraus` takes the spectrum from its Gram matrix
+    (:meth:`TableKraus.choi_spectrum`) and never builds J; only a map without
+    one gets :func:`choi_matrix` and its support eigensolve.
     """
-    J = choi_matrix(S)
-    S.cp_status = "verified" if is_completely_positive(J) else "failed"
-    return J
+    eigs = S.kraus.choi_spectrum() if S.kraus is not None else choi_matrix(S).eigenvalues
+    S.cp_status = "verified" if _cp_verdict(float(eigs[0]), S.matrix.data) else "failed"
 
 
 def independent_choi_structure_check(P) -> CheckResult:

@@ -6,8 +6,8 @@
 - the one CP rule: superop_from_kraus's CP-by-construction stamp against
   verify_cp's eigensolve, a Kraus-shaped matrix that is no Kraus map judged
   by its own spectrum, the congruence between Choi(T) and the pair-swapped
-  Choi matrix of C*, and quantize's two eigensolves (C*'s Choi matrix and
-  the similarity-route T's) agreeing;
+  Choi matrix of C*, and quantize's two spectra (C*'s Choi matrix and T's,
+  the Kraus-built T for a mapping) agreeing;
 - matrix_to_csv, and the Choi CSV that quantize writes: the dense matrix
   rebuilt from its triplets against the dense reference, bit for bit, the
   text against a per-cell formatter on that reference, and the chunked text
@@ -354,13 +354,15 @@ class TestOneCpRule:
         assert summary.get("channel_cp", want) == want
 
     def test_similarity_channel_gets_its_own_eigensolve(self, monkeypatch):
+        # a mapping's T is the one evolve and verify build from its Kraus set,
+        # and verify_cp judges it by its own (Gram) spectrum
         calls = []
         monkeypatch.setattr(cli, "verify_cp", lambda S: calls.append(S) or verify_cp(S))
         m = _model("hypercube2")
         _quantize_summary(m)
         [T] = calls
         assert T.cp_status == "verified"
-        want = quantized_coupling(c_star_superop(m.coupling()), m.pi)[0].matrix
+        want = superop_from_kraus(kraus_from_grand(m.rmr, m.pi)).matrix
         _assert_bit_identical(T.matrix.toarray(), want.toarray())  # the channel T, not T*
 
 

@@ -92,6 +92,16 @@ class TestQuantizedCoupling:
         Q = qsample(pi).projector
         np.testing.assert_allclose(T.apply(Q), Q, atol=1e-10)
 
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.0, 0.25, 0.25, 0.5]])
+    def test_one_pi_guard(self, hypercube2, weights):
+        # a pi of the wrong length or with a zero weight: one message from both
+        pi = Distribution(np.array(weights))
+        S = c_star_superop(hypercube2.coupling())
+        for build in (lambda: quantized_coupling(S, pi),
+                      lambda: kraus_from_grand(hypercube2.rmr, pi)):
+            with pytest.raises(InvalidInputError, match="^pi must be 4 positive weights"):
+                build()
+
     def test_adjoint_is_transpose(self, hypercube2):
         T, T_star = quantized_coupling(c_star_superop(hypercube2.coupling()), hypercube2.pi)
         np.testing.assert_array_equal(T.matrix.toarray(), T_star.matrix.T.toarray())
@@ -180,8 +190,9 @@ class TestChoi:
 
     def test_grand_coupling_channel_is_cp(self, hypercube3):
         T, _ = quantized_coupling(c_star_superop(hypercube3.coupling()), hypercube3.pi)
-        J = verify_cp(T)
+        verify_cp(T)
         assert T.cp_status == "verified"
+        J = choi_matrix(T)
         assert min_choi_eigenvalue(J) >= -1e-9 * np.max(np.abs(J.matrix.toarray()))
 
     def test_asymmetric_choi_rejected(self):

@@ -483,10 +483,11 @@ class TestMemoryAtN64:
             assert dilation_route_check(circ, ks, random_density(circ.dim, rng)).passed
 
     def test_quantize_command(self, tmp_path):
-        # 4.0 MiB, building Choi(T) beside C* and T for verify_cp; the two
-        # support eigensolves the Gram matrices replace took 6.6 MiB,
-        # whole-matrix CSV line lists and gathers 10.8 MiB, and the dense Choi
-        # CSV string and its encoded bytes were about 69 MB
+        # 3.4 MiB, building T from its Kraus set beside C*; building Choi(T)
+        # beside C* and T for verify_cp took 4.0 MiB, the two support
+        # eigensolves the Gram matrices replace 6.6 MiB, whole-matrix CSV
+        # line lists and gathers 10.8 MiB, and the dense Choi CSV string and
+        # its encoded bytes were about 69 MB
         with _peak_below(4.5 * 2**20), contextlib.redirect_stdout(io.StringIO()):
             assert main(["quantize", "--model", "hypercube6", "--out", str(tmp_path)]) == 0
 

@@ -11,9 +11,12 @@
   sum T rho T^T: bundled and hypothesis grand mappings and a mapping with
   min pi about 1e-6; a misrouted table column fails both;
 - the Choi spectrum computed on the support against the full ``eigvalsh``;
+- a mapping's one T, built from its Kraus set, against the rescaled C* of
+  its dense grand coupling: the same sparsity and entries within 1e-15;
 - a mapping's C* and T Choi spectra from the |R| x |R| Gram matrix against
   the support eigensolve of the same maps built from the dense grand
-  coupling: bundled and hypothesis mappings;
+  coupling: bundled and hypothesis mappings; ``verify_cp`` of a map with a
+  table builds no Choi matrix;
 - coupling files of either kind.
 """
 
@@ -56,7 +59,11 @@ from qcoupling.evolve import (
     random_density,
     start_state_rng,
 )
-from qcoupling.models import contraction_rate_check, load_counterexample_fixture
+from qcoupling.models import (
+    ModelInstance,
+    contraction_rate_check,
+    load_counterexample_fixture,
+)
 from qcoupling.quantize import (
     ChoiMatrix,
     KrausSet,
@@ -260,6 +267,9 @@ class TestSparseKraus:
         pi = stationary_distribution(base)
         assert pi.weights.min() < 2e-6
         _assert_matches_dense(kraus_from_grand(rmr, pi))
+        summary = _quantize_summary(ModelInstance("file", base, rmr=rmr, name="small-pi"))[1]
+        assert summary["trace_preserving"] and summary["fixed_point_holds"]
+        assert summary["channel_cp"] and summary["cp"]
 
     @pytest.mark.parametrize("name", ["hypercube3", "hardcore-path5", "colorings-path3-q4"])
     def test_misrouted_column_fails(self, name):
@@ -357,13 +367,15 @@ class TestSupportSpectrum:
 # A mapping's two Choi spectra from the |R| x |R| Gram matrix
 
 
-def _assert_gram_matches_support(table_map: Superoperator, dense_map: Superoperator):
+def _assert_gram_matches_support(table_map: Superoperator, dense_map: Superoperator,
+                                 atol: float = 0.0):
     """The Gram spectrum of a map built from a table against the support
-    eigensolve of the same map built from the dense grand coupling."""
+    eigensolve of the same map built from the dense grand coupling, whose
+    entries agree within ``atol``."""
     assert table_map.kraus is not None and dense_map.kraus is None
     got, want = choi_matrix(table_map), choi_matrix(dense_map)
     assert got.kraus is table_map.kraus and want.kraus is None
-    np.testing.assert_array_equal(got.matrix.toarray(), want.matrix.toarray())
+    np.testing.assert_allclose(got.matrix.toarray(), want.matrix.toarray(), rtol=0, atol=atol)
     n2 = table_map.dim**2
     assert got.eigenvalues.shape == want.eigenvalues.shape == (n2,)
     assert np.all(np.diff(got.eigenvalues) >= 0)
@@ -378,9 +390,15 @@ def _assert_c_star_gram(rmr: RandomMappingRep):
 
 
 def _assert_channel_gram(rmr: RandomMappingRep, pi):
-    table_map = quantized_coupling(c_star_superop(rmr), pi)[0]
-    dense_map = quantized_coupling(c_star_superop(grand_coupling_matrix(rmr)), pi)[0]
-    _assert_gram_matches_support(table_map, dense_map)
+    """The one T of a mapping, built from its Kraus set, against the rescaled
+    C* of its dense grand coupling: the same sparsity, entries within 1e-15
+    (measured 1.1e-16 at most), and the Gram spectrum against the support's."""
+    T = superop_from_kraus(kraus_from_grand(rmr, pi))
+    ref = quantized_coupling(c_star_superop(grand_coupling_matrix(rmr)), pi)[0]
+    assert np.array_equal(T.matrix.indptr, ref.matrix.indptr)
+    assert np.array_equal(T.matrix.indices, ref.matrix.indices)
+    np.testing.assert_allclose(T.matrix.data, ref.matrix.data, rtol=0, atol=1e-15)
+    _assert_gram_matches_support(T, ref, atol=1e-15)
 
 
 class TestGramSpectrum:
@@ -422,10 +440,25 @@ class TestGramSpectrum:
         m = _model("hardcore-path5")
         J, summary = _quantize_summary(m)
         [T] = calls
-        assert T.kraus is not None and J.kraus is not None
+        assert isinstance(T.kraus, KrausSet) and J.kraus is not None
         assert summary["cp"] and summary["channel_cp"]
         assert summary["choi_min_eigenvalue"] == 0.0
         assert summary["choi_eigenvalue_sum"] == pytest.approx(m.n, abs=1e-12)
+
+    def test_table_map_builds_no_choi_matrix(self, monkeypatch):
+        # verify_cp reads a table map's spectrum off its Gram matrix and its
+        # tolerance off its own entries, so quantize builds only C*'s Choi matrix
+        calls, build = [], quantize.choi_matrix
+        for module in (quantize, cli):
+            monkeypatch.setattr(module, "choi_matrix", lambda S: calls.append(S) or build(S))
+        m = _model("hardcore-path5")
+        T = superop_from_kraus(kraus_from_grand(m.rmr, m.pi))
+        T.cp_status = "unchecked"
+        verify_cp(T)
+        assert T.cp_status == "verified" and calls == []
+        _quantize_summary(m)
+        [S] = calls
+        assert S.matrix is c_star_superop(m.rmr).matrix
 
 
 # ---------------------------------------------------------------------------
