@@ -216,10 +216,9 @@ def _quantize_summary(rm: ModelInstance):
             check_fixed_point(T, rm.pi)
         else:
             T = quantized_coupling(S, rm.pi)[0]
-        verify_cp(T)
         summary["trace_preserving"] = True  # asserted by the constructions
         summary["fixed_point_holds"] = True
-        summary["channel_cp"] = T.cp_status == "verified"
+        summary["channel_cp"] = verify_cp(T)
         del T
     else:
         summary["channel_skipped"] = "coupling is not a verified stochastic coupling"
@@ -249,6 +248,15 @@ def _check_m_max(args):
         raise InvalidInputError(f"--m-max must be >= 0, got {args.m_max}")
 
 
+def _require_two_states(rm: ModelInstance):
+    """Reject a one-state model before any work: a command that starts from
+    a pair of distinct states has none to couple."""
+    if rm.n < 2:
+        raise InvalidInputError(
+            f"model {rm.name!r} has one state, so there is no pair of distinct states to couple"
+        )
+
+
 def cmd_coalesce(args) -> int:
     _check_m_max(args)
     if not args.mc:
@@ -264,6 +272,7 @@ def cmd_coalesce(args) -> int:
             raise InvalidInputError("--mc requires --seed")
         if rm.rmr is None:
             raise InvalidInputError("MC tails need a random-mapping model")
+        _require_two_states(rm)
         grid = args.m_grid or _default_grid(args.m_max)
         pairs = default_start_pairs(rm, count=5, seed=args.seed)
         report = coalescence_tail_mc(
@@ -334,6 +343,7 @@ def cmd_verify(args) -> int:
     rm = _load_inputs(args)
     if rm.rmr is None:
         raise InvalidInputError("verify needs a random-mapping model")
+    _require_two_states(rm)
     if args.states < 1:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     pi = rm.pi

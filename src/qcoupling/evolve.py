@@ -24,9 +24,7 @@ from qcoupling.coupling import (
     _checked_seed,
 )
 from qcoupling.errors import InvalidInputError
-from qcoupling.quantize import KrausSet, Superoperator, c_star_superop
-
-PSD_SLACK = 1e-10  # eigenvalue floor for density matrices
+from qcoupling.quantize import KrausSet, Superoperator, c_star_superop, verify_cp
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class DensityMatrix:
         if abs(np.trace(m) - 1.0) > ATOL_COMPUTED:
             raise InvalidInputError(f"density matrix trace {np.trace(m)!r}, not 1")
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -PSD_SLACK:
+        if lo < -ATOL_COMPUTED:
             raise InvalidInputError(f"density matrix has eigenvalue {lo:.3g} < -1e-10")
 
     @property
@@ -144,10 +142,12 @@ def random_density(n: int, rng: random.Random) -> DensityMatrix:
 
 
 def _require_cp(channel):
-    """The one CP rule: a KrausSet, or a Superoperator stamped "verified"."""
+    """The one CP rule: a KrausSet (CP by construction), or a Superoperator
+    for which :func:`verify_cp` holds. A map with a table (``kraus``) is
+    judged by its |R| x |R| Gram matrix, and no Choi matrix is built."""
     if isinstance(channel, KrausSet):
         return
-    if not (isinstance(channel, Superoperator) and channel.cp_status == "verified"):
+    if not (isinstance(channel, Superoperator) and verify_cp(channel)):
         raise InvalidInputError("channel must be a KrausSet or a CP-verified Superoperator")
 
 

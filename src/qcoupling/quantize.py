@@ -24,7 +24,6 @@ from qcoupling.coupling import (
     _successor_table,
     grand_coupling_operator,
     independent_coupling,
-    swap_pair,
     validate_coupling,
 )
 from qcoupling.csr import Csr, as_csr
@@ -97,28 +96,24 @@ class TableKraus:
         return np.sort(eigs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Superoperator:
     """Linear map on N x N matrices in the column-stacking vectorization.
 
     ``matrix`` is always a :class:`~qcoupling.csr.Csr` (a dense input is
-    converted), and ``apply`` is a sparse mat-vec.
-    ``cp_status`` is one of "unchecked" / "verified" / "failed" and travels
-    with the map; the overlap-bound and main-theorem checks refuse a map that
-    is not CP-verified. One rule sets it: :func:`superop_from_kraus` stamps
-    its maps "verified" by construction, and :func:`verify_cp` stamps any map
-    from its own Choi spectrum. ``kraus``, set by the constructions from a
-    random mapping (its C* and its channel T), is the map's
-    :class:`TableKraus`, from which that spectrum is computed.
+    converted), and ``apply`` is a sparse mat-vec. ``kraus``, set by the
+    constructions from a random mapping (its C* and its channel T), is the
+    map's :class:`TableKraus`, from which :func:`verify_cp` takes its Choi
+    spectrum.
     """
 
     dim: int
     matrix: Csr
-    cp_status: str = "unchecked"
     kraus: TableKraus | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        m = self.matrix = as_csr(self.matrix)
+        m = as_csr(self.matrix)
+        object.__setattr__(self, "matrix", m)
         n2 = self.dim * self.dim
         if m.shape != (n2, n2):
             raise InvalidInputError(f"superoperator matrix must be {n2}x{n2}")
@@ -155,7 +150,7 @@ class KrausSet(TableKraus):
             raise InvalidInputError("Kraus set needs a nonempty N x |R| table of successors "
                                     "in range, one Pr(r) >= 0 per column and N x |R| weights")
         a = self.amplitudes
-        if not np.isfinite(a).all():  # superop_from_kraus's CP stamp relies on it
+        if not np.isfinite(a).all():  # the Choi matrix sum_r u_r u_r^T is PSD only then
             raise InvalidInputError("Kraus operators must be finite")
         err = np.max(np.abs(np.bincount(f.ravel(), (a * a).ravel(), f.shape[0]) - 1.0))
         if not err <= ATOL_COMPUTED:  # NaN where the squares overflow
@@ -239,34 +234,25 @@ class ChoiMatrix:
 def c_star_superop(C: CouplingMatrix | RandomMappingRep) -> Superoperator:
     """Superoperator of C*(M) = sum c_{(x',y'),(x,y)} |x'><x| M |y><y'|.
 
-    Built from the stored entries of C by the map definition: C's entry at
-    (x'N + y', xN + y) lands at (x' + Ny', x + Ny). For symmetric couplings the matrix therefore
-    equals C entrywise; asymmetric inputs (by the cached
-    :func:`validate_coupling` report) are rejected because the identity, and
-    everything downstream, breaks without condition 3. A random mapping's
-    grand coupling is symmetric by construction, so its C* is
-    :func:`grand_coupling_operator` itself, with the mapping's table as its
-    :class:`TableKraus`.
+    By the map definition C's entry at (x'N + y', xN + y) lands at
+    (x' + Ny', x + Ny), the pair swap of both indices, so under condition 3
+    (symmetry) the matrix of C* is the coupling's own matrix: a dense
+    coupling's C* holds ``C.entries`` itself, taken to equal its swap within
+    condition 3's tolerance. An asymmetric input (by the cached
+    :func:`validate_coupling` report) is rejected with that report's
+    condition-3 issue, since the identity, and everything downstream, breaks
+    without it. A random mapping's grand coupling is symmetric by
+    construction, so its C* is :func:`grand_coupling_operator` itself, with
+    the mapping's table as its :class:`TableKraus`.
     """
     if isinstance(C, RandomMappingRep):
         return Superoperator(dim=C.n, matrix=grand_coupling_operator(C),
                              kraus=TableKraus(C.probs, C.table))
-    n = C.n
-    E = C.entries
-    S = Csr.from_coo(E.data, swap_pair(E.rows, n), swap_pair(E.indices, n), E.shape)
-    if not validate_coupling(C).details["symmetry"]:
-        diff = Csr.from_coo(  # S - C: where both store an entry, S's plus C's negated
-            np.concatenate([S.data, -E.data]),
-            np.concatenate([S.rows, E.rows]),
-            np.concatenate([S.indices, E.indices]),
-            S.shape,
-        )
-        asym = float(np.abs(diff.data).max(initial=0.0))
-        raise InvalidInputError(
-            f"coupling violates the symmetry condition by {asym:.3g}; "
-            "the vectorized identity matrix(C*) = C requires it"
-        )
-    return Superoperator(dim=n, matrix=S)
+    report = validate_coupling(C)
+    if not report.details["symmetry"]:
+        [issue] = (i for i in report.issues if i.startswith("condition 3"))
+        raise InvalidInputError(f"{issue}; the vectorized identity matrix(C*) = C requires it")
+    return Superoperator(dim=C.n, matrix=C.entries)
 
 
 def quantized_coupling(
@@ -326,9 +312,9 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     for bit; cells that sum to zero are not stored.
 
     Of :func:`kraus_from_grand`'s set, it is every command's one T of a
-    random mapping. The map is stamped CP-verified by construction: its Choi
-    matrix is sum_r u_r u_r^T with u_r[x*N + i] = T_r[i, x] (Choi 1975), a
-    sum of outer products and so PSD (finite operators: :class:`KrausSet`).
+    random mapping. Its Choi matrix is sum_r u_r u_r^T with
+    u_r[x*N + i] = T_r[i, x] (Choi 1975), a sum of outer products and so PSD
+    (finite operators: :class:`KrausSet`); no verdict is computed here.
     ``ks`` is the map's ``kraus``, so :func:`verify_cp` takes the Gram route.
     """
     n, n2 = ks.dim, ks.dim * ks.dim
@@ -336,7 +322,7 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     data = (a[:, :, None] * a[:, None, :]).ravel()
     cols = ((f * n)[:, :, None] + f[:, None, :]).ravel()
     S = Csr.from_coo(data, np.tile(np.arange(n2), f.shape[0]), cols, (n2, n2))
-    return Superoperator(dim=ks.dim, matrix=S.without_zeros(), cp_status="verified", kraus=ks)
+    return Superoperator(dim=ks.dim, matrix=S.without_zeros(), kraus=ks)
 
 
 def choi_matrix(S: Superoperator) -> ChoiMatrix:
@@ -370,16 +356,16 @@ def is_completely_positive(J: ChoiMatrix) -> bool:
     return _cp_verdict(min_choi_eigenvalue(J), J.matrix.data)
 
 
-def verify_cp(S: Superoperator):
-    """Stamp S.cp_status from the spectrum of S's own Choi matrix J, with the
-    tolerance ``CP_TOL_REL * max|J|`` read off S's entries, which J permutes.
+def verify_cp(S: Superoperator) -> bool:
+    """Whether S is CP: lambda_min of S's own Choi matrix J against the
+    tolerance ``CP_TOL_REL * max|J|``, read off S's entries, which J permutes.
 
     A map with a :class:`TableKraus` takes the spectrum from its Gram matrix
     (:meth:`TableKraus.choi_spectrum`) and never builds J; only a map without
     one gets :func:`choi_matrix` and its support eigensolve.
     """
     eigs = S.kraus.choi_spectrum() if S.kraus is not None else choi_matrix(S).eigenvalues
-    S.cp_status = "verified" if _cp_verdict(float(eigs[0]), S.matrix.data) else "failed"
+    return _cp_verdict(float(eigs[0]), S.matrix.data)
 
 
 def independent_choi_structure_check(P) -> CheckResult:

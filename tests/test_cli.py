@@ -201,6 +201,20 @@ class TestMappingFiles:
         assert "Pr(r) must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [("coalesce", "--mc", "--seed", "1"), ("verify",)])
+    def test_one_state_model_has_no_pair(self, tmp_path, capsys, argv):
+        # a one-state chain and mapping: no pair of distinct states to start
+        # MC tails or the edge-state checks from
+        chain, mapping = tmp_path / "chain.json", tmp_path / "mapping.json"
+        chain.write_text(json.dumps({"labels": ["a"], "P": [[1.0]]}))
+        mapping.write_text(json.dumps(
+            {"kind": "rmr", "R": [{"label": "r0", "prob": 1.0}], "f": [[0]]}))
+        capsys.readouterr()
+        assert run(*argv, "--chain", str(chain), "--coupling", str(mapping),
+                   "--out", str(tmp_path / "o")) == 2
+        assert "has one state, so there is no pair" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_successors_read_as_integers(self, tmp_path):
         chain, mapping = mapping_files(tmp_path, table=[[0.0, 0.0], [1.0, 1]])
         assert run("validate", "--chain", chain, "--coupling", mapping,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoupling.chain import ATOL_COMPUTED, Distribution
+from qcoupling.chain import ATOL_COMPUTED, Distribution, stationary_distribution
 from qcoupling.coupling import coalescence_tail_exact
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import (
@@ -24,10 +24,14 @@ from qcoupling.evolve import (
     trace_distance,
     uniform_entries,
 )
+from qcoupling.models import cycle_coupling_model
 from qcoupling.quantize import (
     KrausSet,
     Superoperator,
+    c_star_superop,
+    choi_matrix,
     kraus_from_grand,
+    min_choi_eigenvalue,
     superop_from_kraus,
     verify_cp,
 )
@@ -35,7 +39,7 @@ from qcoupling.quantize import (
 
 def channel_for(model):
     T = superop_from_kraus(kraus_from_grand(model.rmr, model.pi))
-    verify_cp(T)
+    assert verify_cp(T)
     return T
 
 
@@ -107,8 +111,13 @@ class TestEvolveTrace:
         )
 
     def test_requires_cp_verified(self, hypercube3):
-        T = superop_from_kraus(kraus_from_grand(hypercube3.rmr, hypercube3.pi))
-        T.cp_status = "unchecked"
+        # the transpose map M -> M^T: positive and trace preserving, but not CP
+        # (its Choi matrix is the swap, with eigenvalue -1)
+        k = np.arange(64)
+        T = Superoperator(8, np.eye(64)[k % 8 * 8 + k // 8])
+        rho = random_density(8, start_state_rng(0)).matrix
+        np.testing.assert_array_equal(T.apply(rho), rho.T)
+        assert verify_cp(T) is False
         with pytest.raises(InvalidInputError, match="CP-verified"):
             evolve_trace(T, DensityMatrix(np.eye(8) / 8), hypercube3.pi, 2)
 
@@ -170,6 +179,22 @@ class TestChannelCheckGates:
         res = main_theorem_check(identity, hypercube3.pi, report, rho0s, [0.25, 0.04])
         assert not res.passed
         assert res.lhs > 0
+
+    def test_non_cp_superoperator_refused_alike(self):
+        # C* of the printed 3-cycle, whose Choi lambda_min is about -1.04,
+        # with the exact tails of the prose 3-cycle on the same 3 states
+        chain, printed = cycle_coupling_model(3, p=0.5, variant="printed")
+        S = c_star_superop(printed)
+        assert min_choi_eigenvalue(choi_matrix(S)) == pytest.approx(-1.04, abs=0.01)
+        pi = stationary_distribution(chain)
+        report = coalescence_tail_exact(cycle_coupling_model(3, p=0.5)[1], m_max=8)
+        assert report.t_couple is not None  # main_theorem_check reaches its CP gate
+        rho0s = [DensityMatrix(np.eye(3) / 3)]
+        for check in (lambda: evolve_trace(S, rho0s[0], pi, 2, report=report),
+                      lambda: qperp_bound_check(S, pi, report, rho0s, [0, 1, 2]),
+                      lambda: main_theorem_check(S, pi, report, rho0s, [0.25])):
+            with pytest.raises(InvalidInputError, match="CP-verified"):
+                check()
 
     def test_vacuous_rows_match_direct_computation(self, hypercube3):
         report, rho0s = _hypercube3_inputs(hypercube3)

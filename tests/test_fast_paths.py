@@ -2,12 +2,15 @@
 
 - the trace identity evolved with a sparse C* against the dense matmul;
 - the CSR superoperators against the dense reshapes they replaced: the
-  Choi scatter, the re-indexed C* of a dense coupling and the rescaled T*;
-- the one CP rule: superop_from_kraus's CP-by-construction stamp against
-  verify_cp's eigensolve, a Kraus-shaped matrix that is no Kraus map judged
-  by its own spectrum, the congruence between Choi(T) and the pair-swapped
-  Choi matrix of C*, and quantize's two spectra (C*'s Choi matrix and T's,
-  the Kraus-built T for a mapping) agreeing;
+  Choi scatter, a dense coupling's C* (its own matrix) against the
+  swap-transposed 4-tensor, also within condition 3's tolerance, and the
+  rescaled T*;
+- the one CP rule: verify_cp's verdict on a Kraus-built map (its Gram
+  spectrum) against the support eigensolve of the same matrix, a
+  Kraus-shaped matrix that is no Kraus map judged by its own spectrum, the
+  congruence between Choi(T) and the pair-swapped Choi matrix of C*, and
+  quantize's two spectra (C*'s Choi matrix and T's, the Kraus-built T for a
+  mapping) agreeing;
 - matrix_to_csv, and the Choi CSV that quantize writes: the dense matrix
   rebuilt from its triplets against the dense reference, bit for bit, the
   text against a per-cell formatter on that reference, and the chunked text
@@ -103,10 +106,9 @@ def _model(name, bias=0.5, fugacity=2.0):
     return resolve_model(name, SimpleNamespace(bias=bias, fugacity=fugacity))
 
 
-def _reference_status(S: Superoperator) -> str:
-    ref = Superoperator(S.dim, S.matrix)
-    verify_cp(ref)
-    return ref.cp_status
+def _reference_verdict(S: Superoperator) -> bool:
+    """verify_cp on S's matrix alone: the support eigensolve of its Choi matrix."""
+    return verify_cp(Superoperator(S.dim, S.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +272,21 @@ class TestCsrSuperoperators:
         C = independent_coupling(P)
         _assert_bit_identical(c_star_superop(C).matrix.toarray(), _swap_transpose(C))
 
+    def test_symmetric_within_tolerance_is_taken_as_c(self):
+        # 1e-13 of mass moved between two successors of the start pair (2, 3)
+        # is inside condition 3's 1e-12: C* is C itself, within 1e-12 of the swap
+        C = _model("cycle5-prose", bias=0.7).coupling()
+        E = coupling_4tensor(C)
+        E[1, 3, 2, 3] += 1e-13
+        E[2, 4, 2, 3] -= 1e-13
+        near = CouplingMatrix(base=C.base, entries=E.reshape(C.n**2, C.n**2))
+        assert validate_coupling(near).details["symmetry"]
+        S = c_star_superop(near).matrix
+        assert S is near.entries
+        ref = _swap_transpose(near)
+        assert not np.array_equal(S.toarray(), ref)
+        np.testing.assert_allclose(S.toarray(), ref, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("name", RMR_MODELS + DENSE_MODELS)
     def test_t_star_equals_row_block_rescaling(self, name):
         m = _model(name, bias=0.7)
@@ -290,8 +307,8 @@ class TestOneCpRule:
     def test_kraus_stamp_matches_verify_cp(self, name, eigensolves):
         m = _model(name)
         S = superop_from_kraus(kraus_from_grand(m.rmr, m.pi))
-        assert S.cp_status == _reference_status(S) == "verified"
-        assert eigensolves == []  # stamped without an eigensolve
+        assert eigensolves == []  # built without a verdict
+        assert verify_cp(S) is _reference_verdict(S) is True
 
     def test_matrix_equals_kron_sum(self, hypercube3):
         ks = kraus_from_grand(hypercube3.rmr, hypercube3.pi)
@@ -330,14 +347,12 @@ class TestOneCpRule:
 
     def test_kraus_shaped_matrix_is_judged_by_its_spectrum(self, hypercube2):
         # sum_r s_r kron(T_r, T_r) with one s_r = -1 has the Kraus form's sparsity,
-        # but it is no Kraus map: it is unstamped until its own eigensolve fails it
+        # but it is no Kraus map: its own eigensolve fails it
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
         ops = dense_kraus_ops(ks)
         signs = [1.0] * (len(ops) - 1) + [-1.0]
         S = Superoperator(ks.dim, sum(s * np.kron(T, T) for s, T in zip(signs, ops)))
-        assert S.cp_status == "unchecked"
-        verify_cp(S)
-        assert S.cp_status == "failed"
+        assert verify_cp(S) is False
 
     @pytest.mark.parametrize("name,bias", [(name, 0.5) for name in RMR_MODELS] + [
         (name, bias) for name in ALL_DENSE for bias in (0.5, 0.7, 0.9, 1.0)])
@@ -357,11 +372,16 @@ class TestOneCpRule:
         # a mapping's T is the one evolve and verify build from its Kraus set,
         # and verify_cp judges it by its own (Gram) spectrum
         calls = []
-        monkeypatch.setattr(cli, "verify_cp", lambda S: calls.append(S) or verify_cp(S))
+
+        def judged(S):
+            calls.append((S, verify_cp(S)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "verify_cp", judged)
         m = _model("hypercube2")
-        _quantize_summary(m)
-        [T] = calls
-        assert T.cp_status == "verified"
+        summary = _quantize_summary(m)[1]
+        [(T, verdict)] = calls
+        assert verdict is True and summary["channel_cp"] is True
         want = superop_from_kraus(kraus_from_grand(m.rmr, m.pi)).matrix
         _assert_bit_identical(T.matrix.toarray(), want.toarray())  # the channel T, not T*
 

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import coupling_4tensor, random_ergodic_chain
 from qcoupling.chain import Distribution, stationary_distribution
-from qcoupling.coupling import CouplingMatrix, independent_coupling, swap_pair
+from qcoupling.coupling import CouplingMatrix, independent_coupling, swap_pair, validate_coupling
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import DensityMatrix, qsample, random_density, start_state_rng
+from qcoupling.models import cycle_coupling_model
 from qcoupling.quantize import (
     ChoiMatrix,
     KrausSet,
@@ -55,6 +59,16 @@ class TestCStar:
         S = c_star_superop(C)
         np.testing.assert_allclose(S.matrix.toarray(), C.entries.toarray(), atol=1e-14)
 
+    def test_dense_coupling_matrix_is_its_entries(self, hypercube2):
+        for C in (hypercube2.coupling(), cycle_coupling_model(5, p=0.7)[1]):
+            assert c_star_superop(C).matrix is C.entries
+
+    def test_fields_are_frozen(self, hypercube2):
+        S = c_star_superop(hypercube2.rmr)
+        for name, value in (("dim", 3), ("matrix", S.matrix.T), ("kraus", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(S, name, value)
+
     def test_elementwise_definition(self, hypercube2):
         # S(E_xy) = sum_{x',y'} c_{(x'y'),(xy)} |x'><y'|, checked on matrix units
         C = hypercube2.coupling()
@@ -78,7 +92,11 @@ class TestCStar:
         E[yp, xp, y, x] -= 0.01
         E[xp, yp, y, x] += 0.01
         bad = CouplingMatrix(base=C.base, entries=E.reshape(C.n**2, C.n**2))
-        with pytest.raises(InvalidInputError, match=r"symmetry condition by 0\.01;"):
+        # four tied residuals; the first in C order is at (min, max, x, y)
+        issue = (f"condition 3 (symmetry) violated at (x'={min(xp, yp)}, y'={max(xp, yp)}, "
+                 f"x={x}, y={y}) by 0.01")
+        assert issue in validate_coupling(bad).issues
+        with pytest.raises(InvalidInputError, match=re.escape(issue + ";")):
             c_star_superop(bad)
 
 
@@ -137,8 +155,8 @@ class TestQuantizedCoupling:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_kraus_operator_rejected(self, hypercube2, bad):
-        # superop_from_kraus stamps its map CP-verified by construction, so a
-        # non-finite operator must never reach it
+        # a Kraus set is CP by construction only when its operators are
+        # finite, so a non-finite operator must never enter one
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
         weights = ks.weights.copy()
         weights[0, 0] = bad
@@ -190,8 +208,7 @@ class TestChoi:
 
     def test_grand_coupling_channel_is_cp(self, hypercube3):
         T, _ = quantized_coupling(c_star_superop(hypercube3.coupling()), hypercube3.pi)
-        verify_cp(T)
-        assert T.cp_status == "verified"
+        assert verify_cp(T) is True
         J = choi_matrix(T)
         assert min_choi_eigenvalue(J) >= -1e-9 * np.max(np.abs(J.matrix.toarray()))
 

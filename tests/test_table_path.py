@@ -6,7 +6,7 @@
 - verify's checks run on a random mapping against the same checks on its
   dense grand coupling and that coupling's similarity-route channel;
 - the Kraus superoperator built from the table against the dense sum of
-  Kronecker products, its CP-by-construction stamp against verify_cp's
+  Kronecker products, its Gram-route CP verdict against verify_cp's
   eigensolve of the same matrix, and the gather ``KrausSet.apply`` against
   sum T rho T^T: bundled and hypothesis grand mappings and a mapping with
   min pi about 1e-6; a misrouted table column fails both;
@@ -219,7 +219,7 @@ class TestChecksAgree:
 
 
 # ---------------------------------------------------------------------------
-# Sparse Kraus superoperator and its CP stamp
+# Sparse Kraus superoperator and its CP verdict
 
 
 def _assert_matches_dense(ks: KrausSet, seed: int = 0):
@@ -229,10 +229,8 @@ def _assert_matches_dense(ks: KrausSet, seed: int = 0):
     dense = Csr.from_dense(sum(np.kron(T, T) for T in ops))
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(S.matrix, name), getattr(dense, name)), name
-    # the stamp by construction against the eigensolve of the same matrix
-    ref = Superoperator(ks.dim, dense)
-    verify_cp(ref)
-    assert S.cp_status == ref.cp_status == "verified"
+    # the Gram-route verdict against the eigensolve of the same matrix
+    assert verify_cp(S) is verify_cp(Superoperator(ks.dim, dense)) is True
     rho = random_density(ks.dim, start_state_rng(seed)).matrix
     np.testing.assert_allclose(ks.apply(rho), sum(T @ rho @ T.T for T in ops),
                                rtol=0, atol=1e-14)
@@ -453,9 +451,7 @@ class TestGramSpectrum:
             monkeypatch.setattr(module, "choi_matrix", lambda S: calls.append(S) or build(S))
         m = _model("hardcore-path5")
         T = superop_from_kraus(kraus_from_grand(m.rmr, m.pi))
-        T.cp_status = "unchecked"
-        verify_cp(T)
-        assert T.cp_status == "verified" and calls == []
+        assert verify_cp(T) is True and calls == []
         _quantize_summary(m)
         [S] = calls
         assert S.matrix is c_star_superop(m.rmr).matrix
