@@ -20,63 +20,29 @@ import numpy as np
 
 from qcoupling.chain import chain_to_json_dict, read_chain_json, read_json_file, validate_chain
 from qcoupling.coupling import (
-    RandomMappingRep,
-    check_tail_submultiplicativity,
-    coalescence_tail_exact,
-    coalescence_tail_mc,
-    read_coupling_json,
-    require_bytes,
-    rmr_to_json_dict,
-    coupling_to_json_dict,
-    validate_coupling,
+    RandomMappingRep, check_tail_submultiplicativity, coalescence_tail_exact,
+    coalescence_tail_mc, read_coupling_json, require_bytes, rmr_to_json_dict,
+    coupling_to_json_dict, validate_coupling
 )
 from qcoupling.dilation import (
-    build_dilation,
-    dilation_route_check,
-    require_mode,
-    state_decomposition_check,
+    build_dilation, dilation_route_check, require_mode, state_decomposition_check
 )
-from qcoupling.errors import (
-    GuardExceededError,
-    InvalidInputError,
-    QCouplingError,
-)
+from qcoupling.errors import GuardExceededError, InvalidInputError, QCouplingError
 from qcoupling.evolve import (
-    DensityMatrix,
-    coalescence_trace_identity_check,
-    evolve_trace,
-    gentle_measurement_step_check,
-    laplacian_preservation_check,
-    main_theorem_check,
-    qperp_bound_check,
-    qsample,
-    random_density,
-    rescaled_qperp_decomposition_check,
-    start_state_rng,
-    uniform_entries,
+    DensityMatrix, coalescence_trace_identity_check, evolve_trace,
+    gentle_measurement_step_check, laplacian_preservation_check, main_theorem_check,
+    qperp_bound_check, qsample, random_density, rescaled_qperp_decomposition_check,
+    start_state_rng, uniform_entries
 )
 from qcoupling.models import (
-    ModelInstance,
-    complete_graph,
-    colorings_model,
-    contraction_rate_check,
-    cycle_coupling_model,
-    default_start_pairs,
-    hardcore_model,
-    hypercube_model,
-    path_graph,
+    ModelInstance, complete_graph, colorings_model, contraction_rate_check,
+    cycle_coupling_model, default_start_pairs, hardcore_model, hypercube_model,
+    path_graph
 )
 from qcoupling.quantize import (
-    check_fixed_point,
-    choi_matrix,
-    c_star_superop,
-    is_completely_positive,
-    kraus_from_grand,
-    matrix_to_csv,
-    min_choi_eigenvalue,
-    quantized_coupling,
-    superop_from_kraus,
-    verify_cp,
+    check_fixed_point, choi_matrix, c_star_superop, is_completely_positive,
+    kraus_from_grand, matrix_to_csv, min_choi_eigenvalue, quantized_coupling,
+    superop_from_kraus, verify_cp
 )
 from qcoupling.report import emit_report
 
@@ -289,8 +255,6 @@ def cmd_coalesce(args) -> int:
         "seed": report.seed,
         "tail_final": float(report.tail_max[-1]),
     }
-    if args.mc:
-        summary["mc_words_drawn"] = report.words_drawn
     stem = f"coalesce-{rm.name}" + (f"-seed{args.seed}" if args.mc else "")
     emit_report(args.out, stem, summary, ("tails", [report.to_csv()]))
     return EXIT_OK

@@ -22,17 +22,13 @@ from qcoupling.chain import (
 from qcoupling.checks import CheckResult, ValidationReport, series_csv
 from qcoupling.csr import Csr, as_csr, sums_by_key
 from qcoupling.errors import GuardExceededError, InvalidInputError
-from qcoupling.kernels import DRAW_CHUNK_WORDS, coalescence_counts
+from qcoupling.kernels import CounterStream, coalescence_counts
 
 COUPLING_THRESHOLD = 0.25  # t_couple crossing level
 EXACT_GUARD_N = 64  # largest state count for exact pair-space work and dense chains
 BYTES_GUARD = 1 << 30  # largest array, in bytes, that a stage sized by the user's input holds
-MC_BLOCK_ELEMENTS = 1 << 20  # randomness indices held per MC block
+MC_BLOCK_ELEMENTS = 1 << 20  # randomness indices held per MC block; memory only
 CDF_BUCKET_BITS = 12  # inverse-CDF buckets are indexed by a random word's top bits
-# 64-bit words per draw call (17 bytes each while it is mapped), a quarter of a
-# window's, so that a draw beside the kernel's successor table and pair state
-# holds no more than a step does. The stream does not depend on it.
-DRAW_PIECE_WORDS = DRAW_CHUNK_WORDS // 4
 
 
 def require_exact(n: int):
@@ -514,9 +510,9 @@ def coalescence_tail_exact(
 
 
 class _InverseCDF:
-    """Exact inverse CDF of Pr(r) applied to raw 64-bit generator words.
+    """Exact inverse CDF of Pr(r) applied to 64-bit words.
 
-    ``Generator.random`` turns a word w into the uniform u = (w >> 11) * 2**-53,
+    A word w stands for the uniform u = (w >> 11) * 2**-53 (its top 53 bits),
     so with b = CDF_BUCKET_BITS the bucket floor(u * 2**b) is w >> (64 - b),
     the word's top b bits. A bucket that holds no CDF edge maps every uniform
     in it to the same index; only uniforms in the few buckets that straddle an
@@ -535,12 +531,16 @@ class _InverseCDF:
         self.code = np.where(lo == hi, lo, n_r).astype(np.min_scalar_type(n_r))
         self.straddle = n_r if (lo != hi).any() else None
 
-    def __call__(self, words: np.ndarray) -> np.ndarray:
-        idx = self.code[(words >> np.uint64(64 - CDF_BUCKET_BITS)).view(np.int64)]
+    def __call__(self, words, scratch=None, finish=None) -> np.ndarray:
+        """The indices of the 1-D ``words``. With ``finish``, only their top
+        CDF_BUCKET_BITS bits are final, and ``finish`` makes those that land
+        in straddling buckets whole. ``scratch``, if given, is overwritten."""
+        bucket = np.right_shift(words, np.uint64(64 - CDF_BUCKET_BITS), out=scratch)
+        idx = self.code.take(bucket.view(np.int64))
         if self.straddle is not None:
             hit = np.flatnonzero(idx == self.straddle)
-            u = (words[hit] >> np.uint64(11)) * 2.0**-53
-            idx[hit] = np.searchsorted(self.cum, u, side="right")
+            whole = words[hit] if finish is None else finish(words[hit])
+            idx[hit] = np.searchsorted(self.cum, (whole >> np.uint64(11)) * 2.0**-53, side="right")
         return idx
 
 
@@ -552,39 +552,10 @@ def mc_block_rows(m_max: int) -> int:
     the pair of states, 16 bytes a row, and up to about 60 bytes a row while
     it steps or drops the pairs that met (the old and new pair, the apart
     mask, the kept and active rows). Taking m_max as at least 4 keeps that
-    within about 15 bytes per element when m_max is tiny. The row count is
-    part of the stream's definition.
+    within about 15 bytes per element when m_max is tiny. The row count sets
+    memory only: no result depends on it.
     """
     return max(1, MC_BLOCK_ELEMENTS // max(m_max, 4))
-
-
-class _BlockStream:
-    """The randomness of one MC block, drawn on demand as indices into R.
-
-    Block ``block`` of start-pair slot ``slot`` reads the PCG64DXSM stream
-    keyed by ``SeedSequence(entropy=seed, spawn_key=(slot, block))``, one
-    64-bit word per index mapped by ``_InverseCDF``, in the order the kernel
-    asks for them. A call fills its (trajectories, steps) array row by row,
-    drawing whole rows of at most DRAW_PIECE_WORDS words at a time (at least
-    one row). ``random_raw`` buffers nothing between calls, so the words form
-    one stream however they are split. ``words`` counts the words drawn.
-    """
-
-    def __init__(self, inverse_cdf: _InverseCDF, seed: int, slot: int, block: int):
-        self.bits = np.random.PCG64DXSM(
-            np.random.SeedSequence(entropy=seed, spawn_key=(slot, block))
-        )
-        self.inverse_cdf = inverse_cdf
-        self.words = 0
-
-    def __call__(self, out: np.ndarray):
-        rows, width = out.shape
-        piece = max(1, DRAW_PIECE_WORDS // width)
-        for a in range(0, rows, piece):
-            b = min(a + piece, rows)
-            n_words = (b - a) * width
-            out[a:b] = self.inverse_cdf(self.bits.random_raw(n_words)).reshape(b - a, width)
-        self.words += out.size
 
 
 def _checked_seed(seed: int) -> int:
@@ -602,20 +573,23 @@ def coalescence_tail_mc(
 ) -> CoalescenceReport:
     """Monte Carlo tails with normal-approximation 95% CIs.
 
-    The ``samples`` trajectories of each start pair run in blocks of
-    ``mc_block_rows(m_max)`` rows. Block b of start-pair slot s draws from its
-    own PCG64DXSM stream, keyed by (seed, s, b) (see ``_BlockStream``), and
-    the kernel takes words from it only for the trajectories still apart, one
-    window of steps at a time (``kernels.coalescence_counts``). So the result
-    depends only on the seed, the samples, the m-grid, the start pairs and the
-    module constants MC_BLOCK_ELEMENTS and DRAW_CHUNK_WORDS (the window rule).
-    The blocks run one after another on the calling thread, each adding its
-    integer counts and words drawn to the totals, so memory stays
-    O(MC_BLOCK_ELEMENTS + 16 x block rows + DRAW_CHUNK_WORDS) bytes.
+    Trajectory t of start-pair slot s reads, at each step, the index of word
+    w(t, step) of the counter stream keyed by (seed, s) (``kernels.CounterStream``),
+    so the result depends only on the seed, the samples, the m-grid and the
+    start pairs. The ``samples`` trajectories of each start pair run in
+    blocks of ``mc_block_rows(m_max)`` rows, and the kernel draws words only
+    for the trajectories still apart, one window of steps at a time
+    (``kernels.coalescence_counts``); blocks and windows bound memory and
+    shape no result. The blocks run one after another on the calling thread,
+    each adding its integer counts and words drawn to the totals, so memory
+    stays O(MC_BLOCK_ELEMENTS + 16 x block rows + kernels.DRAW_CHUNK_WORDS) bytes.
     """
     if samples < 1:
         raise InvalidInputError(f"--samples must be >= 1, got {samples}")
-    _checked_seed(seed)
+    if samples >= 1 << 32:
+        raise InvalidInputError(f"--samples must be < 2**32 (trajectory counter), got {samples}")
+    if _checked_seed(seed) >= 1 << 64:
+        raise InvalidInputError(f"--seed must be < 2**64 (the stream's key), got {seed}")
     if not start_pairs or not list(m_grid):
         raise InvalidInputError("start_pairs and m_grid must be nonempty")
     grid = np.array(sorted(set(int(m) for m in m_grid)), dtype=np.int64)
@@ -631,11 +605,11 @@ def coalescence_tail_mc(
     rows = mc_block_rows(m_max)
     # the kernel's counts and report mask, 9 bytes a step, and one block's record r_idx
     require_bytes("MC tails", 9 * (m_max + 1) + rows * m_max * inverse_cdf.code.itemsize)
+    assert m_max < 1 << 32  # the step counter: the byte guard stops any larger m first
+    stream = CounterStream(inverse_cdf, seed)
     counts = np.zeros((len(grid), len(start_pairs)), dtype=np.int64)
-    words_drawn = 0
     for slot, (x0, y0) in enumerate(start_pairs):
-        for block, start in enumerate(range(0, samples, rows)):
-            draw = _BlockStream(inverse_cdf, seed, slot, block)
+        for start in range(0, samples, rows):
             # the record of the indices the kernel reads, column-major so that a
             # window's columns are one contiguous run; made inside the call, so
             # it is freed before the next block makes its own
@@ -643,9 +617,8 @@ def coalescence_tail_mc(
                 rmr.table,
                 np.zeros((min(rows, samples - start), m_max),
                          dtype=inverse_cdf.code.dtype, order="F"),
-                x0, y0, grid, draw,
+                x0, y0, grid, stream.draw(slot, start),
             )
-            words_drawn += draw.words
     per_pair = counts / samples
 
     tail_max = per_pair.max(axis=1)
@@ -662,7 +635,7 @@ def coalescence_tail_mc(
         seed=seed,
         ci_half=ci_half,
         t_couple=_t_couple(tail_max + ci_half, grid),
-        words_drawn=words_drawn,
+        words_drawn=stream.words,
     )
 
 

@@ -120,8 +120,8 @@ def trace_distance(rho, sigma) -> float:
 def start_state_rng(seed: int) -> random.Random:
     """The generator of ``--seed`` that start states draw from, through
     :func:`uniform_entries`: the stdlib Mersenne Twister, which maps no
-    library, where numpy.random loads OpenSSL (through ``secrets``), about
-    5 MB of RSS."""
+    library, where numpy's generators load OpenSSL (through ``secrets``),
+    about 5 MB of RSS."""
     return random.Random(_checked_seed(seed))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from importlib import resources
 
@@ -328,27 +329,21 @@ def load_counterexample_fixture() -> dict:
 # Rate envelopes
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """The Philox generator of ``--seed``, for MC start pairs only: MC loads
-    numpy.random for its blocks anyway (it is loaded on first use)."""
-    return np.random.Generator(np.random.Philox(_checked_seed(seed)))
-
-
 def default_start_pairs(model: ModelInstance, count: int, seed: int) -> list[tuple[int, int]]:
     """Heuristic worst-case start pairs for MC tail estimation.
 
     A hypercube gives its all-zeros vs all-ones pair; any other model, a
-    mapping read from a file too, gives ``count`` seeded pairs over its N states.
+    mapping read from a file too, gives ``count`` pairs drawn by ``random.Random(seed)``.
     """
     if model.kind == "hypercube":
         return [hypercube_worst_pair(model.n_sites)]
-    rng = seeded_rng(seed)
+    rng = random.Random(_checked_seed(seed))
     pairs = set()
     n = model.n
     while len(pairs) < min(count, n * (n - 1) // 2):
-        x, y = rng.integers(0, n, size=2)
+        x, y = rng.randrange(n), rng.randrange(n)
         if x != y:
-            pairs.add((int(min(x, y)), int(max(x, y))))
+            pairs.add((min(x, y), max(x, y)))
     return sorted(pairs)
 
 

@@ -161,8 +161,7 @@ class TestStrongComponents:
         # import also leaves out numpy.random and OpenSSL's _hashlib (which
         # numpy.random loads through secrets; about 5 MB of RSS), unless
         # numpy's own import loads them, as older numpy releases do; that no
-        # job but coalesce --mc loads them is
-        # tests/test_cli.py::TestImportFootprint's to check
+        # job loads them is tests/test_cli.py::TestImportFootprint's to check
         src = Path(qcoupling.__file__).resolve().parent.parent
         code = (
             "import contextlib, io, sys\n"

@@ -646,6 +646,20 @@ class TestCoalesce:
         assert code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,code,message", [
+        (("--seed", str(2**64)), 2, "--seed must be < 2**64"),
+        (("--seed", "1", "--samples", str(2**32)), 2, "--samples must be < 2**32"),
+        (("--seed", "1", "--samples", "10", "--m-grid", str(2**32)), 3, "guard exceeded: MC tails"),
+    ], ids=["seed", "samples", "m"])
+    def test_mc_counters_past_their_bits(self, tmp_path, capsys, flags, code, message):
+        # the stream's key is 64 bits, and a word's counter holds the trajectory
+        # and the step in 32 bits each: a larger seed, sample count or m would
+        # repeat words, so it is refused before any work
+        assert run("coalesce", "--model", "hardcore-path4", "--mc", *flags,
+                   "--out", str(tmp_path / "o")) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_mc_zero_grid(self, tmp_path):
         # m = 0 needs no randomness; the hypercube's start pair is apart there
         code = run("coalesce", "--model", "hypercube3", "--mc", "--seed", "1",
@@ -903,12 +917,13 @@ class TestModelAndConfig:
 
 
 class TestImportFootprint:
-    def test_jobs_without_mc_load_neither_numpy_random_nor_openssl(self, tmp_path):
+    def test_no_job_loads_numpy_random_or_openssl(self, tmp_path):
         # numpy.random loads OpenSSL's _hashlib through secrets, about 5 MB of
-        # RSS, and hashlib loads it too. Start states draw from the stdlib
-        # generator and emit_report hashes with CPython's own SHA-256, so no
-        # job but coalesce --mc, whose streams are numpy's, loads either. Only
-        # a fresh interpreter shows what is loaded; it runs the jobs in turn
+        # RSS, and hashlib loads it too. Start states and MC start pairs draw
+        # from the stdlib generator, MC tails from the SplitMix64 counter
+        # stream, and emit_report hashes with CPython's own SHA-256, so no job
+        # loads either. Only a fresh interpreter shows what is loaded; it runs
+        # the jobs in turn
         if report.sha256.__module__ == "_hashlib":
             pytest.skip("this CPython has no SHA-256 of its own: emit_report uses hashlib's")
         src = Path(cli.__file__).resolve().parent.parent
@@ -934,16 +949,16 @@ class TestImportFootprint:
             "verify --model hypercube2 --m-max 4 --seed 3",
             "dilate --model hypercube2 --mode amplified --seed 3",
             "dilate --model hypercube3 --seed 3",
+            # a hypercube's one worst pair, and five seeded pairs
+            "coalesce --model hypercube3 --mc --samples 1000 --seed 1 --m-grid 2 4",
+            "coalesce --model hardcore-path4 --mc --samples 1000 --seed 1 --m-grid 2 4",
         ]
-        mc = "coalesce --model hypercube3 --mc --samples 1000 --seed 1 --m-grid 2 4"
         out = subprocess.run(
-            [sys.executable, "-c", code, *(f"{job} --out {tmp_path}" for job in [*jobs, mc])],
+            [sys.executable, "-c", code, *(f"{job} --out {tmp_path}" for job in jobs)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
             check=True, timeout=120,
         )
         lines = out.stdout.splitlines()
         if lines[0] != "numpy":
             pytest.skip("this numpy loads numpy.random, and so _hashlib, on import")
-        assert lines[1:-1] == [job.split()[0] for job in jobs]
-        # the probe sees a load: MC tails still run, on numpy.random
-        assert lines[-1].split()[:2] == ["coalesce", "numpy.random"]
+        assert lines[1:] == [job.split()[0] for job in jobs]

@@ -11,7 +11,7 @@ def small_problem(seed=0, samples=500, m_max=12):
     r_idx = np.zeros((samples, m_max), dtype=np.uint8)
     grid = np.array([0, 1, 3, 6, 12], dtype=np.int64)
 
-    def draw(out):
+    def draw(out, rows, step):
         out[...] = rng.integers(0, 3, size=out.shape)
 
     return table, r_idx, grid, draw
@@ -26,7 +26,7 @@ class TestKernels:
     def test_equal_starts_never_separate(self):
         table, r_idx, grid, draw = small_problem(seed=5)
         drawn = []
-        counts = coalescence_counts(table, r_idx, 2, 2, grid, lambda out: drawn.append(out))
+        counts = coalescence_counts(table, r_idx, 2, 2, grid, lambda *args: drawn.append(args))
         np.testing.assert_array_equal(counts, 0)
         assert drawn == []  # a pair that starts together draws nothing
 
