@@ -167,11 +167,12 @@ def _quantize_summary(rm: ModelInstance):
     """Choi matrix of C* and the quantize summary.
 
     C* is built once (a mapping's is its cached pair-space operator). T is a
-    mapping's ``superop_from_kraus(kraus_from_grand(...))``, as in ``evolve``
-    and ``verify`` (its :class:`KrausSet` checks trace preservation), or a
-    dense coupling's :func:`quantized_coupling`. :func:`verify_cp` judges T
-    (a mapping's by its Gram matrix, never building Choi(T)), and ``cp`` is
-    J's spectrum. T is dropped before J (the Choi CSV's CSR matrix) is built.
+    mapping's ``superop_from_kraus(kraus_from_grand(...))``, the matrix of the
+    :class:`KrausSet` that ``evolve`` and ``verify`` apply (the set checks
+    trace preservation), or a dense coupling's :func:`quantized_coupling`.
+    :func:`verify_cp` judges T (a mapping's by its Gram matrix, never building
+    Choi(T)), and ``cp`` is J's spectrum. T is dropped before J (the Choi
+    CSV's CSR matrix) is built.
     """
     C = rm.coupling()
     S = c_star_superop(rm.exact_coupling())
@@ -288,9 +289,9 @@ def cmd_evolve(args) -> int:
         rho0 = random_density(n, start_state_rng(args.seed))
     else:
         raise InvalidInputError(f"unknown --rho0 {args.rho0!r}")
-    T = superop_from_kraus(kraus_from_grand(rm.rmr, rm.pi))
+    ks = kraus_from_grand(rm.rmr, rm.pi)
     report = coalescence_tail_exact(C, m_max=args.m_max)
-    trace = evolve_trace(T, rho0, rm.pi, args.m_max, report=report)
+    trace = evolve_trace(ks, rho0, rm.pi, args.m_max, report=report)
     summary = {
         "model": rm.name,
         "m_max": args.m_max,
@@ -315,9 +316,8 @@ def cmd_verify(args) -> int:
     require_bytes("verify's start states", args.states * n * n * 8)
     rng = start_state_rng(args.seed)
     C = rm.exact_coupling()
-    # T before the tails, so that its build does not share the peak with them;
-    # T keeps its Kraus set (N x |R| numbers) as T.kraus
-    T = superop_from_kraus(kraus_from_grand(rm.rmr, pi))
+    # the channel is its Kraus set, N x |R| numbers, built before the tails
+    ks = kraus_from_grand(rm.rmr, pi)
     # one tails run, to the largest m any check reads (6 = m * l of the
     # submultiplicativity check); each check gets the report or its cut
     rate_grid = [] if rm.rate is None else [rm.n_sites * k for k in range(1, 8)]
@@ -331,7 +331,7 @@ def cmd_verify(args) -> int:
         laplacian_preservation_check(C, 0, n - 1),
         rescaled_qperp_decomposition_check(pi),
         trace_identity,
-        qperp_bound_check(T, pi, report, rho0_set, list(range(args.m_max + 1))),
+        qperp_bound_check(ks, pi, report, rho0_set, list(range(args.m_max + 1))),
         check_tail_submultiplicativity(C, tails, m=2, l=3),
     ]
     q = qsample(pi)
@@ -340,7 +340,7 @@ def cmd_verify(args) -> int:
     )
     checks.append(gentle_measurement_step_check(mixed, q, eps=2e-3))
     if report.t_couple is not None:
-        checks.append(main_theorem_check(T, pi, report, rho0_set[:3], [0.25]))
+        checks.append(main_theorem_check(ks, pi, report, rho0_set[:3], [0.25]))
     if rate_grid:
         checks.append(contraction_rate_check(rm, tails, rate_grid))
     summary = _summaries(checks, {"model": rm.name, "seed": args.seed})

@@ -24,7 +24,7 @@ from qcoupling.coupling import (
     _checked_seed,
 )
 from qcoupling.errors import InvalidInputError
-from qcoupling.quantize import KrausSet, Superoperator, c_star_superop, verify_cp
+from qcoupling.quantize import KrausSet, c_star_superop
 
 
 @dataclass(frozen=True)
@@ -141,32 +141,27 @@ def random_density(n: int, rng: random.Random) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m))
 
 
-def _require_cp(channel):
-    """The one CP rule: a KrausSet (CP by construction), or a Superoperator
-    for which :func:`verify_cp` holds. A map with a table (``kraus``) is
-    judged by its |R| x |R| Gram matrix, and no Choi matrix is built."""
-    if isinstance(channel, KrausSet):
-        return
-    if not (isinstance(channel, Superoperator) and verify_cp(channel)):
-        raise InvalidInputError("channel must be a KrausSet or a CP-verified Superoperator")
-
-
-def _orbit(channel, rho0: DensityMatrix, m_max: int):
-    """rho0, T(rho0), ..., T^m_max(rho0), lazily: the only code that applies a channel."""
-    rho = rho0.matrix
+def _orbit(channel: KrausSet, rho: np.ndarray, m_max: int):
+    """rho, T(rho), ..., T^m_max(rho), lazily, for one matrix or a stack of
+    them: the only code that applies a channel, holding only the latest step.
+    A :class:`KrausSet` is CP and trace preserving by construction (Choi 1975),
+    so it is the one channel type admitted, checked before rho is yielded."""
+    if not isinstance(channel, KrausSet):
+        raise InvalidInputError(f"channel must be a KrausSet, not {type(channel).__name__}")
     yield rho
     for _ in range(m_max):
         rho = channel.apply(rho)
         yield rho
 
 
-def _qperp_overlap(Qp: np.ndarray, rho: np.ndarray) -> float:
-    """tr(Qperp rho) for the complement ``Qp`` formed once by the caller."""
-    return float(np.trace(Qp @ rho))
+def _qperp_overlap(q: np.ndarray, rho: np.ndarray):
+    """tr(Qperp rho) = tr(rho) - q^T rho q for the qsample amplitudes ``q``,
+    of one matrix or of each matrix of a stack."""
+    return np.trace(rho, axis1=-2, axis2=-1) - rho @ q @ q
 
 
 def evolve_trace(
-    channel,
+    channel: KrausSet,
     rho0: DensityMatrix,
     pi: Distribution,
     m_max: int,
@@ -174,17 +169,16 @@ def evolve_trace(
 ) -> ConvergenceTrace:
     """Iterate the channel, recording trace distance to Q and tr(Qperp rho_m).
 
-    Requires a CP-verified channel. Trace distance to the fixed point is
+    The channel is a :class:`KrausSet`. Trace distance to the fixed point is
     checked to be non-increasing (data processing); the Qperp overlap series
     is recorded but not asserted monotone.
     """
-    _require_cp(channel)
     q = qsample(pi)
-    Q, Qp = q.projector, q.complement
+    Q = q.projector
     dists, overlaps = [], []
-    for m, rho in enumerate(_orbit(channel, rho0, m_max)):
+    for m, rho in enumerate(_orbit(channel, rho0.matrix, m_max)):
         dists.append(trace_distance(rho, Q))
-        overlaps.append(_qperp_overlap(Qp, rho))
+        overlaps.append(float(_qperp_overlap(q.amplitudes, rho)))
         if m > 0 and dists[-1] > dists[-2] + ATOL_COMPUTED:
             raise AssertionError(
                 f"trace distance to the fixed point increased at m={m}"
@@ -357,7 +351,7 @@ def coalescence_trace_identity_check(
 
 
 def qperp_bound_check(
-    T: Superoperator | KrausSet,
+    T: KrausSet,
     pi: Distribution,
     report: CoalescenceReport,
     rho0_set: list[DensityMatrix],
@@ -366,22 +360,22 @@ def qperp_bound_check(
     """tr(Qperp T^m(rho0)) <= tail(m) / pi_* for every rho0 and m in the grid.
 
     Rows whose right-hand side is >= 1 are vacuous (the overlap never exceeds
-    1); they are reported but excluded from the pass/fail statistics.
+    1); they are reported but excluded from the pass/fail statistics. The
+    states run as one stacked orbit.
     """
     if report.mode != "exact":
         raise InvalidInputError("qperp_bound_check needs exact tails")
-    _require_cp(T)
-    Qp = qsample(pi).complement
+    q = qsample(pi).amplitudes
     pi_star = float(pi.weights.min())
     worst_ratio = worst_informative_ratio = 0.0
     violations = vacuous = 0
     grid = set(int(v) for v in m_grid)
-    for rho0 in rho0_set:
-        for m, rho in enumerate(_orbit(T, rho0, max(grid))):
-            if m not in grid:
-                continue
-            lhs = _qperp_overlap(Qp, rho)
-            rhs = report.tail_at(m) / pi_star
+    orbit = _orbit(T, np.stack([rho0.matrix for rho0 in rho0_set]), max(grid))
+    for m, rhos in enumerate(orbit):
+        if m not in grid:
+            continue
+        rhs = report.tail_at(m) / pi_star
+        for lhs in _qperp_overlap(q, rhos).tolist():
             ratio = lhs / rhs if rhs > 0 else (0.0 if lhs <= ATOL_COMPUTED else np.inf)
             worst_ratio = max(worst_ratio, ratio)
             if rhs >= 1.0:
@@ -405,7 +399,7 @@ def qperp_bound_check(
 
 
 def main_theorem_check(
-    T: Superoperator | KrausSet,
+    T: KrausSet,
     pi: Distribution,
     report: CoalescenceReport,
     rho0_set: list[DensityMatrix],
@@ -413,12 +407,11 @@ def main_theorem_check(
 ) -> CheckResult:
     """Halved trace distance <= sqrt(eps) at m = ceil(log2(1/(eps pi_*))/2) * t_couple.
 
-    Each state runs one orbit, to the schedule's largest m, and every eps is
-    tested at its own m on it (an eps above 1/pi_* at m = 0).
+    The states run as one stacked orbit, to the schedule's largest m, and
+    every eps is tested at its own m on it (an eps above 1/pi_* at m = 0).
     """
     if report.t_couple is None:
         raise InvalidInputError("t_couple not resolved in the coalescence report")
-    _require_cp(T)
     Q = qsample(pi).projector
     pi_star = float(pi.weights.min())
     schedule: dict[int, list[float]] = {}  # m -> the eps tested at m
@@ -426,10 +419,11 @@ def main_theorem_check(
         m = math.ceil(0.5 * math.log2(1.0 / (eps * pi_star))) * report.t_couple
         schedule.setdefault(max(m, 0), []).append(eps)
     worst_margin, passed = -np.inf, True
-    for rho0 in rho0_set:
-        for m, rho in enumerate(_orbit(T, rho0, max(schedule, default=0))):
-            if m not in schedule:
-                continue
+    orbit = _orbit(T, np.stack([rho0.matrix for rho0 in rho0_set]), max(schedule, default=0))
+    for m, rhos in enumerate(orbit):
+        if m not in schedule:
+            continue
+        for rho in rhos:
             lhs = trace_distance(rho, Q)
             for eps in schedule[m]:
                 rhs = math.sqrt(eps)
@@ -452,7 +446,7 @@ def gentle_measurement_step_check(rho: DensityMatrix, q: Qsample, eps: float) ->
     For the rank-1 projector Q the post-measurement state is Q itself. A
     violated precondition is reported in the result, not raised.
     """
-    overlap = _qperp_overlap(q.complement, rho.matrix)
+    overlap = float(_qperp_overlap(q.amplitudes, rho.matrix))
     if overlap >= eps:
         return CheckResult(
             name="gentle_measurement",

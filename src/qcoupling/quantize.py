@@ -158,13 +158,20 @@ class KrausSet(TableKraus):
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """sum_r T_r M T_r^T as a gather: entry (x, y) adds
-        a_r(x) a_r(y) M[f(x, r), f(y, r)] over r, a the amplitudes."""
+        a_r(x) a_r(y) M[f(x, r), f(y, r)] over r, a the amplitudes.
+
+        ``M`` is one N x N matrix or a (..., N, N) stack, each matrix mapped
+        with the same bits as on its own."""
         M = np.asarray(M, dtype=float)
-        if M.shape != (self.dim, self.dim):
+        if M.shape[-2:] != (self.dim, self.dim):
             raise InvalidInputError("dimension mismatch in Kraus application")
-        out = np.zeros(M.shape)
+        out, rows, term = np.zeros(M.shape), np.empty(M.shape), np.empty(M.shape)
         for a, f in zip(self.amplitudes.T, self.table.T):
-            out += M[np.ix_(f, f)] * a[:, None] * a
+            # the table is in range, so "clip" clips nothing and takes unbuffered
+            M.take(f, axis=-2, out=rows, mode="clip").take(f, axis=-1, out=term, mode="clip")
+            term *= a[:, None]
+            term *= a
+            out += term
         return out
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qcoupling import quantize
 from qcoupling.chain import ATOL_COMPUTED, TransitionMatrix
+from qcoupling.checks import CheckResult
 from qcoupling.coupling import (
     CouplingMatrix,
     RandomMappingRep,
@@ -13,6 +14,7 @@ from qcoupling.coupling import (
     induced_entries,
 )
 from qcoupling.errors import InvalidInputError
+from qcoupling.evolve import qsample, trace_distance
 from qcoupling.models import (
     colorings_model,
     complete_graph,
@@ -111,6 +113,56 @@ def dense_kraus_ops(ks) -> list[np.ndarray]:
         T[np.arange(n), f] = a
         ops.append(T)
     return ops
+
+
+def reference_orbit(apply, rho0: np.ndarray, m_max: int) -> list[np.ndarray]:
+    """rho0 and m_max steps of ``apply``, one matrix at a time: the reference
+    the convergence checks' stacked Kraus orbit is compared against."""
+    rhos = [np.asarray(rho0, dtype=float)]
+    for _ in range(m_max):
+        rhos.append(apply(rhos[-1]))
+    return rhos
+
+
+def qperp_bound_reference(apply, pi, report, rho0s, grid) -> CheckResult:
+    """qperp_bound_check state by state, on each state's own orbit under
+    ``apply``, with tr(Qperp rho) from the complement matrix Qperp = I - Q."""
+    Qp = qsample(pi).complement
+    pi_star = float(pi.weights.min())
+    rows = [(float(np.trace(Qp @ rho)), report.tail_at(m) / pi_star)
+            for rho0 in rho0s
+            for m, rho in enumerate(reference_orbit(apply, rho0.matrix, max(grid)))
+            if m in grid]
+
+    def ratio(lhs, rhs):
+        return lhs / rhs if rhs > 0 else (0.0 if lhs <= ATOL_COMPUTED else np.inf)
+
+    informative = [(lhs, rhs) for lhs, rhs in rows if rhs < 1.0]
+    violations = sum(lhs > rhs + ATOL_COMPUTED for lhs, rhs in informative)
+    return CheckResult(
+        name="qperp_bound", passed=violations == 0,
+        lhs=max([0.0, *(ratio(*row) for row in informative)]), rhs=1.0,
+        tolerance=ATOL_COMPUTED,
+        details={"violations": violations, "vacuous_rows": len(rows) - len(informative),
+                 "worst_ratio_incl_vacuous": max([0.0, *(ratio(*row) for row in rows)])},
+    )
+
+
+def main_theorem_reference(apply, pi, report, rho0s, eps_list) -> CheckResult:
+    """main_theorem_check with one run per eps and state, each to its own m."""
+    Q = qsample(pi).projector
+    pi_star = float(pi.weights.min())
+    worst, passed = -np.inf, True
+    for eps in eps_list:
+        m = math.ceil(0.5 * math.log2(1.0 / (eps * pi_star))) * report.t_couple
+        for rho0 in rho0s:
+            lhs, rhs = trace_distance(reference_orbit(apply, rho0.matrix, m)[-1], Q), math.sqrt(eps)
+            worst = max(worst, lhs - rhs)
+            passed = passed and not lhs > rhs + ATOL_COMPUTED
+    return CheckResult(
+        name="main_theorem", passed=passed, lhs=worst, rhs=0.0, tolerance=ATOL_COMPUTED,
+        details={"t_couple": report.t_couple, "cases": len(eps_list) * len(rho0s)},
+    )
 
 
 def sqrtm_psd(M: np.ndarray) -> np.ndarray:

@@ -217,11 +217,11 @@ def test_criterion_04_lemma_suite(capsys):
             expect(failures, res.passed and res.details["precondition_holds"],
                    f"{kind}: gentle measurement fails at delta={delta:.3g}")
 
-        _, S = verified_channel(model)
+        ks, _ = verified_channel(model)
         rng = start_state_rng(4)
         rho0s = [random_density(n, rng) for _ in range(50)]
         report = coalescence_tail_exact(C, m_max=40)
-        res = qperp_bound_check(S, model.pi, report, rho0s, list(range(21)))
+        res = qperp_bound_check(ks, model.pi, report, rho0s, list(range(21)))
         expect(failures, res.passed,
                f"{kind}: Qperp overlap bound violated ({res.details})")
 
@@ -241,7 +241,7 @@ def test_criterion_05_main_theorem(capsys):
     started = time.perf_counter()
     failures = []
     model = exact_model("hypercube3")
-    _, S = verified_channel(model)
+    ks, _ = verified_channel(model)
     report = coalescence_tail_exact(model.coupling(), m_max=10)
     expect(failures, report.t_couple == 7, f"t_couple = {report.t_couple}, not 7")
 
@@ -256,7 +256,7 @@ def test_criterion_05_main_theorem(capsys):
     rng = start_state_rng(5)
     rho0s = [DensityMatrix(np.diag(np.eye(8)[i])) for i in range(8)]
     rho0s += [random_density(8, rng) for _ in range(20)]
-    res = main_theorem_check(S, model.pi, report, rho0s, [0.25, 0.04, 0.01])
+    res = main_theorem_check(ks, model.pi, report, rho0s, [0.25, 0.04, 0.01])
     expect(failures, res.passed,
            f"convergence bound violated by {res.lhs:.3g} ({res.details})")
     conclude(capsys, 5, "convergence theorem", failures, started, budget=60.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import hypercube_qperp_overlap, unstamped_grand_coupling
-from qcoupling import cli, coupling, report
+from qcoupling import cli, coupling, quantize, report
 from qcoupling.chain import TransitionMatrix, stationary_distribution
 from qcoupling.cli import main
 from qcoupling.coupling import (
@@ -519,8 +519,9 @@ class TestVerify:
         assert calls == [42]
 
     def test_channel_first_and_pair_rows_dropped(self, tmp_path, monkeypatch):
-        # T is built before the tails, and only the trace identity reads the
-        # per-pair rows: every later tail check gets a report without them
+        # the channel, a Kraus set, is built before the tails, and only the
+        # trace identity reads the per-pair rows: every later tail check gets
+        # a report without them
         seen = []
 
         def recording(name, rows_of=None):
@@ -532,7 +533,7 @@ class TestVerify:
                 return original(*args, **kwargs)
             monkeypatch.setattr(cli, name, wrapper)
 
-        recording("superop_from_kraus")
+        recording("kraus_from_grand")
         recording("coalescence_tail_exact")
         recording("coalescence_trace_identity_check", rows_of=1)
         recording("qperp_bound_check", rows_of=2)
@@ -541,7 +542,7 @@ class TestVerify:
         recording("contraction_rate_check", rows_of=1)
         assert run("verify", "--model", "hypercube6", "--out", str(tmp_path)) == 0
         assert seen == [
-            ("superop_from_kraus", None), ("coalescence_tail_exact", None),
+            ("kraus_from_grand", None), ("coalescence_tail_exact", None),
             ("coalescence_trace_identity_check", True), ("qperp_bound_check", False),
             ("check_tail_submultiplicativity", False), ("main_theorem_check", False),
             ("contraction_rate_check", False),
@@ -734,6 +735,21 @@ class TestEvolve:
         for row in rows:
             m = int(row[0])
             assert abs(float(row[col]) - hypercube_qperp_overlap(n, m)) <= 1e-12, m
+
+
+@pytest.mark.parametrize("command", ["quantize", "evolve", "verify"])
+def test_only_quantize_builds_the_channel_matrix(tmp_path, monkeypatch, command):
+    # evolve and verify apply the Kraus set, CP by construction: neither
+    # builds its N^2 x N^2 matrix nor judges it CP
+    want = ["superop_from_kraus", "verify_cp"] if command == "quantize" else []
+    calls = []
+    for name in ("superop_from_kraus", "verify_cp"):
+        def spy(*args, _name=name, _original=getattr(quantize, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        patch_everywhere(monkeypatch, name, spy)
+    assert run(command, "--model", "hypercube3", "--out", str(tmp_path)) == 0
+    assert calls == want
 
 
 class TestDilate:

@@ -107,17 +107,19 @@ class TestBuildDilation:
         np.testing.assert_array_equal(circ.a[0], 0.0)
         np.testing.assert_array_equal(dilation_blocks(circ)[0], np.eye(4)[[2, 3, 0, 1]])
 
-    @pytest.mark.parametrize("scale,match", [(0.5, "violated"), (2.0, "not a contraction")])
-    def test_rejects_a_broken_kraus_list(self, hypercube2, scale, match):
-        # a bare TableKraus has no Kraus condition of its own: operator 0
-        # scaled by 1/2 breaks sum_k s_k = 1, and by 2 (s_0 = 2 on its
-        # fibres) the contraction; KrausSet refuses both tables
+    @pytest.mark.parametrize("scale", [pytest.param(0.5, id="0.5-violated"),
+                                       pytest.param(2.0, id="2.0-not a contraction")])
+    def test_rejects_a_broken_kraus_list(self, hypercube2, scale):
+        # operator 0 scaled by 1/2 breaks sum_k s_k = 1, and by 2 (s_0 = 2 on
+        # its fibres) the contraction: KrausSet refuses both tables, and the
+        # dilation takes nothing but a KrausSet, so not a bare TableKraus,
+        # which has no Kraus condition of its own
         ks = kraus_from_grand(hypercube2.rmr, hypercube2.pi)
         weights = ks.weights.copy()
         weights[:, 0] *= scale
         with pytest.raises(InvalidInputError, match="Kraus condition"):
             KrausSet(ks.probs, ks.table, weights)
-        with pytest.raises(InvalidInputError, match=match):
+        with pytest.raises(InvalidInputError, match="needs a KrausSet, not TableKraus"):
             build_dilation(TableKraus(ks.probs, ks.table, weights))
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoupling.chain import ATOL_COMPUTED, Distribution, stationary_distribution
+from conftest import main_theorem_reference, qperp_bound_reference
+from qcoupling.chain import Distribution, stationary_distribution
 from qcoupling.coupling import coalescence_tail_exact
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import (
@@ -38,9 +39,7 @@ from qcoupling.quantize import (
 
 
 def channel_for(model):
-    T = superop_from_kraus(kraus_from_grand(model.rmr, model.pi))
-    assert verify_cp(T)
-    return T
+    return kraus_from_grand(model.rmr, model.pi)
 
 
 class TestStates:
@@ -111,15 +110,20 @@ class TestEvolveTrace:
         )
 
     def test_requires_cp_verified(self, hypercube3):
-        # the transpose map M -> M^T: positive and trace preserving, but not CP
-        # (its Choi matrix is the swap, with eigenvalue -1)
+        # a KrausSet is CP by construction, and no other channel is taken: not
+        # the transpose map M -> M^T, positive and trace preserving but not CP
+        # (its Choi matrix is the swap, with eigenvalue -1), and not the CP
+        # matrix of the grand Kraus set
         k = np.arange(64)
-        T = Superoperator(8, np.eye(64)[k % 8 * 8 + k // 8])
+        transpose = Superoperator(8, np.eye(64)[k % 8 * 8 + k // 8])
         rho = random_density(8, start_state_rng(0)).matrix
-        np.testing.assert_array_equal(T.apply(rho), rho.T)
-        assert verify_cp(T) is False
-        with pytest.raises(InvalidInputError, match="CP-verified"):
-            evolve_trace(T, DensityMatrix(np.eye(8) / 8), hypercube3.pi, 2)
+        np.testing.assert_array_equal(transpose.apply(rho), rho.T)
+        assert verify_cp(transpose) is False
+        T = superop_from_kraus(channel_for(hypercube3))
+        assert verify_cp(T) is True
+        for channel in (transpose, T):
+            with pytest.raises(InvalidInputError, match="must be a KrausSet, not Superoperator"):
+                evolve_trace(channel, DensityMatrix(np.eye(8) / 8), hypercube3.pi, 2)
 
 
 class TestStructuralChecks:
@@ -168,11 +172,13 @@ def _grand_kraus(model):
 
 
 class TestChannelCheckGates:
-    """qperp_bound_check and main_theorem_check on failing and Kraus-form channels."""
+    """qperp_bound_check and main_theorem_check on failing channels, on other
+    channel types, and against the checks run state by state on the Kraus
+    set's superoperator matrix."""
 
     def test_identity_channel_fails_both(self, hypercube3):
         report, rho0s = _hypercube3_inputs(hypercube3)
-        identity = superop_from_kraus(_identity_kraus(hypercube3))
+        identity = _identity_kraus(hypercube3)
         res = qperp_bound_check(identity, hypercube3.pi, report, rho0s, list(range(16)))
         assert not res.passed
         assert res.details["violations"] > 0
@@ -188,41 +194,35 @@ class TestChannelCheckGates:
         assert min_choi_eigenvalue(choi_matrix(S)) == pytest.approx(-1.04, abs=0.01)
         pi = stationary_distribution(chain)
         report = coalescence_tail_exact(cycle_coupling_model(3, p=0.5)[1], m_max=8)
-        assert report.t_couple is not None  # main_theorem_check reaches its CP gate
+        assert report.t_couple is not None  # main_theorem_check reaches its orbit
         rho0s = [DensityMatrix(np.eye(3) / 3)]
         for check in (lambda: evolve_trace(S, rho0s[0], pi, 2, report=report),
                       lambda: qperp_bound_check(S, pi, report, rho0s, [0, 1, 2]),
                       lambda: main_theorem_check(S, pi, report, rho0s, [0.25])):
-            with pytest.raises(InvalidInputError, match="CP-verified"):
+            with pytest.raises(InvalidInputError, match="must be a KrausSet"):
                 check()
 
     def test_vacuous_rows_match_direct_computation(self, hypercube3):
         report, rho0s = _hypercube3_inputs(hypercube3)
-        T = superop_from_kraus(_grand_kraus(hypercube3))
+        ks = _grand_kraus(hypercube3)
         grid = list(range(16))
-        res = qperp_bound_check(T, hypercube3.pi, report, rho0s, grid)
-        # each row directly: tr(Qperp rho) = tr(rho) - <q|rho|q>, pi_* = min pi
-        a = np.sqrt(hypercube3.pi.weights)
-        pi_star = hypercube3.pi.weights.min()
-        rows = []
-        for rho0 in rho0s:
-            rho = rho0.matrix
-            for m in grid:
-                rows.append((np.trace(rho) - a @ rho @ a, report.tail_at(m) / pi_star))
-                rho = T.apply(rho)
-        assert res.details["vacuous_rows"] == sum(rhs >= 1.0 for _, rhs in rows) == 80
+        res = qperp_bound_check(ks, hypercube3.pi, report, rho0s, grid)
+        want = qperp_bound_reference(superop_from_kraus(ks).apply, hypercube3.pi, report,
+                                     rho0s, grid)
+        assert res.details["vacuous_rows"] == want.details["vacuous_rows"] == 80
         assert res.details["worst_ratio_incl_vacuous"] == pytest.approx(
-            max(lhs / rhs for lhs, rhs in rows), rel=1e-12)
+            want.details["worst_ratio_incl_vacuous"], rel=1e-12)
 
     @pytest.mark.parametrize("kraus", [_identity_kraus, _grand_kraus])
     def test_kraus_set_matches_its_superoperator(self, hypercube3, kraus):
         report, rho0s = _hypercube3_inputs(hypercube3)
         ks = kraus(hypercube3)
-        S = superop_from_kraus(ks)
-        for check, arg in ((qperp_bound_check, list(range(16))),
-                           (main_theorem_check, [0.25, 0.04])):
+        apply = superop_from_kraus(ks).apply
+        for check, reference, arg in (
+                (qperp_bound_check, qperp_bound_reference, list(range(16))),
+                (main_theorem_check, main_theorem_reference, [0.25, 0.04])):
             got = check(ks, hypercube3.pi, report, rho0s, arg)
-            want = check(S, hypercube3.pi, report, rho0s, arg)
+            want = reference(apply, hypercube3.pi, report, rho0s, arg)
             assert got.passed == want.passed
             assert abs(got.lhs - want.lhs) <= 1e-12
             assert got.details == pytest.approx(want.details, rel=0, abs=1e-12)
@@ -262,46 +262,30 @@ class TestMainTheorem:
         res = main_theorem_check(T, hypercube3.pi, report, rho0s, [0.25, 0.04])
         assert res.passed
 
-    @staticmethod
-    def _per_eps_reference(T, pi, report, rho0s, eps_list):
-        """(lhs, passed, cases) from one run per eps and state, each to its own m."""
-        Q = qsample(pi).projector
-        pi_star = float(pi.weights.min())
-        worst, passed, cases = -np.inf, True, 0
-        for eps in eps_list:
-            m = math.ceil(0.5 * math.log2(1.0 / (eps * pi_star))) * report.t_couple
-            for rho0 in rho0s:
-                rho = rho0.matrix
-                for _ in range(m):
-                    rho = T.apply(rho)
-                lhs, rhs = trace_distance(rho, Q), math.sqrt(eps)
-                worst = max(worst, lhs - rhs)
-                passed = passed and not lhs > rhs + ATOL_COMPUTED
-                cases += 1
-        return worst, passed, cases
-
     def test_one_orbit_per_state(self, hypercube3, monkeypatch):
-        # acceptance criterion 05's inputs: 28 states, eps scheduled at m = 21, 28, 35
-        T = superop_from_kraus(_grand_kraus(hypercube3))
+        # acceptance criterion 05's inputs: 28 states, eps scheduled at m = 21,
+        # 28, 35, run as one stacked orbit to m = 35
+        ks = _grand_kraus(hypercube3)
         report = coalescence_tail_exact(hypercube3.coupling(), m_max=10)
         rng = start_state_rng(5)
         rho0s = [DensityMatrix(np.diag(np.eye(8)[i])) for i in range(8)]
         rho0s += [random_density(8, rng) for _ in range(20)]
         eps_list = [0.25, 0.04, 0.01]
         calls = []
-        apply = Superoperator.apply
+        apply = KrausSet.apply
 
         def counted(self, M):
-            calls.append(M.shape)
+            calls.append(np.shape(M))
             return apply(self, M)
 
-        monkeypatch.setattr(Superoperator, "apply", counted)
-        res = main_theorem_check(T, hypercube3.pi, report, rho0s, eps_list)
-        assert len(calls) == 28 * 35
+        monkeypatch.setattr(KrausSet, "apply", counted)
+        res = main_theorem_check(ks, hypercube3.pi, report, rho0s, eps_list)
+        assert calls == [(28, 8, 8)] * 35
         calls.clear()
-        want = self._per_eps_reference(T, hypercube3.pi, report, rho0s, eps_list)
-        assert len(calls) == 28 * (21 + 28 + 35)
-        assert (res.lhs, res.passed, res.details["cases"]) == want
+        # a stack maps each matrix with its own bits, so the results are equal
+        want = main_theorem_reference(ks.apply, hypercube3.pi, report, rho0s, eps_list)
+        assert calls == [(8, 8)] * (28 * (21 + 28 + 35))
+        assert res == want
         assert res.passed
 
     def test_eps_sharing_a_step_are_each_tested(self, hypercube3):
@@ -317,5 +301,5 @@ class TestMainTheorem:
             res = main_theorem_check(identity, hypercube3.pi, report, rho0s, eps_list)
             assert not res.passed
             assert res.lhs == pytest.approx(0.005, abs=1e-12)
-            assert (res.lhs, res.passed, res.details["cases"]) == self._per_eps_reference(
-                identity, hypercube3.pi, report, rho0s, eps_list)
+            assert res == main_theorem_reference(identity.apply, hypercube3.pi, report,
+                                                 rho0s, eps_list)

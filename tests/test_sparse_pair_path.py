@@ -503,11 +503,11 @@ class TestMemoryAtN64:
         assert paths[1].stat().st_size > 1.1 * 2**20
 
     def test_verify_command(self, tmp_path):
-        # 4.2 MiB, in the trace identity; with the Kraus superoperator built
-        # beside the tails and the per-pair rows kept to the end it was
-        # 5.6 MiB, and concatenated Kraus superoperator parts took 7.8 MiB
+        # 3.44 MiB, with the Kraus set as the channel; its N^2 x N^2
+        # superoperator beside the tails took 4.10 MiB, with the per-pair rows
+        # kept to the end 5.6 MiB, and as concatenated parts 7.8 MiB
         argv = ["verify", "--model", "hypercube6", "--m-max", "20", "--out", str(tmp_path)]
-        with _peak_below(4.6 * 2**20), contextlib.redirect_stdout(io.StringIO()):
+        with _peak_below(3.8 * 2**20), contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
 
 

@@ -4,12 +4,15 @@
   4-tensor scatter it replaced, and against ``grand_coupling_matrix`` (bit
   for bit);
 - verify's checks run on a random mapping against the same checks on its
-  dense grand coupling and that coupling's similarity-route channel;
+  dense grand coupling, the channel checks against references that run each
+  state's orbit under that coupling's similarity-route channel;
 - the Kraus superoperator built from the table against the dense sum of
   Kronecker products, its Gram-route CP verdict against verify_cp's
   eigensolve of the same matrix, and the gather ``KrausSet.apply`` against
   sum T rho T^T: bundled and hypothesis grand mappings and a mapping with
   min pi about 1e-6; a misrouted table column fails both;
+- ``KrausSet.apply`` on a stack of matrices against each matrix alone (bit for
+  bit), and the checks' stacked Kraus orbit against the superoperator's;
 - the Choi spectrum computed on the support against the full ``eigvalsh``;
 - a mapping's one T, built from its Kraus set, against the rescaled C* of
   its dense grand coupling: the same sparsity and entries within 1e-15;
@@ -29,7 +32,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_kraus_ops, mappings
+from conftest import (
+    dense_kraus_ops,
+    main_theorem_reference,
+    mappings,
+    qperp_bound_reference,
+    reference_orbit,
+)
 from qcoupling import cli, quantize
 from qcoupling.chain import (
     ATOL_COMPUTED,
@@ -51,13 +60,16 @@ from qcoupling.coupling import (
 from qcoupling.csr import Csr
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import (
+    _orbit,
     coalescence_trace_identity_check,
     evolve_trace,
     laplacian_preservation_check,
     main_theorem_check,
     qperp_bound_check,
+    qsample,
     random_density,
     start_state_rng,
+    trace_distance,
 )
 from qcoupling.models import (
     ModelInstance,
@@ -200,22 +212,27 @@ class TestChecksAgree:
 
     @pytest.mark.parametrize("name", CHECKED)
     def test_channel_checks(self, name):
+        # the checks on the Kraus set and the table's tails against the same
+        # checks run state by state on the similarity-route channel and the
+        # dense coupling's tails
         m = _model(name, fugacity=0.5)
-        T = superop_from_kraus(kraus_from_grand(m.rmr, m.pi))
-        T_dense = _similarity_channel(m)
+        ks = kraus_from_grand(m.rmr, m.pi)
+        apply = _similarity_channel(m).apply
         table = coalescence_tail_exact(m.rmr, m_max=15)
         dense = coalescence_tail_exact(m.coupling(), m_max=15)
         rng = start_state_rng(3)
         states = [random_density(m.rmr.n, rng) for _ in range(3)]
-        _close(qperp_bound_check(T, m.pi, table, states, list(range(16))),
-               qperp_bound_check(T_dense, m.pi, dense, states, list(range(16))))
+        _close(qperp_bound_check(ks, m.pi, table, states, list(range(16))),
+               qperp_bound_reference(apply, m.pi, dense, states, list(range(16))))
         if table.t_couple is not None:
-            _close(main_theorem_check(T, m.pi, table, states, [0.25]),
-                   main_theorem_check(T_dense, m.pi, dense, states, [0.25]))
-        a = evolve_trace(T, states[0], m.pi, 15, report=table)
-        b = evolve_trace(T_dense, states[0], m.pi, 15, report=dense)
-        np.testing.assert_allclose(a.trace_distance, b.trace_distance, rtol=0, atol=LHS_TOL)
-        np.testing.assert_allclose(a.qperp_bound, b.qperp_bound, rtol=0, atol=1e-12)
+            _close(main_theorem_check(ks, m.pi, table, states, [0.25]),
+                   main_theorem_reference(apply, m.pi, dense, states, [0.25]))
+        a = evolve_trace(ks, states[0], m.pi, 15, report=table)
+        Q = qsample(m.pi).projector
+        want = [trace_distance(rho, Q) for rho in reference_orbit(apply, states[0].matrix, 15)]
+        np.testing.assert_allclose(a.trace_distance, want, rtol=0, atol=LHS_TOL)
+        bound = np.array([dense.tail_at(k) for k in range(16)]) / m.pi.weights.min()
+        np.testing.assert_allclose(a.qperp_bound, bound, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +316,55 @@ class TestSparseKraus:
         np.testing.assert_allclose(
             T.apply(rho), kraus_from_grand(hypercube3.rmr, hypercube3.pi).apply(rho),
             rtol=0, atol=1e-15)
+
+
+def _assert_stack_matches_each(ks: KrausSet, seed: int = 0):
+    """A (2, 3, N, N) stack through KrausSet.apply gives each matrix the bits it
+    gets on its own, and those are the bits of the index-grid gather
+    sum_r M[ix_(f_r, f_r)] * a_r[:, None] * a_r."""
+    rng = start_state_rng(seed)
+    stack = np.stack([random_density(ks.dim, rng).matrix for _ in range(6)])
+    stack = stack.reshape(2, 3, ks.dim, ks.dim)
+    out = ks.apply(stack)
+    assert out.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        M = stack[idx]
+        want = np.zeros(M.shape)
+        for a, f in zip(ks.amplitudes.T, ks.table.T):
+            want += M[np.ix_(f, f)] * a[:, None] * a
+        assert np.array_equal(ks.apply(M), want)
+        assert np.array_equal(out[idx], want)
+
+
+class TestKrausOrbit:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_stack_equals_each_matrix(self, name):
+        m = _model(name)
+        _assert_stack_matches_each(kraus_from_grand(m.rmr, m.pi), seed=len(name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mappings(ergodic=True), st.integers(0, 2**32))
+    def test_property_stack_equals_each_matrix(self, rmr, seed):
+        pi = stationary_distribution(rmr.base)
+        _assert_stack_matches_each(kraus_from_grand(rmr, pi), seed)
+
+    @pytest.mark.parametrize("name", BUNDLED)  # N <= 64
+    def test_orbit_equals_superoperator_orbit(self, name):
+        # 30 steps of a stack of three states under the gather against each
+        # state's orbit under the sparse matrix of the same Kraus set, within
+        # 1e-15 or eps per step: on hypercube1 the matrix holds
+        # a_r(x) a_r(y) = sqrt(1/2)^2 rounded up, and its orbit's entries, all
+        # 1/2 from step 1, gain eps/2 a step (3.2e-15 at step 30)
+        m = _model(name)
+        ks = kraus_from_grand(m.rmr, m.pi)
+        rng = start_state_rng(len(name))
+        rho0s = [random_density(m.n, rng).matrix for _ in range(3)]
+        apply = superop_from_kraus(ks).apply
+        want = [reference_orbit(apply, rho0, 30) for rho0 in rho0s]
+        for k, rhos in enumerate(_orbit(ks, np.stack(rho0s), 30)):
+            tol = max(1e-15, k * np.finfo(float).eps)
+            for i, rho in enumerate(rhos):
+                assert np.abs(rho - want[i][k]).max() <= tol, (name, k, i)
 
 
 # ---------------------------------------------------------------------------
