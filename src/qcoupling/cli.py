@@ -153,8 +153,7 @@ def cmd_validate(args) -> int:
         summary["coupling"] = {"skipped": f"model {rm.name} has no coupling"}
     else:
         # the exact limit's guard and an invalid mapping propagate (exit 3
-        # and 2): a check that never ran is not a pass. A mapping is valid by
-        # construction, so no pair-space operator is built for it
+        # and 2): a check that never ran is not a pass
         rep = validate_coupling(rm.exact_coupling())
         summary["coupling"] = {"valid": rep.valid, "issues": rep.issues, **rep.details}
         ok = ok and rep.valid
@@ -166,7 +165,7 @@ def cmd_validate(args) -> int:
 def _quantize_summary(rm: ModelInstance):
     """Choi matrix of C* and the quantize summary.
 
-    C* is built once (a mapping's is its cached pair-space operator). T is a
+    C* is built once, a mapping's J off its table. T is a
     mapping's ``superop_from_kraus(kraus_from_grand(...))``, the matrix of the
     :class:`KrausSet` that ``evolve`` and ``verify`` apply (the set checks
     trace preservation), or a dense coupling's :func:`quantized_coupling`.
@@ -313,10 +312,12 @@ def cmd_verify(args) -> int:
         raise InvalidInputError(f"--states must be >= 1, got {args.states}")
     pi = rm.pi
     n = pi.n
-    require_bytes("verify's start states", args.states * n * n * 8)
+    # per state 5 N x N arrays (it, its orbit step, KrausSet.apply's sum
+    # and 2 buffers), 320 bytes of objects
+    require_bytes("verify's start states", args.states * (40 * n * n + 320))
     rng = start_state_rng(args.seed)
     C = rm.exact_coupling()
-    # the channel is its Kraus set, N x |R| numbers, built before the tails
+    # the channel (N x |R| numbers), made before the tails
     ks = kraus_from_grand(rm.rmr, pi)
     # one tails run, to the largest m any check reads (6 = m * l of the
     # submultiplicativity check); each check gets the report or its cut

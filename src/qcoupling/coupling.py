@@ -20,7 +20,7 @@ from qcoupling.chain import (
     read_json_file,
 )
 from qcoupling.checks import CheckResult, ValidationReport, series_csv
-from qcoupling.csr import Csr, as_csr, sums_by_key
+from qcoupling.csr import Csr, as_csr, sums_by_key, table_gather, table_row_blocks
 from qcoupling.errors import GuardExceededError, InvalidInputError
 from qcoupling.kernels import CounterStream, coalescence_counts
 
@@ -245,10 +245,7 @@ def validate_coupling(C: CouplingMatrix | RandomMappingRep) -> ValidationReport:
     indices and magnitudes; ``valid`` iff everything holds within 1e-12.
 
     A random mapping is valid by construction (see
-    :func:`grand_coupling_operator`): :class:`RandomMappingRep` checked that
-    Pr(r) sums to 1 and that the induced marginal is its base chain, each
-    within 1e-12, and the other two conditions hold for every table. So no
-    pair-space operator is built for it.
+    :func:`grand_coupling_operator`), so no pair-space operator is built for it.
 
     A :class:`CouplingMatrix` report is computed once and cached on it. Every
     condition is read off the stored entries of the CSR matrix, so the work
@@ -416,24 +413,26 @@ def grand_coupling_operator(rmr: RandomMappingRep) -> Csr:
 
     C = sum_r Pr(r) kron(F_r, F_r) with F_r[f(x, r), x] = 1, so column
     idx(x, y) holds Pr(r) at row idx(f(x, r), f(y, r)): at most |R| nonzeros
-    per column. :meth:`Csr.from_coo` takes these entries in (r, x, y) order
-    and adds those that meet at a cell in r order; a cell that sums to zero,
-    as one reached only by values with Pr(r) = 0 does, is not stored. It is
-    a coupling by construction: both marginals are the induced chain, which
-    :class:`RandomMappingRep` checks against its base; a diagonal start
-    (x, x) only reaches diagonal pairs (f(x, r), f(x, r)); and swapping the
-    components maps the column of (x, y) onto that of (y, x) with the same
-    weights. The base chain is not needed.
+    per column, made in row blocks of f(x, r) (:func:`table_row_blocks`) and
+    added in r order at a cell; a cell that sums to zero (only Pr(r) = 0
+    reach it) is not stored. It is a coupling by construction: both marginals
+    are the induced chain, which :class:`RandomMappingRep` checks against its
+    base; (x, x) only reaches diagonal pairs; and swapping the components
+    maps column (x, y) onto (y, x) with the same weights.
 
-    Built on the first call and cached on ``rmr``, so every later call, and
-    :func:`grand_coupling_matrix`, returns the same (immutable) matrix.
+    Cached on ``rmr``: every later call, and :func:`grand_coupling_matrix`,
+    returns the same (immutable) matrix.
     """
     if rmr._operator is None:
-        n = rmr.n
-        f = rmr.table.T  # f[r, x] = f(x, r)
-        rows = (f[:, :, None] * n + f[:, None, :]).ravel()
-        cols = np.tile(np.arange(n * n), rmr.n_r)
-        C = Csr.from_coo(np.repeat(rmr.probs, n * n), rows, cols, (n * n, n * n))
+        n, f = rmr.n, rmr.table
+
+        def blocks():
+            for r, x in table_row_blocks(f):
+                rows = (f[x, r] * n)[:, None] + f.T[r]
+                cols = (x * n)[:, None] + np.arange(n)
+                yield np.repeat(rmr.probs[r], n), rows.ravel(), cols.ravel()
+
+        C = Csr.from_coo_blocks(blocks(), (n * n, n * n), f.size * n)
         object.__setattr__(rmr, "_operator", C.without_zeros())
     return rmr._operator
 
@@ -448,6 +447,14 @@ def pair_transition(coupling: CouplingMatrix | RandomMappingRep) -> Csr:
         return grand_coupling_operator(coupling)
     require_valid_coupling(coupling)
     return coupling.entries
+
+
+def pair_step(C: Csr | CouplingMatrix | RandomMappingRep):
+    """The step u -> u C of the pair chain on N^2 vectors u (pair x*N + y): a
+    product by C or :func:`pair_transition`, or a mapping's :func:`table_gather`."""
+    if isinstance(C, RandomMappingRep):
+        return table_gather(C.probs, C.table)
+    return (C if isinstance(C, Csr) else pair_transition(C)).__rmatmul__
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +479,16 @@ def coalescence_tail_exact(
 
     The tail at m for start pair (x, y) equals the column sum of C^m over
     off-diagonal pair rows, computed for all starts at once by iterating the
-    off-diagonal indicator row vector (never forming C^m). For a random
-    mapping each step is the gather V_m[x, y] = sum_r Pr(r) V_{m-1}[f(x, r),
-    f(y, r)], applied as the sparse :func:`grand_coupling_operator`.
+    off-diagonal indicator row vector (never forming C^m) by
+    :func:`pair_step`: for a random mapping the gather V_m[x, y] = sum_r
+    Pr(r) V_{m-1}[f(x, r), f(y, r)] off its table, with no pair-space matrix.
     """
     if m_max < 0:
         raise InvalidInputError(f"m_max must be >= 0, got {m_max}")
     n = coupling.n
     require_exact(n)
     require_bytes("exact tails", (m_max + 1) * n * (n - 1) * 8)  # per_pair
-    C = pair_transition(coupling)
+    step = pair_step(coupling)
     off = _offdiag_mask(n)
     pairs = _offdiag_pairs(n)
     pair_cols = np.flatnonzero(off)  # pair index x * N + y of each pair, in the order of pairs
@@ -494,7 +501,7 @@ def coalescence_tail_exact(
             if np.any(per_pair[m] > per_pair[m - 1] + ATOL_INPUT):
                 raise AssertionError(f"exact tails increased at m={m}")
         if m < m_max:
-            v = v @ C
+            v = step(v)
 
     tail_max = per_pair.max(axis=1) if pairs else np.zeros(m_max + 1)
     m_values = np.arange(m_max + 1)
@@ -649,8 +656,8 @@ def check_tail_submultiplicativity(
     the components meet they stay together). The diagonal absorbs, so that
     block of C^k is D^k, D the N x N diagonal block of C; D^k is compared with
     P^k at every k <= m, and ``diag_block_error`` also counts the largest mass
-    a diagonal column sends to off-diagonal rows. A random mapping runs on its
-    sparse :func:`grand_coupling_operator`, with P its induced chain.
+    a diagonal column sends to off-diagonal rows. A random mapping's D is its
+    induced chain, read off the table (no mass leaves the diagonal).
     """
     if m < 0 or l < 1:
         raise InvalidInputError("need m >= 0 and l >= 1")
@@ -659,14 +666,17 @@ def check_tail_submultiplicativity(
     lhs = report.tail_at(m * l)
     rhs = float(report.tail_at(m) ** l)
     n = coupling.n
-    C = pair_transition(coupling)
-    P = coupling.base.entries if coupling.base is not None else coupling.induced_chain_entries()
-    diag_idx = np.arange(n) * (n + 1)
-    on_diag = np.zeros(n * n, dtype=bool)
-    on_diag[diag_idx] = True
-    leaving = on_diag[C.indices] & ~on_diag[C.rows]
-    block_err = float(sums_by_key(C.indices[leaving], np.abs(C.data[leaving]), n * n).max())
-    D = C.block(diag_idx, diag_idx)
+    if isinstance(coupling, RandomMappingRep):
+        block_err, D = 0.0, coupling.induced_chain_entries()
+        P = D if coupling.base is None else coupling.base.entries
+    else:
+        P, C = coupling.base.entries, pair_transition(coupling)
+        diag_idx = np.arange(n) * (n + 1)
+        on_diag = np.zeros(n * n, dtype=bool)
+        on_diag[diag_idx] = True
+        leaving = on_diag[C.indices] & ~on_diag[C.rows]
+        block_err = float(sums_by_key(C.indices[leaving], np.abs(C.data[leaving]), n * n).max())
+        D = C.block(diag_idx, diag_idx)
     Dk, Pk = np.eye(n), np.eye(n)
     for _ in range(m):
         Dk, Pk = D @ Dk, P @ Pk

@@ -1,10 +1,12 @@
 """Compressed sparse row matrices in numpy: the storage of every pair-space
-operator, superoperator and Choi matrix.
+operator, superoperator and Choi matrix, and a random mapping's pair
+operator read off its successor table.
 
 A :class:`Csr` is immutable and canonical: within each row the column indices
 are strictly ascending, so a cell is stored at most once. Every matrix is
-assembled by :meth:`Csr.from_coo`, which keeps stored zeros, as scipy's
-canonical form does; :meth:`Csr.without_zeros` is the one place they go.
+assembled by :meth:`Csr.from_coo` (or its row blocks), which keeps stored
+zeros, as scipy's canonical form does; :meth:`Csr.without_zeros` is the one
+place they go.
 Each operation gives the bits that the same operation on a
 ``scipy.sparse.csr_array`` with these arrays gives: the products ``M @ v``
 and ``v @ M`` take 1-D operands only and add a row's or a column's terms in
@@ -19,6 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+BLOCK_BYTES = 1 << 18  # COO bytes (24 an entry) per row block of a table-built Csr; memory only
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,32 +63,38 @@ class Csr:
     def from_coo(cls, data, rows, cols, shape) -> Csr:
         """``data[k]`` at (rows[k], cols[k]). Entries at one cell are summed in
         input order, starting from the first; stored zeros are kept."""
+        data, key = _cells(data, rows, cols, shape)
         n_rows, n_cols = shape
-        data = np.asarray(data, dtype=float)
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        if rows.size and (min(rows.min(), cols.min()) < 0
-                          or rows.max() >= n_rows or cols.max() >= n_cols):
-            raise ValueError(f"entry index out of range for shape {tuple(shape)}")
-        # one int64 key per entry, sorted stably and gathered once with the
-        # data, each array replacing its predecessor; the distinct keys give
-        # the columns and each row's first entry
-        key = rows * n_cols
-        key += cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        data = data[order]
-        del order
-        first = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        if not first.all():
-            repeat = np.flatnonzero(~first)
-            terms = data[repeat]
-            key = key[first]
-            data = data[first]
-            repeat -= np.arange(1, repeat.size + 1)  # the k-th repeat, at p, adds to cell p - k - 1
-            np.add.at(data, repeat, terms)  # one by one, in order
         indptr = np.searchsorted(key, np.arange(n_rows + 1) * n_cols)
         return cls(data, key % max(n_cols, 1), indptr, shape)
+
+    @classmethod
+    def from_coo_blocks(cls, blocks, shape, size: int) -> Csr:
+        """:meth:`from_coo` of the concatenated ``(data, rows, cols)`` blocks,
+        bit for bit, sorting one block at a time. Each block holds every entry
+        of a range of rows, the ranges ascending. ``size`` bounds the entry
+        count: the cells are written into arrays of that length, whose pages
+        past the last are never touched, and then cut to length."""
+        n_rows, n_cols = shape
+        data = np.empty(size)
+        indices = np.empty(size, dtype=np.int64)
+        counts = np.zeros(n_rows + 1, dtype=np.int64)  # counts[i + 1]: entries of row i
+        nnz = next_row = 0
+        for block in blocks:
+            block_data, key = _cells(*block, shape)
+            if not key.size:
+                continue
+            rows = key // n_cols
+            if rows[0] < next_row:
+                raise ValueError("blocks must cover ascending, disjoint row ranges")
+            next_row = rows[-1] + 1
+            np.add.at(counts, rows + 1, 1)
+            data[nnz:nnz + key.size] = block_data
+            np.remainder(key, n_cols, out=indices[nnz:nnz + key.size])
+            nnz += key.size
+        data.resize(nnz, refcheck=False)  # in place: only this function refers to them
+        indices.resize(nnz, refcheck=False)
+        return cls(data, indices, np.cumsum(counts, out=counts), shape)
 
     @classmethod
     def from_dense(cls, M) -> Csr:
@@ -154,6 +164,73 @@ class Csr:
         if other.shape != self.shape[:1]:
             raise ValueError(f"cannot multiply {other.shape} by {self.shape}")
         return sums_by_key(self.indices, _products(other, self.rows, self.data), self.shape[1])
+
+
+def table_row_blocks(lead: np.ndarray):
+    """Index arrays (r, u), in (r, u) order, of the cells of an N x |R| table
+    whose N entries each fall in rows lead[u, r] * N + (0 .. N - 1), for runs
+    of lead values with at most BLOCK_BYTES of entries (or one value). Made
+    in (r, u, v) order, a block's entries keep the r order of the whole
+    sequence at each cell, as :meth:`Csr.from_coo_blocks` needs."""
+    n = lead.shape[0]
+    ends = np.cumsum(np.bincount(lead.ravel(), minlength=n) * n)  # entries up to each group
+    lo = 0
+    while lo < n:
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + BLOCK_BYTES // 24, "right")))
+        r, u = np.nonzero((lead.T >= lo) & (lead.T < hi))
+        yield r, u
+        lo = hi
+
+
+def table_gather(probs: np.ndarray, table: np.ndarray):
+    """The step u -> u C of the pair chain of a random mapping, C = sum_r Pr(r)
+    kron(F_r, F_r), without C: (u C)[x, y] = sum_r Pr(r) u[f(x, r), f(y, r)]
+    for an N^2 vector u (pair x*N + y), gathered off the N x |R| ``table``
+    with two ``take`` buffers, as ``KrausSet.apply`` gathers. The terms are
+    added in r order from 0.0, each at most Pr(r) max u, so 0 <= u <= 1 steps
+    to within the r-order float sum of Pr(r)."""
+    n = table.shape[0]
+    columns = np.ascontiguousarray(table.T)
+    rows, term = np.empty((n, n)), np.empty((n, n))
+
+    def gather(u: np.ndarray) -> np.ndarray:
+        U, out = u.reshape(n, n), np.zeros((n, n))
+        for p, f in zip(probs, columns):  # f is in range: "clip" clips nothing, unbuffered
+            U.take(f, axis=0, out=rows, mode="clip").take(f, axis=1, out=term, mode="clip")
+            out += np.multiply(term, p, out=term)
+        return out.reshape(-1)
+
+    return gather
+
+
+def _cells(data, rows, cols, shape) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, keys): each distinct cell's entries summed in input order from
+    the first, at ascending int64 keys row * n_cols + col."""
+    n_rows, n_cols = shape
+    data = np.asarray(data, dtype=float)
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    if rows.size and (min(rows.min(), cols.min()) < 0
+                      or rows.max() >= n_rows or cols.max() >= n_cols):
+        raise ValueError(f"entry index out of range for shape {tuple(shape)}")
+    # one int64 key per entry, sorted stably and gathered once with the
+    # data, each array replacing its predecessor
+    key = rows * n_cols
+    key += cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    data = data[order]
+    del order
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if not first.all():
+        repeat = np.flatnonzero(~first)
+        terms = data[repeat]
+        key = key[first]
+        data = data[first]
+        repeat -= np.arange(1, repeat.size + 1)  # the k-th repeat, at p, adds to cell p - k - 1
+        np.add.at(data, repeat, terms)  # one by one, in order
+    return data, key
 
 
 def _products(v: np.ndarray, at: np.ndarray, data: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from qcoupling.coupling import (
     CouplingMatrix,
     RandomMappingRep,
     _checked_seed,
+    pair_step,
 )
 from qcoupling.errors import InvalidInputError
 from qcoupling.quantize import KrausSet, c_star_superop
@@ -217,6 +218,16 @@ _E = edge_state(0, 1, 2)
 _LAPLACIAN_DIAG, _LAPLACIAN_OFF = _E[0] * _E[0], _E[0] * _E[1]
 
 
+def _pair_scatter(rmr: RandomMappingRep, M: np.ndarray) -> np.ndarray:
+    """C*(M) of a random mapping off its table: each nonzero M[a, b] adds
+    Pr(r) M[a, b] at (f(a, r), f(b, r)), in the order of nonzeros, then r."""
+    a, b = np.nonzero(M)
+    out = np.zeros(M.shape)
+    f = rmr.table
+    np.add.at(out, (f[a], f[b]), np.multiply.outer(M[a, b], rmr.probs))
+    return out
+
+
 def laplacian_preservation_check(
     C: CouplingMatrix | RandomMappingRep, x: int, y: int
 ) -> CheckResult:
@@ -226,17 +237,23 @@ def laplacian_preservation_check(
     successors' Laplacians with the weights in column idx(x, y) of the matrix
     of C*, which is the coupling's. Terms with x' = y' contribute zero
     Laplacians, so only off-diagonal successors appear on the right-hand side.
+    A random mapping builds no matrix: the left side scatters the Laplacian
+    (:func:`_pair_scatter`), and the column is the law of (f(x, r), f(y, r)).
     """
     if x == y:
         raise InvalidInputError("edge states require x != y")
     n = C.n
-    S = c_star_superop(C)
     e = edge_state(x, y, n)
-    lhs = S.apply(np.outer(e, e))
-    M = S.matrix
-    hits = np.flatnonzero(M.indices == x * n + y)  # the stored entries of the column
     column = np.zeros(n * n)
-    column[M.rows[hits]] = M.data[hits]
+    if isinstance(C, RandomMappingRep):
+        lhs = _pair_scatter(C, np.outer(e, e))
+        np.add.at(column, C.table[x] * n + C.table[y], C.probs)
+    else:
+        S = c_star_superop(C)
+        lhs = S.apply(np.outer(e, e))
+        M = S.matrix
+        hits = np.flatnonzero(M.indices == x * n + y)  # the stored entries of the column
+        column[M.rows[hits]] = M.data[hits]
     rhs = np.zeros((n, n))
     for target in np.flatnonzero(column):
         xp, yp = divmod(int(target), n)
@@ -297,14 +314,15 @@ def rescaled_qperp_decomposition_check(pi: Distribution) -> CheckResult:
 def edge_laplacian_traces(S, pairs: list[tuple[int, int]], n: int, m: int) -> np.ndarray:
     """tr([C*]^k |-_xy><-_xy|) for k = 0..m (rows) and each pair (columns).
 
-    ``S`` is the matrix of C*. Read in the Heisenberg picture,
-    tr(S^k vec(L)) = <vec(I) S^k, vec(L)>: the row vector u_k = vec(I) S^k is
-    evolved once, by u <- u @ S, and each pair's trace is read off the four
-    nonzeros of its Laplacian, 1/2 at (x, x) and (y, y) and -1/2 at (x, y)
-    and (y, x). Work is O(nnz(S)) per step plus O(1) per pair, and memory is
-    the N^2 vector plus the (m + 1) x len(pairs) result. Both orders of a
-    pair read the same four entries and give the same bits.
+    ``S`` is the matrix of C*, or a random mapping. Read in the Heisenberg
+    picture, tr(S^k vec(L)) = <vec(I) S^k, vec(L)>: the row vector
+    u_k = vec(I) S^k is evolved once, by u <- u @ S (:func:`pair_step`), and
+    each pair's trace is read off the four nonzeros of its Laplacian, 1/2 at
+    (x, x) and (y, y) and -1/2 at (x, y) and (y, x). Work is O(nnz(S)) per
+    step plus O(1) per pair, and memory is the N^2 vector plus the
+    (m + 1) x len(pairs) result. Both orders of a pair give the same bits.
     """
+    step = pair_step(S)
     x, y = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     xx, yy, xy, yx = x * (n + 1), y * (n + 1), x + n * y, y + n * x  # vec(M)[i + N j] = M[i, j]
     u = np.zeros(n * n)
@@ -313,7 +331,7 @@ def edge_laplacian_traces(S, pairs: list[tuple[int, int]], n: int, m: int) -> np
     for k in range(m + 1):
         out[k] = _LAPLACIAN_DIAG * (u[xx] + u[yy]) + _LAPLACIAN_OFF * (u[xy] + u[yx])
         if k < m:
-            u = u @ S
+            u = step(u)
     return out
 
 
@@ -326,17 +344,22 @@ def coalescence_trace_identity_check(
     its ``per_pair`` rows, in the Heisenberg picture
     (:func:`edge_laplacian_traces`): tr(A) = <I, A>, so the identity's left
     side is <C^k(I), |-_xy><-_xy|>, with C the adjoint of C*. One row vector
-    vec(I) is evolved under the sparse C* one step at a time (no matrix
-    powers are formed), and every pair reads its trace off that vector. C*
-    has at most |R| nonzeros per column for a grand coupling, and a random
-    mapping's C* is built from its table. The tails on the other side come
-    from the row-vector recursion of :func:`coalescence_tail_exact` on the
-    pair-space operator, so the two sides are separate constructions.
+    vec(I) is evolved one step at a time (no matrix powers are formed), and
+    every pair reads its trace off that vector.
+
+    The tails come from :func:`coalescence_tail_exact`, which evolves the
+    off-diagonal indicator 1 - vec(I) under the same operator. So the two
+    sides are not separate constructions: they add up to the all-ones
+    vector evolved, and the check tests only that the operator is linear,
+    keeps the all-ones vector (it is stochastic) and treats (x, y) and
+    (y, x) alike. A successor misrouted in that one operator moves both
+    sides alike. An independent side, the Laplacian pushed forward by a
+    scatter, is item 4 of ROADMAP.md.
     """
     if report.mode != "exact":
         raise InvalidInputError("the trace identity needs exact tails")
     m = int(report.m_values[-1])
-    S = c_star_superop(C).matrix
+    S = C if isinstance(C, RandomMappingRep) else c_star_superop(C).matrix
     err = edge_laplacian_traces(S, report.pairs, C.n, m)
     err -= report.per_pair
     worst = float(np.abs(err, out=err).max(initial=0.0))

@@ -26,11 +26,11 @@ from qcoupling.coupling import (
     independent_coupling,
     validate_coupling,
 )
-from qcoupling.csr import Csr, as_csr
+from qcoupling.csr import Csr, as_csr, table_row_blocks
 from qcoupling.errors import InvalidInputError
 
 CP_TOL_REL = 1e-9  # CP tolerance relative to max |J| entry
-CSV_CHUNK_ENTRIES = 1 << 12  # matrix_to_csv formats this many entries at a time
+CSV_CHUNK_ENTRIES = 1 << 10  # matrix_to_csv formats this many entries at a time
 
 
 def vec(M: np.ndarray) -> np.ndarray:
@@ -314,9 +314,10 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     """Superoperator matrix of the Kraus channel: sum_r kron(T_r, T_r), sparse.
 
     Read off the table: operator r puts a_r(x) a_r(y), a the amplitudes, at
-    row x*N + y, column f(x, r)*N + f(y, r). :meth:`Csr.from_coo` adds them
-    at each cell in r order, so the entries equal those of the dense sum bit
-    for bit; cells that sum to zero are not stored.
+    row x*N + y, column f(x, r)*N + f(y, r), in row blocks of x
+    (:func:`table_row_blocks`), added at each cell in r order, so the entries
+    equal those of the dense sum bit for bit; cells that sum to zero are not
+    stored.
 
     Of :func:`kraus_from_grand`'s set, it is every command's one T of a
     random mapping. Its Choi matrix is sum_r u_r u_r^T with
@@ -324,11 +325,15 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     (finite operators: :class:`KrausSet`); no verdict is computed here.
     ``ks`` is the map's ``kraus``, so :func:`verify_cp` takes the Gram route.
     """
-    n, n2 = ks.dim, ks.dim * ks.dim
-    a, f = ks.amplitudes.T, ks.table.T  # [r, x]
-    data = (a[:, :, None] * a[:, None, :]).ravel()
-    cols = ((f * n)[:, :, None] + f[:, None, :]).ravel()
-    S = Csr.from_coo(data, np.tile(np.arange(n2), f.shape[0]), cols, (n2, n2))
+    n, a, f = ks.dim, ks.amplitudes, ks.table
+
+    def blocks():
+        for r, x in table_row_blocks(np.indices(f.shape)[0]):
+            data = a[x, r][:, None] * a.T[r]
+            cols = (f[x, r] * n)[:, None] + f.T[r]
+            yield data.ravel(), ((x * n)[:, None] + np.arange(n)).ravel(), cols.ravel()
+
+    S = Csr.from_coo_blocks(blocks(), (n * n, n * n), f.size * n)
     return Superoperator(dim=ks.dim, matrix=S.without_zeros(), kraus=ks)
 
 
@@ -338,8 +343,25 @@ def choi_matrix(S: Superoperator) -> ChoiMatrix:
     S[i + N*j, x + N*y] = S(E_xy)[i, j] sits at (x*N + i, y*N + j); each
     position is one expression, so i, j, x and y are not held in the scatter.
     S's :class:`TableKraus`, if it has one, goes with it.
+
+    A random mapping's C*, whose ``kraus`` is a TableKraus without weights
+    (the F_r only :func:`c_star_superop` attaches), is read off the table
+    instead: C's cell (f(x, r) N + f(y, r), x N + y) sits at
+    (y N + f(y, r), x N + f(x, r)), so Pr(r) goes there in row blocks of y,
+    added in r order as in C.
     """
-    n = S.dim
+    n, k = S.dim, S.kraus
+    if type(k) is TableKraus and k.weights is None:
+        f = k.table
+
+        def blocks():
+            for r, y in table_row_blocks(np.indices(f.shape)[0]):
+                rows = np.repeat(y * n + f[y, r], n)
+                cols = (np.arange(n) * n)[None, :] + f.T[r]
+                yield np.repeat(k.probs[r], n), rows, cols.ravel()
+
+        J = Csr.from_coo_blocks(blocks(), (n * n, n * n), f.size * n).without_zeros()
+        return ChoiMatrix(dim=n, matrix=J, kraus=k)
     M = S.matrix
     rows = M.indices % n * n + M.rows % n  # x*N + i
     cols = M.indices // n * n + M.rows // n  # y*N + j
@@ -432,5 +454,6 @@ def matrix_to_csv(matrix: Csr, header: str) -> Iterator[str]:
     yield f"{header}\nrow,col,value\n"
     for a in range(0, M.nnz, CSV_CHUNK_ENTRIES):  # Python objects for one chunk at a time
         b = a + CSV_CHUNK_ENTRIES
-        entries = zip(M.rows[a:b].tolist(), M.indices[a:b].tolist(), M.data[a:b].tolist())
+        rows = np.searchsorted(M.indptr, np.arange(a, min(b, M.nnz)), "right") - 1  # not M.rows
+        entries = zip(rows.tolist(), M.indices[a:b].tolist(), M.data[a:b].tolist())
         yield "".join([f"{i},{j},{v:.17g}\n" for i, j, v in entries])

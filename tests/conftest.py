@@ -56,6 +56,21 @@ def random_ergodic_chain(n: int, rng: np.random.Generator):
     return TransitionMatrix(tuple(str(i) for i in range(n)), cols)
 
 
+def csr_tail_rows(rmr, m_max: int) -> np.ndarray:
+    """The per-pair tails of a mapping, rows m = 0..m_max and pairs (x, y),
+    x != y, in (x, y) order, by the row-vector recursion v <- v @ C on the
+    sparse grand coupling: the reference the table gather is tested against."""
+    n = rmr.n
+    C = grand_coupling_operator(rmr)
+    off = ~np.eye(n, dtype=bool).ravel()
+    v = off.astype(float)
+    rows = [v[off]]
+    for _ in range(m_max):
+        v = v @ C
+        rows.append(v[off])
+    return np.array(rows)
+
+
 def coupling_4tensor(C) -> np.ndarray:
     """A coupling's entries as a new dense array with axes (x', y', x, y): the
     reference the sparse pair-space code is tested against."""

@@ -572,8 +572,9 @@ class TestByteGuard:
          "exact tails", 100_000_001 * 8 * 7 * 8),
         (("verify", "--model", "hypercube3", "--m-max", "100000000"),
          "exact tails", 100_000_001 * 8 * 7 * 8),
+        # per state, five 8 x 8 arrays and 320 bytes of objects
         (("verify", "--model", "hypercube3", "--states", "100000000"),
-         "verify's start states", 100_000_000 * 8 * 8 * 8),
+         "verify's start states", 100_000_000 * (5 * 8 * 8 * 8 + 320)),
         # 9 bytes a step for the kernel's counts and report mask, and a
         # one-row block record of 1-byte indices
         (("coalesce", "--model", "hypercube3", "--mc", "--seed", "1", "--samples", "10",
@@ -620,11 +621,32 @@ class TestByteGuard:
 
     def test_states_at_the_budget_run(self, tmp_path, monkeypatch):
         # hypercube3: the tails, to 7 x n_sites = 21, hold 22 x 56 x 8 = 9856
-        # bytes, and 20 start states of 8 x 8 hold 10240, which is the budget
-        monkeypatch.setattr(coupling, "BYTES_GUARD", 20 * 8 * 8 * 8)
+        # bytes, and 20 start states of 8 x 8 hold 20 x (5 x 512 + 320) =
+        # 57600, which is the budget
+        monkeypatch.setattr(coupling, "BYTES_GUARD", 20 * (5 * 8 * 8 * 8 + 320))
         argv = ("verify", "--model", "hypercube3", "--out", str(tmp_path))
         assert run(*argv, "--states", "20") == 0
         assert run(*argv, "--states", "21") == 3
+
+    @pytest.mark.parametrize("model,states", [("hypercube1", 4000), ("hypercube3", 2000),
+                                              ("hypercube5", 100)])
+    def test_states_estimate_counts_what_verify_holds(self, tmp_path, model, states):
+        # the tracemalloc peak that states add to verify, against the
+        # estimate of 5 N x N arrays and 320 bytes a state: the stacked orbit
+        # holds the states' list, the latest step, and KrausSet.apply's sum
+        # and its two gather buffers
+        peaks = []
+        for count in (1, states + 1):
+            tracemalloc.start()
+            try:
+                run("verify", "--model", model, "--states", str(count),
+                    "--out", str(tmp_path / str(count)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        n = 2 ** int(model.removeprefix("hypercube"))
+        estimate = states * (5 * n * n * 8 + 320)
+        assert 0.8 * estimate <= peaks[1] - peaks[0] <= estimate
 
 
 class TestCoalesce:

@@ -241,8 +241,9 @@ class TestSubmultiplicativity:
         # half of the largest entry of diagonal column (0, 0) is moved to an
         # off-diagonal row, added there on top, or moved to another diagonal
         # row; the tails come from the true coupling, so only the block
-        # identity can fail
-        C = _exact_coupling(name)
+        # identity can fail. A mapping's check reads D off its table, so its
+        # pair operator is perturbed in its grand coupling matrix
+        C = resolve_model(name, SimpleNamespace(bias=0.5, fugacity=2.0)).coupling()
         n = C.n
         report = coalescence_tail_exact(C, m_max=6)
         S = pair_transition(C).toarray()

@@ -703,8 +703,10 @@ class TestTraceIdentityGate:
     def test_misrouted_column_fails_on_both_routes(self, name, monkeypatch):
         # the pair most likely to coalesce in one step sends all its mass to
         # its swapped pair instead: column sums stay 1, but the operator is
-        # no longer the coupling's C*
-        C = _model(name, bias=0.7).exact_coupling()
+        # no longer the coupling's C*. A mapping's check gathers off its
+        # table, so its C* is misrouted in its grand coupling matrix (the
+        # gather's own mutant is in test_gather_path.TestMisroutedTable)
+        C = _model(name, bias=0.7).coupling()
         n, m = C.n, 6
         report = coalescence_tail_exact(C, m_max=m)
         x, y = report.pairs[int(np.argmin(report.per_pair[1]))]
@@ -814,15 +816,17 @@ class TestCsrChoi:
     def test_property_csv_of_stored_entries(self, shape, seed, values):
         # stored zeros and -0.0, and duplicates given in unsorted order, summed
         # by Csr.from_coo; scipy's canonical form of the same triplets is the
-        # reference (at most 12 entries a row, so it sums them in input order)
+        # reference (at most 12 entries a row, so it sums them in input order).
+        # A sum that overflows is +-inf on both routes, the defined result
         rng = np.random.Generator(np.random.Philox(seed))
         rows = rng.integers(0, shape[0], size=len(values))
         cols = rng.integers(0, shape[1], size=len(values))
         values = np.array(values, dtype=float)
-        stored = scipy.sparse.csr_array((values, (rows, cols)), shape=shape).tocoo()
+        with np.errstate(over="ignore"):
+            stored = scipy.sparse.csr_array((values, (rows, cols)), shape=shape).tocoo()
+            M = Csr.from_coo(values, rows, cols, shape)
         dense = np.zeros(shape)
         dense[stored.row, stored.col] = stored.data  # keeps a stored -0.0
-        M = Csr.from_coo(values, rows, cols, shape)
         _assert_triplets(_csv(M, "# h"), "# h", dense)
 
     def test_choi_and_spectrum_memory_at_n64(self):

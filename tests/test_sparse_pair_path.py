@@ -30,7 +30,6 @@ import io
 import json
 import os
 import platform
-import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -48,7 +47,6 @@ from conftest import (
     unitary_completion,
     unstamped_grand_coupling,
 )
-from qcoupling import coupling as coupling_module
 from qcoupling.chain import ATOL_INPUT, TransitionMatrix
 from qcoupling.checks import ValidationReport
 from qcoupling.cli import emit_report, main, resolve_model
@@ -286,23 +284,6 @@ class TestOperatorCache:
             op[0, 1] = 1.0  # a new one
         _assert_bit_identical(grand_coupling_operator(rmr).toarray(), before)
 
-    def test_verify_builds_it_once(self, monkeypatch, tmp_path, capsys):
-        # a build is a call on a mapping whose operator is not cached yet; every
-        # qcoupling module that holds the builder gets the counting one
-        builds = []
-        build = coupling_module.grand_coupling_operator
-
-        def counting(rmr):
-            builds.append(rmr._operator is None)
-            return build(rmr)
-
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "qcoupling" and vars(module).get(
-                    "grand_coupling_operator") is build:
-                monkeypatch.setattr(module, "grand_coupling_operator", counting)
-        assert main(["verify", "--model", "hypercube6", "--out", str(tmp_path)]) == 0
-        assert sum(builds) == 1 and len(builds) > 1  # built once, then read from the cache
-
 
 # ---------------------------------------------------------------------------
 # Blockwise dilation against the dense operators
@@ -483,31 +464,39 @@ class TestMemoryAtN64:
             assert dilation_route_check(circ, ks, random_density(circ.dim, rng)).passed
 
     def test_quantize_command(self, tmp_path):
-        # 3.4 MiB, building T from its Kraus set beside C*; building Choi(T)
-        # beside C* and T for verify_cp took 4.0 MiB, the two support
+        # 2.42 MiB, T and Choi(C*) assembled from the table in row blocks;
+        # sorting their whole |R| N^2 entry lists took 3.4 MiB, building
+        # Choi(T) beside C* and T for verify_cp 4.0 MiB, the two support
         # eigensolves the Gram matrices replace 6.6 MiB, whole-matrix CSV
         # line lists and gathers 10.8 MiB, and the dense Choi CSV string and
         # its encoded bytes were about 69 MB
-        with _peak_below(4.5 * 2**20), contextlib.redirect_stdout(io.StringIO()):
+        with _peak_below(2.65 * 2**20), contextlib.redirect_stdout(io.StringIO()):
             assert main(["quantize", "--model", "hypercube6", "--out", str(tmp_path)]) == 0
 
     def test_choi_csv_never_held_whole(self, tmp_path):
         rm = _model("hypercube6")
         J = choi_matrix(c_star_superop(rm.exact_coupling())).matrix
-        J.rows  # the cached row index is the matrix's, not the CSV's
-        # 0.78 MiB, the Python objects of one chunk of 4096 lines, below the
-        # 1.16 MiB of text written; formatting the whole text and then
-        # encoding it took 2.6 MiB
-        with _peak_below(0.875 * 2**20), contextlib.redirect_stdout(io.StringIO()):
+        # 0.21 MiB, the Python objects of one chunk of 1024 lines, below the
+        # 1.16 MiB of text written; chunks of 4096 lines took 0.78 MiB, and
+        # formatting the whole text and then encoding it 2.6 MiB
+        with _peak_below(0.24 * 2**20), contextlib.redirect_stdout(io.StringIO()):
             paths = emit_report(str(tmp_path), "q", {}, ("choi", matrix_to_csv(J, "# h")))
         assert paths[1].stat().st_size > 1.1 * 2**20
 
     def test_verify_command(self, tmp_path):
-        # 3.44 MiB, with the Kraus set as the channel; its N^2 x N^2
-        # superoperator beside the tails took 4.10 MiB, with the per-pair rows
-        # kept to the end 5.6 MiB, and as concatenated parts 7.8 MiB
+        # 2.42 MiB, with the pair space read off the table; the pair-space
+        # Csr of the tails and checks took 3.44 MiB, the channel's N^2 x N^2
+        # superoperator beside it 4.10 MiB, with the per-pair rows kept to
+        # the end 5.6 MiB, and as concatenated parts 7.8 MiB
         argv = ["verify", "--model", "hypercube6", "--m-max", "20", "--out", str(tmp_path)]
-        with _peak_below(3.8 * 2**20), contextlib.redirect_stdout(io.StringIO()):
+        with _peak_below(2.65 * 2**20), contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
+    def test_coalesce_command(self, tmp_path):
+        # 1.78 MiB, the per-pair rows (41 x 4032 doubles, 1.26 MiB) and the
+        # gather's N x N buffers; the pair-space Csr and its sort took 2.88 MiB
+        argv = ["coalesce", "--model", "hypercube6", "--m-max", "40", "--out", str(tmp_path)]
+        with _peak_below(1.95 * 2**20), contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
 
 
