@@ -324,7 +324,6 @@ def cmd_verify(args) -> int:
     rate_grid = [] if rm.rate is None else [rm.n_sites * k for k in range(1, 8)]
     tails = coalescence_tail_exact(C, m_max=max([args.m_max, 6, *rate_grid]))
     trace_identity = coalescence_trace_identity_check(C, tails.up_to(min(args.m_max, 10)))
-    tails.per_pair = None  # no other check reads the per-pair rows
     report = tails.up_to(args.m_max)
     rho0_set = [random_density(n, rng) for _ in range(args.states)]
 

@@ -180,13 +180,19 @@ class RandomMappingRep:
 
 @dataclass
 class CoalescenceReport:
-    """Tail probabilities Pr{tau_coal > m}, exact or Monte Carlo."""
+    """Tail probabilities Pr{tau_coal > m}, exact or Monte Carlo.
+
+    ``tail_max`` is the worst start pair's tail at each m. Only a Monte Carlo
+    report names its start ``pairs`` and holds their ``per_pair`` tails; an
+    exact report covers every pair, and a pair's own exact tails are read off
+    :func:`tail_vectors`, one m at a time.
+    """
 
     mode: str  # "exact" | "monte_carlo"
     m_values: np.ndarray
     tail_max: np.ndarray
-    pairs: list[tuple[int, int]]
-    per_pair: np.ndarray | None = None  # shape (len(m_values), len(pairs)), if kept
+    pairs: list[tuple[int, int]] | None = None  # MC only
+    per_pair: np.ndarray | None = None  # MC only: shape (len(m_values), len(pairs))
     samples: int | None = None
     seed: int | None = None
     ci_half: np.ndarray | None = None  # 95% CI half-widths on tail_max (MC only)
@@ -202,14 +208,8 @@ class CoalescenceReport:
         if not 0 <= m <= self.m_values[-1]:
             raise InvalidInputError(f"m_max must be in 0..{int(self.m_values[-1])}, got {m}")
         m_values, tail_max = self.m_values[: m + 1], self.tail_max[: m + 1]
-        return CoalescenceReport(
-            mode="exact",
-            m_values=m_values,
-            tail_max=tail_max,
-            pairs=self.pairs,
-            per_pair=None if self.per_pair is None else self.per_pair[: m + 1],
-            t_couple=_t_couple(tail_max, m_values),
-        )
+        return CoalescenceReport(mode="exact", m_values=m_values, tail_max=tail_max,
+                                 t_couple=_t_couple(tail_max, m_values))
 
     def tail_at(self, m: int) -> float:
         pos = np.nonzero(self.m_values == m)[0]
@@ -217,14 +217,11 @@ class CoalescenceReport:
             raise InvalidInputError(f"m={m} not covered by this report")
         return float(self.tail_max[pos[0]])
 
-    def to_csv(self, include_pairs: bool = False) -> str:
+    def to_csv(self) -> str:
         columns = [("tail_max", self.tail_max)]
         if self.mode == "monte_carlo":
             ci = self.ci_half if self.ci_half is not None else 0.0
             columns.append(("tail_ci_hi", self.tail_max + ci))
-        if include_pairs and self.per_pair is not None:
-            columns += [(f"pair_{x}_{y}", self.per_pair[:, j])
-                        for j, (x, y) in enumerate(self.pairs)]
         return series_csv(self.m_values, columns)
 
 
@@ -437,14 +434,9 @@ def grand_coupling_operator(rmr: RandomMappingRep) -> Csr:
     return rmr._operator
 
 
-def pair_transition(coupling: CouplingMatrix | RandomMappingRep) -> Csr:
-    """Pair-space transition matrix of either kind of coupling, as a :class:`Csr`.
-
-    A random mapping gives :func:`grand_coupling_operator`; a
-    :class:`CouplingMatrix` is validated and gives its entries.
-    """
-    if isinstance(coupling, RandomMappingRep):
-        return grand_coupling_operator(coupling)
+def pair_transition(coupling: CouplingMatrix) -> Csr:
+    """Pair-space transition matrix of a :class:`CouplingMatrix`: its entries,
+    once the coupling is validated."""
     require_valid_coupling(coupling)
     return coupling.entries
 
@@ -461,57 +453,58 @@ def pair_step(C: Csr | CouplingMatrix | RandomMappingRep):
 # Coalescence tails
 
 
-def _offdiag_mask(n: int) -> np.ndarray:
-    mask = np.ones(n * n, dtype=bool)
-    mask[np.arange(n) * n + np.arange(n)] = False
-    return mask
-
-
-def _offdiag_pairs(n: int) -> list[tuple[int, int]]:
-    x, y = np.divmod(np.flatnonzero(_offdiag_mask(n)), n)
-    return list(zip(x.tolist(), y.tolist()))
+def tail_vectors(coupling: CouplingMatrix | RandomMappingRep, m_max: int):
+    """V_0 = 1 - vec(I), then V_m = V_{m-1} C by :func:`pair_step`, for m <= m_max,
+    one N^2 vector at a time and none kept. V_m[x*N + y] is the exact tail
+    Pr_{x,y}{tau_coal > m}, the column sum of C^m over off-diagonal pair
+    rows, for all start pairs at once; a random mapping's step is the gather
+    V_m[x, y] = sum_r Pr(r) V_{m-1}[f(x, r), f(y, r)] off its table. No guard
+    is checked: the caller sizes what it keeps.
+    """
+    n = coupling.n
+    step = pair_step(coupling)
+    v = np.ones(n * n)
+    v[:: n + 1] = 0.0  # pair (x, x) has index x (N + 1)
+    yield v
+    for _ in range(m_max):
+        v = step(v)
+        yield v
 
 
 def coalescence_tail_exact(
     coupling: CouplingMatrix | RandomMappingRep, m_max: int
 ) -> CoalescenceReport:
-    """Exact tails Pr_{x,y}{tau_coal > m} for all start pairs and m <= m_max.
+    """Exact worst tails max_{x != y} Pr_{x,y}{tau_coal > m} for m <= m_max, off
+    :func:`tail_vectors`; each step's off-diagonal tails are kept until the
+    next, to assert that none grows.
 
-    The tail at m for start pair (x, y) equals the column sum of C^m over
-    off-diagonal pair rows, computed for all starts at once by iterating the
-    off-diagonal indicator row vector (never forming C^m) by
-    :func:`pair_step`: for a random mapping the gather V_m[x, y] = sum_r
-    Pr(r) V_{m-1}[f(x, r), f(y, r)] off its table, with no pair-space matrix.
+    The byte guard counts, per m, ``tail_max``, ``m_values`` and a tails CSV
+    row of up to 32 characters as ``coalesce`` holds it: a str in
+    ``series_csv``'s list and its line twice in the joined text, 172 bytes
+    (tracemalloc: 161.5 bytes a step at 30 characters); and 7 N^2 doubles,
+    the vector, the gather's sum and buffers and two steps' tails (6.4 at N = 64).
     """
     if m_max < 0:
         raise InvalidInputError(f"m_max must be >= 0, got {m_max}")
     n = coupling.n
     require_exact(n)
-    require_bytes("exact tails", (m_max + 1) * n * (n - 1) * 8)  # per_pair
-    step = pair_step(coupling)
-    off = _offdiag_mask(n)
-    pairs = _offdiag_pairs(n)
-    pair_cols = np.flatnonzero(off)  # pair index x * N + y of each pair, in the order of pairs
-
-    v = off.astype(float)  # v C^m gives all tails at time m simultaneously
-    per_pair = np.empty((m_max + 1, len(pairs)))
-    for m in range(m_max + 1):
-        per_pair[m] = v[pair_cols]
-        if m > 0:
-            if np.any(per_pair[m] > per_pair[m - 1] + ATOL_INPUT):
-                raise AssertionError(f"exact tails increased at m={m}")
-        if m < m_max:
-            v = step(v)
-
-    tail_max = per_pair.max(axis=1) if pairs else np.zeros(m_max + 1)
+    require_bytes("exact tails", (m_max + 1) * 172 + 7 * n * n * 8)
+    off = np.ones(n * n, dtype=bool)
+    off[:: n + 1] = False
+    tail_max = np.zeros(m_max + 1)
+    last = None
+    for m, v in enumerate(tail_vectors(coupling, m_max)):
+        tails = v[off]
+        if last is not None and np.any(tails > last + ATOL_INPUT):
+            raise AssertionError(f"exact tails increased at m={m}")
+        if tails.size:
+            tail_max[m] = tails.max()
+        last = tails
     m_values = np.arange(m_max + 1)
-
     return CoalescenceReport(
         mode="exact",
         m_values=m_values,
         tail_max=tail_max,
-        pairs=pairs,
-        per_pair=per_pair,
         t_couple=_t_couple(tail_max, m_values),
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from qcoupling.coupling import (
     CouplingMatrix,
     RandomMappingRep,
     _checked_seed,
-    pair_step,
+    tail_vectors,
 )
 from qcoupling.errors import InvalidInputError
 from qcoupling.quantize import KrausSet, c_star_superop
@@ -311,65 +312,50 @@ def rescaled_qperp_decomposition_check(pi: Distribution) -> CheckResult:
     )
 
 
-def edge_laplacian_traces(S, pairs: list[tuple[int, int]], n: int, m: int) -> np.ndarray:
-    """tr([C*]^k |-_xy><-_xy|) for k = 0..m (rows) and each pair (columns).
-
-    ``S`` is the matrix of C*, or a random mapping. Read in the Heisenberg
-    picture, tr(S^k vec(L)) = <vec(I) S^k, vec(L)>: the row vector
-    u_k = vec(I) S^k is evolved once, by u <- u @ S (:func:`pair_step`), and
-    each pair's trace is read off the four nonzeros of its Laplacian, 1/2 at
-    (x, x) and (y, y) and -1/2 at (x, y) and (y, x). Work is O(nnz(S)) per
-    step plus O(1) per pair, and memory is the N^2 vector plus the
-    (m + 1) x len(pairs) result. Both orders of a pair give the same bits.
-    """
-    step = pair_step(S)
-    x, y = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    xx, yy, xy, yx = x * (n + 1), y * (n + 1), x + n * y, y + n * x  # vec(M)[i + N j] = M[i, j]
-    u = np.zeros(n * n)
-    u[np.arange(n) * (n + 1)] = 1.0  # vec(I)
-    out = np.empty((m + 1, x.size))
-    for k in range(m + 1):
-        out[k] = _LAPLACIAN_DIAG * (u[xx] + u[yy]) + _LAPLACIAN_OFF * (u[xy] + u[yx])
-        if k < m:
-            u = step(u)
-    return out
-
-
 def coalescence_trace_identity_check(
     C: CouplingMatrix | RandomMappingRep, report: CoalescenceReport
 ) -> CheckResult:
-    """Pr_{x,y}{tau > k} = tr([C*]^k applied to the edge Laplacian), all x != y.
+    """Pr_{x,y}{tau > k} = tr([C*]^k |-_xy><-_xy|) for stated pairs and every
+    k <= m, the last step the exact ``report`` covers.
 
-    Checked at every step k the exact ``report`` of C's tails covers, against
-    its ``per_pair`` rows, in the Heisenberg picture
-    (:func:`edge_laplacian_traces`): tr(A) = <I, A>, so the identity's left
-    side is <C^k(I), |-_xy><-_xy|>, with C the adjoint of C*. One row vector
-    vec(I) is evolved one step at a time (no matrix powers are formed), and
-    every pair reads its trace off that vector.
-
-    The tails come from :func:`coalescence_tail_exact`, which evolves the
-    off-diagonal indicator 1 - vec(I) under the same operator. So the two
-    sides are not separate constructions: they add up to the all-ones
-    vector evolved, and the check tests only that the operator is linear,
-    keeps the all-ones vector (it is stochastic) and treats (x, y) and
-    (y, x) alike. A successor misrouted in that one operator moves both
-    sides alike. An independent side, the Laplacian pushed forward by a
-    scatter, is item 4 of ROADMAP.md.
+    The two sides are separate constructions. The tail is entry (x, y) of
+    :func:`tail_vectors`, pulled back by the pair chain's gather (the
+    Heisenberg picture); the trace is of the Laplacian pushed forward by C*
+    (the Schrodinger picture): a random mapping's scatter off its table
+    (:func:`_pair_scatter`), or a coupling matrix's :func:`c_star_superop`.
+    A successor misrouted in one of them moves one side only. The pairs,
+    listed in ``details["pairs"]``, are the first with the largest tail at
+    m, (0, N - 1) and (0, 1), without repeats.
     """
     if report.mode != "exact":
         raise InvalidInputError("the trace identity needs exact tails")
     m = int(report.m_values[-1])
-    S = C if isinstance(C, RandomMappingRep) else c_star_superop(C).matrix
-    err = edge_laplacian_traces(S, report.pairs, C.n, m)
-    err -= report.per_pair
-    worst = float(np.abs(err, out=err).max(initial=0.0))
+    n = C.n
+    for last in tail_vectors(C, m):
+        pass
+    last[:: n + 1] = -1.0  # a diagonal pair is never the worst
+    worst = divmod(int(last.argmax()), n)
+    # distinct pairs of distinct states; a one-state chain has none
+    pairs = list(dict.fromkeys(p for p in (worst, (0, n - 1), (0, 1)) if p[0] != p[1] < n))
+    at = [x * n + y for x, y in pairs]
+    tails = np.array([v[at] for v in tail_vectors(C, m)])
+    push = partial(_pair_scatter, C) if isinstance(C, RandomMappingRep) else c_star_superop(C).apply
+    traces = np.empty_like(tails)
+    for j, (x, y) in enumerate(pairs):
+        e = edge_state(x, y, n)
+        L = np.outer(e, e)
+        for k in range(m + 1):
+            traces[k, j] = np.trace(L)
+            if k < m:
+                L = push(L)
+    err = float(np.abs(traces - tails).max(initial=0.0))
     return CheckResult(
         name="coalescence_trace_identity",
-        passed=worst <= ATOL_COMPUTED,
-        lhs=worst,
+        passed=err <= ATOL_COMPUTED,
+        lhs=err,
         rhs=0.0,
         tolerance=ATOL_COMPUTED,
-        details={"m": m},
+        details={"m": m, "pairs": pairs},
     )
 
 

@@ -12,6 +12,7 @@ from qcoupling.coupling import (
     RandomMappingRep,
     grand_coupling_operator,
     induced_entries,
+    tail_vectors,
 )
 from qcoupling.errors import InvalidInputError
 from qcoupling.evolve import qsample, trace_distance
@@ -69,6 +70,19 @@ def csr_tail_rows(rmr, m_max: int) -> np.ndarray:
         v = v @ C
         rows.append(v[off])
     return np.array(rows)
+
+
+def tail_rows(coupling, m_max: int) -> np.ndarray:
+    """Every start pair's exact tails, rows m = 0..m_max and pairs (x, y),
+    x != y, in (x, y) order, read off ``coupling.tail_vectors``: the per-pair
+    table that exact reports no longer hold."""
+    off = ~np.eye(coupling.n, dtype=bool).ravel()
+    return np.array([v[off] for v in tail_vectors(coupling, m_max)])
+
+
+def offdiag_pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (x, y), x != y, in (x, y) order: the columns of ``tail_rows``."""
+    return [(x, y) for x in range(n) for y in range(n) if x != y]
 
 
 def coupling_4tensor(C) -> np.ndarray:

@@ -519,9 +519,10 @@ class TestVerify:
         assert calls == [42]
 
     def test_channel_first_and_pair_rows_dropped(self, tmp_path, monkeypatch):
-        # the channel, a Kraus set, is built before the tails, and only the
-        # trace identity reads the per-pair rows: every later tail check gets
-        # a report without them
+        # the channel, a Kraus set, is built before the tails, and no report
+        # carries per-pair rows or a pair list: the trace identity reads its
+        # pairs' tails off the tail vectors, so every check gets the worst
+        # tails alone
         seen = []
 
         def recording(name, rows_of=None):
@@ -529,7 +530,8 @@ class TestVerify:
 
             def wrapper(*args, **kwargs):
                 report = None if rows_of is None else args[rows_of]
-                seen.append((name, None if report is None else report.per_pair is not None))
+                seen.append((name, None if report is None else
+                             report.per_pair is not None or report.pairs is not None))
                 return original(*args, **kwargs)
             monkeypatch.setattr(cli, name, wrapper)
 
@@ -543,7 +545,7 @@ class TestVerify:
         assert run("verify", "--model", "hypercube6", "--out", str(tmp_path)) == 0
         assert seen == [
             ("kraus_from_grand", None), ("coalescence_tail_exact", None),
-            ("coalescence_trace_identity_check", True), ("qperp_bound_check", False),
+            ("coalescence_trace_identity_check", False), ("qperp_bound_check", False),
             ("check_tail_submultiplicativity", False), ("main_theorem_check", False),
             ("contraction_rate_check", False),
         ]
@@ -566,12 +568,13 @@ class TestByteGuard:
     files."""
 
     @pytest.mark.parametrize("argv,stage,estimate", [
+        # 172 bytes a step (tail_max, m_values and a CSV row), and 7 N^2 doubles
         (("coalesce", "--model", "hypercube6", "--m-max", "100000000"),
-         "exact tails", 100_000_001 * 64 * 63 * 8),
+         "exact tails", 100_000_001 * 172 + 7 * 64 * 64 * 8),
         (("evolve", "--model", "hypercube3", "--m-max", "100000000"),
-         "exact tails", 100_000_001 * 8 * 7 * 8),
+         "exact tails", 100_000_001 * 172 + 7 * 8 * 8 * 8),
         (("verify", "--model", "hypercube3", "--m-max", "100000000"),
-         "exact tails", 100_000_001 * 8 * 7 * 8),
+         "exact tails", 100_000_001 * 172 + 7 * 8 * 8 * 8),
         # per state, five 8 x 8 arrays and 320 bytes of objects
         (("verify", "--model", "hypercube3", "--states", "100000000"),
          "verify's start states", 100_000_000 * (5 * 8 * 8 * 8 + 320)),
@@ -610,18 +613,48 @@ class TestByteGuard:
         with pytest.raises(Reached):
             run("dilate", "--model", "hypercube11", "--out", str(tmp_path / "o"))
 
-    @pytest.mark.parametrize("m_max", [0, 7])
-    def test_tails_estimate_is_the_per_pair_array(self, monkeypatch, m_max):
-        rmr = hypercube_model(3).rmr
-        nbytes = coupling.coalescence_tail_exact(rmr, m_max=m_max).per_pair.nbytes
-        monkeypatch.setattr(coupling, "BYTES_GUARD", nbytes)
-        coupling.coalescence_tail_exact(rmr, m_max=m_max)  # exactly at the budget
-        with pytest.raises(GuardExceededError, match="exact tails"):
-            coupling.coalescence_tail_exact(rmr, m_max=m_max + 1)
+    @pytest.mark.parametrize("model,m_max", [("hypercube3", 20000), ("hardcore-path3", 20000),
+                                             ("colorings-path2-q3", 20000)])
+    def test_tails_estimate_counts_what_coalesce_holds(self, tmp_path, model, m_max):
+        # the tracemalloc peak that steps add to coalesce, against the
+        # estimate of 172 bytes a step: tail_max, m_values, and a CSV row as
+        # a str in series_csv's list beside its line twice in the joined
+        # text. Rows here are about 30 characters (tails in e-notation), and
+        # the estimate allows 32
+        peaks = []
+        for m in (0, m_max):
+            tracemalloc.start()
+            try:
+                run("coalesce", "--model", model, "--m-max", str(m),
+                    "--out", str(tmp_path / str(m)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        estimate = m_max * 172
+        assert 0.8 * estimate <= peaks[1] - peaks[0] <= estimate
+
+    def test_tails_estimate_counts_the_vectors(self, monkeypatch):
+        # 7 N^2 doubles: the tracemalloc peak of the tails to m = 3 at N = 64,
+        # where the per-step arrays are a few dozen bytes
+        rmr = hypercube_model(6).rmr
+        n = rmr.n
+        coupling.coalescence_tail_exact(rmr, m_max=3)
+        tracemalloc.start()
+        try:
+            coupling.coalescence_tail_exact(rmr, m_max=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.8 * 7 * n * n * 8 <= peak <= 7 * n * n * 8
+        budget = 4 * 172 + 7 * n * n * 8
+        monkeypatch.setattr(coupling, "BYTES_GUARD", budget)
+        coupling.coalescence_tail_exact(rmr, m_max=3)  # exactly at the budget
+        with pytest.raises(GuardExceededError, match=f"exact tails would hold {budget + 172:,}"):
+            coupling.coalescence_tail_exact(rmr, m_max=4)
 
     def test_states_at_the_budget_run(self, tmp_path, monkeypatch):
-        # hypercube3: the tails, to 7 x n_sites = 21, hold 22 x 56 x 8 = 9856
-        # bytes, and 20 start states of 8 x 8 hold 20 x (5 x 512 + 320) =
+        # hypercube3: the tails, to 7 x n_sites = 21, hold 22 x 172 + 7 x 64
+        # x 8 = 7368 bytes, and 20 start states of 8 x 8 hold 20 x (5 x 512 + 320) =
         # 57600, which is the budget
         monkeypatch.setattr(coupling, "BYTES_GUARD", 20 * (5 * 8 * 8 * 8 + 320))
         argv = ("verify", "--model", "hypercube3", "--out", str(tmp_path))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling_4tensor, random_ergodic_chain, unstamped_grand_coupling
+from conftest import coupling_4tensor, random_ergodic_chain, tail_rows, unstamped_grand_coupling
 from qcoupling import coupling
 from qcoupling.chain import ATOL_COMPUTED, TransitionMatrix
 from qcoupling.cli import resolve_model
@@ -24,6 +24,7 @@ from qcoupling.coupling import (
     pair_transition,
     rmr_to_json_dict,
     coupling_to_json_dict,
+    tail_vectors,
     validate_coupling,
 )
 from qcoupling.csr import Csr
@@ -205,8 +206,19 @@ class TestExactTails:
         assert report.t_couple == 3
 
     def test_tails_monotone_per_pair(self, hypercube3):
-        report = coalescence_tail_exact(hypercube3.coupling(), m_max=8)
-        assert np.all(np.diff(report.per_pair, axis=0) <= 1e-12)
+        assert np.all(np.diff(tail_rows(hypercube3.coupling(), 8), axis=0) <= 1e-12)
+
+    def test_increasing_tail_is_refused(self, hypercube3, monkeypatch):
+        # a pair's tail that grows from one step to the next stops the run
+        rmr = hypercube3.rmr
+
+        def growing(coupling, m_max):
+            for m, v in enumerate(tail_vectors(coupling, m_max)):
+                yield v * 2 if m == 3 else v
+
+        monkeypatch.setattr(coupling, "tail_vectors", growing)
+        with pytest.raises(AssertionError, match="exact tails increased at m=3"):
+            coalescence_tail_exact(rmr, m_max=5)
 
     def test_guard(self):
         rmr = hypercube_model(7).rmr  # N = 128 > EXACT_GUARD_N
@@ -283,11 +295,10 @@ class TestCutReport:
         assert t is not None and t >= 1
         for m in (0, t - 1, t, t + 1, 60):
             cut, fresh = full.up_to(m), coalescence_tail_exact(C, m_max=m)
-            assert cut.per_pair.shape == fresh.per_pair.shape == (m + 1, len(fresh.pairs))
-            assert cut.per_pair.tobytes() == fresh.per_pair.tobytes()
             assert cut.tail_max.tobytes() == fresh.tail_max.tobytes()
+            assert cut.m_values.tobytes() == fresh.m_values.tobytes()
             assert cut.t_couple == fresh.t_couple == (t if m >= t else None)
-            assert cut.pairs == fresh.pairs and np.array_equal(cut.m_values, fresh.m_values)
+            assert cut.pairs is fresh.pairs is None and cut.per_pair is fresh.per_pair is None
 
     def test_negative_m_max_rejected_before_pair_operator(self, hypercube2, monkeypatch):
         def unreachable(c):

@@ -1,6 +1,8 @@
 """Differential tests: each fast path against the dense reference it replaces.
 
-- the trace identity evolved with a sparse C* against the dense matmul;
+- the exact tails (``tail_vectors``, the Heisenberg picture) against the
+  edge Laplacians pushed forward by a sparse C* and by the dense matmul
+  (the Schrodinger picture), on which the trace identity rests;
 - the CSR superoperators against the dense reshapes they replaced: the
   Choi scatter, a dense coupling's C* (its own matrix) against the
   swap-transposed 4-tensor, also within condition 3's tolerance, and the
@@ -15,11 +17,12 @@
   rebuilt from its triplets against the dense reference, bit for bit, the
   text against a per-cell formatter on that reference, and the chunked text
   against the one-shot join over the whole matrix, around the chunk size;
-- the trace identity's Heisenberg route (one evolved row vector) against the
+- the tails' Heisenberg route (one evolved N^2 vector) against the
   Schrodinger references (the full edge-Laplacian stack, and the dense
   matmul), within 1e-14 on every bundled model and hypercube6 and within a
-  stated rounding bound on random sparse operators; a tracemalloc bound at
-  N = 64; and a misrouted C* that both routes reject alike;
+  stated rounding bound on hypothesis mappings; a tracemalloc bound at
+  N = 64; the closed form past the guard; and a misrouted C* on the scatter
+  side that the trace identity rejects;
 - the forms that hold no N^4-sized temporary against the ones they replaced,
   bit for bit: the CSR ChoiMatrix against its dense matrix,
   validate_coupling's symmetry residual from the stored entries, the
@@ -47,7 +50,10 @@ from conftest import (
     coupling_4tensor,
     coupon_collector_tail,
     dense_kraus_ops,
+    mappings,
+    offdiag_pairs,
     random_ergodic_chain,
+    tail_rows,
 )
 from qcoupling import cli, evolve
 from qcoupling.chain import (
@@ -60,20 +66,16 @@ from qcoupling.chain import (
 from qcoupling.cli import _quantize_summary, emit_report, main, resolve_model
 from qcoupling.coupling import (
     CouplingMatrix,
-    _offdiag_pairs,
     coalescence_tail_exact,
     grand_coupling_operator,
     independent_coupling,
     swap_pair,
+    tail_vectors,
     validate_coupling,
 )
 from qcoupling.csr import Csr
 from qcoupling.errors import InvalidInputError
-from qcoupling.evolve import (
-    coalescence_trace_identity_check,
-    edge_laplacian_traces,
-    edge_state,
-)
+from qcoupling.evolve import coalescence_trace_identity_check, edge_state
 from qcoupling.models import (
     hypercube_model,
     hypercube_worst_pair,
@@ -112,7 +114,7 @@ def _reference_verdict(S: Superoperator) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Trace identity: sparse C* against the dense matmul
+# Trace identity: the tails against the dense matmul of C*
 
 
 def _dense_reference_traces(S: np.ndarray, pairs, n: int, m: int) -> np.ndarray:
@@ -130,13 +132,10 @@ def _dense_reference_traces(S: np.ndarray, pairs, n: int, m: int) -> np.ndarray:
 
 
 def _assert_sparse_matches_dense(C: CouplingMatrix, m: int):
-    report = coalescence_tail_exact(C, m_max=m)
-    S = c_star_superop(C).matrix
-    dense = _dense_reference_traces(S.toarray(), report.pairs, C.n, m)
-    sparse = edge_laplacian_traces(S, report.pairs, C.n, m)
-    np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(sparse, report.per_pair, rtol=0, atol=ATOL_COMPUTED)
-    assert coalescence_trace_identity_check(C, report).passed
+    pairs = offdiag_pairs(C.n)
+    dense = _dense_reference_traces(c_star_superop(C).matrix.toarray(), pairs, C.n, m)
+    np.testing.assert_allclose(tail_rows(C, m), dense, rtol=0, atol=1e-14)
+    assert coalescence_trace_identity_check(C, coalescence_tail_exact(C, m_max=m)).passed
 
 
 class TestSparseTraceIdentity:
@@ -595,71 +594,48 @@ def _full_stack_traces(S: Csr, pairs, n: int, m: int) -> np.ndarray:
     return out
 
 
-def _magnitude_traces(S: Csr, pairs, n: int, m: int) -> np.ndarray:
-    """<vec(I) |S|^k, |vec(L_xy)|>: the sum each route forms, over absolute values."""
-    absolute = Csr(np.abs(S.data), S.indices, S.indptr, S.shape)
-    e = edge_state(0, 1, 2)
-    diag, off = abs(e[0] * e[0]), abs(e[0] * e[1])
-    x, y = np.array(pairs, dtype=np.int64).T
-    u = np.zeros(n * n)
-    u[np.arange(n) * (n + 1)] = 1.0
-    out = np.empty((m + 1, len(pairs)))
-    for k in range(m + 1):
-        out[k] = diag * (u[x * (n + 1)] + u[y * (n + 1)]) + off * (u[x + n * y] + u[y + n * x])
-        if k < m:
-            u = u @ absolute
-    return out
-
-
 class TestHeisenbergTraces:
     @pytest.mark.parametrize("name", RMR_MODELS + DENSE_MODELS + ["hypercube6"])
     def test_bundled_models_match_full_stack(self, name):
         C = _model(name, bias=0.7).exact_coupling()
         n = C.n
-        pairs = _offdiag_pairs(n)
         S = c_star_superop(C).matrix
-        np.testing.assert_allclose(edge_laplacian_traces(S, pairs, n, 10),
-                                   _full_stack_traces(S, pairs, n, 10), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tail_rows(C, 10), _full_stack_traces(S, offdiag_pairs(n), n, 10),
+                                   rtol=0, atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
-           zero_share=st.sampled_from([0.0, 0.5, 0.9]), m=st.integers(0, 4))
-    def test_property_matches_schrodinger(self, n, seed, zero_share, m):
-        # any sparse S and any pair list: both orders, repeats, a subset
-        rng = np.random.Generator(np.random.Philox(seed))
-        M = rng.standard_normal((n * n, n * n))
-        M[rng.random(M.shape) < zero_share] = 0.0
-        S = Csr.from_dense(M)
-        pairs = [(int(x), int(y)) for x, y in rng.integers(0, n, size=(3 * n, 2)) if x != y]
-        if not pairs:
-            pairs = [(0, 1)]
-        got = edge_laplacian_traces(S, pairs, n, m)
-        # Each route adds at most (k + 1) N^2 rounded terms per cell at step k,
-        # so each is within about (k + 1) N^2 eps of the exact value, scaled
-        # by the same sum over absolute values; twice that bounds their gap.
-        scale = _magnitude_traces(S, pairs, n, m)
-        tol = 4 * (np.arange(m + 1)[:, None] + 1) * n * n * np.finfo(float).eps * scale
-        for ref in (_full_stack_traces(S, pairs, n, m), _dense_reference_traces(M, pairs, n, m)):
+    @given(mappings(), st.integers(0, 4))
+    def test_property_matches_schrodinger(self, rmr, m):
+        # Each route adds at most (k + 1) N^2 rounded terms, each at most 1
+        # in size, per cell at step k, so each is within about (k + 1) N^2
+        # eps of the exact value; twice that bounds their gap
+        n = rmr.n
+        pairs = offdiag_pairs(n)
+        got = tail_rows(rmr, m)
+        if not pairs:  # one state: no pair to start apart
+            assert got.shape == (m + 1, 0)
+            return
+        S = grand_coupling_operator(rmr)
+        tol = 4 * (np.arange(m + 1)[:, None] + 1) * n * n * np.finfo(float).eps
+        for ref in (_full_stack_traces(S, pairs, n, m),
+                    _dense_reference_traces(S.toarray(), pairs, n, m)):
             assert np.all(np.abs(got - ref) <= tol)
-        reversed_pairs = edge_laplacian_traces(S, [(y, x) for x, y in pairs], n, m)
-        _assert_bit_identical(got, reversed_pairs)
+        # (x, y) and (y, x) gather the same terms in the same order
+        swapped = [pairs.index((y, x)) for x, y in pairs]
+        _assert_bit_identical(got, got[:, swapped])
 
     def test_memory_bound_at_n64(self):
-        # the N^2 row vector and its product, the (m + 1) x pairs result, the
-        # pair list and its index arrays, and three nnz-length arrays: S's
-        # row index (cached on first use) and the two temporaries of u @ S
+        # the vector, and the gather's sum and its two N x N buffers
         rmr = _model("hypercube6").rmr
-        S = c_star_superop(rmr).matrix
-        n, m = rmr.n, 10
-        pairs = _offdiag_pairs(n)
+        n = rmr.n
         tracemalloc.start()
         try:
-            edge_laplacian_traces(S, pairs, n, m)
+            for _ in tail_vectors(rmr, 10):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        floats = 4 * n * n + (m + 1 + 8) * len(pairs) + 3 * S.nnz
-        assert peak <= 8 * floats + (64 << 10)
+        assert peak <= 8 * 4 * n * n + (64 << 10)
 
 
 def _hamming_coupon_tails(d: int, pairs, m: int) -> np.ndarray:
@@ -677,13 +653,13 @@ def _hamming_coupon_tails(d: int, pairs, m: int) -> np.ndarray:
 class TestHeisenbergBeyondGuard:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_hypercube_traces_equal_coupon_collector(self, d):
-        # up to N = 256, past the exact guard of 64 states: all N (N - 1)
-        # ordered pairs from one evolved row vector, against the closed form
+        # up to N = 256, past the exact guard of 64 states, which the tails'
+        # vectors do not check: all N (N - 1) ordered pairs from one gathered
+        # vector a step, against the closed form
         m = 10
         rmr = hypercube_model(d).rmr
-        n = rmr.n
-        pairs = _offdiag_pairs(n)
-        got = edge_laplacian_traces(grand_coupling_operator(rmr), pairs, n, m)
+        pairs = offdiag_pairs(rmr.n)
+        got = tail_rows(rmr, m)
         np.testing.assert_allclose(got, _hamming_coupon_tails(d, pairs, m), rtol=0, atol=1e-12)
         worst = pairs.index(hypercube_worst_pair(d))
         np.testing.assert_allclose(got[:, worst], [coupon_collector_tail(d, k) for k in range(m + 1)],
@@ -703,29 +679,32 @@ class TestTraceIdentityGate:
     def test_misrouted_column_fails_on_both_routes(self, name, monkeypatch):
         # the pair most likely to coalesce in one step sends all its mass to
         # its swapped pair instead: column sums stay 1, but the operator is
-        # no longer the coupling's C*. A mapping's check gathers off its
-        # table, so its C* is misrouted in its grand coupling matrix (the
-        # gather's own mutant is in test_gather_path.TestMisroutedTable)
+        # no longer the coupling's C*. Only the check's scatter side reads
+        # C* (a coupling matrix's, here also for a mapping's grand coupling);
+        # its gather side keeps the true tails. The gather's own mutants are
+        # in test_gather_path.TestTraceIdentityMutants
         C = _model(name, bias=0.7).coupling()
         n, m = C.n, 6
         report = coalescence_tail_exact(C, m_max=m)
-        x, y = report.pairs[int(np.argmin(report.per_pair[1]))]
-        assert report.per_pair[1].min() < 1.0 - 1e-3
+        tails = tail_rows(C, m)
+        pairs = offdiag_pairs(n)
+        x, y = pairs[int(np.argmin(tails[1]))]
+        assert tails[1].min() < 1.0 - 1e-3
         S = c_star_superop(C).matrix
         bad = _misrouted(S, x + n * y, y + n * x)
         np.testing.assert_allclose(np.ones(n * n) @ bad, np.ones(n * n) @ S, rtol=0, atol=1e-15)
+        full, dense = (_full_stack_traces(bad, pairs, n, m),
+                       _dense_reference_traces(bad.toarray(), pairs, n, m))
+        np.testing.assert_allclose(full, dense, rtol=0, atol=1e-14)
+        assert np.abs(dense - tails).max() > ATOL_COMPUTED  # both routes see the mutant
 
-        dual = edge_laplacian_traces(bad, report.pairs, n, m)
-        for ref in (_full_stack_traces(bad, report.pairs, n, m),
-                    _dense_reference_traces(bad.toarray(), report.pairs, n, m)):
-            np.testing.assert_allclose(dual, ref, rtol=0, atol=1e-14)
-            assert np.abs(ref - report.per_pair).max() > ATOL_COMPUTED
-        worst = np.abs(dual - report.per_pair).max()
-        assert worst > ATOL_COMPUTED
-
-        monkeypatch.setattr(evolve, "c_star_superop", lambda _: SimpleNamespace(matrix=bad))
+        monkeypatch.setattr(evolve, "c_star_superop",
+                            lambda _: Superoperator(dim=n, matrix=bad))
         result = coalescence_trace_identity_check(C, report)
-        assert not result.passed and result.lhs == worst
+        stated = [pairs.index(tuple(p)) for p in result.details["pairs"]]
+        worst = np.abs(dense[:, stated] - tails[:, stated]).max()
+        assert not result.passed and result.lhs == pytest.approx(worst, rel=0, abs=1e-14)
+        assert worst > ATOL_COMPUTED
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ table against the sparse pair-space routes it replaced.
   group a block;
 - a table with one misrouted successor fails the tails comparison and the
   Laplacian check;
+- the trace identity's two sides are separate constructions: a successor
+  misrouted in the gather alone, and a scatter that drives the two
+  components by different draws (f(x, r), f(y, s)), r != s, fail it on every
+  bundled mapping, and honest mappings pass it;
 - ``coalesce``, ``evolve`` and ``verify`` build no pair-space operator.
 """
 
@@ -24,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csr_tail_rows, mappings
+from conftest import csr_tail_rows, mappings, tail_rows
 from qcoupling import coupling as coupling_module
 from qcoupling import csr, evolve
 from qcoupling.cli import main, resolve_model
@@ -35,7 +39,7 @@ from qcoupling.coupling import (
     pair_step,
 )
 from qcoupling.csr import Csr
-from qcoupling.evolve import laplacian_preservation_check
+from qcoupling.evolve import coalescence_trace_identity_check, laplacian_preservation_check
 from qcoupling.quantize import c_star_superop, choi_matrix, kraus_from_grand, superop_from_kraus
 
 # every bundled random-mapping model family, up to the N = 64 guard
@@ -61,11 +65,14 @@ def _rounding_bound(rmr, m_max: int) -> np.ndarray:
 
 
 def _assert_tails_match_csr(rmr, m_max: int):
-    got = coalescence_tail_exact(rmr, m_max).per_pair
+    got = tail_rows(rmr, m_max)
     want = csr_tail_rows(rmr, m_max)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= _rounding_bound(rmr, m_max))
     assert got.min(initial=0.0) >= 0.0
+    # the report's worst tails are the vectors' row maxima, bit for bit
+    tail_max = coalescence_tail_exact(rmr, m_max).tail_max
+    assert tail_max.tobytes() == got.max(axis=1, initial=0.0).tobytes()
 
 
 class TestGatherTails:
@@ -90,7 +97,7 @@ class TestGatherTails:
         for p in rmr.probs:
             total += p
         assert total <= 1.0
-        tails = coalescence_tail_exact(rmr, 40).per_pair
+        tails = tail_rows(rmr, 40)
         assert tails.min() >= 0.0 and tails.max() <= 1.0
 
     def test_step_reads_the_table_in_r_order(self):
@@ -123,7 +130,7 @@ class TestMisroutedTable:
     def test_fails_the_tails_comparison(self, name):
         rmr = _rmr(name)
         x, y, r, mutant = _misrouted(rmr)
-        got = coalescence_tail_exact(mutant, 6).per_pair
+        got = tail_rows(mutant, 6)
         gap = np.abs(got - csr_tail_rows(rmr, 6))
         assert np.any(gap > _rounding_bound(rmr, 6))
         assert gap.max() >= rmr.probs[r] - 1e-15  # the pair now stays apart under r
@@ -140,6 +147,76 @@ class TestMisroutedTable:
         monkeypatch.setattr(evolve, "_pair_scatter", lambda _, M: scatter(mutant, M))
         result = laplacian_preservation_check(rmr, x, y)
         assert not result.passed and result.lhs >= rmr.probs[r] / 2 - 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The trace identity: the gather's tails against the scatter's traces
+
+
+def _gather_off(monkeypatch, table):
+    """Make every gather read ``table``; the scatter keeps the mapping's own."""
+    gather = csr.table_gather
+    monkeypatch.setattr(coupling_module, "table_gather", lambda probs, _: gather(probs, table))
+
+
+def _scatter_r_s(rmr, M):
+    """The mutant scatter: M[a, b] goes to (f(a, r), f(b, s)), s = r + 1 mod |R|,
+    so the two components no longer share a draw."""
+    a, b = np.nonzero(M)
+    out = np.zeros(M.shape)
+    f, g = rmr.table, np.roll(rmr.table, -1, axis=1)
+    np.add.at(out, (f[a], g[b]), np.multiply.outer(M[a, b], rmr.probs))
+    return out
+
+
+def _identity(rmr, m=10):
+    return coalescence_trace_identity_check(rmr, coalescence_tail_exact(rmr, m))
+
+
+class TestTraceIdentityMutants:
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("fugacity", [2.0, 0.5])
+    def test_honest_mappings_pass(self, name, fugacity):
+        result = _identity(_rmr(name, fugacity))
+        assert result.passed and result.lhs <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(mappings())
+    def test_property_honest_mappings_pass(self, rmr):
+        assert _identity(rmr).passed
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_gather_only_misrouted_successor_fails(self, name, monkeypatch):
+        # the scatter reads the true table, so the sides part; before, both
+        # sides gathered through the one misrouted table and agreed
+        rmr = _rmr(name)
+        x, y, r, mutant = _misrouted(rmr)
+        _gather_off(monkeypatch, mutant.table)
+        result = _identity(rmr)
+        assert not result.passed and result.lhs > 1e-3
+
+    @pytest.mark.parametrize("name", ["hypercube2", "hypercube3", "hardcore-path3",
+                                      "colorings-path2-q3"])
+    def test_every_single_successor_gather_mutant_fails(self, name, monkeypatch):
+        rmr = _rmr(name)
+        for x in range(rmr.n):
+            for r in range(rmr.n_r):
+                table = rmr.table.copy()
+                table[x, r] = (table[x, r] + 1) % rmr.n
+                _gather_off(monkeypatch, table)
+                assert not _identity(rmr).passed, (x, r)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_scatter_with_two_draws_fails(self, name, monkeypatch):
+        monkeypatch.setattr(evolve, "_pair_scatter", _scatter_r_s)
+        result = _identity(_rmr(name))
+        if name == "hypercube1":
+            # f(., r) is the constant r: every pair meets at step 1, and the
+            # mutant sends all of the Laplacian's mass off the diagonal, so
+            # both sides read 0 from k = 1 and no trace can tell them apart
+            assert result.passed
+        else:
+            assert not result.passed and result.lhs > 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ import pytest
 
 from conftest import coupling_4tensor, coupon_collector_tail, unstamped_grand_coupling
 from qcoupling.chain import stationary_distribution
-from qcoupling.coupling import coalescence_tail_exact, coalescence_tail_mc, validate_coupling
+from qcoupling.coupling import (
+    coalescence_tail_exact,
+    coalescence_tail_mc,
+    tail_vectors,
+    validate_coupling,
+)
 from qcoupling.errors import GuardExceededError, InvalidInputError
 from qcoupling.models import (
     GraphSpec,
@@ -57,13 +62,10 @@ class TestHypercube:
         np.testing.assert_allclose(pi.weights, np.full(8, 1 / 8), atol=1e-10)
 
     def test_tails_match_coupon_collector(self, hypercube3):
-        report = coalescence_tail_exact(hypercube3.coupling(), m_max=12)
+        C = hypercube3.coupling()
         x, y = hypercube_worst_pair(3)
-        slot = report.pairs.index((x, y))
-        for m in range(13):
-            assert report.per_pair[m, slot] == pytest.approx(
-                coupon_collector_tail(3, m), abs=1e-12
-            )
+        for m, v in enumerate(tail_vectors(C, 12)):
+            assert v[x * C.n + y] == pytest.approx(coupon_collector_tail(3, m), abs=1e-12)
 
     def test_large_instance_is_mc_only(self):
         m = hypercube_model(8)

@@ -55,7 +55,6 @@ from qcoupling.coupling import (
     grand_coupling_matrix,
     grand_coupling_operator,
     independent_coupling,
-    pair_transition,
     validate_coupling,
 )
 from qcoupling.csr import Csr
@@ -267,7 +266,7 @@ class TestOperatorCache:
         rmr = _model("hypercube3").rmr
         op = grand_coupling_operator(rmr)
         assert grand_coupling_operator(rmr) is op
-        assert pair_transition(rmr) is op
+        assert rmr._operator is op  # the cache holds the one built
         assert grand_coupling_matrix(rmr).entries is op
         assert np.shares_memory(c_star_superop(rmr).matrix.data, op.data)
 
@@ -484,19 +483,22 @@ class TestMemoryAtN64:
         assert paths[1].stat().st_size > 1.1 * 2**20
 
     def test_verify_command(self, tmp_path):
-        # 2.42 MiB, with the pair space read off the table; the pair-space
-        # Csr of the tails and checks took 3.44 MiB, the channel's N^2 x N^2
-        # superoperator beside it 4.10 MiB, with the per-pair rows kept to
-        # the end 5.6 MiB, and as concatenated parts 7.8 MiB
+        # 1.77 MiB, with one tail vector a step and the trace identity's
+        # scatter of three pairs; the per-pair rows of every pair, kept for
+        # the trace identity, took 2.32 MiB, the pair-space Csr of the tails
+        # and checks 3.44 MiB, the channel's N^2 x N^2 superoperator beside
+        # it 4.10 MiB, with the per-pair rows kept to the end 5.6 MiB, and as
+        # concatenated parts 7.8 MiB
         argv = ["verify", "--model", "hypercube6", "--m-max", "20", "--out", str(tmp_path)]
-        with _peak_below(2.65 * 2**20), contextlib.redirect_stdout(io.StringIO()):
+        with _peak_below(1.95 * 2**20), contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
 
     def test_coalesce_command(self, tmp_path):
-        # 1.78 MiB, the per-pair rows (41 x 4032 doubles, 1.26 MiB) and the
-        # gather's N x N buffers; the pair-space Csr and its sort took 2.88 MiB
+        # 0.32 MiB, one tail vector a step and the gather's N x N buffers;
+        # the per-pair rows (41 x 4032 doubles, 1.26 MiB) took 1.67 MiB, and
+        # the pair-space Csr and its sort 2.88 MiB
         argv = ["coalesce", "--model", "hypercube6", "--m-max", "40", "--out", str(tmp_path)]
-        with _peak_below(1.95 * 2**20), contextlib.redirect_stdout(io.StringIO()):
+        with _peak_below(0.35 * 2**20), contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
 
 
