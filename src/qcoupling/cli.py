@@ -29,7 +29,7 @@ from qcoupling.dilation import (
 )
 from qcoupling.errors import GuardExceededError, InvalidInputError, QCouplingError
 from qcoupling.evolve import (
-    DensityMatrix, coalescence_trace_identity_check, evolve_trace,
+    EVOLVE_STEP_BYTES, DensityMatrix, coalescence_trace_identity_check, evolve_trace,
     gentle_measurement_step_check, laplacian_preservation_check, main_theorem_check,
     qperp_bound_check, qsample, random_density, rescaled_qperp_decomposition_check,
     start_state_rng, uniform_entries
@@ -269,6 +269,8 @@ def cmd_evolve(args) -> int:
     rm = _load_inputs(args)
     if rm.rmr is None:
         raise InvalidInputError("evolve needs a random-mapping model (CP channel)")
+    # the tails, the trace and its CSV, before any of them is made
+    require_bytes("evolve trace", (args.m_max + 1) * EVOLVE_STEP_BYTES)
     C = rm.exact_coupling()
     n = rm.pi.n
     if args.rho0 == "mixed":

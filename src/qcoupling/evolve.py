@@ -78,6 +78,17 @@ class Qsample:
         return np.eye(self.dim) - self.projector
 
 
+# Bytes a step that ``evolve`` holds at its peak, when the trace becomes CSV
+# text: the trace's six arrays and the tails report's two (64 bytes), and a row
+# of up to 128 characters as a str in series_csv's list (57 + 128) and twice in
+# the joined text (2 x 129). A row is a 7-digit m (the guard stops m_max near
+# 2.1 M), four nonnegative .17g floats of up to 23 characters, the overlap (24,
+# it can be -1e-16) and five commas. Measured growth of the tracemalloc peak
+# over --m-max 0, at --m-max 20000: 485 bytes a step on hypercube3 (rows of
+# about 124 characters), 427 on hardcore-path3 (about 102).
+EVOLVE_STEP_BYTES = 508
+
+
 @dataclass
 class ConvergenceTrace:
     """Per-step trace distance to the qsample and Qperp overlap, with bounds.

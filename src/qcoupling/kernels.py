@@ -54,12 +54,12 @@ def coalescence_counts(table, r_idx, x0, y0, grid, draw):
     apart_at = np.zeros(m_max + 1, dtype=np.int64)
     if x0 != y0 and rows:
         n_r = table.shape[1]
-        # succ[x * |R| + r] = f(x, r) * |R|: one gather per step for both components
-        succ = (np.asarray(table, dtype=np.intp) * n_r).ravel()
+        # flat[x * |R| + r] = f(x, r): a view of the model's int64 table, no copy
+        flat = np.asarray(table, dtype=np.intp).reshape(-1)
         report = np.zeros(m_max + 1, dtype=bool)
         report[grid] = True
-        # pair[0] = X, pair[1] = Y of the trajectories still apart, which are
-        # the rows `active` of r_idx (a slice while that is all of them)
+        # pair[0] = X |R|, pair[1] = Y |R| of the trajectories still apart, which
+        # are the rows `active` of r_idx (a slice while that is all of them)
         pair = np.repeat(np.array([[x0], [y0]], dtype=np.intp) * n_r, rows, axis=1)
         active = slice(None)
         # every window's indices: k * W <= max(DRAW_CHUNK_WORDS, k) <= size
@@ -74,7 +74,8 @@ def coalescence_counts(table, r_idx, x0, y0, grid, draw):
             r_idx[active, step:step + w] = window.T
             for r in window:
                 pair += r
-                succ.take(pair, out=pair, mode="clip")  # in place; no index needs the clip
+                flat.take(pair, out=pair, mode="clip")  # in place; no index needs the clip
+                pair *= n_r
                 step += 1
                 if report[step]:
                     apart_at[step] = np.count_nonzero(pair[0] != pair[1])

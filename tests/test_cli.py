@@ -19,6 +19,7 @@ from qcoupling.coupling import (
     validate_coupling,
 )
 from qcoupling.errors import GuardExceededError
+from qcoupling.evolve import EVOLVE_STEP_BYTES
 from qcoupling.models import hypercube_model
 
 
@@ -562,6 +563,19 @@ class TestVerify:
         ]
 
 
+def _step_growth(tmp_path, command, model, m_max):
+    """How far ``command``'s tracemalloc peak at ``--m-max m_max`` exceeds its peak at 0."""
+    peaks = []
+    for m in (0, m_max):
+        tracemalloc.start()
+        try:
+            run(command, "--model", model, "--m-max", str(m), "--out", str(tmp_path / str(m)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[1] - peaks[0]
+
+
 class TestByteGuard:
     """A stage sized by the input stops at the byte guard before it allocates:
     exit 3, a message naming the stage, its estimate and the budget, and no
@@ -571,8 +585,12 @@ class TestByteGuard:
         # 172 bytes a step (tail_max, m_values and a CSV row), and 7 N^2 doubles
         (("coalesce", "--model", "hypercube6", "--m-max", "100000000"),
          "exact tails", 100_000_001 * 172 + 7 * 64 * 64 * 8),
+        # EVOLVE_STEP_BYTES a step for the tails, the trace and its CSV, checked
+        # before the tails; at 3 M steps the tails alone (0.52 GB) would pass
         (("evolve", "--model", "hypercube3", "--m-max", "100000000"),
-         "exact tails", 100_000_001 * 172 + 7 * 8 * 8 * 8),
+         "evolve trace", 100_000_001 * EVOLVE_STEP_BYTES),
+        (("evolve", "--model", "hypercube3", "--m-max", "3000000"),
+         "evolve trace", 3_000_001 * EVOLVE_STEP_BYTES),
         (("verify", "--model", "hypercube3", "--m-max", "100000000"),
          "exact tails", 100_000_001 * 172 + 7 * 8 * 8 * 8),
         # per state, five 8 x 8 arrays and 320 bytes of objects
@@ -585,7 +603,8 @@ class TestByteGuard:
          "MC tails", 9 * 2_000_000_001 + 2_000_000_000),
         # the route batch, kappa x d^2 doubles
         (("dilate", "--model", "hypercube12"), "dilation", 24 * 4096**2 * 8),
-    ], ids=["coalesce", "evolve", "verify-m-max", "verify-states", "coalesce-mc", "dilate"])
+    ], ids=["coalesce", "evolve", "evolve-past-tails", "verify-m-max", "verify-states",
+            "coalesce-mc", "dilate"])
     def test_past_the_budget_is_guard(self, tmp_path, capsys, argv, stage, estimate):
         tracemalloc.start()
         try:
@@ -621,17 +640,18 @@ class TestByteGuard:
         # a str in series_csv's list beside its line twice in the joined
         # text. Rows here are about 30 characters (tails in e-notation), and
         # the estimate allows 32
-        peaks = []
-        for m in (0, m_max):
-            tracemalloc.start()
-            try:
-                run("coalesce", "--model", model, "--m-max", str(m),
-                    "--out", str(tmp_path / str(m)))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
         estimate = m_max * 172
-        assert 0.8 * estimate <= peaks[1] - peaks[0] <= estimate
+        assert 0.8 * estimate <= _step_growth(tmp_path, "coalesce", model, m_max) <= estimate
+
+    @pytest.mark.parametrize("model", ["hypercube3", "hardcore-path3", "colorings-path2-q3"])
+    def test_evolve_estimate_counts_what_evolve_holds(self, tmp_path, model):
+        # the tracemalloc peak that steps add to evolve, against the estimate
+        # of EVOLVE_STEP_BYTES a step: eight arrays and a CSV row as a str in
+        # series_csv's list beside its line twice in the joined text. Rows
+        # here are 100 to 120 characters, and the estimate allows 128
+        m_max = 5000
+        estimate = m_max * EVOLVE_STEP_BYTES
+        assert 0.8 * estimate <= _step_growth(tmp_path, "evolve", model, m_max) <= estimate
 
     def test_tails_estimate_counts_the_vectors(self, monkeypatch):
         # 7 N^2 doubles: the tracemalloc peak of the tails to m = 3 at N = 64,

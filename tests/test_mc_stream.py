@@ -344,24 +344,27 @@ class TestStreamedTails:
         for per_pair in tails[1:]:
             np.testing.assert_array_equal(per_pair, tails[0])
 
-    def test_peak_memory_bounded_by_block(self):
-        """Traced peak bytes of a 100k-trajectory hypercube8 run stay bounded.
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_peak_memory_bounded_by_block(self, d):
+        """Traced peak bytes of a 100k-trajectory hypercube run stay bounded.
 
         The run holds one block's record of 1-byte indices. While it draws
         it also holds one window of 1-byte indices (at most DRAW_CHUNK_WORDS of
         them here), the kernel's pair state (16 bytes a row) and the stream's
         pieces of 3 DRAW_CHUNK_WORDS / 8 words: the 64-bit counters, their
         64-bit scratch and 1-byte indices. That stays within 17 bytes per
-        DRAW_CHUNK_WORDS word plus 64 KiB, which also covers the model's tables
-        and the per-pair results. The full-array path held about 256 MB at this
-        size.
+        DRAW_CHUNK_WORDS word plus 64 KiB, which also covers the per-pair
+        results. The model is built before tracing starts, and the kernel
+        steps on its successor table, so no term grows with the table: a copy
+        of hypercube12's 8 N |R| bytes = 768 KiB would break the bound.
+        The full-array path held about 256 MB at hypercube8.
         """
         m_max = 160
         bound = mc_block_rows(m_max) * m_max + 17 * DRAW_CHUNK_WORDS + 64 * 1024
-        model = hypercube_model(8)
+        model = hypercube_model(d)
         tracemalloc.start()
         try:
-            coalescence_tail_mc(model.rmr, [(0, 255)], [m_max], samples=100_000, seed=2)
+            coalescence_tail_mc(model.rmr, [(0, 2**d - 1)], [m_max], samples=100_000, seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
