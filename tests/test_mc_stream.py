@@ -319,6 +319,20 @@ class TestKernel:
         assert words < 3000 * 64
 
 
+def assert_mc_peak_within_block_bound(d):
+    """Trace a 100k-trajectory hypercube`d` run; its peak stays within the block bound."""
+    m_max = 160
+    bound = mc_block_rows(m_max) * m_max + 17 * DRAW_CHUNK_WORDS + 64 * 1024
+    model = hypercube_model(d)
+    tracemalloc.start()
+    try:
+        coalescence_tail_mc(model.rmr, [(0, 2**d - 1)], [m_max], samples=100_000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 class TestStreamedTails:
     @settings(max_examples=150, deadline=None)
     @given(mc_problems())
@@ -344,9 +358,8 @@ class TestStreamedTails:
         for per_pair in tails[1:]:
             np.testing.assert_array_equal(per_pair, tails[0])
 
-    @pytest.mark.parametrize("d", [8, 12])
-    def test_peak_memory_bounded_by_block(self, d):
-        """Traced peak bytes of a 100k-trajectory hypercube run stay bounded.
+    def test_peak_memory_bounded_by_block(self):
+        """Traced peak bytes of a 100k-trajectory hypercube8 run stay bounded.
 
         The run holds one block's record of 1-byte indices. While it draws
         it also holds one window of 1-byte indices (at most DRAW_CHUNK_WORDS of
@@ -359,16 +372,11 @@ class TestStreamedTails:
         of hypercube12's 8 N |R| bytes = 768 KiB would break the bound.
         The full-array path held about 256 MB at hypercube8.
         """
-        m_max = 160
-        bound = mc_block_rows(m_max) * m_max + 17 * DRAW_CHUNK_WORDS + 64 * 1024
-        model = hypercube_model(d)
-        tracemalloc.start()
-        try:
-            coalescence_tail_mc(model.rmr, [(0, 2**d - 1)], [m_max], samples=100_000, seed=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        assert_mc_peak_within_block_bound(8)
+
+    def test_peak_memory_bounded_by_block_hypercube12(self):
+        """The same bound holds on hypercube12, whose table is 16 times larger."""
+        assert_mc_peak_within_block_bound(12)
 
     @pytest.mark.parametrize("kwargs, flag", [
         ({"seed": -1}, "--seed"),
