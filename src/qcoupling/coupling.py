@@ -20,7 +20,7 @@ from qcoupling.chain import (
     read_json_file,
 )
 from qcoupling.checks import CheckResult, ValidationReport, series_csv
-from qcoupling.csr import Csr, as_csr, sums_by_key, table_gather, table_row_blocks
+from qcoupling.csr import Csr, as_csr, sums_by_key, table_csr, table_gather
 from qcoupling.errors import GuardExceededError, InvalidInputError
 from qcoupling.kernels import CounterStream, coalescence_counts
 
@@ -412,27 +412,22 @@ def grand_coupling_operator(rmr: RandomMappingRep) -> Csr:
 
     C = sum_r Pr(r) kron(F_r, F_r) with F_r[f(x, r), x] = 1, so column
     idx(x, y) holds Pr(r) at row idx(f(x, r), f(y, r)): at most |R| nonzeros
-    per column, made in row blocks of f(x, r) (:func:`table_row_blocks`) and
-    added in r order at a cell; a cell that sums to zero (only Pr(r) = 0
-    reach it) is not stored. It is a coupling by construction: both marginals
-    are the induced chain, which :class:`RandomMappingRep` checks against its
-    base; (x, x) only reaches diagonal pairs; and swapping the components
-    maps column (x, y) onto (y, x) with the same weights.
+    per column, read off the table by :func:`table_csr` (factors f(x, r) N
+    and f(y, r) of the row, x N and y of the column, Pr(r) and 1.0 of the
+    value) and added in r order at a cell; a cell that sums to zero (only
+    Pr(r) = 0 reach it) is not stored. It is a coupling by construction:
+    both marginals are the induced chain, which :class:`RandomMappingRep`
+    checks against its base; (x, x) only reaches diagonal pairs; and swapping
+    the components maps column (x, y) onto (y, x) with the same weights.
 
     Cached on ``rmr``: every later call, and :func:`grand_coupling_matrix`,
     returns the same (immutable) matrix.
     """
     if rmr._operator is None:
         n, f = rmr.n, rmr.table
-
-        def blocks():
-            for r, x in table_row_blocks(f):
-                rows = (f[x, r] * n)[:, None] + f.T[r]
-                cols = (x * n)[:, None] + np.arange(n)
-                yield np.repeat(rmr.probs[r], n), rows.ravel(), cols.ravel()
-
-        C = Csr.from_coo_blocks(blocks(), (n * n, n * n), f.size * n)
-        object.__setattr__(rmr, "_operator", C.without_zeros())
+        x = np.arange(n)[:, None]
+        object.__setattr__(rmr, "_operator",
+                           table_csr(n, (f * n, f), (x * n, x), (rmr.probs, 1.0)))
     return rmr._operator
 
 
@@ -443,12 +438,13 @@ def pair_transition(coupling: CouplingMatrix) -> Csr:
     return coupling.entries
 
 
-def pair_step(C: Csr | CouplingMatrix | RandomMappingRep):
+def pair_step(C: CouplingMatrix | RandomMappingRep):
     """The step u -> u C of the pair chain on N^2 vectors u (pair x*N + y): a
-    product by C or :func:`pair_transition`, or a mapping's :func:`table_gather`."""
+    product by a coupling's :func:`pair_transition`, or a mapping's
+    :func:`table_gather`."""
     if isinstance(C, RandomMappingRep):
         return table_gather(C.probs, C.table)
-    return (C if isinstance(C, Csr) else pair_transition(C)).__rmatmul__
+    return pair_transition(C).__rmatmul__
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Compressed sparse row matrices in numpy: the storage of every pair-space
-operator, superoperator and Choi matrix, and a random mapping's pair
-operator read off its successor table.
+operator, superoperator and Choi matrix, and a random mapping's pair-space
+matrices and pair step read off its successor table.
 
 A :class:`Csr` is immutable and canonical: within each row the column indices
 are strictly ascending, so a cell is stored at most once. Every matrix is
-assembled by :meth:`Csr.from_coo` (or its row blocks), which keeps stored
-zeros, as scipy's canonical form does; :meth:`Csr.without_zeros` is the one
-place they go.
+assembled by :meth:`Csr.from_coo` or, read off a successor table in row
+blocks, by :func:`table_csr`, which gives ``from_coo``'s bits. ``from_coo``
+keeps stored zeros, as scipy's canonical form does;
+:meth:`Csr.without_zeros` is the one place they go.
 Each operation gives the bits that the same operation on a
 ``scipy.sparse.csr_array`` with these arrays gives: the products ``M @ v``
 and ``v @ M`` take 1-D operands only and add a row's or a column's terms in
@@ -67,34 +68,6 @@ class Csr:
         n_rows, n_cols = shape
         indptr = np.searchsorted(key, np.arange(n_rows + 1) * n_cols)
         return cls(data, key % max(n_cols, 1), indptr, shape)
-
-    @classmethod
-    def from_coo_blocks(cls, blocks, shape, size: int) -> Csr:
-        """:meth:`from_coo` of the concatenated ``(data, rows, cols)`` blocks,
-        bit for bit, sorting one block at a time. Each block holds every entry
-        of a range of rows, the ranges ascending. ``size`` bounds the entry
-        count: the cells are written into arrays of that length, whose pages
-        past the last are never touched, and then cut to length."""
-        n_rows, n_cols = shape
-        data = np.empty(size)
-        indices = np.empty(size, dtype=np.int64)
-        counts = np.zeros(n_rows + 1, dtype=np.int64)  # counts[i + 1]: entries of row i
-        nnz = next_row = 0
-        for block in blocks:
-            block_data, key = _cells(*block, shape)
-            if not key.size:
-                continue
-            rows = key // n_cols
-            if rows[0] < next_row:
-                raise ValueError("blocks must cover ascending, disjoint row ranges")
-            next_row = rows[-1] + 1
-            np.add.at(counts, rows + 1, 1)
-            data[nnz:nnz + key.size] = block_data
-            np.remainder(key, n_cols, out=indices[nnz:nnz + key.size])
-            nnz += key.size
-        data.resize(nnz, refcheck=False)  # in place: only this function refers to them
-        indices.resize(nnz, refcheck=False)
-        return cls(data, indices, np.cumsum(counts, out=counts), shape)
 
     @classmethod
     def from_dense(cls, M) -> Csr:
@@ -166,21 +139,47 @@ class Csr:
         return sums_by_key(self.indices, _products(other, self.rows, self.data), self.shape[1])
 
 
-def table_row_blocks(lead: np.ndarray):
-    """Index arrays (r, u), in (r, u) order, of the cells of an N x |R| table
-    whose N entries each fall in rows lead[u, r] * N + (0 .. N - 1), for runs
-    of lead values with at most BLOCK_BYTES of entries (or one value). Made
-    in (r, u, v) order, a block's entries keep the r order of the whole
-    sequence at each cell, as :meth:`Csr.from_coo_blocks` needs."""
-    n = lead.shape[0]
+def table_csr(n: int, rows, cols, values) -> Csr:
+    """The N^2 x N^2 matrix read off an N x |R| table: for each cell (u, r)
+    and each v < N, values[0][u, r] * values[1][v, r] at row
+    rows[0][u, r] + rows[1][v, r] and column cols[0][u, r] + cols[1][v, r].
+    Each argument is a (u-factor, v-factor) pair of arrays that broadcast to
+    N x |R|, and every entry of a cell falls in row group rows[0][u, r] // N.
+
+    The entries are made in (r, u, v) order, in runs of row groups with at
+    most BLOCK_BYTES of entries (or one group), and each run is sorted alone,
+    so a cell's entries are added in r order and the matrix is
+    ``Csr.from_coo`` of the whole sequence, ``without_zeros``, bit for bit.
+    The cells are written into arrays as long as the |R| N^2 entries, whose
+    pages past the last are never touched, and then cut to length.
+    """
+    shape = (n * n, n * n)
+    table_shape = np.broadcast_shapes((n, 1), *(np.shape(a) for a in (*rows, *cols, *values)))
+    lead = np.broadcast_to(rows[0] // n, table_shape)
+    factors = [(op, np.broadcast_to(a, table_shape), np.broadcast_to(b, table_shape).T)
+               for op, (a, b) in zip((np.add, np.add, np.multiply), (rows, cols, values))]
+    data = np.empty(lead.size * n)
+    indices = np.empty(lead.size * n, dtype=np.int64)
+    counts = np.zeros(shape[0] + 1, dtype=np.int64)  # counts[i + 1]: entries of row i
     ends = np.cumsum(np.bincount(lead.ravel(), minlength=n) * n)  # entries up to each group
-    lo = 0
-    while lo < n:
+    nnz = lo = 0
+    while lo < ends.size:
         start = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + BLOCK_BYTES // 24, "right")))
         r, u = np.nonzero((lead.T >= lo) & (lead.T < hi))
-        yield r, u
+        block_rows, block_cols, block_data = (op(a[u, r][:, None], b[r]).ravel()
+                                              for op, a, b in factors)
+        block_data, key = _cells(block_data, block_rows, block_cols, shape)
+        if key.size and not lo * n <= key[0] // shape[1] <= key[-1] // shape[1] < hi * n:
+            raise ValueError("an entry falls outside the row group of its table cell")
+        np.add.at(counts, key // shape[1] + 1, 1)
+        data[nnz:nnz + key.size] = block_data
+        np.remainder(key, shape[1], out=indices[nnz:nnz + key.size])
+        nnz += key.size
         lo = hi
+    data.resize(nnz, refcheck=False)  # in place: only this function refers to them
+    indices.resize(nnz, refcheck=False)
+    return Csr(data, indices, np.cumsum(counts, out=counts), shape).without_zeros()
 
 
 def table_gather(probs: np.ndarray, table: np.ndarray):

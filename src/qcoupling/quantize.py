@@ -26,7 +26,7 @@ from qcoupling.coupling import (
     independent_coupling,
     validate_coupling,
 )
-from qcoupling.csr import Csr, as_csr, table_row_blocks
+from qcoupling.csr import Csr, as_csr, table_csr
 from qcoupling.errors import InvalidInputError
 
 CP_TOL_REL = 1e-9  # CP tolerance relative to max |J| entry
@@ -314,10 +314,11 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     """Superoperator matrix of the Kraus channel: sum_r kron(T_r, T_r), sparse.
 
     Read off the table: operator r puts a_r(x) a_r(y), a the amplitudes, at
-    row x*N + y, column f(x, r)*N + f(y, r), in row blocks of x
-    (:func:`table_row_blocks`), added at each cell in r order, so the entries
-    equal those of the dense sum bit for bit; cells that sum to zero are not
-    stored.
+    row x*N + y, column f(x, r)*N + f(y, r): :func:`table_csr` with factors
+    x N and y of the row, f(x, r) N and f(y, r) of the column and a_r(x) and
+    a_r(y) of the value. The products are added at each cell in r order, so
+    the entries equal those of the dense sum bit for bit; cells that sum to
+    zero are not stored.
 
     Of :func:`kraus_from_grand`'s set, it is every command's one T of a
     random mapping. Its Choi matrix is sum_r u_r u_r^T with
@@ -326,15 +327,9 @@ def superop_from_kraus(ks: KrausSet) -> Superoperator:
     ``ks`` is the map's ``kraus``, so :func:`verify_cp` takes the Gram route.
     """
     n, a, f = ks.dim, ks.amplitudes, ks.table
-
-    def blocks():
-        for r, x in table_row_blocks(np.indices(f.shape)[0]):
-            data = a[x, r][:, None] * a.T[r]
-            cols = (f[x, r] * n)[:, None] + f.T[r]
-            yield data.ravel(), ((x * n)[:, None] + np.arange(n)).ravel(), cols.ravel()
-
-    S = Csr.from_coo_blocks(blocks(), (n * n, n * n), f.size * n)
-    return Superoperator(dim=ks.dim, matrix=S.without_zeros(), kraus=ks)
+    x = np.arange(n)[:, None]
+    S = table_csr(n, (x * n, x), (f * n, f), (a, a))
+    return Superoperator(dim=ks.dim, matrix=S, kraus=ks)
 
 
 def choi_matrix(S: Superoperator) -> ChoiMatrix:
@@ -346,21 +341,16 @@ def choi_matrix(S: Superoperator) -> ChoiMatrix:
 
     A random mapping's C*, whose ``kraus`` is a TableKraus without weights
     (the F_r only :func:`c_star_superop` attaches), is read off the table
-    instead: C's cell (f(x, r) N + f(y, r), x N + y) sits at
-    (y N + f(y, r), x N + f(x, r)), so Pr(r) goes there in row blocks of y,
+    instead: C's cell (f(x, r) N + f(y, r), x N + y) sits at (u[y, r], u[x, r]),
+    u[x, r] = x N + f(x, r) the place of F_r's 1 in column x, so
+    Choi(C*) = sum_r Pr(r) vec(F_r) vec(F_r)^T: :func:`table_csr` with row
+    factors (u, 0), column factors (0, u) and value factors (Pr(r), 1.0),
     added in r order as in C.
     """
     n, k = S.dim, S.kraus
     if type(k) is TableKraus and k.weights is None:
-        f = k.table
-
-        def blocks():
-            for r, y in table_row_blocks(np.indices(f.shape)[0]):
-                rows = np.repeat(y * n + f[y, r], n)
-                cols = (np.arange(n) * n)[None, :] + f.T[r]
-                yield np.repeat(k.probs[r], n), rows, cols.ravel()
-
-        J = Csr.from_coo_blocks(blocks(), (n * n, n * n), f.size * n).without_zeros()
+        u = np.arange(n)[:, None] * n + k.table
+        J = table_csr(n, (u, 0), (0, u), (k.probs, 1.0))
         return ChoiMatrix(dim=n, matrix=J, kraus=k)
     M = S.matrix
     rows = M.indices % n * n + M.rows % n  # x*N + i

@@ -5,11 +5,11 @@ table against the sparse pair-space routes it replaced.
   coupling (``conftest.csr_tail_rows``), on every bundled mapping with
   N <= 64 and on hypothesis mappings, within a stated rounding bound; the
   tails stay within [0, 1];
-- the row-block assembly (``Csr.from_coo_blocks``) bit for bit against
-  ``Csr.from_coo`` of the whole entry sequence, and the three table-built
-  matrices (the grand coupling, the Kraus superoperator and Choi(C*)) against
-  the ``from_coo`` constructions they replaced, at budgets down to one row
-  group a block;
+- the table assembler (``csr.table_csr``) bit for bit against
+  ``Csr.from_coo`` of the whole (r, u, v) entry sequence, and the three
+  matrices it reads off a table (the grand coupling, the Kraus superoperator
+  and Choi(C*)) against the ``from_coo`` constructions they replaced, at
+  budgets down to one row group a block, each sort holding one block;
 - a table with one misrouted successor fails the tails comparison and the
   Laplacian check;
 - the trace identity's two sides are separate constructions: a successor
@@ -263,32 +263,55 @@ def _assert_table_builds_match(rmr, pi=None):
         _assert_same_csr(superop_from_kraus(ks).matrix, _whole_kraus_superop(ks))
 
 
-class TestRowBlocks:
-    @settings(max_examples=60, deadline=None)
-    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), seed=st.integers(0, 2**32 - 1),
-           size=st.integers(0, 40), cuts=st.lists(st.integers(0, 6), max_size=4))
-    def test_blocks_equal_from_coo(self, shape, seed, size, cuts):
-        # random triplets with repeats, split into ascending row ranges
-        rng = np.random.Generator(np.random.Philox(seed))
-        rows = np.sort(rng.integers(0, shape[0], size=size))
-        cols = rng.integers(0, shape[1], size=size)
-        data = rng.choice([0.0, -0.0, 0.1, 0.2, 0.3, 1e300, -1e300, np.nan], size=size)
-        order = rng.permutation(size)  # any input order within a block
-        bounds = [0, *sorted(set(np.searchsorted(rows, cuts).tolist())), size]
-        blocks = []
-        for a, b in zip(bounds, bounds[1:]):
-            at = np.sort(order[(order >= a) & (order < b)])
-            blocks.append((data[at], rows[at], cols[at]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            whole = Csr.from_coo(np.concatenate([d for d, _, _ in blocks]),
-                                 np.concatenate([r for _, r, _ in blocks]),
-                                 np.concatenate([c for _, _, c in blocks]), shape)
-            _assert_same_csr(Csr.from_coo_blocks(iter(blocks), shape, size + 3), whole)
+def _shaped(a: np.ndarray, kind: int) -> np.ndarray:
+    """a, its first column (N x 1) or its first row (|R|): the shapes a
+    factor broadcasts from."""
+    return (a, a[:, :1], a[0])[kind]
 
-    def test_rejects_blocks_out_of_row_order(self):
-        blocks = [([1.0], [1], [0]), ([1.0], [0], [0])]
-        with pytest.raises(ValueError, match="ascending, disjoint row ranges"):
-            Csr.from_coo_blocks(iter(blocks), (2, 2), 2)
+
+def _whole_table_csr(n, rows, cols, values) -> Csr:
+    """table_csr's contract: Csr.from_coo of the whole (r, u, v) sequence."""
+    shape = np.broadcast_shapes((n, 1), *(np.shape(a) for a in (*rows, *cols, *values)))
+    (r0, r1), (c0, c1), (v0, v1) = (
+        [np.broadcast_to(a, shape).T for a in pair] for pair in (rows, cols, values))
+    return Csr.from_coo((v0[:, :, None] * v1[:, None, :]).ravel(),
+                        (r0[:, :, None] + r1[:, None, :]).ravel(),
+                        (c0[:, :, None] + c1[:, None, :]).ravel(), (n * n, n * n)).without_zeros()
+
+
+class TestRowBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 5), n_r=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.integers(0, 2), min_size=6, max_size=6),
+           budget=st.sampled_from([24, 24 * 7, csr.BLOCK_BYTES]))
+    def test_table_csr_equals_from_coo(self, n, n_r, seed, kinds, budget):
+        # every entry of cell (u, r) falls in row group rows[0][u, r] // N:
+        # rows[0] % N <= k and rows[1] < N - k. Factors below `spread` make
+        # cells repeat, and three rounded terms at a cell show their order
+        rng = np.random.Generator(np.random.Philox(seed))
+        k, spread = rng.integers(0, n), rng.integers(1, n + 1)
+        table = (n, n_r)
+        rows = (rng.integers(0, spread, table) * n + rng.integers(0, k + 1, table),
+                rng.integers(0, n - k, table))
+        cols = (rng.integers(0, spread, table) * n, rng.integers(0, spread, table))
+        special = [0.0, -0.0, np.nan, 1e300, -1e300]
+        values = tuple(np.where(rng.random(table) < 0.3, rng.choice(special, table),
+                                rng.uniform(-1.0, 1.0, table)) for _ in "uv")
+        rows, cols, values = ((_shaped(a, kind), _shaped(b, kind_b))
+                              for (a, b), kind, kind_b in zip((rows, cols, values),
+                                                              kinds[::2], kinds[1::2]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                mock.patch.object(csr, "BLOCK_BYTES", budget):
+            _assert_same_csr(csr.table_csr(n, rows, cols, values),
+                             _whole_table_csr(n, rows, cols, values))
+
+    def test_rejects_an_entry_outside_its_row_group(self):
+        # both cells lead row group 0, but their v = 1 entries fall in row 2,
+        # of group 1
+        rows = (np.zeros((2, 1), dtype=np.int64), np.array([[0], [2]]))
+        with mock.patch.object(csr, "BLOCK_BYTES", 24), \
+                pytest.raises(ValueError, match="outside the row group"):
+            csr.table_csr(2, rows, (0, 0), (1.0, 1.0))
 
     @pytest.mark.parametrize("name", BUNDLED)
     @pytest.mark.parametrize("budget", [24, 24 * 50, csr.BLOCK_BYTES])
@@ -306,10 +329,19 @@ class TestRowBlocks:
             _assert_table_builds_match(rmr)
 
     def test_blocks_are_sized_by_the_budget(self):
-        rmr = _rmr("hypercube6")
-        n = rmr.n
-        sizes = [r.size * n for r, _ in csr.table_row_blocks(rmr.table)]
-        assert sum(sizes) == rmr.table.size * n and len(sizes) > 1
+        # every sort in the builds of C, Choi(C*) and T holds one block, and
+        # the blocks hold the |R| N^2 entries of each
+        m = resolve_model("hypercube6", SimpleNamespace(bias=0.5, fugacity=2.0))
+        sizes, cells = [], csr._cells
+
+        def recording(data, *args):
+            sizes.append(np.size(data))
+            return cells(data, *args)
+
+        with mock.patch.object(csr, "_cells", recording):
+            choi_matrix(c_star_superop(m.rmr))
+            superop_from_kraus(kraus_from_grand(m.rmr, m.pi))
+        assert sum(sizes) == 3 * m.rmr.table.size * m.rmr.n and len(sizes) > 3
         assert max(sizes) <= csr.BLOCK_BYTES // 24
 
 
